@@ -13,6 +13,9 @@
 //! so the full `[n, k]` distance matrix costs two tiled `X·Cᵀ` products (raw
 //! rows for the reconstruction term, centred-normalised rows for the
 //! correlation term) plus cached per-row norms and an `O(n·k)` epilogue.
+//! The per-segment statistics (`‖x‖²`, `x̂`) live in a [`SegmentCache`]: a
+//! fit builds it once and reuses it for every sweep, one-shot calls build it
+//! per call; both fill it identically, so the two give the same bits.
 //!
 //! The GEMM path accumulates in `f32` where the scalar oracle
 //! ([`Objective::distance`]) accumulates in `f64`, so distances agree to
@@ -78,6 +81,64 @@ impl CenterCache {
     }
 }
 
+/// Per-segment statistics of a `[n, p]` segment matrix: `‖x_i‖²` and the
+/// centred-normalised rows `x̂_i` (zero rows for constant segments; empty
+/// when the objective has no correlation term).
+///
+/// A fit builds one cache and shares it by every assignment sweep, the
+/// k-means++ sweeps and the per-bucket `U_j = Σ x̂_i` pass of the AdamW
+/// update; one-shot [`crate::Prototypes`] calls build one per call. Rows
+/// are filled independently, so the cache is bitwise the same at any
+/// thread count, and a fit's sweeps equal one-shot calls bit for bit.
+pub(crate) struct SegmentCache<'a> {
+    segments: &'a Tensor,
+    sq_norms: Vec<f32>,
+    unit: Vec<f32>,
+}
+
+impl<'a> SegmentCache<'a> {
+    pub(crate) fn new(segments: &'a Tensor, objective: &Objective) -> SegmentCache<'a> {
+        assert_eq!(segments.rank(), 2, "segments must be [n, p]");
+        let (n, p) = (segments.dims()[0], segments.dims()[1]);
+        let data = segments.data();
+        let grain = EPILOGUE_GRAIN.div_ceil(p.max(1)).max(1);
+        let mut sq_norms = vec![0.0f32; n];
+        par::parallel_fill(&mut sq_norms, grain, |range, chunk| {
+            for (i, o) in range.zip(chunk.iter_mut()) {
+                *o = sq_norm(&data[i * p..(i + 1) * p]);
+            }
+        });
+        let mut unit = Vec::new();
+        if objective.alpha() > 0.0 {
+            unit = vec![0.0f32; n * p];
+            par::parallel_rows(&mut unit, p, grain, 1, |row0, chunk| {
+                for (i, out) in chunk.chunks_exact_mut(p).enumerate() {
+                    center_normalise(&data[(row0 + i) * p..(row0 + i + 1) * p], out);
+                }
+            });
+        }
+        SegmentCache {
+            segments,
+            sq_norms,
+            unit,
+        }
+    }
+
+    /// The cached segment matrix `[n, p]`.
+    pub(crate) fn segments(&self) -> &'a Tensor {
+        self.segments
+    }
+
+    /// `x̂_i`, the centred-normalised segment `i` (all-zero when flat).
+    ///
+    /// # Panics
+    /// If the cache was built without the correlation term.
+    pub(crate) fn unit_row(&self, i: usize) -> &[f32] {
+        let p = self.segments.dims()[1];
+        &self.unit[i * p..(i + 1) * p]
+    }
+}
+
 /// `‖v‖²` with f64 accumulation (cast once, like the scalar kernels).
 fn sq_norm(v: &[f32]) -> f32 {
     v.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>() as f32
@@ -109,15 +170,28 @@ fn center_normalise(v: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Runs the blocked distance sweep over `segments: [n, p]`, invoking
-/// `visit(first_row, rows, block)` with each finished `[rows, k]` distance
-/// block (row-major, reused buffer — copy out what must outlive the call).
-fn for_each_block<F>(segments: &Tensor, cache: &CenterCache, mut visit: F)
+/// Eq. 6 from cached statistics — the sweep epilogue
+/// `max(‖x‖² − 2·x·c + ‖c‖², 0) + α·(1 − clamp(x̂·ĉ, −1, 1))`, with the
+/// correlation term only when `α > 0`.
+#[inline]
+fn composite(x2: f32, dot: f32, c2: f32, alpha: f32, unit_dot: f32) -> f32 {
+    let rec = (x2 - 2.0 * dot + c2).max(0.0);
+    if alpha > 0.0 {
+        rec + alpha * (1.0 - unit_dot.clamp(-1.0, 1.0))
+    } else {
+        rec
+    }
+}
+
+/// Runs the blocked distance sweep over the cached segments `seg: [n, p]`,
+/// invoking `visit(first_row, rows, block)` with each finished `[rows, k]`
+/// distance block (row-major, reused buffer — copy out what must outlive
+/// the call).
+fn for_each_block<F>(seg: &SegmentCache, cache: &CenterCache, mut visit: F)
 where
     F: FnMut(usize, usize, &[f32]),
 {
-    assert_eq!(segments.rank(), 2, "segments must be [n, p]");
-    let (n, p) = (segments.dims()[0], segments.dims()[1]);
+    let (n, p) = (seg.segments.dims()[0], seg.segments.dims()[1]);
     assert_eq!(p, cache.p, "segment width {p} != prototype width {}", cache.p);
     let k = cache.k;
     let block = BLOCK_ROWS.min(n.max(1));
@@ -125,28 +199,11 @@ where
 
     let mut dist = vec![0.0f32; block * k];
     let mut dots = vec![0.0f32; if corr { block * k } else { 0 }];
-    let mut unit_rows = vec![0.0f32; if corr { block * p } else { 0 }];
-    let mut x2 = vec![0.0f32; block];
 
     let mut r0 = 0usize;
     while r0 < n {
         let rows = block.min(n - r0);
-        let seg_block = &segments.data()[r0 * p..(r0 + rows) * p];
-
-        // Per-row statistics (parallel over rows; each row independent).
-        let stats_grain = EPILOGUE_GRAIN.div_ceil(p.max(1)).max(1);
-        par::parallel_fill(&mut x2[..rows], stats_grain, |range, chunk| {
-            for (i, o) in range.zip(chunk.iter_mut()) {
-                *o = sq_norm(&seg_block[i * p..(i + 1) * p]);
-            }
-        });
-        if corr {
-            par::parallel_rows(&mut unit_rows[..rows * p], p, stats_grain, 1, |row0, chunk| {
-                for (i, out) in chunk.chunks_exact_mut(p).enumerate() {
-                    center_normalise(&seg_block[(row0 + i) * p..(row0 + i + 1) * p], out);
-                }
-            });
-        }
+        let seg_block = &seg.segments.data()[r0 * p..(r0 + rows) * p];
 
         // Reconstruction dots: X·Cᵀ on the raw rows.
         dist[..rows * k].fill(0.0);
@@ -154,24 +211,21 @@ where
         // Correlation dots: X̂·Ĉᵀ on the centred-normalised rows.
         if corr {
             dots[..rows * k].fill(0.0);
-            raw::gemm_nt(rows, p, k, &unit_rows[..rows * p], &cache.unit, &mut dots[..rows * k]);
+            let unit_block = &seg.unit[r0 * p..(r0 + rows) * p];
+            raw::gemm_nt(rows, p, k, unit_block, &cache.unit, &mut dots[..rows * k]);
         }
 
-        // Epilogue: d = max(‖x‖² − 2·x·c + ‖c‖², 0) + α·(1 − clamp(corr)).
+        // Epilogue: Eq. 6 from the dots and the cached norms.
         {
-            let (x2, dots, sq_norms, alpha) = (&x2, &dots, &cache.sq_norms, cache.alpha);
+            let x2 = &seg.sq_norms[r0..r0 + rows];
+            let (dots, sq_norms, alpha) = (&dots, &cache.sq_norms, cache.alpha);
             let grain_rows = EPILOGUE_GRAIN.div_ceil(k.max(1)).max(1);
             par::parallel_rows(&mut dist[..rows * k], k, grain_rows, 1, |row0, chunk| {
                 for (i, row) in chunk.chunks_exact_mut(k).enumerate() {
                     let xi2 = x2[row0 + i];
                     for (j, v) in row.iter_mut().enumerate() {
-                        let rec = (xi2 - 2.0 * *v + sq_norms[j]).max(0.0);
-                        *v = if corr {
-                            let r = dots[(row0 + i) * k + j].clamp(-1.0, 1.0);
-                            rec + alpha * (1.0 - r)
-                        } else {
-                            rec
-                        };
+                        let r = if corr { dots[(row0 + i) * k + j] } else { 0.0 };
+                        *v = composite(xi2, *v, sq_norms[j], alpha, r);
                     }
                 }
             });
@@ -183,11 +237,11 @@ where
 }
 
 /// The full `[n, k]` composite distance matrix via the GEMM path.
-pub(crate) fn distance_matrix(segments: &Tensor, cache: &CenterCache) -> Tensor {
-    let n = segments.dims()[0];
+pub(crate) fn distance_matrix(seg: &SegmentCache, cache: &CenterCache) -> Tensor {
+    let n = seg.segments.dims()[0];
     let mut out = Tensor::zeros(&[n, cache.k]);
     let k = cache.k;
-    for_each_block(segments, cache, |r0, rows, block| {
+    for_each_block(seg, cache, |r0, rows, block| {
         out.data_mut()[r0 * k..(r0 + rows) * k].copy_from_slice(block);
     });
     out
@@ -196,13 +250,13 @@ pub(crate) fn distance_matrix(segments: &Tensor, cache: &CenterCache) -> Tensor 
 /// Nearest center per row of `segments` via the GEMM path: fills
 /// `out[i] = (argmin_j d_ij, min_j d_ij)` with the lowest-index tie-break
 /// (strict `<` over ascending `j`, exactly like the scalar oracle).
-pub(crate) fn assign_batched(segments: &Tensor, cache: &CenterCache, out: &mut [(usize, f32)]) {
+pub(crate) fn assign_batched(seg: &SegmentCache, cache: &CenterCache, out: &mut [(usize, f32)]) {
     focus_trace::span!("cluster/assign");
-    let n = segments.dims()[0];
+    let n = seg.segments.dims()[0];
     focus_trace::counter_add("cluster/segments_assigned", n as u64);
     assert_eq!(out.len(), n, "output length {} != segment count {n}", out.len());
     let k = cache.k;
-    for_each_block(segments, cache, |r0, rows, block| {
+    for_each_block(seg, cache, |r0, rows, block| {
         let grain = EPILOGUE_GRAIN.div_ceil(k.max(1)).max(1);
         par::parallel_fill(&mut out[r0..r0 + rows], grain, |range, chunk| {
             for (i, o) in range.zip(chunk.iter_mut()) {
@@ -218,6 +272,36 @@ pub(crate) fn assign_batched(segments: &Tensor, cache: &CenterCache, out: &mut [
                 *o = (best, best_d);
             }
         });
+    });
+}
+
+/// Lowers `dists[i]` to the composite distance from segment `i` to `center`
+/// wherever that is nearer — one k-means++ sweep. One center leaves no GEMM
+/// to tile, so each row takes two length-`p` dots into the sweep's epilogue
+/// formula.
+pub(crate) fn lower_to_center(seg: &SegmentCache, center: &[f32], objective: &Objective, dists: &mut [f32]) {
+    let (n, p) = (seg.segments.dims()[0], seg.segments.dims()[1]);
+    assert_eq!(center.len(), p, "center width {} != segment width {p}", center.len());
+    assert_eq!(dists.len(), n, "distance buffer length {} != segment count {n}", dists.len());
+    let alpha = objective.alpha();
+    let corr = alpha > 0.0;
+    let c2 = sq_norm(center);
+    let mut c_unit = vec![0.0f32; p];
+    if corr {
+        center_normalise(center, &mut c_unit);
+    }
+    let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).fold(0.0f32, |acc, (&x, &y)| acc + x * y);
+    let data = seg.segments.data();
+    let grain = EPILOGUE_GRAIN.div_ceil(p.max(1)).max(1);
+    par::parallel_fill(dists, grain, |range, chunk| {
+        for (i, d) in range.zip(chunk.iter_mut()) {
+            let xc = dot(&data[i * p..(i + 1) * p], center);
+            let r = if corr { dot(seg.unit_row(i), &c_unit) } else { 0.0 };
+            let nd = composite(seg.sq_norms[i], xc, c2, alpha, r);
+            if nd < *d {
+                *d = nd;
+            }
+        }
     });
 }
 
@@ -244,7 +328,7 @@ mod tests {
         ] {
             let (segs, centers, obj) = random_case(n, k, p, alpha, seed);
             let cache = CenterCache::new(&centers, &obj);
-            let d = distance_matrix(&segs, &cache);
+            let d = distance_matrix(&SegmentCache::new(&segs, &obj), &cache);
             for i in 0..n {
                 for j in 0..k {
                     let scalar = obj.distance(segs.row(i), centers.row(j));
@@ -260,13 +344,32 @@ mod tests {
     }
 
     #[test]
+    fn kmeans_sweep_matches_distance_matrix() {
+        // The k-means++ sweep evaluates the same epilogue from the same
+        // cached statistics, one center at a time.
+        for &(alpha, seed) in &[(0.0f32, 4u64), (0.2, 5), (1.0, 6)] {
+            let (segs, centers, obj) = random_case(90, 4, 12, alpha, seed);
+            let seg = SegmentCache::new(&segs, &obj);
+            let d = distance_matrix(&seg, &CenterCache::new(&centers, &obj));
+            for j in 0..4 {
+                let mut lowered = vec![f32::INFINITY; 90];
+                lower_to_center(&seg, centers.row(j), &obj, &mut lowered);
+                for (i, &l) in lowered.iter().enumerate() {
+                    let want = d.at2(i, j);
+                    assert!((l - want).abs() <= 1e-5 * want.abs().max(1.0), "α {alpha} d[{i},{j}]: {l} vs {want}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn constant_rows_follow_zero_variance_convention() {
         // A flat segment against a flat center: rec = 0, corr defined as 0.
         let segs = Tensor::from_vec(vec![2.0, 2.0, 2.0, 2.0], &[1, 4]);
         let centers = Tensor::from_vec(vec![2.0, 2.0, 2.0, 2.0, 0.0, 1.0, 2.0, 3.0], &[2, 4]);
         let obj = Objective::rec_corr(0.5);
         let cache = CenterCache::new(&centers, &obj);
-        let d = distance_matrix(&segs, &cache);
+        let d = distance_matrix(&SegmentCache::new(&segs, &obj), &cache);
         assert!((d.at2(0, 0) - 0.5).abs() < 1e-6, "flat-vs-flat must cost α·(1−0)");
         let scalar = obj.distance(segs.row(0), centers.row(1));
         assert!((d.at2(0, 1) - scalar).abs() < 1e-4 * scalar.max(1.0));
@@ -304,7 +407,7 @@ mod tests {
         );
         let obj = Objective::rec_corr(0.5);
         let cache = CenterCache::new(&centers, &obj);
-        let d = distance_matrix(&segs, &cache);
+        let d = distance_matrix(&SegmentCache::new(&segs, &obj), &cache);
         for j in 0..2 {
             assert!(d.at2(0, j).is_finite(), "d[0,{j}] must be finite, got {}", d.at2(0, j));
         }
@@ -330,9 +433,10 @@ mod tests {
         dup.extend_from_slice(c.data());
         dup.extend_from_slice(c.data());
         let centers = Tensor::from_vec(dup, &[3, 8]);
-        let cache = CenterCache::new(&centers, &Objective::rec_corr(0.2));
+        let obj = Objective::rec_corr(0.2);
+        let cache = CenterCache::new(&centers, &obj);
         let mut out = vec![(0usize, 0.0f32); 40];
-        assign_batched(&segs, &cache, &mut out);
+        assign_batched(&SegmentCache::new(&segs, &obj), &cache, &mut out);
         for (i, &(j, _)) in out.iter().enumerate() {
             assert_eq!(j, 0, "segment {i} must tie-break to the lowest index");
         }
@@ -347,11 +451,11 @@ mod tests {
         let cache = CenterCache::new(&centers, &obj);
         par::set_threads(1);
         let mut serial = vec![(0usize, 0.0f32); 257];
-        assign_batched(&segs, &cache, &mut serial);
+        assign_batched(&SegmentCache::new(&segs, &obj), &cache, &mut serial);
         for threads in [2, 4] {
             par::set_threads(threads);
             let mut t = vec![(0usize, 0.0f32); 257];
-            assign_batched(&segs, &cache, &mut t);
+            assign_batched(&SegmentCache::new(&segs, &obj), &cache, &mut t);
             assert_eq!(t, serial, "{threads} threads");
         }
         par::set_threads(0);

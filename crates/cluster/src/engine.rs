@@ -8,8 +8,8 @@
 //! until assignments stop changing or max_iters
 //! ```
 
-use crate::batch::{assign_batched, distance_matrix, CenterCache};
-use crate::objective::{corr_grad_wrt_prototype, Objective};
+use crate::batch::{assign_batched, distance_matrix, lower_to_center, CenterCache, SegmentCache};
+use crate::objective::{bucket_corr_grad, Objective};
 use focus_tensor::{par, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,9 +154,11 @@ impl ClusterConfig {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc1a5_7e12u64.rotate_left(3));
         focus_trace::span!("cluster/fit");
 
-        let mut centers = {
+        let (seg, mut centers) = {
             focus_trace::span!("cluster/init");
-            kmeans_pp_init(segments, self.k, &self.objective, &mut rng)
+            let seg = SegmentCache::new(segments, &self.objective);
+            let centers = kmeans_pp_init(&seg, self.k, &self.objective, &mut rng);
+            (seg, centers)
         };
         let mut assignment = vec![usize::MAX; n];
         let mut trace = FitTrace::default();
@@ -168,7 +170,7 @@ impl ClusterConfig {
             // f64 loss is then folded serially in ascending segment order so
             // the trace is identical at any thread count.
             let cache = CenterCache::new(&centers, &self.objective);
-            assign_batched(segments, &cache, &mut nearest);
+            assign_batched(&seg, &cache, &mut nearest);
             let mut changed = 0usize;
             let mut loss = 0.0f64;
             for (slot, &(best, best_d)) in assignment.iter_mut().zip(&nearest) {
@@ -186,25 +188,19 @@ impl ClusterConfig {
             }
 
             // Re-seed empty buckets from the farthest segment.
-            reseed_empty_buckets(segments, &mut centers, &mut assignment, &self.objective);
+            reseed_empty_buckets(segments, &mut centers, &mut assignment, &nearest);
 
             // Update step (Eqs. 8–10).
             focus_trace::span!("cluster/update");
             match self.update {
                 ProtoUpdate::ClosedFormMean => {
-                    update_mean(segments, &assignment, &mut centers);
+                    let buckets = BucketStats::gather(&seg, &assignment, self.k, false);
+                    update_mean(&buckets, &mut centers);
                 }
                 ProtoUpdate::AdamW { lr, steps, weight_decay } => {
-                    update_adamw(
-                        segments,
-                        &assignment,
-                        &mut centers,
-                        &self.objective,
-                        &mut adam,
-                        lr,
-                        steps,
-                        weight_decay,
-                    );
+                    let alpha = self.objective.alpha();
+                    let buckets = BucketStats::gather(&seg, &assignment, self.k, alpha > 0.0);
+                    update_adamw(&buckets, &mut centers, alpha, &mut adam, lr, steps, weight_decay);
                 }
             }
         }
@@ -278,7 +274,11 @@ impl Prototypes {
         );
         let seg = Tensor::from_vec(segment.to_vec(), &[1, segment.len()]);
         let mut out = [(0usize, 0.0f32)];
-        assign_batched(&seg, &CenterCache::new(&self.centers, &self.objective), &mut out);
+        assign_batched(
+            &SegmentCache::new(&seg, &self.objective),
+            &CenterCache::new(&self.centers, &self.objective),
+            &mut out,
+        );
         out[0].0
     }
 
@@ -294,7 +294,11 @@ impl Prototypes {
     pub fn assign_all(&self, segments: &Tensor) -> Vec<usize> {
         let n = segments.dims()[0];
         let mut nearest = vec![(0usize, 0.0f32); n];
-        assign_batched(segments, &CenterCache::new(&self.centers, &self.objective), &mut nearest);
+        assign_batched(
+            &SegmentCache::new(segments, &self.objective),
+            &CenterCache::new(&self.centers, &self.objective),
+            &mut nearest,
+        );
         nearest.into_iter().map(|(j, _)| j).collect()
     }
 
@@ -318,7 +322,10 @@ impl Prototypes {
     /// The full `[n, k]` composite-distance matrix from every row of
     /// `segments` to every prototype, via the batched GEMM kernel.
     pub fn distances(&self, segments: &Tensor) -> Tensor {
-        distance_matrix(segments, &CenterCache::new(&self.centers, &self.objective))
+        distance_matrix(
+            &SegmentCache::new(segments, &self.objective),
+            &CenterCache::new(&self.centers, &self.objective),
+        )
     }
 
     /// The distance from `segment` to its nearest prototype.
@@ -328,8 +335,10 @@ impl Prototypes {
     }
 }
 
-/// k-means++ seeding under the composite distance.
-fn kmeans_pp_init(segments: &Tensor, k: usize, objective: &Objective, rng: &mut StdRng) -> Tensor {
+/// k-means++ seeding under the composite distance, evaluated by the
+/// assignment kernel from the cached segment statistics.
+fn kmeans_pp_init(seg: &SegmentCache, k: usize, objective: &Objective, rng: &mut StdRng) -> Tensor {
+    let segments = seg.segments();
     let (n, p) = (segments.dims()[0], segments.dims()[1]);
     let mut centers = Tensor::zeros(&[k, p]);
     let first = rng.gen_range(0..n);
@@ -338,13 +347,8 @@ fn kmeans_pp_init(segments: &Tensor, k: usize, objective: &Objective, rng: &mut 
     // Distance sweeps below are per-segment independent (parallel, bitwise
     // identical to serial); the weighted pick itself stays serial so the RNG
     // stream and the f64 prefix scan keep their exact order.
-    let grain = assign_grain(p);
-    let mut dists = vec![0.0f32; n];
-    par::parallel_fill(&mut dists, grain, |range, chunk| {
-        for (i, d) in range.zip(chunk.iter_mut()) {
-            *d = objective.distance(segments.row(i), centers.row(0));
-        }
-    });
+    let mut dists = vec![f32::INFINITY; n];
+    lower_to_center(seg, segments.row(first), objective, &mut dists);
 
     for j in 1..k {
         let total: f64 = dists.iter().map(|&d| d.max(0.0) as f64).sum();
@@ -363,29 +367,25 @@ fn kmeans_pp_init(segments: &Tensor, k: usize, objective: &Objective, rng: &mut 
             chosen
         };
         centers.data_mut()[j * p..(j + 1) * p].copy_from_slice(segments.row(pick));
-        let centers_ref = &centers;
-        par::parallel_rows(&mut dists, 1, grain, 1, |i0, chunk| {
-            for (off, d) in chunk.iter_mut().enumerate() {
-                let nd = objective.distance(segments.row(i0 + off), centers_ref.row(j));
-                if nd < *d {
-                    *d = nd;
-                }
-            }
-        });
+        lower_to_center(seg, segments.row(pick), objective, &mut dists);
     }
     centers
 }
 
-/// Moves any prototype with an empty bucket onto the segment currently
-/// farthest from its assigned prototype.
+/// Moves any prototype with an empty bucket onto the segment farthest from
+/// its assigned prototype, drawn only from buckets with at least two members
+/// so that the move never empties another bucket (one exists while
+/// `n ≥ k`). `nearest[i].1` is segment `i`'s distance to its assigned
+/// prototype, as the assignment sweep just computed it; a moved segment's
+/// entry goes stale, but it then sits alone in its bucket and is never drawn
+/// again.
 fn reseed_empty_buckets(
     segments: &Tensor,
     centers: &mut Tensor,
     assignment: &mut [usize],
-    objective: &Objective,
+    nearest: &[(usize, f32)],
 ) {
-    let k = centers.dims()[0];
-    let p = centers.dims()[1];
+    let (k, p) = (centers.dims()[0], centers.dims()[1]);
     let mut counts = vec![0usize; k];
     for &a in assignment.iter() {
         counts[a] += 1;
@@ -394,15 +394,18 @@ fn reseed_empty_buckets(
         if counts[j] > 0 {
             continue;
         }
-        // Farthest segment from its own prototype.
-        let (mut worst_i, mut worst_d) = (0usize, -1.0f32);
-        for (i, &a) in assignment.iter().enumerate() {
-            let d = objective.distance(segments.row(i), centers.row(a));
-            if d > worst_d {
-                worst_d = d;
-                worst_i = i;
+        // Farthest segment from its own prototype among shareable buckets.
+        let mut worst: Option<(usize, f32)> = None;
+        for (i, (&a, &(_, d))) in assignment.iter().zip(nearest).enumerate() {
+            let farther = match worst {
+                None => true,
+                Some((_, wd)) => d > wd,
+            };
+            if counts[a] >= 2 && farther {
+                worst = Some((i, d));
             }
         }
+        let (worst_i, _) = worst.expect("n >= k leaves a bucket with two or more members");
         centers.data_mut()[j * p..(j + 1) * p].copy_from_slice(segments.row(worst_i));
         counts[assignment[worst_i]] -= 1;
         assignment[worst_i] = j;
@@ -410,24 +413,60 @@ fn reseed_empty_buckets(
     }
 }
 
-/// Closed-form mean update (classic k-means).
-fn update_mean(segments: &Tensor, assignment: &[usize], centers: &mut Tensor) {
-    let (k, p) = (centers.dims()[0], centers.dims()[1]);
-    let mut sums = vec![0.0f64; k * p];
-    let mut counts = vec![0usize; k];
-    for (i, &a) in assignment.iter().enumerate() {
-        counts[a] += 1;
-        for (s, &v) in sums[a * p..(a + 1) * p].iter_mut().zip(segments.row(i)) {
-            *s += v as f64;
+/// Per-bucket statistics of one assignment, gathered in one serial
+/// ascending-`i` pass (so they are identical at any thread count): member
+/// counts, the bucket means (from f64 sums) and — when the correlation
+/// gradient needs it — `U_j = Σ_{i∈B_j} x̂_i` over the cached unit rows.
+struct BucketStats {
+    counts: Vec<usize>,
+    /// Bucket means `[k, p]`; zero rows for empty buckets.
+    means: Vec<f32>,
+    /// `U: [k, p]`; empty unless gathered with `unit = true`.
+    unit_sums: Vec<f64>,
+}
+
+impl BucketStats {
+    fn gather(seg: &SegmentCache, assignment: &[usize], k: usize, unit: bool) -> BucketStats {
+        let segments = seg.segments();
+        let p = segments.dims()[1];
+        let mut counts = vec![0usize; k];
+        let mut sums = vec![0.0f64; k * p];
+        let mut unit_sums = vec![0.0f64; if unit { k * p } else { 0 }];
+        for (i, &a) in assignment.iter().enumerate() {
+            counts[a] += 1;
+            for (s, &v) in sums[a * p..(a + 1) * p].iter_mut().zip(segments.row(i)) {
+                *s += v as f64;
+            }
+            if unit {
+                for (u, &v) in unit_sums[a * p..(a + 1) * p].iter_mut().zip(seg.unit_row(i)) {
+                    *u += v as f64;
+                }
+            }
+        }
+        let mut means = vec![0.0f32; k * p];
+        for j in 0..k {
+            if counts[j] == 0 {
+                continue;
+            }
+            let inv = 1.0 / counts[j] as f64;
+            for (m, &s) in means[j * p..(j + 1) * p].iter_mut().zip(&sums[j * p..(j + 1) * p]) {
+                *m = (s * inv) as f32;
+            }
+        }
+        BucketStats {
+            counts,
+            means,
+            unit_sums,
         }
     }
+}
+
+/// Closed-form mean update (classic k-means).
+fn update_mean(buckets: &BucketStats, centers: &mut Tensor) {
+    let (k, p) = (centers.dims()[0], centers.dims()[1]);
     for j in 0..k {
-        if counts[j] == 0 {
-            continue;
-        }
-        let inv = 1.0 / counts[j] as f64;
-        for (c, &s) in centers.data_mut()[j * p..(j + 1) * p].iter_mut().zip(&sums[j * p..(j + 1) * p]) {
-            *c = (s * inv) as f32;
+        if buckets.counts[j] > 0 {
+            centers.data_mut()[j * p..(j + 1) * p].copy_from_slice(&buckets.means[j * p..(j + 1) * p]);
         }
     }
 }
@@ -450,67 +489,43 @@ impl AdamState {
 }
 
 /// AdamW steps on `L_j = ‖c_j − mean(B_j)‖² + α · (−|B_j|⁻¹ Σ corr)`,
-/// following Eqs. 8–10.
-#[allow(clippy::too_many_arguments)]
+/// following Eqs. 8–10. The bucket means and `U_j` are constant during the
+/// inner steps, so each step costs `O(k·p)` whatever the bucket sizes.
 fn update_adamw(
-    segments: &Tensor,
-    assignment: &[usize],
+    buckets: &BucketStats,
     centers: &mut Tensor,
-    objective: &Objective,
+    alpha: f32,
     adam: &mut AdamState,
     lr: f32,
     steps: usize,
     weight_decay: f32,
 ) {
     let (k, p) = (centers.dims()[0], centers.dims()[1]);
-    let alpha = objective.alpha();
-
-    // Bucket membership and means (the mean is constant during inner steps).
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (i, &a) in assignment.iter().enumerate() {
-        members[a].push(i);
-    }
-    let mut bucket_means = vec![0.0f32; k * p];
-    for j in 0..k {
-        if members[j].is_empty() {
-            bucket_means[j * p..(j + 1) * p].copy_from_slice(centers.row(j));
-            continue;
-        }
-        let inv = 1.0 / members[j].len() as f32;
-        for &i in &members[j] {
-            for (m, &v) in bucket_means[j * p..(j + 1) * p].iter_mut().zip(segments.row(i)) {
-                *m += v * inv;
-            }
-        }
-    }
-
     let (beta1, beta2, eps) = (0.9f32, 0.999f32, 1e-8f32);
     let mut grad = vec![0.0f32; p];
-    let mut corr_g = vec![0.0f32; p];
+    let mut corr_g = vec![0.0f64; p];
     for _ in 0..steps {
         adam.t += 1;
         let bc1 = 1.0 - beta1.powi(adam.t as i32);
         let bc2 = 1.0 - beta2.powi(adam.t as i32);
         for j in 0..k {
-            if members[j].is_empty() {
+            if buckets.counts[j] == 0 {
                 continue;
             }
             // ∇L_rec = 2(c − mean(B_j))
             for ((g, &c), &m) in grad
                 .iter_mut()
                 .zip(centers.row(j))
-                .zip(&bucket_means[j * p..(j + 1) * p])
+                .zip(&buckets.means[j * p..(j + 1) * p])
             {
                 *g = 2.0 * (c - m);
             }
-            // ∇L_corr = −|B_j|⁻¹ Σ ∂corr/∂c
+            // ∇L_corr = −|B_j|⁻¹ Σ ∂corr/∂c, from U_j.
             if alpha > 0.0 {
-                let inv = 1.0 / members[j].len() as f32;
-                for &i in &members[j] {
-                    corr_grad_wrt_prototype(segments.row(i), centers.row(j), &mut corr_g);
-                    for (g, &cg) in grad.iter_mut().zip(&corr_g) {
-                        *g -= alpha * inv * cg;
-                    }
+                bucket_corr_grad(&buckets.unit_sums[j * p..(j + 1) * p], centers.row(j), &mut corr_g);
+                let w = alpha as f64 / buckets.counts[j] as f64;
+                for (g, &cg) in grad.iter_mut().zip(&corr_g) {
+                    *g -= (w * cg) as f32;
                 }
             }
             // AdamW step with decoupled decay.
@@ -671,5 +686,64 @@ mod tests {
     fn rejects_more_prototypes_than_segments() {
         let segs = Tensor::zeros(&[2, 4]);
         let _ = ClusterConfig::new(3, 4).fit(&segs, 0);
+    }
+
+    #[test]
+    fn reseed_never_empties_another_bucket() {
+        // Bucket 2 duplicates bucket 1's center and ends up empty. The
+        // farthest segment, [100, 100], is the only member of bucket 0:
+        // moving it would empty bucket 0 after the reseed loop passed it.
+        let segs = Tensor::from_vec(vec![0.0, 0.0, 0.1, 0.0, 100.0, 100.0, 0.2, 0.0], &[4, 2]);
+        let mut centers = Tensor::from_vec(vec![50.0, 50.0, 0.1, 0.0, 0.1, 0.0], &[3, 2]);
+        let obj = Objective::paper_default();
+        let mut nearest = vec![(0usize, 0.0f32); 4];
+        assign_batched(&SegmentCache::new(&segs, &obj), &CenterCache::new(&centers, &obj), &mut nearest);
+        let mut assignment: Vec<usize> = nearest.iter().map(|&(j, _)| j).collect();
+        assert_eq!(assignment, [1, 1, 0, 1]);
+        reseed_empty_buckets(&segs, &mut centers, &mut assignment, &nearest);
+        let mut counts = [0usize; 3];
+        for &a in &assignment {
+            counts[a] += 1;
+        }
+        assert_eq!(counts, [1, 2, 1], "assignment after reseed: {assignment:?}");
+        assert_eq!(centers.row(2), segs.row(0), "bucket 2 takes bucket 1's farthest member");
+    }
+
+    #[test]
+    fn cached_fit_sweep_matches_assign_all_bitwise() {
+        // The fit shares one segment cache across all its sweeps; one-shot
+        // calls build their own. Both must give the same bits.
+        let (segs, _) = planted(30, 12);
+        let mut rng = StdRng::seed_from_u64(31);
+        for obj in [Objective::RecOnly, Objective::paper_default(), Objective::rec_corr(1.5)] {
+            let seg = SegmentCache::new(&segs, &obj);
+            for _ in 0..3 {
+                let centers = Tensor::randn(&[5, 12], 1.0, &mut rng);
+                let mut nearest = vec![(0usize, 0.0f32); segs.dims()[0]];
+                assign_batched(&seg, &CenterCache::new(&centers, &obj), &mut nearest);
+                let protos = Prototypes::from_centers(centers, obj);
+                let idx: Vec<usize> = nearest.iter().map(|&(j, _)| j).collect();
+                assert_eq!(idx, protos.assign_all(&segs));
+                let d = protos.distances(&segs);
+                for (i, &(j, dist)) in nearest.iter().enumerate() {
+                    assert_eq!(dist.to_bits(), d.at2(i, j).to_bits(), "{obj:?} row {i}");
+                }
+            }
+        }
+
+        // Inside a converged fit, the last sweep ran on the final centers:
+        // its loss is the mean of the one-shot per-row minimum distances.
+        let (protos, trace) = ClusterConfig::new(3, 12).with_max_iters(50).fit_traced(&segs, 6);
+        assert!(trace.converged_at.is_some(), "fit did not converge");
+        let d = protos.distances(&segs);
+        let n = segs.dims()[0];
+        let total: f64 = (0..n)
+            .map(|i| {
+                let row = &d.data()[i * 3..(i + 1) * 3];
+                row.iter().fold(f32::INFINITY, |m, &v| if v < m { v } else { m }) as f64
+            })
+            .sum();
+        let last = *trace.loss_per_iter.last().expect("at least one iteration");
+        assert_eq!(last.to_bits(), (total / n as f64).to_bits());
     }
 }

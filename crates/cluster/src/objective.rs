@@ -50,7 +50,54 @@ impl Objective {
     }
 }
 
-/// Gradient of `corr(s, c)` with respect to the prototype `c`.
+/// Gradient of `Σ_{i∈B} corr(x_i, c)` with respect to the prototype `c`,
+/// from the bucket statistic `U = Σ_{i∈B} x̂_i` (the sum of the members'
+/// centred, unit-normalised copies, flat members counting as zero).
+///
+/// Each member contributes `x̂_i/‖c̃‖ − ⟨x̂_i, c̃⟩·c̃/‖c̃‖³` (the test-only
+/// per-member oracle `corr_grad_wrt_prototype` below), so the bucket sum is
+///
+/// ```text
+/// U/‖c̃‖ − ⟨U, c̃⟩ · c̃/‖c̃‖³
+/// ```
+///
+/// — `O(p)` per bucket however many members it has. Computed in f64 and
+/// centred once (the exact gradient has zero mean). A (numerically)
+/// constant prototype has `corr = 0` with every member, and gradient 0.
+pub(crate) fn bucket_corr_grad(unit_sum: &[f64], prototype: &[f32], out: &mut [f64]) {
+    assert_eq!(unit_sum.len(), prototype.len(), "length mismatch");
+    assert_eq!(out.len(), prototype.len(), "output length mismatch");
+    let n = prototype.len() as f64;
+    let mc: f64 = prototype.iter().map(|&v| v as f64).sum::<f64>() / n;
+    let mut nc2 = 0.0f64;
+    let mut max_c = 0.0f64;
+    for &c in prototype {
+        let ct = c as f64 - mc;
+        nc2 += ct * ct;
+        max_c = max_c.max((c as f64).abs());
+    }
+    if stats::zero_variance(nc2, prototype.len(), max_c) {
+        out.fill(0.0);
+        return;
+    }
+    let nc = nc2.sqrt();
+    let dot: f64 = unit_sum
+        .iter()
+        .zip(prototype)
+        .map(|(&u, &c)| u * (c as f64 - mc))
+        .sum();
+    let scale = dot / (nc2 * nc);
+    for ((o, &u), &c) in out.iter_mut().zip(unit_sum).zip(prototype) {
+        *o = u / nc - scale * (c as f64 - mc);
+    }
+    let mean = out.iter().sum::<f64>() / n;
+    for o in out.iter_mut() {
+        *o -= mean;
+    }
+}
+
+/// Gradient of `corr(s, c)` with respect to the prototype `c` — the
+/// per-member reference oracle that [`bucket_corr_grad`] is tested against.
 ///
 /// With `s̃`, `c̃` the mean-centred vectors and `r = ⟨s̃, c̃⟩/(‖s̃‖‖c̃‖)`:
 ///
@@ -61,7 +108,8 @@ impl Objective {
 /// (the centring projection leaves already-centred vectors unchanged, so it
 /// is absorbed). If either vector is (numerically) constant the correlation
 /// is defined as 0 and the gradient as 0.
-pub fn corr_grad_wrt_prototype(segment: &[f32], prototype: &[f32], out: &mut [f32]) {
+#[cfg(test)]
+pub(crate) fn corr_grad_wrt_prototype(segment: &[f32], prototype: &[f32], out: &mut [f32]) {
     assert_eq!(segment.len(), prototype.len(), "length mismatch");
     assert_eq!(out.len(), prototype.len(), "output length mismatch");
     let n = segment.len() as f64;
@@ -194,5 +242,81 @@ mod tests {
         }
         let after = stats::pearson(&s, &c);
         assert!(after > before + 0.1, "before {before}, after {after}");
+    }
+
+    /// `bucket_corr_grad` on the bucket's `U`, and the oracle summed over
+    /// its members, both in f64.
+    fn bucket_vs_oracle(members: &[Vec<f32>], prototype: &[f32]) -> (Vec<f64>, Vec<f64>) {
+        let p = prototype.len();
+        let segs = focus_tensor::Tensor::from_vec(members.concat(), &[members.len(), p]);
+        let cache = crate::batch::SegmentCache::new(&segs, &Objective::paper_default());
+        let mut unit_sum = vec![0.0f64; p];
+        let mut want = vec![0.0f64; p];
+        let mut g = vec![0.0f32; p];
+        for (i, m) in members.iter().enumerate() {
+            for (u, &v) in unit_sum.iter_mut().zip(cache.unit_row(i)) {
+                *u += v as f64;
+            }
+            corr_grad_wrt_prototype(m, prototype, &mut g);
+            for (w, &gv) in want.iter_mut().zip(&g) {
+                *w += gv as f64;
+            }
+        }
+        let mut got = vec![9.0f64; p];
+        bucket_corr_grad(&unit_sum, prototype, &mut got);
+        (got, want)
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], what: &str) {
+        let scale = want.iter().fold(0.0f64, |m, &w| m.max(w.abs()));
+        for (t, (&a, &b)) in got.iter().zip(want).enumerate() {
+            assert!((a - b).abs() <= 1e-4 * scale, "{what}: [{t}] bucket {a} vs oracle sum {b}");
+        }
+    }
+
+    #[test]
+    fn bucket_corr_grad_matches_summed_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..40 {
+            let p = rng.gen_range(2..17usize);
+            let n = rng.gen_range(1..40usize);
+            let scale = [0.01f32, 1.0, 300.0][case % 3];
+            let row = |rng: &mut StdRng| (0..p).map(|_| scale * rng.gen_range(-1.0f32..1.0)).collect::<Vec<f32>>();
+            let members: Vec<Vec<f32>> = (0..n).map(|_| row(&mut rng)).collect();
+            let prototype = row(&mut rng);
+            let (got, want) = bucket_vs_oracle(&members, &prototype);
+            assert_close(&got, &want, &format!("random case {case} (n {n}, p {p})"));
+        }
+    }
+
+    #[test]
+    fn bucket_corr_grad_ignores_flat_members() {
+        // Flat members — including 1e8-magnitude ones whose f64 mean
+        // rounds — contribute zero to both U and the oracle.
+        let prototype = [0.5f32, 1.0, -1.0, 0.2, 0.9, -0.3];
+        let members = vec![
+            vec![0.3, -1.0, 2.0, 0.5, -0.8, 0.1],
+            vec![4.0; 6],
+            vec![1.0e8; 6],
+            vec![-2.0, 0.5, 0.25, 1.5, -0.75, 3.0],
+            vec![-1.0e8; 6],
+        ];
+        let (got, want) = bucket_vs_oracle(&members, &prototype);
+        assert_close(&got, &want, "mixed bucket");
+        let flat_only = vec![vec![4.0f32; 6], vec![1.0e8; 6]];
+        let (got, _) = bucket_vs_oracle(&flat_only, &prototype);
+        assert_eq!(got, vec![0.0; 6], "an all-flat bucket has no correlation gradient");
+    }
+
+    #[test]
+    fn bucket_corr_grad_is_zero_for_flat_prototype() {
+        let members = vec![vec![0.3f32, -1.0, 2.0, 0.5], vec![1.0, 2.0, 3.0, 4.0]];
+        for prototype in [[2.5f32; 4], [1.0e8; 4], [0.0; 4]] {
+            let (got, want) = bucket_vs_oracle(&members, &prototype);
+            assert_eq!(got, vec![0.0; 4], "prototype {prototype:?}");
+            assert_eq!(want, vec![0.0; 4], "oracle at prototype {prototype:?}");
+        }
     }
 }

@@ -85,4 +85,20 @@ grep -q '"par/spawns"' BENCH_trainstep.json
 grep -q '"par/parallel"' BENCH_trainstep.json
 grep -q '"scaling_efficiency_t2"' BENCH_trainstep.json
 
+# Benchmark smoke leg: one short traced run of every perfbench workload.
+# Each run checks its own outputs (plan replay equals the interpreter, 1- and
+# 2-thread results agree, predict equals evaluate, every segment goes to its
+# nearest prototype) and reports the verdict on its last stdout line.
+echo "==> perfbench smoke (every workload, 1 s, traced)"
+CARGO_TARGET_DIR=.bench_build cargo build --release --quiet --manifest-path perfbench/Cargo.toml
+for workload in train soft-route serve offline-cluster; do
+    result=$(CARGO_TARGET_DIR=.bench_build cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    echo "perfbench $workload: ${result:0:60}…"
+    if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+        echo "perfbench $workload failed its output checks: $result" >&2
+        exit 1
+    fi
+done
+
 echo "verify: OK"
