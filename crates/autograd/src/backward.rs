@@ -8,6 +8,7 @@
 //! configuration of the train-step benchmark.
 
 use crate::graph::{gelu_bwd, Graph, Op, Var};
+use focus_tensor::fused::{combine_lanes, LANES};
 use focus_tensor::{fused, par, Tensor};
 
 impl Graph {
@@ -323,17 +324,20 @@ impl Graph {
                             let xr = &xval.data()[r * n..(r + 1) * n];
                             let gr = &g.data()[r * n..(r + 1) * n];
                             let (mu, rstd) = (cd[2 * r], cd[2 * r + 1]);
-                            // dŷ = g ⊙ γ; accumulate row statistics for dx.
-                            let mut sum_dy = 0.0f32;
-                            let mut sum_dy_xhat = 0.0f32;
+                            // dŷ = g ⊙ γ; accumulate row statistics for dx
+                            // in the fused kernel's fixed-lane order.
+                            let mut sum_dy = [0.0f32; LANES];
+                            let mut sum_dy_xhat = [0.0f32; LANES];
                             for j in 0..n {
                                 let xhat = (xr[j] - mu) * rstd;
                                 let dy = gr[j] * gval[j];
-                                sum_dy += dy;
-                                sum_dy_xhat += dy * xhat;
+                                sum_dy[j % LANES] += dy;
+                                sum_dy_xhat[j % LANES] += dy * xhat;
                                 dgamma[j] += gr[j] * xhat;
                                 dbeta[j] += gr[j];
                             }
+                            let sum_dy = combine_lanes(sum_dy);
+                            let sum_dy_xhat = combine_lanes(sum_dy_xhat);
                             let inv_n = 1.0 / n as f32;
                             for j in 0..n {
                                 let xhat = (xr[j] - mu) * rstd;

@@ -1,5 +1,6 @@
 //! The tape: node arena, op records and forward evaluation.
 
+use focus_tensor::fused::{combine_lanes, LANES};
 use focus_tensor::Tensor;
 
 /// Index of a node in a [`Graph`]. Cheap to copy; only valid for the graph
@@ -339,7 +340,9 @@ impl Graph {
                 eps,
             )
         } else {
-            // Unfused reference: clone the input, normalise in place.
+            // Unfused reference: clone the input, normalise in place. Row
+            // statistics follow the fixed-lane order of the fused kernel:
+            // element j feeds lane j % LANES, lanes combine by one tree.
             let rows = xt.shape().leading();
             let mut cache = vec![0.0f32; 2 * rows]; // focus-lint: allow(pool-bypass) -- reference path, deliberately heap-allocated for parity with pre-pool code
             let mut out = xt.clone();
@@ -347,8 +350,15 @@ impl Graph {
             let bdata = self.value(beta).data().to_vec();
             for i in 0..rows {
                 let row = &mut out.data_mut()[i * n..(i + 1) * n];
-                let mean = row.iter().sum::<f32>() / n as f32;
-                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
+                let (mut s, mut q) = ([0.0f32; LANES], [0.0f32; LANES]);
+                for (j, v) in row.iter().enumerate() {
+                    s[j % LANES] += v;
+                }
+                let mean = combine_lanes(s) / n as f32;
+                for (j, v) in row.iter().enumerate() {
+                    q[j % LANES] += (v - mean) * (v - mean);
+                }
+                let var = combine_lanes(q) / n as f32;
                 let rstd = 1.0 / (var + eps).sqrt();
                 cache[2 * i] = mean;
                 cache[2 * i + 1] = rstd;
@@ -390,7 +400,7 @@ impl Graph {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|v| 1.0 / (1.0 + (-v).exp()));
+        let v = self.value(a).map(focus_tensor::fused::sigmoid);
         let rg = self.rg(a);
         self.push(v, Op::Sigmoid(a), rg)
     }

@@ -106,7 +106,7 @@ impl Loc {
     }
 
     fn from_token(t: &str) -> Option<Loc> {
-        let (kind, rest) = t.split_at(1);
+        let (kind, rest) = t.split_at_checked(1)?;
         let idx: u32 = rest.parse().ok()?;
         match kind {
             "s" => Some(Loc::Slot(idx)),
@@ -1792,6 +1792,12 @@ impl Plan {
     }
 
     /// Parses the `focus-plan v1` text format written by [`Plan::to_text`].
+    ///
+    /// Counts read from the text never size an allocation up front: every
+    /// section grows only as its lines actually parse, so a huge or corrupted
+    /// count ends in a positioned [`PlanFormatError`] at end of input, not an
+    /// abort. Parsing checks syntax only; run [`Plan::verify`] before
+    /// trusting a parsed plan.
     pub fn from_text(text: &str) -> Result<Plan, PlanFormatError> {
         let mut p = Parser { lines: text.lines().enumerate(), cur: 0 };
         p.expect_line(MAGIC)?;
@@ -1802,7 +1808,7 @@ impl Plan {
             _ => return Err(perr(ln, "expected `mode train|forward`")),
         };
         let n_slots = p.counted_header("slots")?;
-        let mut slot_caps = Vec::with_capacity(n_slots);
+        let mut slot_caps = Vec::new();
         for _ in 0..n_slots {
             let (ln, toks) = p.next_tokens()?;
             match toks.as_slice() {
@@ -1811,7 +1817,7 @@ impl Plan {
             }
         }
         let n_statics = p.counted_header("statics")?;
-        let mut statics = Vec::with_capacity(n_statics);
+        let mut statics = Vec::new();
         for _ in 0..n_statics {
             let (ln, toks) = p.next_tokens()?;
             if toks.first() != Some(&"static") {
@@ -1828,18 +1834,22 @@ impl Plan {
                     .map_err(|_| perr(ln, format!("bad f32 bits `{tok}`")))?;
                 data.push(f32::from_bits(bits));
             }
-            if data.len() != dims.iter().product::<usize>() {
+            let numel = dims
+                .iter()
+                .try_fold(1usize, |n, &d| n.checked_mul(d))
+                .ok_or_else(|| perr(ln, "static dims product overflows"))?;
+            if data.len() != numel {
                 return Err(perr(ln, "static data length does not match dims"));
             }
             statics.push((dims, data));
         }
         let n_inputs = p.counted_header("inputs")?;
-        let mut inputs = Vec::with_capacity(n_inputs);
+        let mut inputs = Vec::new();
         for _ in 0..n_inputs {
             inputs.push(p.dims_line("input")?);
         }
         let n_routes = p.counted_header("routes")?;
-        let mut route_lens = Vec::with_capacity(n_routes);
+        let mut route_lens = Vec::new();
         for _ in 0..n_routes {
             let (ln, toks) = p.next_tokens()?;
             match toks.as_slice() {
@@ -1848,12 +1858,12 @@ impl Plan {
             }
         }
         let n_params = p.counted_header("params")?;
-        let mut params = Vec::with_capacity(n_params);
+        let mut params = Vec::new();
         for _ in 0..n_params {
             params.push(p.dims_line("param")?);
         }
         let n_instrs = p.counted_header("instrs")?;
-        let mut instrs = Vec::with_capacity(n_instrs);
+        let mut instrs = Vec::new();
         for _ in 0..n_instrs {
             let (ln, toks) = p.next_tokens()?;
             if toks.first() != Some(&"i") {
@@ -1871,7 +1881,7 @@ impl Plan {
                 let t = it.next().ok_or_else(|| perr(ln, "missing arg count"))?;
                 parse_num(ln, t)?
             };
-            let mut args = Vec::with_capacity(na);
+            let mut args = Vec::new();
             for _ in 0..na {
                 let t = it.next().ok_or_else(|| perr(ln, "missing arg token"))?;
                 args.push(
@@ -1890,7 +1900,7 @@ impl Plan {
             instrs.push(Instr { op, dsts, args, dims, imm });
         }
         let n_updates = p.counted_header("updates")?;
-        let mut updates = Vec::with_capacity(n_updates);
+        let mut updates = Vec::new();
         for _ in 0..n_updates {
             let (ln, toks) = p.next_tokens()?;
             if toks.first() != Some(&"u") || toks.len() < 3 {
@@ -1989,7 +1999,7 @@ fn parse_dims(
         let t = it.next().ok_or_else(|| perr(ln, "missing dim count"))?;
         parse_num(ln, t)?
     };
-    let mut dims = Vec::with_capacity(n);
+    let mut dims = Vec::new();
     for _ in 0..n {
         let t = it.next().ok_or_else(|| perr(ln, "missing dim"))?;
         dims.push(parse_num(ln, t)?);
@@ -2009,7 +2019,7 @@ fn parse_tagged_u32s(
         let t = it.next().ok_or_else(|| perr(ln, "missing count"))?;
         parse_num(ln, t)?
     };
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::new();
     for _ in 0..n {
         let t = it.next().ok_or_else(|| perr(ln, "missing value"))?;
         out.push(parse_num(ln, t)?);

@@ -34,9 +34,8 @@ fn filled(dims: &[usize], seed: u32) -> Tensor {
 }
 
 /// Forward + backward of a net that exercises every fused kernel:
-/// LayerNorm (6 rows: the 4-row interleaved chains plus the remainder loop),
-/// Gelu, sigmoid, tanh and trailing-axis softmax. Returns the loss value and
-/// the gradients of all leaves.
+/// LayerNorm, Gelu, sigmoid, tanh and trailing-axis softmax. Returns the
+/// loss value and the gradients of all leaves.
 fn run_net(inputs: &[Tensor]) -> (f32, Vec<Tensor>) {
     let mut g = Graph::new();
     let vars: Vec<_> = inputs.iter().map(|t| g.leaf(t.clone())).collect();
@@ -58,15 +57,24 @@ fn run_net(inputs: &[Tensor]) -> (f32, Vec<Tensor>) {
     (g.value(loss).item(), grads)
 }
 
-fn net_inputs() -> Vec<Tensor> {
+/// Inputs for `run_net` with `rows × width` LayerNorm input: width 7 is all
+/// lane remainder, width 19 is two full 8-lane chunks plus a tail, and 300
+/// rows split across workers at 2 and 4 threads.
+fn net_inputs_sized(rows: usize, width: usize) -> Vec<Tensor> {
     vec![
-        filled(&[6, 7], 1),  // x: 6 rows hits the interleaved quad + remainder
-        filled(&[7], 2),     // gamma
-        filled(&[7], 3),     // beta
-        filled(&[7, 5], 4),  // w
-        filled(&[6, 5], 5),  // target
+        filled(&[rows, width], 1), // x
+        filled(&[width], 2),       // gamma
+        filled(&[width], 3),       // beta
+        filled(&[width, 5], 4),    // w
+        filled(&[rows, 5], 5),     // target
     ]
 }
+
+fn net_inputs() -> Vec<Tensor> {
+    net_inputs_sized(6, 7)
+}
+
+const PARITY_SIZES: [(usize, usize); 2] = [(6, 7), (300, 19)];
 
 fn assert_bitwise_eq(a: &Tensor, b: &Tensor, what: &str) {
     assert_eq!(a.dims(), b.dims(), "{what}: shape mismatch");
@@ -98,16 +106,18 @@ fn fused_kernels_pass_gradcheck() {
 #[test]
 fn fused_path_is_bitwise_equal_to_reference() {
     let _guard = lock_globals();
-    let inputs = net_inputs();
+    for (rows, width) in PARITY_SIZES {
+        let inputs = net_inputs_sized(rows, width);
 
-    set_fused(false);
-    let (loss_ref, grads_ref) = run_net(&inputs);
-    set_fused(true);
-    let (loss_fused, grads_fused) = run_net(&inputs);
+        set_fused(false);
+        let (loss_ref, grads_ref) = run_net(&inputs);
+        set_fused(true);
+        let (loss_fused, grads_fused) = run_net(&inputs);
 
-    assert_eq!(loss_ref.to_bits(), loss_fused.to_bits(), "loss differs");
-    for (i, (r, f)) in grads_ref.iter().zip(&grads_fused).enumerate() {
-        assert_bitwise_eq(r, f, &format!("grad of leaf {i}"));
+        assert_eq!(loss_ref.to_bits(), loss_fused.to_bits(), "loss differs at [{rows}, {width}]");
+        for (i, (r, f)) in grads_ref.iter().zip(&grads_fused).enumerate() {
+            assert_bitwise_eq(r, f, &format!("grad of leaf {i} at [{rows}, {width}]"));
+        }
     }
 }
 
@@ -115,20 +125,26 @@ fn fused_path_is_bitwise_equal_to_reference() {
 fn fused_kernels_are_thread_count_invariant() {
     let _guard = lock_globals();
     set_fused(true);
-    let inputs = net_inputs();
+    for (rows, width) in PARITY_SIZES {
+        let inputs = net_inputs_sized(rows, width);
 
-    par::set_threads(1);
-    let (loss_1, grads_1) = run_net(&inputs);
-    for threads in [2, 4] {
-        par::set_threads(threads);
-        let (loss_t, grads_t) = run_net(&inputs);
-        assert_eq!(
-            loss_1.to_bits(),
-            loss_t.to_bits(),
-            "loss differs at {threads} threads"
-        );
-        for (i, (a, b)) in grads_1.iter().zip(&grads_t).enumerate() {
-            assert_bitwise_eq(a, b, &format!("grad of leaf {i} at {threads} threads"));
+        par::set_threads(1);
+        let (loss_1, grads_1) = run_net(&inputs);
+        for threads in [2, 4] {
+            par::set_threads(threads);
+            let (loss_t, grads_t) = run_net(&inputs);
+            assert_eq!(
+                loss_1.to_bits(),
+                loss_t.to_bits(),
+                "loss differs at {threads} threads, [{rows}, {width}]"
+            );
+            for (i, (a, b)) in grads_1.iter().zip(&grads_t).enumerate() {
+                assert_bitwise_eq(
+                    a,
+                    b,
+                    &format!("grad of leaf {i} at {threads} threads, [{rows}, {width}]"),
+                );
+            }
         }
     }
     par::set_threads(0);

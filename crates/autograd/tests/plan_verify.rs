@@ -7,8 +7,9 @@
 //! Each corruption must come back as the expected [`VerifyErrorKind`] *with
 //! the offending instruction index* — a corrupted plan names its own
 //! corruption site. The same file also covers malformed `focus-plan v1` text
-//! (truncated stream, bad f32 hex bits, unknown opcode, out-of-range slot)
-//! and proves that a verifier rejection trips the cache's sticky Off
+//! (truncated stream, bad f32 hex bits, unknown opcode, out-of-range slot,
+//! huge counts), fuzzes the parser and verifier with random and mutated plan
+//! text, and proves that a verifier rejection trips the cache's sticky Off
 //! fallback instead of replaying.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -17,6 +18,8 @@ use focus_autograd::plan::{self, Loc, Plan, PlanCache};
 use focus_autograd::verify::{self, VerifyErrorKind};
 use focus_autograd::{Graph, ParamStore, Sgd};
 use focus_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 const N: usize = 4;
 const D: usize = 3;
@@ -142,6 +145,14 @@ fn set_operand(line: &str, sect: &str, k: usize, new_tok: &str) -> String {
     let mut toks: Vec<String> = line.split_whitespace().map(String::from).collect();
     let at = toks.iter().position(|t| t == sect).expect("section tag present");
     toks[at + 2 + k] = new_tok.to_string();
+    toks.join(" ")
+}
+
+/// Replaces the count after a section tag (`"d"`, `"a"` or `"m"`).
+fn set_count(line: &str, sect: &str, count: &str) -> String {
+    let mut toks: Vec<&str> = line.split_whitespace().collect();
+    let at = toks.iter().position(|&t| t == sect).expect("section tag present");
+    toks[at + 1] = count;
     toks.join(" ")
 }
 
@@ -435,6 +446,160 @@ fn unknown_opcode_reports_its_line() {
     let err = Plan::from_text(&text).expect_err("unknown opcode must fail");
     assert_eq!(err.line, li + 1, "{err}");
     assert!(err.msg.contains("unknown opcode"), "{err}");
+}
+
+// ---------------------------------------------------------------------------
+// Untrusted counts and fuzzed text
+// ---------------------------------------------------------------------------
+
+/// A forward plan that also bakes one constant into a `static` line, so the
+/// fuzz corpus covers every section of the format.
+fn static_plan() -> Plan {
+    focus_autograd::set_fused(true);
+    let (store, ids) = small_store();
+    let (x_t, _) = sample();
+    let mut g = Graph::new();
+    let pv = store.register(&mut g);
+    let x = g.constant(x_t.clone());
+    let shift = g.constant(Tensor::from_vec(pseudo(H, 12), &[H]));
+    let h = g.matmul(x, pv.var(ids[0]));
+    let h = g.add_row_broadcast(h, shift);
+    let h = g.sigmoid(h);
+    let p = g.matmul(h, pv.var(ids[2]));
+    plan::compile_forward(&g, p, &pv, &store, &[&x_t], &[]).expect("static plan compiles")
+}
+
+/// Parses `text` and, when it parses, verifies the plan. Neither step may
+/// panic, and a parse error must name a line of the input (or the line
+/// after it, for a truncated stream).
+fn parse_and_verify_never_panics(text: &str) -> Result<(), String> {
+    let parsed = std::panic::catch_unwind(|| Plan::from_text(text))
+        .map_err(|_| format!("from_text panicked on {text:?}"))?;
+    match parsed {
+        Err(e) if e.line == 0 || e.line > text.lines().count() + 1 => {
+            Err(format!("error not positioned in the input: {e} for {text:?}"))
+        }
+        Err(_) => Ok(()),
+        Ok(plan) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = plan.verify();
+        }))
+        .map_err(|_| format!("verify panicked on a parsed plan: {text:?}")),
+    }
+}
+
+#[test]
+fn huge_counts_are_positioned_errors_not_aborts() {
+    let _lock = guard();
+    let lines = lines_of(&small_train_plan());
+    // Every counted section header, a dims count, and the three per-instr
+    // counts, each set to u64::MAX: the parser used to `with_capacity` them.
+    let max = u64::MAX.to_string();
+    for key in ["slots", "statics", "inputs", "routes", "params", "instrs", "updates"] {
+        let mut bad = lines.clone();
+        bad[header_line(&lines, key)] = format!("{key} {max}");
+        let err = Plan::from_text(&(bad.join("\n") + "\n")).expect_err("huge count must fail");
+        assert!(err.line > header_line(&lines, key), "{key}: {err}");
+    }
+    let first_input = header_line(&lines, "inputs") + 1;
+    let li = instr_line(&lines, 0);
+    let edits = [
+        (first_input, format!("input {max}")),
+        (li, set_count(&lines[li], "d", &max)),
+        (li, set_count(&lines[li], "a", &max)),
+        (li, set_count(&lines[li], "m", &max)),
+    ];
+    for (at, line) in edits {
+        let mut bad = lines.clone();
+        bad[at] = line;
+        let err = Plan::from_text(&(bad.join("\n") + "\n")).expect_err("huge count must fail");
+        assert_eq!(err.line, at + 1, "{err}");
+    }
+    // A dims product that wraps to 0 in release builds used to accept a
+    // static with no data.
+    let mut bad = lines.clone();
+    let st = header_line(&lines, "statics");
+    bad[st] = "statics 1".into();
+    bad.insert(st + 1, "static 2 4294967296 4294967296 :".into());
+    let err = Plan::from_text(&(bad.join("\n") + "\n")).expect_err("overflowing dims must fail");
+    assert_eq!(err.line, st + 2, "{err}");
+    assert!(err.msg.contains("overflow"), "{err}");
+}
+
+/// Tokens a corrupted plan file plausibly carries: boundary integers, float
+/// bit patterns, section keywords and operand tags.
+const NASTY: [&str; 24] = [
+    "0", "1", "2", "-1", "4294967295", "4294967296", "18446744073709551615",
+    "99999999999999999999", "ffffffff", "7fc00000", "NaN", ":", "i", "d", "a", "m",
+    "s0", "s4294967295", "p9", "i255", "c0", "imm", "end", "\u{e9}1",
+];
+
+/// One random corruption of `text`: a truncation, a token replaced by a
+/// nasty token or by another token of the text, or a line dropped or
+/// duplicated.
+fn mutate(text: &str, rng: &mut StdRng) -> String {
+    let mut lines: Vec<Vec<&str>> = text.lines().map(|l| l.split_whitespace().collect()).collect();
+    if lines.is_empty() {
+        return text.to_string();
+    }
+    match rng.gen_range(0..4u32) {
+        0 => {
+            let mut cut = rng.gen_range(0..text.len());
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            return text[..cut].to_string();
+        }
+        1 | 2 => {
+            let li = rng.gen_range(0..lines.len());
+            if !lines[li].is_empty() {
+                let ti = rng.gen_range(0..lines[li].len());
+                lines[li][ti] = if rng.gen_range(0..2u32) == 0 {
+                    NASTY[rng.gen_range(0..NASTY.len())]
+                } else {
+                    let other = &lines[rng.gen_range(0..lines.len())];
+                    other.get(ti).copied().unwrap_or("0")
+                };
+            }
+        }
+        _ => {
+            let li = rng.gen_range(0..lines.len());
+            if rng.gen_range(0..2u32) == 0 {
+                lines.remove(li);
+            } else {
+                lines.insert(li, lines[li].clone());
+            }
+        }
+    }
+    lines.iter().map(|l| l.join(" ") + "\n").collect()
+}
+
+#[test]
+fn fuzzed_plan_text_never_panics() {
+    let _lock = guard();
+    let corpus =
+        [small_train_plan().to_text(), small_forward_plan().to_text(), static_plan().to_text()];
+    assert!(corpus[2].contains("\nstatic "), "static_plan bakes a static");
+    for text in &corpus {
+        parse_and_verify_never_panics(text).expect("real plans parse and verify");
+    }
+    let mut runner = proptest::test_runner::TestRunner::new(
+        proptest::test_runner::ProptestConfig::with_cases(512),
+        "fuzzed_plan_text_never_panics",
+    );
+    runner.run(|rng| {
+        let bytes: Vec<u8> =
+            (0..rng.gen_range(0..96usize)).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        let noise = String::from_utf8_lossy(&bytes).into_owned();
+        parse_and_verify_never_panics(&noise).map_err(proptest::test_runner::TestCaseError::fail)?;
+        for text in &corpus {
+            let mut t = mutate(text, rng);
+            if rng.gen_range(0..4u32) == 0 {
+                t = mutate(&t, rng);
+            }
+            parse_and_verify_never_panics(&t).map_err(proptest::test_runner::TestCaseError::fail)?;
+        }
+        Ok(())
+    });
 }
 
 // ---------------------------------------------------------------------------

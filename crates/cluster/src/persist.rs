@@ -78,7 +78,9 @@ impl Prototypes {
     /// Every [`PersistError::Format`] message carries the 1-based line number
     /// it refers to (magic = line 1, header = line 2, prototype row `j` =
     /// line `3 + j`). Non-finite values (NaN, ±inf) are rejected: they would
-    /// poison every distance computed against the loaded centers.
+    /// poison every distance computed against the loaded centers. `k` and
+    /// `p` must be positive, and nothing is allocated from them before the
+    /// rows that back them have been read.
     pub fn from_text(text: &str) -> Result<Prototypes, PersistError> {
         let mut lines = text.lines();
         let magic = lines
@@ -100,6 +102,16 @@ impl Prototypes {
         let p: usize = fields[3]
             .parse()
             .map_err(|_| PersistError::Format(format!("line 2: bad p: {}", fields[3])))?;
+        if k == 0 || p == 0 {
+            return Err(PersistError::Format(format!(
+                "line 2: k and p must be positive, got k {k} p {p}"
+            )));
+        }
+        if k.checked_mul(p).is_none() {
+            return Err(PersistError::Format(format!(
+                "line 2: k·p overflows for k {k} p {p}"
+            )));
+        }
         let alpha: f32 = fields[7]
             .parse()
             .map_err(|_| PersistError::Format(format!("line 2: bad alpha: {}", fields[7])))?;
@@ -111,7 +123,7 @@ impl Prototypes {
             "reccorr" => Objective::RecCorr { alpha },
             other => return Err(PersistError::Format(format!("line 2: unknown objective: {other}"))),
         };
-        let mut data = Vec::with_capacity(k * p);
+        let mut data = Vec::new();
         for j in 0..k {
             let lineno = 3 + j;
             let line = lines.next().ok_or_else(|| {
@@ -238,6 +250,24 @@ mod tests {
         for (text, expect) in cases {
             let msg = format_message(Prototypes::from_text(text));
             assert!(msg.contains(expect), "{text:?}: expected {expect} in {msg:?}");
+        }
+    }
+
+    #[test]
+    fn header_counts_are_checked_before_use() {
+        // A huge k used to size a 3.2 TB allocation up front (process abort);
+        // k·p used to overflow; zero k or p used to parse as an empty set.
+        let cases = [
+            ("k 100000000000 p 8 objective rec alpha 0", "line 3"),
+            ("k 18446744073709551615 p 2 objective rec alpha 0", "overflows"),
+            ("k 4294967296 p 4294967296 objective rec alpha 0", "overflows"),
+            ("k 0 p 8 objective rec alpha 0", "positive"),
+            ("k 2 p 0 objective rec alpha 0", "positive"),
+        ];
+        for (header, expect) in cases {
+            let text = format!("focus-prototypes v1\n{header}\n");
+            let msg = format_message(Prototypes::from_text(&text));
+            assert!(msg.contains(expect), "{header:?}: expected {expect:?} in {msg:?}");
         }
     }
 

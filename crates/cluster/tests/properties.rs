@@ -243,3 +243,82 @@ proptest! {
         prop_assert_eq!(gemm, scalar);
     }
 }
+
+/// Parses `text` as a prototype dump: it must yield `Ok` or a format error
+/// naming its line, and never panic.
+fn parse_never_panics(text: &str) -> Result<(), String> {
+    match std::panic::catch_unwind(|| Prototypes::from_text(text)) {
+        Err(_) => Err(format!("from_text panicked on {text:?}")),
+        Ok(Err(e)) if !e.to_string().starts_with("format error: line ") => {
+            Err(format!("unpositioned error {e} for {text:?}"))
+        }
+        Ok(_) => Ok(()),
+    }
+}
+
+/// Tokens a corrupted prototype file plausibly carries.
+const NASTY: [&str; 16] = [
+    "0", "1", "-1", "4294967296", "18446744073709551615", "99999999999999999999", "NaN",
+    "inf", "-inf", "1e39", "k", "p", "rec", "reccorr", "alpha", "\u{e9}",
+];
+
+fn mutate(text: &str, rng: &mut rand::rngs::StdRng) -> String {
+    use rand::Rng;
+    let mut lines: Vec<Vec<&str>> = text.lines().map(|l| l.split_whitespace().collect()).collect();
+    if lines.is_empty() {
+        return text.to_string();
+    }
+    match rng.gen_range(0..4u32) {
+        0 => {
+            let mut cut = rng.gen_range(0..text.len());
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            return text[..cut].to_string();
+        }
+        1 | 2 => {
+            let li = rng.gen_range(0..lines.len());
+            if !lines[li].is_empty() {
+                let ti = rng.gen_range(0..lines[li].len());
+                lines[li][ti] = NASTY[rng.gen_range(0..NASTY.len())];
+            }
+        }
+        _ => {
+            let li = rng.gen_range(0..lines.len());
+            if rng.gen_range(0..2u32) == 0 {
+                lines.remove(li);
+            } else {
+                lines.insert(li, lines[li].clone());
+            }
+        }
+    }
+    lines.iter().map(|l| l.join(" ") + "\n").collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn fuzzed_prototype_text_never_panics(seed in 0u64..u64::MAX, alpha in 0.0f32..1.0) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let centers: Vec<f32> = (0..3 * 5).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+        let objective = if alpha < 0.3 { Objective::RecOnly } else { Objective::rec_corr(alpha) };
+        let real =
+            Prototypes::from_centers(Tensor::from_vec(centers, &[3, 5]), objective).to_text();
+        prop_assert!(parse_never_panics(&real).is_ok());
+        let bytes: Vec<u8> =
+            (0..rng.gen_range(0..64usize)).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        let noise = String::from_utf8_lossy(&bytes).into_owned();
+        let header_noise = format!("focus-prototypes v1\n{noise}");
+        let mut mutated = mutate(&real, &mut rng);
+        if rng.gen_range(0..4u32) == 0 {
+            mutated = mutate(&mutated, &mut rng);
+        }
+        for text in [noise, header_noise, mutated] {
+            if let Err(e) = parse_never_panics(&text) {
+                prop_assert!(false, "{e}");
+            }
+        }
+    }
+}

@@ -155,14 +155,12 @@ impl Assignment {
                 focus_trace::counter_add("route/soft_plans", 1);
                 let t = temperature.max(1e-4);
                 let mut d = prototypes.distances(&segments.reshape(&[b * l, p]));
-                for row in d.data_mut().chunks_exact_mut(k) {
-                    for slot in row.iter_mut() {
-                        *slot = -*slot / t;
-                    }
-                    // Shared max-subtract softmax kernel — one definition for
-                    // every softmax in the workspace.
-                    focus_tensor::fused::softmax_row(row);
+                for slot in d.data_mut().iter_mut() {
+                    *slot = -*slot / t;
                 }
+                // Shared max-subtract softmax kernel — one definition for
+                // every softmax in the workspace.
+                focus_tensor::fused::softmax_rows(d.data_mut(), k);
                 d.reshape_in_place(&[b, l, k]);
                 RoutingPlan::Soft { matrix: d }
             }

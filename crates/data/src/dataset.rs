@@ -51,7 +51,10 @@ impl MtsDataset {
     /// from [`crate::outliers`]), normalising with train-split statistics.
     ///
     /// # Panics
-    /// If `raw`'s shape does not match `spec`.
+    /// If `raw`'s shape does not match `spec`, or if any value is NaN or
+    /// infinite (it would turn its entity's train statistics, and so every
+    /// normalised value of that entity, into NaN). The message names the
+    /// entity and time index of the first such value.
     pub fn from_raw(spec: DatasetSpec, raw: Tensor) -> Self {
         assert_eq!(
             raw.dims(),
@@ -61,6 +64,15 @@ impl MtsDataset {
             spec.entities,
             spec.len
         );
+        for (e, row) in raw.data().chunks_exact(spec.len.max(1)).enumerate() {
+            let bad = row.iter().position(|v| !v.is_finite());
+            assert!(
+                bad.is_none(),
+                "raw series value {} at entity {e}, time index {} is not finite",
+                row[bad.unwrap_or(0)],
+                bad.unwrap_or(0)
+            );
+        }
         let (train_range, _, _) = spec.split_points();
         let mut data = raw;
         let len = spec.len;
@@ -177,6 +189,23 @@ mod tests {
 
     fn ds() -> MtsDataset {
         MtsDataset::generate(Benchmark::Pems08.scaled(8, 1_000), 11)
+    }
+
+    #[test]
+    fn non_finite_raw_values_are_rejected_with_their_position() {
+        let spec = Benchmark::Pems08.scaled(8, 1_000);
+        for (bad, e, t) in
+            [(f32::NAN, 3, 10), (f32::INFINITY, 0, 999), (f32::NEG_INFINITY, 7, 600)]
+        {
+            let mut raw = synth::generate(&spec, 11);
+            raw.data_mut()[e * spec.len + t] = bad;
+            let spec = spec.clone();
+            let err = std::panic::catch_unwind(move || MtsDataset::from_raw(spec, raw))
+                .err()
+                .expect("a non-finite raw value must be rejected");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(&format!("entity {e}, time index {t}")), "{msg}");
+        }
     }
 
     #[test]

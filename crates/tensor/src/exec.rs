@@ -137,9 +137,9 @@ pub fn map_gelu(src: &[f32], dst: &mut [f32]) {
     map(src, dst, fused::gelu_fwd);
 }
 
-/// Sigmoid forward (mirror of the autograd `sigmoid` map).
+/// Sigmoid forward (shared [`fused::sigmoid`] scalar).
 pub fn map_sigmoid(src: &[f32], dst: &mut [f32]) {
-    map(src, dst, |v| 1.0 / (1.0 + (-v).exp()));
+    map(src, dst, fused::sigmoid);
 }
 
 /// Tanh forward.
@@ -209,15 +209,11 @@ pub fn bias_grad(g: &[f32], rows: usize, n: usize, dst: &mut [f32]) {
 }
 
 /// Row softmax over trailing axis `n` (mirror of [`Tensor::softmax_last`]:
-/// clone + in-place [`fused::softmax_row`] sweep).
+/// clone + in-place [`fused::softmax_rows`] sweep).
 pub fn softmax_last(src: &[f32], n: usize, dst: &mut [f32]) {
     dst.copy_from_slice(src);
     let grain_rows = EXP_GRAIN.div_ceil(n).max(1);
-    par::parallel_rows(dst, n, grain_rows, 1, |_, block| {
-        for chunk in block.chunks_mut(n) {
-            fused::softmax_row(chunk);
-        }
-    });
+    par::parallel_rows(dst, n, grain_rows, 1, |_, block| fused::softmax_rows(block, n));
 }
 
 /// Softmax backward (shared fused core).
@@ -495,7 +491,7 @@ mod tests {
         map_scale(a.data(), -1.7, &mut out);
         assert_eq!(out, a.scale(-1.7).data());
         map_sigmoid(a.data(), &mut out);
-        assert_eq!(out, a.map(|v| 1.0 / (1.0 + (-v).exp())).data());
+        assert_eq!(out, a.map(fused::sigmoid).data());
     }
 
     #[test]

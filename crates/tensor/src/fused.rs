@@ -1,6 +1,7 @@
 //! Fused single-pass forward/backward kernels for the hot non-GEMM ops:
-//! row softmax (fwd + bwd), LayerNorm over the trailing axis (fwd + bwd),
-//! the tanh-approximation GELU scalars, and the AdamW parameter step.
+//! the in-repo [`exp`] and [`sigmoid`], block softmax (fwd + bwd),
+//! LayerNorm over the trailing axis (fwd + bwd), the tanh-approximation GELU
+//! scalars, and the AdamW parameter step.
 //!
 //! Every kernel here obeys the two backend invariants:
 //!
@@ -14,6 +15,13 @@
 //!   reference, so results are identical at any thread count. Cross-row
 //!   reductions (`dgamma`/`dbeta`) parallelise over *columns*: each output
 //!   column keeps its serial row-ascending accumulation chain.
+//!
+//! Transcendentals and row reductions are defined here, not borrowed from
+//! libm or left to the compiler: [`exp`] is built from IEEE `+`, `×`,
+//! `clamp` and exponent-bit construction only, and LayerNorm's row
+//! statistics use the fixed [`LANES`]-lane order of [`combine_lanes`]. Both
+//! are plain scalar code that LLVM vectorises under optimisation without
+//! changing a bit, so results are the same on every host and in every build.
 //!
 //! The autograd crate routes its `SoftmaxLast` / `LayerNormLast` /
 //! activation rules and the AdamW optimizer through these entry points; the
@@ -44,20 +52,88 @@ pub fn enabled() -> bool {
     FUSED.load(Ordering::Relaxed)
 }
 
-/// In-place numerically-stable softmax of one row: shift by the row maximum,
-/// exponentiate, normalise. The single source of truth for row softmax —
-/// `Tensor::softmax_last` and the soft-assignment routing both call this.
-#[inline]
-pub fn softmax_row(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    let inv = 1.0 / sum;
-    for v in row.iter_mut() {
-        *v *= inv;
+/// `e^x` in f32: Cody–Waite range reduction and a degree-7 polynomial, with
+/// no libm call and no FMA. The one exponential of every FOCUS-path kernel
+/// (softmax, sigmoid, soft routing).
+///
+/// `x = n·ln2 + r` with `n = round(x·log₂e)` (the `1.5·2²³` magic add, which
+/// stays vectorisable where an `as i32` cast would not) and
+/// `|r| ≤ ln2/2`; `ln2` is split into a 9-bit head, whose product with `n`
+/// is exact, and a tail. `e^r ≈ 1 + r + r²·P(r)` with the Cephes `expf`
+/// coefficients. `2ⁿ` is applied as two exponent-bit factors so results
+/// stay finite up to `ln(f32::MAX) ≈ 88.72` and underflow gradually.
+///
+/// Special values: NaN → NaN (`clamp` propagates it), `x ≥ 88.73` and `+∞` →
+/// `+∞`, `x ≤ −104` and `−∞` → `+0`. Every normal result is within 1 ULP of
+/// `(x as f64).exp() as f32`: checked once over every f32 in `[−104, 89]`,
+/// and by a dense sweep in this module's tests.
+#[inline(always)]
+pub fn exp(x: f32) -> f32 {
+    const LOG2E: f32 = std::f32::consts::LOG2_E;
+    const LN2_HI: f32 = 355.0 / 512.0; // 9 significant bits: n·LN2_HI is exact
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    const MAGIC: f32 = 12_582_912.0; // 1.5·2²³: adding it rounds to an integer
+    const P0: f32 = 1.987_569_1e-4;
+    const P1: f32 = 1.398_199_9e-3;
+    const P2: f32 = 8.333_452e-3;
+    const P3: f32 = 4.166_579_6e-2;
+    const P4: f32 = 1.666_666_5e-1;
+    const P5: f32 = 0.5;
+    let x = x.clamp(-104.0, 89.0);
+    let t = x * LOG2E + MAGIC;
+    let n = (t.to_bits() as i32).wrapping_sub(MAGIC.to_bits() as i32);
+    let nf = t - MAGIC;
+    let r = (x - nf * LN2_HI) - nf * LN2_LO;
+    let p = (((((P0 * r + P1) * r + P2) * r + P3) * r + P4) * r + P5) * (r * r) + r + 1.0;
+    let h = n >> 1;
+    p * pow2(h) * pow2(n.wrapping_sub(h))
+}
+
+/// `2^k` for `k ∈ [−126, 127]`, built from exponent bits.
+#[inline(always)]
+fn pow2(k: i32) -> f32 {
+    f32::from_bits((k.wrapping_add(127) as u32) << 23)
+}
+
+/// Logistic sigmoid `1 / (1 + e^−x)` on [`exp`]: the one definition behind
+/// the autograd `sigmoid` op and the plan VM's `map_sigmoid`.
+#[inline(always)]
+pub fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + exp(-x))
+}
+
+/// Elements per softmax tile: the three passes of [`softmax_rows`] re-read
+/// a tile, so it is sized to stay in L1 (8 KiB of f32).
+const SOFTMAX_TILE: usize = 2048;
+
+/// In-place numerically-stable softmax of every length-`n` row of `block`:
+/// the single source of truth for row softmax (`Tensor::softmax_last`, the
+/// plan VM and the soft-assignment routing all call it).
+///
+/// Three passes per tile of rows: subtract each row's maximum, one flat
+/// [`exp`] pass over the whole tile (rows are too short for a per-row loop
+/// to vectorise), then scale each row by the inverse of its ascending sum.
+/// Elementwise `exp` makes the result bitwise-independent of the tiling and
+/// of how the caller splits rows across threads.
+pub fn softmax_rows(block: &mut [f32], n: usize) {
+    assert!(n > 0, "softmax over an empty trailing axis");
+    assert_eq!(block.len() % n, 0, "softmax_rows: block is not a whole number of rows");
+    for tile in block.chunks_mut(SOFTMAX_TILE.div_ceil(n) * n) {
+        for row in tile.chunks_exact_mut(n) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            for v in row.iter_mut() {
+                *v -= max;
+            }
+        }
+        for v in tile.iter_mut() {
+            *v = exp(*v);
+        }
+        for row in tile.chunks_exact_mut(n) {
+            let inv = 1.0 / row.iter().fold(0.0f32, |s, &v| s + v);
+            for v in row.iter_mut() {
+                *v *= inv;
+            }
+        }
     }
 }
 
@@ -96,6 +172,60 @@ pub(crate) fn softmax_last_bwd_into(y: &[f32], g: &[f32], n: usize, dx: &mut [f3
     });
 }
 
+/// Lane count of the fixed-lane row reductions (LayerNorm statistics).
+pub const LANES: usize = 8;
+
+/// Combines lane partials by the fixed pairwise tree
+/// `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`.
+///
+/// A fixed-lane row sum puts element `j` into lane `j % LANES`, each lane
+/// accumulating in ascending `j` from `0.0`, then combines the lanes here.
+/// The order depends only on the row length — never on the host, the build
+/// or the thread count — and the reference LayerNorm uses the same one.
+#[inline(always)]
+pub fn combine_lanes(l: [f32; LANES]) -> f32 {
+    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+}
+
+/// Fixed-lane sum of `f(v)` over a row (see [`combine_lanes`]).
+#[inline(always)]
+fn lane_sum(x: &[f32], f: impl Fn(f32) -> f32) -> f32 {
+    let mut l = [0.0f32; LANES];
+    let mut chunks = x.chunks_exact(LANES);
+    for c in &mut chunks {
+        for (a, &v) in l.iter_mut().zip(c) {
+            *a += f(v);
+        }
+    }
+    for (a, &v) in l.iter_mut().zip(chunks.remainder()) {
+        *a += f(v);
+    }
+    combine_lanes(l)
+}
+
+/// LayerNorm backward row statistics `(Σ dy, Σ dy·x̂)` with
+/// `dy = g ⊙ γ`, `x̂ = (x − μ)·rstd`, both as fixed-lane sums.
+#[inline(always)]
+fn ln_bwd_sums(x: &[f32], g: &[f32], gamma: &[f32], mu: f32, rstd: f32) -> (f32, f32) {
+    let (mut sd, mut sx) = ([0.0f32; LANES], [0.0f32; LANES]);
+    let mut lanes = |xc: &[f32], gc: &[f32], wc: &[f32]| {
+        for (((a, b), (&xv, &gv)), &w) in
+            sd.iter_mut().zip(sx.iter_mut()).zip(xc.iter().zip(gc)).zip(wc)
+        {
+            let dy = gv * w;
+            *a += dy;
+            *b += dy * ((xv - mu) * rstd);
+        }
+    };
+    let (mut xc, mut gc, mut wc) =
+        (x.chunks_exact(LANES), g.chunks_exact(LANES), gamma.chunks_exact(LANES));
+    for ((xa, ga), wa) in (&mut xc).zip(&mut gc).zip(&mut wc) {
+        lanes(xa, ga, wa);
+    }
+    lanes(xc.remainder(), gc.remainder(), wc.remainder());
+    (combine_lanes(sd), combine_lanes(sx))
+}
+
 /// Fused LayerNorm forward over the trailing axis.
 ///
 /// Returns `(y, cache)` where `cache` is a `[rows, 2]` tensor of
@@ -116,6 +246,9 @@ pub fn layer_norm_fwd(x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> (Ten
 /// Slice core of [`layer_norm_fwd`]: `out` holds `rows · n` elements,
 /// `cache` holds `rows · 2` interleaved `(mean, rstd)` pairs; both are fully
 /// overwritten. Shared with the compiled-plan VM.
+///
+/// Mean and variance are fixed-lane sums ([`combine_lanes`]), so a row's
+/// statistics cost a few vector adds instead of a serial FP-add chain.
 pub(crate) fn layer_norm_fwd_into(
     x: &[f32],
     n: usize,
@@ -126,71 +259,19 @@ pub(crate) fn layer_norm_fwd_into(
     cache: &mut [f32],
 ) {
     let grain_rows = EXP_GRAIN.div_ceil(n).max(1);
-    par::parallel_rows2(
-        out,
-        n,
-        cache,
-        2,
-        grain_rows,
-        // Block starts aligned to the 4-row interleave below, so no parallel
-        // split can land a boundary mid-quad.
-        4,
-        |row0, block, cblock| {
-            // The mean/variance reductions are serial ascending-j chains
-            // (reassociation would change bits), so a single row is bound by
-            // FP-add latency. Rows are independent: running four rows' chains
-            // in flight overlaps that latency without reordering any row's
-            // own sums — bitwise-identical to the one-row loop below, which
-            // handles the remainder.
-            let rows_here = block.len() / n;
-            let mut r = 0;
-            while r + 4 <= rows_here {
-                let base = (row0 + r) * n;
-                let x0 = &x[base..base + n];
-                let x1 = &x[base + n..base + 2 * n];
-                let x2 = &x[base + 2 * n..base + 3 * n];
-                let x3 = &x[base + 3 * n..base + 4 * n];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for j in 0..n {
-                    s0 += x0[j];
-                    s1 += x1[j];
-                    s2 += x2[j];
-                    s3 += x3[j];
-                }
-                let m = [s0 / n as f32, s1 / n as f32, s2 / n as f32, s3 / n as f32];
-                let (mut v0, mut v1, mut v2, mut v3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for j in 0..n {
-                    v0 += (x0[j] - m[0]) * (x0[j] - m[0]);
-                    v1 += (x1[j] - m[1]) * (x1[j] - m[1]);
-                    v2 += (x2[j] - m[2]) * (x2[j] - m[2]);
-                    v3 += (x3[j] - m[3]) * (x3[j] - m[3]);
-                }
-                let var = [v0 / n as f32, v1 / n as f32, v2 / n as f32, v3 / n as f32];
-                for (q, xq) in [x0, x1, x2, x3].into_iter().enumerate() {
-                    let rstd = 1.0 / (var[q] + eps).sqrt();
-                    cblock[2 * (r + q)] = m[q];
-                    cblock[2 * (r + q) + 1] = rstd;
-                    let orow = &mut block[(r + q) * n..(r + q + 1) * n];
-                    for (j, o) in orow.iter_mut().enumerate() {
-                        *o = (xq[j] - m[q]) * rstd * gamma[j] + beta[j];
-                    }
-                }
-                r += 4;
+    par::parallel_rows2(out, n, cache, 2, grain_rows, |row0, block, cblock| {
+        let rows = x[row0 * n..].chunks_exact(n);
+        for ((orow, c), xr) in block.chunks_exact_mut(n).zip(cblock.chunks_exact_mut(2)).zip(rows) {
+            let mean = lane_sum(xr, |v| v) / n as f32;
+            let var = lane_sum(xr, |v| (v - mean) * (v - mean)) / n as f32;
+            let rstd = 1.0 / (var + eps).sqrt();
+            c[0] = mean;
+            c[1] = rstd;
+            for (((o, &v), &w), &b) in orow.iter_mut().zip(xr).zip(gamma).zip(beta) {
+                *o = (v - mean) * rstd * w + b;
             }
-            for r in r..rows_here {
-                let xr = &x[(row0 + r) * n..(row0 + r + 1) * n];
-                let mean = xr.iter().sum::<f32>() / n as f32;
-                let var = xr.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
-                let rstd = 1.0 / (var + eps).sqrt();
-                cblock[2 * r] = mean;
-                cblock[2 * r + 1] = rstd;
-                let orow = &mut block[r * n..(r + 1) * n];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    *o = (xr[j] - mean) * rstd * gamma[j] + beta[j];
-                }
-            }
-        },
-    );
+        }
+    });
 }
 
 /// Fused LayerNorm backward.
@@ -242,118 +323,42 @@ pub(crate) fn layer_norm_bwd_into(
     let grain_rows = EXP_GRAIN.div_ceil(n).max(1);
     par::parallel_rows(dx, n, grain_rows, 1, |row0, block| {
         let inv_n = 1.0 / n as f32;
-        // Like the forward: the two per-row reduction chains are serial by
-        // contract, so four independent rows run in flight to hide FP-add
-        // latency. Each row's own chain order is untouched — bitwise-equal
-        // to the one-row remainder loop.
-        let rows_here = block.len() / n;
-        let mut r = 0;
-        while r + 4 <= rows_here {
+        for (r, out) in block.chunks_exact_mut(n).enumerate() {
             let at = (row0 + r) * n;
-            let x0 = &x[at..at + n];
-            let x1 = &x[at + n..at + 2 * n];
-            let x2 = &x[at + 2 * n..at + 3 * n];
-            let x3 = &x[at + 3 * n..at + 4 * n];
-            let g0 = &g[at..at + n];
-            let g1 = &g[at + n..at + 2 * n];
-            let g2 = &g[at + 2 * n..at + 3 * n];
-            let g3 = &g[at + 3 * n..at + 4 * n];
-            let mu = [
-                cd[2 * (row0 + r)],
-                cd[2 * (row0 + r + 1)],
-                cd[2 * (row0 + r + 2)],
-                cd[2 * (row0 + r + 3)],
-            ];
-            let rstd = [
-                cd[2 * (row0 + r) + 1],
-                cd[2 * (row0 + r + 1) + 1],
-                cd[2 * (row0 + r + 2) + 1],
-                cd[2 * (row0 + r + 3) + 1],
-            ];
-            let (mut sd0, mut sd1, mut sd2, mut sd3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            let (mut sx0, mut sx1, mut sx2, mut sx3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for j in 0..n {
-                let gj = gamma[j];
-                let dy0 = g0[j] * gj;
-                let dy1 = g1[j] * gj;
-                let dy2 = g2[j] * gj;
-                let dy3 = g3[j] * gj;
-                sd0 += dy0;
-                sd1 += dy1;
-                sd2 += dy2;
-                sd3 += dy3;
-                sx0 += dy0 * ((x0[j] - mu[0]) * rstd[0]);
-                sx1 += dy1 * ((x1[j] - mu[1]) * rstd[1]);
-                sx2 += dy2 * ((x2[j] - mu[2]) * rstd[2]);
-                sx3 += dy3 * ((x3[j] - mu[3]) * rstd[3]);
-            }
-            let sum_dy = [sd0, sd1, sd2, sd3];
-            let sum_dy_xhat = [sx0, sx1, sx2, sx3];
-            for (q, (xq, gq)) in [(x0, g0), (x1, g1), (x2, g2), (x3, g3)].into_iter().enumerate()
-            {
-                let out = &mut block[(r + q) * n..(r + q + 1) * n];
-                for (j, o) in out.iter_mut().enumerate() {
-                    let xhat = (xq[j] - mu[q]) * rstd[q];
-                    let dy = gq[j] * gamma[j];
-                    *o = rstd[q] * (dy - sum_dy[q] * inv_n - xhat * sum_dy_xhat[q] * inv_n);
-                }
-            }
-            r += 4;
-        }
-        for r in r..rows_here {
-            let at = (row0 + r) * n;
-            let xr = &x[at..at + n];
-            let gr = &g[at..at + n];
+            let (xr, gr) = (&x[at..at + n], &g[at..at + n]);
             let (mu, rstd) = (cd[2 * (row0 + r)], cd[2 * (row0 + r) + 1]);
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for j in 0..n {
-                let xhat = (xr[j] - mu) * rstd;
-                let dy = gr[j] * gamma[j];
-                sum_dy += dy;
-                sum_dy_xhat += dy * xhat;
-            }
-            let out = &mut block[r * n..(r + 1) * n];
-            for (j, o) in out.iter_mut().enumerate() {
-                let xhat = (xr[j] - mu) * rstd;
-                let dy = gr[j] * gamma[j];
+            let (sum_dy, sum_dy_xhat) = ln_bwd_sums(xr, gr, gamma, mu, rstd);
+            for (((o, &xv), &gv), &w) in out.iter_mut().zip(xr).zip(gr).zip(gamma) {
+                let xhat = (xv - mu) * rstd;
+                let dy = gv * w;
                 *o = rstd * (dy - sum_dy * inv_n - xhat * sum_dy_xhat * inv_n);
             }
         }
     });
 
     let col_grain = ELEM_GRAIN.div_ceil(rows.max(1)).max(1);
-    par::parallel_rows2(
-        dgamma,
-        1,
-        dbeta,
-        1,
-        col_grain,
-        // Column-parallel: single-element "rows", no tiling to respect.
-        1,
-        |col0, gchunk, bchunk| {
-            // Row-major sweep with the output chunks as accumulators: each
-            // column still sums rows in ascending order (bitwise-equal to the
-            // serial reference), but reads walk `g`/`x` contiguously instead
-            // of striding a full row per element.
-            gchunk.fill(0.0);
-            bchunk.fill(0.0);
-            let w = gchunk.len();
-            for r in 0..rows {
-                let base = r * n + col0;
-                let (mu, rstd) = (cd[2 * r], cd[2 * r + 1]);
-                let gr = &g[base..base + w];
-                let xr = &x[base..base + w];
-                for ((dg, db), (&gv, &xv)) in
-                    gchunk.iter_mut().zip(bchunk.iter_mut()).zip(gr.iter().zip(xr))
-                {
-                    let xhat = (xv - mu) * rstd;
-                    *dg += gv * xhat;
-                    *db += gv;
-                }
+    par::parallel_rows2(dgamma, 1, dbeta, 1, col_grain, |col0, gchunk, bchunk| {
+        // Row-major sweep with the output chunks as accumulators: each
+        // column still sums rows in ascending order (bitwise-equal to the
+        // serial reference), but reads walk `g`/`x` contiguously instead
+        // of striding a full row per element.
+        gchunk.fill(0.0);
+        bchunk.fill(0.0);
+        let w = gchunk.len();
+        for r in 0..rows {
+            let base = r * n + col0;
+            let (mu, rstd) = (cd[2 * r], cd[2 * r + 1]);
+            let gr = &g[base..base + w];
+            let xr = &x[base..base + w];
+            for ((dg, db), (&gv, &xv)) in
+                gchunk.iter_mut().zip(bchunk.iter_mut()).zip(gr.iter().zip(xr))
+            {
+                let xhat = (xv - mu) * rstd;
+                *dg += gv * xhat;
+                *db += gv;
             }
-        },
-    );
+        }
+    });
 }
 
 /// GELU forward, tanh approximation (shared scalar).
@@ -415,13 +420,107 @@ pub fn adamw_step(
 mod tests {
     use super::*;
 
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Distance in representable f32 steps between two finite values of the
+    /// same sign.
+    fn ulps(a: f32, b: f32) -> u32 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    fn check_exp_ulp(x: f32) {
+        let want = (x as f64).exp() as f32;
+        if want.is_normal() {
+            let got = exp(x);
+            assert!(ulps(got, want) <= 1, "exp({x:e}) = {got:e}, f64 reference {want:e}");
+        }
+    }
+
     #[test]
-    fn softmax_row_matches_tensor_softmax() {
+    fn exp_is_within_one_ulp_on_a_dense_sweep() {
+        // Uniform steps over the whole normal-result range, plus a stride
+        // through the bit patterns so tiny |x| is covered too.
+        const N: u32 = 1 << 23;
+        for i in 0..=N {
+            check_exp_ulp((-104.0 + 193.0 * f64::from(i) / f64::from(N)) as f32);
+        }
+        for bits in (0..=89.0f32.to_bits()).step_by(1021) {
+            check_exp_ulp(f32::from_bits(bits));
+            check_exp_ulp(-f32::from_bits(bits));
+        }
+    }
+
+    #[test]
+    fn exp_special_values() {
+        assert!(exp(f32::NAN).is_nan());
+        assert!(exp(-f32::NAN).is_nan());
+        assert_eq!(exp(0.0), 1.0);
+        assert_eq!(exp(-0.0), 1.0);
+        // Finite right up to ln(f32::MAX) ≈ 88.7228.
+        assert!(exp(88.72).is_finite() && exp(88.72) > 3.39e38);
+        for x in [88.73, 89.0, 1e30, f32::MAX, f32::INFINITY] {
+            assert_eq!(exp(x), f32::INFINITY, "exp({x:e})");
+        }
+        for x in [-104.0, -104.5, -1e30, f32::MIN, f32::NEG_INFINITY] {
+            assert_eq!(exp(x).to_bits(), 0, "exp({x:e}) must be +0");
+        }
+    }
+
+    #[test]
+    fn sigmoid_special_values() {
+        assert_eq!(sigmoid(0.0), 0.5);
+        assert_eq!(sigmoid(f32::INFINITY), 1.0);
+        assert_eq!(sigmoid(f32::NEG_INFINITY).to_bits(), 0);
+        assert!(sigmoid(f32::NAN).is_nan());
+        assert!((sigmoid(2.0) - 0.880_797_1).abs() < 1e-7);
+    }
+
+    #[test]
+    fn softmax_rows_matches_tensor_softmax() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0], &[2, 3]);
         let s = t.softmax_last();
-        let mut row = [1.0f32, 2.0, 3.0];
-        softmax_row(&mut row);
-        assert_eq!(&row, s.row(0));
+        let mut rows = [1.0f32, 2.0, 3.0, -1.0, 0.0, 1.0];
+        softmax_rows(&mut rows, 3);
+        assert_eq!(&rows, s.data());
+    }
+
+    #[test]
+    fn block_softmax_equals_row_by_row_bitwise() {
+        // Odd widths and enough rows to cross several tiles, with large row
+        // offsets so the max-subtract matters.
+        let mut rng = StdRng::seed_from_u64(13);
+        for n in [1usize, 3, 5, 7, 9, 11, 13, 17, 33] {
+            let rows = 2 * SOFTMAX_TILE / n + 3;
+            let x: Vec<f32> = (0..rows * n)
+                .map(|i| rng.gen_range(-8.0f32..8.0) + (i / n) as f32 * 7.5 - 40.0)
+                .collect();
+            let mut block = x.clone();
+            softmax_rows(&mut block, n);
+            let mut by_row = x;
+            for row in by_row.chunks_exact_mut(n) {
+                softmax_rows(row, n);
+            }
+            let (a, b): (Vec<u32>, Vec<u32>) =
+                block.iter().zip(&by_row).map(|(a, b)| (a.to_bits(), b.to_bits())).unzip();
+            assert_eq!(a, b, "block softmax diverged from row-by-row at n = {n}");
+            for row in block.chunks_exact(n) {
+                assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_sums_follow_the_fixed_lane_order() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in 0..=37usize {
+            let x: Vec<f32> = (0..n).map(|_| rng.gen_range(-1e3f32..1e3)).collect();
+            let mut l = [0.0f32; LANES];
+            for (j, v) in x.iter().enumerate() {
+                l[j % LANES] += v;
+            }
+            assert_eq!(lane_sum(&x, |v| v).to_bits(), combine_lanes(l).to_bits(), "n = {n}");
+        }
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl Tensor {
     /// Numerically stable softmax over the trailing axis.
     ///
     /// Each length-`last_dim` row is shifted by its maximum before
-    /// exponentiation (the [`fused::softmax_row`] kernel), so the result is
+    /// exponentiation (the [`fused::softmax_rows`] kernel), so the result is
     /// finite for any finite input and every row sums to 1.
     pub fn softmax_last(&self) -> Tensor {
         let n = self.shape().last_dim();
@@ -178,9 +178,7 @@ impl Tensor {
         let mut out = self.clone();
         let grain_rows = EXP_GRAIN.div_ceil(n).max(1);
         par::parallel_rows(out.data_mut(), n, grain_rows, 1, |_, block| {
-            for chunk in block.chunks_mut(n) {
-                fused::softmax_row(chunk);
-            }
+            fused::softmax_rows(block, n)
         });
         out
     }

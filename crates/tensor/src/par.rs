@@ -726,9 +726,6 @@ where
 /// row widths (`a_row_len`, `b_row_len`) but must describe the same number
 /// of rows; a block covering rows `r0..r1` receives
 /// `a[r0*a_row_len..r1*a_row_len]` and `b[r0*b_row_len..r1*b_row_len]`.
-/// Block boundaries are aligned down to multiples of `align` rows exactly
-/// like [`parallel_rows`], so two-output register-tiled kernels (LayerNorm
-/// forward's `(mean, rstd)` cache path) never straddle a tile mid-block.
 ///
 /// For kernels that produce a main output plus a per-row side product in one
 /// pass, or column-parallel reductions writing two per-column outputs.
@@ -742,7 +739,6 @@ pub fn parallel_rows2<T, U, F>(
     b: &mut [U],
     b_row_len: usize,
     grain_rows: usize,
-    align: usize,
     f: F,
 ) where
     T: Send,
@@ -762,8 +758,7 @@ pub fn parallel_rows2<T, U, F>(
         }
         return;
     }
-    let align = align.max(1);
-    let per = rows.div_ceil(threads).div_ceil(align) * align;
+    let per = rows.div_ceil(threads);
     let nullb = (0usize, SendPtr(std::ptr::null_mut()), SendPtr(std::ptr::null_mut()), 0usize);
     let mut blocks = [nullb; MAX_THREADS];
     let mut parts = 0usize;
@@ -924,19 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rows2_respects_alignment() {
-        // Mirror of `parallel_rows_respects_alignment` for the two-output
-        // splitter: with align = 4 no block may start mid-tile, and both
-        // outputs must split on the same row ranges.
-        let mut a = vec![0u8; 23 * 3];
-        let mut b = vec![0u8; 23 * 2];
-        parallel_rows2(&mut a, 3, &mut b, 2, 1, 4, |row0, ab, bb| {
-            assert_eq!(row0 % 4, 0, "block start {row0} not aligned");
-            assert_eq!(ab.len() / 3, bb.len() / 2, "row ranges differ between outputs");
-        });
-    }
-
-    #[test]
     fn focus_threads_accepts_positive_integers() {
         assert_eq!(parse_focus_threads("4"), Ok(4));
         assert_eq!(parse_focus_threads(" 8 "), Ok(8), "surrounding whitespace is fine");
@@ -1057,7 +1039,7 @@ mod tests {
         // matching row ranges in both outputs.
         let mut a = vec![0u32; 37 * 5];
         let mut b = vec![0u32; 37 * 2];
-        parallel_rows2(&mut a, 5, &mut b, 2, 1, 1, |row0, ab, bb| {
+        parallel_rows2(&mut a, 5, &mut b, 2, 1, |row0, ab, bb| {
             assert_eq!(ab.len() / 5, bb.len() / 2, "blocks cover different row counts");
             for (r, row) in ab.chunks_mut(5).enumerate() {
                 row.fill((row0 + r) as u32 + 1);

@@ -23,6 +23,13 @@ cargo test --workspace -q
 echo "==> FOCUS_THREADS=2 cargo test --workspace -q"
 FOCUS_THREADS=2 cargo test --workspace -q
 
+# Release-mode parity leg: the kernels' vector code (the flat exp pass, the
+# 8-lane LayerNorm sums) exists only under optimisation, while every leg
+# above runs the debug build's scalar code. The parity suites and golden
+# digests must hold bit for bit in both.
+echo "==> cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core"
+cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
