@@ -1,8 +1,9 @@
 //! Finite-difference gradient checking.
 //!
-//! Every op's backward rule is validated against a central-difference
-//! estimate. Because the engine runs in `f32`, comparisons use a combined
-//! absolute/relative tolerance.
+//! Every op's backward lowering is validated against a central-difference
+//! estimate: [`check`] differentiates through [`Graph::backward`], i.e. the
+//! compiled plan on the VM. Because the engine runs in `f32`, comparisons
+//! use a combined absolute/relative tolerance.
 
 use crate::{Graph, Var};
 use focus_tensor::Tensor;

@@ -1,6 +1,5 @@
 //! The tape: node arena, op records and forward evaluation.
 
-use focus_tensor::fused::{combine_lanes, LANES};
 use focus_tensor::Tensor;
 
 /// Index of a node in a [`Graph`]. Cheap to copy; only valid for the graph
@@ -51,13 +50,11 @@ pub(crate) enum Op {
     AddRowBroadcast(Var, Var),
     SoftmaxLast(Var),
     /// LayerNorm over the trailing axis with affine `gamma`/`beta`.
-    /// `cache` is a `[rows, 2]` tensor of interleaved `(mean, rstd)` per row.
     LayerNormLast {
         x: Var,
         gamma: Var,
         beta: Var,
         eps: f32,
-        cache: Tensor,
     },
     Relu(Var),
     Gelu(Var),
@@ -80,8 +77,9 @@ pub(crate) struct Node {
 
 /// An append-only computation tape.
 ///
-/// Build the forward pass with the op methods, call [`Graph::backward`] once
-/// on a scalar node, then read gradients with [`Graph::grad`].
+/// Build the forward pass with the op methods, call [`Graph::backward`] on a
+/// scalar node, then read the trainable leaves' gradients with
+/// [`Graph::grad`].
 #[derive(Default)]
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
@@ -149,9 +147,44 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
-    /// The gradient of the loss w.r.t. node `v`, if one was computed.
+    /// The gradient of the loss w.r.t. the trainable leaf `v`, if the last
+    /// [`Graph::backward`] computed one (`None` for constants, intermediate
+    /// nodes and leaves the loss does not depend on).
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.grads.get(v.0).and_then(|g| g.as_ref())
+    }
+
+    /// Differentiates the scalar node `loss` with respect to every trainable
+    /// leaf; read the results with [`Graph::grad`]. Calling `backward` again
+    /// replaces the previous call's gradients.
+    ///
+    /// The tape is lowered by the plan compiler — the one definition of how
+    /// each op differentiates — verified, and run once on the plan VM.
+    /// Trainable leaves bind as the plan's parameters and every
+    /// `RouteOneHot` binds its own indices, so any tape lowers.
+    ///
+    /// # Panics
+    /// If `loss` is not a single-element tensor, or if the lowered plan fails
+    /// verification (a compiler bug; the message names the instruction).
+    pub fn backward(&mut self, loss: Var) {
+        focus_trace::span!("autograd/backward");
+        assert_eq!(
+            self.nodes[loss.0].value.numel(),
+            1,
+            "backward requires a scalar loss, got shape {}",
+            self.nodes[loss.0].value.shape()
+        );
+        let grads = crate::plan::leaf_gradients(self, loss).unwrap_or_else(|e| {
+            // focus-lint: allow(panic-hygiene) -- documented panic: there is no other executor, and the message names the verifier's position
+            panic!("backward: the tape did not lower: {e}")
+        });
+        // Reuse the gradient arena across calls (and across `Graph::reset`):
+        // clear + resize keeps the Vec's capacity.
+        self.grads.clear();
+        self.grads.resize(self.nodes.len(), None);
+        for (v, grad) in grads {
+            self.grads[v.0] = Some(grad);
+        }
     }
 
     // ---- arithmetic ----
@@ -254,28 +287,10 @@ impl Graph {
         let (k, d) = (at.dims()[0], at.dims()[1]);
         let (bsz, l, d2) = (xt.dims()[0], xt.dims()[1], xt.dims()[2]);
         assert_eq!(d, d2, "matmul_broadcast_nt inner dims: {d} vs {d2}");
+        // One batched sweep straight over slices of `x` and `out`: no
+        // per-batch index copy, shared packing scratch across batches.
         let mut out = Tensor::zeros(&[bsz, k, l]);
-        if crate::fused_enabled() {
-            // One batched sweep straight over slices of `x` and `out` — no
-            // per-batch index copy, no result temporary, shared packing
-            // scratch across batches. Bitwise-identical to the reference
-            // loop: same kernel, same zeroed destination.
-            focus_tensor::raw::gemm_nt_bcast(
-                bsz,
-                k,
-                d,
-                l,
-                at.data(),
-                xt.data(),
-                out.data_mut(),
-            );
-        } else {
-            for b in 0..bsz {
-                let slice = xt.index_axis0(b);
-                let s = at.matmul_nt(&slice);
-                out.data_mut()[b * k * l..(b + 1) * k * l].copy_from_slice(s.data());
-            }
-        }
+        focus_tensor::raw::gemm_nt_bcast(bsz, k, d, l, at.data(), xt.data(), out.data_mut());
         let rg = self.rg(a) || self.rg(x);
         self.push(out, Op::MatmulBroadcastNt(a, x), rg)
     }
@@ -332,52 +347,16 @@ impl Graph {
         let n = xt.shape().last_dim();
         assert_eq!(self.value(gamma).numel(), n, "layer_norm gamma length");
         assert_eq!(self.value(beta).numel(), n, "layer_norm beta length");
-        let (out, cache) = if crate::fused_enabled() {
-            focus_tensor::fused::layer_norm_fwd(
-                xt,
-                self.value(gamma).data(),
-                self.value(beta).data(),
-                eps,
-            )
-        } else {
-            // Unfused reference: clone the input, normalise in place. Row
-            // statistics follow the fixed-lane order of the fused kernel:
-            // element j feeds lane j % LANES, lanes combine by one tree.
-            let rows = xt.shape().leading();
-            let mut cache = vec![0.0f32; 2 * rows]; // focus-lint: allow(pool-bypass) -- reference path, deliberately heap-allocated for parity with pre-pool code
-            let mut out = xt.clone();
-            let gdata = self.value(gamma).data().to_vec();
-            let bdata = self.value(beta).data().to_vec();
-            for i in 0..rows {
-                let row = &mut out.data_mut()[i * n..(i + 1) * n];
-                let (mut s, mut q) = ([0.0f32; LANES], [0.0f32; LANES]);
-                for (j, v) in row.iter().enumerate() {
-                    s[j % LANES] += v;
-                }
-                let mean = combine_lanes(s) / n as f32;
-                for (j, v) in row.iter().enumerate() {
-                    q[j % LANES] += (v - mean) * (v - mean);
-                }
-                let var = combine_lanes(q) / n as f32;
-                let rstd = 1.0 / (var + eps).sqrt();
-                cache[2 * i] = mean;
-                cache[2 * i + 1] = rstd;
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = (*v - mean) * rstd * gdata[j] + bdata[j];
-                }
-            }
-            (out, Tensor::from_vec(cache, &[rows, 2]))
-        };
+        let (out, _) = focus_tensor::fused::layer_norm_fwd(
+            xt,
+            self.value(gamma).data(),
+            self.value(beta).data(),
+            eps,
+        );
         let rg = self.rg(x) || self.rg(gamma) || self.rg(beta);
         self.push(
             out,
-            Op::LayerNormLast {
-                x,
-                gamma,
-                beta,
-                eps,
-                cache,
-            },
+            Op::LayerNormLast { x, gamma, beta, eps },
             rg,
         )
     }
@@ -486,8 +465,8 @@ pub(crate) fn swap01(t: &Tensor) -> Tensor {
 }
 
 // The GELU scalar pair lives beside the fused kernels so the forward map,
-// both backward paths and the parity tests all share one definition.
-pub(crate) use focus_tensor::fused::{gelu_bwd, gelu_fwd};
+// the VM and the reference oracle all share one definition.
+pub(crate) use focus_tensor::fused::gelu_fwd;
 
 #[cfg(test)]
 mod tests {
@@ -564,6 +543,95 @@ mod tests {
         let loss = g.mean_all(sq);
         g.backward(loss);
         assert_eq!(g.grad(y).expect("y is a trainable leaf").data(), &[6.0]);
+    }
+
+    #[test]
+    fn linear_regression_gradient() {
+        // L = mean((w·x - y)²); with w = 0, x = [1, 2], y = [1, 2]:
+        // dL/dw = mean over samples of 2(wx−y)x = -(1·1 + 2·2) = -5.
+        let mut g = Graph::new();
+        let w = g.leaf(Tensor::zeros(&[1, 1]));
+        let x = g.constant(Tensor::from_vec(vec![1.0, 2.0], &[1, 2]));
+        let y = g.constant(Tensor::from_vec(vec![1.0, 2.0], &[1, 2]));
+        let pred = g.matmul(w, x);
+        let loss = g.mse(pred, y);
+        g.backward(loss);
+        let dw = g.grad(w).expect("w is a trainable leaf in the graph");
+        assert!((dw.data()[0] + 5.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn gradient_accumulates_across_paths() {
+        // L = mean(x + x) ⇒ dL/dx = 2/n each.
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        let s = g.add(x, x);
+        let loss = g.mean_all(s);
+        g.backward(loss);
+        assert_eq!(g.grad(x).expect("x is a trainable leaf in the graph").data(), &[1.0, 1.0]);
+    }
+
+    #[test]
+    fn constants_get_no_gradient() {
+        let mut g = Graph::new();
+        let c = g.constant(Tensor::ones(&[2]));
+        let p = g.leaf(Tensor::ones(&[2]));
+        let s = g.mul(c, p);
+        let loss = g.sum_all(s);
+        g.backward(loss);
+        assert!(g.grad(c).is_none());
+        assert_eq!(g.grad(p).expect("p is a trainable leaf in the graph").data(), &[1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scalar loss")]
+    fn backward_rejects_non_scalar() {
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::ones(&[2]));
+        g.backward(x);
+    }
+
+    #[test]
+    fn second_backward_replaces_gradients() {
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::from_vec(vec![2.0], &[1]));
+        let sq = g.mul(x, x);
+        let l1 = g.mean_all(sq);
+        g.backward(l1);
+        let first = g.grad(x).expect("x is a trainable leaf in the graph").data()[0];
+        assert!((first - 4.0).abs() < 1e-6);
+        // Extend the graph and backward from a different loss: gradients are
+        // replaced, not accumulated across calls.
+        let tripled = g.scale(sq, 3.0);
+        let l2 = g.mean_all(tripled);
+        g.backward(l2);
+        let second = g.grad(x).expect("x is a trainable leaf in the graph").data()[0];
+        assert!((second - 12.0).abs() < 1e-6, "got {second}");
+    }
+
+    #[test]
+    fn disconnected_leaf_has_no_gradient() {
+        let mut g = Graph::new();
+        let used = g.leaf(Tensor::ones(&[2]));
+        let unused = g.leaf(Tensor::ones(&[2]));
+        let loss = g.sum_all(used);
+        g.backward(loss);
+        assert!(g.grad(used).is_some());
+        assert!(g.grad(unused).is_none());
+    }
+
+    #[test]
+    fn mae_gradient_is_sign_over_n() {
+        let mut g = Graph::new();
+        let p = g.leaf(Tensor::from_vec(vec![2.0, -1.0, 0.0], &[3]));
+        let t = g.constant(Tensor::zeros(&[3]));
+        let loss = g.mae(p, t);
+        g.backward(loss);
+        let gr = g.grad(p).expect("p is a trainable leaf in the graph");
+        let third = 1.0 / 3.0;
+        assert!((gr.data()[0] - third).abs() < 1e-6);
+        assert!((gr.data()[1] + third).abs() < 1e-6);
+        assert_eq!(gr.data()[2], 0.0);
     }
 
     #[test]

@@ -7,12 +7,19 @@
 //!
 //! ## Design
 //!
-//! A [`Graph`] is an append-only arena of nodes. Every operation records its
-//! inputs and caches the values needed by its backward rule; [`Var`] is a
-//! copyable index into the arena. A fresh graph is built for every training
-//! step — parameters live outside the graph in a [`ParamStore`] and are
-//! registered as trainable leaves at the start of each step. This keeps the
-//! engine free of interior mutability and reference cycles.
+//! A [`Graph`] is an append-only arena of nodes. Every operation computes its
+//! forward value and records its inputs; [`Var`] is a copyable index into the
+//! arena. A fresh graph is built for every training step — parameters live
+//! outside the graph in a [`ParamStore`] and are registered as trainable
+//! leaves at the start of each step. This keeps the engine free of interior
+//! mutability and reference cycles.
+//!
+//! There is one backward: the [`plan`] compiler lowers a recorded tape to a
+//! flat, verified instruction stream and the plan VM runs it.
+//! [`Graph::backward`] lowers and runs the tape once; the training loop
+//! additionally caches the plan and replays it on later windows of the same
+//! shape. The unfused reference rules live in [`oracle`], which only tests
+//! call.
 //!
 //! ```
 //! use focus_autograd::Graph;
@@ -32,34 +39,19 @@
 //! broadcast-LHS variant for prototype queries), softmax, LayerNorm,
 //! pointwise nonlinearities, concatenation and the MSE/MAE reductions.
 //! Gradient correctness is enforced by the finite-difference checker in
-//! [`gradcheck`] which the test-suite runs over every op.
+//! [`gradcheck`], which the test-suite runs over every op, and by the
+//! bitwise parity of the VM with the [`oracle`].
 
 #![forbid(unsafe_code)]
 
-mod backward;
 mod graph;
 mod optim;
 pub mod verify;
 mod vm;
 
 pub mod gradcheck;
+pub mod oracle;
 pub mod plan;
 
 pub use graph::{Graph, Var};
 pub use optim::{Adam, AdamW, Optimizer, ParamId, ParamStore, ParamVars, Sgd};
-
-/// Selects the fused (`true`, default) or reference (`false`) backward,
-/// GEMM-dispatch and optimizer kernels.
-///
-/// Forwards to [`focus_tensor::fused::set_enabled`] — the flag lives in the
-/// tensor crate because the GEMM dispatch consults it too. The two paths are
-/// bitwise-identical — this switch exists so the parity tests and benchmarks
-/// can compare them in one process, not because they may disagree.
-pub fn set_fused(on: bool) {
-    focus_tensor::fused::set_enabled(on);
-}
-
-/// True when the fused kernel path is active (see [`set_fused`]).
-pub fn fused_enabled() -> bool {
-    focus_tensor::fused::enabled()
-}

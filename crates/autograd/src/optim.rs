@@ -222,7 +222,7 @@ impl Moments {
     /// One fused update: decoupled decay, moment updates, bias correction and
     /// the parameter write-back in a single pass over the buffers — no `dir`
     /// temporary. `weight_decay = 0` gives plain Adam. Bitwise-identical to
-    /// [`Moments::direction`] + decay + axpy.
+    /// the separate passes of the reference `crate::oracle::AdamW`.
     #[allow(clippy::too_many_arguments)]
     fn fused_update(
         &mut self,
@@ -248,34 +248,6 @@ impl Moments {
             weight_decay,
             self.t,
         );
-    }
-
-    /// Returns the bias-corrected update direction `m̂ / (√v̂ + eps)` — the
-    /// unfused reference path behind [`crate::set_fused`]`(false)`.
-    fn direction(&mut self, idx: usize, grad: &Tensor, beta1: f32, beta2: f32, eps: f32) -> Tensor {
-        self.ensure_shape(idx, grad);
-        let m = &mut self.m[idx];
-        for (mv, &gv) in m.data_mut().iter_mut().zip(grad.data()) {
-            *mv = beta1 * *mv + (1.0 - beta1) * gv;
-        }
-        let v = &mut self.v[idx];
-        for (vv, &gv) in v.data_mut().iter_mut().zip(grad.data()) {
-            *vv = beta2 * *vv + (1.0 - beta2) * gv * gv;
-        }
-        let bc1 = 1.0 - beta1.powi(self.t as i32);
-        let bc2 = 1.0 - beta2.powi(self.t as i32);
-        let mut dir = Tensor::zeros(grad.dims());
-        for ((d, mv), vv) in dir
-            .data_mut()
-            .iter_mut()
-            .zip(self.m[idx].data())
-            .zip(self.v[idx].data())
-        {
-            let mhat = mv / bc1;
-            let vhat = vv / bc2;
-            *d = mhat / (vhat.sqrt() + eps);
-        }
-        dir
     }
 }
 
@@ -316,13 +288,8 @@ impl Optimizer for Adam {
 
     fn update(&mut self, idx: usize, param: &mut Tensor, grad: &Tensor) {
         debug_assert!(self.step_started, "begin_step must precede update");
-        if crate::fused_enabled() {
-            self.state
-                .fused_update(idx, param, grad, self.lr, self.beta1, self.beta2, self.eps, 0.0);
-            return;
-        }
-        let dir = self.state.direction(idx, grad, self.beta1, self.beta2, self.eps);
-        param.axpy(-self.lr, &dir);
+        self.state
+            .fused_update(idx, param, grad, self.lr, self.beta1, self.beta2, self.eps, 0.0);
     }
 }
 
@@ -367,28 +334,16 @@ impl Optimizer for AdamW {
 
     fn update(&mut self, idx: usize, param: &mut Tensor, grad: &Tensor) {
         debug_assert!(self.step_started, "begin_step must precede update");
-        if crate::fused_enabled() {
-            self.state.fused_update(
-                idx,
-                param,
-                grad,
-                self.lr,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                self.weight_decay,
-            );
-            return;
-        }
-        // Decoupled decay first (does not enter the moment estimates).
-        if self.weight_decay > 0.0 {
-            let shrink = 1.0 - self.lr * self.weight_decay;
-            for p in param.data_mut() {
-                *p *= shrink;
-            }
-        }
-        let dir = self.state.direction(idx, grad, self.beta1, self.beta2, self.eps);
-        param.axpy(-self.lr, &dir);
+        self.state.fused_update(
+            idx,
+            param,
+            grad,
+            self.lr,
+            self.beta1,
+            self.beta2,
+            self.eps,
+            self.weight_decay,
+        );
     }
 }
 

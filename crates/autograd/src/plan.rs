@@ -1,41 +1,37 @@
 //! Tape → plan compiler: lowers one recorded forward/backward step into a
-//! flat instruction stream with pre-resolved buffer slots.
-//!
-//! The interpreter ([`Graph::backward`] + [`crate::ParamStore::step`]) walks
-//! the tape every step: each op allocates its output through the tensor pool,
-//! the backward pass re-derives the rule set node by node, and every
-//! intermediate round-trips through pool lookups. For the steady-state
-//! training loop — same window shapes, same routing layout, same parameter
-//! set step after step — all of that bookkeeping is invariant. This module
-//! compiles it away:
+//! flat instruction stream with pre-resolved buffer slots. This module's
+//! emitter is the one definition of how each tape op differentiates:
+//! [`Graph::backward`], every uncached training step and every replayed step
+//! all run the plans it lowers.
 //!
 //! 1. **Forward emission** walks the recorded nodes once and emits one
 //!    [`Instr`] per kernel call ([`Op::Reshape`] emits nothing — it is a
 //!    location alias).
-//! 2. **Symbolic backward** mirrors the fused backward rules exactly —
-//!    same kernels, same operand order, same accumulation order, including
-//!    the scalar-gradient constant folding the interpreter performs through
-//!    `f32` arithmetic — so a replay is bitwise-equal to an interpreted step.
+//! 2. **Symbolic backward** emits each op's adjoint kernels in reverse tape
+//!    order. Gradients of scalar nodes on the loss chain stay compile-time
+//!    `f32` constants, folded with the same arithmetic a runtime pass would
+//!    do, so they cost no instructions.
 //! 3. **Liveness + slot allocation** assigns every virtual register to a
 //!    pool-class-sized slot (`numel.next_power_of_two()`) with a per-class
 //!    free list, destinations allocated before dying operands are released.
-//!    Steady-state replay then performs zero pool lookups and zero graph
-//!    traversal: the VM (`crate::vm`) just dispatches the opcode match.
+//!    Replay then performs zero pool lookups and zero graph traversal: the
+//!    VM (`crate::vm`) just dispatches the opcode match.
 //!
-//! Compilation requires the fused kernels (`crate::set_fused(true)`): the
-//! emitted backward mirrors the fused rule set, so replaying a plan compiled
-//! against the reference backward would not be bitwise-equal. [`PlanCache`]
-//! gates on this.
+//! Every compiled plan passes the static verifier ([`verify::verify_plan`])
+//! before it runs; a rejection is a compiler bug and surfaces as
+//! [`CompileError::Rejected`], naming the instruction.
 //!
-//! # Verification
+//! # Caching
 //!
-//! A tape records *values*, so a constant that happens to vary per window
-//! (e.g. a soft routing matrix) would silently bake one window's data into
-//! the plan. [`PlanCache`] therefore compiles twice — once each on the first
-//! two interpreted steps — and promotes to replay only if both candidate
-//! plans are bitwise-identical. Any mismatch with unchanged shapes turns the
-//! cache [`off`](PlanCache::is_off) for the rest of the run; a shape change
-//! restarts verification.
+//! A tape records *values*, so a constant that varies per window (a soft
+//! routing matrix, a decomposed input) would bake one window's data into the
+//! plan. Models surface such operands as plan inputs and routes (the
+//! forecaster's per-window operand hook). [`PlanCache`] keeps the first
+//! compiled plan of a run, compares it bitwise with the second, and replays
+//! from then on only if they agree; a disagreement with unchanged shapes
+//! means some per-window data was baked in, so the cache turns
+//! [`off`](PlanCache::is_off) and every later step compiles and runs its own
+//! plan. A shape change restarts the comparison.
 //!
 //! # Serialization
 //!
@@ -49,7 +45,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use focus_tensor::Tensor;
+use focus_tensor::{pool, Tensor};
 
 use crate::graph::{Graph, Op, Var};
 use crate::optim::{Optimizer, ParamStore, ParamVars};
@@ -63,17 +59,17 @@ pub use crate::verify;
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Enables or disables plan compilation and replay process-wide.
+/// Enables or disables plan caching process-wide.
 ///
-/// With plans disabled, [`PlanCache`] never compiles and never replays, so
-/// the training loop stays on the interpreter. Used by the benchmarks to
-/// measure the interpreter and the plan VM under otherwise identical
-/// settings.
+/// With caching disabled, [`PlanCache`] never keeps a plan and never
+/// replays: every training step records its tape, compiles it and runs that
+/// plan once. Used by the benchmarks and parity tests to compare the
+/// never-cached path with replay under otherwise identical settings.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// True if plan compilation and replay are enabled (the default).
+/// True if plan caching and replay are enabled (the default).
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
@@ -166,6 +162,7 @@ pub enum OpCode {
     MeanAll,
     SumAll,
     Fill,
+    Splat,
     Copy,
     Axpy,
 }
@@ -173,7 +170,7 @@ pub enum OpCode {
 impl OpCode {
     /// Every opcode, in declaration order. Public so the verifier, the parity
     /// corpus and coverage tooling can enumerate the instruction set.
-    pub const ALL: [OpCode; 43] = [
+    pub const ALL: [OpCode; 44] = [
         OpCode::ZipAdd,
         OpCode::ZipSub,
         OpCode::ZipMul,
@@ -215,6 +212,7 @@ impl OpCode {
         OpCode::MeanAll,
         OpCode::SumAll,
         OpCode::Fill,
+        OpCode::Splat,
         OpCode::Copy,
         OpCode::Axpy,
     ];
@@ -264,6 +262,7 @@ impl OpCode {
             OpCode::MeanAll => "mean_all",
             OpCode::SumAll => "sum_all",
             OpCode::Fill => "fill",
+            OpCode::Splat => "splat",
             OpCode::Copy => "copy",
             OpCode::Axpy => "axpy",
         }
@@ -396,12 +395,20 @@ impl Plan {
         (&self.inputs, &self.route_lens, &self.params)
     }
 
-    /// Allocates the slot buffers for replay. Plain `Vec`s on purpose: slots
-    /// are owned by the plan for its whole lifetime and never touch the
-    /// tensor pool.
-    pub(crate) fn alloc_slots(&self) -> Vec<Vec<f32>> {
-        // focus-lint: allow(pool-bypass) -- slots live as long as the plan and are deliberately off the pool
-        self.slot_caps.iter().map(|&c| vec![0.0f32; c]).collect()
+    /// Sizes `slots` as this plan's slot buffers, keeping the ones a
+    /// previous plan left at the right size and trading the rest with the
+    /// tensor pool. Contents are unspecified: the verifier guarantees every
+    /// slot is written before it is read. Replay itself never touches the
+    /// pool; only this (re)sizing does.
+    pub(crate) fn fit_slots(&self, slots: &mut Vec<Vec<f32>>) {
+        let n = self.slot_caps.len();
+        slots.drain(n.min(slots.len())..).for_each(pool::give);
+        slots.resize_with(n, Vec::new);
+        for (slot, &cap) in slots.iter_mut().zip(&self.slot_caps) {
+            if slot.len() != cap {
+                pool::give(std::mem::replace(slot, pool::take(cap)));
+            }
+        }
     }
 }
 
@@ -409,8 +416,8 @@ impl Plan {
 // Compile errors
 // ---------------------------------------------------------------------------
 
-/// Why a tape could not be lowered to a plan. All of these are soft
-/// failures: [`PlanCache`] falls back to the interpreter for the run.
+/// Why a tape could not be lowered to a plan. There is no other executor to
+/// fall back to, so callers report these as errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CompileError {
     /// A trainable leaf on the tape is not registered in the [`ParamStore`].
@@ -418,15 +425,10 @@ pub enum CompileError {
     /// A `RouteOneHot` op's index vector matches none of the caller-provided
     /// route sources.
     UnmatchedRoute,
-    /// A scalar-valued node received a non-constant gradient, so the
-    /// `MeanAll`/`SumAll` fill value cannot be folded at compile time.
-    NonConstScalarGrad,
     /// The loss node is not scalar.
     NonScalarLoss,
     /// More caller inputs than the `Input(u8)` encoding supports.
     TooManyInputs,
-    /// The loss/output node did not lower to a slot-resident value.
-    BadOutput,
     /// The compiled plan failed the static dataflow verifier — a compiler
     /// bug, not a property of the tape. See [`verify::verify_plan`].
     Rejected(verify::VerifyError),
@@ -441,14 +443,8 @@ impl fmt::Display for CompileError {
             CompileError::UnmatchedRoute => {
                 write!(f, "route indices match no caller-provided route source")
             }
-            CompileError::NonConstScalarGrad => {
-                write!(f, "scalar node received a non-constant gradient")
-            }
             CompileError::NonScalarLoss => write!(f, "loss node is not scalar"),
             CompileError::TooManyInputs => write!(f, "more than 255 plan inputs"),
-            CompileError::BadOutput => {
-                write!(f, "loss/output node did not lower to a slot value")
-            }
             CompileError::Rejected(e) => write!(f, "{e}"),
         }
     }
@@ -472,8 +468,8 @@ enum VLoc {
 /// Gradient representation during the symbolic backward pass.
 ///
 /// Scalar-valued nodes (the loss chain) keep their gradient as a compile-time
-/// `f32` constant folded with the interpreter's exact arithmetic; everything
-/// else lives in a virtual register.
+/// `f32` constant, folded with the exact arithmetic a runtime pass would do;
+/// everything else lives in a virtual register.
 #[derive(Clone, Copy, Debug)]
 enum GradRepr {
     Const(f32),
@@ -492,7 +488,7 @@ struct Emitter<'a> {
     g: &'a Graph,
     inputs: &'a [&'a Tensor],
     routes: &'a [&'a [u32]],
-    /// node id -> param index, from the registration order of `ParamVars`.
+    /// node id -> param index, from the order of the trainable leaves.
     param_of: BTreeMap<usize, u32>,
     statics: Vec<(Vec<usize>, Vec<f32>)>,
     vnumel: Vec<usize>,
@@ -510,12 +506,12 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
 impl<'a> Emitter<'a> {
     fn new(
         g: &'a Graph,
-        pv: &ParamVars,
+        params: &[Var],
         inputs: &'a [&'a Tensor],
         routes: &'a [&'a [u32]],
     ) -> Emitter<'a> {
         let mut param_of = BTreeMap::new();
-        for (pi, var) in pv.raw().iter().enumerate() {
+        for (pi, var) in params.iter().enumerate() {
             param_of.insert(var.0, pi as u32);
         }
         Emitter {
@@ -591,10 +587,11 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// Mirror of the interpreter's fused `accum_scaled`: propagate `alpha ×
-    /// grad(gi)` into `v`'s gradient with the exact same `f32` operations —
-    /// clone/scale on first contribution, `axpy(alpha)` thereafter — folding
-    /// through compile-time constants when the gradient is scalar.
+    /// Propagates `alpha × grad(gi)` into `v`'s gradient: copy/scale on the
+    /// first contribution, `axpy(alpha)` thereafter, folding through
+    /// compile-time constants when the gradient is scalar. `axpy(alpha, g)`
+    /// and `axpy(1, scale(alpha, g))` round each element once in the same
+    /// place, so no scaled temporary is materialised.
     fn accum_scaled(&mut self, v: Var, alpha: f32, gi: usize) {
         if !self.rg(v) {
             return;
@@ -604,7 +601,7 @@ impl<'a> Emitter<'a> {
         match self.grad[gi].expect("accum_scaled without a source gradient") {
             GradRepr::Const(c) => match self.grad[v.0] {
                 None => {
-                    // focus-lint: allow(float-hygiene) -- mirrors the interpreter's exact alpha==1.0 fast path; parity is bitwise
+                    // focus-lint: allow(float-hygiene) -- exact-literal test folds `1·c` to `c`, the same bits as the multiply
                     let folded = if alpha == 1.0 { c } else { c * alpha };
                     self.grad[v.0] = Some(GradRepr::Const(folded));
                 }
@@ -619,7 +616,7 @@ impl<'a> Emitter<'a> {
             GradRepr::V(gr) => match self.grad[v.0] {
                 None => {
                     let r = self.fresh(gnumel);
-                    // focus-lint: allow(float-hygiene) -- mirrors the interpreter's exact alpha==1.0 fast path; parity is bitwise
+                    // focus-lint: allow(float-hygiene) -- exact-literal test picks a copy over a multiply pass; `scale(1.0)` yields the same bits
                     if alpha == 1.0 {
                         self.emit(OpCode::Copy, vec![r], vec![VLoc::V(gr)], vec![gl], 0.0);
                     } else {
@@ -640,10 +637,9 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// Mirror of the interpreter's `accum` with a freshly computed
-    /// contribution: first contribution takes ownership (register alias, no
-    /// copy — exactly like the interpreter moving the tensor into the grad
-    /// slot), later ones `axpy(1.0)` on top.
+    /// Folds a freshly computed contribution `r` into `v`'s gradient: the
+    /// first contribution becomes the gradient (register alias, no copy),
+    /// later ones `axpy(1.0)` on top.
     fn accum_own(&mut self, v: Var, r: u32, numel: usize) {
         let nl = numel as u32;
         match self.grad[v.0] {
@@ -838,7 +834,7 @@ impl<'a> Emitter<'a> {
                     );
                     VLoc::V(r)
                 }
-                Op::LayerNormLast { x, gamma, beta, eps, .. } => {
+                Op::LayerNormLast { x, gamma, beta, eps } => {
                     let n = *self.dims_of(*x).last().expect("tensor dims are never empty");
                     let rows = nl / n;
                     let (lx, lg, lb) = (self.loc(*x), self.loc(*gamma), self.loc(*beta));
@@ -919,6 +915,21 @@ impl<'a> Emitter<'a> {
         VLoc::V(r)
     }
 
+    /// The virtual register holding `v`'s value for a plan sink (loss or
+    /// output). A node that lowered to an external location — a parameter or
+    /// constant used directly — is copied into one.
+    fn sink_vreg(&mut self, v: Var) -> u32 {
+        match self.loc(v) {
+            VLoc::V(r) => r,
+            loc => {
+                let n = self.numel(v);
+                let r = self.fresh(n);
+                self.emit(OpCode::Copy, vec![r], vec![loc], vec![n as u32], 0.0);
+                r
+            }
+        }
+    }
+
     /// Emits a fresh-register gradient contribution: `op(ins) -> r`, then
     /// folds `r` into `v`'s gradient.
     fn contrib(&mut self, v: Var, op: OpCode, ins: Vec<VLoc>, dims: Vec<u32>, numel: usize) {
@@ -927,8 +938,10 @@ impl<'a> Emitter<'a> {
         self.accum_own(v, r, numel);
     }
 
-    /// Symbolic mirror of the fused interpreter backward: identical kernels,
-    /// operand order and accumulation order, so replay is bitwise-equal.
+    /// Symbolic backward: each op's adjoint kernels, in reverse tape order.
+    /// Operand and accumulation order are part of the numerics contract —
+    /// `crate::oracle` holds the reference rules these must reproduce bit
+    /// for bit.
     fn backward_pass(&mut self, loss: Var) -> Result<(), CompileError> {
         let g = self.g;
         if g.nodes[loss.0].value.numel() != 1 {
@@ -1267,8 +1280,8 @@ impl<'a> Emitter<'a> {
                         );
                     }
                 }
-                // The interpreter's fused reshape rule is flat clone / flat
-                // axpy — exactly `accum_scaled(·, 1.0)` at the slot level.
+                // A reshape keeps the flat element order: its adjoint is a
+                // flat copy / axpy, i.e. `accum_scaled(·, 1.0)`.
                 Op::Reshape(a) => self.accum_scaled(*a, 1.0, i),
                 Op::AddRowBroadcast(x, bias) => {
                     let (x, bias) = (*x, *bias);
@@ -1385,30 +1398,23 @@ impl<'a> Emitter<'a> {
                         );
                     }
                 }
-                Op::MeanAll(a) => {
+                Op::MeanAll(a) | Op::SumAll(a) => {
                     let a = *a;
                     if self.rg(a) {
-                        let GradRepr::Const(c) = self.grad[i].expect("scalar grad is seeded before the backward walk") else {
-                            return Err(CompileError::NonConstScalarGrad);
-                        };
+                        // da = g / n for the mean, g / 1 (exactly g) for the
+                        // sum: folded into a `Fill` when g is a compile-time
+                        // constant, a runtime `Splat` when it is computed.
                         let an = self.numel(a);
-                        // Folded with the interpreter's exact arithmetic:
-                        // `g.item() / n as f32`.
-                        let imm = c / an as f32;
+                        let div = if matches!(g.nodes[i].op, Op::MeanAll(_)) { an as f32 } else { 1.0 };
                         let r = self.fresh(an);
-                        self.emit(OpCode::Fill, vec![r], vec![], vec![an as u32], imm);
-                        self.accum_own(a, r, an);
-                    }
-                }
-                Op::SumAll(a) => {
-                    let a = *a;
-                    if self.rg(a) {
-                        let GradRepr::Const(c) = self.grad[i].expect("scalar grad is seeded before the backward walk") else {
-                            return Err(CompileError::NonConstScalarGrad);
-                        };
-                        let an = self.numel(a);
-                        let r = self.fresh(an);
-                        self.emit(OpCode::Fill, vec![r], vec![], vec![an as u32], c);
+                        match self.grad[i].expect("backward walk only visits nodes with a gradient") {
+                            GradRepr::Const(c) => {
+                                self.emit(OpCode::Fill, vec![r], vec![], vec![an as u32], c / div);
+                            }
+                            GradRepr::V(gr) => {
+                                self.emit(OpCode::Splat, vec![r], vec![VLoc::V(gr)], vec![an as u32], div);
+                            }
+                        }
                         self.accum_own(a, r, an);
                     }
                 }
@@ -1428,10 +1434,9 @@ impl<'a> Emitter<'a> {
 /// The forward emitter lowers *every* tape node, so a forward-only plan for a
 /// mid-tape output — or any tape with computed-but-unconsumed values — would
 /// otherwise carry dead kernels. Dead results are never read, so dropping
-/// them cannot change any live value: replay stays bitwise-equal to the
-/// interpreter while doing strictly less work. This sweep is also what makes
-/// the verifier's dead-instruction check an invariant of compiled plans
-/// rather than a heuristic.
+/// them cannot change any live value, only skip work. This sweep is also
+/// what makes the verifier's dead-instruction check an invariant of compiled
+/// plans rather than a heuristic.
 ///
 /// Accumulator vregs are written by several instructions (`Fill`/`Copy` then
 /// `Axpy`s); a vreg marked needed keeps all of its writers, which is exactly
@@ -1572,8 +1577,7 @@ fn allocate(
 
 fn compile(
     g: &Graph,
-    pv: &ParamVars,
-    store: &ParamStore,
+    params: &[Var],
     inputs: &[&Tensor],
     routes: &[&[u32]],
     loss: Option<Var>,
@@ -1583,7 +1587,7 @@ fn compile(
     if inputs.len() > u8::MAX as usize + 1 {
         return Err(CompileError::TooManyInputs);
     }
-    let mut em = Emitter::new(g, pv, inputs, routes);
+    let mut em = Emitter::new(g, params, inputs, routes);
     em.forward_pass()?;
 
     let mut pinned: Vec<u32> = Vec::new();
@@ -1593,30 +1597,25 @@ fn compile(
 
     if let Some(loss) = loss {
         em.backward_pass(loss)?;
-        for pi in 0..store.len() {
-            let var = pv.raw()[pi];
+        for (pi, var) in params.iter().enumerate() {
             match em.grad[var.0] {
                 None => {}
                 Some(GradRepr::V(r)) => update_vregs.push((pi as u32, r)),
                 Some(GradRepr::Const(c)) => {
-                    let n = store.tensor_at(pi).numel();
+                    let n = em.numel(*var);
                     let r = em.fresh(n);
                     em.emit(OpCode::Fill, vec![r], vec![], vec![n as u32], c);
                     update_vregs.push((pi as u32, r));
                 }
             }
         }
-        let VLoc::V(lv) = em.loc(loss) else {
-            return Err(CompileError::BadOutput);
-        };
+        let lv = em.sink_vreg(loss);
         loss_vreg = Some(lv);
         pinned.push(lv);
         pinned.extend(update_vregs.iter().map(|&(_, r)| r));
     }
     if let Some(out) = output {
-        let VLoc::V(ov) = em.loc(out) else {
-            return Err(CompileError::BadOutput);
-        };
+        let ov = em.sink_vreg(out);
         output_vreg = Some((ov, g.nodes[out.0].value.dims().to_vec()));
         pinned.push(ov);
     }
@@ -1629,27 +1628,28 @@ fn compile(
     let vinstrs = eliminate_dead(std::mem::take(&mut em.instrs), nv, &pinned);
     let (instrs, slot_caps, slot_of) =
         allocate(&vinstrs, &em.vnumel, &pinned).map_err(reject)?;
+    let dims_of = |v: &Var| g.nodes[v.0].value.dims().to_vec();
     let plan = Plan {
         instrs,
         slot_caps,
         statics: em.statics,
         inputs: inputs.iter().map(|t| t.dims().to_vec()).collect(),
         route_lens: routes.iter().map(|r| r.len()).collect(),
-        params: (0..store.len()).map(|i| store.tensor_at(i).dims().to_vec()).collect(),
+        params: params.iter().map(dims_of).collect(),
         updates: update_vregs
             .into_iter()
             .map(|(pi, r)| UpdateSpec {
                 param: pi,
                 grad_slot: slot_of[r as usize],
-                dims: store.tensor_at(pi as usize).dims().to_vec(),
+                dims: dims_of(&params[pi as usize]),
             })
             .collect(),
         loss_slot: loss_vreg.map(|v| slot_of[v as usize]),
         output: output_vreg.map(|(v, dims)| (slot_of[v as usize], dims)),
     };
     // Static verification gates every compile: a plan that cannot be proven
-    // safe never reaches the cache, and the cost stays inside this
-    // `plan/compile` span — replay never pays it.
+    // safe never runs, and the cost stays inside this `plan/compile` span —
+    // replay never pays it.
     verify::verify_plan(&plan).map_err(reject)?;
     focus_trace::counter_set("plan/instrs", plan.instrs.len() as u64);
     focus_trace::counter_set("plan/slots", plan.slot_caps.len() as u64);
@@ -1657,19 +1657,17 @@ fn compile(
 }
 
 /// Compiles a recorded training step (forward + backward + updates) into a
-/// plan.
-///
-/// Must be called on a tape recorded with the fused kernels enabled
-/// ([`crate::set_fused`]); the emitted backward mirrors the fused rules.
+/// plan. `pv` is the registration of the [`ParamStore`] the plan will update;
+/// `inputs` and `routes` are the per-window operands the plan binds at run
+/// time instead of baking them in.
 pub fn compile_train(
     g: &Graph,
     loss: Var,
     pv: &ParamVars,
-    store: &ParamStore,
     inputs: &[&Tensor],
     routes: &[&[u32]],
 ) -> Result<Plan, CompileError> {
-    compile(g, pv, store, inputs, routes, Some(loss), None)
+    compile(g, pv.raw(), inputs, routes, Some(loss), None)
 }
 
 /// Compiles a recorded forward pass into an inference-only plan producing
@@ -1678,11 +1676,50 @@ pub fn compile_forward(
     g: &Graph,
     output: Var,
     pv: &ParamVars,
-    store: &ParamStore,
     inputs: &[&Tensor],
     routes: &[&[u32]],
 ) -> Result<Plan, CompileError> {
-    compile(g, pv, store, inputs, routes, None, Some(output))
+    compile(g, pv.raw(), inputs, routes, None, Some(output))
+}
+
+/// The gradient of `loss` with respect to every trainable leaf of `g` that
+/// it depends on — the engine behind [`Graph::backward`].
+///
+/// Lowers the tape with each trainable leaf as a plan parameter (in tape
+/// order) and each `RouteOneHot` bound to its own indices, then runs the
+/// plan once on the VM.
+pub(crate) fn leaf_gradients(g: &Graph, loss: Var) -> Result<Vec<(Var, Tensor)>, CompileError> {
+    let leaves: Vec<Var> = (0..g.nodes.len())
+        .filter(|&i| g.nodes[i].requires_grad && matches!(g.nodes[i].op, Op::Leaf))
+        .map(Var)
+        .collect();
+    let routes: Vec<&[u32]> = g
+        .nodes
+        .iter()
+        .filter_map(|n| match &n.op {
+            Op::RouteOneHot { indices, .. } => Some(&indices[..]),
+            _ => None,
+        })
+        .collect();
+    let plan = compile(g, &leaves, &[], &routes, Some(loss), None)?;
+    let values: Vec<&Tensor> = leaves.iter().map(|v| &g.nodes[v.0].value).collect();
+    // The slots go back to the pool (the gradients when their tensors
+    // drop), so a loop of `backward` calls reaches a steady state without
+    // fresh allocations.
+    let mut slots = Vec::new();
+    plan.fit_slots(&mut slots);
+    vm::run(&plan, &mut slots, &[], &routes, &values[..]);
+    let grads = plan
+        .updates
+        .iter()
+        .map(|u| {
+            let mut grad = std::mem::take(&mut slots[u.grad_slot as usize]);
+            grad.truncate(u.dims.iter().product());
+            (leaves[u.param as usize], Tensor::from_vec(grad, &u.dims))
+        })
+        .collect();
+    slots.into_iter().for_each(pool::give);
+    Ok(grads)
 }
 
 // ---------------------------------------------------------------------------
@@ -2032,31 +2069,37 @@ fn parse_tagged_u32s(
 // ---------------------------------------------------------------------------
 
 enum CacheState {
-    /// No candidate yet; the next observed step compiles one.
+    /// No plan yet; the next compiled step becomes the candidate.
     Cold,
-    /// One candidate compiled; the next observed step compiles again and
-    /// promotes only on a bitwise match.
+    /// One candidate; the next compiled step is compared with it bitwise.
     Verify(Box<Plan>),
-    /// Verified plan with its slot buffers; replay until shapes change.
-    Ready(Box<Plan>, Vec<Vec<f32>>),
-    /// Compilation failed or verification caught a per-window-varying
-    /// constant; interpret for the rest of the run (sticky).
+    /// Verified plan; replay until shapes change.
+    Ready(Box<Plan>),
+    /// Two compiles disagreed with unchanged shapes (some per-window data is
+    /// baked into the tape): every later step compiles its own plan.
     Off,
 }
 
-/// Drives plan compilation, two-step verification and steady-state replay
-/// for one training (or evaluation) loop.
+/// Keeps one compiled plan per loop and replays it while the window shapes
+/// hold.
 ///
-/// Usage per step: first try [`PlanCache::try_replay_train`]; on `None`, run
-/// the interpreted step and hand the tape to [`PlanCache::observe_train`]
-/// (likewise `*_forward` for inference loops). The cache only engages when
-/// both the fused kernels ([`crate::set_fused`]) and plans
-/// ([`set_enabled`]) are on.
+/// Usage per training step: first try [`PlanCache::try_replay_train`]; on
+/// `None`, record the tape and hand it to [`PlanCache::run_train`], which
+/// compiles it, runs that plan and offers it to the cache. Inference loops
+/// use [`PlanCache::try_replay_forward`] and [`PlanCache::observe_forward`].
+/// With caching disabled ([`set_enabled`]) the cache never keeps a plan.
 pub struct PlanCache {
     state: CacheState,
-    /// Why the cache went sticky-off, for reports and tests. `None` while
-    /// the cache can still make progress.
-    off_reason: Option<String>,
+    /// Slot buffers of the last plan run, reused by the next one (uncached
+    /// steps and the verified plan alike) and returned to the tensor pool
+    /// when the cache drops, so back-to-back loops recycle them.
+    slots: Vec<Vec<f32>>,
+}
+
+impl Drop for PlanCache {
+    fn drop(&mut self) {
+        self.slots.drain(..).for_each(pool::give);
+    }
 }
 
 impl Default for PlanCache {
@@ -2067,14 +2110,13 @@ impl Default for PlanCache {
 
 impl PlanCache {
     pub fn new() -> PlanCache {
-        PlanCache { state: CacheState::Cold, off_reason: None }
+        PlanCache { state: CacheState::Cold, slots: Vec::new() }
     }
 
-    /// True while the cache can still make progress (not sticky-off and the
-    /// global gates are open). Callers skip route extraction and tape
-    /// bookkeeping once this goes false.
-    pub fn active(&self) -> bool {
-        !matches!(self.state, CacheState::Off) && crate::fused_enabled() && enabled()
+    /// True while the cache can still make progress: not off, and caching
+    /// enabled process-wide.
+    fn active(&self) -> bool {
+        !matches!(self.state, CacheState::Off) && enabled()
     }
 
     /// True once a verified plan is installed.
@@ -2087,12 +2129,6 @@ impl PlanCache {
         matches!(self.state, CacheState::Off)
     }
 
-    /// Why the cache went sticky-off (compile error, verifier rejection, or
-    /// a per-window-varying constant), if it did.
-    pub fn off_reason(&self) -> Option<&str> {
-        self.off_reason.as_deref()
-    }
-
     /// State name for reports and tests.
     pub fn state_name(&self) -> &'static str {
         match self.state {
@@ -2103,18 +2139,10 @@ impl PlanCache {
         }
     }
 
-    /// The installed plan, if verified.
-    pub fn plan(&self) -> Option<&Plan> {
-        match &self.state {
-            CacheState::Ready(plan, _) => Some(plan),
-            _ => None,
-        }
-    }
-
     /// Replays one training step if a verified plan matches the current
-    /// geometry. Returns the loss, or `None` if the caller must interpret
-    /// this step (cache cold/off, gates closed, or shapes changed — the
-    /// latter also resets the cache so a new plan can be compiled).
+    /// geometry. Returns the loss, or `None` if the caller must compile this
+    /// step (cache cold/off, caching disabled, or shapes changed — the
+    /// latter also resets the cache so a new plan can be verified).
     pub fn try_replay_train<O: Optimizer>(
         &mut self,
         inputs: &[&Tensor],
@@ -2126,10 +2154,11 @@ impl PlanCache {
             return None;
         }
         match &mut self.state {
-            CacheState::Ready(plan, slots) => {
+            CacheState::Ready(plan) => {
                 if plan.matches(inputs, routes, store) {
+                    focus_trace::counter_add("plan/replays", 1);
                     let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
-                    Some(vm::replay_train(plan, slots, &data, routes, store, opt))
+                    Some(vm::replay_train(plan, &mut self.slots, &data, routes, store, opt))
                 } else {
                     self.state = CacheState::Cold;
                     None
@@ -2151,10 +2180,11 @@ impl PlanCache {
             return None;
         }
         match &mut self.state {
-            CacheState::Ready(plan, slots) => {
+            CacheState::Ready(plan) => {
                 if plan.matches(inputs, routes, store) {
+                    focus_trace::counter_add("plan/replays", 1);
                     let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
-                    Some(vm::replay_forward(plan, slots, &data, routes, store))
+                    Some(vm::replay_forward(plan, &mut self.slots, &data, routes, store))
                 } else {
                     self.state = CacheState::Cold;
                     None
@@ -2164,49 +2194,54 @@ impl PlanCache {
         }
     }
 
-    /// Feeds one interpreted training step's tape to the compiler and
-    /// advances the verification state machine.
-    pub fn observe_train(
+    /// Runs one uncached training step from its recorded tape: compiles the
+    /// tape once, runs that plan (forward, backward and the optimizer
+    /// update), and offers the plan to the cache's two-compile check.
+    /// Returns the loss.
+    ///
+    /// # Errors
+    /// If the tape does not lower, or the lowered plan fails verification.
+    /// Nothing has been updated when this returns an error.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_train<O: Optimizer>(
         &mut self,
         g: &Graph,
         loss: Var,
         pv: &ParamVars,
-        store: &ParamStore,
+        store: &mut ParamStore,
+        opt: &mut O,
         inputs: &[&Tensor],
         routes: &[&[u32]],
-    ) {
-        if !self.active() {
-            return;
+    ) -> Result<f32, CompileError> {
+        focus_trace::span!("autograd/backward");
+        let plan = compile_train(g, loss, pv, inputs, routes)?;
+        let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
+        plan.fit_slots(&mut self.slots);
+        let loss = vm::replay_train(&plan, &mut self.slots, &data, routes, store, opt);
+        if self.active() {
+            self.advance(plan);
         }
-        match compile_train(g, loss, pv, store, inputs, routes) {
-            Ok(cand) => self.advance(cand),
-            Err(e) => self.go_off(e.to_string()),
-        }
+        Ok(loss)
     }
 
-    /// Feeds one interpreted forward pass's tape to the compiler and
-    /// advances the verification state machine.
+    /// Feeds one recorded forward pass to the compiler and advances the
+    /// two-compile check. A tape that does not lower turns the cache off;
+    /// the caller already holds the forward value, so nothing is lost.
     pub fn observe_forward(
         &mut self,
         g: &Graph,
         output: Var,
         pv: &ParamVars,
-        store: &ParamStore,
         inputs: &[&Tensor],
         routes: &[&[u32]],
     ) {
         if !self.active() {
             return;
         }
-        match compile_forward(g, output, pv, store, inputs, routes) {
+        match compile_forward(g, output, pv, inputs, routes) {
             Ok(cand) => self.advance(cand),
-            Err(e) => self.go_off(e.to_string()),
+            Err(_) => self.state = CacheState::Off,
         }
-    }
-
-    fn go_off(&mut self, reason: String) {
-        self.state = CacheState::Off;
-        self.off_reason = Some(reason);
     }
 
     fn advance(&mut self, cand: Plan) {
@@ -2214,8 +2249,8 @@ impl PlanCache {
             CacheState::Cold | CacheState::Ready(..) => CacheState::Verify(Box::new(cand)),
             CacheState::Verify(prev) => {
                 if *prev == cand {
-                    let slots = cand.alloc_slots();
-                    CacheState::Ready(Box::new(cand), slots)
+                    cand.fit_slots(&mut self.slots);
+                    CacheState::Ready(Box::new(cand))
                 } else if prev.shape_signature() != cand.shape_signature() {
                     // Shapes moved during warmup — restart verification on
                     // the new geometry.
@@ -2223,8 +2258,6 @@ impl PlanCache {
                 } else {
                     // Same shapes, different contents: some baked constant
                     // varies per window. Replaying would be wrong; give up.
-                    self.off_reason =
-                        Some("a baked constant varies per window with unchanged shapes".into());
                     CacheState::Off
                 }
             }

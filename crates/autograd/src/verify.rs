@@ -52,16 +52,20 @@ use crate::plan::{Instr, Loc, OpCode, Plan};
 // Failpoint (tests only)
 // ---------------------------------------------------------------------------
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 
-static FAIL_ALL: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static FAIL_ALL: Cell<bool> = const { Cell::new(false) };
+}
 
-/// Test-only failpoint: while enabled, [`verify_plan`] rejects every plan as
-/// if the compiler had emitted an unverifiable stream. Lets integration tests
-/// prove that verifier rejection trips the cache's sticky Off fallback
-/// without having to corrupt a real compile in-process.
+/// Test-only failpoint: while enabled, [`verify_plan`] rejects every plan
+/// compiled on the calling thread at instruction 0, as if the compiler had
+/// emitted an unverifiable stream. Lets tests prove that a rejection fails
+/// the step loudly without corrupting a real compile in-process. The flag is
+/// per thread, so concurrently running tests never see each other's
+/// failpoint.
 pub fn set_fail_all(on: bool) {
-    FAIL_ALL.store(on, Ordering::SeqCst);
+    FAIL_ALL.with(|f| f.set(on));
 }
 
 // ---------------------------------------------------------------------------
@@ -225,6 +229,10 @@ fn effects(ii: usize, instr: &Instr) -> Result<Effects, VerifyError> {
         OpCode::Fill => {
             arity(ii, instr, 1, 0, 1)?;
             Effects { arg_n: vec![], dst_n: vec![du(0)], rmw: false, route: None }
+        }
+        OpCode::Splat => {
+            arity(ii, instr, 1, 1, 1)?;
+            Effects { arg_n: vec![1], dst_n: vec![du(0)], rmw: false, route: None }
         }
         OpCode::GemmNn | OpCode::GemmNt | OpCode::GemmTn => {
             arity(ii, instr, 1, 2, 3)?;
@@ -459,8 +467,8 @@ fn dims_numel(dims: &[usize]) -> Option<usize> {
 /// from `plan/compile`, keeping the cost off the replay path.
 pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
     focus_trace::span!("plan/verify");
-    if FAIL_ALL.load(Ordering::SeqCst) {
-        return Err(verr(None, VerifyErrorKind::Injected, "verification failpoint enabled"));
+    if FAIL_ALL.with(Cell::get) {
+        return Err(verr(Some(0), VerifyErrorKind::Injected, "verification failpoint enabled"));
     }
 
     let n_slots = plan.slot_caps.len();

@@ -1,9 +1,11 @@
 //! Plan VM: replays a compiled [`Plan`] through a compact opcode dispatch.
 //!
 //! Every instruction calls the same `focus_tensor::exec` slice kernels the
-//! interpreter's tensor ops bottom out in, with identical operand order and
-//! geometry, so a replayed step is bitwise-equal to the interpreted step the
-//! plan was compiled from — at any thread count.
+//! tape's tensor ops bottom out in, with identical operand order and
+//! geometry, so a plan's forward is bitwise-equal to the tape it was
+//! compiled from, and its backward to the reference oracle — at any thread
+//! count. The VM runs every backward: [`crate::Graph::backward`], uncached
+//! training steps and replays alike.
 //!
 //! Slot buffers are plain `Vec<f32>`s owned by the caller (allocated once at
 //! plan promotion); the dispatch `mem::take`s an instruction's destinations,
@@ -17,19 +19,37 @@ use focus_tensor::{exec, pool, Tensor};
 use crate::optim::{Optimizer, ParamStore};
 use crate::plan::{Instr, Loc, OpCode, Plan};
 
+/// Where `Loc::Param` operands live: the [`ParamStore`] on the training path,
+/// the tape's own trainable leaves under [`crate::Graph::backward`].
+pub(crate) trait Params {
+    fn param(&self, i: usize) -> &[f32];
+}
+
+impl Params for ParamStore {
+    fn param(&self, i: usize) -> &[f32] {
+        self.tensor_at(i).data()
+    }
+}
+
+impl Params for [&Tensor] {
+    fn param(&self, i: usize) -> &[f32] {
+        self[i].data()
+    }
+}
+
 /// Resolves an argument location to a slice of exactly `n` elements.
 #[inline]
-fn arg<'s>(
+fn arg<'s, P: Params + ?Sized>(
     loc: Loc,
     n: usize,
     slots: &'s [Vec<f32>],
     plan: &'s Plan,
     inputs: &'s [&'s [f32]],
-    store: &'s ParamStore,
+    store: &'s P,
 ) -> &'s [f32] {
     match loc {
         Loc::Slot(i) => &slots[i as usize][..n],
-        Loc::Param(i) => &store.tensor_at(i as usize).data()[..n],
+        Loc::Param(i) => &store.param(i as usize)[..n],
         Loc::Input(i) => &inputs[i as usize][..n],
         Loc::Static(i) => &plan.statics[i as usize].1[..n],
     }
@@ -47,13 +67,13 @@ fn put(slots: &mut [Vec<f32>], slot: u32, buf: Vec<f32>) {
 
 /// Executes one instruction. `dims` semantics per opcode match what the
 /// compiler emitted (kernel-call geometry, not tape-node shape).
-fn exec_instr(
+fn exec_instr<P: Params + ?Sized>(
     instr: &Instr,
     plan: &Plan,
     slots: &mut [Vec<f32>],
     inputs: &[&[f32]],
     routes: &[&[u32]],
-    store: &ParamStore,
+    store: &P,
 ) {
     let d = &instr.dims;
     let du = |i: usize| d[i] as usize;
@@ -130,6 +150,14 @@ fn exec_instr(
             let n = du(0);
             let mut dst = take(slots, instr.dsts[0]);
             exec::fill(&mut dst[..n], instr.imm);
+            put(slots, instr.dsts[0], dst);
+        }
+        // dims [numel]; imm = divisor: arg [scalar: 1] -> dst numel
+        OpCode::Splat => {
+            let n = du(0);
+            let mut dst = take(slots, instr.dsts[0]);
+            let v = arg(instr.args[0], 1, slots, plan, inputs, store)[0] / instr.imm;
+            exec::fill(&mut dst[..n], v);
             put(slots, instr.dsts[0], dst);
         }
         // dims [m, k, n] in dispatch order
@@ -389,10 +417,24 @@ fn exec_instr(
     }
 }
 
-/// Replays one full training step — forward, backward and optimizer updates
-/// — returning the loss.
+/// Runs every instruction of `plan` once: the forward pass, and for a
+/// training plan the backward pass, leaving each gradient in its update slot.
+pub(crate) fn run<P: Params + ?Sized>(
+    plan: &Plan,
+    slots: &mut [Vec<f32>],
+    inputs: &[&[f32]],
+    routes: &[&[u32]],
+    params: &P,
+) {
+    for instr in &plan.instrs {
+        exec_instr(instr, plan, slots, inputs, routes, params);
+    }
+}
+
+/// Runs one full training step — forward, backward and optimizer updates —
+/// returning the loss.
 ///
-/// The pool-lookup delta across the whole replay (kernels *and* updates) is
+/// The pool-lookup delta across the whole step (kernels *and* updates) is
 /// published as `plan/pool_lookups_steady`; on the steady-state path it is
 /// zero, which is the whole point of pre-resolved slots.
 pub(crate) fn replay_train<O: Optimizer>(
@@ -403,13 +445,10 @@ pub(crate) fn replay_train<O: Optimizer>(
     store: &mut ParamStore,
     opt: &mut O,
 ) -> f32 {
-    focus_trace::counter_add("plan/replays", 1);
     let lookups0 = pool::lookups();
     {
         focus_trace::span!("plan/replay");
-        for instr in &plan.instrs {
-            exec_instr(instr, plan, slots, inputs, routes, store);
-        }
+        run(plan, slots, inputs, routes, &*store);
     }
     let loss = slots[plan.loss_slot.expect("replay_train on a forward plan") as usize][0];
     {
@@ -443,13 +482,10 @@ pub(crate) fn replay_forward(
     routes: &[&[u32]],
     store: &ParamStore,
 ) -> Tensor {
-    focus_trace::counter_add("plan/replays", 1);
     let lookups0 = pool::lookups();
     {
         focus_trace::span!("plan/replay");
-        for instr in &plan.instrs {
-            exec_instr(instr, plan, slots, inputs, routes, store);
-        }
+        run(plan, slots, inputs, routes, store);
     }
     let (slot, dims) = plan.output.as_ref().expect("replay_forward on a train plan");
     let numel: usize = dims.iter().product();

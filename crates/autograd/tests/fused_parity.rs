@@ -1,17 +1,18 @@
-//! Parity guarantees for the fused kernel path.
+//! Parity guarantees for the fused kernels the plan VM dispatches.
 //!
-//! The fused kernels (LayerNorm, softmax, Gelu family, AdamW) promise to be
-//! *bitwise identical* to the unfused reference path and invariant to the
-//! worker thread count. These tests pin both promises, plus finite-difference
-//! gradchecks run with the fused path active.
+//! The fused kernels (LayerNorm, softmax, the Gelu family, the broadcast
+//! score product, AdamW) promise to be *bitwise identical* to the serial
+//! reference loops in `focus_autograd::oracle` and invariant to the worker
+//! thread count. These tests run the VM ([`Graph::backward`], which lowers
+//! the tape and runs the plan) against the oracle at 1, 2 and 4 threads,
+//! plus finite-difference gradchecks through the VM.
 //!
-//! `set_fused` and `set_threads` are process globals, so every test that
-//! toggles them serialises on one mutex and restores the defaults before
-//! releasing it.
+//! `set_threads` is a process global, so every test that sets it
+//! serialises on one mutex and restores the default before releasing it.
 
 use std::sync::{Mutex, MutexGuard};
 
-use focus_autograd::{gradcheck, set_fused, AdamW, Graph, ParamStore};
+use focus_autograd::{gradcheck, oracle, AdamW, Graph, ParamStore};
 use focus_tensor::{par, Tensor};
 
 static GLOBALS: Mutex<()> = Mutex::new(());
@@ -34,9 +35,11 @@ fn filled(dims: &[usize], seed: u32) -> Tensor {
 }
 
 /// Forward + backward of a net that exercises every fused kernel:
-/// LayerNorm, Gelu, sigmoid, tanh and trailing-axis softmax. Returns the
-/// loss value and the gradients of all leaves.
-fn run_net(inputs: &[Tensor]) -> (f32, Vec<Tensor>) {
+/// LayerNorm, Gelu, sigmoid, tanh and trailing-axis softmax, through the VM
+/// or (`reference`) the oracle. Returns the loss value, the gradients of all
+/// leaves, and the LayerNorm output next to the oracle's forward loop on the
+/// same inputs.
+fn run_net(inputs: &[Tensor], reference: bool) -> (f32, Vec<Tensor>, [Tensor; 2]) {
     let mut g = Graph::new();
     let vars: Vec<_> = inputs.iter().map(|t| g.leaf(t.clone())).collect();
     let [x, gamma, beta, w, target] = vars[..] else {
@@ -49,12 +52,17 @@ fn run_net(inputs: &[Tensor]) -> (f32, Vec<Tensor>) {
     let th = g.tanh(mixed);
     let sm = g.softmax_last(th);
     let loss = g.mse(sm, target);
-    g.backward(loss);
+    if reference {
+        oracle::backward(&mut g, loss);
+    } else {
+        g.backward(loss);
+    }
     let grads = vars
         .iter()
         .map(|&v| g.grad(v).cloned().unwrap_or_else(|| Tensor::zeros(&[1])))
         .collect();
-    (g.value(loss).item(), grads)
+    let (ln_ref, _) = oracle::layer_norm(&inputs[0], inputs[1].data(), inputs[2].data(), 1e-5);
+    (g.value(loss).item(), grads, [g.value(ln).clone(), ln_ref])
 }
 
 /// Inputs for `run_net` with `rows × width` LayerNorm input: width 7 is all
@@ -89,8 +97,6 @@ fn assert_bitwise_eq(a: &Tensor, b: &Tensor, what: &str) {
 
 #[test]
 fn fused_kernels_pass_gradcheck() {
-    let _guard = lock_globals();
-    set_fused(true);
     let rep = gradcheck::check(&net_inputs(), 1e-2, |g, v| {
         let ln = g.layer_norm(v[0], v[1], v[2], 1e-5);
         let act = g.gelu(ln);
@@ -104,56 +110,50 @@ fn fused_kernels_pass_gradcheck() {
 }
 
 #[test]
-fn fused_path_is_bitwise_equal_to_reference() {
+fn vm_is_bitwise_equal_to_oracle_at_1_2_4_threads() {
     let _guard = lock_globals();
     for (rows, width) in PARITY_SIZES {
         let inputs = net_inputs_sized(rows, width);
-
-        set_fused(false);
-        let (loss_ref, grads_ref) = run_net(&inputs);
-        set_fused(true);
-        let (loss_fused, grads_fused) = run_net(&inputs);
-
-        assert_eq!(loss_ref.to_bits(), loss_fused.to_bits(), "loss differs at [{rows}, {width}]");
-        for (i, (r, f)) in grads_ref.iter().zip(&grads_fused).enumerate() {
-            assert_bitwise_eq(r, f, &format!("grad of leaf {i} at [{rows}, {width}]"));
+        par::set_threads(1);
+        let (loss_ref, grads_ref, _) = run_net(&inputs, true);
+        for threads in [1, 2, 4] {
+            par::set_threads(threads);
+            let (loss, grads, [ln, ln_ref]) = run_net(&inputs, false);
+            let at = format!("{threads} threads, [{rows}, {width}]");
+            assert_eq!(loss_ref.to_bits(), loss.to_bits(), "loss differs at {at}");
+            for (i, (r, f)) in grads_ref.iter().zip(&grads).enumerate() {
+                assert_bitwise_eq(r, f, &format!("grad of leaf {i} at {at}"));
+            }
+            assert_bitwise_eq(&ln_ref, &ln, &format!("LayerNorm forward at {at}"));
         }
     }
+    par::set_threads(0);
 }
 
 #[test]
-fn fused_kernels_are_thread_count_invariant() {
+fn broadcast_score_forward_matches_oracle_at_1_2_4_threads() {
     let _guard = lock_globals();
-    set_fused(true);
-    for (rows, width) in PARITY_SIZES {
-        let inputs = net_inputs_sized(rows, width);
-
-        par::set_threads(1);
-        let (loss_1, grads_1) = run_net(&inputs);
-        for threads in [2, 4] {
+    // 33 batches cross the batch-parallel threshold of the score kernel.
+    for (k, bsz, l, d) in [(3, 2, 5, 4), (8, 33, 12, 32)] {
+        let a = filled(&[k, d], 21);
+        let x = filled(&[bsz, l, d], 22);
+        let reference = oracle::matmul_broadcast_nt(&a, &x);
+        for threads in [1, 2, 4] {
             par::set_threads(threads);
-            let (loss_t, grads_t) = run_net(&inputs);
-            assert_eq!(
-                loss_1.to_bits(),
-                loss_t.to_bits(),
-                "loss differs at {threads} threads, [{rows}, {width}]"
-            );
-            for (i, (a, b)) in grads_1.iter().zip(&grads_t).enumerate() {
-                assert_bitwise_eq(
-                    a,
-                    b,
-                    &format!("grad of leaf {i} at {threads} threads, [{rows}, {width}]"),
-                );
-            }
+            let mut g = Graph::new();
+            let (av, xv) = (g.constant(a.clone()), g.constant(x.clone()));
+            let s = g.matmul_broadcast_nt(av, xv);
+            assert_bitwise_eq(&reference, g.value(s), &format!("[{k}, {bsz}, {l}, {d}] at {threads} threads"));
         }
     }
     par::set_threads(0);
 }
 
 /// Runs `steps` AdamW updates on a two-parameter model and returns the final
-/// parameter tensors. Fresh optimizer state each call, so the only variable
-/// between calls is the global mode/thread configuration.
-fn train_params(steps: usize) -> Vec<Tensor> {
+/// parameter tensors: through the VM and the fused AdamW, or (`reference`)
+/// through the oracle's backward and reference AdamW. Fresh optimizer state
+/// each call.
+fn train_params(steps: usize, reference: bool) -> Vec<Tensor> {
     let mut store = ParamStore::new();
     let w = store.add("w", filled(&[4, 6], 11));
     let b = store.add("b", filled(&[6], 12));
@@ -161,6 +161,7 @@ fn train_params(steps: usize) -> Vec<Tensor> {
     let target = filled(&[3, 6], 14);
 
     let mut opt = AdamW::new(1e-2, 1e-3);
+    let mut opt_ref = oracle::AdamW::new(1e-2, 1e-3);
     let mut g = Graph::new();
     for _ in 0..steps {
         g.reset();
@@ -171,8 +172,13 @@ fn train_params(steps: usize) -> Vec<Tensor> {
         let hb = g.add_row_broadcast(h, vars.var(b));
         let act = g.gelu(hb);
         let loss = g.mse(act, tv);
-        g.backward(loss);
-        store.step(&mut opt, &g, &vars);
+        if reference {
+            oracle::backward(&mut g, loss);
+            store.step(&mut opt_ref, &g, &vars);
+        } else {
+            g.backward(loss);
+            store.step(&mut opt, &g, &vars);
+        }
     }
     store.snapshot()
 }
@@ -180,14 +186,11 @@ fn train_params(steps: usize) -> Vec<Tensor> {
 #[test]
 fn fused_adamw_matches_reference_bitwise_across_thread_counts() {
     let _guard = lock_globals();
-
-    set_fused(false);
-    let reference = train_params(5);
-
-    set_fused(true);
+    par::set_threads(1);
+    let reference = train_params(5, true);
     for threads in [1, 2, 4] {
         par::set_threads(threads);
-        let fused = train_params(5);
+        let fused = train_params(5, false);
         for (i, (r, f)) in reference.iter().zip(&fused).enumerate() {
             assert_bitwise_eq(r, f, &format!("param {i} at {threads} threads"));
         }

@@ -1,21 +1,23 @@
-//! Parity suite for the plan compiler and VM.
+//! Parity suite for the plan compiler and VM against the reference oracle.
 //!
-//! A compiled plan must be a pure performance transform: replaying it has to
-//! produce bit-for-bit the parameters, losses and outputs the fused
-//! interpreter produces, at every thread count. These tests drive a small
-//! model that touches every op in the tape — dense and batched matmuls, the
-//! broadcast-NT prototype product, one-hot routing, LayerNorm, softmax,
-//! every pointwise nonlinearity, concat/slice, reshape/transpose/swap and
-//! the scalar reductions — through the PlanCache state machine and compare
-//! against interpreted runs.
+//! The VM is the only backward: an uncached step compiles its tape and runs
+//! the plan once, a cached step replays it. Both must produce bit for bit
+//! the parameters and losses of `focus_autograd::oracle` — the serial
+//! reference rules and the reference Adam update — at every thread count.
+//! These tests drive a small model that touches every op in the tape —
+//! dense and batched matmuls, the broadcast-NT prototype product, one-hot
+//! routing, LayerNorm, softmax, every pointwise nonlinearity, concat/slice,
+//! reshape/transpose/swap and the scalar reductions, including a mean whose
+//! gradient is computed rather than constant — through the PlanCache state
+//! machine and compare against the oracle.
 //!
-//! Plans and the fused/threads switches are process-global, so every test
+//! Plan caching and the thread override are process-global, so every test
 //! takes a shared lock and restores the defaults on exit.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use focus_autograd::plan::{self, OpCode, Plan, PlanCache};
-use focus_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore, ParamVars, Sgd, Var};
+use focus_autograd::{oracle, Adam, Graph, Optimizer, ParamId, ParamStore, ParamVars, Sgd, Var};
 use focus_tensor::{par, Tensor};
 
 const B: usize = 2;
@@ -25,7 +27,7 @@ const K: usize = 3;
 /// Default window length; the invalidation test switches to another value.
 const SEQ: usize = 4;
 
-/// Serializes tests: plans, the fused flag and the thread override are
+/// Serializes tests: plan caching and the thread override are
 /// process-global, and each test compares two runs that must see identical
 /// settings throughout.
 fn guard() -> MutexGuard<'static, ()> {
@@ -134,6 +136,10 @@ fn build_loss(
     let aa = g.abs(alt);
     let l_alt = g.mean_all(aa);
     let na = g.neg(l_alt);
+    // A mean whose gradient is computed at run time (the product of two
+    // scalars), not folded: lowers to `Splat`.
+    let m_h = g.mean_all(h3);
+    let m_sq = g.mul(m_h, m_h);
 
     let s1 = g.scale(l_sq, 0.05);
     let s2 = g.scale(l_abs, 0.05);
@@ -143,31 +149,49 @@ fn build_loss(
     let t2 = g.add(s2, s3);
     let t3 = g.sub(t1, na); // == t1 + l_alt
     let t4 = g.add(t2, s4);
-    (g.add(t3, t4), pred)
+    let t5 = g.add(t4, m_sq);
+    (g.add(t3, t5), pred)
 }
 
-/// One interpreted training step: record, backward, update, and optionally
-/// feed the tape to a plan cache (the same call order the core train loop
-/// uses).
-fn interpreted_step<O: Optimizer>(
+/// One oracle step: record, reference backward, reference update.
+fn oracle_step(
     model: &mut Model,
-    opt: &mut O,
+    opt: &mut oracle::AdamW,
     seq: usize,
     x: &Tensor,
     tgt: &Tensor,
     routes: &[u32],
-    cache: Option<&mut PlanCache>,
 ) -> f32 {
     let mut g = Graph::new();
     let pv = model.store.register(&mut g);
     let (loss, _) = build_loss(&mut g, &pv, &model.ids, seq, x, tgt, routes);
-    let lv = g.value(loss).data()[0];
-    g.backward(loss);
+    oracle::backward(&mut g, loss);
     model.store.step(opt, &g, &pv);
-    if let Some(c) = cache {
-        c.observe_train(&g, loss, &pv, &model.store, &[x, tgt], &[routes]);
+    g.value(loss).data()[0]
+}
+
+/// One VM step with the core train loop's control flow: replay the cached
+/// plan if it matches, else record the tape, compile it and run that plan.
+/// Returns the loss and whether the step replayed.
+fn vm_step<O: Optimizer>(
+    model: &mut Model,
+    opt: &mut O,
+    cache: &mut PlanCache,
+    seq: usize,
+    x: &Tensor,
+    tgt: &Tensor,
+    routes: &[u32],
+) -> (f32, bool) {
+    if let Some(lv) = cache.try_replay_train(&[x, tgt], &[routes], &mut model.store, opt) {
+        return (lv, true);
     }
-    lv
+    let mut g = Graph::new();
+    let pv = model.store.register(&mut g);
+    let (loss, _) = build_loss(&mut g, &pv, &model.ids, seq, x, tgt, routes);
+    let lv = cache
+        .run_train(&g, loss, &pv, &mut model.store, opt, &[x, tgt], &[routes])
+        .expect("the corpus model lowers");
+    (lv, false)
 }
 
 /// Forward-only loss evaluation (for finite differences).
@@ -178,18 +202,18 @@ fn eval_loss(model: &Model, seq: usize, x: &Tensor, tgt: &Tensor, routes: &[u32]
     g.value(loss).data()[0]
 }
 
-fn run_interpreted(n_steps: u32) -> (Vec<Tensor>, Vec<f32>) {
+fn run_oracle(n_steps: u32) -> (Vec<Tensor>, Vec<f32>) {
     let mut model = init_model();
-    let mut opt = Adam::new(1e-2);
+    let mut opt = oracle::AdamW::new(1e-2, 0.0);
     let mut losses = Vec::new();
     for s in 0..n_steps {
         let (x, t, r) = sample(SEQ, s);
-        losses.push(interpreted_step(&mut model, &mut opt, SEQ, &x, &t, &r, None));
+        losses.push(oracle_step(&mut model, &mut opt, SEQ, &x, &t, &r));
     }
     (model.store.snapshot(), losses)
 }
 
-fn run_planned(n_steps: u32) -> (Vec<Tensor>, Vec<f32>, u32) {
+fn run_vm(n_steps: u32) -> (Vec<Tensor>, Vec<f32>, u32) {
     let mut model = init_model();
     let mut opt = Adam::new(1e-2);
     let mut cache = PlanCache::new();
@@ -197,12 +221,9 @@ fn run_planned(n_steps: u32) -> (Vec<Tensor>, Vec<f32>, u32) {
     let mut replays = 0;
     for s in 0..n_steps {
         let (x, t, r) = sample(SEQ, s);
-        if let Some(lv) = cache.try_replay_train(&[&x, &t], &[&r], &mut model.store, &mut opt) {
-            replays += 1;
-            losses.push(lv);
-            continue;
-        }
-        losses.push(interpreted_step(&mut model, &mut opt, SEQ, &x, &t, &r, Some(&mut cache)));
+        let (lv, replayed) = vm_step(&mut model, &mut opt, &mut cache, SEQ, &x, &t, &r);
+        replays += u32::from(replayed);
+        losses.push(lv);
     }
     (model.store.snapshot(), losses, replays)
 }
@@ -217,34 +238,68 @@ fn assert_bitwise_eq(a: &[Tensor], b: &[Tensor], ctx: &str) {
     }
 }
 
+fn assert_losses_eq(a: &[f32], b: &[f32], ctx: &str) {
+    for (s, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: loss at step {s} ({x} vs {y})");
+    }
+}
+
 #[test]
-fn replay_is_bitwise_equal_to_interpreter_at_1_2_4_threads() {
+fn vm_training_is_bitwise_equal_to_oracle_at_1_2_4_threads() {
     let _lock = guard();
-    focus_autograd::set_fused(true);
-    plan::set_enabled(true);
     for threads in [1usize, 2, 4] {
         par::set_threads(threads);
-        let (params_i, losses_i) = run_interpreted(8);
-        let (params_p, losses_p, replays) = run_planned(8);
-        // Steps 0 and 1 interpret (compile + verify); 2..8 replay.
+        let (params_o, losses_o) = run_oracle(8);
+        // Cached: steps 0 and 1 compile and run (the two plans agree), 2..8
+        // replay.
+        plan::set_enabled(true);
+        let (params_c, losses_c, replays) = run_vm(8);
         assert_eq!(replays, 6, "threads={threads}: replay count");
-        assert_bitwise_eq(&params_i, &params_p, &format!("threads={threads}"));
-        for (s, (a, b)) in losses_i.iter().zip(&losses_p).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "threads={threads}: loss at step {s} ({a} vs {b})"
-            );
-        }
+        assert_bitwise_eq(&params_o, &params_c, &format!("cached, threads={threads}"));
+        assert_losses_eq(&losses_o, &losses_c, &format!("cached, threads={threads}"));
+        // Never cached: every step compiles and runs its own plan.
+        plan::set_enabled(false);
+        let (params_u, losses_u, replays) = run_vm(8);
+        assert_eq!(replays, 0, "threads={threads}: caching disabled");
+        assert_bitwise_eq(&params_o, &params_u, &format!("uncached, threads={threads}"));
+        assert_losses_eq(&losses_o, &losses_u, &format!("uncached, threads={threads}"));
     }
     par::set_threads(0);
-    plan::set_enabled(false);
+    plan::set_enabled(true);
+}
+
+#[test]
+fn graph_backward_is_bitwise_equal_to_oracle_at_1_2_4_threads() {
+    let _lock = guard();
+    let model = init_model();
+    let (x, t, r) = sample(SEQ, 3);
+    let grads = |oracle_side: bool| {
+        let mut g = Graph::new();
+        let pv = model.store.register(&mut g);
+        let (loss, _) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
+        if oracle_side {
+            oracle::backward(&mut g, loss);
+        } else {
+            g.backward(loss);
+        }
+        model
+            .ids
+            .iter()
+            .map(|&id| g.grad(pv.var(id)).expect("every parameter feeds the loss").clone())
+            .collect::<Vec<_>>()
+    };
+    par::set_threads(1);
+    let reference = grads(true);
+    for threads in [1usize, 2, 4] {
+        par::set_threads(threads);
+        assert_bitwise_eq(&reference, &grads(false), &format!("gradients, threads={threads}"));
+    }
+    par::set_threads(0);
 }
 
 #[test]
 fn gradcheck_through_a_replayed_plan() {
     let _lock = guard();
-    focus_autograd::set_fused(true);
     plan::set_enabled(true);
     let lr = 1e-3f32;
     let mut model = init_model();
@@ -252,7 +307,7 @@ fn gradcheck_through_a_replayed_plan() {
     let mut cache = PlanCache::new();
     let (x, t, r) = sample(SEQ, 0);
     for _ in 0..2 {
-        interpreted_step(&mut model, &mut opt, SEQ, &x, &t, &r, Some(&mut cache));
+        vm_step(&mut model, &mut opt, &mut cache, SEQ, &x, &t, &r);
     }
     assert!(cache.is_ready(), "cache should verify after two identical-shape steps");
 
@@ -264,7 +319,7 @@ fn gradcheck_through_a_replayed_plan() {
 
     // SGD: p' = p − lr·g, so (p − p') / lr recovers the replayed gradient up
     // to one rounding. Check it against central differences of the
-    // interpreted loss.
+    // tape's forward loss.
     model.store.restore(&before);
     let eps = 1e-2f32;
     let mut max_rel = 0.0f32;
@@ -283,13 +338,11 @@ fn gradcheck_through_a_replayed_plan() {
         }
     }
     assert!(max_rel < 5e-2, "replayed-plan gradcheck failed: max rel err {max_rel}");
-    plan::set_enabled(false);
 }
 
 #[test]
 fn shape_change_invalidates_and_recompiles() {
     let _lock = guard();
-    focus_autograd::set_fused(true);
     plan::set_enabled(true);
     let mut model = init_model();
     let mut opt = Adam::new(1e-2);
@@ -298,7 +351,7 @@ fn shape_change_invalidates_and_recompiles() {
     // Warm to Ready at SEQ.
     for s in 0..2 {
         let (x, t, r) = sample(SEQ, s);
-        interpreted_step(&mut model, &mut opt, SEQ, &x, &t, &r, Some(&mut cache));
+        vm_step(&mut model, &mut opt, &mut cache, SEQ, &x, &t, &r);
     }
     assert!(cache.is_ready());
     let (x, t, r) = sample(SEQ, 2);
@@ -317,41 +370,37 @@ fn shape_change_invalidates_and_recompiles() {
     // Two steps at the new geometry re-verify and replay again.
     for s in 4..6 {
         let (x6, t6, r6) = sample(wide, s);
-        interpreted_step(&mut model, &mut opt, wide, &x6, &t6, &r6, Some(&mut cache));
+        vm_step(&mut model, &mut opt, &mut cache, wide, &x6, &t6, &r6);
     }
     assert!(cache.is_ready(), "cache recompiles at the new geometry");
     let (x6, t6, r6) = sample(wide, 6);
     assert!(cache.try_replay_train(&[&x6, &t6], &[&r6], &mut model.store, &mut opt).is_some());
-    plan::set_enabled(false);
 }
 
 #[test]
 fn shape_change_during_warmup_restarts_verification() {
     let _lock = guard();
-    focus_autograd::set_fused(true);
     plan::set_enabled(true);
     let mut model = init_model();
     let mut opt = Adam::new(1e-2);
     let mut cache = PlanCache::new();
 
     let (x, t, r) = sample(SEQ, 0);
-    interpreted_step(&mut model, &mut opt, SEQ, &x, &t, &r, Some(&mut cache));
+    vm_step(&mut model, &mut opt, &mut cache, SEQ, &x, &t, &r);
     assert_eq!(cache.state_name(), "verify");
     // Geometry moves mid-warmup: verification restarts, it does not give up.
     let wide = SEQ + 2;
     let (x6, t6, r6) = sample(wide, 1);
-    interpreted_step(&mut model, &mut opt, wide, &x6, &t6, &r6, Some(&mut cache));
+    vm_step(&mut model, &mut opt, &mut cache, wide, &x6, &t6, &r6);
     assert_eq!(cache.state_name(), "verify");
     let (x6, t6, r6) = sample(wide, 2);
-    interpreted_step(&mut model, &mut opt, wide, &x6, &t6, &r6, Some(&mut cache));
+    vm_step(&mut model, &mut opt, &mut cache, wide, &x6, &t6, &r6);
     assert!(cache.is_ready());
-    plan::set_enabled(false);
 }
 
 #[test]
 fn per_window_constant_turns_cache_off() {
     let _lock = guard();
-    focus_autograd::set_fused(true);
     plan::set_enabled(true);
     let mut model = init_model();
     let mut opt = Adam::new(1e-2);
@@ -361,27 +410,28 @@ fn per_window_constant_turns_cache_off() {
     // static. It varies per step, so the two candidate plans disagree with
     // identical shapes — replay would be wrong, and the cache must go
     // (sticky) off rather than promote.
-    for s in 0..2 {
+    let mut step = |cache: &mut PlanCache, s: u32| {
         let (x, t, r) = sample(SEQ, s);
         let mut g = Graph::new();
         let pv = model.store.register(&mut g);
         let (loss, _) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
-        g.backward(loss);
-        model.store.step(&mut opt, &g, &pv);
-        cache.observe_train(&g, loss, &pv, &model.store, &[&x], &[&r]);
+        cache
+            .run_train(&g, loss, &pv, &mut model.store, &mut opt, &[&x], &[&r])
+            .expect("the corpus model lowers")
+    };
+    for s in 0..2 {
+        step(&mut cache, s);
     }
     assert!(cache.is_off(), "varying baked constants must disable replay");
-    // Off is sticky: further observations don't resurrect it.
-    let (x, t, r) = sample(SEQ, 2);
-    interpreted_step(&mut model, &mut opt, SEQ, &x, &t, &r, Some(&mut cache));
+    // Off is sticky: later steps still compile and run their own plans, and
+    // never resurrect the cache.
+    assert!(step(&mut cache, 2).is_finite());
     assert!(cache.is_off());
-    plan::set_enabled(false);
 }
 
 #[test]
-fn forward_replay_matches_interpreter() {
+fn forward_replay_matches_the_tape() {
     let _lock = guard();
-    focus_autograd::set_fused(true);
     plan::set_enabled(true);
     let model = init_model();
     let mut cache = PlanCache::new();
@@ -391,7 +441,7 @@ fn forward_replay_matches_interpreter() {
         let mut g = Graph::new();
         let pv = model.store.register(&mut g);
         let (_, pred) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
-        cache.observe_forward(&g, pred, &pv, &model.store, &[&x, &t], &[&r]);
+        cache.observe_forward(&g, pred, &pv, &[&x, &t], &[&r]);
     }
     assert!(cache.is_ready());
 
@@ -407,13 +457,11 @@ fn forward_replay_matches_interpreter() {
     let ba: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
     let bb: Vec<u32> = replayed.data().iter().map(|v| v.to_bits()).collect();
     assert_eq!(ba, bb, "forward replay must be bitwise equal");
-    plan::set_enabled(false);
 }
 
 #[test]
 fn plan_text_round_trip() {
     let _lock = guard();
-    focus_autograd::set_fused(true);
     let model = init_model();
     let (x, t, r) = sample(SEQ, 0);
 
@@ -422,7 +470,7 @@ fn plan_text_round_trip() {
     let pv = model.store.register(&mut g);
     let (loss, pred) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
     let train =
-        plan::compile_train(&g, loss, &pv, &model.store, &[&x, &t], &[&r]).expect("compiles");
+        plan::compile_train(&g, loss, &pv, &[&x, &t], &[&r]).expect("compiles");
     assert!(train.is_train());
     assert!(train.n_instrs() > 0 && train.n_slots() > 0);
     let back = Plan::from_text(&train.to_text()).expect("round-trip parses");
@@ -433,7 +481,7 @@ fn plan_text_round_trip() {
     let pv = model.store.register(&mut g);
     let (_, pred2) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
     let fwd =
-        plan::compile_forward(&g, pred2, &pv, &model.store, &[&x, &t], &[&r]).expect("compiles");
+        plan::compile_forward(&g, pred2, &pv, &[&x, &t], &[&r]).expect("compiles");
     assert!(!fwd.is_train());
     let back = Plan::from_text(&fwd.to_text()).expect("round-trip parses");
     assert_eq!(back, fwd, "forward plan text round-trip");
@@ -452,7 +500,6 @@ fn plan_text_round_trip() {
 #[test]
 fn opcode_corpus_coverage_is_exhaustive() {
     let _lock = guard();
-    focus_autograd::set_fused(true);
     let model = init_model();
     let (x, t, r) = sample(SEQ, 0);
 
@@ -460,12 +507,12 @@ fn opcode_corpus_coverage_is_exhaustive() {
     let pv = model.store.register(&mut g);
     let (loss, _) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
     let train =
-        plan::compile_train(&g, loss, &pv, &model.store, &[&x, &t], &[&r]).expect("compiles");
+        plan::compile_train(&g, loss, &pv, &[&x, &t], &[&r]).expect("compiles");
     let mut g = Graph::new();
     let pv = model.store.register(&mut g);
     let (_, pred) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
     let fwd =
-        plan::compile_forward(&g, pred, &pv, &model.store, &[&x, &t], &[&r]).expect("compiles");
+        plan::compile_forward(&g, pred, &pv, &[&x, &t], &[&r]).expect("compiles");
 
     /// Opcodes the corpus model's train + forward plans emit — today that is
     /// the whole instruction set, and this list keeps it that way: adding an
@@ -513,6 +560,7 @@ fn opcode_corpus_coverage_is_exhaustive() {
         OpCode::MeanAll,
         OpCode::SumAll,
         OpCode::Fill,
+        OpCode::Splat,
         OpCode::Copy,
         OpCode::Axpy,
     ];

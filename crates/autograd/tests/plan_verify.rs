@@ -9,8 +9,8 @@
 //! corruption site. The same file also covers malformed `focus-plan v1` text
 //! (truncated stream, bad f32 hex bits, unknown opcode, out-of-range slot,
 //! huge counts), fuzzes the parser and verifier with random and mutated plan
-//! text, and proves that a verifier rejection trips the cache's sticky Off
-//! fallback instead of replaying.
+//! text, and proves that a verifier rejection fails the step with the
+//! verifier's positioned message instead of running anything.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -64,7 +64,6 @@ fn sample() -> (Tensor, Tensor) {
 /// training plan: enough instructions to host every corruption below while
 /// staying readable in a failing-test dump.
 fn small_train_plan() -> Plan {
-    focus_autograd::set_fused(true);
     let (store, ids) = small_store();
     let (x_t, tgt_t) = sample();
     let mut g = Graph::new();
@@ -78,11 +77,10 @@ fn small_train_plan() -> Plan {
     let p = g.matmul(h, w2);
     let pf = g.reshape(p, &[N]);
     let loss = g.mse(pf, tgt);
-    plan::compile_train(&g, loss, &pv, &store, &[&x_t, &tgt_t], &[]).expect("small model compiles")
+    plan::compile_train(&g, loss, &pv, &[&x_t, &tgt_t], &[]).expect("small model compiles")
 }
 
 fn small_forward_plan() -> Plan {
-    focus_autograd::set_fused(true);
     let (store, ids) = small_store();
     let (x_t, tgt_t) = sample();
     let mut g = Graph::new();
@@ -94,7 +92,7 @@ fn small_forward_plan() -> Plan {
     let h = g.add_row_broadcast(h, b1);
     let h = g.gelu(h);
     let p = g.matmul(h, w2);
-    plan::compile_forward(&g, p, &pv, &store, &[&x_t, &tgt_t], &[]).expect("compiles")
+    plan::compile_forward(&g, p, &pv, &[&x_t, &tgt_t], &[]).expect("compiles")
 }
 
 // ---------------------------------------------------------------------------
@@ -455,7 +453,6 @@ fn unknown_opcode_reports_its_line() {
 /// A forward plan that also bakes one constant into a `static` line, so the
 /// fuzz corpus covers every section of the format.
 fn static_plan() -> Plan {
-    focus_autograd::set_fused(true);
     let (store, ids) = small_store();
     let (x_t, _) = sample();
     let mut g = Graph::new();
@@ -466,7 +463,7 @@ fn static_plan() -> Plan {
     let h = g.add_row_broadcast(h, shift);
     let h = g.sigmoid(h);
     let p = g.matmul(h, pv.var(ids[2]));
-    plan::compile_forward(&g, p, &pv, &store, &[&x_t], &[]).expect("static plan compiles")
+    plan::compile_forward(&g, p, &pv, &[&x_t], &[]).expect("static plan compiles")
 }
 
 /// Parses `text` and, when it parses, verifies the plan. Neither step may
@@ -603,16 +600,13 @@ fn fuzzed_plan_text_never_panics() {
 }
 
 // ---------------------------------------------------------------------------
-// Verifier rejection trips the sticky Off fallback
+// Verifier rejection is a positioned error
 // ---------------------------------------------------------------------------
 
 #[test]
-fn verifier_rejection_trips_sticky_off() {
+fn verifier_rejection_fails_the_step_with_its_position() {
     let _lock = guard();
-    focus_autograd::set_fused(true);
     plan::set_enabled(true);
-    verify::set_fail_all(true);
-
     let (mut store, ids) = small_store();
     let (x_t, tgt_t) = sample();
     let mut cache = PlanCache::new();
@@ -629,21 +623,48 @@ fn verifier_rejection_trips_sticky_off() {
     let p = g.matmul(h, w2);
     let pf = g.reshape(p, &[N]);
     let loss = g.mse(pf, tgt);
-    g.backward(loss);
-    cache.observe_train(&g, loss, &pv, &store, &[&x_t, &tgt_t], &[]);
+    let before = store.snapshot();
 
-    assert!(cache.is_off(), "verifier rejection must turn the cache off");
-    let reason = cache.off_reason().unwrap_or("").to_string();
-    assert!(reason.contains("failpoint"), "off reason surfaces the verifier: {reason}");
-
-    // Sticky: clearing the failpoint does not resurrect the cache, and it
-    // never replays — the caller keeps interpreting.
+    // The failpoint is per thread; it is cleared before any assertion can
+    // unwind past it.
+    verify::set_fail_all(true);
+    let res = cache.run_train(&g, loss, &pv, &mut store, &mut opt, &[&x_t, &tgt_t], &[]);
     verify::set_fail_all(false);
-    assert!(cache
-        .try_replay_train(&[&x_t, &tgt_t], &[], &mut store, &mut opt)
-        .is_none());
-    assert!(cache.is_off());
-    assert_eq!(cache.state_name(), "off");
 
+    let err = res.expect_err("an armed failpoint rejects the plan");
+    assert!(
+        matches!(&err, plan::CompileError::Rejected(e) if e.instr == Some(0)),
+        "rejection carries the verifier's position: {err:?}"
+    );
+    assert_eq!(err.to_string(), "plan verify: instr 0: verification failpoint enabled");
+    // Nothing ran and nothing was cached: no executor is left to fall back
+    // to, so the step fails instead of quietly taking another path.
+    assert_eq!(cache.state_name(), "cold");
+    for (a, b) in before.iter().zip(&store.snapshot()) {
+        assert_eq!(a.data(), b.data(), "a rejected step must not update parameters");
+    }
+    // With the failpoint cleared the same tape compiles and runs.
+    let lv = cache
+        .run_train(&g, loss, &pv, &mut store, &mut opt, &[&x_t, &tgt_t], &[])
+        .expect("the small model lowers");
+    assert!(lv.is_finite());
+    assert_eq!(cache.state_name(), "verify");
     plan::set_enabled(false);
+}
+
+#[test]
+#[should_panic(expected = "plan verify: instr 0: verification failpoint enabled")]
+fn graph_backward_panics_with_the_rejection() {
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            verify::set_fail_all(false);
+        }
+    }
+    let _reset = Reset;
+    let mut g = Graph::new();
+    let x = g.leaf(Tensor::from_vec(vec![1.0, 2.0], &[2]));
+    let loss = g.sum_all(x);
+    verify::set_fail_all(true);
+    g.backward(loss);
 }

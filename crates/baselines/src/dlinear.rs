@@ -4,7 +4,7 @@
 
 use crate::common::decompose;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
-use focus_core::Forecaster;
+use focus_core::{Forecaster, WindowOperands};
 use focus_nn::{CostReport, Linear};
 use focus_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -67,6 +67,11 @@ impl Forecaster for DLinear {
         let yt = self.trend.forward(g, pv, tv); // [N, horizon]
         let ys = self.seasonal.forward(g, pv, sv);
         g.add(yt, ys)
+    }
+
+    fn window_operands(&self, x_norm: &Tensor) -> WindowOperands {
+        let (trend, seasonal) = decompose(x_norm, self.kernel);
+        WindowOperands { routes: Vec::new(), tensors: vec![trend, seasonal] }
     }
 
     fn cost(&self, entities: usize) -> CostReport {

@@ -1,24 +1,23 @@
 //! End-to-end training-step benchmark for the dual-branch FOCUS model:
 //! instance-norm → forward → MSE → backward → AdamW step, i.e. exactly the
-//! per-window work of [`Forecaster::train`].
+//! per-window work of [`Forecaster::train`], through the same plan cache.
 //!
 //! Two execution modes are timed:
 //!
-//! * **before** — buffer pool disabled and fused kernels off, reproducing
-//!   the pre-pool/pre-fusion per-step behaviour (every kernel allocates its
-//!   output and the reference serial backward rules run);
-//! * **after** — pooled allocation + fused forward/backward kernels +
-//!   fused AdamW, swept across 1/2/4/max worker threads;
-//! * **plan** — the compiled-plan VM: after two interpreted warmup steps
-//!   the tape is lowered to a flat instruction sequence with pre-resolved
-//!   buffer slots, and every further step replays it with zero graph
-//!   traversal and zero pool lookups (`plan/pool_lookups_steady == 0`).
+//! * **after** — the never-cached path (`plan::set_enabled(false)`): every
+//!   step records its tape, compiles it and runs that plan once, swept
+//!   across 1/2/4/max worker threads;
+//! * **plan** — cached replay: after two compiled warmup steps agree, every
+//!   further step replays the flat instruction stream with pre-resolved
+//!   buffer slots, zero graph traversal and zero pool lookups
+//!   (`plan/pool_lookups_steady == 0`).
 //!
-//! The host may be time-shared, so before/after are measured in
-//! *interleaved* rounds — a block of before-steps then a block of
-//! after-steps per round, best block kept for each — ensuring both modes
-//! sample the same background-load conditions instead of whichever phase of
-//! the machine's mood their contiguous run landed on.
+//! The host may be time-shared, so modes are measured in *interleaved*
+//! rounds — one block of each per round, best block kept for each — so that
+//! both sample the same background-load conditions. Each multi-thread point
+//! is timed in its own interleaved rounds against fresh 1-thread blocks, with
+//! the same number of rounds for both, so the 2-thread check compares like
+//! with like.
 //!
 //! On top of the timings, the run exercises the `focus-trace` observability
 //! layer end to end and asserts its contract:
@@ -33,8 +32,8 @@
 //! schema-versioned [`focus_trace::report::RunReport`], including the
 //! steady-state pool counters proving the zero-allocation invariant.
 
-use focus_autograd::plan::PlanCache;
-use focus_autograd::{self as autograd, AdamW, Graph};
+use focus_autograd::plan::{self, PlanCache};
+use focus_autograd::{AdamW, Graph};
 use focus_core::forecaster::normalise_target;
 use focus_core::model::{Focus, FocusConfig};
 use focus_core::Forecaster;
@@ -97,57 +96,34 @@ impl Harness {
         }
     }
 
-    /// One full train step on the next window (cycling through the set).
+    /// One train step on the next window (cycling through the set), with
+    /// the control flow of [`Forecaster::train`]: replay the cached plan if
+    /// one matches, otherwise record the tape, compile it and run that plan.
     fn step(&mut self) {
         let w = &self.windows[self.next % self.windows.len()];
         self.next += 1;
         let (x_norm, stats) = instance_norm(&w.x);
         let y_norm = normalise_target(&w.y, &stats);
-        let g = &mut self.graph;
-        g.reset();
-        let pv = self.model.params().register(g);
-        let pred = self.model.forward_window(g, &pv, &x_norm);
-        let target = g.constant(y_norm);
-        let loss = g.mse(pred, target);
-        g.backward(loss);
-        self.model.params_mut().step(&mut self.opt, g, &pv);
-        black_box(g.value(loss).item());
-    }
-
-    /// One train step through the plan cache: warmup steps interpret and
-    /// feed the compiler, steady-state steps replay the flat plan — the
-    /// exact control flow of [`Forecaster::train`].
-    fn plan_step(&mut self) {
-        let w = &self.windows[self.next % self.windows.len()];
-        self.next += 1;
-        let (x_norm, stats) = instance_norm(&w.x);
-        let y_norm = normalise_target(&w.y, &stats);
-        let plans_on = self.pcache.active();
-        let routes: Vec<Vec<u32>> =
-            if plans_on { self.model.plan_route_indices(&x_norm) } else { Vec::new() };
-        let route_refs: Vec<&[u32]> = routes.iter().map(|r| r.as_slice()).collect();
-        if let Some(loss) = self.pcache.try_replay_train(
-            &[&x_norm, &y_norm],
-            &route_refs,
-            self.model.params_mut(),
-            &mut self.opt,
-        ) {
+        let operands = self.model.window_operands(&x_norm);
+        let routes: Vec<&[u32]> = operands.routes.iter().map(Vec::as_slice).collect();
+        let inputs = [&x_norm, &y_norm];
+        let params = self.model.params_mut();
+        if let Some(loss) = self.pcache.try_replay_train(&inputs, &routes, params, &mut self.opt) {
             black_box(loss);
             return;
         }
-        let y_obs = plans_on.then(|| y_norm.clone());
         let g = &mut self.graph;
         g.reset();
         let pv = self.model.params().register(g);
         let pred = self.model.forward_window(g, &pv, &x_norm);
-        let target = g.constant(y_norm);
+        let target = g.constant(y_norm.clone());
         let loss = g.mse(pred, target);
-        g.backward(loss);
-        self.model.params_mut().step(&mut self.opt, g, &pv);
-        black_box(g.value(loss).item());
-        if let Some(y_obs) = y_obs {
-            self.pcache.observe_train(g, loss, &pv, self.model.params(), &[&x_norm, &y_obs], &route_refs);
-        }
+        let params = self.model.params_mut();
+        let loss = self
+            .pcache
+            .run_train(g, loss, &pv, params, &mut self.opt, &inputs, &routes)
+            .expect("the FOCUS train step lowers and verifies");
+        black_box(loss);
     }
 
     /// Times one block of steps, returning ns per step.
@@ -159,13 +135,12 @@ impl Harness {
         clock::now_ns().saturating_sub(start) as f64 / BLOCK as f64
     }
 
-    /// Times one block of plan-cached steps, returning ns per step.
-    fn plan_block_ns(&mut self) -> f64 {
-        let start = clock::now_ns();
-        for _ in 0..BLOCK {
-            self.plan_step();
-        }
-        clock::now_ns().saturating_sub(start) as f64 / BLOCK as f64
+    /// Times one block of never-cached steps, returning ns per step.
+    fn uncached_block_ns(&mut self) -> f64 {
+        plan::set_enabled(false);
+        let ns = self.block_ns();
+        plan::set_enabled(true);
+        ns
     }
 
     /// Every parameter's raw bits, for bitwise-equality checks.
@@ -176,12 +151,6 @@ impl Harness {
             .map(|(_, name, t)| (name.to_string(), t.data().iter().map(|v| v.to_bits()).collect()))
             .collect()
     }
-}
-
-/// Puts the process in "before" (pre-PR) or "after" execution mode.
-fn set_mode(after: bool) {
-    pool::set_enabled(after);
-    autograd::set_fused(after);
 }
 
 fn sweep_threads() -> Vec<usize> {
@@ -200,11 +169,13 @@ fn sweep_threads() -> Vec<usize> {
 /// fanned out — so both prefixes are excluded from cross-thread equality).
 fn traced_run() -> (String, Vec<(&'static str, u64)>) {
     let mut h = Harness::new();
+    plan::set_enabled(false);
     focus_trace::set_enabled(true);
     focus_trace::reset();
     for _ in 0..TRACE_STEPS {
         h.step();
     }
+    plan::set_enabled(true);
     let signature = focus_trace::structure_signature(&focus_trace::snapshot_spans());
     let counters: Vec<(&'static str, u64)> = focus_trace::snapshot_counters()
         .into_iter()
@@ -231,48 +202,38 @@ fn main() {
     println!("train-step sweep: dual-branch FOCUS, 32 entities x L=96 -> 24 (host cores: {cores})");
     par::set_threads(1);
 
-    // Build one harness per mode, each warmed in its own mode so the pooled
-    // harness starts at steady state. The plan harness warms through the
-    // cache: two interpreted+observed steps compile and verify the plan,
-    // further steps replay it.
-    set_mode(false);
-    let mut before_h = Harness::new();
-    set_mode(true);
+    // One harness per mode, each warmed in its own mode so both start at
+    // steady state. The plan harness warms through the cache: two compiled
+    // steps agree and verify the plan, further steps replay it.
     let mut after_h = Harness::new();
+    plan::set_enabled(false);
     for _ in 0..3 {
         after_h.step();
     }
+    plan::set_enabled(true);
     let mut plan_h = Harness::new();
     for _ in 0..4 {
-        plan_h.plan_step();
+        plan_h.step();
     }
     assert!(
         plan_h.pcache.is_ready(),
         "plan cache must verify during warmup (state: {})",
         plan_h.pcache.state_name()
     );
-    set_mode(false);
-    for _ in 0..3 {
-        before_h.step();
-    }
 
-    // Interleaved rounds: all modes sample every load phase of the host.
-    let mut before_ns = f64::INFINITY;
+    // Interleaved rounds: both modes sample every load phase of the host.
     let mut after1_ns = f64::INFINITY;
     let mut plan1_ns = f64::INFINITY;
     let mut fresh_total = 0u64;
     let mut plan_fresh = 0u64;
     let spawns0 = par::spawn_count();
     for _ in 0..ROUNDS {
-        set_mode(false);
-        before_ns = before_ns.min(before_h.block_ns());
-        set_mode(true);
         pool::set_steady(true);
         let f0 = pool::fresh_allocs();
-        after1_ns = after1_ns.min(after_h.block_ns());
+        after1_ns = after1_ns.min(after_h.uncached_block_ns());
         fresh_total += pool::fresh_allocs() - f0;
         let f1 = pool::fresh_allocs();
-        plan1_ns = plan1_ns.min(plan_h.plan_block_ns());
+        plan1_ns = plan1_ns.min(plan_h.block_ns());
         plan_fresh += pool::fresh_allocs() - f1;
         pool::set_steady(false);
     }
@@ -286,91 +247,96 @@ fn main() {
         "steady-state plan replay must not allocate fresh pool buffers ({plan_fresh} over {steady_steps} steps)"
     );
     // Pool-reuse twin of the zero-allocation contract: once the harnesses
-    // are warm, the measured rounds (2 × 60 steps — interpreted + replay)
-    // must never spawn an OS thread. On a 1-core host this is the scaling
+    // are warm, the measured rounds (2 × 60 steps — uncached + replay) must
+    // never spawn an OS thread. On a 1-core host this is the scaling
     // acceptance check (the thread sweep below is oversubscribed there).
     let steady_spawns = par::spawn_count() - spawns0;
     assert_eq!(
         steady_spawns, 0,
         "steady-state training must reuse pool workers, not spawn ({steady_spawns} spawns over {steady_steps} steps)"
     );
-    println!("before (no pool, reference kernels, 1 thread): {}", fmt_ms(before_ns));
     println!(
-        "after  (pool + fused, 1 thread): {}  [fresh allocs over {steady_steps} steady steps: {fresh_total}]",
+        "after  (never-cached: record + compile + run, 1 thread): {}  [fresh allocs over {steady_steps} steady steps: {fresh_total}]",
         fmt_ms(after1_ns)
     );
     println!(
-        "plan   (compiled replay, 1 thread): {}  [fresh allocs over {steady_steps} steady steps: {plan_fresh}]",
+        "plan   (cached replay, 1 thread): {}  [fresh allocs over {steady_steps} steady steps: {plan_fresh}]",
         fmt_ms(plan1_ns)
     );
-    println!("single-thread speedup: {:.2}x", before_ns / after1_ns);
     let plan_speedup = after1_ns / plan1_ns;
-    println!("plan-over-interpreter speedup (1 thread): {plan_speedup:.2}x");
+    println!("replay-over-uncached speedup (1 thread): {plan_speedup:.2}x");
     assert!(
         plan_speedup >= 1.10,
-        "compiled-plan replay must beat the interpreter by >= 1.10x (got {plan_speedup:.3}x)"
+        "cached replay must beat the never-cached step by >= 1.10x (got {plan_speedup:.3}x)"
     );
 
-    // Thread sweep for the fused mode (the host may expose only one core;
-    // the sweep still proves bitwise stability and records the scaling).
-    // Rows where the requested worker count exceeds the host's cores are
-    // labelled oversubscribed: their timings measure scheduler contention,
-    // not kernel scaling, and downstream tooling must not read them as a
+    // Thread sweep (the host may expose only one core; the sweep still
+    // proves bitwise stability and records the scaling). Each t > 1 runs
+    // ROUNDS interleaved rounds of a fresh 1-thread block and a t-thread
+    // block, so both sides of the scaling check are the best of the same
+    // number of blocks under the same host conditions. Rows where the
+    // requested worker count exceeds the host's cores are labelled
+    // oversubscribed: their timings measure scheduler contention, not kernel
+    // scaling, and downstream tooling must not read them as a
     // parallel-efficiency regression. The plan harness is swept alongside —
     // a compiled plan is thread-agnostic, so the verified cache is reused.
-    set_mode(true);
     let mut after = Vec::new();
     for t in sweep_threads() {
-        par::set_threads(t);
         let oversubscribed = t > cores;
         let tag = if oversubscribed { "  [oversubscribed]" } else { "" };
         if t == 1 {
-            after.push((t, after1_ns, plan1_ns, oversubscribed));
+            after.push((t, after1_ns, plan1_ns, after1_ns, oversubscribed));
             continue;
         }
+        par::set_threads(t);
         let mut h = Harness::new();
+        plan::set_enabled(false);
         for _ in 0..3 {
             h.step();
         }
+        plan::set_enabled(true);
         // Warmup primed the pool for `t` threads; the measured rounds must
         // reuse those workers, never spawn more.
         let t_spawns0 = par::spawn_count();
-        let mut best = f64::INFINITY;
-        let mut plan_best = f64::INFINITY;
+        let (mut t1_best, mut best, mut plan_best) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         pool::set_steady(true);
-        for _ in 0..ROUNDS / 3 {
-            best = best.min(h.block_ns());
-            plan_best = plan_best.min(plan_h.plan_block_ns());
+        for _ in 0..ROUNDS {
+            par::set_threads(1);
+            t1_best = t1_best.min(after_h.uncached_block_ns());
+            par::set_threads(t);
+            best = best.min(h.uncached_block_ns());
+            plan_best = plan_best.min(plan_h.block_ns());
         }
         pool::set_steady(false);
         let t_spawns = par::spawn_count() - t_spawns0;
         assert_eq!(t_spawns, 0, "steady rounds at {t} threads spawned {t_spawns} workers");
-        after.push((t, best, plan_best, oversubscribed));
-        println!("after  (pool + fused, {t} threads): {}{tag}", fmt_ms(best));
-        println!("plan   (compiled replay, {t} threads): {}{tag}", fmt_ms(plan_best));
+        after.push((t, best, plan_best, t1_best, oversubscribed));
+        println!("after  (never-cached, {t} threads): {}{tag}", fmt_ms(best));
+        println!("plan   (cached replay, {t} threads): {}{tag}", fmt_ms(plan_best));
     }
 
     // ---- scaling efficiency ---------------------------------------------
-    // speedup(t) = t1/tN; efficiency(t) = speedup(t)/t. On a genuinely
-    // multicore host the 2-thread point must not regress below the
-    // single-thread time (the pre-pool design was *slower* with threads);
+    // speedup(t) = t1/tN against the 1-thread blocks of the same rounds;
+    // efficiency(t) = speedup(t)/t. On a genuinely multicore host the
+    // 2-thread point must not regress below the single-thread time;
     // oversubscribed rows measure scheduler contention, not kernel scaling,
-    // so they are recorded but never gated on.
-    for &(t, ns, _, oversubscribed) in &after {
+    // so they are recorded but never gated on. The check fails the run at
+    // the end, after the report has recorded the measurement.
+    let mut scaling_failure = None;
+    for &(t, ns, _, t1_ns, oversubscribed) in &after {
         if t == 1 {
             continue;
         }
-        let speedup = after1_ns / ns;
+        let speedup = t1_ns / ns;
         let efficiency = speedup / t as f64;
         let tag = if oversubscribed { "  [oversubscribed]" } else { "" };
         println!("scaling: t{t} speedup {speedup:.2}x, efficiency {:.0}%{tag}", efficiency * 100.0);
-        if t == 2 && !oversubscribed {
-            assert!(
-                ns <= after1_ns * 1.02,
+        if t == 2 && !oversubscribed && ns > t1_ns * 1.02 {
+            scaling_failure = Some(format!(
                 "2-thread steps must not be slower than 1-thread (t1 {} vs t2 {})",
-                fmt_ms(after1_ns),
+                fmt_ms(t1_ns),
                 fmt_ms(ns)
-            );
+            ));
         }
     }
 
@@ -379,6 +345,7 @@ fn main() {
     // read mid-run), one with it disabled: every parameter must come out
     // bit-identical. Traced values never feed model computation.
     par::set_threads(1);
+    plan::set_enabled(false);
     let mut plain = Harness::new();
     for _ in 0..TRACE_STEPS {
         plain.step();
@@ -431,6 +398,7 @@ fn main() {
     focus_trace::reset();
     traced.step();
     focus_trace::set_enabled(false);
+    plan::set_enabled(true);
     let calls_per_step = focus_trace::api_calls() - calls_before;
     let per_call = disabled_call_ns();
     let overhead_ns = calls_per_step as f64 * per_call;
@@ -464,17 +432,16 @@ fn main() {
 
     // ---- compiled-plan trace: counters prove the replay contract ---------
     // A fresh harness driven through the cache with tracing on: the two
-    // interpreted warmup steps record `plan/compile` and the instruction /
+    // compiled warmup steps record `plan/compile` and the instruction /
     // slot gauges, the replayed steps record `plan/replay` and the
     // steady-state pool-lookup gauge, which must be exactly zero — replay
     // touches only its pre-resolved slots.
     par::set_threads(1);
-    set_mode(true);
     focus_trace::set_enabled(true);
     focus_trace::reset();
     let mut traced_plan = Harness::new();
     for _ in 0..2 + TRACE_STEPS {
-        traced_plan.plan_step();
+        traced_plan.step();
     }
     pool::publish_trace_stats();
     focus_trace::set_enabled(false);
@@ -514,10 +481,8 @@ fn main() {
         .setting("interleaved_rounds", ROUNDS)
         .setting("block_steps", BLOCK)
         .setting("trace_steps", TRACE_STEPS)
-        .metric("before_1_thread_ns", before_ns)
         .metric("steady_state_steps", steady_steps as f64)
         .metric("steady_state_fresh_allocs", fresh_total as f64)
-        .metric("speedup_1_thread", before_ns / after1_ns)
         .metric("plan_speedup_t1", plan_speedup)
         .metric("plan_instrs", plan_instrs as f64)
         .metric("plan_slots", plan_slots as f64)
@@ -526,11 +491,11 @@ fn main() {
         .metric("disabled_trace_overhead_ns", overhead_ns)
         .metric("disabled_trace_overhead_frac", overhead_frac)
         .metric("steady_state_spawns", steady_spawns as f64);
-    for &(t, ns, plan_ns, oversubscribed) in &after {
+    for &(t, ns, plan_ns, t1_ns, oversubscribed) in &after {
         report.metric(&format!("after_t{t}_ns"), ns);
         report.metric(&format!("plan_after_t{t}_ns"), plan_ns);
         if t > 1 {
-            let speedup = after1_ns / ns;
+            let speedup = t1_ns / ns;
             report.metric(&format!("speedup_t{t}"), speedup);
             report.metric(&format!("scaling_efficiency_t{t}"), speedup / t as f64);
         }
@@ -550,5 +515,8 @@ fn main() {
     match report.write(path) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+    if let Some(msg) = scaling_failure {
+        panic!("{msg}");
     }
 }

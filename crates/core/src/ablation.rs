@@ -10,7 +10,7 @@
 //! architectures under identical training.
 
 use crate::extractor::{DualBranchExtractor, SegmentEmbedding};
-use crate::forecaster::Forecaster;
+use crate::forecaster::{Forecaster, WindowOperands};
 use crate::fusion::ParallelFusion;
 use crate::model::FocusConfig;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
@@ -247,6 +247,13 @@ impl Forecaster for FocusAblation {
     fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x_norm: &Tensor) -> Var {
         let (h_t, h_e) = self.extract(g, pv, x_norm);
         self.fuse(g, pv, h_t, h_e)
+    }
+
+    fn window_operands(&self, x_norm: &Tensor) -> WindowOperands {
+        match &self.extract {
+            Extract::Proto(ext) => ext.window_operands(x_norm),
+            Extract::Attn { .. } | Extract::Linear { .. } => WindowOperands::default(),
+        }
     }
 
     fn cost(&self, entities: usize) -> CostReport {

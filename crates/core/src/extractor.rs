@@ -16,6 +16,7 @@
 //! residual path — is used here (this is also what PatchTST does with its
 //! patch embedding).
 
+use crate::forecaster::WindowOperands;
 use crate::protoattn::{Assignment, ProtoAttn, RoutingPlan};
 use focus_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
 use focus_cluster::Prototypes;
@@ -208,6 +209,24 @@ impl DualBranchExtractor {
     pub fn routing(&self, x: &Tensor) -> RoutingPlan {
         let segs = self.segment_view(x);
         self.assignment.plan(&segs, &self.prototypes)
+    }
+
+    /// The per-window operands [`DualBranchExtractor::forward`] records for
+    /// window `x`: the temporal and entity route indices under hard
+    /// assignment, the temporal and entity mixture matrices under soft
+    /// assignment (stacked layers reuse both).
+    pub fn window_operands(&self, x: &Tensor) -> WindowOperands {
+        let routing = self.routing(x);
+        let swapped = routing.swap01();
+        match (routing, swapped) {
+            (RoutingPlan::Hard { indices: t, .. }, RoutingPlan::Hard { indices: e, .. }) => {
+                WindowOperands { routes: vec![t, e], tensors: Vec::new() }
+            }
+            (RoutingPlan::Soft { matrix: t }, RoutingPlan::Soft { matrix: e }) => {
+                WindowOperands { routes: Vec::new(), tensors: vec![t, e] }
+            }
+            _ => unreachable!("swap01 keeps the routing kind"),
+        }
     }
 
     /// The dense temporal assignment matrix `A_t: [N, l, k]` — kept for the

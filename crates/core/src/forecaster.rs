@@ -72,11 +72,29 @@ pub struct TrainReport {
     pub epoch_losses: Vec<f64>,
     /// Windows actually used per epoch.
     pub windows_per_epoch: usize,
+    /// Steps that replayed the cached plan; every other step compiled and
+    /// ran its own.
+    pub plan_replays: usize,
     /// Validation MSE per epoch, when early stopping was enabled.
     pub val_losses: Vec<f64>,
     /// Epoch whose weights were kept (best validation), when early stopping
     /// was enabled.
     pub best_epoch: Option<usize>,
+}
+
+/// The per-window operands a model's tape records as data rather than
+/// computing from the window inside the graph: index vectors consumed by
+/// `RouteOneHot` ops, and dense tensors recorded as constant leaves (a soft
+/// routing matrix, a decomposed input). The training and evaluation loops
+/// bind them as plan inputs, so a cached plan replays every window instead of
+/// baking in the one it was compiled from.
+#[derive(Clone, Debug, Default)]
+pub struct WindowOperands {
+    /// Route index sources, in the order the tape consumes them.
+    pub routes: Vec<Vec<u32>>,
+    /// Dense per-window tensors, bitwise equal to the constants the tape
+    /// records for this window.
+    pub tensors: Vec<Tensor>,
 }
 
 /// Normalises a target `[N, L_f]` with the lookback window's instance
@@ -114,16 +132,16 @@ pub trait Forecaster {
     /// `[N, L]`, producing the normalised forecast `[N, L_f]`.
     fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x_norm: &Tensor) -> Var;
 
-    /// Per-window routing-index sources for plan compilation, in the order
-    /// the model's `forward_window` consumes them.
+    /// The per-window operands `forward_window` records for `x_norm` (see
+    /// [`WindowOperands`]).
     ///
-    /// Models whose tape embeds one-hot routing indices must surface them
-    /// here so the plan compiler can bind them as runtime arguments instead
-    /// of baking them into the plan (where a per-window change would shut
-    /// replay off). The default — no route sources — is correct for models
-    /// without index-routed ops.
-    fn plan_route_indices(&self, _x_norm: &Tensor) -> Vec<Vec<u32>> {
-        Vec::new()
+    /// A model whose tape embeds routing indices or other window-derived
+    /// constants must return them here; otherwise the plan cache sees two
+    /// different plans for two windows and every step pays for a tape
+    /// forward, a compile and a run. The default — nothing per-window — is
+    /// correct for models whose constants do not depend on the window.
+    fn window_operands(&self, _x_norm: &Tensor) -> WindowOperands {
+        WindowOperands::default()
     }
 
     /// Analytic cost of one forward pass for `entities` series.
@@ -140,8 +158,14 @@ pub trait Forecaster {
 
     /// Trains on the dataset's training split with AdamW and an MSE loss.
     ///
+    /// Each step replays the cached plan when one matches the window; any
+    /// other step records the tape, compiles it and runs that plan once.
+    ///
     /// # Panics
-    /// If the training split holds no full window.
+    /// If the training split holds no full window, if `opts.max_windows` is
+    /// 0, if a step's plan fails verification (a compiler bug), or if a
+    /// step's loss is not finite (the run diverged). The last two name the
+    /// epoch and window.
     fn train(&mut self, ds: &MtsDataset, opts: &TrainOptions) -> TrainReport {
         let mut windows = ds.windows(Split::Train, self.lookback(), self.horizon(), opts.stride);
         assert!(
@@ -153,6 +177,7 @@ pub trait Forecaster {
         let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x7ea1);
         windows.shuffle(&mut rng);
         windows.truncate(opts.max_windows);
+        assert!(!windows.is_empty(), "max_windows is 0: no training windows to train on");
 
         // Validation windows for early stopping (a small fixed set).
         let val_windows: Vec<_> = if opts.patience.is_some() {
@@ -168,50 +193,53 @@ pub trait Forecaster {
         let mut val_losses = Vec::new();
         let mut best: Option<(usize, f64, Vec<focus_tensor::Tensor>)> = None;
         let mut stale = 0usize;
+        let mut plan_replays = 0;
         // One tape for the whole run: `reset` keeps the node/grad capacity,
-        // so steady-state steps stop paying per-window tape reallocation.
+        // so uncached steps stop paying per-window tape reallocation.
         let mut g = Graph::new();
-        // After a couple of interpreted warmup steps the cache holds a
-        // verified flat plan; steady-state steps replay it with pre-resolved
-        // buffer slots and never touch the tape. Shape changes reset it.
+        // After two compiled steps agree, the cache replays the verified
+        // plan with pre-resolved buffer slots and never touches the tape.
+        // Shape changes reset it.
         let mut pcache = PlanCache::new();
         for epoch in 0..opts.epochs {
             let mut total = 0.0f64;
-            for w in &windows {
+            for (wi, w) in windows.iter().enumerate() {
                 focus_trace::span!("train/step");
                 let (x_norm, stats) = instance_norm(&w.x);
                 let y_norm = normalise_target(&w.y, &stats);
-                let plans_on = pcache.active();
-                let routes: Vec<Vec<u32>> =
-                    if plans_on { self.plan_route_indices(&x_norm) } else { Vec::new() };
-                let route_refs: Vec<&[u32]> = routes.iter().map(|r| r.as_slice()).collect();
-                if let Some(loss) = pcache.try_replay_train(
-                    &[&x_norm, &y_norm],
-                    &route_refs,
-                    self.params_mut(),
-                    &mut opt,
-                ) {
-                    total += loss as f64;
-                    continue;
-                }
-                // The tape consumes the target tensor; keep a copy only
-                // while the cache still wants to observe tapes.
-                let y_obs = plans_on.then(|| y_norm.clone());
-                g.reset();
-                let pv = self.params().register(&mut g);
-                let pred = self.forward_window(&mut g, &pv, &x_norm);
-                let target = g.constant(y_norm);
-                let loss = match opts.loss {
-                    Loss::Mse => g.mse(pred, target),
-                    Loss::Mae => g.mae(pred, target),
+                let operands = self.window_operands(&x_norm);
+                let mut inputs = vec![&x_norm, &y_norm];
+                inputs.extend(&operands.tensors);
+                let routes: Vec<&[u32]> = operands.routes.iter().map(Vec::as_slice).collect();
+                let replayed =
+                    pcache.try_replay_train(&inputs, &routes, self.params_mut(), &mut opt);
+                let loss = match replayed {
+                    Some(loss) => {
+                        plan_replays += 1;
+                        loss
+                    }
+                    None => {
+                        g.reset();
+                        let pv = self.params().register(&mut g);
+                        let pred = self.forward_window(&mut g, &pv, &x_norm);
+                        let target = g.constant(y_norm.clone());
+                        let loss = match opts.loss {
+                            Loss::Mse => g.mse(pred, target),
+                            Loss::Mae => g.mae(pred, target),
+                        };
+                        pcache
+                            .run_train(&g, loss, &pv, self.params_mut(), &mut opt, &inputs, &routes)
+                            .unwrap_or_else(|e| {
+                                // focus-lint: allow(panic-hygiene) -- documented panic: no other executor is left, and the message names the step and the verifier's position
+                                panic!("training step failed at epoch {epoch}, window {wi}: {e}")
+                            })
+                    }
                 };
-                // focus-lint: allow(graph-interpret) -- warmup/fallback interpretation; steady-state steps replay the compiled plan above
-                g.backward(loss);
-                self.params_mut().step(&mut opt, &g, &pv);
-                total += g.value(loss).item() as f64;
-                if let Some(y_obs) = y_obs {
-                    pcache.observe_train(&g, loss, &pv, self.params(), &[&x_norm, &y_obs], &route_refs);
-                }
+                assert!(
+                    loss.is_finite(),
+                    "training diverged: loss {loss} at epoch {epoch}, window {wi}"
+                );
+                total += loss as f64;
             }
             epoch_losses.push(total / windows.len() as f64);
 
@@ -249,6 +277,7 @@ pub trait Forecaster {
         TrainReport {
             epoch_losses,
             windows_per_epoch: windows.len(),
+            plan_replays,
             val_losses,
             best_epoch,
         }
@@ -263,26 +292,25 @@ pub trait Forecaster {
         let windows = ds.windows(split, self.lookback(), self.horizon(), stride);
         assert!(!windows.is_empty(), "no evaluation windows in {split:?}");
         let mut m = Metrics::new();
-        // Inference-only plan: after two observed forwards the remaining
-        // windows replay without graph construction. Bitwise-identical to
-        // the interpreted forward, so metrics are unchanged.
+        // Inference-only plan: after two recorded forwards compile to the
+        // same plan, the remaining windows replay without graph
+        // construction. Bitwise-identical to the tape's forward, so metrics
+        // are unchanged.
         let mut pcache = PlanCache::new();
         let mut g = Graph::new();
         for w in &windows {
             let (x_norm, stats) = instance_norm(&w.x);
-            let plans_on = pcache.active();
-            let routes: Vec<Vec<u32>> =
-                if plans_on { self.plan_route_indices(&x_norm) } else { Vec::new() };
-            let route_refs: Vec<&[u32]> = routes.iter().map(|r| r.as_slice()).collect();
-            let y_norm = match pcache.try_replay_forward(&[&x_norm], &route_refs, self.params()) {
+            let operands = self.window_operands(&x_norm);
+            let mut inputs = vec![&x_norm];
+            inputs.extend(&operands.tensors);
+            let routes: Vec<&[u32]> = operands.routes.iter().map(Vec::as_slice).collect();
+            let y_norm = match pcache.try_replay_forward(&inputs, &routes, self.params()) {
                 Some(out) => out,
                 None => {
                     g.reset();
                     let pv = self.params().register(&mut g);
                     let y = self.forward_window(&mut g, &pv, &x_norm);
-                    if plans_on {
-                        pcache.observe_forward(&g, y, &pv, self.params(), &[&x_norm], &route_refs);
-                    }
+                    pcache.observe_forward(&g, y, &pv, &inputs, &routes);
                     g.value(y).clone()
                 }
             };
@@ -378,44 +406,64 @@ mod tests {
         );
     }
 
-    #[test]
-    fn planned_training_is_bitwise_equal_to_interpreted() {
-        use crate::model::{Focus, FocusConfig};
-        use focus_data::{Benchmark, MtsDataset};
-        let ds = MtsDataset::generate(Benchmark::Pems08.scaled(4, 1_200), 7);
-        let mut cfg = FocusConfig::new(48, 12);
+    fn tiny_focus(ds: &MtsDataset, seed: u64) -> crate::model::Focus {
+        let mut cfg = crate::model::FocusConfig::new(48, 12);
         cfg.segment_len = 8;
         cfg.n_prototypes = 4;
         cfg.d = 12;
         cfg.cluster_iters = 4;
+        crate::model::Focus::fit_offline(ds, cfg, seed)
+    }
+
+    fn bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
+        ts.iter().map(|t| t.data().iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
+    /// `Forecaster::train`'s window schedule, stepped through the reference
+    /// oracle: reference backward rules and the reference AdamW update.
+    fn oracle_train(model: &mut dyn Forecaster, ds: &MtsDataset, opts: &TrainOptions) -> Vec<f64> {
+        let (lookback, horizon) = (model.lookback(), model.horizon());
+        let mut windows = ds.windows(Split::Train, lookback, horizon, opts.stride);
+        windows.shuffle(&mut StdRng::seed_from_u64(opts.seed ^ 0x7ea1));
+        windows.truncate(opts.max_windows);
+        let mut opt = focus_autograd::oracle::AdamW::new(opts.lr, opts.weight_decay);
+        let mut losses = Vec::new();
+        for _ in 0..opts.epochs {
+            let mut total = 0.0f64;
+            for w in &windows {
+                let (x_norm, stats) = instance_norm(&w.x);
+                let mut g = Graph::new();
+                let pv = model.params().register(&mut g);
+                let pred = model.forward_window(&mut g, &pv, &x_norm);
+                let target = g.constant(normalise_target(&w.y, &stats));
+                let loss = g.mse(pred, target);
+                focus_autograd::oracle::backward(&mut g, loss);
+                model.params_mut().step(&mut opt, &g, &pv);
+                total += g.value(loss).item() as f64;
+            }
+            losses.push(total / windows.len() as f64);
+        }
+        losses
+    }
+
+    #[test]
+    fn vm_training_is_bitwise_equal_to_the_oracle() {
+        use focus_data::{Benchmark, MtsDataset};
+        let ds = MtsDataset::generate(Benchmark::Pems08.scaled(4, 1_200), 7);
         let opts = TrainOptions {
             epochs: 2,
             max_windows: 12,
             ..Default::default()
         };
-        let train_with_plans = |on: bool| {
-            focus_autograd::plan::set_enabled(on);
-            let mut model = Focus::fit_offline(&ds, cfg.clone(), 9);
-            let report = model.train(&ds, &opts);
-            focus_autograd::plan::set_enabled(true);
-            (model.params().snapshot(), report.epoch_losses)
-        };
-        let (params_i, losses_i) = train_with_plans(false);
-        let (params_p, losses_p) = train_with_plans(true);
-        for (i, (a, b)) in params_i.iter().zip(&params_p).enumerate() {
-            let ba: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ba, bb, "param {i} diverged between interpreter and plan replay");
-        }
-        assert_eq!(losses_i, losses_p, "epoch losses must match bitwise");
-        // And evaluation through the inference plan matches the
-        // interpreted-forward metrics exactly.
+        let mut reference = tiny_focus(&ds, 9);
+        let losses_o = oracle_train(&mut reference, &ds, &opts);
+        let mut model = tiny_focus(&ds, 9);
+        let report = model.train(&ds, &opts);
+        assert_eq!(report.plan_replays, 22, "two compiled steps, then every step replays");
+        assert_eq!(bits(&model.params().snapshot()), bits(&reference.params().snapshot()));
+        assert_eq!(report.epoch_losses, losses_o, "epoch losses must match bitwise");
+        // Evaluation through the inference plan matches the tape's forward.
         focus_autograd::plan::set_enabled(false);
-        let model = {
-            let mut m = Focus::fit_offline(&ds, cfg.clone(), 9);
-            m.train(&ds, &opts);
-            m
-        };
         let base = model.evaluate(&ds, Split::Test, 24);
         focus_autograd::plan::set_enabled(true);
         let planned = model.evaluate(&ds, Split::Test, 24);
@@ -424,46 +472,72 @@ mod tests {
     }
 
     #[test]
-    fn verifier_rejection_falls_back_to_interpreter_bitwise() {
-        use crate::model::{Focus, FocusConfig};
+    fn verifier_rejection_fails_training_with_its_position() {
         use focus_data::{Benchmark, MtsDataset};
         let ds = MtsDataset::generate(Benchmark::Pems08.scaled(4, 1_200), 11);
-        let mut cfg = FocusConfig::new(48, 12);
-        cfg.segment_len = 8;
-        cfg.n_prototypes = 4;
-        cfg.d = 12;
-        cfg.cluster_iters = 4;
+        let mut model = tiny_focus(&ds, 3);
+        let before = bits(&model.params().snapshot());
         let opts = TrainOptions {
-            epochs: 2,
-            max_windows: 12,
+            epochs: 1,
+            max_windows: 4,
             ..Default::default()
         };
-        // With the verifier failpoint armed, every compiled plan is rejected
-        // and the cache goes sticky-Off: training must complete on the
-        // interpreter, bitwise-equal to a run that never attempted plans.
-        // (With the failpoint up, both closures interpret regardless of the
-        // process-global enable toggle, so this holds under any test
-        // interleaving.)
-        focus_autograd::verify::set_fail_all(true);
-        let train = |plans: bool| {
-            focus_autograd::plan::set_enabled(plans);
-            let mut model = Focus::fit_offline(&ds, cfg.clone(), 3);
-            let report = model.train(&ds, &opts);
-            focus_autograd::plan::set_enabled(true);
-            (model.params().snapshot(), report.epoch_losses)
-        };
-        let (params_a, losses_a) = train(false);
-        let (params_b, losses_b) = train(true);
-        focus_autograd::verify::set_fail_all(false);
-        assert_eq!(losses_a, losses_b, "rejected-plan training must match the interpreter");
-        for (i, (a, b)) in params_a.iter().zip(&params_b).enumerate() {
-            let ba: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ba, bb, "param {i} diverged under verifier rejection");
+        // Resets the (per-thread) failpoint even if training panics.
+        struct Disarm;
+        impl Drop for Disarm {
+            fn drop(&mut self) {
+                focus_autograd::verify::set_fail_all(false);
+            }
         }
+        let panic = {
+            let _disarm = Disarm;
+            focus_autograd::verify::set_fail_all(true);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.train(&ds, &opts)))
+                .expect_err("a rejected plan must fail the step")
+        };
+        let msg = panic
+            .downcast_ref::<String>()
+            .expect("the panic carries a formatted message");
         assert!(
-            losses_a.last().expect("training ran") < &losses_a[0],
-            "fallback training still learns: {losses_a:?}"
+            msg.contains("epoch 0, window 0")
+                && msg.contains("plan verify: instr 0: verification failpoint enabled"),
+            "message names the step and the verifier's position: {msg}"
+        );
+        assert_eq!(bits(&model.params().snapshot()), before, "no update may land");
+        // Disarmed, the same model trains.
+        assert!(model.train(&ds, &opts).epoch_losses[0].is_finite());
+    }
+
+    #[test]
+    #[should_panic(expected = "max_windows is 0")]
+    fn zero_max_windows_is_rejected() {
+        use focus_data::{Benchmark, MtsDataset};
+        let ds = MtsDataset::generate(Benchmark::Pems08.scaled(4, 1_200), 5);
+        let mut model = tiny_focus(&ds, 5);
+        model.train(
+            &ds,
+            &TrainOptions {
+                epochs: 2,
+                max_windows: 0,
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "training diverged: loss")]
+    fn diverging_run_fails_at_the_first_non_finite_loss() {
+        use focus_data::{Benchmark, MtsDataset};
+        let ds = MtsDataset::generate(Benchmark::Pems08.scaled(4, 1_200), 5);
+        let mut model = tiny_focus(&ds, 5);
+        model.train(
+            &ds,
+            &TrainOptions {
+                epochs: 2,
+                max_windows: 12,
+                lr: 1e10,
+                ..Default::default()
+            },
         );
     }
 

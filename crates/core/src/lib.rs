@@ -46,6 +46,6 @@ pub mod protoattn;
 pub mod tune;
 
 pub use ablation::{AblationVariant, FocusAblation};
-pub use forecaster::{Forecaster, Loss, TrainOptions, TrainReport};
+pub use forecaster::{Forecaster, Loss, TrainOptions, TrainReport, WindowOperands};
 pub use model::{Focus, FocusConfig};
 pub use protoattn::{Assignment, ProtoAttn, RoutingPlan};

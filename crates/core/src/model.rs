@@ -1,9 +1,9 @@
 //! The complete FOCUS model: offline prototypes + dual-branch online network.
 
 use crate::extractor::DualBranchExtractor;
-use crate::forecaster::Forecaster;
+use crate::forecaster::{Forecaster, WindowOperands};
 use crate::fusion::ParallelFusion;
-use crate::protoattn::{Assignment, RoutingPlan};
+use crate::protoattn::Assignment;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
 use focus_cluster::{segment_matrix, ClusterConfig, Objective, ProtoUpdate, Prototypes};
 use focus_data::MtsDataset;
@@ -227,26 +227,8 @@ impl Forecaster for Focus {
         self.extractor.cost(entities, l) + self.fusion.cost(entities, l)
     }
 
-    fn plan_route_indices(&self, x_norm: &Tensor) -> Vec<Vec<u32>> {
-        // Hard assignment records two one-hot route sources on the tape: the
-        // temporal indices and their axes-swapped view for the entity branch
-        // (stacked layers reuse both). Soft assignment bakes a per-window
-        // mixture matrix instead, which the plan cache detects and refuses
-        // to replay — no route sources to surface.
-        let routing = self.extractor.routing(x_norm);
-        match routing {
-            RoutingPlan::Hard { .. } => {
-                let swapped = routing.swap01();
-                match (routing, swapped) {
-                    (
-                        RoutingPlan::Hard { indices: temporal, .. },
-                        RoutingPlan::Hard { indices: entity, .. },
-                    ) => vec![temporal, entity],
-                    _ => unreachable!("swap01 of hard routing stays hard"),
-                }
-            }
-            RoutingPlan::Soft { .. } => Vec::new(),
-        }
+    fn window_operands(&self, x_norm: &Tensor) -> WindowOperands {
+        self.extractor.window_operands(x_norm)
     }
 }
 

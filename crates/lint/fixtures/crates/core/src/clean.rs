@@ -24,8 +24,6 @@ pub fn inline_marked(x: f32) -> bool {
     x != 0.0 // focus-lint: allow(float-hygiene) -- exact bit test for the padding sentinel
 }
 
-// `.backward(` outside the train module is not graph-interpret's business:
-// the rule polices crates/core/src/forecaster.rs only
 pub fn backward_elsewhere(g: &mut Graph, loss: Var) {
     g.backward(loss);
 }

@@ -1,17 +1,10 @@
-//! Seeded `graph-interpret` violations (and negatives that must stay silent).
+//! Negative fixture: `.backward(` calls in the train module are no rule's
+//! finding.
 
 fn steady_step(g: &mut Graph, loss: Var) {
-    g.backward(loss); // violation: unmarked interpretation in the train loop
-    let tape = g.tape();
-    tape.backward(loss); // violation: any receiver counts, not just `g`
-}
-
-fn negatives(g: &mut Graph, loss: Var, pcache: &mut PlanCache) {
-    backward(loss); // free function, not a graph method call
-    let _plan = g.backward_plan(); // different method name
-    // focus-lint: allow(graph-interpret) -- warmup records the tape for the plan compiler
     g.backward(loss);
-    let _ = pcache;
+    let tape = g.tape();
+    tape.backward(loss);
 }
 
 #[cfg(test)]

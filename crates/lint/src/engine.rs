@@ -63,10 +63,6 @@ pub struct FileCtx {
     /// clock — every other crate routes timing through
     /// `focus_trace::clock::now_ns`.
     pub is_clock_module: bool,
-    /// `crates/core/src/forecaster.rs`, the steady-state training loop —
-    /// the one place where graph interpretation vs compiled-plan replay is
-    /// policed (rule `graph-interpret`).
-    pub is_train_module: bool,
 }
 
 impl FileCtx {
@@ -98,7 +94,6 @@ impl FileCtx {
             is_par_module: crate_name == "tensor" && under_src && file_name == "par.rs",
             is_pool_module: crate_name == "tensor" && under_src && file_name == "pool.rs",
             is_clock_module: crate_name == "trace" && under_src && file_name == "clock.rs",
-            is_train_module: crate_name == "core" && under_src && file_name == "forecaster.rs",
             crate_name,
             is_test_path,
         }

@@ -19,16 +19,15 @@
 //!   `// focus-lint: allow(<rule>) -- <reason>`, reason mandatory;
 //! * **stale-allow** — an allow marker that no longer suppresses any finding
 //!   is itself a finding: a stale license is cover for the next regression;
-//! * **opcode-coverage** — cross-file: every `Op`/`OpCode` variant must be
-//!   referenced in the backward emitter, the VM dispatch, the plan verifier,
-//!   the text serializer and the plan-parity test corpus, so a missing match
-//!   arm is flagged before it becomes a runtime fallback;
+//! * **opcode-coverage** — cross-file: every `OpCode` variant must be
+//!   referenced in the VM dispatch, the plan verifier, the text serializer
+//!   and the plan-parity test corpus, and every tape `Op` in both the plan
+//!   compiler and the reference oracle, so a missing match arm is flagged
+//!   before it becomes a runtime failure;
 //! * **pool-bypass** — float buffers in `tensor`/`autograd` library code
 //!   come from `focus_tensor::pool`, not `vec![0.0; n]` /
 //!   `Vec::<f32>::with_capacity`; enforced now that every deliberate heap
-//!   allocation carries an allow marker;
-//! * **graph-interpret** *(advisory)* — `.backward(` interpretation inside
-//!   the steady-state train loop is warmup/fallback only.
+//!   allocation carries an allow marker.
 //!
 //! The engine runs in two passes ([`engine::scan_source`] then
 //! [`engine::finish`]): pass 1 lints each file and extracts a workspace

@@ -22,21 +22,15 @@
 //! | `stale-allow`   | *(cross-pass)* an allow marker that no longer suppresses   |
 //! |                 | any finding is itself a finding: a stale license is cover  |
 //! |                 | for the next regression                                    |
-//! | `opcode-coverage`| *(cross-file)* every `Op`/`OpCode` variant appears in the |
-//! |                 | backward emitter, the VM dispatch, the verifier, the text  |
-//! |                 | serializer and the plan-parity corpus — a missing arm is   |
-//! |                 | flagged before it becomes a runtime fallback               |
+//! | `opcode-coverage`| *(cross-file)* every `OpCode` variant appears in the VM   |
+//! |                 | dispatch, the verifier, the text serializer and the        |
+//! |                 | plan-parity corpus; every tape `Op` has both a lowering in |
+//! |                 | the plan compiler and a rule in the reference oracle — a   |
+//! |                 | missing arm is flagged before it becomes a runtime panic   |
 //! | `pool-bypass`   | float buffers in `tensor`/`autograd` library code come     |
 //! |                 | from `focus_tensor::pool`, not the heap; enforced now that |
-//! |                 | every reference-path site carries an allow marker          |
-//! | `graph-interpret`| *(advisory)* the steady-state training loop replays the   |
-//! |                 | compiled plan; `.backward(` interpretation sites there are |
-//! |                 | warmup/fallback only and carry an allow marker saying so.  |
-//! |                 | Advisory because warmup interpretation is *correct by      |
-//! |                 | design* — the tape must be recorded before it can be       |
-//! |                 | compiled — so a new unmarked site is a docs problem, not a |
-//! |                 | correctness bug; the bitwise plan/interpreter parity is    |
-//! |                 | enforced end-to-end by the plan-parity suite               |
+//! |                 | every deliberate heap-allocation site carries an allow     |
+//! |                 | marker                                                     |
 
 use crate::engine::{CodeView, FileCtx, FileScan, Finding};
 use crate::lexer::{Kind, Token};
@@ -45,7 +39,7 @@ use crate::lexer::{Kind, Token};
 /// are emitted by the marker parser in [`crate::engine::collect_allows`];
 /// `stale-allow` and `opcode-coverage` by the second pass
 /// ([`crate::engine::finish`]).
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 8] = [
     "determinism",
     "panic-hygiene",
     "float-hygiene",
@@ -54,14 +48,11 @@ pub const RULES: [&str; 9] = [
     "stale-allow",
     "opcode-coverage",
     "pool-bypass",
-    "graph-interpret",
 ];
 
-/// Advisory rules: their findings are printed but do not fail the CLI.
-/// `pool-bypass` graduated to enforced once every deliberate heap-allocation
-/// site carried an allow marker; `graph-interpret` stays advisory because
-/// warmup-phase interpretation is structurally required (see the rule table).
-pub const ADVISORY: [&str; 1] = ["graph-interpret"];
+/// Advisory rules: their findings are printed (and reported with
+/// `"advisory": true`) but do not fail the CLI. No rule is advisory today.
+pub const ADVISORY: [&str; 0] = [];
 
 /// Crates whose numeric paths underwrite the bitwise-determinism promise of
 /// PR 1; only these are in scope for the `determinism` rule.
@@ -93,9 +84,6 @@ pub fn check(ctx: &FileCtx, view: &CodeView<'_>, findings: &mut Vec<Finding>) {
     }
     if POOL_CRATES.contains(&ctx.crate_name.as_str()) && !ctx.is_pool_module {
         pool_bypass(ctx, view, findings);
-    }
-    if ctx.is_train_module {
-        graph_interpret(ctx, view, findings);
     }
 }
 
@@ -320,34 +308,6 @@ fn pool_bypass(ctx: &FileCtx, view: &CodeView<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// `graph-interpret` (advisory): a `.backward(` call — i.e. full graph
-/// interpretation — inside the steady-state training loop
-/// (`crates/core/src/forecaster.rs`). Since PR 6, steady-state steps replay
-/// a compiled plan (`focus_autograd::plan`) with zero graph traversal;
-/// interpretation is only legitimate during warmup (tape recording for the
-/// compiler) and as the fallback when the plan cache is off, and those sites
-/// carry an allow marker saying so. The bitwise plan/interpreter parity is
-/// enforced end-to-end by the plan-parity test suite; this rule just keeps
-/// new interpretation sites from sneaking into the hot loop unremarked.
-fn graph_interpret(ctx: &FileCtx, view: &CodeView<'_>, out: &mut Vec<Finding>) {
-    let c = &view.code;
-    for (j, t) in live(view) {
-        if t.is_ident("backward")
-            && j >= 1
-            && c[j - 1].is_op(".")
-            && c.get(j + 1).is_some_and(|n| n.is_op("("))
-        {
-            emit(
-                ctx,
-                "graph-interpret",
-                t.line,
-                "graph interpretation in the steady-state train loop: replay the compiled plan, or allow-mark a warmup/fallback site".into(),
-                out,
-            );
-        }
-    }
-}
-
 /// One cross-file coverage contract: every variant of `enum_name` (declared
 /// in the file whose path ends with `decl`) must be referenced as
 /// `Enum::Variant` in each of the `require`d files. Required files absent
@@ -363,8 +323,8 @@ struct CoverageTarget {
 /// The workspace's coverage contracts. `OpCode` is the VM instruction set:
 /// an unhandled variant in the dispatch or the verifier is a runtime panic,
 /// and one missing from the parity corpus is an untested kernel. `Op` is the
-/// tape node set: a variant the backward emitter or the plan compiler does
-/// not lower silently falls back to interpretation.
+/// tape node set: a variant the plan compiler does not lower cannot train,
+/// and one without a reference rule in the oracle has nothing to be held to.
 const COVERAGE: [CoverageTarget; 2] = [
     CoverageTarget {
         enum_name: "OpCode",
@@ -380,8 +340,8 @@ const COVERAGE: [CoverageTarget; 2] = [
         enum_name: "Op",
         decl: "crates/autograd/src/graph.rs",
         require: &[
-            ("crates/autograd/src/backward.rs", "the backward emitter"),
             ("crates/autograd/src/plan.rs", "the plan compiler's lowering"),
+            ("crates/autograd/src/oracle.rs", "the reference oracle's rules"),
         ],
     },
 ];
@@ -418,7 +378,7 @@ pub fn cross_file(scans: &[FileScan], findings: &mut Vec<Finding>) {
                         line: *line,
                         rule: "opcode-coverage",
                         message: format!(
-                            "{}::{variant} is not referenced in {role} ({suffix}): a missing arm becomes a runtime fallback",
+                            "{}::{variant} is not referenced in {role} ({suffix}): a missing arm becomes a runtime failure",
                             tgt.enum_name
                         ),
                     });

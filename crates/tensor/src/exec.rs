@@ -5,8 +5,8 @@
 //! function here writes into a caller-provided `&mut [f32]` and performs
 //! **zero pool traffic**; each one reproduces, operation for operation, the
 //! floating-point sequence of the Tensor-level op it mirrors (same kernels,
-//! same [`crate::par`] grains, same serial loops), so a replayed step is
-//! bitwise-identical to the interpreted step at any thread count.
+//! same [`crate::par`] grains, same serial loops), so a plan's forward is
+//! bitwise-identical to the tape's at any thread count.
 //!
 //! The mirrors fall into three groups:
 //!
@@ -299,7 +299,7 @@ pub fn concat_last(a: &[f32], b: &[f32], na: usize, nb: usize, rows: usize, dst:
 
 /// Column-range copy `dst[r, :] = src[r, from..to]` for rows of width `n`:
 /// covers `split_last` halves and the `slice_last` forward (byte-identical
-/// to the interpreter's staged copies).
+/// to the Tensor ops' staged copies).
 pub fn slice_cols(src: &[f32], n: usize, from: usize, to: usize, rows: usize, dst: &mut [f32]) {
     let w = to - from;
     debug_assert_eq!(dst.len(), rows * w);

@@ -23,34 +23,13 @@
 //! are plain scalar code that LLVM vectorises under optimisation without
 //! changing a bit, so results are the same on every host and in every build.
 //!
-//! The autograd crate routes its `SoftmaxLast` / `LayerNormLast` /
-//! activation rules and the AdamW optimizer through these entry points; the
-//! unfused reference implementations stay behind `focus_autograd`'s
-//! `set_fused(false)` switch and the parity tests prove the two paths
-//! bitwise-equal.
+//! The plan VM and the autograd tape run their softmax, LayerNorm,
+//! activation and AdamW steps through these entry points. The serial
+//! reference loops they must reproduce bit for bit live in
+//! `focus_autograd::oracle`, which the parity tests compare against.
 
 use crate::ops::{ELEM_GRAIN, EXP_GRAIN};
 use crate::{par, Tensor};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide switch between the fused/optimised kernels and the serial
-/// reference implementations. Lives here (not in the autograd crate) because
-/// the GEMM dispatch also consults it: the small-`n` packed NT kernel is part
-/// of the fused path, and `set_enabled(false)` must reproduce the pre-fusion
-/// per-step behaviour exactly for baseline benchmarking. The two paths are
-/// bitwise-identical by construction; the flag trades speed only.
-static FUSED: AtomicBool = AtomicBool::new(true);
-
-/// Selects the fused kernels (`true`, default) or the serial reference
-/// implementations (`false`).
-pub fn set_enabled(on: bool) {
-    FUSED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the fused kernels are selected.
-pub fn enabled() -> bool {
-    FUSED.load(Ordering::Relaxed)
-}
 
 /// `e^x` in f32: Cody–Waite range reduction and a degree-7 polynomial, with
 /// no libm call and no FMA. The one exponential of every FOCUS-path kernel
@@ -137,26 +116,10 @@ pub fn softmax_rows(block: &mut [f32], n: usize) {
     }
 }
 
-/// Softmax backward in one row sweep: `dx = y ⊙ (g − ⟨y, g⟩_row)`.
-///
-/// `y` is the forward output. Rows are independent, so the parallel split is
-/// bitwise-identical to serial.
-pub fn softmax_last_bwd(y: &Tensor, g: &Tensor) -> Tensor {
-    assert!(
-        y.shape().same_as(g.shape()),
-        "softmax_last_bwd shape mismatch: {} vs {}",
-        y.shape(),
-        g.shape()
-    );
-    let n = y.shape().last_dim();
-    let mut dx = Tensor::uninit(y.dims());
-    softmax_last_bwd_into(y.data(), g.data(), n, dx.data_mut());
-    dx
-}
-
-/// Slice core of [`softmax_last_bwd`]: `dx` holds `rows · n` elements and is
-/// fully overwritten. Shared with the compiled-plan VM so replay reproduces
-/// the interpreter bit for bit.
+/// Softmax backward in one row sweep over length-`n` rows:
+/// `dx = y ⊙ (g − ⟨y, g⟩_row)`, with `y` the forward output. `dx` holds
+/// `rows · n` elements and is fully overwritten. Rows are independent, so
+/// the parallel split is bitwise-identical to serial.
 pub(crate) fn softmax_last_bwd_into(y: &[f32], g: &[f32], n: usize, dx: &mut [f32]) {
     let grain_rows = EXP_GRAIN.div_ceil(n).max(1);
     par::parallel_rows(dx, n, grain_rows, 1, |row0, block| {
@@ -229,7 +192,7 @@ fn ln_bwd_sums(x: &[f32], g: &[f32], gamma: &[f32], mu: f32, rstd: f32) -> (f32,
 /// Fused LayerNorm forward over the trailing axis.
 ///
 /// Returns `(y, cache)` where `cache` is a `[rows, 2]` tensor of
-/// interleaved `(mean, rstd)` per row, consumed by [`layer_norm_bwd`].
+/// interleaved `(mean, rstd)` per row, consumed by [`layer_norm_bwd_into`].
 /// One pass per row: statistics then the affine normalisation, writing the
 /// output directly (no cloned input, no copied `gamma`/`beta`).
 pub fn layer_norm_fwd(x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> (Tensor, Tensor) {
@@ -274,40 +237,12 @@ pub(crate) fn layer_norm_fwd_into(
     });
 }
 
-/// Fused LayerNorm backward.
-///
-/// Returns `(dx, dgamma, dbeta)`. `dx` rows are independent and parallelise
-/// bitwise-safely; `dgamma`/`dbeta` are cross-row sums, parallelised over
-/// *columns* so each output element keeps the exact serial row-ascending
-/// accumulation chain (thread-count invariant).
-pub fn layer_norm_bwd(
-    x: &Tensor,
-    gamma: &[f32],
-    cache: &Tensor,
-    g: &Tensor,
-) -> (Tensor, Tensor, Tensor) {
-    let n = x.shape().last_dim();
-    let rows = x.shape().leading();
-    assert_eq!(cache.numel(), 2 * rows, "layer_norm cache holds (mean, rstd) per row");
-    let mut dx = Tensor::uninit(x.dims());
-    let mut dgamma = Tensor::uninit(&[n]);
-    let mut dbeta = Tensor::uninit(&[n]);
-    layer_norm_bwd_into(
-        x.data(),
-        n,
-        gamma,
-        cache.data(),
-        g.data(),
-        dx.data_mut(),
-        dgamma.data_mut(),
-        dbeta.data_mut(),
-    );
-    (dx, dgamma, dbeta)
-}
-
-/// Slice core of [`layer_norm_bwd`]: `dx` holds `rows · n` elements,
-/// `dgamma`/`dbeta` hold `n` each; all three are fully overwritten. Shared
-/// with the compiled-plan VM.
+/// Fused LayerNorm backward over length-`n` rows: `dx` holds `rows · n`
+/// elements, `dgamma`/`dbeta` hold `n` each; all three are fully
+/// overwritten. `dx` rows are independent and parallelise bitwise-safely;
+/// `dgamma`/`dbeta` are cross-row sums, parallelised over *columns* so each
+/// output element keeps the exact serial row-ascending accumulation chain
+/// (thread-count invariant).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn layer_norm_bwd_into(
     x: &[f32],
@@ -528,8 +463,9 @@ mod tests {
         // ⟨y, 1⟩ = 1 ⇒ dx = y ⊙ (1 − 1) = 0.
         let y = Tensor::from_vec(vec![0.2, 0.3, 0.5], &[1, 3]).softmax_last();
         let g = Tensor::ones(&[1, 3]);
-        let dx = softmax_last_bwd(&y, &g);
-        assert!(dx.data().iter().all(|v| v.abs() < 1e-7));
+        let mut dx = [1.0f32; 3];
+        softmax_last_bwd_into(y.data(), g.data(), 3, &mut dx);
+        assert!(dx.iter().all(|v| v.abs() < 1e-7));
     }
 
     #[test]

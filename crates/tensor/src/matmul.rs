@@ -23,7 +23,7 @@
 //! property tests compare against.
 
 use crate::par;
-use crate::{fused, Tensor};
+use crate::Tensor;
 
 /// Register tile width (output columns per micro-tile).
 const NR: usize = 16;
@@ -483,7 +483,7 @@ pub mod raw {
         assert_eq!(b.len(), bt * n * k, "gemm_nt_bcast rhs length");
         assert_eq!(c.len(), bt * m * n, "gemm_nt_bcast out length");
         let per_batch_macs = m * k * n;
-        let small = n < NR && per_batch_macs > 0 && m * NR <= SMALL_STAGE && crate::fused::enabled();
+        let small = n < NR && per_batch_macs > 0 && m * NR <= SMALL_STAGE;
         let batch_grain = PAR_GRAIN_MACS.div_ceil(per_batch_macs.max(1)).max(1);
         if small && bt * per_batch_macs >= PAR_MIN_MACS && bt >= 2 * batch_grain {
             // Batch-parallel sweep, mirroring `bmm_dispatch`: batches are
@@ -699,9 +699,8 @@ pub(crate) fn gemm_dispatch(
     let macs = m * k * n;
     trace_gemm("gemm", kind, macs);
     // Narrow-output and sub-tile `a·bᵀ` products otherwise run entirely as
-    // scalar dots; the packed saxpy kernel is bitwise-identical and part of
-    // the fused path (the reference path keeps the pre-fusion behaviour).
-    if matches!(kind, Kind::Nt) && macs > 0 && n < NR && fused::enabled() {
+    // scalar dots; the packed saxpy kernel is bitwise-identical to them.
+    if matches!(kind, Kind::Nt) && macs > 0 && n < NR {
         gemm_nt_small(m, k, n, a, b, c);
         return;
     }
@@ -756,7 +755,7 @@ pub(crate) fn bmm_dispatch(
     // branch-free. Scratch for the small-NT kernel is shared across batches —
     // per-call buffers would re-initialise a 16 KiB panel per tiny batch.
     let small_nt = matches!(kind, Kind::Nt) && n < NR && per_batch_macs > 0;
-    let small_nt_fused = small_nt && m * NR <= SMALL_STAGE && fused::enabled();
+    let small_nt_staged = small_nt && m * NR <= SMALL_STAGE;
     if total_macs >= PAR_MIN_MACS && bt >= 2 * batch_grain {
         // Batch-parallel: each worker runs whole serial GEMMs on its slice.
         par::parallel_rows(c, m * n, batch_grain, 1, |b0, c_chunk| {
@@ -766,14 +765,10 @@ pub(crate) fn bmm_dispatch(
                 let bi = b0 + idx;
                 let a_one = &a[bi * a_sz..(bi + 1) * a_sz];
                 let b_one = &b[bi * b_sz..(bi + 1) * b_sz];
-                if small_nt_fused {
+                if small_nt_staged {
                     gemm_nt_small_rows(0, k, n, a_one, b_one, c_one, &mut panel, &mut stage);
                 } else if small_nt {
-                    if fused::enabled() {
-                        gemm_nt_small(m, k, n, a_one, b_one, c_one);
-                    } else {
-                        reference::gemm_nt(m, k, n, a_one, b_one, c_one);
-                    }
+                    gemm_nt_small(m, k, n, a_one, b_one, c_one);
                 } else if per_batch_macs < TILE_MIN_MACS {
                     match kind {
                         Kind::Nn => reference::gemm(m, k, n, a_one, b_one, c_one),
@@ -789,7 +784,7 @@ pub(crate) fn bmm_dispatch(
                 }
             }
         });
-    } else if small_nt_fused {
+    } else if small_nt_staged {
         // Tiny-batch a·bᵀ sweep below the parallel threshold: one shared
         // panel + staging tile across all batches.
         let mut panel = [0.0f32; KC * NR];

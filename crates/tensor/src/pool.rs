@@ -48,7 +48,6 @@ static SHELVES: Mutex<Shelves> = Mutex::new(Shelves {
     classes: Vec::new(),
     resident_bytes: 0,
 });
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static FRESH_ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -62,10 +61,9 @@ static STEADY: AtomicBool = AtomicBool::new(false);
 pub struct PoolStats {
     /// Requests served from a recycled buffer.
     pub hits: u64,
-    /// Requests that found their capacity class empty (pool enabled).
+    /// Requests that found their capacity class empty.
     pub misses: u64,
-    /// Actual heap allocations performed (misses, plus every request while
-    /// the pool is disabled).
+    /// Actual heap allocations performed (one per miss).
     pub fresh_allocs: u64,
     /// The subset of `fresh_allocs` performed after [`set_steady`]`(true)`.
     /// A correctly warmed-up steady state keeps this at zero; the warmup
@@ -114,10 +112,6 @@ fn lock() -> std::sync::MutexGuard<'static, Shelves> {
 pub fn take(n: usize) -> Vec<f32> {
     if n == 0 {
         return Vec::new();
-    }
-    if !ENABLED.load(Ordering::Relaxed) {
-        count_fresh();
-        return vec![0.0; n];
     }
     let c = class_for_request(n);
     let popped = {
@@ -171,7 +165,7 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
 /// Zero-capacity buffers are ignored.
 pub fn give(v: Vec<f32>) {
     let cap_bytes = v.capacity() * std::mem::size_of::<f32>();
-    if cap_bytes == 0 || !ENABLED.load(Ordering::Relaxed) {
+    if cap_bytes == 0 {
         return;
     }
     let c = class_for_capacity(v.capacity());
@@ -184,18 +178,6 @@ pub fn give(v: Vec<f32>) {
     s.resident_bytes += cap_bytes;
     s.classes[c].push(v);
     RETURNED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Enables or disables recycling. While disabled every [`take`] performs a
-/// fresh allocation and every [`give`] frees — the pre-pool behaviour, kept
-/// for baseline benchmarking. Already-pooled buffers stay resident.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether recycling is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Frees every resident buffer (counters are not reset).
@@ -264,8 +246,7 @@ pub fn publish_trace_stats() {
 mod tests {
     use super::*;
 
-    // Tests that flip `set_enabled` or assert on recycling behaviour must not
-    // interleave with each other (the pool is process-global and the rest of
+    // Tests that assert on recycling behaviour must not interleave with each other (the pool is process-global and the rest of
     // the crate's tests run concurrently in the same binary). Sizes below use
     // a capacity class (2^17) no other tensor test touches, so concurrent
     // pool traffic from other tests cannot steal or contribute buffers here.
@@ -330,14 +311,14 @@ mod tests {
     #[test]
     fn steady_flag_attributes_fresh_allocs() {
         let _g = TEST_LOCK.lock().expect("pool test lock");
-        // Disabled pool so every take is a deterministic fresh allocation.
-        set_enabled(false);
+        // With the shelves drained and both buffers held, each take below is
+        // a fresh allocation (class 2^17 is only used by this module).
+        clear();
         let before = stats();
         set_steady(true);
         let v = take(70_011);
         set_steady(false);
         let w = take(70_011);
-        set_enabled(true);
         let after = stats();
         assert!(
             after.fresh_allocs_steady > before.fresh_allocs_steady,
@@ -359,19 +340,5 @@ mod tests {
         let v = take(70_013); // hit or miss, either way one lookup
         give(v);
         assert!(lookups() > before);
-    }
-
-    #[test]
-    fn disabled_pool_always_allocates() {
-        let _g = TEST_LOCK.lock().expect("pool test lock");
-        set_enabled(false);
-        let n = 70_003; // exact capacity n when freshly allocated while disabled
-        let v = take(n);
-        assert_eq!(v.capacity(), n, "disabled take must not round up to a class");
-        give(v); // freed, not pooled
-        let w = take(n);
-        assert_eq!(w.capacity(), n, "disabled pool never recycles");
-        set_enabled(true);
-        drop(w);
     }
 }

@@ -22,8 +22,7 @@
 //! verification pass, `plan/verify_dead` records how many dead instructions
 //! the last verified plan carried (always 0 for compiler output, which runs
 //! DCE first), and `plan/verify_rejects` counts plans the verifier refused —
-//! a nonzero value means the plan cache tripped its sticky interpreter
-//! fallback.
+//! a nonzero value means a compiler bug failed a step.
 //!
 //! # Disabled cost
 //!

@@ -56,8 +56,9 @@ grep -q '"io_errors":0' /tmp/focus-lint-report.json
 echo "==> cargo test -p focus-lint -q"
 cargo test -p focus-lint -q
 
-# Steady-state train-step benchmark: measures the fused/pooled path against
-# the reference path at 1/2/4 threads and rewrites BENCH_trainstep.json.
+# Steady-state train-step benchmark: measures the never-cached step (record,
+# compile, run) against cached plan replay at 1/2/4 threads and rewrites
+# BENCH_trainstep.json.
 # Asserts internally that steady-state training performs zero fresh pool
 # allocations, so a pool regression fails verification here too.
 echo "==> cargo bench -p focus-bench --bench trainstep"
@@ -73,9 +74,9 @@ grep -q '"spans"' BENCH_trainstep.json
 
 # Compiled-plan self-check: the bench's plan arm must have recorded the plan
 # counters (instruction/slot counts, steady-state pool lookups pinned at
-# zero) and the plan-over-interpreter speedup metric. The bench itself
-# asserts speedup >= 1.10x and bitwise parity with the interpreter; this
-# guards that those numbers actually landed in the committed report.
+# zero) and the replay-over-uncached speedup metric. The bench itself
+# asserts speedup >= 1.10x; this guards that those numbers actually landed
+# in the committed report.
 echo "==> compiled-plan self-check (BENCH_trainstep.json)"
 grep -q '"plan_instrs"' BENCH_trainstep.json
 grep -q '"plan_slots"' BENCH_trainstep.json
@@ -93,9 +94,9 @@ grep -q '"par/parallel"' BENCH_trainstep.json
 grep -q '"scaling_efficiency_t2"' BENCH_trainstep.json
 
 # Benchmark smoke leg: one short traced run of every perfbench workload.
-# Each run checks its own outputs (plan replay equals the interpreter, 1- and
-# 2-thread results agree, predict equals evaluate, every segment goes to its
-# nearest prototype) and reports the verdict on its last stdout line.
+# Each run checks its own outputs (plan replay equals the never-cached path,
+# 1- and 2-thread results agree, predict equals evaluate, every segment goes
+# to its nearest prototype) and reports the verdict on its last stdout line.
 echo "==> perfbench smoke (every workload, 1 s, traced)"
 CARGO_TARGET_DIR=.bench_build cargo build --release --quiet --manifest-path perfbench/Cargo.toml
 for workload in train soft-route serve offline-cluster; do
