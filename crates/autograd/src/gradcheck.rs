@@ -245,7 +245,8 @@ mod tests {
         let head = Tensor::randn(&[2, 3, 4], 0.5, &mut r);
         let indices: Vec<u32> = vec![0, 2, 1, 1, 0, 2, 2, 1, 0, 0]; // [B=2, l=5]
         let rep = check(&[head], EPS, |g, v| {
-            let routed = g.route_one_hot(v[0], &indices, 5);
+            let route = g.route(indices.clone());
+            let routed = g.route_one_hot(v[0], route, 5);
             let sq = g.mul(routed, routed);
             g.mean_all(sq)
         });
@@ -270,7 +271,8 @@ mod tests {
             let h = g.leaf(head.clone());
             let wv = g.constant(w.clone());
             let routed = if sparse {
-                g.route_one_hot(h, &indices, l)
+                let route = g.route(indices.clone());
+                g.route_one_hot(h, route, l)
             } else {
                 let a = g.constant(dense_a.clone());
                 g.bmm(a, h)

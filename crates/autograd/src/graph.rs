@@ -7,12 +7,21 @@ use focus_tensor::Tensor;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
 
+/// Handle of a route index vector registered with [`Graph::route`]: its
+/// position in the graph's route table, which is also the route a compiled
+/// plan binds. Only valid for the graph that created it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Route(pub(crate) usize);
+
 /// Operation record: which rule produced a node and from which inputs.
 #[derive(Clone, Debug)]
 pub(crate) enum Op {
-    /// Input tensor (parameter or constant; `requires_grad` on the node
-    /// distinguishes them).
+    /// Parameter or constant tensor (`requires_grad` on the node
+    /// distinguishes them). A constant compiles into the plan as a static.
     Leaf,
+    /// The `k`-th per-step input, numbered in record order. A plan binds it
+    /// to the caller's `k`-th input on every run instead of baking it in.
+    Input(usize),
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
@@ -33,8 +42,9 @@ pub(crate) enum Op {
     RouteOneHot {
         /// The `[B, k, d]` attention summaries being routed.
         head: Var,
-        /// Row-major `[B, l]` prototype index per segment slot.
-        indices: Box<[u32]>,
+        /// The registered row-major `[B, l]` prototype index per segment
+        /// slot.
+        route: Route,
     },
     /// `out[b] = a · x[b]ᵀ` with a shared 2-D LHS `a: [k, d]` and a batched
     /// RHS `x: [B, l, d]`, producing `[B, k, l]`. This is the prototype-query
@@ -84,6 +94,10 @@ pub(crate) struct Node {
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
     pub(crate) grads: Vec<Option<Tensor>>,
+    /// The `Op::Input` nodes in record order.
+    pub(crate) inputs: Vec<Var>,
+    /// Route index vectors in registration order.
+    pub(crate) routes: Vec<Vec<u32>>,
 }
 
 impl Graph {
@@ -105,6 +119,8 @@ impl Graph {
         focus_trace::span!("pool/reclaim");
         self.nodes.clear();
         self.grads.clear();
+        self.inputs.clear();
+        self.routes.clear();
     }
 
     /// Number of nodes recorded so far.
@@ -137,9 +153,36 @@ impl Graph {
         self.push(t, Op::Leaf, true)
     }
 
-    /// Registers a constant leaf (input data). No gradient is computed for it.
+    /// Registers a constant leaf: data that is the same for every step, such
+    /// as prototypes. No gradient is computed for it, and a compiled plan
+    /// bakes it in; record per-step data with [`Graph::input`] instead.
     pub fn constant(&mut self, t: Tensor) -> Var {
         self.push(t, Op::Leaf, false)
+    }
+
+    /// Records the next per-step input (a window, a target, a per-window
+    /// operand). Inputs are numbered in record order, and a plan compiled
+    /// from this tape binds its `k`-th input to the `k`-th recorded one, so a
+    /// replay reads each step's own data. No gradient is computed for it.
+    pub fn input(&mut self, t: Tensor) -> Var {
+        let v = self.push(t, Op::Input(self.inputs.len()), false);
+        self.inputs.push(v);
+        v
+    }
+
+    /// Registers a per-step route index vector for [`Graph::route_one_hot`].
+    /// Routes are numbered in registration order, and a plan compiled from
+    /// this tape binds route `k` to the `k`-th registered one.
+    pub fn route(&mut self, indices: Vec<u32>) -> Route {
+        self.routes.push(indices);
+        Route(self.routes.len() - 1)
+    }
+
+    /// The data a plan compiled from this tape binds: the recorded inputs
+    /// and the registered routes, in order.
+    pub(crate) fn bindings(&self) -> (Vec<&[f32]>, Vec<&[u32]>) {
+        let inputs = self.inputs.iter().map(|v| self.nodes[v.0].value.data()).collect();
+        (inputs, self.routes.iter().map(Vec::as_slice).collect())
     }
 
     /// The forward value of a node.
@@ -160,8 +203,8 @@ impl Graph {
     ///
     /// The tape is lowered by the plan compiler — the one definition of how
     /// each op differentiates — verified, and run once on the plan VM.
-    /// Trainable leaves bind as the plan's parameters and every
-    /// `RouteOneHot` binds its own indices, so any tape lowers.
+    /// Trainable leaves bind as the plan's parameters, and the tape's own
+    /// inputs and routes as the plan's inputs and routes.
     ///
     /// # Panics
     /// If `loss` is not a single-element tensor, or if the lowered plan fails
@@ -258,23 +301,17 @@ impl Graph {
     }
 
     /// Sparse one-hot routing: `out[b, i, :] = head[b, indices[b·l + i], :]`
-    /// for `head: [B, k, d]`, producing `[B, l, d]`.
+    /// for `head: [B, k, d]` and the registered `route`, producing
+    /// `[B, l, d]`.
     ///
     /// Bitwise-equivalent to `bmm(A, head)` with the one-hot `A` the indices
     /// stand for — forward and backward both (see `focus_tensor::route`) —
     /// at `O(B·l·d)` instead of `O(B·l·k·d)`. The indices are data, not a
     /// differentiable input; only `head` receives a gradient.
-    pub fn route_one_hot(&mut self, head: Var, indices: &[u32], l: usize) -> Var {
-        let v = focus_tensor::route::route_gather(self.value(head), indices, l);
+    pub fn route_one_hot(&mut self, head: Var, route: Route, l: usize) -> Var {
+        let v = focus_tensor::route::route_gather(self.value(head), &self.routes[route.0], l);
         let rg = self.rg(head);
-        self.push(
-            v,
-            Op::RouteOneHot {
-                head,
-                indices: indices.into(),
-            },
-            rg,
-        )
+        self.push(v, Op::RouteOneHot { head, route }, rg)
     }
 
     /// Broadcast score kernel: `out[b] = a · x[b]ᵀ` for 2-D `a: [k, d]` and

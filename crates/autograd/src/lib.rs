@@ -53,5 +53,5 @@ pub mod gradcheck;
 pub mod oracle;
 pub mod plan;
 
-pub use graph::{Graph, Var};
+pub use graph::{Graph, Route, Var};
 pub use optim::{Adam, AdamW, Optimizer, ParamId, ParamStore, ParamVars, Sgd};

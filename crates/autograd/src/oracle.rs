@@ -108,7 +108,7 @@ fn rule(g: &Graph, i: usize, gr: &Tensor) -> Vec<(Var, Tensor)> {
         Tensor::from_vec(data, x.dims())
     };
     match &g.nodes[i].op {
-        Op::Leaf => vec![],
+        Op::Leaf | Op::Input(_) => vec![],
         Op::Add(a, b) => vec![(*a, gr.clone()), (*b, gr.clone())],
         Op::Sub(a, b) => vec![(*a, gr.clone()), (*b, gr.scale(-1.0))],
         Op::Mul(a, b) => vec![(*a, gr.mul(val(*b))), (*b, gr.mul(val(*a)))],
@@ -121,11 +121,11 @@ fn rule(g: &Graph, i: usize, gr: &Tensor) -> Vec<(Var, Tensor)> {
         // y[b] = a[b]·b[b]ᵀ  ⇒  da = g·b, db = gᵀ·a
         Op::BmmNt(a, b) => vec![(*a, gr.bmm(val(*b))), (*b, gr.bmm_tn(val(*a)))],
         // dhead[b, j, :] = Σ_{i: idx=i} g[b, i, :], ascending i.
-        Op::RouteOneHot { head, indices } => {
+        Op::RouteOneHot { head, route } => {
             let k = val(*head).dims()[1];
             vec![(
                 *head,
-                focus_tensor::route::route_scatter_add(gr, indices, k),
+                focus_tensor::route::route_scatter_add(gr, &g.routes[route.0], k),
             )]
         }
         // out[b] = a · x[b]ᵀ  ⇒  da = Σ_b g[b]·x[b], dx[b] = g[b]ᵀ·a

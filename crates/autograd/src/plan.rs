@@ -21,28 +21,20 @@
 //! before it runs; a rejection is a compiler bug and surfaces as
 //! [`CompileError::Rejected`], naming the instruction.
 //!
-//! # Caching
+//! # Binding and caching
 //!
-//! A tape records *values*, so a constant that varies per window (a soft
-//! routing matrix, a decomposed input) would bake one window's data into the
-//! plan. Models surface such operands as plan inputs and routes (the
-//! forecaster's per-window operand hook). [`PlanCache`] keeps the first
-//! compiled plan of a run, compares it bitwise with the second, and replays
-//! from then on only if they agree; a disagreement with unchanged shapes
-//! means some per-window data was baked in, so the cache turns
-//! [`off`](PlanCache::is_off) and every later step compiles and runs its own
-//! plan. A shape change restarts the comparison.
-//!
-//! # Serialization
-//!
-//! Plans round-trip through a versioned line-oriented text format
-//! (`focus-plan v1`, see [`Plan::to_text`]) in the same idiom as
-//! `cluster::persist`; floats are stored as `f32` bit patterns in hex so the
-//! round trip is exact.
+//! A tape records *values*, so the compiler must know which recorded values
+//! are the same on every step and which are per-step data. The tape says so
+//! itself: a node recorded with [`Graph::input`] lowers to
+//! [`Loc::Input`]`(k)`, `k` its record order, and a `RouteOneHot` reads the
+//! route its [`Route`](crate::Route) handle registered; a constant leaf only
+//! ever becomes a static, deduplicated by bits. So a plan compiled from one
+//! window replays every later window of the same shapes. [`PlanCache`]
+//! keeps that plan: a step that cannot replay records its tape, compiles it,
+//! runs it and keeps the plan; a shape change drops it.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use focus_tensor::{pool, Tensor};
@@ -85,33 +77,11 @@ pub enum Loc {
     Slot(u32),
     /// A parameter tensor in the [`ParamStore`], read at its current value.
     Param(u32),
-    /// A caller-provided input slice (`x_norm`, `y_norm`, …).
+    /// The caller's `k`-th input slice: the tape's `k`-th
+    /// [`Graph::input`] (a window, a target, a per-window operand).
     Input(u8),
     /// A constant snapshot baked into the plan (e.g. prototypes).
     Static(u32),
-}
-
-impl Loc {
-    fn token(self) -> String {
-        match self {
-            Loc::Slot(i) => format!("s{i}"),
-            Loc::Param(i) => format!("p{i}"),
-            Loc::Input(i) => format!("i{i}"),
-            Loc::Static(i) => format!("c{i}"),
-        }
-    }
-
-    fn from_token(t: &str) -> Option<Loc> {
-        let (kind, rest) = t.split_at_checked(1)?;
-        let idx: u32 = rest.parse().ok()?;
-        match kind {
-            "s" => Some(Loc::Slot(idx)),
-            "p" => Some(Loc::Param(idx)),
-            "i" => Some(Loc::Input(u8::try_from(idx).ok()?)),
-            "c" => Some(Loc::Static(idx)),
-            _ => None,
-        }
-    }
 }
 
 /// The flat opcode set: one variant per tensor kernel the training step uses.
@@ -217,8 +187,7 @@ impl OpCode {
         OpCode::Axpy,
     ];
 
-    /// Stable snake_case mnemonic used by the text serializer and
-    /// diagnostics.
+    /// Stable snake_case mnemonic used by diagnostics.
     pub fn name(self) -> &'static str {
         match self {
             OpCode::ZipAdd => "zip_add",
@@ -267,10 +236,6 @@ impl OpCode {
             OpCode::Axpy => "axpy",
         }
     }
-
-    fn from_name(s: &str) -> Option<OpCode> {
-        OpCode::ALL.iter().copied().find(|o| o.name() == s)
-    }
 }
 
 /// One kernel call with pre-resolved operand locations.
@@ -291,8 +256,8 @@ pub struct Instr {
 
 impl PartialEq for Instr {
     fn eq(&self, other: &Self) -> bool {
-        // Bitwise on the immediate: plan verification must distinguish any
-        // baked-in constant change, including NaN payloads and signed zero.
+        // Bitwise on the immediate: two plans are equal only if they bake in
+        // the same constants, including NaN payloads and signed zero.
         self.op == other.op
             && self.dsts == other.dsts
             && self.args == other.args
@@ -314,13 +279,20 @@ pub struct UpdateSpec {
 /// needs to replay it — slot capacities, baked constants, expected input /
 /// route / parameter geometry, and the update list (train plans) or output
 /// location (forward plans).
+///
+/// Equality is bitwise, baked constants included: two windows of one model
+/// compile to equal plans unless the model records window data as a
+/// constant.
 #[derive(Clone, Debug)]
 pub struct Plan {
     pub(crate) instrs: Vec<Instr>,
     pub(crate) slot_caps: Vec<usize>,
     pub(crate) statics: Vec<(Vec<usize>, Vec<f32>)>,
     pub(crate) inputs: Vec<Vec<usize>>,
-    pub(crate) route_lens: Vec<usize>,
+    /// Per route: its index count, and the bound every index must stay
+    /// under — the smallest prototype count `k` among the instructions that
+    /// read it (`u32::MAX` when none does).
+    pub(crate) routes: Vec<(usize, u32)>,
     pub(crate) params: Vec<Vec<usize>>,
     pub(crate) updates: Vec<UpdateSpec>,
     pub(crate) loss_slot: Option<u32>,
@@ -341,7 +313,7 @@ impl PartialEq for Plan {
             && self.slot_caps == other.slot_caps
             && statics_eq(&self.statics, &other.statics)
             && self.inputs == other.inputs
-            && self.route_lens == other.route_lens
+            && self.routes == other.routes
             && self.params == other.params
             && self.updates == other.updates
             && self.loss_slot == other.loss_slot
@@ -350,31 +322,9 @@ impl PartialEq for Plan {
 }
 
 impl Plan {
-    /// Number of instructions in the flat stream.
-    pub fn n_instrs(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// Number of scratch slots the plan allocates.
-    pub fn n_slots(&self) -> usize {
-        self.slot_caps.len()
-    }
-
     /// The flat instruction stream, in execution order.
     pub fn instrs(&self) -> &[Instr] {
         &self.instrs
-    }
-
-    /// Runs the static dataflow verifier over this plan (see
-    /// [`verify::verify_plan`]). The compiler already verifies everything it
-    /// emits; this entry point is for plans deserialized from text.
-    pub fn verify(&self) -> Result<(), verify::VerifyError> {
-        verify::verify_plan(self)
-    }
-
-    /// True for training plans (backward + updates), false for forward-only.
-    pub fn is_train(&self) -> bool {
-        self.loss_slot.is_some()
     }
 
     /// True if the caller-side geometry still matches what the plan was
@@ -382,17 +332,26 @@ impl Plan {
     pub fn matches(&self, inputs: &[&Tensor], routes: &[&[u32]], store: &ParamStore) -> bool {
         inputs.len() == self.inputs.len()
             && inputs.iter().zip(&self.inputs).all(|(t, d)| t.dims() == &d[..])
-            && routes.len() == self.route_lens.len()
-            && routes.iter().zip(&self.route_lens).all(|(r, &l)| r.len() == l)
+            && routes.len() == self.routes.len()
+            && routes.iter().zip(&self.routes).all(|(r, &(len, _))| r.len() == len)
             && store.len() == self.params.len()
             && (0..store.len()).all(|i| store.tensor_at(i).dims() == &self.params[i][..])
     }
 
-    /// Shape-only signature used to distinguish "shapes changed during
-    /// warmup" (restart verification) from "same shapes, different constants"
-    /// (a per-window-varying constant — give up).
-    fn shape_signature(&self) -> (&[Vec<usize>], &[usize], &[Vec<usize>]) {
-        (&self.inputs, &self.route_lens, &self.params)
+    /// Checks every route index against its route's bound, once per replay:
+    /// the kernels index with them unchecked, so an out-of-range value would
+    /// read another batch's row.
+    ///
+    /// # Panics
+    /// On the first index at or above its bound, naming the route, the
+    /// position and the value.
+    fn check_routes(&self, routes: &[&[u32]]) {
+        for (r, (indices, &(_, k))) in routes.iter().zip(&self.routes).enumerate() {
+            if let Some((pos, j)) = indices.iter().enumerate().find(|&(_, &j)| j >= k) {
+                // focus-lint: allow(panic-hygiene) -- documented panic: replaying would silently read the wrong row, and the message names the route, position and value
+                panic!("route {r}: routing index {j} at position {pos} out of range for k = {k}");
+            }
+        }
     }
 
     /// Sizes `slots` as this plan's slot buffers, keeping the ones a
@@ -422,12 +381,9 @@ impl Plan {
 pub enum CompileError {
     /// A trainable leaf on the tape is not registered in the [`ParamStore`].
     UntrackedParamLeaf(usize),
-    /// A `RouteOneHot` op's index vector matches none of the caller-provided
-    /// route sources.
-    UnmatchedRoute,
     /// The loss node is not scalar.
     NonScalarLoss,
-    /// More caller inputs than the `Input(u8)` encoding supports.
+    /// More tape inputs than the `Input(u8)` encoding supports.
     TooManyInputs,
     /// The compiled plan failed the static dataflow verifier — a compiler
     /// bug, not a property of the tape. See [`verify::verify_plan`].
@@ -439,9 +395,6 @@ impl fmt::Display for CompileError {
         match self {
             CompileError::UntrackedParamLeaf(i) => {
                 write!(f, "trainable leaf at node {i} is not in the parameter store")
-            }
-            CompileError::UnmatchedRoute => {
-                write!(f, "route indices match no caller-provided route source")
             }
             CompileError::NonScalarLoss => write!(f, "loss node is not scalar"),
             CompileError::TooManyInputs => write!(f, "more than 255 plan inputs"),
@@ -486,8 +439,6 @@ struct VInstr {
 
 struct Emitter<'a> {
     g: &'a Graph,
-    inputs: &'a [&'a Tensor],
-    routes: &'a [&'a [u32]],
     /// node id -> param index, from the order of the trainable leaves.
     param_of: BTreeMap<usize, u32>,
     statics: Vec<(Vec<usize>, Vec<f32>)>,
@@ -504,20 +455,13 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
 }
 
 impl<'a> Emitter<'a> {
-    fn new(
-        g: &'a Graph,
-        params: &[Var],
-        inputs: &'a [&'a Tensor],
-        routes: &'a [&'a [u32]],
-    ) -> Emitter<'a> {
+    fn new(g: &'a Graph, params: &[Var]) -> Emitter<'a> {
         let mut param_of = BTreeMap::new();
         for (pi, var) in params.iter().enumerate() {
             param_of.insert(var.0, pi as u32);
         }
         Emitter {
             g,
-            inputs,
-            routes,
             param_of,
             statics: Vec::new(),
             vnumel: Vec::new(),
@@ -555,14 +499,8 @@ impl<'a> Emitter<'a> {
         self.g.nodes[v.0].value.dims()
     }
 
-    /// Classifies a non-trainable leaf: caller input (by bitwise data match)
-    /// or baked static (deduplicated by bits).
-    fn classify_const(&mut self, value: &Tensor) -> VLoc {
-        for (j, inp) in self.inputs.iter().enumerate() {
-            if bits_eq(value.data(), inp.data()) {
-                return VLoc::Input(j as u8);
-            }
-        }
+    /// Bakes a constant leaf into the plan as a static, deduplicated by bits.
+    fn static_of(&mut self, value: &Tensor) -> VLoc {
         for (ci, (_, data)) in self.statics.iter().enumerate() {
             if bits_eq(value.data(), data) {
                 return VLoc::Static(ci as u32);
@@ -672,8 +610,11 @@ impl<'a> Emitter<'a> {
                             None => return Err(CompileError::UntrackedParamLeaf(i)),
                         }
                     } else {
-                        self.classify_const(&node.value)
+                        self.static_of(&node.value)
                     }
+                }
+                Op::Input(k) => {
+                    VLoc::Input(u8::try_from(*k).map_err(|_| CompileError::TooManyInputs)?)
                 }
                 Op::Add(a, b) => self.zip(OpCode::ZipAdd, *a, *b, nl),
                 Op::Sub(a, b) => self.zip(OpCode::ZipSub, *a, *b, nl),
@@ -730,12 +671,8 @@ impl<'a> Emitter<'a> {
                     );
                     VLoc::V(r)
                 }
-                Op::RouteOneHot { head, indices } => {
-                    let src = self
-                        .routes
-                        .iter()
-                        .position(|r| *r == &indices[..])
-                        .ok_or(CompileError::UnmatchedRoute)? as u32;
+                Op::RouteOneHot { head, route } => {
+                    let src = route.0 as u32;
                     let hd = self.dims_of(*head);
                     let (b, k, d) = (hd[0], hd[1], hd[2]);
                     let l = vd[1];
@@ -955,7 +892,7 @@ impl<'a> Emitter<'a> {
             let nl = g.nodes[i].value.numel();
             let vd = g.nodes[i].value.dims();
             match &g.nodes[i].op {
-                Op::Leaf => {}
+                Op::Leaf | Op::Input(_) => {}
                 Op::Add(a, b) => {
                     let (a, b) = (*a, *b);
                     self.accum_scaled(a, 1.0, i);
@@ -1176,14 +1113,10 @@ impl<'a> Emitter<'a> {
                         self.accum_own(b, r, bt * n * k);
                     }
                 }
-                Op::RouteOneHot { head, indices } => {
+                Op::RouteOneHot { head, route } => {
                     let head = *head;
                     if self.rg(head) {
-                        let src = self
-                            .routes
-                            .iter()
-                            .position(|r| *r == &indices[..])
-                            .ok_or(CompileError::UnmatchedRoute)? as u32;
+                        let src = route.0 as u32;
                         let hd = self.dims_of(head);
                         let (b, k, d) = (hd[0], hd[1], hd[2]);
                         let l = vd[1];
@@ -1578,16 +1511,11 @@ fn allocate(
 fn compile(
     g: &Graph,
     params: &[Var],
-    inputs: &[&Tensor],
-    routes: &[&[u32]],
     loss: Option<Var>,
     output: Option<Var>,
 ) -> Result<Plan, CompileError> {
     focus_trace::span!("plan/compile");
-    if inputs.len() > u8::MAX as usize + 1 {
-        return Err(CompileError::TooManyInputs);
-    }
-    let mut em = Emitter::new(g, params, inputs, routes);
+    let mut em = Emitter::new(g, params);
     em.forward_pass()?;
 
     let mut pinned: Vec<u32> = Vec::new();
@@ -1629,12 +1557,23 @@ fn compile(
     let (instrs, slot_caps, slot_of) =
         allocate(&vinstrs, &em.vnumel, &pinned).map_err(reject)?;
     let dims_of = |v: &Var| g.nodes[v.0].value.dims().to_vec();
+    let mut routes: Vec<(usize, u32)> = g.routes.iter().map(|r| (r.len(), u32::MAX)).collect();
+    for ins in &instrs {
+        // dims: RouteGather [src, b, k, d, l], RouteScatter [src, b, l, d, k].
+        let k = match ins.op {
+            OpCode::RouteGather => ins.dims[2],
+            OpCode::RouteScatter => ins.dims[4],
+            _ => continue,
+        };
+        let bound = &mut routes[ins.dims[0] as usize].1;
+        *bound = (*bound).min(k);
+    }
     let plan = Plan {
         instrs,
         slot_caps,
         statics: em.statics,
-        inputs: inputs.iter().map(|t| t.dims().to_vec()).collect(),
-        route_lens: routes.iter().map(|r| r.len()).collect(),
+        inputs: g.inputs.iter().map(dims_of).collect(),
+        routes,
         params: params.iter().map(dims_of).collect(),
         updates: update_vregs
             .into_iter()
@@ -1658,57 +1597,38 @@ fn compile(
 
 /// Compiles a recorded training step (forward + backward + updates) into a
 /// plan. `pv` is the registration of the [`ParamStore`] the plan will update;
-/// `inputs` and `routes` are the per-window operands the plan binds at run
-/// time instead of baking them in.
-pub fn compile_train(
-    g: &Graph,
-    loss: Var,
-    pv: &ParamVars,
-    inputs: &[&Tensor],
-    routes: &[&[u32]],
-) -> Result<Plan, CompileError> {
-    compile(g, pv.raw(), inputs, routes, Some(loss), None)
+/// the tape's inputs and routes are the per-step operands the plan binds at
+/// run time.
+pub fn compile_train(g: &Graph, loss: Var, pv: &ParamVars) -> Result<Plan, CompileError> {
+    compile(g, pv.raw(), Some(loss), None)
 }
 
 /// Compiles a recorded forward pass into an inference-only plan producing
 /// the value of `output`.
-pub fn compile_forward(
-    g: &Graph,
-    output: Var,
-    pv: &ParamVars,
-    inputs: &[&Tensor],
-    routes: &[&[u32]],
-) -> Result<Plan, CompileError> {
-    compile(g, pv.raw(), inputs, routes, None, Some(output))
+pub fn compile_forward(g: &Graph, output: Var, pv: &ParamVars) -> Result<Plan, CompileError> {
+    compile(g, pv.raw(), None, Some(output))
 }
 
 /// The gradient of `loss` with respect to every trainable leaf of `g` that
 /// it depends on — the engine behind [`Graph::backward`].
 ///
 /// Lowers the tape with each trainable leaf as a plan parameter (in tape
-/// order) and each `RouteOneHot` bound to its own indices, then runs the
-/// plan once on the VM.
+/// order), then runs the plan once on the VM over the tape's own inputs and
+/// routes.
 pub(crate) fn leaf_gradients(g: &Graph, loss: Var) -> Result<Vec<(Var, Tensor)>, CompileError> {
     let leaves: Vec<Var> = (0..g.nodes.len())
         .filter(|&i| g.nodes[i].requires_grad && matches!(g.nodes[i].op, Op::Leaf))
         .map(Var)
         .collect();
-    let routes: Vec<&[u32]> = g
-        .nodes
-        .iter()
-        .filter_map(|n| match &n.op {
-            Op::RouteOneHot { indices, .. } => Some(&indices[..]),
-            _ => None,
-        })
-        .collect();
-    let plan = compile(g, &leaves, &[], &routes, Some(loss), None)?;
+    let plan = compile(g, &leaves, Some(loss), None)?;
     let values: Vec<&Tensor> = leaves.iter().map(|v| &g.nodes[v.0].value).collect();
+    let (inputs, routes) = g.bindings();
     // The slots go back to the pool (the gradients when their tensors
     // drop), so a loop of `backward` calls reaches a steady state without
     // fresh allocations.
     let mut slots = Vec::new();
     plan.fit_slots(&mut slots);
-    vm::run(&plan, &mut slots, &[], &routes, &values[..]);
+    vm::run(&plan, &mut slots, &inputs, &routes, &values[..]);
     let grads = plan
         .updates
         .iter()
@@ -1723,376 +1643,23 @@ pub(crate) fn leaf_gradients(g: &Graph, loss: Var) -> Result<Vec<(Var, Tensor)>,
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: "focus-plan v1" line-oriented text format
+// PlanCache: compile once per shape, replay
 // ---------------------------------------------------------------------------
 
-const MAGIC: &str = "focus-plan v1";
-
-/// Parse failure for the plan text format. `line` is 1-based.
-#[derive(Debug)]
-pub struct PlanFormatError {
-    pub line: usize,
-    pub msg: String,
-}
-
-impl fmt::Display for PlanFormatError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "plan format error at line {}: {}", self.line, self.msg)
-    }
-}
-
-impl std::error::Error for PlanFormatError {}
-
-fn perr(line: usize, msg: impl Into<String>) -> PlanFormatError {
-    PlanFormatError { line, msg: msg.into() }
-}
-
-fn write_dims(s: &mut String, dims: &[usize]) {
-    let _ = write!(s, " {}", dims.len());
-    for d in dims {
-        let _ = write!(s, " {d}");
-    }
-}
-
-impl Plan {
-    /// Serializes the plan to the versioned `focus-plan v1` text format.
-    ///
-    /// Floats (instruction immediates, baked statics) are written as `f32`
-    /// bit patterns in hex, so [`Plan::from_text`] round-trips bitwise.
-    pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{MAGIC}");
-        let _ = writeln!(s, "mode {}", if self.is_train() { "train" } else { "forward" });
-        let _ = writeln!(s, "slots {}", self.slot_caps.len());
-        for cap in &self.slot_caps {
-            let _ = writeln!(s, "slot {cap}");
-        }
-        let _ = writeln!(s, "statics {}", self.statics.len());
-        for (dims, data) in &self.statics {
-            let mut line = String::from("static");
-            write_dims(&mut line, dims);
-            line.push_str(" :");
-            for v in data {
-                let _ = write!(line, " {:08x}", v.to_bits());
-            }
-            let _ = writeln!(s, "{line}");
-        }
-        let _ = writeln!(s, "inputs {}", self.inputs.len());
-        for dims in &self.inputs {
-            let mut line = String::from("input");
-            write_dims(&mut line, dims);
-            let _ = writeln!(s, "{line}");
-        }
-        let _ = writeln!(s, "routes {}", self.route_lens.len());
-        for len in &self.route_lens {
-            let _ = writeln!(s, "route {len}");
-        }
-        let _ = writeln!(s, "params {}", self.params.len());
-        for dims in &self.params {
-            let mut line = String::from("param");
-            write_dims(&mut line, dims);
-            let _ = writeln!(s, "{line}");
-        }
-        let _ = writeln!(s, "instrs {}", self.instrs.len());
-        for ins in &self.instrs {
-            let mut line = format!("i {} d {}", ins.op.name(), ins.dsts.len());
-            for d in &ins.dsts {
-                let _ = write!(line, " {d}");
-            }
-            let _ = write!(line, " a {}", ins.args.len());
-            for a in &ins.args {
-                let _ = write!(line, " {}", a.token());
-            }
-            let _ = write!(line, " m {}", ins.dims.len());
-            for d in &ins.dims {
-                let _ = write!(line, " {d}");
-            }
-            let _ = write!(line, " imm {:08x}", ins.imm.to_bits());
-            let _ = writeln!(s, "{line}");
-        }
-        let _ = writeln!(s, "updates {}", self.updates.len());
-        for u in &self.updates {
-            let mut line = format!("u {} {}", u.param, u.grad_slot);
-            write_dims(&mut line, &u.dims);
-            let _ = writeln!(s, "{line}");
-        }
-        if let Some(slot) = self.loss_slot {
-            let _ = writeln!(s, "loss {slot}");
-        }
-        if let Some((slot, dims)) = &self.output {
-            let mut line = format!("output {slot}");
-            write_dims(&mut line, dims);
-            let _ = writeln!(s, "{line}");
-        }
-        let _ = writeln!(s, "end");
-        s
-    }
-
-    /// Parses the `focus-plan v1` text format written by [`Plan::to_text`].
-    ///
-    /// Counts read from the text never size an allocation up front: every
-    /// section grows only as its lines actually parse, so a huge or corrupted
-    /// count ends in a positioned [`PlanFormatError`] at end of input, not an
-    /// abort. Parsing checks syntax only; run [`Plan::verify`] before
-    /// trusting a parsed plan.
-    pub fn from_text(text: &str) -> Result<Plan, PlanFormatError> {
-        let mut p = Parser { lines: text.lines().enumerate(), cur: 0 };
-        p.expect_line(MAGIC)?;
-        let (ln, toks) = p.next_tokens()?;
-        let mode_train = match toks.as_slice() {
-            ["mode", "train"] => true,
-            ["mode", "forward"] => false,
-            _ => return Err(perr(ln, "expected `mode train|forward`")),
-        };
-        let n_slots = p.counted_header("slots")?;
-        let mut slot_caps = Vec::new();
-        for _ in 0..n_slots {
-            let (ln, toks) = p.next_tokens()?;
-            match toks.as_slice() {
-                ["slot", cap] => slot_caps.push(parse_num(ln, cap)?),
-                _ => return Err(perr(ln, "expected `slot <cap>`")),
-            }
-        }
-        let n_statics = p.counted_header("statics")?;
-        let mut statics = Vec::new();
-        for _ in 0..n_statics {
-            let (ln, toks) = p.next_tokens()?;
-            if toks.first() != Some(&"static") {
-                return Err(perr(ln, "expected `static ...`"));
-            }
-            let mut it = toks[1..].iter();
-            let dims = parse_dims(ln, &mut it)?;
-            if it.next() != Some(&":") {
-                return Err(perr(ln, "expected `:` before static data"));
-            }
-            let mut data = Vec::new();
-            for tok in it {
-                let bits = u32::from_str_radix(tok, 16)
-                    .map_err(|_| perr(ln, format!("bad f32 bits `{tok}`")))?;
-                data.push(f32::from_bits(bits));
-            }
-            let numel = dims
-                .iter()
-                .try_fold(1usize, |n, &d| n.checked_mul(d))
-                .ok_or_else(|| perr(ln, "static dims product overflows"))?;
-            if data.len() != numel {
-                return Err(perr(ln, "static data length does not match dims"));
-            }
-            statics.push((dims, data));
-        }
-        let n_inputs = p.counted_header("inputs")?;
-        let mut inputs = Vec::new();
-        for _ in 0..n_inputs {
-            inputs.push(p.dims_line("input")?);
-        }
-        let n_routes = p.counted_header("routes")?;
-        let mut route_lens = Vec::new();
-        for _ in 0..n_routes {
-            let (ln, toks) = p.next_tokens()?;
-            match toks.as_slice() {
-                ["route", len] => route_lens.push(parse_num(ln, len)?),
-                _ => return Err(perr(ln, "expected `route <len>`")),
-            }
-        }
-        let n_params = p.counted_header("params")?;
-        let mut params = Vec::new();
-        for _ in 0..n_params {
-            params.push(p.dims_line("param")?);
-        }
-        let n_instrs = p.counted_header("instrs")?;
-        let mut instrs = Vec::new();
-        for _ in 0..n_instrs {
-            let (ln, toks) = p.next_tokens()?;
-            if toks.first() != Some(&"i") {
-                return Err(perr(ln, "expected `i <op> ...`"));
-            }
-            let mut it = toks[1..].iter();
-            let opname = it.next().ok_or_else(|| perr(ln, "missing opcode"))?;
-            let op = OpCode::from_name(opname)
-                .ok_or_else(|| perr(ln, format!("unknown opcode `{opname}`")))?;
-            let dsts = parse_tagged_u32s(ln, &mut it, "d")?;
-            if it.next() != Some(&"a") {
-                return Err(perr(ln, "expected `a <n>` arg section"));
-            }
-            let na: usize = {
-                let t = it.next().ok_or_else(|| perr(ln, "missing arg count"))?;
-                parse_num(ln, t)?
-            };
-            let mut args = Vec::new();
-            for _ in 0..na {
-                let t = it.next().ok_or_else(|| perr(ln, "missing arg token"))?;
-                args.push(
-                    Loc::from_token(t).ok_or_else(|| perr(ln, format!("bad loc `{t}`")))?,
-                );
-            }
-            let dims = parse_tagged_u32s(ln, &mut it, "m")?;
-            if it.next() != Some(&"imm") {
-                return Err(perr(ln, "expected `imm <hex>`"));
-            }
-            let immtok = it.next().ok_or_else(|| perr(ln, "missing imm"))?;
-            let imm = f32::from_bits(
-                u32::from_str_radix(immtok, 16)
-                    .map_err(|_| perr(ln, format!("bad imm bits `{immtok}`")))?,
-            );
-            instrs.push(Instr { op, dsts, args, dims, imm });
-        }
-        let n_updates = p.counted_header("updates")?;
-        let mut updates = Vec::new();
-        for _ in 0..n_updates {
-            let (ln, toks) = p.next_tokens()?;
-            if toks.first() != Some(&"u") || toks.len() < 3 {
-                return Err(perr(ln, "expected `u <param> <grad_slot> <dims>`"));
-            }
-            let param = parse_num(ln, toks[1])?;
-            let grad_slot = parse_num(ln, toks[2])?;
-            let mut it = toks[3..].iter();
-            let dims = parse_dims(ln, &mut it)?;
-            updates.push(UpdateSpec { param, grad_slot, dims });
-        }
-        let (mut loss_slot, mut output) = (None, None);
-        if mode_train {
-            let (ln, toks) = p.next_tokens()?;
-            match toks.as_slice() {
-                ["loss", slot] => loss_slot = Some(parse_num(ln, slot)?),
-                _ => return Err(perr(ln, "expected `loss <slot>`")),
-            }
-        } else {
-            let (ln, toks) = p.next_tokens()?;
-            if toks.first() != Some(&"output") || toks.len() < 3 {
-                return Err(perr(ln, "expected `output <slot> <dims>`"));
-            }
-            let slot = parse_num(ln, toks[1])?;
-            let mut it = toks[2..].iter();
-            output = Some((slot, parse_dims(ln, &mut it)?));
-        }
-        p.expect_line("end")?;
-        Ok(Plan {
-            instrs,
-            slot_caps,
-            statics,
-            inputs,
-            route_lens,
-            params,
-            updates,
-            loss_slot,
-            output,
-        })
-    }
-}
-
-struct Parser<'a> {
-    lines: std::iter::Enumerate<std::str::Lines<'a>>,
-    /// Last line number handed out (1-based), so a truncated stream reports
-    /// the position where input ran out instead of a meaningless line 0.
-    cur: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn next_tokens(&mut self) -> Result<(usize, Vec<&'a str>), PlanFormatError> {
-        match self.lines.next() {
-            Some((idx, line)) => {
-                self.cur = idx + 1;
-                Ok((idx + 1, line.split_whitespace().collect()))
-            }
-            None => Err(perr(self.cur + 1, "unexpected end of plan text")),
-        }
-    }
-
-    fn expect_line(&mut self, want: &str) -> Result<(), PlanFormatError> {
-        let (ln, toks) = self.next_tokens()?;
-        if toks.join(" ") != want {
-            return Err(perr(ln, format!("expected `{want}`")));
-        }
-        Ok(())
-    }
-
-    fn counted_header(&mut self, key: &str) -> Result<usize, PlanFormatError> {
-        let (ln, toks) = self.next_tokens()?;
-        match toks.as_slice() {
-            [k, n] if *k == key => parse_num(ln, n),
-            _ => Err(perr(ln, format!("expected `{key} <n>`"))),
-        }
-    }
-
-    fn dims_line(&mut self, key: &str) -> Result<Vec<usize>, PlanFormatError> {
-        let (ln, toks) = self.next_tokens()?;
-        if toks.first() != Some(&key) {
-            return Err(perr(ln, format!("expected `{key} <dims>`")));
-        }
-        let mut it = toks[1..].iter();
-        parse_dims(ln, &mut it)
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(ln: usize, tok: &str) -> Result<T, PlanFormatError> {
-    tok.parse().map_err(|_| perr(ln, format!("bad number `{tok}`")))
-}
-
-fn parse_dims(
-    ln: usize,
-    it: &mut std::slice::Iter<'_, &str>,
-) -> Result<Vec<usize>, PlanFormatError> {
-    let n: usize = {
-        let t = it.next().ok_or_else(|| perr(ln, "missing dim count"))?;
-        parse_num(ln, t)?
-    };
-    let mut dims = Vec::new();
-    for _ in 0..n {
-        let t = it.next().ok_or_else(|| perr(ln, "missing dim"))?;
-        dims.push(parse_num(ln, t)?);
-    }
-    Ok(dims)
-}
-
-fn parse_tagged_u32s(
-    ln: usize,
-    it: &mut std::slice::Iter<'_, &str>,
-    tag: &str,
-) -> Result<Vec<u32>, PlanFormatError> {
-    if it.next() != Some(&tag) {
-        return Err(perr(ln, format!("expected `{tag} <n>` section")));
-    }
-    let n: usize = {
-        let t = it.next().ok_or_else(|| perr(ln, "missing count"))?;
-        parse_num(ln, t)?
-    };
-    let mut out = Vec::new();
-    for _ in 0..n {
-        let t = it.next().ok_or_else(|| perr(ln, "missing value"))?;
-        out.push(parse_num(ln, t)?);
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// PlanCache: compile → verify → replay state machine
-// ---------------------------------------------------------------------------
-
-enum CacheState {
-    /// No plan yet; the next compiled step becomes the candidate.
-    Cold,
-    /// One candidate; the next compiled step is compared with it bitwise.
-    Verify(Box<Plan>),
-    /// Verified plan; replay until shapes change.
-    Ready(Box<Plan>),
-    /// Two compiles disagreed with unchanged shapes (some per-window data is
-    /// baked into the tape): every later step compiles its own plan.
-    Off,
-}
-
-/// Keeps one compiled plan per loop and replays it while the window shapes
-/// hold.
+/// Keeps the plan compiled for the current shapes and replays it.
 ///
 /// Usage per training step: first try [`PlanCache::try_replay_train`]; on
 /// `None`, record the tape and hand it to [`PlanCache::run_train`], which
-/// compiles it, runs that plan and offers it to the cache. Inference loops
-/// use [`PlanCache::try_replay_forward`] and [`PlanCache::observe_forward`].
-/// With caching disabled ([`set_enabled`]) the cache never keeps a plan.
+/// compiles it, runs that plan and keeps it for the following steps.
+/// Inference loops use [`PlanCache::try_replay_forward`] and
+/// [`PlanCache::keep_forward`]. A replay whose shapes differ from the kept
+/// plan's drops it. With caching disabled ([`set_enabled`]) the cache never
+/// keeps a plan.
 pub struct PlanCache {
-    state: CacheState,
-    /// Slot buffers of the last plan run, reused by the next one (uncached
-    /// steps and the verified plan alike) and returned to the tensor pool
-    /// when the cache drops, so back-to-back loops recycle them.
+    plan: Option<Box<Plan>>,
+    /// Slot buffers of the last plan run, reused by the next one and
+    /// returned to the tensor pool when the cache drops, so back-to-back
+    /// loops recycle them.
     slots: Vec<Vec<f32>>,
 }
 
@@ -2110,39 +1677,20 @@ impl Default for PlanCache {
 
 impl PlanCache {
     pub fn new() -> PlanCache {
-        PlanCache { state: CacheState::Cold, slots: Vec::new() }
+        PlanCache { plan: None, slots: Vec::new() }
     }
 
-    /// True while the cache can still make progress: not off, and caching
-    /// enabled process-wide.
-    fn active(&self) -> bool {
-        !matches!(self.state, CacheState::Off) && enabled()
-    }
-
-    /// True once a verified plan is installed.
+    /// True while a plan is kept.
     pub fn is_ready(&self) -> bool {
-        matches!(self.state, CacheState::Ready(..))
+        self.plan.is_some()
     }
 
-    /// True if the cache gave up for this run.
-    pub fn is_off(&self) -> bool {
-        matches!(self.state, CacheState::Off)
-    }
-
-    /// State name for reports and tests.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            CacheState::Cold => "cold",
-            CacheState::Verify(_) => "verify",
-            CacheState::Ready(..) => "ready",
-            CacheState::Off => "off",
-        }
-    }
-
-    /// Replays one training step if a verified plan matches the current
-    /// geometry. Returns the loss, or `None` if the caller must compile this
-    /// step (cache cold/off, caching disabled, or shapes changed — the
-    /// latter also resets the cache so a new plan can be verified).
+    /// Replays one training step if the kept plan matches the current
+    /// geometry. Returns the loss, or `None` if the caller must record and
+    /// compile this step.
+    ///
+    /// # Panics
+    /// If a route index is out of range for the plan's prototype count.
     pub fn try_replay_train<O: Optimizer>(
         &mut self,
         inputs: &[&Tensor],
@@ -2150,59 +1698,35 @@ impl PlanCache {
         store: &mut ParamStore,
         opt: &mut O,
     ) -> Option<f32> {
-        if !self.active() {
-            return None;
-        }
-        match &mut self.state {
-            CacheState::Ready(plan) => {
-                if plan.matches(inputs, routes, store) {
-                    focus_trace::counter_add("plan/replays", 1);
-                    let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
-                    Some(vm::replay_train(plan, &mut self.slots, &data, routes, store, opt))
-                } else {
-                    self.state = CacheState::Cold;
-                    None
-                }
-            }
-            _ => None,
-        }
+        let plan = replayable(&mut self.plan, inputs, routes, store)?;
+        let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
+        Some(vm::replay_train(plan, &mut self.slots, &data, routes, store, opt))
     }
 
-    /// Replays one forward pass if a verified plan matches, returning the
+    /// Replays one forward pass if the kept plan matches, returning the
     /// output tensor.
+    ///
+    /// # Panics
+    /// If a route index is out of range for the plan's prototype count.
     pub fn try_replay_forward(
         &mut self,
         inputs: &[&Tensor],
         routes: &[&[u32]],
         store: &ParamStore,
     ) -> Option<Tensor> {
-        if !self.active() {
-            return None;
-        }
-        match &mut self.state {
-            CacheState::Ready(plan) => {
-                if plan.matches(inputs, routes, store) {
-                    focus_trace::counter_add("plan/replays", 1);
-                    let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
-                    Some(vm::replay_forward(plan, &mut self.slots, &data, routes, store))
-                } else {
-                    self.state = CacheState::Cold;
-                    None
-                }
-            }
-            _ => None,
-        }
+        let plan = replayable(&mut self.plan, inputs, routes, store)?;
+        let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
+        Some(vm::replay_forward(plan, &mut self.slots, &data, routes, store))
     }
 
     /// Runs one uncached training step from its recorded tape: compiles the
-    /// tape once, runs that plan (forward, backward and the optimizer
-    /// update), and offers the plan to the cache's two-compile check.
+    /// tape, runs that plan over the tape's inputs and routes (forward,
+    /// backward and the optimizer update), and keeps it for later steps.
     /// Returns the loss.
     ///
     /// # Errors
     /// If the tape does not lower, or the lowered plan fails verification.
     /// Nothing has been updated when this returns an error.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_train<O: Optimizer>(
         &mut self,
         g: &Graph,
@@ -2210,58 +1734,58 @@ impl PlanCache {
         pv: &ParamVars,
         store: &mut ParamStore,
         opt: &mut O,
-        inputs: &[&Tensor],
-        routes: &[&[u32]],
     ) -> Result<f32, CompileError> {
         focus_trace::span!("autograd/backward");
-        let plan = compile_train(g, loss, pv, inputs, routes)?;
-        let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
+        let plan = compile_train(g, loss, pv)?;
+        let (inputs, routes) = g.bindings();
         plan.fit_slots(&mut self.slots);
-        let loss = vm::replay_train(&plan, &mut self.slots, &data, routes, store, opt);
-        if self.active() {
-            self.advance(plan);
+        let loss = vm::replay_train(&plan, &mut self.slots, &inputs, &routes, store, opt);
+        if enabled() {
+            self.plan = Some(Box::new(plan));
         }
         Ok(loss)
     }
 
-    /// Feeds one recorded forward pass to the compiler and advances the
-    /// two-compile check. A tape that does not lower turns the cache off;
-    /// the caller already holds the forward value, so nothing is lost.
-    pub fn observe_forward(
+    /// Compiles one recorded forward pass and keeps the plan for later
+    /// windows; the caller already holds the forward value.
+    ///
+    /// # Errors
+    /// If the tape does not lower, or the lowered plan fails verification.
+    pub fn keep_forward(
         &mut self,
         g: &Graph,
         output: Var,
         pv: &ParamVars,
-        inputs: &[&Tensor],
-        routes: &[&[u32]],
-    ) {
-        if !self.active() {
-            return;
+    ) -> Result<(), CompileError> {
+        if enabled() {
+            let plan = compile_forward(g, output, pv)?;
+            plan.fit_slots(&mut self.slots);
+            self.plan = Some(Box::new(plan));
         }
-        match compile_forward(g, output, pv, inputs, routes) {
-            Ok(cand) => self.advance(cand),
-            Err(_) => self.state = CacheState::Off,
-        }
+        Ok(())
     }
+}
 
-    fn advance(&mut self, cand: Plan) {
-        self.state = match std::mem::replace(&mut self.state, CacheState::Off) {
-            CacheState::Cold | CacheState::Ready(..) => CacheState::Verify(Box::new(cand)),
-            CacheState::Verify(prev) => {
-                if *prev == cand {
-                    cand.fit_slots(&mut self.slots);
-                    CacheState::Ready(Box::new(cand))
-                } else if prev.shape_signature() != cand.shape_signature() {
-                    // Shapes moved during warmup — restart verification on
-                    // the new geometry.
-                    CacheState::Verify(Box::new(cand))
-                } else {
-                    // Same shapes, different contents: some baked constant
-                    // varies per window. Replaying would be wrong; give up.
-                    CacheState::Off
-                }
-            }
-            CacheState::Off => CacheState::Off,
-        };
+/// The kept plan if caching is enabled and it was compiled for these
+/// shapes; a kept plan for other shapes is dropped.
+///
+/// # Panics
+/// If a route index is out of range for the plan (see [`Plan::check_routes`]).
+fn replayable<'p>(
+    kept: &'p mut Option<Box<Plan>>,
+    inputs: &[&Tensor],
+    routes: &[&[u32]],
+    store: &ParamStore,
+) -> Option<&'p Plan> {
+    if !enabled() {
+        return None;
     }
+    if !kept.as_ref()?.matches(inputs, routes, store) {
+        *kept = None;
+        return None;
+    }
+    let plan = kept.as_deref()?;
+    plan.check_routes(routes);
+    focus_trace::counter_add("plan/replays", 1);
+    Some(plan)
 }

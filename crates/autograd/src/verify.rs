@@ -1,14 +1,12 @@
 //! Static dataflow verifier over the flat [`Plan`] IR.
 //!
-//! [`PlanCache`](crate::plan::PlanCache) proves "two compiles agree bitwise",
-//! which catches per-window-varying constants but cannot catch a compiler bug
-//! both copies share: a use-before-def slot, a stale read whose bytes happen
-//! to be in bounds, a leaked buffer, a shape the allocator sized wrong. This
-//! module closes that gap with a linear abstract interpretation of the
-//! instruction stream that every plan must pass before it is trusted — at
-//! compile time (so the cost lands under the `plan/compile` span, never on
-//! the replay path) and for any plan deserialized from the `focus-plan v1`
-//! text format.
+//! The compiler lowers every tape op by rule, and a bug in those rules or in
+//! slot allocation would not raise an error on its own: a use-before-def
+//! slot, a stale read whose bytes happen to be in bounds, a leaked buffer, a
+//! shape the allocator sized wrong. This module closes that gap with a linear
+//! abstract interpretation of the instruction stream that every plan must
+//! pass before it runs. It runs at compile time, so the cost lands under the
+//! `plan/compile` span, never on the replay path.
 //!
 //! What each analysis proves:
 //!
@@ -145,13 +143,14 @@ fn verr(instr: Option<usize>, kind: VerifyErrorKind, msg: impl Into<String>) -> 
 
 /// The abstract effect of one instruction: how many elements each argument
 /// reads and each destination writes, whether the first destination is
-/// read-modify-write, and which route source (with its expected index count)
-/// the kernel consumes. Mirrors the VM dispatch geometry exactly.
+/// read-modify-write, and which route source the kernel consumes, with its
+/// expected index count and the prototype count it indexes into. Mirrors the
+/// VM dispatch geometry exactly.
 struct Effects {
     arg_n: Vec<usize>,
     dst_n: Vec<usize>,
     rmw: bool,
-    route: Option<(usize, usize)>,
+    route: Option<(usize, usize, u32)>,
 }
 
 /// Overflow-checked product of kernel dims (a corrupted plan must produce a
@@ -297,7 +296,7 @@ fn effects(ii: usize, instr: &Instr) -> Result<Effects, VerifyError> {
                 arg_n: vec![prod(ii, &[b, k, dd])?],
                 dst_n: vec![prod(ii, &[b, l, dd])?],
                 rmw: false,
-                route: Some((src, prod(ii, &[b, l])?)),
+                route: Some((src, prod(ii, &[b, l])?, k)),
             }
         }
         OpCode::RouteScatter => {
@@ -307,7 +306,7 @@ fn effects(ii: usize, instr: &Instr) -> Result<Effects, VerifyError> {
                 arg_n: vec![prod(ii, &[b, l, dd])?],
                 dst_n: vec![prod(ii, &[b, k, dd])?],
                 rmw: false,
-                route: Some((src, prod(ii, &[b, l])?)),
+                route: Some((src, prod(ii, &[b, l])?, k)),
             }
         }
         OpCode::AddRowBcast => {
@@ -518,9 +517,11 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
             }
         }
 
-        // Route geometry against the recorded route table.
-        if let Some((src, want)) = eff.route {
-            let got = *plan.route_lens.get(src).ok_or_else(|| {
+        // Route geometry against the recorded route table. Replay checks
+        // every index against the route's bound, so a bound above this
+        // kernel's prototype count would let an index read past `head`.
+        if let Some((src, want, k)) = eff.route {
+            let &(got, bound) = plan.routes.get(src).ok_or_else(|| {
                 verr(
                     Some(ii),
                     VerifyErrorKind::OutOfRange,
@@ -533,6 +534,16 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
                     VerifyErrorKind::ShapeMismatch,
                     format!(
                         "{} needs {want} route indices from source {src}, table records {got}",
+                        instr.op.name()
+                    ),
+                ));
+            }
+            if k < bound {
+                return Err(verr(
+                    Some(ii),
+                    VerifyErrorKind::ShapeMismatch,
+                    format!(
+                        "{} indexes {k} prototypes through route {src}, whose bound is {bound}",
                         instr.op.name()
                     ),
                 ));
@@ -832,4 +843,332 @@ pub(crate) fn check_intervals(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    //! The corrupted-plan corpus. The compiler verifies everything it emits,
+    //! so these tests compile real plans and corrupt them the way a buggy
+    //! compiler would, then require each corruption to come back as the
+    //! expected [`VerifyErrorKind`] naming the offending instruction — a
+    //! corrupted plan names its own corruption site.
+
+    use super::*;
+    use crate::plan::{compile_forward, compile_train};
+    use crate::{Graph, ParamStore, ParamVars, Var};
+    use focus_tensor::Tensor;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    const N: usize = 4;
+    const D: usize = 3;
+    const H: usize = 8;
+
+    fn pseudo(n: usize, seed: u32) -> Vec<f32> {
+        (0..n)
+            .map(|i| {
+                let h = (i as u32)
+                    .wrapping_mul(2_654_435_761)
+                    .wrapping_add(seed.wrapping_mul(0x9e37_79b9));
+                let h = h ^ (h >> 13);
+                (((h % 2000) as f32 / 1000.0) - 1.0) * 0.4
+            })
+            .collect()
+    }
+
+    /// Records a small MLP (matmul → bias → gelu → matmul) over an input
+    /// window, returning the graph, its parameter registration and the
+    /// prediction `[N]`.
+    fn small_mlp() -> (Graph, ParamVars, Var) {
+        let mut store = ParamStore::new();
+        store.add("w1", Tensor::from_vec(pseudo(D * H, 1), &[D, H]));
+        store.add("b1", Tensor::from_vec(pseudo(H, 2), &[H]));
+        store.add("w2", Tensor::from_vec(pseudo(H, 3), &[H, 1]));
+        let mut g = Graph::new();
+        let pv = store.register(&mut g);
+        let p = pv.raw();
+        let x = g.input(Tensor::from_vec(pseudo(N * D, 10), &[N, D]));
+        let h = g.matmul(x, p[0]);
+        let h = g.add_row_broadcast(h, p[1]);
+        let h = g.gelu(h);
+        let out = g.matmul(h, p[2]);
+        let pred = g.reshape(out, &[N]);
+        (g, pv, pred)
+    }
+
+    /// A training plan of the small MLP against an input target: enough
+    /// instructions to host every corruption below while staying readable in
+    /// a failing-test dump.
+    fn small_train_plan() -> Plan {
+        let (mut g, pv, pred) = small_mlp();
+        let tgt = g.input(Tensor::from_vec(pseudo(N, 11), &[N]));
+        let loss = g.mse(pred, tgt);
+        compile_train(&g, loss, &pv).expect("small model compiles")
+    }
+
+    /// A forward plan that also bakes a static and routes through a route,
+    /// so the structural fuzz reaches every table a plan carries.
+    fn routed_forward_plan() -> Plan {
+        let (mut g, pv, pred) = small_mlp();
+        let shift = g.constant(Tensor::from_vec(pseudo(N, 12), &[N]));
+        let y = g.add(pred, shift);
+        let head = g.reshape(y, &[1, N, 1]);
+        let route = g.route(vec![3, 0, 1, 1, 2, 0]);
+        let out = g.route_one_hot(head, route, 6);
+        compile_forward(&g, out, &pv).expect("routed model compiles")
+    }
+
+    /// Per-slot index of the first instruction that defines it.
+    fn first_defs(plan: &Plan) -> Vec<Option<usize>> {
+        let mut first = vec![None; plan.slot_caps.len()];
+        for (ii, ins) in plan.instrs.iter().enumerate() {
+            for &d in &ins.dsts {
+                first[d as usize].get_or_insert(ii);
+            }
+        }
+        first
+    }
+
+    /// The first instruction reading a slot, and which argument reads it.
+    fn first_slot_read(plan: &Plan) -> (usize, usize) {
+        plan.instrs
+            .iter()
+            .enumerate()
+            .find_map(|(ii, ins)| {
+                ins.args.iter().position(|a| matches!(a, Loc::Slot(_))).map(|ai| (ii, ai))
+            })
+            .expect("some instruction reads a slot")
+    }
+
+    fn fill(slot: u32, n: usize) -> Instr {
+        Instr { op: OpCode::Fill, dsts: vec![slot], args: vec![], dims: vec![n as u32], imm: 0.0 }
+    }
+
+    #[test]
+    fn compiler_emitted_plans_pass() {
+        verify_plan(&small_train_plan()).expect("compiled train plan verifies");
+        verify_plan(&routed_forward_plan()).expect("compiled forward plan verifies");
+    }
+
+    /// Retargets an early instruction's slot argument at a slot that is only
+    /// defined later in the stream.
+    #[test]
+    fn use_before_def_is_rejected() {
+        let mut plan = small_train_plan();
+        let first = first_defs(&plan);
+        let (ii, ai) = first_slot_read(&plan);
+        let late = first
+            .iter()
+            .enumerate()
+            .find(|(s, d)| {
+                d.is_some_and(|d| d > ii) && !plan.instrs[ii].dsts.contains(&(*s as u32))
+            })
+            .map(|(s, _)| s as u32)
+            .expect("some slot is first defined later");
+        plan.instrs[ii].args[ai] = Loc::Slot(late);
+        let err = verify_plan(&plan).expect_err("use-before-def must be rejected");
+        assert_eq!(err.kind, VerifyErrorKind::UseBeforeDef, "{err}");
+        assert_eq!(err.instr, Some(ii), "diagnostic names the offending instruction: {err}");
+    }
+
+    /// Bumps a zip kernel's element count by one: the abstract shape
+    /// interpretation disagrees with the operands' real sizes.
+    #[test]
+    fn shape_mismatch_is_rejected() {
+        let mut plan = small_train_plan();
+        let ii = plan
+            .instrs
+            .iter()
+            .position(|ins| ins.op.name().starts_with("zip_") && ins.dims == [(N * H) as u32])
+            .expect("a zip over the hidden activation exists");
+        plan.instrs[ii].dims[0] += 1;
+        let err = verify_plan(&plan).expect_err("shape mismatch must be rejected");
+        assert_eq!(err.kind, VerifyErrorKind::ShapeMismatch, "{err}");
+        assert_eq!(err.instr, Some(ii), "diagnostic names the offending instruction: {err}");
+    }
+
+    /// Retargets a multi-element result at the (capacity-1) loss slot: two
+    /// live values forced into one slot the allocator never sized for it.
+    #[test]
+    fn double_assigned_slot_is_rejected() {
+        let mut plan = small_train_plan();
+        let loss_slot = plan.loss_slot.expect("train plan has a loss sink");
+        let ii = plan
+            .instrs
+            .iter()
+            .position(|ins| {
+                ins.op.name().starts_with("zip_")
+                    && ins.dims == [(N * H) as u32]
+                    && !ins.args.contains(&Loc::Slot(loss_slot))
+            })
+            .expect("a wide zip not reading the loss slot exists");
+        plan.instrs[ii].dsts[0] = loss_slot;
+        let err = verify_plan(&plan).expect_err("double-assigned slot must be rejected");
+        assert_eq!(err.kind, VerifyErrorKind::CapMismatch, "{err}");
+        assert_eq!(err.instr, Some(ii), "diagnostic names the offending instruction: {err}");
+    }
+
+    /// Inserts a fill whose result is immediately overwritten: pure wasted
+    /// work the dead-instruction analysis must flag.
+    #[test]
+    fn dead_instruction_is_rejected() {
+        let mut plan = small_train_plan();
+        // The slot defined latest: a fill right before its first definition
+        // is read by nothing in between.
+        let (slot, jj) = first_defs(&plan)
+            .iter()
+            .enumerate()
+            .filter_map(|(s, d)| d.map(|d| (s, d)))
+            .max_by_key(|&(_, d)| d)
+            .expect("plan defines at least one slot");
+        let cap = plan.slot_caps[slot];
+        plan.instrs.insert(jj, fill(slot as u32, cap));
+        let err = verify_plan(&plan).expect_err("dead instruction must be rejected");
+        assert_eq!(err.kind, VerifyErrorKind::DeadInstr, "{err}");
+        assert_eq!(err.instr, Some(jj), "diagnostic names the inserted instruction: {err}");
+    }
+
+    /// Appends a slot plus a fill into it at plan exit: the value survives
+    /// the stream without being a declared sink — a leak.
+    #[test]
+    fn leaked_slot_is_rejected() {
+        let mut plan = small_train_plan();
+        let (n_slots, n_instrs) = (plan.slot_caps.len(), plan.instrs.len());
+        plan.slot_caps.push(4);
+        plan.instrs.push(fill(n_slots as u32, 4));
+        let err = verify_plan(&plan).expect_err("leaked slot must be rejected");
+        assert_eq!(err.kind, VerifyErrorKind::LeakedValue, "{err}");
+        assert_eq!(err.instr, Some(n_instrs), "diagnostic names the leaking instruction: {err}");
+    }
+
+    /// A slot in the capacity table no instruction ever writes is the
+    /// allocator leaking a buffer for nothing — rejected even though no
+    /// instruction is at fault (table-level diagnostic, no index).
+    #[test]
+    fn unwritten_slot_is_rejected() {
+        let mut plan = small_train_plan();
+        plan.slot_caps.push(8);
+        let err = verify_plan(&plan).expect_err("unwritten slot must be rejected");
+        assert_eq!(err.kind, VerifyErrorKind::UnwrittenSlot, "{err}");
+        assert_eq!(err.instr, None, "{err}");
+    }
+
+    /// A slot index past the capacity table is rejected with the
+    /// instruction index.
+    #[test]
+    fn out_of_range_slot_is_rejected() {
+        let mut plan = small_train_plan();
+        let (ii, ai) = first_slot_read(&plan);
+        plan.instrs[ii].args[ai] = Loc::Slot(9999);
+        let err = verify_plan(&plan).expect_err("out-of-range slot must be rejected");
+        assert_eq!(err.kind, VerifyErrorKind::OutOfRange, "{err}");
+        assert_eq!(err.instr, Some(ii), "diagnostic names the offending instruction: {err}");
+    }
+
+    /// Values a corrupted dim or index plausibly takes: boundaries, an
+    /// off-by-one and powers of two.
+    const NASTY: [u32; 8] = [0, 1, 2, 3, 1 << 16, 1 << 31, u32::MAX - 1, u32::MAX];
+
+    /// An index near the table of size `n`: in range, just past it, or
+    /// nasty.
+    fn near(rng: &mut StdRng, n: usize) -> u32 {
+        match rng.gen_range(0..3u32) {
+            0 => rng.gen_range(0..n.max(1) as u32),
+            1 => n as u32,
+            _ => NASTY[rng.gen_range(0..NASTY.len())],
+        }
+    }
+
+    /// One structural corruption: retarget a location, change a dim or a
+    /// destination, drop, duplicate or insert an instruction, or add a slot.
+    fn mutate(plan: &mut Plan, rng: &mut StdRng) {
+        let n = plan.instrs.len();
+        let ii = rng.gen_range(0..n);
+        match rng.gen_range(0..7u32) {
+            0 if !plan.instrs[ii].args.is_empty() => {
+                let ai = rng.gen_range(0..plan.instrs[ii].args.len());
+                plan.instrs[ii].args[ai] = match rng.gen_range(0..4u32) {
+                    0 => Loc::Slot(near(rng, plan.slot_caps.len())),
+                    1 => Loc::Param(near(rng, plan.params.len())),
+                    2 => Loc::Input(near(rng, plan.inputs.len()) as u8),
+                    _ => Loc::Static(near(rng, plan.statics.len())),
+                };
+            }
+            1 if !plan.instrs[ii].dims.is_empty() => {
+                let di = rng.gen_range(0..plan.instrs[ii].dims.len());
+                let old = plan.instrs[ii].dims[di];
+                plan.instrs[ii].dims[di] = match rng.gen_range(0..2u32) {
+                    0 => old.wrapping_add(rng.gen_range(0..3u32)).wrapping_sub(1),
+                    _ => NASTY[rng.gen_range(0..NASTY.len())],
+                };
+            }
+            2 if !plan.instrs[ii].dsts.is_empty() => {
+                let di = rng.gen_range(0..plan.instrs[ii].dsts.len());
+                plan.instrs[ii].dsts[di] = near(rng, plan.slot_caps.len());
+            }
+            3 => {
+                plan.instrs.remove(ii);
+            }
+            4 => {
+                let dup = plan.instrs[ii].clone();
+                plan.instrs.insert(ii, dup);
+            }
+            5 => {
+                let other = plan.instrs[rng.gen_range(0..n)].clone();
+                plan.instrs.insert(ii, other);
+            }
+            _ => plan.slot_caps.push(NASTY[rng.gen_range(0..NASTY.len())] as usize),
+        }
+    }
+
+    /// Every rejection names its position: the offending instruction, or
+    /// for a table-level failure the slot it concerns.
+    fn check_positioned(plan: &Plan) -> Result<(), String> {
+        let verdict = std::panic::catch_unwind(|| verify_plan(plan))
+            .map_err(|_| format!("verify_plan panicked on {plan:?}"))?;
+        match verdict {
+            Ok(()) => Ok(()),
+            Err(e) if e.instr.map_or(e.msg.contains("slot"), |i| i < plan.instrs.len()) => Ok(()),
+            Err(e) => Err(format!("rejection not positioned: {e}")),
+        }
+    }
+
+    #[test]
+    fn structurally_mutated_plans_never_panic_the_verifier() {
+        let corpus = [small_train_plan(), routed_forward_plan()];
+        assert!(!corpus[1].statics.is_empty() && !corpus[1].routes.is_empty());
+        let mut rejected = 0usize;
+        let mut runner = proptest::test_runner::TestRunner::new(
+            proptest::test_runner::ProptestConfig::with_cases(512),
+            "structurally_mutated_plans_never_panic_the_verifier",
+        );
+        runner.run(|rng| {
+            for base in &corpus {
+                let mut plan = base.clone();
+                for _ in 0..rng.gen_range(1..3u32) {
+                    mutate(&mut plan, rng);
+                }
+                rejected += usize::from(verify_plan(&plan).is_err());
+                check_positioned(&plan).map_err(proptest::test_runner::TestCaseError::fail)?;
+            }
+            Ok(())
+        });
+        // Most corruptions must be caught; a few (a no-op dim change, a
+        // duplicated pure instruction over dead data) are harmless.
+        assert!(rejected > 512, "only {rejected} of 1024 mutated plans were rejected");
+    }
+
+    #[test]
+    fn a_route_bound_above_the_kernel_k_is_rejected() {
+        let mut plan = routed_forward_plan();
+        let ii = plan
+            .instrs
+            .iter()
+            .position(|ins| ins.op == OpCode::RouteGather)
+            .expect("the routed plan gathers");
+        plan.routes[0].1 += 1;
+        let err = verify_plan(&plan).expect_err("a bound above k must be rejected");
+        assert_eq!(err.kind, VerifyErrorKind::ShapeMismatch, "{err}");
+        assert_eq!(err.instr, Some(ii), "{err}");
+    }
 }

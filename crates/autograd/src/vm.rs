@@ -7,8 +7,8 @@
 //! count. The VM runs every backward: [`crate::Graph::backward`], uncached
 //! training steps and replays alike.
 //!
-//! Slot buffers are plain `Vec<f32>`s owned by the caller (allocated once at
-//! plan promotion); the dispatch `mem::take`s an instruction's destinations,
+//! Slot buffers are plain `Vec<f32>`s owned by the caller (sized once when a
+//! plan is compiled); the dispatch `mem::take`s an instruction's destinations,
 //! borrows its arguments immutably, runs the kernel, and puts the
 //! destinations back. No tensor-pool traffic happens anywhere on this path —
 //! `replay_train` measures the pool-lookup delta around the whole step and

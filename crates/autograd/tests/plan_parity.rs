@@ -8,15 +8,15 @@
 //! dense and batched matmuls, the broadcast-NT prototype product, one-hot
 //! routing, LayerNorm, softmax, every pointwise nonlinearity, concat/slice,
 //! reshape/transpose/swap and the scalar reductions, including a mean whose
-//! gradient is computed rather than constant — through the PlanCache state
-//! machine and compare against the oracle.
+//! gradient is computed rather than constant — through the plan cache and
+//! compare against the oracle.
 //!
 //! Plan caching and the thread override are process-global, so every test
-//! takes a shared lock and restores the defaults on exit.
+//! takes a shared lock, and a test that flips caching restores it on exit.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use focus_autograd::plan::{self, OpCode, Plan, PlanCache};
+use focus_autograd::plan::{self, OpCode, PlanCache};
 use focus_autograd::{oracle, Adam, Graph, Optimizer, ParamId, ParamStore, ParamVars, Sgd, Var};
 use focus_tensor::{par, Tensor};
 
@@ -33,6 +33,24 @@ const SEQ: usize = 4;
 fn guard() -> MutexGuard<'static, ()> {
     static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
     GUARD.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Sets plan caching until dropped, then restores the previous setting, also
+/// when a failing assertion unwinds.
+struct Caching(bool);
+
+impl Caching {
+    fn set(on: bool) -> Caching {
+        let prev = plan::enabled();
+        plan::set_enabled(on);
+        Caching(prev)
+    }
+}
+
+impl Drop for Caching {
+    fn drop(&mut self) {
+        plan::set_enabled(self.0);
+    }
 }
 
 /// Deterministic pseudo-random data so both runs of a pair see identical
@@ -78,7 +96,8 @@ fn sample(seq: usize, step: u32) -> (Tensor, Tensor, Vec<u32>) {
     (x, t, routes)
 }
 
-/// Records the full test model onto `g` and returns `(loss, pred)`. The
+/// Records the full test model onto `g` and returns `(loss, pred)`: the
+/// window is input 0, the target input 1, the routing indices route 0. The
 /// graph deliberately routes `h3` through many consumers so gradient
 /// accumulation chains (the bitwise-sensitive part) are exercised hard.
 fn build_loss(
@@ -93,8 +112,9 @@ fn build_loss(
     let (w1, b1) = (pv.var(ids[0]), pv.var(ids[1]));
     let (gamma, beta) = (pv.var(ids[2]), pv.var(ids[3]));
     let (proto, w2) = (pv.var(ids[4]), pv.var(ids[5]));
-    let x = g.constant(x_t.clone());
-    let tgt = g.constant(tgt_t.clone());
+    let x = g.input(x_t.clone());
+    let tgt = g.input(tgt_t.clone());
+    let route = g.route(routes.to_vec());
 
     let flat = g.reshape(x, &[B * seq, D]);
     let h1 = g.matmul(flat, w1);
@@ -105,7 +125,7 @@ fn build_loss(
     let scores = g.matmul_broadcast_nt(proto, h3); // [B, K, seq]
     let attn = g.softmax_last(scores);
     let summ = g.bmm(attn, h3); // [B, K, H]
-    let routed = g.route_one_hot(summ, routes, seq); // [B, seq, H]
+    let routed = g.route_one_hot(summ, route, seq); // [B, seq, H]
     let cat = g.concat_last(h3, routed); // [B, seq, 2H]
     let sl = g.slice_last(cat, 1, H + 3); // [B, seq, H+2]
     let flat2 = g.reshape(sl, &[B * seq, H + 2]);
@@ -189,7 +209,7 @@ fn vm_step<O: Optimizer>(
     let pv = model.store.register(&mut g);
     let (loss, _) = build_loss(&mut g, &pv, &model.ids, seq, x, tgt, routes);
     let lv = cache
-        .run_train(&g, loss, &pv, &mut model.store, opt, &[x, tgt], &[routes])
+        .run_train(&g, loss, &pv, &mut model.store, opt)
         .expect("the corpus model lowers");
     (lv, false)
 }
@@ -250,22 +270,21 @@ fn vm_training_is_bitwise_equal_to_oracle_at_1_2_4_threads() {
     for threads in [1usize, 2, 4] {
         par::set_threads(threads);
         let (params_o, losses_o) = run_oracle(8);
-        // Cached: steps 0 and 1 compile and run (the two plans agree), 2..8
-        // replay.
-        plan::set_enabled(true);
+        // Cached: step 0 compiles and runs its plan, 1..8 replay it.
+        let caching = Caching::set(true);
         let (params_c, losses_c, replays) = run_vm(8);
-        assert_eq!(replays, 6, "threads={threads}: replay count");
+        assert_eq!(replays, 7, "threads={threads}: replay count");
         assert_bitwise_eq(&params_o, &params_c, &format!("cached, threads={threads}"));
         assert_losses_eq(&losses_o, &losses_c, &format!("cached, threads={threads}"));
+        drop(caching);
         // Never cached: every step compiles and runs its own plan.
-        plan::set_enabled(false);
+        let _caching = Caching::set(false);
         let (params_u, losses_u, replays) = run_vm(8);
         assert_eq!(replays, 0, "threads={threads}: caching disabled");
         assert_bitwise_eq(&params_o, &params_u, &format!("uncached, threads={threads}"));
         assert_losses_eq(&losses_o, &losses_u, &format!("uncached, threads={threads}"));
     }
     par::set_threads(0);
-    plan::set_enabled(true);
 }
 
 #[test]
@@ -300,16 +319,14 @@ fn graph_backward_is_bitwise_equal_to_oracle_at_1_2_4_threads() {
 #[test]
 fn gradcheck_through_a_replayed_plan() {
     let _lock = guard();
-    plan::set_enabled(true);
+    let _caching = Caching::set(true);
     let lr = 1e-3f32;
     let mut model = init_model();
     let mut opt = Sgd::new(lr);
     let mut cache = PlanCache::new();
     let (x, t, r) = sample(SEQ, 0);
-    for _ in 0..2 {
-        vm_step(&mut model, &mut opt, &mut cache, SEQ, &x, &t, &r);
-    }
-    assert!(cache.is_ready(), "cache should verify after two identical-shape steps");
+    vm_step(&mut model, &mut opt, &mut cache, SEQ, &x, &t, &r);
+    assert!(cache.is_ready(), "one compiled step keeps its plan");
 
     let before = model.store.snapshot();
     cache
@@ -343,106 +360,48 @@ fn gradcheck_through_a_replayed_plan() {
 #[test]
 fn shape_change_invalidates_and_recompiles() {
     let _lock = guard();
-    plan::set_enabled(true);
+    let _caching = Caching::set(true);
     let mut model = init_model();
     let mut opt = Adam::new(1e-2);
     let mut cache = PlanCache::new();
 
-    // Warm to Ready at SEQ.
-    for s in 0..2 {
-        let (x, t, r) = sample(SEQ, s);
-        vm_step(&mut model, &mut opt, &mut cache, SEQ, &x, &t, &r);
-    }
+    // One compiled step at SEQ keeps the plan; the next window replays it.
+    let (x, t, r) = sample(SEQ, 0);
+    vm_step(&mut model, &mut opt, &mut cache, SEQ, &x, &t, &r);
     assert!(cache.is_ready());
-    let (x, t, r) = sample(SEQ, 2);
+    let (x, t, r) = sample(SEQ, 1);
     assert!(cache.try_replay_train(&[&x, &t], &[&r], &mut model.store, &mut opt).is_some());
 
-    // A different window length must refuse to replay and reset the cache
-    // instead of replaying a stale plan.
+    // A different window length must refuse to replay and drop the plan
+    // instead of replaying a stale one.
     let wide = SEQ + 2;
-    let (x6, t6, r6) = sample(wide, 3);
+    let (x6, t6, r6) = sample(wide, 2);
     assert!(
         cache.try_replay_train(&[&x6, &t6], &[&r6], &mut model.store, &mut opt).is_none(),
         "a plan compiled for seq={SEQ} must not replay seq={wide} inputs"
     );
-    assert_eq!(cache.state_name(), "cold", "shape mismatch resets the cache");
+    assert!(!cache.is_ready(), "a shape mismatch drops the plan");
 
-    // Two steps at the new geometry re-verify and replay again.
-    for s in 4..6 {
-        let (x6, t6, r6) = sample(wide, s);
-        vm_step(&mut model, &mut opt, &mut cache, wide, &x6, &t6, &r6);
-    }
+    // One step at the new geometry compiles and keeps its plan again.
+    let (x6, t6, r6) = sample(wide, 3);
+    vm_step(&mut model, &mut opt, &mut cache, wide, &x6, &t6, &r6);
     assert!(cache.is_ready(), "cache recompiles at the new geometry");
-    let (x6, t6, r6) = sample(wide, 6);
+    let (x6, t6, r6) = sample(wide, 4);
     assert!(cache.try_replay_train(&[&x6, &t6], &[&r6], &mut model.store, &mut opt).is_some());
-}
-
-#[test]
-fn shape_change_during_warmup_restarts_verification() {
-    let _lock = guard();
-    plan::set_enabled(true);
-    let mut model = init_model();
-    let mut opt = Adam::new(1e-2);
-    let mut cache = PlanCache::new();
-
-    let (x, t, r) = sample(SEQ, 0);
-    vm_step(&mut model, &mut opt, &mut cache, SEQ, &x, &t, &r);
-    assert_eq!(cache.state_name(), "verify");
-    // Geometry moves mid-warmup: verification restarts, it does not give up.
-    let wide = SEQ + 2;
-    let (x6, t6, r6) = sample(wide, 1);
-    vm_step(&mut model, &mut opt, &mut cache, wide, &x6, &t6, &r6);
-    assert_eq!(cache.state_name(), "verify");
-    let (x6, t6, r6) = sample(wide, 2);
-    vm_step(&mut model, &mut opt, &mut cache, wide, &x6, &t6, &r6);
-    assert!(cache.is_ready());
-}
-
-#[test]
-fn per_window_constant_turns_cache_off() {
-    let _lock = guard();
-    plan::set_enabled(true);
-    let mut model = init_model();
-    let mut opt = Adam::new(1e-2);
-    let mut cache = PlanCache::new();
-
-    // The target is NOT declared as an input here, so it compiles as a baked
-    // static. It varies per step, so the two candidate plans disagree with
-    // identical shapes — replay would be wrong, and the cache must go
-    // (sticky) off rather than promote.
-    let mut step = |cache: &mut PlanCache, s: u32| {
-        let (x, t, r) = sample(SEQ, s);
-        let mut g = Graph::new();
-        let pv = model.store.register(&mut g);
-        let (loss, _) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
-        cache
-            .run_train(&g, loss, &pv, &mut model.store, &mut opt, &[&x], &[&r])
-            .expect("the corpus model lowers")
-    };
-    for s in 0..2 {
-        step(&mut cache, s);
-    }
-    assert!(cache.is_off(), "varying baked constants must disable replay");
-    // Off is sticky: later steps still compile and run their own plans, and
-    // never resurrect the cache.
-    assert!(step(&mut cache, 2).is_finite());
-    assert!(cache.is_off());
 }
 
 #[test]
 fn forward_replay_matches_the_tape() {
     let _lock = guard();
-    plan::set_enabled(true);
+    let _caching = Caching::set(true);
     let model = init_model();
     let mut cache = PlanCache::new();
 
-    for s in 0..2 {
-        let (x, t, r) = sample(SEQ, s);
-        let mut g = Graph::new();
-        let pv = model.store.register(&mut g);
-        let (_, pred) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
-        cache.observe_forward(&g, pred, &pv, &[&x, &t], &[&r]);
-    }
+    let (x, t, r) = sample(SEQ, 0);
+    let mut g = Graph::new();
+    let pv = model.store.register(&mut g);
+    let (_, pred) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
+    cache.keep_forward(&g, pred, &pv).expect("the corpus model lowers");
     assert!(cache.is_ready());
 
     let (x, t, r) = sample(SEQ, 7);
@@ -459,37 +418,24 @@ fn forward_replay_matches_the_tape() {
     assert_eq!(ba, bb, "forward replay must be bitwise equal");
 }
 
+/// Replay checks every route index against the plan's prototype count: the
+/// routing kernels index unchecked, so an index of `K` at batch 0 would
+/// quietly read batch 1's first row.
 #[test]
-fn plan_text_round_trip() {
+#[should_panic(expected = "route 0: routing index 3 at position 0 out of range for k = 3")]
+fn out_of_range_route_fails_the_replay() {
     let _lock = guard();
+    let _caching = Caching::set(true);
     let model = init_model();
+    let mut cache = PlanCache::new();
     let (x, t, r) = sample(SEQ, 0);
-
-    // Train plan.
     let mut g = Graph::new();
     let pv = model.store.register(&mut g);
-    let (loss, pred) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
-    let train =
-        plan::compile_train(&g, loss, &pv, &[&x, &t], &[&r]).expect("compiles");
-    assert!(train.is_train());
-    assert!(train.n_instrs() > 0 && train.n_slots() > 0);
-    let back = Plan::from_text(&train.to_text()).expect("round-trip parses");
-    assert_eq!(back, train, "train plan text round-trip");
-
-    // Forward plan (fresh tape, no backward).
-    let mut g = Graph::new();
-    let pv = model.store.register(&mut g);
-    let (_, pred2) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
-    let fwd =
-        plan::compile_forward(&g, pred2, &pv, &[&x, &t], &[&r]).expect("compiles");
-    assert!(!fwd.is_train());
-    let back = Plan::from_text(&fwd.to_text()).expect("round-trip parses");
-    assert_eq!(back, fwd, "forward plan text round-trip");
-    let _ = pred;
-
-    // Malformed input reports a 1-based line, not a panic.
-    let err = Plan::from_text("not a plan\n").expect_err("bad magic must fail");
-    assert_eq!(err.line, 1);
+    let (_, pred) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
+    cache.keep_forward(&g, pred, &pv).expect("the corpus model lowers");
+    let mut bad = r.clone();
+    bad[0] = K as u32;
+    let _ = cache.try_replay_forward(&[&x, &t], &[&bad], &model.store);
 }
 
 /// The parity corpus is the ground truth the `opcode-coverage` lint rule
@@ -506,13 +452,11 @@ fn opcode_corpus_coverage_is_exhaustive() {
     let mut g = Graph::new();
     let pv = model.store.register(&mut g);
     let (loss, _) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
-    let train =
-        plan::compile_train(&g, loss, &pv, &[&x, &t], &[&r]).expect("compiles");
+    let train = plan::compile_train(&g, loss, &pv).expect("compiles");
     let mut g = Graph::new();
     let pv = model.store.register(&mut g);
     let (_, pred) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
-    let fwd =
-        plan::compile_forward(&g, pred, &pv, &[&x, &t], &[&r]).expect("compiles");
+    let fwd = plan::compile_forward(&g, pred, &pv).expect("compiles");
 
     /// Opcodes the corpus model's train + forward plans emit — today that is
     /// the whole instruction set, and this list keeps it that way: adding an

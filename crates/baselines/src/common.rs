@@ -2,17 +2,6 @@
 
 use focus_tensor::Tensor;
 
-/// Reshapes a window `[N, L]` into non-overlapping patches `[N, l, p]`.
-///
-/// # Panics
-/// If `p` does not divide `L`.
-pub fn patch_view(x: &Tensor, p: usize) -> Tensor {
-    assert_eq!(x.rank(), 2, "window must be [N, L]");
-    let (n, len) = (x.dims()[0], x.dims()[1]);
-    assert_eq!(len % p, 0, "window length {len} not divisible by patch {p}");
-    x.reshape(&[n, len / p, p])
-}
-
 /// Series decomposition used by DLinear (and Autoformer before it): a
 /// centred moving average extracts the trend; the remainder is the seasonal
 /// component. Edges are padded by replication.
@@ -76,14 +65,6 @@ pub fn dominant_period(x: &Tensor, min_period: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn patch_view_is_pure_reshape() {
-        let x = Tensor::from_vec((0..12).map(|v| v as f32).collect(), &[2, 6]);
-        let p = patch_view(&x, 3);
-        assert_eq!(p.dims(), &[2, 2, 3]);
-        assert_eq!(p.at3(1, 1, 0), 9.0);
-    }
 
     #[test]
     fn decompose_sums_back_to_input() {

@@ -4,11 +4,9 @@
 //! across entities — which is exactly the cost profile Fig. 6 contrasts
 //! with FOCUS.
 
-use crate::common::patch_view;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
-use focus_core::Forecaster;
+use focus_core::{Forecaster, OperandVars};
 use focus_nn::{CostReport, LayerNorm, Linear, SelfAttention};
-use focus_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -78,10 +76,10 @@ impl Forecaster for Crossformer {
         &mut self.ps
     }
 
-    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x_norm: &Tensor) -> Var {
-        let n = x_norm.dims()[0];
+    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, _: &OperandVars) -> Var {
+        let n = g.value(x).dims()[0];
         let l = self.n_patches();
-        let patches = g.constant(patch_view(x_norm, self.patch)); // [N, l, p]
+        let patches = g.reshape(x, &[n, l, self.patch]); // [N, l, p]
         let emb = self.embed.forward(g, pv, patches); // [N, l, d]
 
         // Stage 1: cross-time attention (per entity).
@@ -114,6 +112,7 @@ impl Forecaster for Crossformer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use focus_tensor::Tensor;
     use focus_core::TrainOptions;
     use focus_data::{Benchmark, MtsDataset, Split};
 

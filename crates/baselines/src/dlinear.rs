@@ -4,7 +4,7 @@
 
 use crate::common::decompose;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
-use focus_core::{Forecaster, WindowOperands};
+use focus_core::{Forecaster, OperandVars, WindowOperands};
 use focus_nn::{CostReport, Linear};
 use focus_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -60,12 +60,10 @@ impl Forecaster for DLinear {
         &mut self.ps
     }
 
-    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x_norm: &Tensor) -> Var {
-        let (trend, seasonal) = decompose(x_norm, self.kernel);
-        let tv = g.constant(trend);
-        let sv = g.constant(seasonal);
-        let yt = self.trend.forward(g, pv, tv); // [N, horizon]
-        let ys = self.seasonal.forward(g, pv, sv);
+    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, _: Var, operands: &OperandVars) -> Var {
+        // The trend and seasonal components `window_operands` decomposed.
+        let yt = self.trend.forward(g, pv, operands.tensors[0]); // [N, horizon]
+        let ys = self.seasonal.forward(g, pv, operands.tensors[1]);
         g.add(yt, ys)
     }
 

@@ -3,11 +3,9 @@
 //! traffic graphs. The lite variant keeps the self-adaptive adjacency and
 //! the gated temporal activation with two graph hops.
 
-use crate::common::patch_view;
 use focus_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
-use focus_core::Forecaster;
+use focus_core::{Forecaster, OperandVars};
 use focus_nn::{init, CostReport, Linear};
-use focus_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -91,15 +89,15 @@ impl Forecaster for GraphWavenet {
         &mut self.ps
     }
 
-    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x_norm: &Tensor) -> Var {
-        let n = x_norm.dims()[0];
+    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, _: &OperandVars) -> Var {
+        let n = g.value(x).dims()[0];
         assert_eq!(
             n, self.entities,
             "GraphWavenet adjacency built for {} entities, window has {n}",
             self.entities
         );
         let l = self.lookback / self.patch;
-        let patches = g.constant(patch_view(x_norm, self.patch));
+        let patches = g.reshape(x, &[n, l, self.patch]);
         let emb = self.embed.forward(g, pv, patches); // [N, l, d]
         let flat = g.reshape(emb, &[n, l * self.d]);
 
@@ -153,6 +151,7 @@ impl Forecaster for GraphWavenet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use focus_tensor::Tensor;
     use focus_core::TrainOptions;
     use focus_data::{Benchmark, MtsDataset, Split};
 

@@ -4,11 +4,9 @@
 //! minimise FLOPs and parameters. The lite variant keeps the
 //! light-temporal + single-entity-attention shape.
 
-use crate::common::patch_view;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
-use focus_core::Forecaster;
+use focus_core::{Forecaster, OperandVars};
 use focus_nn::{CostReport, LayerNorm, Linear, SelfAttention};
-use focus_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -72,10 +70,10 @@ impl Forecaster for LightCts {
         &mut self.ps
     }
 
-    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x_norm: &Tensor) -> Var {
-        let n = x_norm.dims()[0];
+    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, _: &OperandVars) -> Var {
+        let n = g.value(x).dims()[0];
         let l = self.lookback / self.patch;
-        let patches = g.constant(patch_view(x_norm, self.patch));
+        let patches = g.reshape(x, &[n, l, self.patch]);
         let emb = self.embed.forward(g, pv, patches); // [N, l, d]
         let flat = g.reshape(emb, &[n, l * self.d]);
         let temporal = self.temporal.forward(g, pv, flat); // [N, d]
@@ -105,6 +103,7 @@ impl Forecaster for LightCts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use focus_tensor::Tensor;
     use focus_core::TrainOptions;
     use focus_data::{Benchmark, MtsDataset, Split};
 

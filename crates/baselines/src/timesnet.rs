@@ -6,7 +6,7 @@
 
 use crate::common::dominant_period;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
-use focus_core::Forecaster;
+use focus_core::{Forecaster, OperandVars};
 use focus_nn::mlp::{Activation, Mlp};
 use focus_nn::{CostReport, Linear};
 use focus_tensor::Tensor;
@@ -97,10 +97,9 @@ impl Forecaster for TimesNet {
         &mut self.ps
     }
 
-    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x_norm: &Tensor) -> Var {
-        let n = x_norm.dims()[0];
+    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, _: &OperandVars) -> Var {
+        let n = g.value(x).dims()[0];
         let cycles = self.lookback / self.period;
-        let x = g.constant(x_norm.clone());
 
         // Intra-period variation: rows of the [cycles, period] grid.
         let grid = g.reshape(x, &[n, cycles, self.period]);

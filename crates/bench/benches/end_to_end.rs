@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use focus_autograd::{AdamW, Graph};
 use focus_baselines::{BaselineConfig, ModelKind};
-use focus_core::{Focus, FocusConfig, Forecaster};
+use focus_core::{Focus, FocusConfig, Forecaster, WindowInputs};
 use focus_data::{Benchmark, MtsDataset};
 use focus_nn::revin::instance_norm;
 use std::hint::black_box;
@@ -40,22 +40,18 @@ fn bench_focus_train_step(c: &mut Criterion) {
     cfg.d = 24;
     let mut model = Focus::fit_offline(&ds, cfg, 1);
     let w = ds.window_at(0, 96, 24);
-    let (x_norm, _) = instance_norm(&w.x);
-    let y_norm = {
-        let (_, stats) = instance_norm(&w.x);
-        focus_core::forecaster::normalise_target(&w.y, &stats)
-    };
+    let (x_norm, stats) = instance_norm(&w.x);
+    let y_norm = focus_core::forecaster::normalise_target(&w.y, &stats);
+    let inputs = WindowInputs::new(&model, x_norm, Some(y_norm));
     let mut opt = AdamW::new(1e-3, 0.0);
 
     c.bench_function("focus_train_step", |b| {
         b.iter(|| {
             let mut g = Graph::new();
-            let pv = model.params().register(&mut g);
-            let pred = model.forward_window(&mut g, &pv, &x_norm);
-            let target = g.constant(y_norm.clone());
-            let loss = g.mse(pred, target);
+            let rec = model.record_window(&mut g, &inputs);
+            let loss = g.mse(rec.pred, rec.target.expect("the window carries its target"));
             g.backward(loss);
-            model.params_mut().step(&mut opt, &g, &pv);
+            model.params_mut().step(&mut opt, &g, &rec.pv);
             black_box(g.value(loss).item())
         })
     });

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use focus_autograd::{Graph, ParamStore};
 use focus_cluster::{ClusterConfig, Objective, ProtoUpdate, Prototypes};
-use focus_core::protoattn::{Assignment, ProtoAttn};
+use focus_core::protoattn::{Assignment, ProtoAttn, Routing};
 use focus_nn::SelfAttention;
 use focus_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -39,13 +39,14 @@ fn bench_attention_scaling(c: &mut Criterion) {
         // ProtoAttn: linear in l.
         let mut ps = ParamStore::new();
         let pa = ProtoAttn::new(&mut ps, "pa", &protos, D, &mut rng);
-        let plan = Assignment::Hard.plan(&segments, &protos);
+        let indices = Assignment::indices(&segments, &protos);
         group.bench_with_input(BenchmarkId::new("protoattn", l), &l, |b, _| {
             b.iter(|| {
                 let mut g = Graph::new();
                 let pv = ps.register(&mut g);
-                let seg_v = g.constant(segments.clone());
-                let out = pa.forward(&mut g, &pv, seg_v, &plan);
+                let seg_v = g.input(segments.clone());
+                let route = g.route(indices.clone());
+                let out = pa.forward(&mut g, &pv, seg_v, Routing::Hard(route));
                 black_box(g.value(out).sum_all())
             })
         });

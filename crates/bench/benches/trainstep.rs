@@ -7,9 +7,9 @@
 //! * **after** — the never-cached path (`plan::set_enabled(false)`): every
 //!   step records its tape, compiles it and runs that plan once, swept
 //!   across 1/2/4/max worker threads;
-//! * **plan** — cached replay: after two compiled warmup steps agree, every
-//!   further step replays the flat instruction stream with pre-resolved
-//!   buffer slots, zero graph traversal and zero pool lookups
+//! * **plan** — cached replay: after one compiled warmup step, every further
+//!   step replays the flat instruction stream with pre-resolved buffer
+//!   slots, zero graph traversal and zero pool lookups
 //!   (`plan/pool_lookups_steady == 0`).
 //!
 //! The host may be time-shared, so modes are measured in *interleaved*
@@ -36,7 +36,7 @@ use focus_autograd::plan::{self, PlanCache};
 use focus_autograd::{AdamW, Graph};
 use focus_core::forecaster::normalise_target;
 use focus_core::model::{Focus, FocusConfig};
-use focus_core::Forecaster;
+use focus_core::{Forecaster, Loss};
 use focus_data::{Benchmark, MtsDataset, Split};
 use focus_nn::revin::instance_norm;
 use focus_tensor::{par, pool};
@@ -96,34 +96,18 @@ impl Harness {
         }
     }
 
-    /// One train step on the next window (cycling through the set), with
-    /// the control flow of [`Forecaster::train`]: replay the cached plan if
-    /// one matches, otherwise record the tape, compile it and run that plan.
+    /// One train step on the next window (cycling through the set) through
+    /// [`Forecaster::train_step`], the step [`Forecaster::train`] takes.
     fn step(&mut self) {
         let w = &self.windows[self.next % self.windows.len()];
         self.next += 1;
         let (x_norm, stats) = instance_norm(&w.x);
         let y_norm = normalise_target(&w.y, &stats);
-        let operands = self.model.window_operands(&x_norm);
-        let routes: Vec<&[u32]> = operands.routes.iter().map(Vec::as_slice).collect();
-        let inputs = [&x_norm, &y_norm];
-        let params = self.model.params_mut();
-        if let Some(loss) = self.pcache.try_replay_train(&inputs, &routes, params, &mut self.opt) {
-            black_box(loss);
-            return;
-        }
-        let g = &mut self.graph;
-        g.reset();
-        let pv = self.model.params().register(g);
-        let pred = self.model.forward_window(g, &pv, &x_norm);
-        let target = g.constant(y_norm.clone());
-        let loss = g.mse(pred, target);
-        let params = self.model.params_mut();
-        let loss = self
-            .pcache
-            .run_train(g, loss, &pv, params, &mut self.opt, &inputs, &routes)
+        let step = self
+            .model
+            .train_step(&mut self.graph, &mut self.pcache, &mut self.opt, x_norm, y_norm, Loss::Mse)
             .expect("the FOCUS train step lowers and verifies");
-        black_box(loss);
+        black_box(step);
     }
 
     /// Times one block of steps, returning ns per step.
@@ -203,8 +187,8 @@ fn main() {
     par::set_threads(1);
 
     // One harness per mode, each warmed in its own mode so both start at
-    // steady state. The plan harness warms through the cache: two compiled
-    // steps agree and verify the plan, further steps replay it.
+    // steady state. The plan harness warms through the cache: the first
+    // step compiles and keeps its plan, further steps replay it.
     let mut after_h = Harness::new();
     plan::set_enabled(false);
     for _ in 0..3 {
@@ -212,14 +196,11 @@ fn main() {
     }
     plan::set_enabled(true);
     let mut plan_h = Harness::new();
-    for _ in 0..4 {
+    plan_h.step();
+    assert!(plan_h.pcache.is_ready(), "one compiled warmup step must keep the plan");
+    for _ in 0..3 {
         plan_h.step();
     }
-    assert!(
-        plan_h.pcache.is_ready(),
-        "plan cache must verify during warmup (state: {})",
-        plan_h.pcache.state_name()
-    );
 
     // Interleaved rounds: both modes sample every load phase of the host.
     let mut after1_ns = f64::INFINITY;
@@ -431,8 +412,8 @@ fn main() {
     println!("span tree + counters identical at 1/2/4 threads ({} counters)", ctr1.len());
 
     // ---- compiled-plan trace: counters prove the replay contract ---------
-    // A fresh harness driven through the cache with tracing on: the two
-    // compiled warmup steps record `plan/compile` and the instruction /
+    // A fresh harness driven through the cache with tracing on: the
+    // compiled warmup step records `plan/compile` and the instruction /
     // slot gauges, the replayed steps record `plan/replay` and the
     // steady-state pool-lookup gauge, which must be exactly zero — replay
     // touches only its pre-resolved slots.
@@ -440,7 +421,7 @@ fn main() {
     focus_trace::set_enabled(true);
     focus_trace::reset();
     let mut traced_plan = Harness::new();
-    for _ in 0..2 + TRACE_STEPS {
+    for _ in 0..1 + TRACE_STEPS {
         traced_plan.step();
     }
     pool::publish_trace_stats();

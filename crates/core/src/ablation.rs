@@ -10,7 +10,7 @@
 //! architectures under identical training.
 
 use crate::extractor::{DualBranchExtractor, SegmentEmbedding};
-use crate::forecaster::{Forecaster, WindowOperands};
+use crate::forecaster::{Forecaster, OperandVars, WindowOperands};
 use crate::fusion::ParallelFusion;
 use crate::model::FocusConfig;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
@@ -158,21 +158,13 @@ impl FocusAblation {
         self.variant
     }
 
-    /// Segment view `[N, l, p]` of a window `[N, L]`.
-    fn segment_view(&self, x: &Tensor) -> Tensor {
-        let (n, len) = (x.dims()[0], x.dims()[1]);
-        let p = self.cfg.segment_len;
-        assert_eq!(len % p, 0, "lookback {len} not divisible by segment length {p}");
-        x.reshape(&[n, len / p, p])
-    }
-
-    /// Runs the extraction stage, returning `(H_t, H_e)`, each `[N, l, d]`.
-    fn extract(&self, g: &mut Graph, pv: &ParamVars, x_norm: &Tensor) -> (Var, Var) {
+    /// Runs the extraction stage on the window `x: [N, L]`, returning
+    /// `(H_t, H_e)`, each `[N, l, d]`.
+    fn extract(&self, g: &mut Graph, pv: &ParamVars, x: Var, operands: &OperandVars) -> (Var, Var) {
+        let n = g.value(x).dims()[0];
+        let (l, p) = (self.cfg.n_segments(), self.cfg.segment_len);
         match &self.extract {
-            Extract::Proto(ext) => {
-                let routing = ext.routing(x_norm);
-                ext.forward(g, pv, x_norm, &routing)
-            }
+            Extract::Proto(ext) => ext.forward(g, pv, x, operands),
             Extract::Attn {
                 embed,
                 attn_t,
@@ -180,7 +172,7 @@ impl FocusAblation {
                 ln_t,
                 ln_e,
             } => {
-                let p_t = g.constant(self.segment_view(x_norm)); // [N, l, p]
+                let p_t = g.reshape(x, &[n, l, p]);
                 let emb_t = embed.forward(g, pv, p_t); // [N, l, d]
                 let at = attn_t.forward(g, pv, emb_t);
                 let sum_t = g.add(at, emb_t);
@@ -194,7 +186,7 @@ impl FocusAblation {
                 (h_t, h_e)
             }
             Extract::Linear { embed, ln } => {
-                let p_t = g.constant(self.segment_view(x_norm));
+                let p_t = g.reshape(x, &[n, l, p]);
                 let emb = embed.forward(g, pv, p_t);
                 let h = ln.forward(g, pv, emb);
                 // Without mixing there is a single feature tensor; both
@@ -244,8 +236,8 @@ impl Forecaster for FocusAblation {
         &mut self.ps
     }
 
-    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x_norm: &Tensor) -> Var {
-        let (h_t, h_e) = self.extract(g, pv, x_norm);
+    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, operands: &OperandVars) -> Var {
+        let (h_t, h_e) = self.extract(g, pv, x, operands);
         self.fuse(g, pv, h_t, h_e)
     }
 

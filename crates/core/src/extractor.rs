@@ -16,8 +16,8 @@
 //! residual path — is used here (this is also what PatchTST does with its
 //! patch embedding).
 
-use crate::forecaster::WindowOperands;
-use crate::protoattn::{Assignment, ProtoAttn, RoutingPlan};
+use crate::forecaster::{OperandVars, WindowOperands};
+use crate::protoattn::{Assignment, ProtoAttn, Routing, RoutingPlan};
 use focus_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
 use focus_cluster::Prototypes;
 use focus_nn::{init, CostReport, LayerNorm, Linear};
@@ -211,7 +211,7 @@ impl DualBranchExtractor {
         self.assignment.plan(&segs, &self.prototypes)
     }
 
-    /// The per-window operands [`DualBranchExtractor::forward`] records for
+    /// The per-window operands [`DualBranchExtractor::forward`] reads for
     /// window `x`: the temporal and entity route indices under hard
     /// assignment, the temporal and entity mixture matrices under soft
     /// assignment (stacked layers reuse both).
@@ -245,41 +245,50 @@ impl DualBranchExtractor {
         x.reshape(&[n, len / p, p])
     }
 
-    /// Runs both branches on window `x: [N, L]` with the precomputed
-    /// temporal routing plan, returning `(H_t, H_e)`, each `[N, l, d]`.
+    /// Runs both branches on the window `x: [N, L]`, a tape input, under the
+    /// temporal and entity routing recorded from
+    /// [`DualBranchExtractor::window_operands`], returning `(H_t, H_e)`,
+    /// each `[N, l, d]`.
     pub fn forward(
         &self,
         g: &mut Graph,
         pv: &ParamVars,
-        x: &Tensor,
-        routing: &RoutingPlan,
+        x: Var,
+        operands: &OperandVars,
     ) -> (Var, Var) {
-        let segs_t = self.segment_view(x); // [N, l, p]
-        let p_t = g.constant(segs_t);
+        let (routing_t, routing_e) = match self.assignment {
+            Assignment::Hard => {
+                (Routing::Hard(operands.routes[0]), Routing::Hard(operands.routes[1]))
+            }
+            Assignment::Soft { .. } => {
+                (Routing::Soft(operands.tensors[0]), Routing::Soft(operands.tensors[1]))
+            }
+        };
+        let (n, len) = (g.value(x).dims()[0], g.value(x).dims()[1]);
+        let p_t = g.reshape(x, &[n, len / self.segment_len, self.segment_len]); // [N, l, p]
 
         // Shared input embedding provides the residual path.
         let emb_t = self.embed.forward(g, pv, p_t); // [N, l, d]
 
         // Temporal branch.
-        let attn_t = self.temporal.forward(g, pv, p_t, routing);
+        let attn_t = self.temporal.forward(g, pv, p_t, routing_t);
         let sum_t = g.add(attn_t, emb_t);
         let mut h_t = self.ln_t.forward(g, pv, sum_t); // [N, l, d]
         for layer in &self.temporal_stack {
-            let refined = layer.attn.forward(g, pv, h_t, routing);
+            let refined = layer.attn.forward(g, pv, h_t, routing_t);
             let sum = g.add(refined, h_t);
             h_t = layer.ln.forward(g, pv, sum);
         }
 
         // Entity branch: same segments viewed as [l, N, p] with swapped
         // routing (a pure index permutation on the hard path).
-        let routing_e = routing.swap01(); // [l, N, k]
         let p_e = g.swap_axes01(p_t); // [l, N, p]
         let emb_e = g.swap_axes01(emb_t); // [l, N, d] (embedding is pointwise per segment)
-        let attn_e = self.entity.forward(g, pv, p_e, &routing_e);
+        let attn_e = self.entity.forward(g, pv, p_e, routing_e);
         let sum_e = g.add(attn_e, emb_e);
         let mut h_e_raw = self.ln_e.forward(g, pv, sum_e); // [l, N, d]
         for layer in &self.entity_stack {
-            let refined = layer.attn.forward(g, pv, h_e_raw, &routing_e);
+            let refined = layer.attn.forward(g, pv, h_e_raw, routing_e);
             let sum = g.add(refined, h_e_raw);
             h_e_raw = layer.ln.forward(g, pv, sum);
         }
@@ -312,6 +321,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Records window `x` and the extractor's operands for it on `g`.
+    fn record(ext: &DualBranchExtractor, g: &mut Graph, x: &Tensor) -> (Var, OperandVars) {
+        let operands = ext.window_operands(x);
+        let xv = g.input(x.clone());
+        let vars = OperandVars {
+            routes: operands.routes.into_iter().map(|r| g.route(r)).collect(),
+            tensors: operands.tensors.into_iter().map(|t| g.input(t)).collect(),
+        };
+        (xv, vars)
+    }
+
     fn fixture() -> (ParamStore, DualBranchExtractor, Tensor) {
         let mut rng = StdRng::seed_from_u64(21);
         // A small periodic multivariate window.
@@ -336,12 +356,12 @@ mod tests {
     #[test]
     fn forward_produces_aligned_branches() {
         let (ps, ext, x) = fixture();
-        let routing = ext.routing(&x);
-        assert_eq!(routing.dims(), (4, 4, 3));
+        assert_eq!(ext.routing(&x).dims(), (4, 4, 3));
         assert_eq!(ext.assignments(&x).dims(), &[4, 4, 3]);
         let mut g = Graph::new();
         let pv = ps.register(&mut g);
-        let (h_t, h_e) = ext.forward(&mut g, &pv, &x, &routing);
+        let (xv, ops) = record(&ext, &mut g, &x);
+        let (h_t, h_e) = ext.forward(&mut g, &pv, xv, &ops);
         assert_eq!(g.value(h_t).dims(), &[4, 4, 6]);
         assert_eq!(g.value(h_e).dims(), &[4, 4, 6]);
         assert!(g.value(h_t).all_finite());
@@ -353,10 +373,10 @@ mod tests {
         // Temporal and entity branches have separate parameters and views,
         // so their features should not coincide.
         let (ps, ext, x) = fixture();
-        let routing = ext.routing(&x);
         let mut g = Graph::new();
         let pv = ps.register(&mut g);
-        let (h_t, h_e) = ext.forward(&mut g, &pv, &x, &routing);
+        let (xv, ops) = record(&ext, &mut g, &x);
+        let (h_t, h_e) = ext.forward(&mut g, &pv, xv, &ops);
         let diff = g.value(h_t).max_abs_diff(g.value(h_e));
         assert!(diff > 1e-3, "branches coincide (diff {diff})");
     }
@@ -400,10 +420,10 @@ mod tests {
         assert!(three.cost(4, 4).flops > one.cost(4, 4).flops);
         assert!(ps3.scalar_count() > ps1.scalar_count());
 
-        let routing = three.routing(&x);
         let mut g = Graph::new();
         let pv = ps3.register(&mut g);
-        let (h_t, h_e) = three.forward(&mut g, &pv, &x, &routing);
+        let (xv, ops) = record(&three, &mut g, &x);
+        let (h_t, h_e) = three.forward(&mut g, &pv, xv, &ops);
         assert_eq!(g.value(h_t).dims(), &[4, 4, 6]);
         assert!(g.value(h_t).all_finite() && g.value(h_e).all_finite());
         // Params accounted analytically must match the store.
@@ -413,11 +433,11 @@ mod tests {
     #[test]
     fn full_gradient_flow() {
         let (mut ps, ext, x) = fixture();
-        let routing = ext.routing(&x);
         let mut opt = focus_autograd::AdamW::new(0.01, 0.0);
         let mut g = Graph::new();
         let pv = ps.register(&mut g);
-        let (h_t, h_e) = ext.forward(&mut g, &pv, &x, &routing);
+        let (xv, ops) = record(&ext, &mut g, &x);
+        let (h_t, h_e) = ext.forward(&mut g, &pv, xv, &ops);
         let s = g.add(h_t, h_e);
         let sq = g.mul(s, s);
         let loss = g.mean_all(sq);

@@ -7,8 +7,8 @@
 //! repository are compared under an identical pipeline (same normalisation,
 //! same optimiser, same window sampling).
 
-use focus_autograd::plan::PlanCache;
-use focus_autograd::{AdamW, Graph, ParamStore, ParamVars, Var};
+use focus_autograd::plan::{CompileError, PlanCache};
+use focus_autograd::{AdamW, Graph, ParamStore, ParamVars, Route, Var};
 use focus_data::{Metrics, MtsDataset, Split};
 use focus_nn::revin::{instance_denorm, instance_norm, InstanceStats};
 use focus_nn::CostReport;
@@ -82,19 +82,70 @@ pub struct TrainReport {
     pub best_epoch: Option<usize>,
 }
 
-/// The per-window operands a model's tape records as data rather than
-/// computing from the window inside the graph: index vectors consumed by
-/// `RouteOneHot` ops, and dense tensors recorded as constant leaves (a soft
-/// routing matrix, a decomposed input). The training and evaluation loops
-/// bind them as plan inputs, so a cached plan replays every window instead of
-/// baking in the one it was compiled from.
+/// The per-window operands a model computes from the window outside the
+/// graph: index vectors consumed by `RouteOneHot` ops, and dense tensors (a
+/// soft routing matrix, a decomposed input). [`Forecaster::record_window`]
+/// records them as tape routes and inputs, so a cached plan binds each
+/// window's own operands instead of baking in the ones it was compiled from.
 #[derive(Clone, Debug, Default)]
 pub struct WindowOperands {
-    /// Route index sources, in the order the tape consumes them.
+    /// Route index sources, in the order the model reads them.
     pub routes: Vec<Vec<u32>>,
-    /// Dense per-window tensors, bitwise equal to the constants the tape
-    /// records for this window.
+    /// Dense per-window tensors, in the order the model reads them.
     pub tensors: Vec<Tensor>,
+}
+
+/// [`WindowOperands`] as recorded on the tape: the handles
+/// `forward_window` reads, in the same order.
+#[derive(Clone, Debug, Default)]
+pub struct OperandVars {
+    /// One registered route per [`WindowOperands::routes`] entry.
+    pub routes: Vec<Route>,
+    /// One tape input per [`WindowOperands::tensors`] entry.
+    pub tensors: Vec<Var>,
+}
+
+/// Everything a plan binds for one window: the instance-normalised window,
+/// the normalised target when training, and the model's [`WindowOperands`].
+/// A replay binds [`WindowInputs::tensors`] and [`WindowInputs::routes`];
+/// [`Forecaster::record_window`] records the same lists, so the plan a
+/// recorded step compiles reads them in the same order.
+pub struct WindowInputs {
+    x_norm: Tensor,
+    target: Option<Tensor>,
+    operands: WindowOperands,
+}
+
+impl WindowInputs {
+    /// `x_norm`'s inputs under `model`, with the target when training.
+    pub fn new<F: Forecaster + ?Sized>(model: &F, x_norm: Tensor, target: Option<Tensor>) -> Self {
+        let operands = model.window_operands(&x_norm);
+        WindowInputs { x_norm, target, operands }
+    }
+
+    /// The plan inputs in binding order: the window, the target, then the
+    /// operand tensors.
+    pub fn tensors(&self) -> Vec<&Tensor> {
+        let mut inputs = vec![&self.x_norm];
+        inputs.extend(&self.target);
+        inputs.extend(&self.operands.tensors);
+        inputs
+    }
+
+    /// The plan routes in binding order.
+    pub fn routes(&self) -> Vec<&[u32]> {
+        self.operands.routes.iter().map(Vec::as_slice).collect()
+    }
+}
+
+/// One window recorded by [`Forecaster::record_window`].
+pub struct RecordedWindow {
+    /// The parameters' trainable leaves.
+    pub pv: ParamVars,
+    /// The normalised forecast `[N, L_f]`.
+    pub pred: Var,
+    /// The normalised target `[N, L_f]`, when the window carried one.
+    pub target: Option<Var>,
 }
 
 /// Normalises a target `[N, L_f]` with the lookback window's instance
@@ -128,18 +179,19 @@ pub trait Forecaster {
     /// Mutable access to the parameters (for the optimiser step).
     fn params_mut(&mut self) -> &mut ParamStore;
 
-    /// Differentiable forward pass over an instance-normalised window
-    /// `[N, L]`, producing the normalised forecast `[N, L_f]`.
-    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x_norm: &Tensor) -> Var;
-
-    /// The per-window operands `forward_window` records for `x_norm` (see
-    /// [`WindowOperands`]).
+    /// Differentiable forward pass over the instance-normalised window
+    /// `x: [N, L]`, a tape input, producing the normalised forecast
+    /// `[N, L_f]`. `operands` holds the handles of this window's
+    /// [`Forecaster::window_operands`].
     ///
-    /// A model whose tape embeds routing indices or other window-derived
-    /// constants must return them here; otherwise the plan cache sees two
-    /// different plans for two windows and every step pays for a tape
-    /// forward, a compile and a run. The default — nothing per-window — is
-    /// correct for models whose constants do not depend on the window.
+    /// Everything recorded here that depends on the window must come from
+    /// `x` or `operands`: a `Graph::constant` is baked into the compiled
+    /// plan and replayed unchanged for every later window.
+    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, operands: &OperandVars) -> Var;
+
+    /// The per-window operands `forward_window` reads, computed from the
+    /// window outside the graph (see [`WindowOperands`]). The default,
+    /// nothing per-window, suits models that compute everything in-graph.
     fn window_operands(&self, _x_norm: &Tensor) -> WindowOperands {
         WindowOperands::default()
     }
@@ -147,19 +199,69 @@ pub trait Forecaster {
     /// Analytic cost of one forward pass for `entities` series.
     fn cost(&self, entities: usize) -> CostReport;
 
+    /// Records one window on `g`: registers the parameters, records `w`'s
+    /// tensors as tape inputs and its routes as tape routes — in the order
+    /// [`WindowInputs::tensors`] and [`WindowInputs::routes`] list them, the
+    /// order a plan binds them in — and runs `forward_window` over them.
+    fn record_window(&self, g: &mut Graph, w: &WindowInputs) -> RecordedWindow {
+        let pv = self.params().register(g);
+        let mut inputs = w.tensors().into_iter().map(|t| g.input(t.clone()));
+        let x = inputs.next().expect("the window is the first plan input");
+        let target = w
+            .target
+            .as_ref()
+            .map(|_| inputs.next().expect("the target follows the window"));
+        let tensors = inputs.collect();
+        let routes = w.operands.routes.iter().map(|r| g.route(r.clone())).collect();
+        let pred = self.forward_window(g, &pv, x, &OperandVars { routes, tensors });
+        RecordedWindow { pv, pred, target }
+    }
+
+    /// One AdamW step on a window: replays `pcache`'s plan when it matches
+    /// the window's shapes; otherwise resets `g`, records the window on it,
+    /// compiles the step, runs it and keeps its plan. Returns the loss and
+    /// whether the step replayed.
+    ///
+    /// # Errors
+    /// If the recorded step does not lower or fails verification (a compiler
+    /// bug); no parameter has changed then.
+    fn train_step(
+        &mut self,
+        g: &mut Graph,
+        pcache: &mut PlanCache,
+        opt: &mut AdamW,
+        x_norm: Tensor,
+        y_norm: Tensor,
+        loss: Loss,
+    ) -> Result<(f32, bool), CompileError> {
+        let w = WindowInputs::new(self, x_norm, Some(y_norm));
+        let replayed = pcache.try_replay_train(&w.tensors(), &w.routes(), self.params_mut(), opt);
+        if let Some(loss) = replayed {
+            return Ok((loss, true));
+        }
+        g.reset();
+        let rec = self.record_window(g, &w);
+        let target = rec.target.expect("a training window carries its target");
+        let loss = match loss {
+            Loss::Mse => g.mse(rec.pred, target),
+            Loss::Mae => g.mae(rec.pred, target),
+        };
+        Ok((pcache.run_train(g, loss, &rec.pv, self.params_mut(), opt)?, false))
+    }
+
     /// End-to-end prediction: instance-normalise, forward, de-normalise.
     fn predict(&self, x: &Tensor) -> Tensor {
         let (x_norm, stats) = instance_norm(x);
         let mut g = Graph::new();
-        let pv = self.params().register(&mut g);
-        let y = self.forward_window(&mut g, &pv, &x_norm);
-        instance_denorm(g.value(y), &stats)
+        let rec = self.record_window(&mut g, &WindowInputs::new(self, x_norm, None));
+        instance_denorm(g.value(rec.pred), &stats)
     }
 
     /// Trains on the dataset's training split with AdamW and an MSE loss.
     ///
-    /// Each step replays the cached plan when one matches the window; any
-    /// other step records the tape, compiles it and runs that plan once.
+    /// The first step records its tape, compiles it and keeps the plan; every
+    /// later window of the same shapes replays it (see
+    /// [`Forecaster::train_step`]).
     ///
     /// # Panics
     /// If the training split holds no full window, if `opts.max_windows` is
@@ -197,9 +299,8 @@ pub trait Forecaster {
         // One tape for the whole run: `reset` keeps the node/grad capacity,
         // so uncached steps stop paying per-window tape reallocation.
         let mut g = Graph::new();
-        // After two compiled steps agree, the cache replays the verified
-        // plan with pre-resolved buffer slots and never touches the tape.
-        // Shape changes reset it.
+        // The first step's plan replays with pre-resolved buffer slots and
+        // never touches the tape; a shape change drops it.
         let mut pcache = PlanCache::new();
         for epoch in 0..opts.epochs {
             let mut total = 0.0f64;
@@ -207,34 +308,13 @@ pub trait Forecaster {
                 focus_trace::span!("train/step");
                 let (x_norm, stats) = instance_norm(&w.x);
                 let y_norm = normalise_target(&w.y, &stats);
-                let operands = self.window_operands(&x_norm);
-                let mut inputs = vec![&x_norm, &y_norm];
-                inputs.extend(&operands.tensors);
-                let routes: Vec<&[u32]> = operands.routes.iter().map(Vec::as_slice).collect();
-                let replayed =
-                    pcache.try_replay_train(&inputs, &routes, self.params_mut(), &mut opt);
-                let loss = match replayed {
-                    Some(loss) => {
-                        plan_replays += 1;
-                        loss
-                    }
-                    None => {
-                        g.reset();
-                        let pv = self.params().register(&mut g);
-                        let pred = self.forward_window(&mut g, &pv, &x_norm);
-                        let target = g.constant(y_norm.clone());
-                        let loss = match opts.loss {
-                            Loss::Mse => g.mse(pred, target),
-                            Loss::Mae => g.mae(pred, target),
-                        };
-                        pcache
-                            .run_train(&g, loss, &pv, self.params_mut(), &mut opt, &inputs, &routes)
-                            .unwrap_or_else(|e| {
-                                // focus-lint: allow(panic-hygiene) -- documented panic: no other executor is left, and the message names the step and the verifier's position
-                                panic!("training step failed at epoch {epoch}, window {wi}: {e}")
-                            })
-                    }
-                };
+                let (loss, replayed) = self
+                    .train_step(&mut g, &mut pcache, &mut opt, x_norm, y_norm, opts.loss)
+                    .unwrap_or_else(|e| {
+                        // focus-lint: allow(panic-hygiene) -- documented panic: no other executor is left, and the message names the step and the verifier's position
+                        panic!("training step failed at epoch {epoch}, window {wi}: {e}")
+                    });
+                plan_replays += usize::from(replayed);
                 assert!(
                     loss.is_finite(),
                     "training diverged: loss {loss} at epoch {epoch}, window {wi}"
@@ -287,31 +367,31 @@ pub trait Forecaster {
     /// space (the paper's metric convention).
     ///
     /// # Panics
-    /// If the split holds no full window.
+    /// If the split holds no full window, or if a window's forward plan
+    /// fails verification (a compiler bug; the message names the window).
     fn evaluate(&self, ds: &MtsDataset, split: Split, stride: usize) -> Metrics {
         let windows = ds.windows(split, self.lookback(), self.horizon(), stride);
         assert!(!windows.is_empty(), "no evaluation windows in {split:?}");
         let mut m = Metrics::new();
-        // Inference-only plan: after two recorded forwards compile to the
-        // same plan, the remaining windows replay without graph
-        // construction. Bitwise-identical to the tape's forward, so metrics
-        // are unchanged.
+        // Inference-only plan: the first window's recorded forward compiles
+        // to a plan the remaining windows replay without graph construction.
+        // Bitwise-identical to the tape's forward, so metrics are unchanged.
         let mut pcache = PlanCache::new();
         let mut g = Graph::new();
-        for w in &windows {
+        for (wi, w) in windows.iter().enumerate() {
             let (x_norm, stats) = instance_norm(&w.x);
-            let operands = self.window_operands(&x_norm);
-            let mut inputs = vec![&x_norm];
-            inputs.extend(&operands.tensors);
-            let routes: Vec<&[u32]> = operands.routes.iter().map(Vec::as_slice).collect();
-            let y_norm = match pcache.try_replay_forward(&inputs, &routes, self.params()) {
+            let inputs = WindowInputs::new(self, x_norm, None);
+            let (tensors, routes) = (inputs.tensors(), inputs.routes());
+            let y_norm = match pcache.try_replay_forward(&tensors, &routes, self.params()) {
                 Some(out) => out,
                 None => {
                     g.reset();
-                    let pv = self.params().register(&mut g);
-                    let y = self.forward_window(&mut g, &pv, &x_norm);
-                    pcache.observe_forward(&g, y, &pv, &inputs, &routes);
-                    g.value(y).clone()
+                    let rec = self.record_window(&mut g, &inputs);
+                    pcache.keep_forward(&g, rec.pred, &rec.pv).unwrap_or_else(|e| {
+                        // focus-lint: allow(panic-hygiene) -- documented panic: a plan that fails verification is a compiler bug, and the message names the window and the verifier's position
+                        panic!("evaluation failed at window {wi}: {e}")
+                    });
+                    g.value(rec.pred).clone()
                 }
             };
             m.update(&instance_denorm(&y_norm, &stats), &w.y);
@@ -415,6 +495,24 @@ mod tests {
         crate::model::Focus::fit_offline(ds, cfg, seed)
     }
 
+    /// Sets plan caching until dropped, then restores the previous setting,
+    /// also when a failing assertion unwinds.
+    struct Caching(bool);
+
+    impl Caching {
+        fn set(on: bool) -> Caching {
+            let prev = focus_autograd::plan::enabled();
+            focus_autograd::plan::set_enabled(on);
+            Caching(prev)
+        }
+    }
+
+    impl Drop for Caching {
+        fn drop(&mut self) {
+            focus_autograd::plan::set_enabled(self.0);
+        }
+    }
+
     fn bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
         ts.iter().map(|t| t.data().iter().map(|v| v.to_bits()).collect()).collect()
     }
@@ -432,13 +530,13 @@ mod tests {
             let mut total = 0.0f64;
             for w in &windows {
                 let (x_norm, stats) = instance_norm(&w.x);
+                let y_norm = normalise_target(&w.y, &stats);
                 let mut g = Graph::new();
-                let pv = model.params().register(&mut g);
-                let pred = model.forward_window(&mut g, &pv, &x_norm);
-                let target = g.constant(normalise_target(&w.y, &stats));
-                let loss = g.mse(pred, target);
+                let w = WindowInputs::new(&*model, x_norm, Some(y_norm));
+                let rec = model.record_window(&mut g, &w);
+                let loss = g.mse(rec.pred, rec.target.expect("the window carries its target"));
                 focus_autograd::oracle::backward(&mut g, loss);
-                model.params_mut().step(&mut opt, &g, &pv);
+                model.params_mut().step(&mut opt, &g, &rec.pv);
                 total += g.value(loss).item() as f64;
             }
             losses.push(total / windows.len() as f64);
@@ -457,15 +555,17 @@ mod tests {
         };
         let mut reference = tiny_focus(&ds, 9);
         let losses_o = oracle_train(&mut reference, &ds, &opts);
+        let _cached = Caching::set(true);
         let mut model = tiny_focus(&ds, 9);
         let report = model.train(&ds, &opts);
-        assert_eq!(report.plan_replays, 22, "two compiled steps, then every step replays");
+        assert_eq!(report.plan_replays, 23, "one compiled step, then every step replays");
         assert_eq!(bits(&model.params().snapshot()), bits(&reference.params().snapshot()));
         assert_eq!(report.epoch_losses, losses_o, "epoch losses must match bitwise");
         // Evaluation through the inference plan matches the tape's forward.
-        focus_autograd::plan::set_enabled(false);
-        let base = model.evaluate(&ds, Split::Test, 24);
-        focus_autograd::plan::set_enabled(true);
+        let base = {
+            let _uncached = Caching::set(false);
+            model.evaluate(&ds, Split::Test, 24)
+        };
         let planned = model.evaluate(&ds, Split::Test, 24);
         assert_eq!(base.mse().to_bits(), planned.mse().to_bits());
         assert_eq!(base.mae().to_bits(), planned.mae().to_bits());

@@ -46,6 +46,9 @@ pub mod protoattn;
 pub mod tune;
 
 pub use ablation::{AblationVariant, FocusAblation};
-pub use forecaster::{Forecaster, Loss, TrainOptions, TrainReport, WindowOperands};
+pub use forecaster::{
+    Forecaster, Loss, OperandVars, RecordedWindow, TrainOptions, TrainReport, WindowInputs,
+    WindowOperands,
+};
 pub use model::{Focus, FocusConfig};
-pub use protoattn::{Assignment, ProtoAttn, RoutingPlan};
+pub use protoattn::{Assignment, ProtoAttn, Routing, RoutingPlan};

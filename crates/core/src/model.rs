@@ -1,7 +1,7 @@
 //! The complete FOCUS model: offline prototypes + dual-branch online network.
 
 use crate::extractor::DualBranchExtractor;
-use crate::forecaster::{Forecaster, WindowOperands};
+use crate::forecaster::{Forecaster, OperandVars, WindowOperands};
 use crate::fusion::ParallelFusion;
 use crate::protoattn::Assignment;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
@@ -207,18 +207,16 @@ impl Forecaster for Focus {
         &mut self.ps
     }
 
-    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x_norm: &Tensor) -> Var {
+    fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, operands: &OperandVars) -> Var {
         focus_trace::span!("model/forward");
-        assert_eq!(x_norm.rank(), 2, "window must be [N, L]");
+        let dims = g.value(x).dims();
+        assert_eq!(dims.len(), 2, "window must be [N, L]");
         assert_eq!(
-            x_norm.dims()[1],
-            self.cfg.lookback,
+            dims[1], self.cfg.lookback,
             "window length {} != lookback {}",
-            x_norm.dims()[1],
-            self.cfg.lookback
+            dims[1], self.cfg.lookback
         );
-        let routing = self.extractor.routing(x_norm);
-        let (h_t, h_e) = self.extractor.forward(g, pv, x_norm, &routing);
+        let (h_t, h_e) = self.extractor.forward(g, pv, x, operands);
         self.fusion.forward(g, pv, h_t, h_e)
     }
 

@@ -15,7 +15,7 @@
 //! Segments sharing a prototype receive identical attention summaries
 //! (Eq. 19); total complexity is `O(k·l·d)` — linear in `l`.
 
-use focus_autograd::{Graph, ParamStore, ParamVars, Var};
+use focus_autograd::{Graph, ParamStore, ParamVars, Route, Var};
 use focus_cluster::Prototypes;
 use focus_nn::{CostReport, Linear};
 use focus_tensor::Tensor;
@@ -34,13 +34,14 @@ pub enum Assignment {
     },
 }
 
-/// A precomputed routing decision for ProtoAttn forwards.
+/// A routing decision for one window, computed outside the graph.
 ///
 /// Hard assignment is carried as a flat prototype-index vector: the forward
 /// pass gathers each segment's prototype summary (`O(B·l·d)`) instead of
 /// multiplying by a materialised `[B, l, k]` one-hot matrix
 /// (`O(B·l·k·d)` plus a wasted `O(B·l·k·d)` backward for the constant
 /// matrix's gradient). Soft assignment keeps the dense mixture matrix.
+/// Forwards read it as a [`Routing`] recorded on the tape.
 #[derive(Clone, Debug)]
 pub enum RoutingPlan {
     /// One-hot routing as `indices[bi·l + i] = j` — the dense matrix is
@@ -60,6 +61,16 @@ pub enum RoutingPlan {
         /// The mixture matrix `[B, l, k]`; rows are distributions.
         matrix: Tensor,
     },
+}
+
+/// A [`RoutingPlan`] as recorded on the tape, the form
+/// [`ProtoAttn::forward`] reads.
+#[derive(Clone, Copy, Debug)]
+pub enum Routing {
+    /// Hard assignment: the index vector, registered with `Graph::route`.
+    Hard(Route),
+    /// Soft assignment: the `[B, l, k]` mixture matrix, a tape input.
+    Soft(Var),
 }
 
 impl RoutingPlan {
@@ -257,7 +268,11 @@ impl ProtoAttn {
     /// sparse `RouteOneHot` op; soft routing multiplies by the dense mixture
     /// matrix. The hard path is bitwise-identical to the dense one-hot
     /// `bmm` at any thread count (see `focus_tensor::route`).
-    pub fn forward(&self, g: &mut Graph, pv: &ParamVars, segments: Var, routing: &RoutingPlan) -> Var {
+    ///
+    /// # Panics
+    /// If `segments` is not `[B, l, kv_dim]`, a hard route does not hold
+    /// `B·l` indices below `k`, or a soft matrix is not `[B, l, k]`.
+    pub fn forward(&self, g: &mut Graph, pv: &ParamVars, segments: Var, routing: Routing) -> Var {
         focus_trace::span!("model/protoattn");
         let dims = g.value(segments).dims().to_vec();
         if focus_trace::enabled() && dims.len() == 3 {
@@ -265,11 +280,6 @@ impl ProtoAttn {
         }
         assert_eq!(dims.len(), 3, "ProtoAttn expects [B, l, kv_dim] inputs");
         assert_eq!(dims[2], self.kv_dim, "ProtoAttn input width mismatch");
-        assert_eq!(
-            routing.dims(),
-            (dims[0], dims[1], self.k()),
-            "routing plan must cover [B, l, k]"
-        );
 
         let c = g.constant(self.prototypes.clone());
         let c_q = self.w_e.forward(g, pv, c); // [k, d]
@@ -280,9 +290,13 @@ impl ProtoAttn {
         let alpha = g.softmax_last(scaled); // [B, k, l]
         let head = g.bmm(alpha, values); // [B, k, d]
         match routing {
-            RoutingPlan::Hard { indices, l, .. } => g.route_one_hot(head, indices, *l),
-            RoutingPlan::Soft { matrix } => {
-                let a = g.constant(matrix.clone());
+            Routing::Hard(route) => g.route_one_hot(head, route, dims[1]),
+            Routing::Soft(a) => {
+                assert_eq!(
+                    g.value(a).dims(),
+                    &[dims[0], dims[1], self.k()],
+                    "soft routing must cover [B, l, k]"
+                );
                 g.bmm(a, head) // [B, l, d]
             }
         }
@@ -353,6 +367,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Records a routing plan on `g` the way a window's operands are.
+    fn record(g: &mut Graph, plan: &RoutingPlan) -> Routing {
+        match plan {
+            RoutingPlan::Hard { indices, .. } => Routing::Hard(g.route(indices.clone())),
+            RoutingPlan::Soft { matrix } => Routing::Soft(g.input(matrix.clone())),
+        }
+    }
+
     fn proto_fixture() -> Prototypes {
         // Two orthogonal "shapes": rising ramp and falling ramp.
         Prototypes::from_centers(
@@ -412,8 +434,9 @@ mod tests {
         let plan = Assignment::Hard.plan(&segs, &protos);
         let mut g = Graph::new();
         let pv = ps.register(&mut g);
-        let seg_v = g.constant(segs);
-        let out = pa.forward(&mut g, &pv, seg_v, &plan);
+        let seg_v = g.input(segs);
+        let routing = record(&mut g, &plan);
+        let out = pa.forward(&mut g, &pv, seg_v, routing);
         assert_eq!(g.value(out).dims(), &[1, 3, 8]);
         let row0: Vec<f32> = (0..8).map(|j| g.value(out).at3(0, 0, j)).collect();
         let row2: Vec<f32> = (0..8).map(|j| g.value(out).at3(0, 2, j)).collect();
@@ -430,8 +453,9 @@ mod tests {
         let plan = Assignment::Hard.plan(&segs, &protos);
         let mut g = Graph::new();
         let pv = ps.register(&mut g);
-        let seg_v = g.constant(segs);
-        let out = pa.forward(&mut g, &pv, seg_v, &plan);
+        let seg_v = g.input(segs);
+        let routing = record(&mut g, &plan);
+        let out = pa.forward(&mut g, &pv, seg_v, routing);
         let sq = g.mul(out, out);
         let loss = g.mean_all(sq);
         g.backward(loss);
@@ -492,7 +516,8 @@ mod tests {
         let run = |routing: &RoutingPlan| {
             let mut g = Graph::new();
             let pv = ps.register(&mut g);
-            let seg_v = g.constant(segs.clone());
+            let seg_v = g.input(segs.clone());
+            let routing = record(&mut g, routing);
             let out = pa.forward(&mut g, &pv, seg_v, routing);
             let sq = g.mul(out, out);
             let loss = g.mean_all(sq);

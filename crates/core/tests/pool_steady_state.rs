@@ -9,7 +9,7 @@
 use focus_autograd::{AdamW, Graph};
 use focus_core::forecaster::normalise_target;
 use focus_core::model::{Focus, FocusConfig};
-use focus_core::Forecaster;
+use focus_core::{Forecaster, WindowInputs};
 use focus_data::{Benchmark, MtsDataset, Split};
 use focus_nn::revin::instance_norm;
 use focus_tensor::pool;
@@ -35,12 +35,10 @@ fn steady_state_training_performs_no_fresh_allocations() {
         let (x_norm, stats) = instance_norm(&w.x);
         let y_norm = normalise_target(&w.y, &stats);
         g.reset();
-        let pv = model.params().register(g);
-        let pred = model.forward_window(g, &pv, &x_norm);
-        let target = g.constant(y_norm);
-        let loss = g.mse(pred, target);
+        let rec = model.record_window(g, &WindowInputs::new(model, x_norm, Some(y_norm)));
+        let loss = g.mse(rec.pred, rec.target.expect("the window carries its target"));
         g.backward(loss);
-        model.params_mut().step(&mut opt, g, &pv);
+        model.params_mut().step(&mut opt, g, &rec.pv);
         assert!(g.value(loss).item().is_finite(), "loss diverged at step {i}");
     };
 

@@ -2,7 +2,7 @@
 
 use focus_autograd::{Graph, ParamStore};
 use focus_cluster::{Objective, Prototypes};
-use focus_core::protoattn::{Assignment, ProtoAttn};
+use focus_core::protoattn::{Assignment, ProtoAttn, Routing};
 use focus_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -68,12 +68,13 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(9);
         let mut ps = ParamStore::new();
         let pa = ProtoAttn::new(&mut ps, "pa", &protos, 8, &mut rng);
-        let plan = Assignment::Hard.plan(&segs, &protos);
-        let a = plan.to_matrix();
+        let indices = Assignment::indices(&segs, &protos);
+        let a = Assignment::Hard.matrix(&segs, &protos);
         let mut g = Graph::new();
         let pv = ps.register(&mut g);
-        let seg_v = g.constant(segs.clone());
-        let out = pa.forward(&mut g, &pv, seg_v, &plan);
+        let seg_v = g.input(segs.clone());
+        let route = g.route(indices);
+        let out = pa.forward(&mut g, &pv, seg_v, Routing::Hard(route));
         let assigned: Vec<usize> = (0..6)
             .map(|i| (0..K).position(|j| a.at3(0, i, j) == 1.0).unwrap())
             .collect();
@@ -99,11 +100,11 @@ proptest! {
         let pa = ProtoAttn::new(&mut ps, "pa", &protos, 6, &mut rng);
 
         let run = |input: &Tensor| -> Tensor {
-            let plan = Assignment::Hard.plan(input, &protos);
             let mut g = Graph::new();
             let pv = ps.register(&mut g);
-            let seg_v = g.constant(input.clone());
-            let out = pa.forward(&mut g, &pv, seg_v, &plan);
+            let seg_v = g.input(input.clone());
+            let route = g.route(Assignment::indices(input, &protos));
+            let out = pa.forward(&mut g, &pv, seg_v, Routing::Hard(route));
             g.value(out).clone()
         };
 

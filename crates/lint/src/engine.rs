@@ -286,6 +286,11 @@ pub struct SymbolFacts {
     /// and "the corpus exercises this opcode" is exactly the fact the
     /// `opcode-coverage` rule consumes.
     pub path_pairs: BTreeSet<(String, String)>,
+    /// `impl Trait for Type` headers outside test regions, as
+    /// `(trait, type, line)`.
+    pub impls: Vec<(String, String, u32)>,
+    /// Every capitalised identifier in the file, test regions included.
+    pub idents: BTreeSet<String>,
 }
 
 /// One `enum` declaration: its name and each variant with its 1-based line.
@@ -306,11 +311,19 @@ pub fn extract_facts(view: &CodeView<'_>) -> SymbolFacts {
     let c = &view.code;
     let mut facts = SymbolFacts::default();
     for j in 0..c.len() {
+        if starts_upper(c[j]) {
+            facts.idents.insert(c[j].text.clone());
+        }
         if starts_upper(c[j])
             && c.get(j + 1).is_some_and(|t| t.is_op("::"))
             && c.get(j + 2).is_some_and(|t| starts_upper(t))
         {
             facts.path_pairs.insert((c[j].text.clone(), c[j + 2].text.clone()));
+        }
+        if c[j].is_ident("impl") && !view.in_test[j] {
+            if let Some(imp) = parse_impl_for(c, j) {
+                facts.impls.push(imp);
+            }
         }
         if c[j].is_ident("enum") && c.get(j + 1).is_some_and(|t| t.kind == Kind::Ident) {
             if let Some(decl) = parse_enum(c, j) {
@@ -319,6 +332,29 @@ pub fn extract_facts(view: &CodeView<'_>) -> SymbolFacts {
         }
     }
     facts
+}
+
+/// Parses a trait impl header `impl[<…>] path::Trait for Type` whose
+/// keyword sits at `c[at]`, returning `(Trait, Type, line)`; `None` for an
+/// inherent impl.
+fn parse_impl_for(c: &[&Token], at: usize) -> Option<(String, String, u32)> {
+    let mut depth = 0i32;
+    let mut last_ident: Option<&Token> = None;
+    for (k, t) in c.iter().enumerate().skip(at + 1) {
+        match t.text.as_str() {
+            "<" if t.kind == Kind::Op => depth += 1,
+            ">" if t.kind == Kind::Op => depth -= 1,
+            ">>" if t.kind == Kind::Op => depth -= 2,
+            "{" | ";" if t.kind == Kind::Op && depth == 0 => return None,
+            "for" if depth == 0 => {
+                let ty = c.get(k + 1).filter(|t| t.kind == Kind::Ident)?;
+                return Some((last_ident?.text.clone(), ty.text.clone(), ty.line));
+            }
+            _ if t.kind == Kind::Ident && depth == 0 => last_ident = Some(t),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Parses the variant list of the `enum` whose keyword sits at `c[at]`.

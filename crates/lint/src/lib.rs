@@ -20,10 +20,11 @@
 //! * **stale-allow** — an allow marker that no longer suppresses any finding
 //!   is itself a finding: a stale license is cover for the next regression;
 //! * **opcode-coverage** — cross-file: every `OpCode` variant must be
-//!   referenced in the VM dispatch, the plan verifier, the text serializer
-//!   and the plan-parity test corpus, and every tape `Op` in both the plan
-//!   compiler and the reference oracle, so a missing match arm is flagged
-//!   before it becomes a runtime failure;
+//!   referenced in the VM dispatch, the plan verifier and the plan-parity
+//!   test corpus, and every tape `Op` in both the plan compiler and the
+//!   reference oracle, so a missing match arm is flagged before it becomes a
+//!   runtime failure; and every `impl Forecaster` type must be named in the
+//!   plan-replay guard, `tests/plan_replays.rs`;
 //! * **pool-bypass** — float buffers in `tensor`/`autograd` library code
 //!   come from `focus_tensor::pool`, not `vec![0.0; n]` /
 //!   `Vec::<f32>::with_capacity`; enforced now that every deliberate heap
@@ -31,12 +32,13 @@
 //!
 //! The engine runs in two passes ([`engine::scan_source`] then
 //! [`engine::finish`]): pass 1 lints each file and extracts a workspace
-//! symbol index (enum declarations, `Type::Variant` references); pass 2 runs
+//! symbol index (enum declarations, `Type::Variant` references, trait impls,
+//! capitalised identifiers); pass 2 runs
 //! the cross-file rules over that index and audits every allow marker for
 //! staleness.
 //!
 //! Run it over the workspace with
-//! `cargo run -p focus-lint --release -- crates/ src/`; it prints
+//! `cargo run -p focus-lint --release -- crates/ src/ tests/`; it prints
 //! `file:line: rule: message` diagnostics (or a `focus-lint-report v1` JSON
 //! document under `--json`) and exits 0 when clean, 1 on enforced findings,
 //! 2 on internal errors (unknown flag, unreadable file).

@@ -23,10 +23,12 @@
 //! |                 | any finding is itself a finding: a stale license is cover  |
 //! |                 | for the next regression                                    |
 //! | `opcode-coverage`| *(cross-file)* every `OpCode` variant appears in the VM   |
-//! |                 | dispatch, the verifier, the text serializer and the        |
-//! |                 | plan-parity corpus; every tape `Op` has both a lowering in |
-//! |                 | the plan compiler and a rule in the reference oracle — a   |
-//! |                 | missing arm is flagged before it becomes a runtime panic   |
+//! |                 | dispatch, the verifier and the plan-parity corpus; every   |
+//! |                 | tape `Op` has both a lowering in the plan compiler and a   |
+//! |                 | rule in the reference oracle — a missing arm is flagged    |
+//! |                 | before it becomes a runtime panic; every `impl Forecaster` |
+//! |                 | type is named in the plan-replay guard,                    |
+//! |                 | `tests/plan_replays.rs`                                    |
 //! | `pool-bypass`   | float buffers in `tensor`/`autograd` library code come     |
 //! |                 | from `focus_tensor::pool`, not the heap; enforced now that |
 //! |                 | every deliberate heap-allocation site carries an allow     |
@@ -330,7 +332,6 @@ const COVERAGE: [CoverageTarget; 2] = [
         enum_name: "OpCode",
         decl: "crates/autograd/src/plan.rs",
         require: &[
-            ("crates/autograd/src/plan.rs", "the text serializer"),
             ("crates/autograd/src/vm.rs", "the VM dispatch"),
             ("crates/autograd/src/verify.rs", "the verifier's kernel geometry"),
             ("crates/autograd/tests/plan_parity.rs", "the plan-parity test corpus"),
@@ -346,6 +347,24 @@ const COVERAGE: [CoverageTarget; 2] = [
     },
 ];
 
+/// One cross-file implementor contract: every type implementing
+/// `trait_name` outside test code must be named in the `require`d file.
+/// Like [`CoverageTarget`], a required file outside the scan set is skipped.
+struct ImplTarget {
+    trait_name: &'static str,
+    require: (&'static str, &'static str),
+}
+
+/// The workspace's implementor contracts. Plan replay binds a window's data
+/// by what the tape records, and nothing at run time checks that a model
+/// records no window data as a constant: the plan-replay guard compiles
+/// every forecaster on two windows and requires equal plans, so it must
+/// list every forecaster.
+const IMPLEMENTORS: [ImplTarget; 1] = [ImplTarget {
+    trait_name: "Forecaster",
+    require: ("tests/plan_replays.rs", "the plan-replay guard"),
+}];
+
 /// Component-aligned path suffix match (`…/plan.rs` must not be matched by
 /// `myplan.rs`), tolerant of Windows separators.
 fn path_matches(path: &str, suffix: &str) -> bool {
@@ -355,10 +374,30 @@ fn path_matches(path: &str, suffix: &str) -> bool {
 }
 
 /// `opcode-coverage` (cross-file): runs over the whole scan set. Findings
-/// land at the variant's declaration line in the declaring file, so the fix
-/// site (extend the dispatch/corpus, or consciously allow-mark the variant)
-/// is one jump away.
+/// land at the variant's declaration line in the declaring file, or at the
+/// uncovered `impl` line, so the fix site (extend the dispatch/corpus/guard,
+/// or consciously allow-mark the variant) is one jump away.
 pub fn cross_file(scans: &[FileScan], findings: &mut Vec<Finding>) {
+    for tgt in &IMPLEMENTORS {
+        let (suffix, role) = tgt.require;
+        let Some(req) = scans.iter().find(|s| path_matches(&s.ctx.path, suffix)) else {
+            continue;
+        };
+        for scan in scans.iter().filter(|s| !s.ctx.is_test_path) {
+            for (tr, ty, line) in &scan.facts.impls {
+                if tr == tgt.trait_name && !req.facts.idents.contains(ty) {
+                    findings.push(Finding {
+                        file: scan.ctx.path.clone(),
+                        line: *line,
+                        rule: "opcode-coverage",
+                        message: format!(
+                            "{ty} implements {tr} but is not named in {role} ({suffix}): the guard does not cover it"
+                        ),
+                    });
+                }
+            }
+        }
+    }
     for tgt in &COVERAGE {
         let Some(decl_scan) = scans.iter().find(|s| path_matches(&s.ctx.path, tgt.decl)) else {
             continue;

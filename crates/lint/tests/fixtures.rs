@@ -197,6 +197,22 @@ fn opcode_coverage_skips_absent_required_files() {
 }
 
 #[test]
+fn replay_guard_flags_the_forecaster_it_does_not_name() {
+    let (_, f) = run(&[fixture("replay_guard/uncovered")]);
+    assert_eq!(hits(&f), vec![("opcode-coverage", 8)], "Unnamed is missing from the guard: {f:?}");
+    let only = &f[0];
+    assert!(only.file.ends_with("model.rs"), "finding lands at the impl: {only}");
+    assert!(only.message.contains("Unnamed implements Forecaster"), "{only}");
+    assert!(only.message.contains("tests/plan_replays.rs"), "names the guard file: {only}");
+}
+
+#[test]
+fn replay_guard_is_silent_when_every_forecaster_is_named() {
+    let (_, f) = run(&[fixture("replay_guard/covered")]);
+    assert!(f.is_empty(), "named forecasters and test-only impls pass: {f:?}");
+}
+
+#[test]
 fn engine_run_walks_fixture_tree_deterministically() {
     let (files, findings) = run(&[fixture("crates")]);
     assert_eq!(files, 18, "all fixture files reached");
@@ -289,7 +305,7 @@ fn workspace_is_lint_clean() {
         .and_then(|p| p.parent())
         .expect("crates/lint sits two levels under the workspace root")
         .to_path_buf();
-    let (files, findings) = run(&[root.join("crates"), root.join("src")]);
+    let (files, findings) = run(&[root.join("crates"), root.join("src"), root.join("tests")]);
     assert!(files > 80, "walked the whole workspace, saw {files} files");
     assert!(
         findings.is_empty(),

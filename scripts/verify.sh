@@ -38,14 +38,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 # opcode-coverage rules (see DESIGN.md §10, §14). The tool prints its rule
 # and finding counts so regressions are visible in CI logs, and exits
 # nonzero on any enforced finding.
-echo "==> focus-lint crates/ src/"
-cargo run -q -p focus-lint --release -- crates/ src/
+echo "==> focus-lint crates/ src/ tests/"
+cargo run -q -p focus-lint --release -- crates/ src/ tests/
 
 # Machine-readable lint report: the --json mode is what CI dashboards
 # consume, so verify that the schema line and a clean result actually come
 # out of the same run the human-readable pass just made.
-echo "==> focus-lint --json crates/ src/"
-cargo run -q -p focus-lint --release -- --json crates/ src/ | tee /tmp/focus-lint-report.json
+echo "==> focus-lint --json crates/ src/ tests/"
+cargo run -q -p focus-lint --release -- --json crates/ src/ tests/ | tee /tmp/focus-lint-report.json
 grep -q '"schema":"focus-lint-report v1"' /tmp/focus-lint-report.json
 grep -q '"enforced":0' /tmp/focus-lint-report.json
 grep -q '"io_errors":0' /tmp/focus-lint-report.json

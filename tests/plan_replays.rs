@@ -1,26 +1,78 @@
-//! Every in-repo forecaster must reach plan replay: after the two compiled
-//! warmup steps of a `train` call, each further window replays the cached
-//! plan. A model whose tape bakes per-window data (route indices, a soft
-//! mixture, a decomposed input) without surfacing it through
-//! `Forecaster::window_operands` would instead compile every step.
+//! Every in-repo forecaster must compile one plan per shape and replay it
+//! soundly. Plans bind a window's data by identity — the tape records the
+//! window, the target and `Forecaster::window_operands` as inputs and routes
+//! — so one compiled step serves every later window of the same shapes. A
+//! model that records window data as a `Graph::constant` would instead bake
+//! the first window into its plan; the compile-twice test catches that.
+//!
+//! focus-lint requires every `impl Forecaster` type to be named in this
+//! file, so a new model cannot skip these guards.
 
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
+use focus::autograd::plan::{self, PlanCache};
+use focus::autograd::{AdamW, Graph};
+use focus::core::forecaster::normalise_target;
+use focus::core::{Loss, WindowInputs};
+use focus::nn::revin::instance_norm;
 use focus::{
     AblationVariant, Assignment, BaselineConfig, Benchmark, Focus, FocusAblation, FocusConfig,
-    Forecaster, ModelKind, MtsDataset, TrainOptions,
+    Forecaster, ModelKind, MtsDataset, Split, Tensor, TrainOptions,
 };
 
-#[test]
-fn every_in_repo_forecaster_replays_after_two_warmup_steps() {
-    let ds = MtsDataset::generate(Benchmark::Pems08.scaled(4, 1_200), 21);
+/// Plan caching is process-global and these tests run concurrently: every
+/// test that depends on it holds this lock.
+fn guard() -> MutexGuard<'static, ()> {
+    static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
+    GUARD
+        .get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+}
+
+/// Sets plan caching until dropped, then restores the previous setting, also
+/// when a failing assertion unwinds.
+struct Caching(bool);
+
+impl Caching {
+    fn set(on: bool) -> Caching {
+        let prev = plan::enabled();
+        plan::set_enabled(on);
+        Caching(prev)
+    }
+}
+
+impl Drop for Caching {
+    fn drop(&mut self) {
+        plan::set_enabled(self.0);
+    }
+}
+
+fn dataset() -> MtsDataset {
+    MtsDataset::generate(Benchmark::Pems08.scaled(4, 1_200), 21)
+}
+
+/// All 13 in-repo forecasters: the 8 zoo models (FOCUS, PatchTst,
+/// Crossformer, Mtgnn, GraphWavenet, TimesNet, LightCts, DLinear), the 4
+/// FocusAblation rows and soft-routed FOCUS.
+fn forecasters(ds: &MtsDataset) -> Vec<Box<dyn Forecaster>> {
     let zoo = BaselineConfig {
         d: 8,
         n_prototypes: 4,
         ..BaselineConfig::new(48, 12)
     };
-    let mut models: Vec<Box<dyn Forecaster>> = ModelKind::ALL
-        .iter()
-        .map(|&kind| zoo.build(kind, &ds))
-        .collect();
+    let kinds = [
+        ModelKind::Focus,
+        ModelKind::PatchTst,
+        ModelKind::Crossformer,
+        ModelKind::Mtgnn,
+        ModelKind::GraphWavenet,
+        ModelKind::TimesNet,
+        ModelKind::LightCts,
+        ModelKind::DLinear,
+    ];
+    let mut models: Vec<Box<dyn Forecaster>> =
+        kinds.iter().map(|&kind| zoo.build(kind, ds)).collect();
     let mut cfg = FocusConfig::new(48, 12);
     cfg.segment_len = 8;
     cfg.n_prototypes = 4;
@@ -42,22 +94,136 @@ fn every_in_repo_forecaster_replays_after_two_warmup_steps() {
         13,
         "8 zoo models, 4 ablation rows, soft FOCUS"
     );
+    models
+}
 
+/// The normalised window and target of `(x, y)`.
+fn normalised(x: &Tensor, y: &Tensor) -> (Tensor, Tensor) {
+    let (x_norm, stats) = instance_norm(x);
+    (x_norm, normalise_target(y, &stats))
+}
+
+#[test]
+fn every_in_repo_forecaster_replays_after_one_warmup_step() {
+    let _lock = guard();
+    let _caching = Caching::set(true);
+    let ds = dataset();
     let opts = TrainOptions {
         epochs: 1,
         max_windows: 12,
         ..Default::default()
     };
     let mut stuck = Vec::new();
-    for model in &mut models {
+    for mut model in forecasters(&ds) {
         let report = model.train(&ds, &opts);
         assert_eq!(report.windows_per_epoch, 12, "{}", model.name());
-        if report.plan_replays != 10 {
+        if report.plan_replays != 11 {
             stuck.push(format!("{}: {} of 12", model.name(), report.plan_replays));
         }
     }
     assert!(
         stuck.is_empty(),
-        "models that did not replay 10 of 12 windows: {stuck:?}"
+        "models that did not replay 11 of 12 windows: {stuck:?}"
     );
+}
+
+/// One model's training run over `windows` through `Forecaster::train_step`:
+/// the bits of every step's loss and of the final parameters, and the
+/// number of replayed steps.
+fn train_bits(
+    model: &mut dyn Forecaster,
+    windows: &[(Tensor, Tensor)],
+) -> (Vec<u32>, Vec<Vec<u32>>, usize) {
+    let mut g = Graph::new();
+    let mut pcache = PlanCache::new();
+    let mut opt = AdamW::new(2e-3, 1e-4);
+    let (mut losses, mut replays) = (Vec::new(), 0);
+    for (x, y) in windows {
+        let (x_norm, y_norm) = normalised(x, y);
+        let (loss, replayed) = model
+            .train_step(&mut g, &mut pcache, &mut opt, x_norm, y_norm, Loss::Mse)
+            .expect("every in-repo step lowers");
+        losses.push(loss.to_bits());
+        replays += usize::from(replayed);
+    }
+    let params = model
+        .params()
+        .snapshot()
+        .iter()
+        .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+        .collect();
+    (losses, params, replays)
+}
+
+/// A flat series normalises to an all-zero window. On one, operands that
+/// differ on real windows coincide: DLinear's trend and seasonal parts equal
+/// the window, hard FOCUS's temporal and entity routes hold the same
+/// indices, soft FOCUS's two mixtures the same weights. A plan compiled on
+/// such a window must still bind each operand to its own source, so cached
+/// training stays bitwise equal to never-cached training afterwards.
+#[test]
+fn flat_warmup_windows_replay_like_never_cached_training() {
+    let _lock = guard();
+    let ds = dataset();
+    let flat = (Tensor::full(&[4, 48], 2.5), Tensor::full(&[4, 12], 2.5));
+    let mut windows = vec![flat.clone(), flat];
+    windows.extend(
+        ds.windows(Split::Train, 48, 12, 8)
+            .into_iter()
+            .take(6)
+            .map(|w| (w.x, w.y)),
+    );
+    assert_eq!(windows.len(), 8);
+
+    let mut diverged = Vec::new();
+    for mut model in forecasters(&ds) {
+        let init = model.params().snapshot();
+        let cached = {
+            let _caching = Caching::set(true);
+            train_bits(&mut *model, &windows)
+        };
+        model.params_mut().restore(&init);
+        let uncached = {
+            let _caching = Caching::set(false);
+            train_bits(&mut *model, &windows)
+        };
+        assert_eq!(
+            cached.2,
+            windows.len() - 1,
+            "{}: every step after the first replays",
+            model.name()
+        );
+        assert_eq!(uncached.2, 0, "{}: caching disabled", model.name());
+        if (&cached.0, &cached.1) != (&uncached.0, &uncached.1) {
+            diverged.push(model.name().to_string());
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "cached training diverged from never-cached for {diverged:?}"
+    );
+}
+
+/// Nothing at run time checks that a model records no window data through
+/// `Graph::constant`; such data is baked into the plan, so two windows
+/// would compile to different plans.
+#[test]
+fn two_windows_compile_to_the_same_train_plan() {
+    let ds = dataset();
+    let windows = ds.windows(Split::Train, 48, 12, 8);
+    for model in forecasters(&ds) {
+        let compile = |i: usize| {
+            let (x_norm, y_norm) = normalised(&windows[i].x, &windows[i].y);
+            let mut g = Graph::new();
+            let rec =
+                model.record_window(&mut g, &WindowInputs::new(&*model, x_norm, Some(y_norm)));
+            let loss = g.mse(rec.pred, rec.target.expect("the window carries its target"));
+            plan::compile_train(&g, loss, &rec.pv).expect("every in-repo step lowers")
+        };
+        assert!(
+            compile(0) == compile(1),
+            "{}: two windows compiled to different plans",
+            model.name()
+        );
+    }
 }
