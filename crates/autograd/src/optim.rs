@@ -8,6 +8,9 @@
 //! network with AdamW; [`Adam`] and [`Sgd`] are provided for the ablations
 //! and for tests.
 
+use std::sync::Mutex;
+
+use crate::plan::{CompileError, PlanCache};
 use crate::{Graph, Var};
 use focus_tensor::{fused, Tensor};
 
@@ -15,11 +18,22 @@ use focus_tensor::{fused, Tensor};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ParamId(usize);
 
-/// A named collection of trainable tensors.
+/// A named collection of trainable tensors, and the forward plan kept for
+/// the model that owns them.
+///
+/// A store belongs to one model. [`ParamStore::run_forward`] compiles that
+/// model's recorded forward pass once and replays it for every later window
+/// of the same shapes. The plan reads the parameters from this store at
+/// their current values, so training never makes it stale; it bakes in the
+/// constants the model recorded, so the owning model's constants must stay
+/// fixed for the store's lifetime. A change of shape, the parameters'
+/// included, drops the plan.
 #[derive(Default)]
 pub struct ParamStore {
     tensors: Vec<Tensor>,
     names: Vec<String>,
+    /// The kept forward plan, locked for the whole of one forward pass.
+    forward: Mutex<PlanCache>,
 }
 
 impl ParamStore {
@@ -123,6 +137,43 @@ impl ParamStore {
                 opt.update(i, &mut self.tensors[i], grad);
             }
         }
+    }
+
+    /// One forward pass through this store's kept forward plan, returning
+    /// the output's value.
+    ///
+    /// Replays the kept plan when it was compiled for the shapes of
+    /// `inputs`, `routes` and this store. Otherwise `record` records the pass
+    /// on a fresh tape, registering this store's parameters and recording
+    /// `inputs` as the tape's inputs and `routes` as its routes, in order,
+    /// and returns the output and the parameter leaves. The tape is compiled,
+    /// its plan kept (unless caching is off, see [`crate::plan::set_enabled`])
+    /// and its value returned. Both ways give the same bits.
+    ///
+    /// The lock is held for the whole pass, so concurrent calls on one store
+    /// wait for each other. After a pass panicked while holding it, the next
+    /// call drops the kept plan and records afresh: a replay that unwound
+    /// can leave slot buffers taken.
+    ///
+    /// # Errors
+    /// If the recorded pass does not lower, or its plan fails verification;
+    /// no plan is kept then.
+    ///
+    /// # Panics
+    /// If a route index is out of range for the kept plan.
+    pub fn run_forward(
+        &self,
+        inputs: &[&Tensor],
+        routes: &[&[u32]],
+        record: impl FnOnce(&mut Graph) -> (Var, ParamVars),
+    ) -> Result<Tensor, CompileError> {
+        let mut cache = self.forward.lock().unwrap_or_else(|poisoned| {
+            let mut cache = poisoned.into_inner();
+            *cache = PlanCache::new();
+            self.forward.clear_poison();
+            cache
+        });
+        cache.run_forward(inputs, routes, self, record)
     }
 
     /// Parameter tensor by raw index, for the plan VM's update loop.

@@ -31,7 +31,9 @@
 //! ever becomes a static, deduplicated by bits. So a plan compiled from one
 //! window replays every later window of the same shapes. [`PlanCache`]
 //! keeps that plan: a step that cannot replay records its tape, compiles it,
-//! runs it and keeps the plan; a shape change drops it.
+//! runs it and keeps the plan; a shape change drops it. Each model's
+//! [`ParamStore`] keeps one such cache for its forward pass
+//! ([`ParamStore::run_forward`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -1650,9 +1652,9 @@ pub(crate) fn leaf_gradients(g: &Graph, loss: Var) -> Result<Vec<(Var, Tensor)>,
 ///
 /// Usage per training step: first try [`PlanCache::try_replay_train`]; on
 /// `None`, record the tape and hand it to [`PlanCache::run_train`], which
-/// compiles it, runs that plan and keeps it for the following steps.
-/// Inference loops use [`PlanCache::try_replay_forward`] and
-/// [`PlanCache::keep_forward`]. A replay whose shapes differ from the kept
+/// compiles it, runs that plan and keeps it for the following steps. The
+/// forward plan lives in the [`ParamStore`] instead, one per model (see
+/// [`ParamStore::run_forward`]). A replay whose shapes differ from the kept
 /// plan's drops it. With caching disabled ([`set_enabled`]) the cache never
 /// keeps a plan.
 pub struct PlanCache {
@@ -1703,22 +1705,6 @@ impl PlanCache {
         Some(vm::replay_train(plan, &mut self.slots, &data, routes, store, opt))
     }
 
-    /// Replays one forward pass if the kept plan matches, returning the
-    /// output tensor.
-    ///
-    /// # Panics
-    /// If a route index is out of range for the plan's prototype count.
-    pub fn try_replay_forward(
-        &mut self,
-        inputs: &[&Tensor],
-        routes: &[&[u32]],
-        store: &ParamStore,
-    ) -> Option<Tensor> {
-        let plan = replayable(&mut self.plan, inputs, routes, store)?;
-        let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
-        Some(vm::replay_forward(plan, &mut self.slots, &data, routes, store))
-    }
-
     /// Runs one uncached training step from its recorded tape: compiles the
     /// tape, runs that plan over the tape's inputs and routes (forward,
     /// backward and the optimizer update), and keeps it for later steps.
@@ -1746,23 +1732,32 @@ impl PlanCache {
         Ok(loss)
     }
 
-    /// Compiles one recorded forward pass and keeps the plan for later
-    /// windows; the caller already holds the forward value.
+    /// One forward pass: replays the kept plan if it matches, otherwise
+    /// records the pass with `record`, keeps its compiled plan and returns
+    /// the tape's value. See [`ParamStore::run_forward`], which owns the one
+    /// forward cache per store; `store` is that owner.
     ///
     /// # Errors
     /// If the tape does not lower, or the lowered plan fails verification.
-    pub fn keep_forward(
+    pub(crate) fn run_forward(
         &mut self,
-        g: &Graph,
-        output: Var,
-        pv: &ParamVars,
-    ) -> Result<(), CompileError> {
+        inputs: &[&Tensor],
+        routes: &[&[u32]],
+        store: &ParamStore,
+        record: impl FnOnce(&mut Graph) -> (Var, ParamVars),
+    ) -> Result<Tensor, CompileError> {
+        if let Some(plan) = replayable(&mut self.plan, inputs, routes, store) {
+            let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
+            return Ok(vm::replay_forward(plan, &mut self.slots, &data, routes, store));
+        }
+        let mut g = Graph::new();
+        let (output, pv) = record(&mut g);
         if enabled() {
-            let plan = compile_forward(g, output, pv)?;
+            let plan = compile_forward(&g, output, &pv)?;
             plan.fit_slots(&mut self.slots);
             self.plan = Some(Box::new(plan));
         }
-        Ok(())
+        Ok(g.value(output).clone())
     }
 }
 

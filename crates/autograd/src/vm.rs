@@ -10,9 +10,11 @@
 //! Slot buffers are plain `Vec<f32>`s owned by the caller (sized once when a
 //! plan is compiled); the dispatch `mem::take`s an instruction's destinations,
 //! borrows its arguments immutably, runs the kernel, and puts the
-//! destinations back. No tensor-pool traffic happens anywhere on this path —
+//! destinations back. No tensor-pool traffic happens in the dispatch —
 //! `replay_train` measures the pool-lookup delta around the whole step and
-//! publishes it as `plan/pool_lookups_steady` (expected: 0).
+//! `replay_forward` around its sweep, and both publish it as
+//! `plan/pool_lookups_steady` (expected: 0). A forward replay then takes
+//! one pooled buffer for the output it returns.
 
 use focus_tensor::{exec, pool, Tensor};
 
@@ -474,7 +476,9 @@ pub(crate) fn replay_train<O: Optimizer>(
     loss
 }
 
-/// Replays a forward-only plan, returning the output tensor.
+/// Replays a forward-only plan, returning the output tensor in a pooled
+/// buffer. `plan/pool_lookups_steady` covers the instruction sweep only, not
+/// the output's one pool lookup.
 pub(crate) fn replay_forward(
     plan: &Plan,
     slots: &mut [Vec<f32>],
@@ -487,9 +491,8 @@ pub(crate) fn replay_forward(
         focus_trace::span!("plan/replay");
         run(plan, slots, inputs, routes, store);
     }
+    focus_trace::counter_set("plan/pool_lookups_steady", pool::lookups() - lookups0);
     let (slot, dims) = plan.output.as_ref().expect("replay_forward on a train plan");
     let numel: usize = dims.iter().product();
-    let out = Tensor::from_vec(slots[*slot as usize][..numel].to_vec(), dims);
-    focus_trace::counter_set("plan/pool_lookups_steady", pool::lookups() - lookups0);
-    out
+    Tensor::from_vec(pool::take_copy(&slots[*slot as usize][..numel]), dims)
 }

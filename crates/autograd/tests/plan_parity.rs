@@ -390,32 +390,40 @@ fn shape_change_invalidates_and_recompiles() {
     assert!(cache.try_replay_train(&[&x6, &t6], &[&r6], &mut model.store, &mut opt).is_some());
 }
 
+/// Records the test model's forward pass on `g`, for
+/// `ParamStore::run_forward`.
+fn record_pred(g: &mut Graph, model: &Model, x: &Tensor, t: &Tensor, r: &[u32]) -> (Var, ParamVars) {
+    let pv = model.store.register(g);
+    let (_, pred) = build_loss(g, &pv, &model.ids, SEQ, x, t, r);
+    (pred, pv)
+}
+
+fn tensor_bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn forward_replay_matches_the_tape() {
     let _lock = guard();
     let _caching = Caching::set(true);
     let model = init_model();
-    let mut cache = PlanCache::new();
 
     let (x, t, r) = sample(SEQ, 0);
-    let mut g = Graph::new();
-    let pv = model.store.register(&mut g);
-    let (_, pred) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
-    cache.keep_forward(&g, pred, &pv).expect("the corpus model lowers");
-    assert!(cache.is_ready());
+    model
+        .store
+        .run_forward(&[&x, &t], &[&r], |g| record_pred(g, &model, &x, &t, &r))
+        .expect("the corpus model lowers");
 
     let (x, t, r) = sample(SEQ, 7);
-    let replayed = cache
-        .try_replay_forward(&[&x, &t], &[&r], &model.store)
-        .expect("ready forward cache must replay");
+    let replayed = model
+        .store
+        .run_forward(&[&x, &t], &[&r], |_| unreachable!("the kept plan matches and replays"))
+        .expect("a replay compiles nothing");
     let mut g = Graph::new();
-    let pv = model.store.register(&mut g);
-    let (_, pred) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
+    let (pred, _) = record_pred(&mut g, &model, &x, &t, &r);
     let reference = g.value(pred);
     assert_eq!(reference.dims(), replayed.dims());
-    let ba: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
-    let bb: Vec<u32> = replayed.data().iter().map(|v| v.to_bits()).collect();
-    assert_eq!(ba, bb, "forward replay must be bitwise equal");
+    assert_eq!(tensor_bits(reference), tensor_bits(&replayed), "forward replay must be bitwise equal");
 }
 
 /// Replay checks every route index against the plan's prototype count: the
@@ -427,15 +435,51 @@ fn out_of_range_route_fails_the_replay() {
     let _lock = guard();
     let _caching = Caching::set(true);
     let model = init_model();
-    let mut cache = PlanCache::new();
     let (x, t, r) = sample(SEQ, 0);
-    let mut g = Graph::new();
-    let pv = model.store.register(&mut g);
-    let (_, pred) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &r);
-    cache.keep_forward(&g, pred, &pv).expect("the corpus model lowers");
+    model
+        .store
+        .run_forward(&[&x, &t], &[&r], |g| record_pred(g, &model, &x, &t, &r))
+        .expect("the corpus model lowers");
     let mut bad = r.clone();
     bad[0] = K as u32;
-    let _ = cache.try_replay_forward(&[&x, &t], &[&bad], &model.store);
+    let _ = model.store.run_forward(&[&x, &t], &[&bad], |_| unreachable!("the kept plan matches"));
+}
+
+/// A pass that panics while holding the store's forward lock poisons it. A
+/// replay that unwound mid-sweep can leave slot buffers taken, so the next
+/// pass must drop the kept plan and record afresh instead of replaying it.
+#[test]
+fn a_panicked_forward_pass_drops_the_kept_plan() {
+    let _lock = guard();
+    let _caching = Caching::set(true);
+    let model = init_model();
+    let (x, t, r) = sample(SEQ, 0);
+    let first = model
+        .store
+        .run_forward(&[&x, &t], &[&r], |g| record_pred(g, &model, &x, &t, &r))
+        .expect("the corpus model lowers");
+    let mut bad = r.clone();
+    bad[0] = K as u32;
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        model.store.run_forward(&[&x, &t], &[&bad], |_| unreachable!("the kept plan matches"))
+    }));
+    assert!(unwound.is_err(), "an out-of-range route fails the replay");
+
+    let mut recorded = false;
+    let again = model
+        .store
+        .run_forward(&[&x, &t], &[&r], |g| {
+            recorded = true;
+            record_pred(g, &model, &x, &t, &r)
+        })
+        .expect("the corpus model lowers");
+    assert!(recorded, "the pass after a panic records instead of replaying");
+    assert_eq!(tensor_bits(&again), tensor_bits(&first));
+    let replayed = model
+        .store
+        .run_forward(&[&x, &t], &[&r], |_| unreachable!("the re-kept plan replays"))
+        .expect("a replay compiles nothing");
+    assert_eq!(tensor_bits(&replayed), tensor_bits(&first));
 }
 
 /// The parity corpus is the ground truth the `opcode-coverage` lint rule

@@ -12,6 +12,10 @@
 //!   slots, zero graph traversal and zero pool lookups
 //!   (`plan/pool_lookups_steady == 0`).
 //!
+//! A serve arm times [`Forecaster::predict`] the same way: replaying the
+//! forward plan the model keeps, against never-cached prediction, which
+//! records every forward pass.
+//!
 //! The host may be time-shared, so modes are measured in *interleaved*
 //! rounds — one block of each per round, best block kept for each — so that
 //! both sample the same background-load conditions. Each multi-thread point
@@ -49,6 +53,9 @@ const BLOCK: usize = 4;
 const ROUNDS: usize = 15;
 /// Steps per traced run (span-coverage, thread-sweep and bitwise checks).
 const TRACE_STEPS: usize = 6;
+/// Predicts per timed block of the serve arm: a predict costs a fraction of
+/// a train step, so its blocks are longer for a comparable timing grain.
+const PREDICT_BLOCK: usize = 32;
 
 /// The six span names the trace contract promises a train step covers.
 const CORE_SPANS: [&str; 6] = [
@@ -125,6 +132,16 @@ impl Harness {
         let ns = self.block_ns();
         plan::set_enabled(true);
         ns
+    }
+
+    /// Times one block of predicts on the windows (cycling), returning ns
+    /// per predict.
+    fn predict_block_ns(&self) -> f64 {
+        let start = clock::now_ns();
+        for i in 0..PREDICT_BLOCK {
+            black_box(self.model.predict(&self.windows[i % self.windows.len()].x));
+        }
+        clock::now_ns().saturating_sub(start) as f64 / PREDICT_BLOCK as f64
     }
 
     /// Every parameter's raw bits, for bitwise-equality checks.
@@ -251,6 +268,46 @@ fn main() {
         "cached replay must beat the never-cached step by >= 1.10x (got {plan_speedup:.3}x)"
     );
 
+    // Serve arm: `predict` on the plan harness's trained model, replaying
+    // the forward plan its ParamStore keeps, against never-cached predicts
+    // that record every forward pass. One block of each mode warms its pool
+    // classes; the cached block's first predict compiles and keeps the plan.
+    plan::set_enabled(false);
+    plan_h.predict_block_ns();
+    plan::set_enabled(true);
+    plan_h.predict_block_ns();
+    let (mut predict_ns, mut predict_uncached_ns) = (f64::INFINITY, f64::INFINITY);
+    let mut predict_fresh = 0u64;
+    for _ in 0..ROUNDS {
+        plan::set_enabled(false);
+        predict_uncached_ns = predict_uncached_ns.min(plan_h.predict_block_ns());
+        plan::set_enabled(true);
+        pool::set_steady(true);
+        let f0 = pool::fresh_allocs();
+        predict_ns = predict_ns.min(plan_h.predict_block_ns());
+        predict_fresh += pool::fresh_allocs() - f0;
+        pool::set_steady(false);
+    }
+    let steady_predicts = ROUNDS * PREDICT_BLOCK;
+    assert_eq!(
+        predict_fresh, 0,
+        "steady kept-plan predicts must not allocate fresh pool buffers ({predict_fresh} over {steady_predicts} predicts)"
+    );
+    let predict_speedup = predict_uncached_ns / predict_ns;
+    println!(
+        "predict (never-cached: record the forward, 1 thread): {}",
+        fmt_ms(predict_uncached_ns)
+    );
+    println!(
+        "predict (kept forward plan, 1 thread): {}  [fresh allocs over {steady_predicts} steady predicts: {predict_fresh}]",
+        fmt_ms(predict_ns)
+    );
+    println!("predict kept-plan-over-uncached speedup (1 thread): {predict_speedup:.2}x");
+    assert!(
+        predict_speedup >= 1.05,
+        "kept-plan predict must beat never-cached predict by >= 1.05x (got {predict_speedup:.3}x)"
+    );
+
     // Thread sweep (the host may expose only one core; the sweep still
     // proves bitwise stability and records the scaling). Each t > 1 runs
     // ROUNDS interleaved rounds of a fresh 1-thread block and a t-thread
@@ -266,7 +323,7 @@ fn main() {
         let oversubscribed = t > cores;
         let tag = if oversubscribed { "  [oversubscribed]" } else { "" };
         if t == 1 {
-            after.push((t, after1_ns, plan1_ns, after1_ns, oversubscribed));
+            after.push((t, after1_ns, plan1_ns, after1_ns, fresh_total + plan_fresh, oversubscribed));
             continue;
         }
         par::set_threads(t);
@@ -277,8 +334,10 @@ fn main() {
         }
         plan::set_enabled(true);
         // Warmup primed the pool for `t` threads; the measured rounds must
-        // reuse those workers, never spawn more.
+        // reuse those workers, never spawn more, and reuse the buffers the
+        // warmup left, never allocate fresh ones.
         let t_spawns0 = par::spawn_count();
+        let t_fresh0 = pool::fresh_allocs();
         let (mut t1_best, mut best, mut plan_best) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         pool::set_steady(true);
         for _ in 0..ROUNDS {
@@ -290,8 +349,13 @@ fn main() {
         }
         pool::set_steady(false);
         let t_spawns = par::spawn_count() - t_spawns0;
+        let t_fresh = pool::fresh_allocs() - t_fresh0;
         assert_eq!(t_spawns, 0, "steady rounds at {t} threads spawned {t_spawns} workers");
-        after.push((t, best, plan_best, t1_best, oversubscribed));
+        assert_eq!(
+            t_fresh, 0,
+            "steady rounds at {t} threads allocated {t_fresh} fresh pool buffers"
+        );
+        after.push((t, best, plan_best, t1_best, t_fresh, oversubscribed));
         println!("after  (never-cached, {t} threads): {}{tag}", fmt_ms(best));
         println!("plan   (cached replay, {t} threads): {}{tag}", fmt_ms(plan_best));
     }
@@ -304,7 +368,7 @@ fn main() {
     // so they are recorded but never gated on. The check fails the run at
     // the end, after the report has recorded the measurement.
     let mut scaling_failure = None;
-    for &(t, ns, _, t1_ns, oversubscribed) in &after {
+    for &(t, ns, _, t1_ns, _, oversubscribed) in &after {
         if t == 1 {
             continue;
         }
@@ -465,6 +529,10 @@ fn main() {
         .metric("steady_state_steps", steady_steps as f64)
         .metric("steady_state_fresh_allocs", fresh_total as f64)
         .metric("plan_speedup_t1", plan_speedup)
+        .metric("predict_ns", predict_ns)
+        .metric("predict_uncached_ns", predict_uncached_ns)
+        .metric("predict_speedup", predict_speedup)
+        .metric("predict_steady_fresh_allocs", predict_fresh as f64)
         .metric("plan_instrs", plan_instrs as f64)
         .metric("plan_slots", plan_slots as f64)
         .metric("plan_pool_lookups_steady", plan_lookups as f64)
@@ -472,9 +540,10 @@ fn main() {
         .metric("disabled_trace_overhead_ns", overhead_ns)
         .metric("disabled_trace_overhead_frac", overhead_frac)
         .metric("steady_state_spawns", steady_spawns as f64);
-    for &(t, ns, plan_ns, t1_ns, oversubscribed) in &after {
+    for &(t, ns, plan_ns, t1_ns, fresh, oversubscribed) in &after {
         report.metric(&format!("after_t{t}_ns"), ns);
         report.metric(&format!("plan_after_t{t}_ns"), plan_ns);
+        report.metric(&format!("steady_fresh_allocs_t{t}"), fresh as f64);
         if t > 1 {
             let speedup = t1_ns / ns;
             report.metric(&format!("speedup_t{t}"), speedup);

@@ -249,12 +249,41 @@ pub trait Forecaster {
         Ok((pcache.run_train(g, loss, &rec.pv, self.params_mut(), opt)?, false))
     }
 
-    /// End-to-end prediction: instance-normalise, forward, de-normalise.
+    /// End-to-end prediction on a window `x: [N, L]`: instance-normalise,
+    /// forward, de-normalise.
+    ///
+    /// The forward pass runs through the plan the model's [`ParamStore`]
+    /// keeps ([`ParamStore::run_forward`]): the first call records the pass,
+    /// compiles it and keeps the plan, and every later call with the same
+    /// shapes replays it, with the same bits as a recorded pass. A shape
+    /// change drops the plan and compiles a new one. Keeping the plan is
+    /// sound because no forecaster has a `&mut self` method besides
+    /// `params_mut` and `train`: the constants a model records, which the
+    /// plan bakes in, are fixed while its store lives, and the parameters
+    /// are read at their current values. Concurrent calls on one model wait
+    /// for each other.
+    ///
+    /// # Panics
+    /// If a value of `x` is NaN or infinite: the entity branch mixes
+    /// entities, so it would reach every entity's forecast. The message
+    /// names the entity and time index of the first such value. Also if the
+    /// recorded pass's plan fails verification (a compiler bug); the message
+    /// names `predict` and the verifier's position.
     fn predict(&self, x: &Tensor) -> Tensor {
+        assert_finite_window(x);
         let (x_norm, stats) = instance_norm(x);
-        let mut g = Graph::new();
-        let rec = self.record_window(&mut g, &WindowInputs::new(self, x_norm, None));
-        instance_denorm(g.value(rec.pred), &stats)
+        let w = WindowInputs::new(self, x_norm, None);
+        let y_norm = self
+            .params()
+            .run_forward(&w.tensors(), &w.routes(), |g| {
+                let rec = self.record_window(g, &w);
+                (rec.pred, rec.pv)
+            })
+            .unwrap_or_else(|e| {
+                // focus-lint: allow(panic-hygiene) -- documented panic: a plan that fails verification is a compiler bug, and the message names predict and the verifier's position
+                panic!("predict failed: {e}")
+            });
+        instance_denorm(&y_norm, &stats)
     }
 
     /// Trains on the dataset's training split with AdamW and an MSE loss.
@@ -364,39 +393,37 @@ pub trait Forecaster {
     }
 
     /// Evaluates on a split, accumulating MSE/MAE in the dataset's z-scored
-    /// space (the paper's metric convention).
+    /// space (the paper's metric convention). Each window is one
+    /// [`Forecaster::predict`], so the first compiles the model's forward
+    /// plan (unless an earlier call kept it) and the rest replay it.
     ///
     /// # Panics
-    /// If the split holds no full window, or if a window's forward plan
-    /// fails verification (a compiler bug; the message names the window).
+    /// If the split holds no full window, or as [`Forecaster::predict`] does.
     fn evaluate(&self, ds: &MtsDataset, split: Split, stride: usize) -> Metrics {
         let windows = ds.windows(split, self.lookback(), self.horizon(), stride);
         assert!(!windows.is_empty(), "no evaluation windows in {split:?}");
         let mut m = Metrics::new();
-        // Inference-only plan: the first window's recorded forward compiles
-        // to a plan the remaining windows replay without graph construction.
-        // Bitwise-identical to the tape's forward, so metrics are unchanged.
-        let mut pcache = PlanCache::new();
-        let mut g = Graph::new();
-        for (wi, w) in windows.iter().enumerate() {
-            let (x_norm, stats) = instance_norm(&w.x);
-            let inputs = WindowInputs::new(self, x_norm, None);
-            let (tensors, routes) = (inputs.tensors(), inputs.routes());
-            let y_norm = match pcache.try_replay_forward(&tensors, &routes, self.params()) {
-                Some(out) => out,
-                None => {
-                    g.reset();
-                    let rec = self.record_window(&mut g, &inputs);
-                    pcache.keep_forward(&g, rec.pred, &rec.pv).unwrap_or_else(|e| {
-                        // focus-lint: allow(panic-hygiene) -- documented panic: a plan that fails verification is a compiler bug, and the message names the window and the verifier's position
-                        panic!("evaluation failed at window {wi}: {e}")
-                    });
-                    g.value(rec.pred).clone()
-                }
-            };
-            m.update(&instance_denorm(&y_norm, &stats), &w.y);
+        for w in &windows {
+            m.update(&self.predict(&w.x), &w.y);
         }
         m
+    }
+}
+
+/// Checks that a window `x: [N, L]` holds only finite values.
+///
+/// # Panics
+/// On the first NaN or infinite value, naming its entity and time index.
+fn assert_finite_window(x: &Tensor) {
+    let len = x.dims().last().copied().unwrap_or(1).max(1);
+    for (e, row) in x.data().chunks_exact(len).enumerate() {
+        let bad = row.iter().position(|v| !v.is_finite());
+        assert!(
+            bad.is_none(),
+            "window value {} at entity {e}, time index {} is not finite",
+            row[bad.unwrap_or(0)],
+            bad.unwrap_or(0)
+        );
     }
 }
 
@@ -572,7 +599,7 @@ mod tests {
     }
 
     #[test]
-    fn verifier_rejection_fails_training_with_its_position() {
+    fn verifier_rejection_fails_training_and_predict_with_its_position() {
         use focus_data::{Benchmark, MtsDataset};
         let ds = MtsDataset::generate(Benchmark::Pems08.scaled(4, 1_200), 11);
         let mut model = tiny_focus(&ds, 3);
@@ -589,23 +616,36 @@ mod tests {
                 focus_autograd::verify::set_fail_all(false);
             }
         }
-        let panic = {
+        let x = &ds.windows(Split::Test, 48, 12, 12)[0].x;
+        let (train_panic, predict_panic) = {
             let _disarm = Disarm;
             focus_autograd::verify::set_fail_all(true);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.train(&ds, &opts)))
-                .expect_err("a rejected plan must fail the step")
+            let catch = |f: &mut dyn FnMut()| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                    .expect_err("a rejected plan must fail the call")
+            };
+            (catch(&mut || drop(model.train(&ds, &opts))), catch(&mut || drop(model.predict(x))))
         };
-        let msg = panic
-            .downcast_ref::<String>()
-            .expect("the panic carries a formatted message");
+        let message = |p: &Box<dyn std::any::Any + Send>| {
+            p.downcast_ref::<String>()
+                .expect("the panic carries a formatted message")
+                .clone()
+        };
+        let position = "plan verify: instr 0: verification failpoint enabled";
+        let msg = message(&train_panic);
         assert!(
-            msg.contains("epoch 0, window 0")
-                && msg.contains("plan verify: instr 0: verification failpoint enabled"),
+            msg.contains("epoch 0, window 0") && msg.contains(position),
             "message names the step and the verifier's position: {msg}"
         );
+        let msg = message(&predict_panic);
+        assert!(
+            msg.contains("predict failed") && msg.contains(position),
+            "message names predict and the verifier's position: {msg}"
+        );
         assert_eq!(bits(&model.params().snapshot()), before, "no update may land");
-        // Disarmed, the same model trains.
+        // Disarmed, the same model trains and predicts.
         assert!(model.train(&ds, &opts).epoch_losses[0].is_finite());
+        assert!(model.predict(x).all_finite());
     }
 
     #[test]
@@ -639,6 +679,32 @@ mod tests {
                 ..Default::default()
             },
         );
+    }
+
+    /// The entity branch mixes entities, so one non-finite value would turn
+    /// every entity's forecast non-finite; `predict` rejects the window
+    /// instead, naming the value's position.
+    #[test]
+    fn predict_rejects_a_non_finite_window_naming_its_position() {
+        use focus_data::{Benchmark, MtsDataset};
+        let ds = MtsDataset::generate(Benchmark::Pems08.scaled(4, 1_200), 5);
+        let model = tiny_focus(&ds, 5);
+        let x = &ds.windows(Split::Test, 48, 12, 12)[0].x;
+        let cases = [
+            (0, 5, f32::NAN, "window value NaN at entity 0, time index 5 is not finite"),
+            (3, 47, f32::INFINITY, "window value inf at entity 3, time index 47 is not finite"),
+        ];
+        for (entity, time, value, want) in cases {
+            let mut bad = x.clone();
+            bad.data_mut()[entity * 48 + time] = value;
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.predict(&bad)))
+                .expect_err("a non-finite window must be rejected");
+            let msg = panic
+                .downcast_ref::<String>()
+                .expect("the panic carries a formatted message");
+            assert!(msg.contains(want), "message names the value's position: {msg}");
+        }
+        assert!(model.predict(x).all_finite(), "the model still serves finite windows");
     }
 
     #[test]

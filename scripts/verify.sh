@@ -84,11 +84,23 @@ grep -q '"plan_pool_lookups_steady": 0' BENCH_trainstep.json
 grep -q '"plan_speedup_t1"' BENCH_trainstep.json
 grep -q '"plan_after_t1_ns"' BENCH_trainstep.json
 
+# Serve self-check: the bench's serve arm must have timed kept-plan predict
+# against never-cached predict (it asserts predict_speedup >= 1.05x) with
+# zero fresh pool allocations over the steady predicts.
+echo "==> serve self-check (BENCH_trainstep.json)"
+grep -q '"predict_ns"' BENCH_trainstep.json
+grep -q '"predict_uncached_ns"' BENCH_trainstep.json
+grep -q '"predict_speedup"' BENCH_trainstep.json
+grep -q '"predict_steady_fresh_allocs": 0' BENCH_trainstep.json
+
 # Worker-pool self-check: steady-state training must have spawned zero OS
-# threads (the bench asserts it; this guards that the report recorded it)
-# and the pool's dispatch counters must have landed in the captured trace.
+# threads and allocated zero fresh pool buffers at every swept thread count
+# (the bench asserts both; this guards that the report recorded them) and
+# the pool's dispatch counters must have landed in the captured trace.
 echo "==> worker-pool self-check (BENCH_trainstep.json)"
 grep -q '"steady_state_spawns": 0' BENCH_trainstep.json
+grep -q '"steady_fresh_allocs_t1": 0' BENCH_trainstep.json
+grep -q '"steady_fresh_allocs_t2": 0' BENCH_trainstep.json
 grep -q '"par/spawns"' BENCH_trainstep.json
 grep -q '"par/parallel"' BENCH_trainstep.json
 grep -q '"scaling_efficiency_t2"' BENCH_trainstep.json

@@ -5,6 +5,11 @@
 //! model that records window data as a `Graph::constant` would instead bake
 //! the first window into its plan; the compile-twice test catches that.
 //!
+//! `Forecaster::predict` keeps one forward plan per model, in its
+//! `ParamStore`, and replays it for every later window; the predict guards
+//! hold it bitwise equal to never-cached prediction, and to the model's own
+//! bits when two models of equal shapes interleave.
+//!
 //! focus-lint requires every `impl Forecaster` type to be named in this
 //! file, so a new model cannot skip these guards.
 
@@ -225,5 +230,127 @@ fn two_windows_compile_to_the_same_train_plan() {
             "{}: two windows compiled to different plans",
             model.name()
         );
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `model.predict(x)` with plan caching on, and how many plan replays it
+/// made (focus-trace's `plan/replays`, counted while tracing is on).
+fn cached_predict(model: &dyn Forecaster, x: &Tensor) -> (Vec<u32>, u64) {
+    let replays = || {
+        focus::trace::snapshot_counters()
+            .into_iter()
+            .find(|&(name, _)| name == "plan/replays")
+            .map_or(0, |(_, n)| n)
+    };
+    let _caching = Caching::set(true);
+    focus::trace::set_enabled(true);
+    let before = replays();
+    let y = bits(&model.predict(x));
+    let replayed = replays() - before;
+    focus::trace::set_enabled(false);
+    (y, replayed)
+}
+
+/// `model.predict(x)` with plan caching off: a recorded forward pass.
+fn uncached_predict(model: &dyn Forecaster, x: &Tensor) -> Vec<u32> {
+    let _caching = Caching::set(false);
+    bits(&model.predict(x))
+}
+
+/// Kept-plan prediction must equal never-cached prediction bit for bit: on
+/// two flat windows (where operands that differ on real windows coincide),
+/// then on real ones, then again after a `train` call has changed the
+/// parameters the kept plan reads. Every call after the first replays.
+#[test]
+fn kept_plan_predict_matches_never_cached_predict() {
+    let _lock = guard();
+    let ds = dataset();
+    let flat = Tensor::full(&[4, 48], 2.5);
+    let mut xs = vec![flat.clone(), flat];
+    xs.extend(
+        ds.windows(Split::Test, 48, 12, 12)
+            .into_iter()
+            .take(3)
+            .map(|w| w.x),
+    );
+    let opts = TrainOptions {
+        epochs: 1,
+        max_windows: 4,
+        ..Default::default()
+    };
+
+    let (mut diverged, mut stuck) = (Vec::new(), Vec::new());
+    for mut model in forecasters(&ds) {
+        let mut replays = 0;
+        for trained in [false, true] {
+            if trained {
+                let _caching = Caching::set(true);
+                model.train(&ds, &opts);
+            }
+            for (i, x) in xs.iter().enumerate() {
+                let (cached, replayed) = cached_predict(&*model, x);
+                if cached != uncached_predict(&*model, x) {
+                    diverged.push(format!("{}: window {i}, trained {trained}", model.name()));
+                }
+                replays += replayed;
+            }
+        }
+        let calls = 2 * xs.len() as u64;
+        if replays != calls - 1 {
+            stuck.push(format!("{}: {replays} of {calls}", model.name()));
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "kept-plan predict diverged from never-cached predict: {diverged:?}"
+    );
+    assert!(
+        stuck.is_empty(),
+        "models whose predicts did not all replay after the first: {stuck:?}"
+    );
+}
+
+/// Each model keeps its own forward plan. Two FOCUS models with equal shapes
+/// but different seeds bake different prototypes into their plans, so a
+/// plan shared between them would hand one model the other's constants.
+#[test]
+fn models_of_equal_shapes_predict_through_their_own_plans() {
+    let _lock = guard();
+    let ds = dataset();
+    let mut cfg = FocusConfig::new(48, 12);
+    cfg.segment_len = 8;
+    cfg.n_prototypes = 4;
+    cfg.d = 8;
+    cfg.cluster_iters = 4;
+    let models = [
+        Focus::fit_offline(&ds, cfg.clone(), 1),
+        Focus::fit_offline(&ds, cfg, 2),
+    ];
+    let xs: Vec<Tensor> = ds
+        .windows(Split::Test, 48, 12, 12)
+        .into_iter()
+        .take(3)
+        .map(|w| w.x)
+        .collect();
+    let expected: Vec<Vec<Vec<u32>>> = models
+        .iter()
+        .map(|m| xs.iter().map(|x| uncached_predict(m, x)).collect())
+        .collect();
+    assert_ne!(
+        expected[0], expected[1],
+        "the two models must forecast differently"
+    );
+    for (i, x) in xs.iter().enumerate() {
+        for (m, model) in models.iter().enumerate() {
+            assert_eq!(
+                cached_predict(model, x).0,
+                expected[m][i],
+                "model {m} on window {i} must return its own never-cached bits"
+            );
+        }
     }
 }
