@@ -2,8 +2,8 @@
 //!
 //! A tape-based reverse-mode automatic differentiation engine over
 //! [`focus_tensor::Tensor`], plus the optimizers the FOCUS paper trains with
-//! (AdamW — §V cites Loshchilov's decoupled weight decay — alongside Adam and
-//! SGD for comparison).
+//! (AdamW — §V cites Loshchilov's decoupled weight decay; at zero decay it is
+//! plain Adam — alongside SGD for comparison).
 //!
 //! ## Design
 //!
@@ -54,4 +54,4 @@ pub mod oracle;
 pub mod plan;
 
 pub use graph::{Graph, Route, Var};
-pub use optim::{Adam, AdamW, Optimizer, ParamId, ParamStore, ParamVars, Sgd};
+pub use optim::{AdamW, Optimizer, ParamId, ParamStore, ParamVars, Sgd};

@@ -5,8 +5,8 @@
 //! then hands the collected gradients to an [`Optimizer`].
 //!
 //! The FOCUS paper optimises both the offline prototypes (§V) and the online
-//! network with AdamW; [`Adam`] and [`Sgd`] are provided for the ablations
-//! and for tests.
+//! network with AdamW; at zero decay it is plain Adam. [`Sgd`] is provided
+//! for tests.
 
 use std::sync::Mutex;
 
@@ -246,7 +246,7 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Per-parameter first/second moment state shared by Adam and AdamW.
+/// AdamW's per-parameter first/second moment state.
 #[derive(Default)]
 struct Moments {
     m: Vec<Tensor>,
@@ -299,48 +299,6 @@ impl Moments {
             weight_decay,
             self.t,
         );
-    }
-}
-
-/// Adam (Kingma & Ba) with coupled L2 regularisation folded into the gradient.
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Denominator fuzz.
-    pub eps: f32,
-    state: Moments,
-    step_started: bool,
-}
-
-impl Adam {
-    /// Adam with the conventional `(0.9, 0.999, 1e-8)` hyper-parameters.
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            state: Moments::default(),
-            step_started: false,
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn begin_step(&mut self, n: usize) {
-        self.state.ensure(n);
-        self.state.t += 1;
-        self.step_started = true;
-    }
-
-    fn update(&mut self, idx: usize, param: &mut Tensor, grad: &Tensor) {
-        debug_assert!(self.step_started, "begin_step must precede update");
-        self.state
-            .fused_update(idx, param, grad, self.lr, self.beta1, self.beta2, self.eps, 0.0);
     }
 }
 
@@ -431,12 +389,9 @@ mod tests {
     }
 
     #[test]
-    fn adam_converges_on_linear_problem() {
-        assert!(converges(Adam::new(0.05), 400) < 1e-3);
-    }
-
-    #[test]
     fn adamw_converges_on_linear_problem() {
+        // Zero decay is plain Adam.
+        assert!(converges(AdamW::new(0.05, 0.0), 400) < 1e-3);
         assert!(converges(AdamW::new(0.05, 1e-4), 400) < 1e-2);
     }
 

@@ -251,7 +251,7 @@ fn rule(g: &Graph, i: usize, gr: &Tensor) -> Vec<(Var, Tensor)> {
 /// Reference AdamW: decoupled decay, then the moment updates, bias
 /// correction and step as separate serial passes — the definition that
 /// `focus_tensor::fused::adamw_step` reproduces in one pass. A zero
-/// `weight_decay` is plain Adam, matching [`crate::Adam`].
+/// `weight_decay` is plain Adam.
 pub struct AdamW {
     lr: f32,
     weight_decay: f32,
@@ -264,8 +264,7 @@ pub struct AdamW {
 }
 
 impl AdamW {
-    /// The reference twin of [`crate::AdamW::new`] (and, with
-    /// `weight_decay = 0`, of [`crate::Adam::new`]).
+    /// The reference twin of [`crate::AdamW::new`].
     pub fn new(lr: f32, weight_decay: f32) -> AdamW {
         AdamW {
             lr,

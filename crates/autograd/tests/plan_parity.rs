@@ -3,7 +3,7 @@
 //! The VM is the only backward: an uncached step compiles its tape and runs
 //! the plan once, a cached step replays it. Both must produce bit for bit
 //! the parameters and losses of `focus_autograd::oracle` — the serial
-//! reference rules and the reference Adam update — at every thread count.
+//! reference rules and the reference AdamW update — at every thread count.
 //! These tests drive a small model that touches every op in the tape —
 //! dense and batched matmuls, the broadcast-NT prototype product, one-hot
 //! routing, LayerNorm, softmax, every pointwise nonlinearity, concat/slice,
@@ -17,7 +17,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use focus_autograd::plan::{self, OpCode, PlanCache};
-use focus_autograd::{oracle, Adam, Graph, Optimizer, ParamId, ParamStore, ParamVars, Sgd, Var};
+use focus_autograd::{oracle, AdamW, Graph, Optimizer, ParamId, ParamStore, ParamVars, Sgd, Var};
 use focus_tensor::{par, Tensor};
 
 const B: usize = 2;
@@ -235,7 +235,7 @@ fn run_oracle(n_steps: u32) -> (Vec<Tensor>, Vec<f32>) {
 
 fn run_vm(n_steps: u32) -> (Vec<Tensor>, Vec<f32>, u32) {
     let mut model = init_model();
-    let mut opt = Adam::new(1e-2);
+    let mut opt = AdamW::new(1e-2, 0.0);
     let mut cache = PlanCache::new();
     let mut losses = Vec::new();
     let mut replays = 0;
@@ -362,7 +362,7 @@ fn shape_change_invalidates_and_recompiles() {
     let _lock = guard();
     let _caching = Caching::set(true);
     let mut model = init_model();
-    let mut opt = Adam::new(1e-2);
+    let mut opt = AdamW::new(1e-2, 0.0);
     let mut cache = PlanCache::new();
 
     // One compiled step at SEQ keeps the plan; the next window replays it.

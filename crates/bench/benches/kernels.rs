@@ -1,183 +1,142 @@
-//! Throughput benchmark for the tensor backend's hot kernels: serial
-//! reference GEMM vs the cache-blocked/tiled path, swept across worker
-//! thread counts (1/2/4/max via [`focus_tensor::par::set_threads`]), plus
-//! the nearest-prototype `assign_all` sweep.
+//! Kernel sweeps: each hot kernel's naive path against its fast replacement,
+//! the fast path at 1/2/4/max worker threads (see
+//! [`focus_bench::measure::Sweep`]):
 //!
-//! Besides printing per-config timings, the run rewrites
-//! `BENCH_kernels.json` at the repository root — a schema-versioned
-//! [`focus_trace::report::RunReport`] — so the numbers are tracked
-//! alongside the code. Thread scaling beyond the host's core count cannot
-//! speed anything up, so the report records the core count next to the
-//! sweep.
+//! * the serial reference GEMMs against the cache-blocked, tiled ones
+//!   (`a·b`, `a·bᵀ`, `aᵀ·b` at 256³), outputs bitwise equal;
+//! * the scalar per-pair `assign_all_scalar` against the blocked two-GEMM
+//!   `assign_all`, under Rec Only and Rec+Corr, assignments equal;
+//! * one-hot routing: the dense `[B,l,k]·[B,k,d]` bmm against the
+//!   `route_gather` index kernel, and the dense `bmm_tn` backward against
+//!   `route_scatter_add`, outputs bitwise equal.
+//!
+//! The run rewrites `BENCH_kernels.json` at the repository root, then fails
+//! if any fast path disagreed with its naive path. Thread counts beyond the
+//! host's cores cannot speed anything up, so the report records the core
+//! count next to the sweeps.
 
+use focus_bench::measure::{write_report, Sweep};
 use focus_cluster::{ClusterConfig, Objective, ProtoUpdate};
-use focus_tensor::{par, reference, Tensor};
-use focus_trace::clock;
+use focus_tensor::{par, reference, route, Tensor};
+use focus_trace::report::RunReport;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::hint::black_box;
+use rand::{Rng, SeedableRng};
 
-/// Best-of-`reps` wall time of `f`, in nanoseconds, after one warm-up call.
-fn time_ns(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = clock::now_ns();
-        f();
-        best = best.min(clock::now_ns().saturating_sub(start) as f64);
-    }
-    best
+/// Timed calls per series, after one warm-up call.
+const SAMPLES: usize = 11;
+
+/// A raw reference GEMM: `(m, k, n, a, b, c)`, accumulating into `c`.
+type RawGemm = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+
+fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+    a.dims() == b.dims() && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-fn fmt_ms(ns: f64) -> String {
-    format!("{:.3} ms", ns / 1e6)
-}
-
-struct Sweep {
-    label: &'static str,
-    naive_ns: f64,
-    /// `(threads, ns)` for the tiled path.
-    tiled: Vec<(usize, f64)>,
-}
-
-impl Sweep {
-    fn tiled_t1(&self) -> f64 {
-        self.tiled.iter().find(|&&(t, _)| t == 1).map_or(f64::NAN, |&(_, ns)| ns)
-    }
-
-    fn report(&self) {
-        println!(
-            "{}: naive {} | tiling speedup at 1 thread: {:.2}x",
-            self.label,
-            fmt_ms(self.naive_ns),
-            self.naive_ns / self.tiled_t1()
-        );
-        for &(t, ns) in &self.tiled {
-            println!("  tiled, {t} thread(s): {}", fmt_ms(ns));
-        }
-    }
-
-    fn to_report(&self, report: &mut focus_trace::report::RunReport) {
-        report.metric(&format!("{}/naive_ns", self.label), self.naive_ns);
-        for &(t, ns) in &self.tiled {
-            report.metric(&format!("{}/tiled_t{t}_ns", self.label), ns);
-        }
-        report.metric(
-            &format!("{}/tiling_speedup_1_thread", self.label),
-            self.naive_ns / self.tiled_t1(),
-        );
-    }
-}
-
-fn sweep_threads() -> Vec<usize> {
-    let mut ts = vec![1usize, 2, 4];
-    let max = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if !ts.contains(&max) {
-        ts.push(max);
-    }
-    ts
-}
-
-fn bench_gemm(m: usize, k: usize, n: usize) -> [Sweep; 3] {
+/// The serial reference GEMMs against the tiled ones at 256³.
+fn gemm_sweeps() -> [Sweep; 3] {
+    let n = 256;
     let mut rng = StdRng::seed_from_u64(0x6e3a);
-    let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-    let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-    let bt = Tensor::randn(&[n, k], 1.0, &mut rng);
-    let at = Tensor::randn(&[k, m], 1.0, &mut rng);
-    let reps = 7;
-
-    let mut c = Tensor::zeros(&[m, n]);
-    let naive_nn = time_ns(reps, || {
-        c.data_mut().fill(0.0);
-        reference::gemm(m, k, n, a.data(), b.data(), c.data_mut());
-        black_box(c.data());
-    });
-    let naive_nt = time_ns(reps, || {
-        reference::gemm_nt(m, k, n, a.data(), bt.data(), c.data_mut());
-        black_box(c.data());
-    });
-    let naive_tn = time_ns(reps, || {
-        c.data_mut().fill(0.0);
-        reference::gemm_tn(m, k, n, at.data(), b.data(), c.data_mut());
-        black_box(c.data());
-    });
-
-    let mut sweeps = [
-        Sweep { label: "gemm_256", naive_ns: naive_nn, tiled: Vec::new() },
-        Sweep { label: "gemm_nt_256", naive_ns: naive_nt, tiled: Vec::new() },
-        Sweep { label: "gemm_tn_256", naive_ns: naive_tn, tiled: Vec::new() },
-    ];
-    for t in sweep_threads() {
-        par::set_threads(t);
-        sweeps[0].tiled.push((t, time_ns(reps, || {
-            black_box(a.matmul(&b));
-        })));
-        sweeps[1].tiled.push((t, time_ns(reps, || {
-            black_box(a.matmul_nt(&bt));
-        })));
-        sweeps[2].tiled.push((t, time_ns(reps, || {
-            black_box(at.matmul_tn(&b));
-        })));
-    }
-    par::set_threads(0);
-    sweeps
+    let a = Tensor::randn(&[n, n], 1.0, &mut rng);
+    let b = Tensor::randn(&[n, n], 1.0, &mut rng);
+    let bt = Tensor::randn(&[n, n], 1.0, &mut rng);
+    let at = Tensor::randn(&[n, n], 1.0, &mut rng);
+    // The reference kernels accumulate, so each call starts from zeros.
+    let naive = |gemm: RawGemm, x: &Tensor, y: &Tensor| {
+        let mut c = Tensor::zeros(&[n, n]);
+        gemm(n, n, n, x.data(), y.data(), c.data_mut());
+        c
+    };
+    [
+        Sweep::run("gemm_256", SAMPLES, || naive(reference::gemm, &a, &b), || a.matmul(&b), same_bits),
+        Sweep::run(
+            "gemm_nt_256",
+            SAMPLES,
+            || naive(reference::gemm_nt, &a, &bt),
+            || a.matmul_nt(&bt),
+            same_bits,
+        ),
+        Sweep::run(
+            "gemm_tn_256",
+            SAMPLES,
+            || naive(reference::gemm_tn, &at, &b),
+            || at.matmul_tn(&b),
+            same_bits,
+        ),
+    ]
 }
 
-fn bench_assign_all() -> Sweep {
+/// The scalar per-pair assignment sweep against the blocked two-GEMM kernel
+/// on 20 000×32 segments at k = 64.
+fn assign_sweep(label: &'static str, objective: Objective) -> Sweep {
     let (n, p, k) = (20_000usize, 32usize, 64usize);
     let mut rng = StdRng::seed_from_u64(0xa551);
     let segs = Tensor::randn(&[n, p], 1.0, &mut rng);
     let protos = ClusterConfig::new(k, p)
-        .with_objective(Objective::RecOnly)
+        .with_objective(objective)
         .with_update(ProtoUpdate::ClosedFormMean)
         .with_max_iters(3)
         .fit(&segs, 1);
-    let reps = 5;
+    Sweep::run(
+        label,
+        SAMPLES,
+        || protos.assign_all_scalar(&segs),
+        || protos.assign_all(&segs),
+        |a, b| a == b,
+    )
+}
 
-    // "Naive" = the serial scalar per-pair sweep the GEMM path replaces.
-    par::set_threads(1);
-    let naive_ns = time_ns(reps, || {
-        black_box(protos.assign_all_scalar(&segs));
-    });
-    let mut sweep = Sweep { label: "assign_all_20000x32_k64", naive_ns, tiled: Vec::new() };
-    for t in sweep_threads() {
-        par::set_threads(t);
-        sweep.tiled.push((t, time_ns(reps, || {
-            black_box(protos.assign_all(&segs));
-        })));
-    }
-    par::set_threads(0);
-    sweep
+/// Dense one-hot bmm against the sparse gather (forward) and scatter-add
+/// (backward) routing kernels at ProtoAttn-scale shapes.
+fn routing_sweeps() -> [Sweep; 2] {
+    let (b, l, k, d) = (64usize, 128usize, 64usize, 64usize);
+    let mut rng = StdRng::seed_from_u64(0x307e);
+    let head = Tensor::randn(&[b, k, d], 1.0, &mut rng);
+    let dout = Tensor::randn(&[b, l, d], 1.0, &mut rng);
+    let indices: Vec<u32> = (0..b * l).map(|_| rng.gen_range(0..k) as u32).collect();
+    let one_hot = route::one_hot_matrix(&indices, b, l, k);
+    [
+        Sweep::run(
+            "route_gather_b64_l128_k64_d64",
+            SAMPLES,
+            || one_hot.bmm(&head),
+            || route::route_gather(&head, &indices, l),
+            same_bits,
+        ),
+        Sweep::run(
+            "route_scatter_add_b64_l128_k64_d64",
+            SAMPLES,
+            || one_hot.bmm_tn(&dout),
+            || route::route_scatter_add(&dout, &indices, k),
+            same_bits,
+        ),
+    ]
 }
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("kernel throughput sweep (host cores: {cores})");
+    println!("kernel sweeps (host cores: {cores}; {SAMPLES} timed calls per series)");
+    let mut sweeps = Vec::from(gemm_sweeps());
+    sweeps.push(assign_sweep("assign_all_rec_only_20000x32_k64", Objective::RecOnly));
+    sweeps.push(assign_sweep("assign_all_rec_corr_20000x32_k64", Objective::rec_corr(0.2)));
+    sweeps.extend(routing_sweeps());
 
-    let gemm = bench_gemm(256, 256, 256);
-    let assign = bench_assign_all();
-    for s in &gemm {
-        s.report();
-    }
-    assign.report();
-
-    let mut report = focus_trace::report::RunReport::new("kernels");
+    let mut report = RunReport::new("kernels");
     report
-        .setting("shape", "256x256x256")
-        .setting("assign", "20000x32 segments, k=64, rec-only");
-    for s in &gemm {
-        s.to_report(&mut report);
+        .setting("samples", SAMPLES)
+        .setting("gemm", "256x256x256")
+        .setting("assign", "20000x32 segments, k=64, rec-only and rec+corr(0.2)")
+        .setting("routing", "b=64, l=128, k=64, d=64");
+    for s in &sweeps {
+        s.record(&mut report);
     }
-    assign.to_report(&mut report);
-    // Record the worker pool's dispatch stats (par/*) for the whole sweep.
+    // Record the worker pool's dispatch stats (par/*) for the whole run.
     focus_trace::set_enabled(true);
     par::publish_trace_stats();
     focus_trace::set_enabled(false);
     report.capture_trace();
+    write_report(&report, concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json"));
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    match report.write(path) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    for s in &sweeps {
+        assert!(s.matches, "{}: the fast path's output differs from the naive path's", s.label);
     }
 }

@@ -38,6 +38,7 @@
 
 use focus_autograd::plan::{self, PlanCache};
 use focus_autograd::{AdamW, Graph};
+use focus_bench::measure::{fmt_ms, sweep_threads, write_report};
 use focus_core::forecaster::normalise_target;
 use focus_core::model::{Focus, FocusConfig};
 use focus_core::{Forecaster, Loss};
@@ -66,10 +67,6 @@ const CORE_SPANS: [&str; 6] = [
     "model/routing",
     "pool/reclaim",
 ];
-
-fn fmt_ms(ns: f64) -> String {
-    format!("{:.3} ms", ns / 1e6)
-}
 
 struct Harness {
     model: Focus,
@@ -152,15 +149,6 @@ impl Harness {
             .map(|(_, name, t)| (name.to_string(), t.data().iter().map(|v| v.to_bits()).collect()))
             .collect()
     }
-}
-
-fn sweep_threads() -> Vec<usize> {
-    let mut ts = vec![1usize, 2, 4];
-    let max = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if !ts.contains(&max) {
-        ts.push(max);
-    }
-    ts
 }
 
 /// Runs `TRACE_STEPS` traced steps on a fresh harness, returning the span
@@ -561,11 +549,7 @@ fn main() {
     focus_trace::set_enabled(false);
     report.capture_trace();
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trainstep.json");
-    match report.write(path) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_report(&report, concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trainstep.json"));
     if let Some(msg) = scaling_failure {
         panic!("{msg}");
     }

@@ -32,7 +32,7 @@ pub const SCHEMA: &str = "focus-trace-report v1";
 /// A complete run report ready to serialise.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
-    /// Short run name (`"trainstep"`, `"kernels"`, `"assign"`).
+    /// Short run name (`"trainstep"`, `"kernels"`, `"e2e"`).
     pub name: String,
     /// Host core count the run observed.
     pub host_cores: usize,

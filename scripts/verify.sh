@@ -56,6 +56,45 @@ grep -q '"io_errors":0' /tmp/focus-lint-report.json
 echo "==> cargo test -p focus-lint -q"
 cargo test -p focus-lint -q
 
+# Benchmark smoke leg: one short traced run of every perfbench workload.
+# Each run checks its own outputs (plan replay equals the never-cached path,
+# 1- and 2-thread results agree, predict equals evaluate, every segment goes
+# to its nearest prototype) and reports the verdict on its last stdout line.
+echo "==> perfbench smoke (every workload, 1 s, traced)"
+CARGO_TARGET_DIR=.bench_build cargo build --release --quiet --manifest-path perfbench/Cargo.toml
+for workload in train soft-route serve offline-cluster; do
+    result=$(CARGO_TARGET_DIR=.bench_build cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    echo "perfbench $workload: ${result:0:60}…"
+    if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+        echo "perfbench $workload failed its output checks: $result" >&2
+        exit 1
+    fi
+done
+
+# Kernel sweeps: naive vs fast GEMM, assign_all and routing at 1/2/4/max
+# threads, rewriting BENCH_kernels.json. The bench asserts that every fast
+# path reproduced its naive path's output (bitwise for GEMM and routing) and
+# fails if it cannot write its report; the greps guard the report wiring.
+echo "==> cargo bench -p focus-bench --bench kernels"
+cargo bench -p focus-bench --bench kernels
+grep -q '"schema": "focus-trace-report v1"' BENCH_kernels.json
+grep -q '"gemm_256/fast_t1/median_ns"' BENCH_kernels.json
+grep -q '"assign_all_rec_corr_20000x32_k64/output_match": 1' BENCH_kernels.json
+grep -q '"route_scatter_add_b64_l128_k64_d64/output_match": 1' BENCH_kernels.json
+
+# Efficiency claims as wall clock (Fig. 6, Fig. 8, §VII-B): ProtoAttn vs
+# self-attention, clustering, the zoo's forwards and fusion, rewriting
+# BENCH_e2e.json. Every forward's warm-up output is checked finite.
+echo "==> cargo bench -p focus-bench --bench e2e"
+cargo bench -p focus-bench --bench e2e
+grep -q '"schema": "focus-trace-report v1"' BENCH_e2e.json
+grep -q '"samples"' BENCH_e2e.json
+grep -q '"attention_scaling/protoattn/256/median_ns"' BENCH_e2e.json
+grep -q '"attention_scaling/self_attention/256/p90_ns"' BENCH_e2e.json
+grep -q '"forward_pass/FOCUS/flops"' BENCH_e2e.json
+grep -q '"fusion_scaling/parallel_fusion/128/median_ns"' BENCH_e2e.json
+
 # Steady-state train-step benchmark: measures the never-cached step (record,
 # compile, run) against cached plan replay at 1/2/4 threads and rewrites
 # BENCH_trainstep.json.
@@ -104,21 +143,5 @@ grep -q '"steady_fresh_allocs_t2": 0' BENCH_trainstep.json
 grep -q '"par/spawns"' BENCH_trainstep.json
 grep -q '"par/parallel"' BENCH_trainstep.json
 grep -q '"scaling_efficiency_t2"' BENCH_trainstep.json
-
-# Benchmark smoke leg: one short traced run of every perfbench workload.
-# Each run checks its own outputs (plan replay equals the never-cached path,
-# 1- and 2-thread results agree, predict equals evaluate, every segment goes
-# to its nearest prototype) and reports the verdict on its last stdout line.
-echo "==> perfbench smoke (every workload, 1 s, traced)"
-CARGO_TARGET_DIR=.bench_build cargo build --release --quiet --manifest-path perfbench/Cargo.toml
-for workload in train soft-route serve offline-cluster; do
-    result=$(CARGO_TARGET_DIR=.bench_build cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
-    echo "perfbench $workload: ${result:0:60}…"
-    if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
-        echo "perfbench $workload failed its output checks: $result" >&2
-        exit 1
-    fi
-done
 
 echo "verify: OK"

@@ -7,7 +7,7 @@
 //! depend on one crate:
 //!
 //! * [`tensor`] — dense f32 kernels;
-//! * [`autograd`] — reverse-mode differentiation + AdamW/Adam/SGD;
+//! * [`autograd`] — reverse-mode differentiation + AdamW/SGD;
 //! * [`nn`] — layers and analytic cost accounting;
 //! * [`data`] — synthetic Table II benchmarks, windowing, metrics;
 //! * [`cluster`] — the offline segment-clustering phase;
