@@ -245,8 +245,8 @@ impl OpCode {
 pub struct Instr {
     pub op: OpCode,
     /// Destination slot ids. Most opcodes have one; `LayerNormFwd` has
-    /// `[y, cache]`, `LayerNormBwd` has `[dx, dgamma, dbeta]`, `BcastNtDa`
-    /// has `[da, scratch]`. `Axpy` reads *and* writes its destination.
+    /// `[y, cache]`, `LayerNormBwd` has `[dx, dgamma, dbeta]`. `Axpy` reads
+    /// *and* writes its destination.
     pub dsts: Vec<u32>,
     pub args: Vec<Loc>,
     /// Kernel-call geometry (see `crate::vm` dispatch for the per-opcode
@@ -1143,10 +1143,9 @@ impl<'a> Emitter<'a> {
                     let da = if self.rg(a) {
                         let lx = self.loc(x);
                         let r = self.fresh(k * d);
-                        let tmp = self.fresh(k * d);
                         self.emit(
                             OpCode::BcastNtDa,
-                            vec![r, tmp],
+                            vec![r],
                             vec![VLoc::V(gr), lx],
                             bdims.clone(),
                             0.0,

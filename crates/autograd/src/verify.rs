@@ -269,12 +269,11 @@ fn effects(ii: usize, instr: &Instr) -> Result<Effects, VerifyError> {
             }
         }
         OpCode::BcastNtDa => {
-            arity(ii, instr, 2, 2, 4)?;
+            arity(ii, instr, 1, 2, 4)?;
             let (bsz, k, l, dd) = (d[0], d[1], d[2], d[3]);
-            let kd = prod(ii, &[k, dd])?;
             Effects {
                 arg_n: vec![prod(ii, &[bsz, k, l])?, prod(ii, &[bsz, l, dd])?],
-                dst_n: vec![kd, kd],
+                dst_n: vec![prod(ii, &[k, dd])?],
                 rmw: false,
                 route: None,
             }

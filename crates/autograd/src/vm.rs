@@ -207,18 +207,16 @@ fn exec_instr<P: Params + ?Sized>(
             }
             put(slots, instr.dsts[0], dst);
         }
-        // dims [bsz, k, l, d]: args [g: bsz*k*l, x: bsz*l*d] -> dsts [da: k*d, tmp: k*d]
+        // dims [bsz, k, l, d]: args [g: bsz*k*l, x: bsz*l*d] -> dst da: k*d
         OpCode::BcastNtDa => {
             let (bsz, k, l, dd) = (du(0), du(1), du(2), du(3));
             let mut da = take(slots, instr.dsts[0]);
-            let mut tmp = take(slots, instr.dsts[1]);
             {
                 let g = arg(instr.args[0], bsz * k * l, slots, plan, inputs, store);
                 let x = arg(instr.args[1], bsz * l * dd, slots, plan, inputs, store);
-                exec::bcast_nt_da(g, x, bsz, k, l, dd, &mut da[..k * dd], &mut tmp[..k * dd]);
+                exec::bcast_nt_da(g, x, bsz, k, l, dd, &mut da[..k * dd]);
             }
             put(slots, instr.dsts[0], da);
-            put(slots, instr.dsts[1], tmp);
         }
         // dims [bsz, k, l, d]: args [g: bsz*k*l, a: k*d] -> dst bsz*l*d
         OpCode::BcastNtDx => {

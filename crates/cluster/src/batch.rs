@@ -206,11 +206,9 @@ where
         let seg_block = &seg.segments.data()[r0 * p..(r0 + rows) * p];
 
         // Reconstruction dots: X·Cᵀ on the raw rows.
-        dist[..rows * k].fill(0.0);
         raw::gemm_nt(rows, p, k, seg_block, &cache.centers, &mut dist[..rows * k]);
         // Correlation dots: X̂·Ĉᵀ on the centred-normalised rows.
         if corr {
-            dots[..rows * k].fill(0.0);
             let unit_block = &seg.unit[r0 * p..(r0 + rows) * p];
             raw::gemm_nt(rows, p, k, unit_block, &cache.unit, &mut dots[..rows * k]);
         }

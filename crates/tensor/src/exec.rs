@@ -10,19 +10,23 @@
 //!
 //! The mirrors fall into three groups:
 //!
-//! * **shared cores** — GEMM dispatch, fused LayerNorm/softmax and the
+//! * **shared cores** — the GEMM family, fused LayerNorm/softmax and the
 //!   routing kernels call the *same* internal functions as the Tensor ops
-//!   (`matmul::gemm_dispatch`, `fused::*_into`), so parity is structural;
+//!   (`matmul::gemm_dispatch` / `bmm_dispatch`, `fused::*_into`), so parity
+//!   is structural. The GEMM kernels write their output through from
+//!   registers, so no GEMM entry point zeroes `dst` first;
 //! * **re-expressed loops** — elementwise zips/maps and the small copy /
 //!   transpose ops restate the Tensor op's loop over slices with identical
 //!   split parameters;
-//! * **pre-zeroed accumulators** — ops whose Tensor form starts from
-//!   [`Tensor::zeros`] (`fill(0.0)` here) before accumulating.
+//! * **pre-zeroed accumulators** — the non-GEMM ops whose Tensor form starts
+//!   from [`Tensor::zeros`] before accumulating (`scatter_cols`,
+//!   `route_scatter_add`, `bias_grad`'s column blocks) zero `dst` here with
+//!   `fill(0.0)` first.
 
 use crate::matmul::{self, Kind};
 use crate::ops::{ELEM_GRAIN, EXP_GRAIN};
 use crate::route::ROUTE_GRAIN;
-use crate::{fused, par, raw};
+use crate::{fused, par};
 
 /// Transpose mode of a GEMM, the public face of the dispatcher's kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -371,16 +375,15 @@ pub fn route_scatter_add(
     });
 }
 
-/// One GEMM into a zeroed `dst` through the shared dispatcher — the exact
+/// One GEMM written through into `dst` by the shared dispatcher — the exact
 /// path of [`Tensor::matmul`] / `matmul_nt` / `matmul_tn`.
 pub fn gemm(trans: Trans, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], dst: &mut [f32]) {
     debug_assert_eq!(dst.len(), m * n);
-    dst.fill(0.0);
     matmul::gemm_dispatch(trans.kind(), m, k, n, a, b, dst);
 }
 
-/// One batched GEMM into a zeroed `dst` through the shared dispatcher — the
-/// exact path of [`Tensor::bmm`] / `bmm_nt` / `bmm_tn`.
+/// One batched GEMM written through into `dst` by the shared dispatcher —
+/// the exact path of [`Tensor::bmm`] / `bmm_nt` / `bmm_tn`.
 #[allow(clippy::too_many_arguments)]
 pub fn bmm(
     trans: Trans,
@@ -393,67 +396,37 @@ pub fn bmm(
     dst: &mut [f32],
 ) {
     debug_assert_eq!(dst.len(), bt * m * n);
-    dst.fill(0.0);
-    matmul::bmm_dispatch(trans.kind(), bt, m, k, n, a, b, dst);
+    matmul::bmm_dispatch(trans.kind(), bt, m, k, n, (a, m * k), (b, k * n), dst);
 }
 
-/// Broadcast-left `a · bᵀ` sweep into a zeroed `dst` (the exact path of the
-/// autograd `matmul_broadcast_nt` forward).
+/// Broadcast-left `a · bᵀ` sweep written through into `dst` (the exact path
+/// of the autograd `matmul_broadcast_nt` forward).
 pub fn bcast_nt(bt: usize, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], dst: &mut [f32]) {
     debug_assert_eq!(dst.len(), bt * m * n);
-    dst.fill(0.0);
-    raw::gemm_nt_bcast(bt, m, k, n, a, b, dst);
+    matmul::bmm_dispatch(Kind::Nt, bt, m, k, n, (a, 0), (b, n * k), dst);
 }
 
-/// Broadcast-NT backward for the shared LHS: `da = Σ_b g[b]·x[b]` with `da`
-/// zeroed and each per-batch product landing in the zeroed `tmp` scratch
-/// before an axpy merge — the autograd rule's exact accumulation chain.
-#[allow(clippy::too_many_arguments)]
-pub fn bcast_nt_da(
-    g: &[f32],
-    x: &[f32],
-    bsz: usize,
-    k: usize,
-    l: usize,
-    d: usize,
-    da: &mut [f32],
-    tmp: &mut [f32],
-) {
+/// Broadcast-NT backward for the shared LHS: `da = Σ_b g[b]·x[b]`, the
+/// autograd rule's chain — each per-batch product from `+0.0`, added into a
+/// zeroed `da` in ascending batch order — with the batch sum kept in
+/// registers.
+pub fn bcast_nt_da(g: &[f32], x: &[f32], bsz: usize, k: usize, l: usize, d: usize, da: &mut [f32]) {
     debug_assert_eq!(da.len(), k * d);
-    debug_assert_eq!(tmp.len(), k * d);
-    da.fill(0.0);
-    for b in 0..bsz {
-        tmp.fill(0.0);
-        raw::gemm(k, l, d, &g[b * k * l..(b + 1) * k * l], &x[b * l * d..(b + 1) * l * d], tmp);
-        axpy(da, 1.0, tmp);
-    }
+    matmul::bmm_sum(bsz, k, l, d, g, x, da);
 }
 
-/// Broadcast-NT backward for the batched RHS: `dx[b] = g[b]ᵀ·a` written into
-/// zeroed per-batch slices (the autograd rule's exact `gemm_tn` chain).
+/// Broadcast-NT backward for the batched RHS: `dx[b] = g[b]ᵀ·a` written
+/// through into per-batch slices (the autograd rule's exact `gemm_tn` chain),
+/// with `a` broadcast to every batch.
 ///
 /// Unlike the `da` reduction above, every batch writes a disjoint `dx` slice,
-/// so the sweep parallelises over batches with the dispatcher's MAC grain:
-/// each batch's GEMM is the identical serial kernel regardless of which
-/// thread runs it, keeping the gradient bitwise-stable at any thread count.
+/// so the sweep splits batches across threads like any batched GEMM: each
+/// batch's product is the identical serial kernel regardless of which thread
+/// runs it, keeping the gradient bitwise-stable at any thread count.
 pub fn bcast_nt_dx(g: &[f32], a: &[f32], bsz: usize, k: usize, l: usize, d: usize, dx: &mut [f32]) {
     debug_assert_eq!(a.len(), k * d);
     debug_assert_eq!(dx.len(), bsz * l * d);
-    dx.fill(0.0);
-    if l * d == 0 {
-        return;
-    }
-    let per_batch_macs = l * k * d;
-    let batch_grain = matmul::PAR_GRAIN_MACS.div_ceil(per_batch_macs.max(1)).max(1);
-    par::parallel_rows(dx, l * d, batch_grain, 1, |b0, chunk| {
-        for (off, out) in chunk.chunks_exact_mut(l * d).enumerate() {
-            let b = b0 + off;
-            // Each batch runs the shared dispatcher exactly as the serial
-            // loop did; a nested parallel attempt inside a worker degrades
-            // to the same serial partition, so the bits cannot move.
-            raw::gemm_tn(l, k, d, &g[b * k * l..(b + 1) * k * l], a, out);
-        }
-    });
+    matmul::bmm_dispatch(Kind::Tn, bsz, l, k, d, (g, k * l), (a, 0), dx);
 }
 
 /// Sum over the flat elements with an f64 accumulator (mirror of

@@ -1,46 +1,93 @@
-//! Matrix multiplication kernels: serial reference + cache-blocked,
-//! register-tiled, multithreaded implementations.
+//! Matrix multiplication: one register-tiled kernel family for `a·b`,
+//! `a·bᵀ` and `aᵀ·b` in single, batched and broadcast form, plus the serial
+//! reference kernels it is tested against.
 //!
 //! All kernels share one arithmetic contract: every output element is an
 //! `f32` accumulation chain over `k` in **ascending order**, starting from
-//! zero. The tiled and parallel paths block loops for cache reuse and split
-//! *output rows* across threads, but never reorder, split, or widen an
-//! element's accumulation chain — so their results are **bitwise identical**
-//! to the serial reference for any tile size and any thread count (see
-//! `tests/properties.rs`).
+//! `+0.0`, one multiply then one add per step (Rust never contracts them into
+//! an FMA). The tiled and parallel paths block loops for register reuse and
+//! split *output rows* or batches across threads, but never reorder, split,
+//! or widen an element's accumulation chain — so their results are
+//! **bitwise identical** to the serial reference for any tile size and any
+//! thread count (see `tests/properties.rs`).
 //!
-//! `gemm` and `gemm_tn` skip `a_ik == 0.0` terms. This is not just a
+//! `a·b` and `aᵀ·b` skip `a_ik == 0.0` terms. This is not just a
 //! micro-optimisation: ProtoAttn routes per-segment head outputs through
 //! one-hot assignment matrices (`A · head`), and the skip turns those
 //! products from `O(l·k·d)` into `O(l·d)`. The skip is part of the
 //! arithmetic contract (skipping a `+ 0.0 * b` term is *not* a bitwise
 //! no-op: it changes `-0.0` and non-finite propagation), so the tiled
 //! kernels implement it per `(row, k)` exactly like the reference.
-//! `gemm_nt` computes plain dot products and has no skip, matching its
+//! `a·bᵀ` computes plain dot products and has no skip, matching its
 //! reference.
 //!
+//! **Write-through versus accumulating.** Every entry point of the family
+//! ([`raw`], the [`Tensor`] methods, and the `exec` mirrors the plan VM
+//! calls) *overwrites* its output: a tile's accumulators start at `+0.0` in
+//! registers and are stored once, so the output is never zeroed, loaded or
+//! read back. Seeding an accumulator from its first product instead would
+//! turn a `+0.0` result into `−0.0`, so the kernels never do. Only the
+//! [`reference`] kernels accumulate into their output (zero it first); a
+//! chain that starts from `+0.0` can never end at `−0.0`, so adding it to a
+//! zeroed buffer gives the write-through bits.
+//!
+//! **Tile shapes.** A tile is `MR × NR` = 6 × 16 accumulators: twelve
+//! 8-lane vectors, which stay in registers on AVX2's sixteen as well as
+//! AVX-512's thirty-two. Two smaller shapes cover the products where a
+//! 6 × 16 tile would compute many lanes or rows it throws away: 8 lanes
+//! ([`NR_NARROW`]) for outputs at most 8 wide, and 4 rows ([`MR_ALT`]) for a
+//! short row count that 4 divides and 6 does not (8 prototypes, where a
+//! 6-row tiling computes 12 rows). The shape is picked from the call's
+//! static dims in one place (`with_tile_shape!`); every shape computes the
+//! same chains, so the choice moves speed, never bits. `a·b` and `a·bᵀ`
+//! read the left operand's rows in place and `aᵀ·b` copies a tile's
+//! columns of `a` once per row tile. `a·b` and `aᵀ·b` read the right
+//! operand in place, the last strip shifted back to overlap its neighbour
+//! rather than run past `n`; `a·bᵀ` transposes each strip of `bᵀ` once, or,
+//! when `a` has at most 8 rows, computes `cᵀ = b·aᵀ` so only the narrow
+//! operand is transposed. Packing goes to one per-thread buffer that grows
+//! to the largest call, so a warmed-up call never allocates.
+//!
 //! The serial references live in [`reference`] and stay the ground truth the
-//! property tests compare against.
+//! property tests and the kernel bench compare against.
 
 use crate::par;
 use crate::Tensor;
+use std::cell::RefCell;
 
-/// Register tile width (output columns per micro-tile).
+/// Register tile width: output columns per tile (two 8-lane vectors).
 const NR: usize = 16;
-/// Register tile height (output rows per micro-tile).
-const MR: usize = 4;
-/// k-block depth: bounds the live panel to ~`KC × NR` floats (L1-resident).
-const KC: usize = 256;
+/// Tile width for outputs at most this wide, and the lane count of the
+/// narrow `a·bᵀ` orientation (one 8-lane vector).
+const NR_NARROW: usize = 8;
+/// Register tile height: output rows per tile.
+const MR: usize = 6;
+/// Tile height for a short row count that it divides and [`MR`] does not
+/// (8, 16, 20), which an `MR`-row tiling would end on an overlapping tile.
+const MR_ALT: usize = 4;
 
-/// Below this many multiply–accumulates (`m·k·n`) the naive reference runs —
-/// tiling set-up costs more than it saves.
-const TILE_MIN_MACS: usize = 16 * 16 * 16;
+/// Calls `$kernel::<M, W>(args…)` with the tile shape for an output of
+/// `$rows × $cols`: `M` = [`MR_ALT`] when it divides a row count of at most
+/// 24 that [`MR`] does not, else `MR`; `W` = [`NR_NARROW`] for outputs at
+/// most that wide, else [`NR`]. Every shape computes the same chains, so the
+/// choice moves speed, never bits.
+macro_rules! with_tile_shape {
+    ($rows:expr, $cols:expr, $kernel:ident($($arg:expr),* $(,)?)) => {{
+        let (rows, cols): (usize, usize) = ($rows, $cols);
+        let short = !rows.is_multiple_of(MR) && rows.is_multiple_of(MR_ALT) && rows <= 4 * MR;
+        match (short, cols <= NR_NARROW) {
+            (false, false) => $kernel::<MR, NR>($($arg),*),
+            (false, true) => $kernel::<MR, NR_NARROW>($($arg),*),
+            (true, false) => $kernel::<MR_ALT, NR>($($arg),*),
+            (true, true) => $kernel::<MR_ALT, NR_NARROW>($($arg),*),
+        }
+    }};
+}
+
 /// Below this many multiply–accumulates the kernel stays single-threaded.
 const PAR_MIN_MACS: usize = 64 * 64 * 64;
-/// Minimum multiply–accumulates each worker thread should receive. Shared
-/// with the batched backward sweeps in [`crate::exec`] so they split batches
-/// on the same per-thread work target as the dispatcher.
-pub(crate) const PAR_GRAIN_MACS: usize = 32 * 64 * 64;
+/// Minimum multiply–accumulates each worker thread should receive.
+const PAR_GRAIN_MACS: usize = 32 * 64 * 64;
 
 pub mod reference {
     //! Naive serial kernels: the arithmetic ground truth.
@@ -113,319 +160,313 @@ pub mod reference {
     }
 }
 
-/// The register micro-kernel: accumulates an `mr × NR` output tile over one
-/// k-block, keeping the tile in registers for the whole block.
+/// One `M × W` output tile: `acc[r][j] = Σ_kk A(r, kk) · B(kk, j)`, each
+/// chain in ascending `kk` from `+0.0`, held in registers for the whole
+/// contraction.
 ///
-/// * `a[a_off + r * a_stride + kk]` is the `(row r, step kk)` left operand;
-/// * `b[b_off + kk * b_stride ..][..NR]` is the step-`kk` right-operand row;
-/// * `c[c_off + r * c_stride ..][..NR]` is loaded, accumulated and stored —
-///   carrying the chain across k-blocks without reordering it.
-///
-/// With `SKIP`, `a == 0.0` terms are skipped per `(row, k)` exactly like the
-/// serial references. The dense case (all `mr` left-operand values nonzero at
-/// a given `k`, i.e. every step of a non-one-hot product) takes a branch-free
-/// unrolled path; both paths run the identical per-row accumulation, so the
-/// guard affects speed only, never bits.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn micro_tile<const SKIP: bool>(
-    mr: usize,
-    kc: usize,
-    a: &[f32],
-    a_off: usize,
-    a_stride: usize,
+/// `a_at(kk)` yields the tile's `M` left-operand values at step `kk`, and
+/// `b[kk * b_rs..][..W]` is the step's right-operand row. With `SKIP`, a
+/// zero `A(r, kk)` leaves row `r` as it was — the reference's per-`(row, k)`
+/// skip — through a select rather than a branch, so the tile stays in
+/// registers.
+#[inline(always)]
+fn tile<const SKIP: bool, const M: usize, const W: usize>(
+    k: usize,
+    a_at: impl Fn(usize) -> [f32; M],
     b: &[f32],
-    b_off: usize,
-    b_stride: usize,
-    c: &mut [f32],
-    c_off: usize,
-    c_stride: usize,
-) {
-    debug_assert!(mr <= MR);
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, acc_r) in acc.iter_mut().enumerate().take(mr) {
-        let base = c_off + r * c_stride;
-        acc_r.copy_from_slice(&c[base..base + NR]);
+    b_rs: usize,
+) -> [[f32; W]; M] {
+    let mut acc = [[0.0f32; W]; M];
+    for kk in 0..k {
+        let b_row: &[f32; W] = b[kk * b_rs..kk * b_rs + W]
+            .try_into()
+            .expect("a B row is W wide by construction");
+        for (acc_r, av) in acc.iter_mut().zip(a_at(kk)) {
+            // focus-lint: allow(float-hygiene) -- exact-zero test is the one-hot sparsity skip; skipped terms contribute nothing bitwise
+            let live = !SKIP || av != 0.0;
+            for (o, &bv) in acc_r.iter_mut().zip(b_row) {
+                let s = *o + av * bv;
+                *o = if live { s } else { *o };
+            }
+        }
     }
-    // Decide skip-vs-dense once per tile, not once per k step: a branch in
-    // the innermost loop forces the accumulator tile out of registers. When
-    // the left-operand sub-panel has no zeros the skip loop and the dense
-    // loop execute the identical arithmetic, so routing dense tiles through
-    // the branch-free loop changes speed only, never bits.
-    let sparse = SKIP
+    acc
+}
+
+/// The left operand of one `M`-row tile. A short tile (fewer than `M` rows
+/// left) repeats its last row; the repeats are computed and never stored.
+#[derive(Clone, Copy)]
+enum Lhs<'a, const M: usize> {
+    /// Row-major rows of `a`, each `k` long, read in place (`a·b`, `a·bᵀ`).
+    Rows([&'a [f32]; M]),
+    /// `[k × M]` step-major copy of `M` columns of `a` (`aᵀ·b`).
+    Packed(&'a [f32]),
+}
+
+impl<'a, const M: usize> Lhs<'a, M> {
+    /// Rows `r0..r0 + mr` of the row-major `[_ × k]` matrix `a`.
+    fn rows(a: &'a [f32], k: usize, r0: usize, mr: usize) -> Self {
+        Lhs::Rows(std::array::from_fn(|r| &a[(r0 + r.min(mr - 1)) * k..][..k]))
+    }
+
+    /// Columns `r0..r0 + mr` of the row-major `[k × m]` matrix `a`, packed
+    /// step-major into `panel` (`k · M` floats).
+    fn columns(a: &[f32], m: usize, r0: usize, mr: usize, panel: &'a mut [f32]) -> Self {
+        for (p, a_row) in panel.chunks_exact_mut(M).zip(a.chunks_exact(m)) {
+            if mr == M {
+                p.copy_from_slice(&a_row[r0..r0 + M]);
+            } else {
+                for (r, v) in p.iter_mut().enumerate() {
+                    *v = a_row[r0 + r.min(mr - 1)];
+                }
+            }
+        }
+        Lhs::Packed(panel)
+    }
+
+    /// Whether any left-operand value of the tile is exactly zero: one
+    /// branch-free scan per row tile picks the skip or the dense loop for
+    /// every column strip. Both give the same bits; only speed differs.
+    fn has_zero(&self) -> bool {
         // focus-lint: allow(float-hygiene) -- exact-zero scan decides skip-vs-dense only; both paths compute identical bits
-        && (0..mr).any(|r| a[a_off + r * a_stride..a_off + r * a_stride + kc].contains(&0.0));
-    if sparse {
-        for kk in 0..kc {
-            let base = b_off + kk * b_stride;
-            let b_row: &[f32; NR] =
-                (&b[base..base + NR]).try_into().expect("slice is NR long by construction");
-            for (r, acc_r) in acc.iter_mut().enumerate().take(mr) {
-                let av = a[a_off + r * a_stride + kk];
-                // focus-lint: allow(float-hygiene) -- exact-zero test is the one-hot sparsity skip; skipped terms contribute nothing bitwise
-                if av != 0.0 {
-                    for (o, &bv) in acc_r.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        }
-    } else {
-        for kk in 0..kc {
-            let base = b_off + kk * b_stride;
-            let b_row: &[f32; NR] =
-                (&b[base..base + NR]).try_into().expect("slice is NR long by construction");
-            for (r, acc_r) in acc.iter_mut().enumerate().take(mr) {
-                let av = a[a_off + r * a_stride + kk];
-                for (o, &bv) in acc_r.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
+        let scan = |v: &[f32]| v.iter().fold(false, |z, &x| z | (x == 0.0));
+        match self {
+            Lhs::Rows(rows) => rows.iter().any(|r| scan(r)),
+            Lhs::Packed(p) => scan(p),
         }
     }
+
+    /// This tile times the `[k × W]` strip `b` (row stride `b_rs`).
+    fn times<const W: usize>(&self, skip: bool, k: usize, b: &[f32], b_rs: usize) -> [[f32; W]; M] {
+        match (*self, skip) {
+            (Lhs::Rows(rows), false) => tile::<false, M, W>(k, |kk| column(&rows, kk), b, b_rs),
+            (Lhs::Rows(rows), true) => tile::<true, M, W>(k, |kk| column(&rows, kk), b, b_rs),
+            (Lhs::Packed(p), false) => tile::<false, M, W>(k, |kk| step(p, kk), b, b_rs),
+            (Lhs::Packed(p), true) => tile::<true, M, W>(k, |kk| step(p, kk), b, b_rs),
+        }
+    }
+}
+
+/// Step `kk` of in-place left-operand rows. (`array::map` over the rows
+/// keeps the tile out of registers; indexing them does not.)
+#[inline(always)]
+fn column<const M: usize>(rows: &[&[f32]; M], kk: usize) -> [f32; M] {
+    std::array::from_fn(|r| rows[r][kk])
+}
+
+/// Step `kk` of a packed left-operand panel.
+#[inline(always)]
+fn step<const M: usize>(p: &[f32], kk: usize) -> [f32; M] {
+    p[kk * M..kk * M + M]
+        .try_into()
+        .expect("a packed step is M wide by construction")
+}
+
+/// Tiles covering `0..len` in steps of `w`, as `(start, width)`: full tiles,
+/// the last one shifted back to end at `len` (it overlaps its neighbour and
+/// recomputes those elements bit for bit), or one short tile if `len < w`.
+fn tiles(len: usize, w: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len).step_by(w).map(move |t| {
+        if len < w {
+            (0, len)
+        } else {
+            (t.min(len - w), w)
+        }
+    })
+}
+
+/// The row-major `[k × n]` right operand as `(matrix, row stride)` at least
+/// `w` columns wide: `b` itself when `n ≥ w`, else a copy in `panel`
+/// (`k · w` floats) whose lanes past `n` are zeroed.
+fn wide<'p>(
+    b: &'p [f32],
+    k: usize,
+    n: usize,
+    w: usize,
+    panel: &'p mut [f32],
+) -> (&'p [f32], usize) {
+    if n >= w {
+        return (b, n);
+    }
+    let panel = &mut panel[..k * w];
+    panel.fill(0.0);
+    for (p, b_row) in panel.chunks_exact_mut(w).zip(b.chunks_exact(n)) {
+        p[..n].copy_from_slice(b_row);
+    }
+    (panel, w)
+}
+
+/// Rows `j0..j0 + live` of the row-major `[_ × k]` matrix `b`, transposed
+/// into the `[k × L]` panel. Lanes past `live` repeat the last row; they are
+/// computed and never stored.
+fn pack_t<const L: usize>(b: &[f32], k: usize, j0: usize, live: usize, panel: &mut [f32]) {
+    let rows: [&[f32]; L] = std::array::from_fn(|j| &b[(j0 + j.min(live - 1)) * k..][..k]);
+    for (kk, p) in panel[..k * L].chunks_exact_mut(L).enumerate() {
+        for (v, row) in p.iter_mut().zip(&rows) {
+            *v = row[kk];
+        }
+    }
+}
+
+/// Stores rows `0..mr`, lanes `0..w` of a finished tile at row `t0`, column
+/// `j0` of the row-major output `c` (row width `n`).
+fn store<const M: usize, const W: usize>(
+    acc: &[[f32; W]; M],
+    c: &mut [f32],
+    n: usize,
+    (t0, mr): (usize, usize),
+    (j0, w): (usize, usize),
+) {
     for (r, acc_r) in acc.iter().enumerate().take(mr) {
-        let base = c_off + r * c_stride;
-        c[base..base + NR].copy_from_slice(acc_r);
+        let dst = &mut c[(t0 + r) * n + j0..][..w];
+        if w == W {
+            dst.copy_from_slice(acc_r);
+        } else {
+            dst.copy_from_slice(&acc_r[..w]);
+        }
     }
 }
 
-/// Cache-blocked GEMM over the output row block `i0..i1`:
-/// `c_block[(i-i0)×n] += a[i×k] · b[k×n]` for `i` in `i0..i1`.
-///
-/// `c_block` holds exactly rows `i0..i1` (the caller splits disjoint blocks
-/// across threads).
-fn gemm_block(i0: usize, i1: usize, k: usize, n: usize, a: &[f32], b: &[f32], c_block: &mut [f32]) {
-    debug_assert_eq!(c_block.len(), (i1 - i0) * n);
-    let n_full = n - n % NR;
-    let mut panel = [0.0f32; KC * NR];
-    let mut k0 = 0;
-    while k0 < k {
-        let kc = KC.min(k - k0);
-        let mut j0 = 0;
-        while j0 < n_full {
-            // panel[kk] = b[k0 + kk][j0..j0 + NR] — packed once per k-block,
-            // reused by every row tile of this output block.
-            for (kk, dst) in panel.chunks_exact_mut(NR).take(kc).enumerate() {
-                dst.copy_from_slice(&b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + NR]);
-            }
-            let mut i = i0;
-            while i < i1 {
-                let mr = MR.min(i1 - i);
-                micro_tile::<true>(
-                    mr,
-                    kc,
-                    a,
-                    i * k + k0,
-                    k,
-                    &panel,
-                    0,
-                    NR,
-                    c_block,
-                    (i - i0) * n + j0,
-                    n,
-                );
-                i += mr;
-            }
-            j0 += NR;
-        }
-        // Column remainder: run the micro-kernel against a zero-padded panel
-        // and a padded staging tile, then copy the live columns back. The
-        // real columns keep the same ascending-k chain and per-(row, k) skip
-        // as the scalar remainder loop; the padded lanes are discarded.
-        if n_full < n {
-            let nrem = n - n_full;
-            for (kk, dst) in panel.chunks_exact_mut(NR).take(kc).enumerate() {
-                dst[..nrem].copy_from_slice(&b[(k0 + kk) * n + n_full..(k0 + kk) * n + n]);
-                dst[nrem..].fill(0.0);
-            }
-            let mut stage = [0.0f32; MR * NR];
-            let mut i = i0;
-            while i < i1 {
-                let mr = MR.min(i1 - i);
-                for r in 0..mr {
-                    let base = (i - i0 + r) * n + n_full;
-                    stage[r * NR..r * NR + nrem].copy_from_slice(&c_block[base..base + nrem]);
-                    stage[r * NR + nrem..(r + 1) * NR].fill(0.0);
-                }
-                micro_tile::<true>(mr, kc, a, i * k + k0, k, &panel, 0, NR, &mut stage, 0, NR);
-                for r in 0..mr {
-                    let base = (i - i0 + r) * n + n_full;
-                    c_block[base..base + nrem].copy_from_slice(&stage[r * NR..r * NR + nrem]);
-                }
-                i += mr;
-            }
-        }
-        k0 += KC;
-    }
+std::thread_local! {
+    /// Per-thread packing scratch: grows to the largest call's
+    /// `k · (NR + MR)` floats once, then every call reuses it, so a
+    /// warmed-up GEMM never touches the allocator or the tensor pool.
+    /// Packers overwrite what they use before it is read.
+    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Cache-blocked `a · bᵀ` over the output row block `i0..i1`.
+/// Runs `f` with this thread's scratch grown to at least `len` floats.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut s = cell.borrow_mut();
+        if s.len() < len {
+            s.resize(len, 0.0);
+        }
+        f(&mut s[..len])
+    })
+}
+
+/// Scratch floats one serial GEMM of depth `k` needs.
+fn scratch_len(k: usize) -> usize {
+    k * (NR + MR)
+}
+
+/// Serial core: rows `i0..i0 + c.len() / n` of the product, written
+/// through into `c`.
 ///
-/// Packs each `KC × NR` panel of `bᵀ` once per k-block so the micro-kernel
-/// streams it contiguously; every output element keeps the serial dot
-/// product's ascending-k chain (no zero-skip, matching the reference).
-fn gemm_nt_block(
+/// `a_packed` says the previous call on this `scratch` had the same `a` (a
+/// broadcast left operand), so the narrow `a·bᵀ` path reuses the transposed
+/// copy of `a` that call left there.
+#[allow(clippy::too_many_arguments)]
+fn gemm_rows(
+    kind: Kind,
     i0: usize,
-    i1: usize,
+    m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
-    c_block: &mut [f32],
+    c: &mut [f32],
+    scratch: &mut [f32],
+    a_packed: bool,
 ) {
-    debug_assert_eq!(c_block.len(), (i1 - i0) * n);
-    let n_full = n - n % NR;
-    let mut panel = [0.0f32; KC * NR];
-    let mut k0 = 0;
-    while k0 < k {
-        let kc = KC.min(k - k0);
-        let mut j0 = 0;
-        while j0 < n_full {
-            // panel[kk][r] = b[(j0 + r) * k + (k0 + kk)]  (transposed gather).
-            for kk in 0..kc {
-                let dst = &mut panel[kk * NR..kk * NR + NR];
-                for (r, d) in dst.iter_mut().enumerate() {
-                    *d = b[(j0 + r) * k + k0 + kk];
+    if k == 0 {
+        c.fill(0.0);
+        return;
+    }
+    let rows = c.len() / n;
+    if kind == Kind::Nt && rows <= NR_NARROW && n > NR_NARROW {
+        let a = (!a_packed).then(|| &a[i0 * k..][..rows * k]);
+        return with_tile_shape!(n, rows, gemm_nt_narrow(k, n, a, b, c, scratch));
+    }
+    with_tile_shape!(rows, n, gemm_tiles((kind, i0, m, k, n), a, b, c, scratch));
+}
+
+/// [`gemm_rows`] with `M × W` tiles.
+fn gemm_tiles<const M: usize, const W: usize>(
+    (kind, i0, m, k, n): (Kind, usize, usize, usize, usize),
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    scratch: &mut [f32],
+) {
+    let rows = c.len() / n;
+    let (b_panel, a_panel) = scratch.split_at_mut(k * W);
+    match kind {
+        // Strip-outer: each packed strip of bᵀ serves every row tile.
+        Kind::Nt => {
+            for (j0, w) in tiles(n, W) {
+                pack_t::<W>(b, k, j0, w, b_panel);
+                for (t0, mr) in tiles(rows, M) {
+                    let acc = Lhs::<M>::rows(a, k, i0 + t0, mr).times::<W>(false, k, b_panel, W);
+                    store(&acc, c, n, (t0, mr), (j0, w));
                 }
             }
-            let mut i = i0;
-            while i < i1 {
-                let mr = MR.min(i1 - i);
-                micro_tile::<false>(
-                    mr,
-                    kc,
-                    a,
-                    i * k + k0,
-                    k,
-                    &panel,
-                    0,
-                    NR,
-                    c_block,
-                    (i - i0) * n + j0,
-                    n,
-                );
-                i += mr;
-            }
-            j0 += NR;
         }
-        // Column remainder: plain dots carried through c across k-blocks.
-        for j in n_full..n {
-            for i in i0..i1 {
-                let mut acc = c_block[(i - i0) * n + j];
-                let a_row = &a[i * k + k0..i * k + k0 + kc];
-                let b_row = &b[j * k + k0..j * k + k0 + kc];
-                for (x, y) in a_row.iter().zip(b_row) {
-                    acc += x * y;
+        // Row-tile-outer: one zero scan (and, for aᵀ, one pack) per row tile
+        // serves every column strip, read in place from `b`.
+        Kind::Nn | Kind::Tn => {
+            let (b, b_rs) = wide(b, k, n, W, b_panel);
+            for (t0, mr) in tiles(rows, M) {
+                let lhs = match kind {
+                    Kind::Tn => Lhs::<M>::columns(a, m, i0 + t0, mr, &mut a_panel[..k * M]),
+                    _ => Lhs::rows(a, k, i0 + t0, mr),
+                };
+                let skip = lhs.has_zero();
+                for (j0, w) in tiles(n, W) {
+                    let acc = lhs.times::<W>(skip, k, &b[j0..], b_rs);
+                    store(&acc, c, n, (t0, mr), (j0, w));
                 }
-                c_block[(i - i0) * n + j] = acc;
             }
         }
-        k0 += KC;
     }
 }
 
-/// Cache-blocked `aᵀ · b` over the output row block `i0..i1` (`a` is
-/// `[k × m]` row-major).
-///
-/// Packs each `mr × KC` panel of `aᵀ` once per (row-block, k-block) so the
-/// micro-kernel reads it with stride 1; keeps the reference's zero-skip and
-/// ascending-k chain.
-fn gemm_tn_block(
-    i0: usize,
-    i1: usize,
+/// `a·bᵀ` for the at most [`NR_NARROW`] rows of `a` (prototype queries
+/// against a window's segments): computes `cᵀ = b·aᵀ` instead, tiles running
+/// down the rows of `b` in place and lanes over the rows of `a`, so only the
+/// narrow operand is transposed. `a·bᵀ` has no skip, and each element is the
+/// same dot product in either orientation. `aᵀ` is packed at the head of
+/// `scratch`, unless `a` is `None`: then the previous call packed the same
+/// rows there.
+fn gemm_nt_narrow<const M: usize, const W: usize>(
     k: usize,
     n: usize,
-    a: &[f32],
+    a: Option<&[f32]>,
     b: &[f32],
-    c_block: &mut [f32],
+    c: &mut [f32],
+    scratch: &mut [f32],
 ) {
-    debug_assert_eq!(c_block.len(), (i1 - i0) * n);
-    let n_full = n - n % NR;
-    let mut a_panel = [0.0f32; MR * KC];
-    // Lazily initialised so aligned-n calls never pay for zeroing it.
-    let mut b_rem: Option<Box<[f32; KC * NR]>> = None;
-    let mut k0 = 0;
-    while k0 < k {
-        let kc = KC.min(k - k0);
-        // Zero-padded panel of the remainder columns, packed once per k-block
-        // and shared by every row tile below.
-        if n_full < n {
-            let nrem = n - n_full;
-            let b_rem = b_rem.get_or_insert_with(|| Box::new([0.0; KC * NR]));
-            for (kk, dst) in b_rem.chunks_exact_mut(NR).take(kc).enumerate() {
-                dst[..nrem].copy_from_slice(&b[(k0 + kk) * n + n_full..(k0 + kk) * n + n]);
-                dst[nrem..].fill(0.0);
+    let rows = c.len() / n;
+    if let Some(a) = a {
+        pack_t::<W>(a, k, 0, rows, scratch);
+    }
+    let panel = &scratch[..k * W];
+    for (t0, mr) in tiles(n, M) {
+        let acc = Lhs::<M>::rows(b, k, t0, mr).times::<W>(false, k, panel, W);
+        for (r, acc_r) in acc.iter().enumerate().take(mr) {
+            for (i, &v) in acc_r.iter().enumerate().take(rows) {
+                c[i * n + t0 + r] = v;
             }
         }
-        let mut i = i0;
-        while i < i1 {
-            let mr = MR.min(i1 - i);
-            // a_panel[r][kk] = a[(k0 + kk) * m-stride + (i + r)]; the row-major
-            // stride of `a` is m, the total column count of aᵀ's source.
-            // kk-outer so each source row's `mr` adjacent floats are read from
-            // one cache line rather than touched once per destination row.
-            let m_stride = a.len() / k;
-            for kk in 0..kc {
-                let src = &a[(k0 + kk) * m_stride + i..(k0 + kk) * m_stride + i + mr];
-                for (r, &v) in src.iter().enumerate() {
-                    a_panel[r * kc + kk] = v;
-                }
-            }
-            let mut j0 = 0;
-            while j0 < n_full {
-                micro_tile::<true>(
-                    mr,
-                    kc,
-                    &a_panel,
-                    0,
-                    kc,
-                    b,
-                    k0 * n + j0,
-                    n,
-                    c_block,
-                    (i - i0) * n + j0,
-                    n,
-                );
-                j0 += NR;
-            }
-            // Column remainder: padded micro-tile against `b_rem`, keeping
-            // the per-(row, k) skip and ascending-k chain of the scalar loop
-            // on the live columns; padded lanes are discarded.
-            if n_full < n {
-                let nrem = n - n_full;
-                let brem: &[f32] =
-                    b_rem.as_deref().expect("packed above whenever a remainder exists");
-                let mut stage = [0.0f32; MR * NR];
-                for r in 0..mr {
-                    let base = (i - i0 + r) * n + n_full;
-                    stage[r * NR..r * NR + nrem].copy_from_slice(&c_block[base..base + nrem]);
-                    stage[r * NR + nrem..(r + 1) * NR].fill(0.0);
-                }
-                micro_tile::<true>(mr, kc, &a_panel, 0, kc, brem, 0, NR, &mut stage, 0, NR);
-                for r in 0..mr {
-                    let base = (i - i0 + r) * n + n_full;
-                    c_block[base..base + nrem].copy_from_slice(&stage[r * NR..r * NR + nrem]);
-                }
-            }
-            i += mr;
-        }
-        k0 += KC;
     }
 }
 
 pub mod raw {
     //! Raw-slice entry points to the dispatched kernels.
     //!
-    //! These run the same reference→tiled→parallel dispatch as the [`Tensor`]
-    //! methods but accumulate into a caller-owned buffer, so batched sweeps
+    //! These run the same tiled + parallel dispatch as the [`Tensor`]
+    //! methods but write into a caller-owned buffer, so batched sweeps
     //! (e.g. the clustering distance matrix, the broadcast-LHS attention
-    //! products) can write straight into slices of one output allocation.
-    //! Like the reference kernels, they **accumulate** into `c` — zero it
-    //! first for a plain product.
+    //! products) can fill slices of one output allocation. Like every
+    //! entry point of the family they **overwrite** `c`; its prior contents
+    //! are never read.
     //!
     //! [`Tensor`]: crate::Tensor
 
-    /// `c[m×n] += a[m×k] · b[k×n]`, all row-major slices (zero-skip on `a`).
+    use super::Kind;
+
+    /// `c[m×n] = a[m×k] · b[k×n]`, all row-major slices (zero-skip on `a`).
     ///
     /// # Panics
     /// If a slice length disagrees with its shape.
@@ -433,10 +474,10 @@ pub mod raw {
         assert_eq!(a.len(), m * k, "gemm lhs length");
         assert_eq!(b.len(), k * n, "gemm rhs length");
         assert_eq!(c.len(), m * n, "gemm out length");
-        super::gemm_dispatch(super::Kind::Nn, m, k, n, a, b, c);
+        super::gemm_dispatch(Kind::Nn, m, k, n, a, b, c);
     }
 
-    /// `c[m×n] += a[m×k] · (b[n×k])ᵀ`, all row-major slices.
+    /// `c[m×n] = a[m×k] · (b[n×k])ᵀ`, all row-major slices.
     ///
     /// # Panics
     /// If a slice length disagrees with its shape.
@@ -444,10 +485,10 @@ pub mod raw {
         assert_eq!(a.len(), m * k, "gemm_nt lhs length");
         assert_eq!(b.len(), n * k, "gemm_nt rhs length");
         assert_eq!(c.len(), m * n, "gemm_nt out length");
-        super::gemm_dispatch(super::Kind::Nt, m, k, n, a, b, c);
+        super::gemm_dispatch(Kind::Nt, m, k, n, a, b, c);
     }
 
-    /// `c[m×n] += (a[k×m])ᵀ · b[k×n]`, all row-major slices (zero-skip on
+    /// `c[m×n] = (a[k×m])ᵀ · b[k×n]`, all row-major slices (zero-skip on
     /// `a`).
     ///
     /// # Panics
@@ -456,15 +497,13 @@ pub mod raw {
         assert_eq!(a.len(), k * m, "gemm_tn lhs length");
         assert_eq!(b.len(), k * n, "gemm_tn rhs length");
         assert_eq!(c.len(), m * n, "gemm_tn out length");
-        super::gemm_dispatch(super::Kind::Tn, m, k, n, a, b, c);
+        super::gemm_dispatch(Kind::Tn, m, k, n, a, b, c);
     }
 
-    /// Batched `c[bi] += a · (b[bi])ᵀ` with a broadcast left operand: `a` is
+    /// Batched `c[bi] = a · (b[bi])ᵀ` with a broadcast left operand: `a` is
     /// one `[m × k]` matrix, `b` holds `bt` batches of `[n × k]` and `c`
-    /// holds `bt` batches of `[m × n]`. Bitwise-identical to calling
-    /// [`gemm_nt`] per batch, but narrow outputs (`n < NR`, the prototype
-    /// attention scores) share one packing panel and staging tile across the
-    /// whole sweep instead of re-initialising scratch per batch.
+    /// holds `bt` batches of `[m × n]`. Bitwise-identical to [`gemm_nt`]
+    /// per batch.
     ///
     /// # Panics
     /// If a slice length disagrees with its shape.
@@ -477,168 +516,15 @@ pub mod raw {
         b: &[f32],
         c: &mut [f32],
     ) {
-        use super::{Kind, NR, PAR_GRAIN_MACS, PAR_MIN_MACS, SMALL_STAGE};
-        focus_trace::counter_add("gemm/nt_bcast", 1);
         assert_eq!(a.len(), m * k, "gemm_nt_bcast lhs length");
         assert_eq!(b.len(), bt * n * k, "gemm_nt_bcast rhs length");
         assert_eq!(c.len(), bt * m * n, "gemm_nt_bcast out length");
-        let per_batch_macs = m * k * n;
-        let small = n < NR && per_batch_macs > 0 && m * NR <= SMALL_STAGE;
-        let batch_grain = PAR_GRAIN_MACS.div_ceil(per_batch_macs.max(1)).max(1);
-        if small && bt * per_batch_macs >= PAR_MIN_MACS && bt >= 2 * batch_grain {
-            // Batch-parallel sweep, mirroring `bmm_dispatch`: batches are
-            // independent, each worker shares one panel + staging tile
-            // across its block. Scratch is fully overwritten before use
-            // (that is why the serial sweep can share it too), so per-worker
-            // scratch leaves every output bit unchanged.
-            super::par::parallel_rows(c, m * n, batch_grain, 1, |b0, chunk| {
-                let mut panel = [0.0f32; super::KC * NR];
-                let mut stage = [0.0f32; SMALL_STAGE];
-                for (off, out) in chunk.chunks_exact_mut(m * n).enumerate() {
-                    let bi = b0 + off;
-                    super::gemm_nt_small_rows(
-                        0,
-                        k,
-                        n,
-                        a,
-                        &b[bi * n * k..(bi + 1) * n * k],
-                        out,
-                        &mut panel,
-                        &mut stage,
-                    );
-                }
-            });
-        } else if small {
-            let mut panel = [0.0f32; super::KC * NR];
-            let mut stage = [0.0f32; SMALL_STAGE];
-            for bi in 0..bt {
-                super::gemm_nt_small_rows(
-                    0,
-                    k,
-                    n,
-                    a,
-                    &b[bi * n * k..(bi + 1) * n * k],
-                    &mut c[bi * m * n..(bi + 1) * m * n],
-                    &mut panel,
-                    &mut stage,
-                );
-            }
-        } else {
-            for bi in 0..bt {
-                super::gemm_dispatch(
-                    Kind::Nt,
-                    m,
-                    k,
-                    n,
-                    a,
-                    &b[bi * n * k..(bi + 1) * n * k],
-                    &mut c[bi * m * n..(bi + 1) * m * n],
-                );
-            }
-        }
+        super::bmm_dispatch(Kind::Nt, bt, m, k, n, (a, 0), (b, n * k), c);
     }
 }
 
-/// `a · bᵀ` for outputs narrower than one register tile (`n < NR`), where the
-/// blocked kernel would push every column through its scalar-dot remainder —
-/// a `k`-axis reduction the compiler must not vectorise (reassociation would
-/// change bits). Instead the panel of `bᵀ` is packed zero-padded to the full
-/// `NR` width and the regular [`micro_tile`] runs against an `NR`-wide
-/// staging buffer, so the kernel keeps `MR` rows of accumulators in flight
-/// exactly like the dense path (the padded lanes compute and discard zeros).
-/// Each real output element still accumulates `a[i,kk] * b[j,kk]` in
-/// ascending `kk` from its existing value — the exact reference `gemm_nt`
-/// chain, which has no zero-skip — so results are bitwise-identical.
-fn gemm_nt_small(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert!(n <= NR);
-    let rows = |i0: usize, c_block: &mut [f32]| {
-        let mr_rows = c_block.len() / n;
-        let mut panel = [0.0f32; KC * NR];
-        // Tiny row blocks (every per-batch attention product) stage on the
-        // stack; large blocks use a per-thread scratch buffer that persists
-        // across calls, so steady-state GEMMs touch neither the allocator
-        // nor the tensor pool (compiled-plan replay asserts zero pool
-        // lookups per step).
-        let mut stack_stage = [0.0f32; SMALL_STAGE];
-        if mr_rows * NR <= stack_stage.len() {
-            gemm_nt_small_rows(i0, k, n, a, b, c_block, &mut panel, &mut stack_stage);
-        } else {
-            NT_STAGE.with(|cell| {
-                let mut stage = cell.borrow_mut();
-                if stage.len() < mr_rows * NR {
-                    stage.resize(mr_rows * NR, 0.0);
-                }
-                gemm_nt_small_rows(i0, k, n, a, b, c_block, &mut panel, &mut stage);
-            });
-        }
-    };
-    if m * k * n < PAR_MIN_MACS {
-        rows(0, c);
-    } else {
-        let grain_rows = PAR_GRAIN_MACS.div_ceil(k * n).max(1);
-        par::parallel_rows(c, n, grain_rows, 1, |row0, c_block| rows(row0, c_block));
-    }
-}
-
-/// Staging capacity (in floats) that [`gemm_nt_small`] keeps on the stack and
-/// batched sweeps preallocate: covers row blocks up to `4 · MR` rows.
-pub(crate) const SMALL_STAGE: usize = 4 * MR * NR;
-
-std::thread_local! {
-    /// Per-thread staging scratch for [`gemm_nt_small`] row blocks larger
-    /// than [`SMALL_STAGE`]: grows to the high-water mark once and is then
-    /// reused, keeping steady-state GEMMs allocation- and pool-free. The
-    /// contents are fully overwritten before any read.
-    static NT_STAGE: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Serial core of [`gemm_nt_small`] over the row block starting at `i0`,
-/// staging into caller-provided scratch (`panel` of `KC · NR` floats, `stage`
-/// covering at least `rows · NR`). Split out so batched sweeps can reuse one
-/// set of buffers across batches — re-initialising the 16 KiB panel per
-/// 2-kMAC batch would otherwise dominate the arithmetic.
-#[allow(clippy::too_many_arguments)]
-fn gemm_nt_small_rows(
-    i0: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c_block: &mut [f32],
-    panel: &mut [f32],
-    stage: &mut [f32],
-) {
-    let mr_rows = c_block.len() / n;
-    let stage = &mut stage[..mr_rows * NR];
-    for (s, c_row) in stage.chunks_exact_mut(NR).zip(c_block.chunks_exact(n)) {
-        s[..n].copy_from_slice(c_row);
-        s[n..].fill(0.0);
-    }
-    let mut k0 = 0;
-    while k0 < k {
-        let kc = KC.min(k - k0);
-        // panel[kk][j] = b[j*k + k0+kk] for j < n, zero-padded to NR.
-        for (kk, dst) in panel.chunks_exact_mut(NR).take(kc).enumerate() {
-            for (j, d) in dst.iter_mut().enumerate().take(n) {
-                *d = b[j * k + k0 + kk];
-            }
-            dst[n..].fill(0.0);
-        }
-        let mut r = 0;
-        while r < mr_rows {
-            let mr = MR.min(mr_rows - r);
-            micro_tile::<false>(mr, kc, a, (i0 + r) * k + k0, k, panel, 0, NR, stage, r * NR, NR);
-            r += mr;
-        }
-        k0 += KC;
-    }
-    for (s, c_row) in stage.chunks_exact(NR).zip(c_block.chunks_exact_mut(n)) {
-        c_row.copy_from_slice(&s[..n]);
-    }
-}
-
-/// Which optimised block kernel to run per output row block.
-#[derive(Clone, Copy)]
+/// Which product a GEMM computes.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kind {
     /// `a[m×k] · b[k×n]`.
     Nn,
@@ -649,44 +535,38 @@ pub(crate) enum Kind {
 }
 
 /// Counts one GEMM entry in the `focus-trace` registry, bucketed by
-/// transpose kind and the size class the dispatch thresholds put it in.
+/// transpose kind and whether the dispatch may split it across threads.
 /// Every counted site runs on the coordinating thread (worker closures call
-/// the block kernels directly), so the counts are thread-count-invariant.
-fn trace_gemm(prefix: &str, kind: Kind, macs: usize) {
+/// [`gemm_rows`] directly), so the counts are thread-count-invariant.
+fn trace_gemm(batched: bool, kind: Kind, macs: usize) {
     if !focus_trace::enabled() {
         return;
     }
-    let class = if macs < TILE_MIN_MACS {
-        0
-    } else if macs < PAR_MIN_MACS {
-        1
-    } else {
-        2
-    };
     // Static name table: the trace registry keys on `&'static str`.
-    const NAMES: [[[&str; 3]; 3]; 2] = [
+    const NAMES: [[[&str; 2]; 3]; 2] = [
         [
-            ["gemm/nn_small", "gemm/nn_tiled", "gemm/nn_par"],
-            ["gemm/nt_small", "gemm/nt_tiled", "gemm/nt_par"],
-            ["gemm/tn_small", "gemm/tn_tiled", "gemm/tn_par"],
+            ["gemm/nn_tiled", "gemm/nn_par"],
+            ["gemm/nt_tiled", "gemm/nt_par"],
+            ["gemm/tn_tiled", "gemm/tn_par"],
         ],
         [
-            ["bmm/nn_small", "bmm/nn_tiled", "bmm/nn_par"],
-            ["bmm/nt_small", "bmm/nt_tiled", "bmm/nt_par"],
-            ["bmm/tn_small", "bmm/tn_tiled", "bmm/tn_par"],
+            ["bmm/nn_tiled", "bmm/nn_par"],
+            ["bmm/nt_tiled", "bmm/nt_par"],
+            ["bmm/tn_tiled", "bmm/tn_par"],
         ],
     ];
-    let p = usize::from(prefix == "bmm");
     let ki = match kind {
         Kind::Nn => 0,
         Kind::Nt => 1,
         Kind::Tn => 2,
     };
-    focus_trace::counter_add(NAMES[p][ki][class], 1);
+    let par = usize::from(macs >= PAR_MIN_MACS);
+    focus_trace::counter_add(NAMES[usize::from(batched)][ki][par], 1);
 }
 
-/// Dispatches one raw GEMM: reference for small shapes, tiled for medium,
-/// tiled + row-parallel for large. Bitwise-identical across all three paths.
+/// Dispatches one GEMM, written through into `c`: serial below
+/// [`PAR_MIN_MACS`], split into row blocks across threads above it.
+/// Bitwise-identical either way.
 pub(crate) fn gemm_dispatch(
     kind: Kind,
     m: usize,
@@ -697,43 +577,75 @@ pub(crate) fn gemm_dispatch(
     c: &mut [f32],
 ) {
     let macs = m * k * n;
-    trace_gemm("gemm", kind, macs);
-    // Narrow-output and sub-tile `a·bᵀ` products otherwise run entirely as
-    // scalar dots; the packed saxpy kernel is bitwise-identical to them.
-    if matches!(kind, Kind::Nt) && macs > 0 && n < NR {
-        gemm_nt_small(m, k, n, a, b, c);
+    trace_gemm(false, kind, macs);
+    if m == 0 || n == 0 {
         return;
     }
-    if macs < TILE_MIN_MACS || k == 0 || n == 0 || m == 0 {
-        match kind {
-            Kind::Nn => reference::gemm(m, k, n, a, b, c),
-            Kind::Nt => reference::gemm_nt(m, k, n, a, b, c),
-            Kind::Tn => reference::gemm_tn(m, k, n, a, b, c),
-        }
-        return;
-    }
-    let block = |i0: usize, i1: usize, c_block: &mut [f32]| match kind {
-        Kind::Nn => gemm_block(i0, i1, k, n, a, b, c_block),
-        Kind::Nt => gemm_nt_block(i0, i1, k, n, a, b, c_block),
-        Kind::Tn => gemm_tn_block(i0, i1, k, n, a, b, c_block),
+    let block = |row0: usize, c_block: &mut [f32]| {
+        with_scratch(scratch_len(k), |s| {
+            gemm_rows(kind, row0, m, k, n, a, b, c_block, s, false)
+        });
     };
     if macs < PAR_MIN_MACS {
-        block(0, m, c);
-        return;
+        block(0, c);
+    } else {
+        let grain_rows = PAR_GRAIN_MACS.div_ceil(k * n).max(MR);
+        par::parallel_rows(c, n, grain_rows, MR, block);
     }
-    let grain_rows = PAR_GRAIN_MACS.div_ceil(k * n).max(MR);
-    par::parallel_rows(c, n, grain_rows, MR, |row0, c_block| {
-        block(row0, row0 + c_block.len() / n, c_block);
-    });
 }
 
-/// Dispatches a batch of `bt` independent GEMMs sharing one output buffer.
+/// Dispatches `bt` independent GEMMs into consecutive `[m × n]` blocks of
+/// `c`. Each operand is `(slice, batch stride)`; a stride of 0 broadcasts
+/// one matrix to every batch.
 ///
-/// Many small batches parallelise across the batch axis; few large batches
-/// parallelise inside each GEMM instead.
+/// Many small batches split across threads by batch; few large batches
+/// split inside each GEMM instead.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bmm_dispatch(
     kind: Kind,
+    bt: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    (a, a_step): (&[f32], usize),
+    (b, b_step): (&[f32], usize),
+    c: &mut [f32],
+) {
+    let per_batch_macs = m * k * n;
+    let total_macs = bt * per_batch_macs;
+    trace_gemm(true, kind, total_macs);
+    if m == 0 || n == 0 {
+        return;
+    }
+    let (a_len, b_len) = (m * k, k * n);
+    let batch_grain = PAR_GRAIN_MACS.div_ceil(per_batch_macs.max(1)).max(1);
+    let sweep = |b0: usize, chunk: &mut [f32]| {
+        with_scratch(scratch_len(k), |s| {
+            for (bi, c_one) in (b0..).zip(chunk.chunks_exact_mut(m * n)) {
+                let (a_one, b_one) = (&a[bi * a_step..][..a_len], &b[bi * b_step..][..b_len]);
+                let a_packed = a_step == 0 && bi > b0;
+                gemm_rows(kind, 0, m, k, n, a_one, b_one, c_one, s, a_packed);
+            }
+        });
+    };
+    if total_macs < PAR_MIN_MACS {
+        sweep(0, c);
+    } else if bt >= 2 * batch_grain {
+        par::parallel_rows(c, m * n, batch_grain, 1, sweep);
+    } else {
+        for (bi, c_one) in c.chunks_exact_mut(m * n).enumerate() {
+            let (a_one, b_one) = (&a[bi * a_step..][..a_len], &b[bi * b_step..][..b_len]);
+            gemm_dispatch(kind, m, k, n, a_one, b_one, c_one);
+        }
+    }
+}
+
+/// `c[m×n] = Σ_bi a[bi] · b[bi]` over `bt` batches of `[m×k] · [k×n]`
+/// (zero-skip on `a`), written through. Each batch's product is its own
+/// chain from `+0.0`, and the products are added into `c` in ascending
+/// batch order starting from `+0.0` — the chain of zeroing `c` and
+/// `axpy`-ing each zeroed per-batch product into it, kept in registers.
+pub(crate) fn bmm_sum(
     bt: usize,
     m: usize,
     k: usize,
@@ -742,77 +654,37 @@ pub(crate) fn bmm_dispatch(
     b: &[f32],
     c: &mut [f32],
 ) {
-    let a_sz = m * k; // == k * m for Tn: same element count either way
-    let b_sz = match kind {
-        Kind::Nn | Kind::Tn => k * n,
-        Kind::Nt => n * k,
-    };
-    let per_batch_macs = m * k * n;
-    let total_macs = bt * per_batch_macs;
-    trace_gemm("bmm", kind, total_macs);
-    let batch_grain = PAR_GRAIN_MACS.div_ceil(per_batch_macs.max(1)).max(1);
-    // Same gate as gemm_dispatch; resolved once so the per-batch loops stay
-    // branch-free. Scratch for the small-NT kernel is shared across batches —
-    // per-call buffers would re-initialise a 16 KiB panel per tiny batch.
-    let small_nt = matches!(kind, Kind::Nt) && n < NR && per_batch_macs > 0;
-    let small_nt_staged = small_nt && m * NR <= SMALL_STAGE;
-    if total_macs >= PAR_MIN_MACS && bt >= 2 * batch_grain {
-        // Batch-parallel: each worker runs whole serial GEMMs on its slice.
-        par::parallel_rows(c, m * n, batch_grain, 1, |b0, c_chunk| {
-            let mut panel = [0.0f32; KC * NR];
-            let mut stage = [0.0f32; SMALL_STAGE];
-            for (idx, c_one) in c_chunk.chunks_mut(m * n).enumerate() {
-                let bi = b0 + idx;
-                let a_one = &a[bi * a_sz..(bi + 1) * a_sz];
-                let b_one = &b[bi * b_sz..(bi + 1) * b_sz];
-                if small_nt_staged {
-                    gemm_nt_small_rows(0, k, n, a_one, b_one, c_one, &mut panel, &mut stage);
-                } else if small_nt {
-                    gemm_nt_small(m, k, n, a_one, b_one, c_one);
-                } else if per_batch_macs < TILE_MIN_MACS {
-                    match kind {
-                        Kind::Nn => reference::gemm(m, k, n, a_one, b_one, c_one),
-                        Kind::Nt => reference::gemm_nt(m, k, n, a_one, b_one, c_one),
-                        Kind::Tn => reference::gemm_tn(m, k, n, a_one, b_one, c_one),
-                    }
-                } else {
-                    match kind {
-                        Kind::Nn => gemm_block(0, m, k, n, a_one, b_one, c_one),
-                        Kind::Nt => gemm_nt_block(0, m, k, n, a_one, b_one, c_one),
-                        Kind::Tn => gemm_tn_block(0, m, k, n, a_one, b_one, c_one),
+    if k == 0 || bt == 0 {
+        c.fill(0.0);
+        return;
+    }
+    with_scratch(scratch_len(k), |s| {
+        with_tile_shape!(m, n, bmm_sum_tiles((bt, m, k, n), a, b, c, s))
+    });
+}
+
+/// [`bmm_sum`] with `M × W` tiles.
+fn bmm_sum_tiles<const M: usize, const W: usize>(
+    (bt, m, k, n): (usize, usize, usize, usize),
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    scratch: &mut [f32],
+) {
+    for (t0, mr) in tiles(m, M) {
+        for (j0, w) in tiles(n, W) {
+            let mut sum = [[0.0f32; W]; M];
+            for bi in 0..bt {
+                let lhs = Lhs::<M>::rows(&a[bi * m * k..][..m * k], k, t0, mr);
+                let (b_one, b_rs) = wide(&b[bi * k * n..][..k * n], k, n, W, scratch);
+                let acc = lhs.times::<W>(lhs.has_zero(), k, &b_one[j0..], b_rs);
+                for (s_r, acc_r) in sum.iter_mut().zip(&acc) {
+                    for (o, &v) in s_r.iter_mut().zip(acc_r) {
+                        *o += v;
                     }
                 }
             }
-        });
-    } else if small_nt_staged {
-        // Tiny-batch a·bᵀ sweep below the parallel threshold: one shared
-        // panel + staging tile across all batches.
-        let mut panel = [0.0f32; KC * NR];
-        let mut stage = [0.0f32; SMALL_STAGE];
-        for bi in 0..bt {
-            gemm_nt_small_rows(
-                0,
-                k,
-                n,
-                &a[bi * a_sz..(bi + 1) * a_sz],
-                &b[bi * b_sz..(bi + 1) * b_sz],
-                &mut c[bi * m * n..(bi + 1) * m * n],
-                &mut panel,
-                &mut stage,
-            );
-        }
-    } else {
-        // Few/large batches: let each GEMM parallelise internally.
-        for bi in 0..bt {
-            gemm_dispatch(
-                kind,
-                m,
-                k,
-                n,
-                &a[bi * a_sz..(bi + 1) * a_sz],
-                &b[bi * b_sz..(bi + 1) * b_sz],
-                &mut c[bi * m * n..(bi + 1) * m * n],
-            );
+            store(&sum, c, n, (t0, mr), (j0, w));
         }
     }
 }
@@ -828,7 +700,7 @@ impl Tensor {
         let (m, k) = (self.dims()[0], self.dims()[1]);
         let (k2, n) = (other.dims()[0], other.dims()[1]);
         assert_eq!(k, k2, "matmul inner dims: {} vs {}", self.shape(), other.shape());
-        let mut out = Tensor::zeros(&[m, n]);
+        let mut out = Tensor::uninit(&[m, n]);
         gemm_dispatch(Kind::Nn, m, k, n, self.data(), other.data(), out.data_mut());
         out
     }
@@ -841,7 +713,7 @@ impl Tensor {
         let (m, k) = (self.dims()[0], self.dims()[1]);
         let (n, k2) = (other.dims()[0], other.dims()[1]);
         assert_eq!(k, k2, "matmul_nt inner dims: {} vs {}", self.shape(), other.shape());
-        let mut out = Tensor::zeros(&[m, n]);
+        let mut out = Tensor::uninit(&[m, n]);
         gemm_dispatch(Kind::Nt, m, k, n, self.data(), other.data(), out.data_mut());
         out
     }
@@ -854,7 +726,7 @@ impl Tensor {
         let (k, m) = (self.dims()[0], self.dims()[1]);
         let (k2, n) = (other.dims()[0], other.dims()[1]);
         assert_eq!(k, k2, "matmul_tn inner dims: {} vs {}", self.shape(), other.shape());
-        let mut out = Tensor::zeros(&[m, n]);
+        let mut out = Tensor::uninit(&[m, n]);
         gemm_dispatch(Kind::Tn, m, k, n, self.data(), other.data(), out.data_mut());
         out
     }
@@ -867,8 +739,9 @@ impl Tensor {
         let (b2, k2, n) = (other.dims()[0], other.dims()[1], other.dims()[2]);
         assert_eq!(b, b2, "bmm batch dims: {} vs {}", self.shape(), other.shape());
         assert_eq!(k, k2, "bmm inner dims: {} vs {}", self.shape(), other.shape());
-        let mut out = Tensor::zeros(&[b, m, n]);
-        bmm_dispatch(Kind::Nn, b, m, k, n, self.data(), other.data(), out.data_mut());
+        let mut out = Tensor::uninit(&[b, m, n]);
+        let (lhs, rhs) = ((self.data(), m * k), (other.data(), k * n));
+        bmm_dispatch(Kind::Nn, b, m, k, n, lhs, rhs, out.data_mut());
         out
     }
 
@@ -880,8 +753,9 @@ impl Tensor {
         let (b2, n, k2) = (other.dims()[0], other.dims()[1], other.dims()[2]);
         assert_eq!(b, b2, "bmm_nt batch dims: {} vs {}", self.shape(), other.shape());
         assert_eq!(k, k2, "bmm_nt inner dims: {} vs {}", self.shape(), other.shape());
-        let mut out = Tensor::zeros(&[b, m, n]);
-        bmm_dispatch(Kind::Nt, b, m, k, n, self.data(), other.data(), out.data_mut());
+        let mut out = Tensor::uninit(&[b, m, n]);
+        let (lhs, rhs) = ((self.data(), m * k), (other.data(), n * k));
+        bmm_dispatch(Kind::Nt, b, m, k, n, lhs, rhs, out.data_mut());
         out
     }
 
@@ -893,8 +767,9 @@ impl Tensor {
         let (b2, k2, n) = (other.dims()[0], other.dims()[1], other.dims()[2]);
         assert_eq!(b, b2, "bmm_tn batch dims: {} vs {}", self.shape(), other.shape());
         assert_eq!(k, k2, "bmm_tn inner dims: {} vs {}", self.shape(), other.shape());
-        let mut out = Tensor::zeros(&[b, m, n]);
-        bmm_dispatch(Kind::Tn, b, m, k, n, self.data(), other.data(), out.data_mut());
+        let mut out = Tensor::uninit(&[b, m, n]);
+        let (lhs, rhs) = ((self.data(), k * m), (other.data(), k * n));
+        bmm_dispatch(Kind::Tn, b, m, k, n, lhs, rhs, out.data_mut());
         out
     }
 }

@@ -143,9 +143,27 @@ fn lock_threads() -> std::sync::MutexGuard<'static, ()> {
     par::threads_guard()
 }
 
-/// Builds `[m, k]` test data whose entries include exact zeros (so the
-/// `a != 0.0` skip paths are exercised) alongside arbitrary finite values.
-fn gemm_operand(dims: &[usize], rng: &mut StdRng) -> Tensor {
+/// Builds GEMM test data: exact `+0.0` (so the `a != 0.0` skip paths are
+/// exercised), `−0.0` at a few percent, and arbitrary finite values; with
+/// `specials`, also `±inf` at a few percent each, so the skip's effect on
+/// `0·inf` and non-finite propagation are pinned too.
+fn gemm_operand(dims: &[usize], specials: bool, rng: &mut StdRng) -> Tensor {
+    use rand::Rng;
+    let n: usize = dims.iter().product();
+    let data = (0..n)
+        .map(|_| match rng.gen_range(0u32..100) {
+            0..=24 => 0.0,
+            25..=27 => -0.0,
+            28..=30 if specials => f32::INFINITY,
+            31..=33 if specials => f32::NEG_INFINITY,
+            _ => rng.gen_range(-4.0f32..4.0),
+        })
+        .collect();
+    Tensor::from_vec(data, dims)
+}
+
+/// Finite test data with exact zeros, for the row-wise (non-GEMM) kernels.
+fn finite_operand(dims: &[usize], rng: &mut StdRng) -> Tensor {
     use rand::Rng;
     let n: usize = dims.iter().product();
     let data = (0..n)
@@ -160,11 +178,101 @@ fn gemm_operand(dims: &[usize], rng: &mut StdRng) -> Tensor {
     Tensor::from_vec(data, dims)
 }
 
+/// Bitwise equality of two outputs, where any NaN matches any NaN (NaN
+/// payloads are not part of the contract). Unlike `==`, this tells `−0.0`
+/// from `+0.0`.
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// A contraction depth for a generated case: a third of the cases take
+/// `k ≤ 3`, where a chain's first product decides a `±0.0` result.
+fn depth(k: usize, pick: u32) -> usize {
+    if pick == 0 {
+        k % 4
+    } else {
+        k
+    }
+}
+
+/// Runs `exec::{bcast_nt, bcast_nt_dx, bcast_nt_da}` at `[bsz, k, l, d]`
+/// against the per-batch reference chains they replace, at 1, 2 and 4
+/// threads, and names the first mismatch. `bcast_nt` is `a·x[b]ᵀ` per
+/// batch, `bcast_nt_dx` is `g[b]ᵀ·a` per batch, and `bcast_nt_da` adds each
+/// zeroed per-batch `g[b]·x[b]` into a zeroed `da` in ascending batch
+/// order. Outputs start as NaN, so any element an entry point fails to
+/// write shows.
+fn bcast_mismatch(
+    seed: u64,
+    (bsz, k, l, d): (usize, usize, usize, usize),
+    specials: bool,
+) -> Option<String> {
+    use focus_tensor::exec;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = gemm_operand(&[k, d], specials, &mut rng);
+    let x = gemm_operand(&[bsz, l, d], specials, &mut rng);
+    let g = gemm_operand(&[bsz, k, l], specials, &mut rng);
+    let (a, x, g) = (a.data(), x.data(), g.data());
+
+    let mut scores = vec![0.0f32; bsz * k * l];
+    let mut dx = vec![0.0f32; bsz * l * d];
+    let mut da = vec![0.0f32; k * d];
+    let mut tmp = vec![0.0f32; k * d];
+    for bi in 0..bsz {
+        let (xb, gb) = (
+            &x[bi * l * d..(bi + 1) * l * d],
+            &g[bi * k * l..(bi + 1) * k * l],
+        );
+        reference::gemm_nt(k, d, l, a, xb, &mut scores[bi * k * l..(bi + 1) * k * l]);
+        reference::gemm_tn(l, k, d, gb, a, &mut dx[bi * l * d..(bi + 1) * l * d]);
+        tmp.fill(0.0);
+        reference::gemm(k, l, d, gb, xb, &mut tmp);
+        for (o, &t) in da.iter_mut().zip(&tmp) {
+            *o += 1.0 * t;
+        }
+    }
+
+    let shape = format!("[{bsz},{k},{l},{d}]");
+    let mut mismatch = None;
+    for threads in [1usize, 2, 4] {
+        par::set_threads(threads);
+        let mut got = vec![f32::NAN; bsz * k * l];
+        exec::bcast_nt(bsz, k, d, l, a, x, &mut got);
+        if !same_bits(&got, &scores) {
+            mismatch.get_or_insert(format!("bcast_nt {shape} t{threads}"));
+        }
+        let mut got = vec![f32::NAN; bsz * l * d];
+        exec::bcast_nt_dx(g, a, bsz, k, l, d, &mut got);
+        if !same_bits(&got, &dx) {
+            mismatch.get_or_insert(format!("bcast_nt_dx {shape} t{threads}"));
+        }
+        let mut got = vec![f32::NAN; k * d];
+        exec::bcast_nt_da(g, x, bsz, k, l, d, &mut got);
+        if !same_bits(&got, &da) {
+            mismatch.get_or_insert(format!("bcast_nt_da {shape} t{threads}"));
+        }
+    }
+    par::set_threads(0);
+    mismatch
+}
+
+/// The broadcast sweeps at a size that splits batches across threads (the
+/// generated shapes above stay below the parallel threshold).
+#[test]
+fn bcast_family_splits_batches_bitwise() {
+    let _guard = lock_threads();
+    assert_eq!(bcast_mismatch(0xbca5, (100, 6, 12, 40), true), None);
+    assert_eq!(bcast_mismatch(0xbca6, (100, 6, 12, 40), false), None);
+}
+
 // Bitwise parity of the tiled + parallel matmul family with the serial
-// reference. Shapes deliberately straddle the dispatch thresholds: empty and
-// single-row cases stay on the reference, mid sizes hit the tiled serial
-// path, and the largest (with `k` above one KC block and dims off every
-// MR/NR multiple) hit the tiled + multithreaded path. For each shape the
+// reference. Shapes deliberately straddle the tile edges: empty and
+// single-row cases, dims off every MR/NR multiple, `k` from 0 up past 256,
+// and products large enough for the multithreaded path. For each shape the
 // product is recomputed under 1, 2 and 4 worker threads and must be
 // bit-for-bit equal every time.
 proptest! {
@@ -176,13 +284,16 @@ proptest! {
         m in 0usize..70,
         k in 0usize..300,
         n in 0usize..70,
+        pick in 0u32..3,
+        specials in 0u32..2,
     ) {
         let _guard = lock_threads();
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = gemm_operand(&[m, k], &mut rng);
-        let b = gemm_operand(&[k, n], &mut rng);
-        let bt = gemm_operand(&[n, k], &mut rng);
-        let at = gemm_operand(&[k, m], &mut rng);
+        let (k, sp) = (depth(k, pick), specials == 1);
+        let a = gemm_operand(&[m, k], sp, &mut rng);
+        let b = gemm_operand(&[k, n], sp, &mut rng);
+        let bt = gemm_operand(&[n, k], sp, &mut rng);
+        let at = gemm_operand(&[k, m], sp, &mut rng);
 
         let mut c_nn = Tensor::zeros(&[m, n]);
         reference::gemm(m, k, n, a.data(), b.data(), c_nn.data_mut());
@@ -194,9 +305,9 @@ proptest! {
         for threads in [1usize, 2, 4] {
             par::set_threads(threads);
             let (nn, nt, tn) = (a.matmul(&b), a.matmul_nt(&bt), at.matmul_tn(&b));
-            prop_assert_eq!(nn.data(), c_nn.data(), "gemm {}x{}x{} t{}", m, k, n, threads);
-            prop_assert_eq!(nt.data(), c_nt.data(), "nt {}x{}x{} t{}", m, k, n, threads);
-            prop_assert_eq!(tn.data(), c_tn.data(), "tn {}x{}x{} t{}", m, k, n, threads);
+            prop_assert!(same_bits(nn.data(), c_nn.data()), "gemm {}x{}x{} t{}", m, k, n, threads);
+            prop_assert!(same_bits(nt.data(), c_nt.data()), "nt {}x{}x{} t{}", m, k, n, threads);
+            prop_assert!(same_bits(tn.data(), c_tn.data()), "tn {}x{}x{} t{}", m, k, n, threads);
         }
         par::set_threads(0);
     }
@@ -208,13 +319,16 @@ proptest! {
         m in 1usize..40,
         k in 1usize..80,
         n in 1usize..40,
+        pick in 0u32..3,
+        specials in 0u32..2,
     ) {
         let _guard = lock_threads();
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = gemm_operand(&[bt, m, k], &mut rng);
-        let b = gemm_operand(&[bt, k, n], &mut rng);
-        let b_t = gemm_operand(&[bt, n, k], &mut rng);
-        let a_t = gemm_operand(&[bt, k, m], &mut rng);
+        let (k, sp) = (depth(k, pick), specials == 1);
+        let a = gemm_operand(&[bt, m, k], sp, &mut rng);
+        let b = gemm_operand(&[bt, k, n], sp, &mut rng);
+        let b_t = gemm_operand(&[bt, n, k], sp, &mut rng);
+        let a_t = gemm_operand(&[bt, k, m], sp, &mut rng);
 
         let mut c_nn = Tensor::zeros(&[bt, m, n]);
         let mut c_nt = Tensor::zeros(&[bt, m, n]);
@@ -231,18 +345,36 @@ proptest! {
         for threads in [1usize, 2, 4] {
             par::set_threads(threads);
             let (nn, nt, tn) = (a.bmm(&b), a.bmm_nt(&b_t), a_t.bmm_tn(&b));
-            prop_assert_eq!(nn.data(), c_nn.data(), "bmm {}: {}x{}x{} t{}", bt, m, k, n, threads);
-            prop_assert_eq!(nt.data(), c_nt.data(), "bmm_nt {}: {}x{}x{} t{}", bt, m, k, n, threads);
-            prop_assert_eq!(tn.data(), c_tn.data(), "bmm_tn {}: {}x{}x{} t{}", bt, m, k, n, threads);
+            prop_assert!(same_bits(nn.data(), c_nn.data()), "bmm {}: {}x{}x{} t{}", bt, m, k, n, threads);
+            prop_assert!(same_bits(nt.data(), c_nt.data()), "bmm_nt {}: {}x{}x{} t{}", bt, m, k, n, threads);
+            prop_assert!(same_bits(tn.data(), c_tn.data()), "bmm_tn {}: {}x{}x{} t{}", bt, m, k, n, threads);
         }
         par::set_threads(0);
+    }
+
+    /// The plan VM's broadcast-score entry points against the per-batch
+    /// reference chains they replace, at ragged shapes (see
+    /// [`bcast_mismatch`]).
+    #[test]
+    fn bcast_family_bitwise_matches_reference(
+        seed in 0u64..1u64 << 48,
+        bsz in 1usize..9,
+        k in 1usize..20,
+        l in 1usize..40,
+        d in 1usize..40,
+        pick in 0u32..3,
+        specials in 0u32..2,
+    ) {
+        let _guard = lock_threads();
+        let mismatch = bcast_mismatch(seed, (bsz, k, l, depth(d, pick)), specials == 1);
+        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
     }
 
     #[test]
     fn parallel_row_ops_bitwise_match_serial(seed in 0u64..1u64 << 48, rows in 1usize..600, cols in 1usize..48) {
         let _guard = lock_threads();
         let mut rng = StdRng::seed_from_u64(seed);
-        let t = gemm_operand(&[rows, cols], &mut rng);
+        let t = finite_operand(&[rows, cols], &mut rng);
         // Serial baselines (thread override 1 forces the inline path).
         par::set_threads(1);
         let sm = t.softmax_last();

@@ -24,11 +24,12 @@ echo "==> FOCUS_THREADS=2 cargo test --workspace -q"
 FOCUS_THREADS=2 cargo test --workspace -q
 
 # Release-mode parity leg: the kernels' vector code (the flat exp pass, the
-# 8-lane LayerNorm sums) exists only under optimisation, while every leg
-# above runs the debug build's scalar code. The parity suites and golden
-# digests must hold bit for bit in both.
-echo "==> cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core"
-cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core
+# 8-lane LayerNorm sums, the register-tiled GEMM family) exists only under
+# optimisation, while every leg above runs the debug build's scalar code.
+# The parity suites and both golden digests (core, and the cluster fit whose
+# assignment sweeps run the narrow a·bᵀ GEMM) must hold bit for bit in both.
+echo "==> cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster"
+cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -72,7 +73,8 @@ for workload in train soft-route serve offline-cluster; do
     fi
 done
 
-# Kernel sweeps: naive vs fast GEMM, assign_all and routing at 1/2/4/max
+# Kernel sweeps: naive vs fast GEMM (256³ and every GEMM-shaped plan opcode
+# at the bench model's shapes), assign_all and routing at 1/2/4/max
 # threads, rewriting BENCH_kernels.json. The bench asserts that every fast
 # path reproduced its naive path's output (bitwise for GEMM and routing) and
 # fails if it cannot write its report; the greps guard the report wiring.
@@ -82,6 +84,7 @@ grep -q '"schema": "focus-trace-report v1"' BENCH_kernels.json
 grep -q '"gemm_256/fast_t1/median_ns"' BENCH_kernels.json
 grep -q '"assign_all_rec_corr_20000x32_k64/output_match": 1' BENCH_kernels.json
 grep -q '"route_scatter_add_b64_l128_k64_d64/output_match": 1' BENCH_kernels.json
+grep -q '"bcast_nt_da_32x6x12x32/output_match": 1' BENCH_kernels.json
 
 # Efficiency claims as wall clock (Fig. 6, Fig. 8, §VII-B): ProtoAttn vs
 # self-attention, clustering, the zoo's forwards and fusion, rewriting
