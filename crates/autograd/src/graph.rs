@@ -1,6 +1,6 @@
 //! The tape: node arena, op records and forward evaluation.
 
-use focus_tensor::Tensor;
+use focus_tensor::{exec, pool, Tensor};
 
 /// Index of a node in a [`Graph`]. Cheap to copy; only valid for the graph
 /// that created it.
@@ -326,8 +326,8 @@ impl Graph {
         assert_eq!(d, d2, "matmul_broadcast_nt inner dims: {d} vs {d2}");
         // One batched sweep straight over slices of `x` and `out`: no
         // per-batch index copy, shared packing scratch across batches.
-        let mut out = Tensor::zeros(&[bsz, k, l]);
-        focus_tensor::raw::gemm_nt_bcast(bsz, k, d, l, at.data(), xt.data(), out.data_mut());
+        let mut out = uninit(&[bsz, k, l]);
+        exec::bcast_nt(bsz, k, d, l, at.data(), xt.data(), out.data_mut());
         let rg = self.rg(a) || self.rg(x);
         self.push(out, Op::MatmulBroadcastNt(a, x), rg)
     }
@@ -402,35 +402,35 @@ impl Graph {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|v| v.max(0.0));
+        let v = mapped(self.value(a), exec::map_relu);
         let rg = self.rg(a);
         self.push(v, Op::Relu(a), rg)
     }
 
     /// GELU with the tanh approximation.
     pub fn gelu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(gelu_fwd);
+        let v = mapped(self.value(a), exec::map_gelu);
         let rg = self.rg(a);
         self.push(v, Op::Gelu(a), rg)
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(focus_tensor::fused::sigmoid);
+        let v = mapped(self.value(a), exec::map_sigmoid);
         let rg = self.rg(a);
         self.push(v, Op::Sigmoid(a), rg)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::tanh);
+        let v = mapped(self.value(a), exec::map_tanh);
         let rg = self.rg(a);
         self.push(v, Op::Tanh(a), rg)
     }
 
     /// Elementwise absolute value (subgradient 0 at the kink).
     pub fn abs(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::abs);
+        let v = mapped(self.value(a), exec::map_abs);
         let rg = self.rg(a);
         self.push(v, Op::Abs(a), rg)
     }
@@ -447,10 +447,13 @@ impl Graph {
 
     /// Slices columns `[start, end)` of the trailing axis.
     pub fn slice_last(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let n = self.value(a).shape().last_dim();
+        let at = self.value(a);
+        let n = at.shape().last_dim();
         assert!(start < end && end <= n, "slice [{start}, {end}) out of trailing dim {n}");
-        let (left, _) = self.value(a).split_last(end);
-        let (_, v) = left.split_last(start);
+        let mut dims = at.dims().to_vec();
+        dims[at.rank() - 1] = end - start;
+        let mut v = uninit(&dims);
+        exec::slice_cols(at.data(), n, start, end, at.shape().leading(), v.data_mut());
         let rg = self.rg(a);
         self.push(v, Op::SliceLast(a, start, end), rg)
     }
@@ -490,24 +493,29 @@ impl Graph {
 pub(crate) fn swap01(t: &Tensor) -> Tensor {
     assert_eq!(t.rank(), 3, "swap_axes01 requires rank 3, got {}", t.shape());
     let (a, b, c) = (t.dims()[0], t.dims()[1], t.dims()[2]);
-    let mut out = Tensor::zeros(&[b, a, c]);
-    for i in 0..a {
-        for j in 0..b {
-            let src = (i * b + j) * c;
-            let dst = (j * a + i) * c;
-            out.data_mut()[dst..dst + c].copy_from_slice(&t.data()[src..src + c]);
-        }
-    }
+    let mut out = uninit(&[b, a, c]);
+    exec::swap01(t.data(), a, b, c, out.data_mut());
     out
 }
 
-// The GELU scalar pair lives beside the fused kernels so the forward map,
-// the VM and the reference oracle all share one definition.
-pub(crate) use focus_tensor::fused::gelu_fwd;
+/// A pooled tensor of shape `dims` with unspecified contents, for a kernel
+/// that overwrites every element.
+fn uninit(dims: &[usize]) -> Tensor {
+    Tensor::from_vec(pool::take(dims.iter().product()), dims)
+}
+
+/// `kernel(src, out)` into a fresh tensor of `src`'s shape: an activation's
+/// forward, through the kernel its VM opcode calls.
+fn mapped(src: &Tensor, kernel: fn(&[f32], &mut [f32])) -> Tensor {
+    let mut out = uninit(src.dims());
+    kernel(src.data(), out.data_mut());
+    out
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use focus_tensor::fused::gelu_fwd;
 
     #[test]
     fn forward_values_match_tensor_ops() {
@@ -533,8 +541,6 @@ mod tests {
 
     #[test]
     fn broadcast_nt_matches_per_batch() {
-        let mut rng = rand::rngs::mock::StepRng::new(1, 7);
-        let _ = &mut rng;
         let a = Tensor::from_vec((0..6).map(|v| v as f32 * 0.1).collect(), &[2, 3]);
         let x = Tensor::from_vec((0..24).map(|v| v as f32 * 0.05).collect(), &[2, 4, 3]);
         let mut g = Graph::new();

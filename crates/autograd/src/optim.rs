@@ -246,62 +246,6 @@ impl Optimizer for Sgd {
     }
 }
 
-/// AdamW's per-parameter first/second moment state.
-#[derive(Default)]
-struct Moments {
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-    t: u64,
-}
-
-impl Moments {
-    fn ensure(&mut self, n: usize) {
-        // Lazily sized on first use; shapes are filled in per update.
-        while self.m.len() < n {
-            self.m.push(Tensor::zeros(&[0]));
-            self.v.push(Tensor::zeros(&[0]));
-        }
-    }
-
-    fn ensure_shape(&mut self, idx: usize, grad: &Tensor) {
-        if self.m[idx].numel() != grad.numel() {
-            self.m[idx] = Tensor::zeros(grad.dims());
-            self.v[idx] = Tensor::zeros(grad.dims());
-        }
-    }
-
-    /// One fused update: decoupled decay, moment updates, bias correction and
-    /// the parameter write-back in a single pass over the buffers — no `dir`
-    /// temporary. `weight_decay = 0` gives plain Adam. Bitwise-identical to
-    /// the separate passes of the reference `crate::oracle::AdamW`.
-    #[allow(clippy::too_many_arguments)]
-    fn fused_update(
-        &mut self,
-        idx: usize,
-        param: &mut Tensor,
-        grad: &Tensor,
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-        weight_decay: f32,
-    ) {
-        self.ensure_shape(idx, grad);
-        fused::adamw_step(
-            param.data_mut(),
-            grad.data(),
-            self.m[idx].data_mut(),
-            self.v[idx].data_mut(),
-            lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
-            self.t,
-        );
-    }
-}
-
 /// AdamW (Loshchilov & Hutter): Adam with *decoupled* weight decay, the
 /// optimizer used for both phases of FOCUS.
 pub struct AdamW {
@@ -315,7 +259,11 @@ pub struct AdamW {
     pub eps: f32,
     /// Decoupled weight-decay coefficient λ; applied as `θ ← θ(1 − lr·λ)`.
     pub weight_decay: f32,
-    state: Moments,
+    /// Per-parameter first and second moments, sized lazily.
+    m: Vec<Tensor>,
+    v: Vec<Tensor>,
+    /// Steps begun so far (the bias-correction exponent).
+    t: u64,
     step_started: bool,
 }
 
@@ -328,7 +276,9 @@ impl AdamW {
             beta2: 0.999,
             eps: 1e-8,
             weight_decay,
-            state: Moments::default(),
+            m: vec![],
+            v: vec![],
+            t: 0,
             step_started: false,
         }
     }
@@ -336,22 +286,36 @@ impl AdamW {
 
 impl Optimizer for AdamW {
     fn begin_step(&mut self, n: usize) {
-        self.state.ensure(n);
-        self.state.t += 1;
+        // Lazily sized on first use; shapes are filled in per update.
+        while self.m.len() < n {
+            self.m.push(Tensor::zeros(&[0]));
+            self.v.push(Tensor::zeros(&[0]));
+        }
+        self.t += 1;
         self.step_started = true;
     }
 
+    /// One fused update: decoupled decay, moment updates, bias correction and
+    /// the parameter write-back in a single pass over the buffers — no `dir`
+    /// temporary. `weight_decay = 0` gives plain Adam. Bitwise-identical to
+    /// the separate passes of the reference `crate::oracle::AdamW`.
     fn update(&mut self, idx: usize, param: &mut Tensor, grad: &Tensor) {
         debug_assert!(self.step_started, "begin_step must precede update");
-        self.state.fused_update(
-            idx,
-            param,
-            grad,
+        if self.m[idx].numel() != grad.numel() {
+            self.m[idx] = Tensor::zeros(grad.dims());
+            self.v[idx] = Tensor::zeros(grad.dims());
+        }
+        fused::adamw_step(
+            param.data_mut(),
+            grad.data(),
+            self.m[idx].data_mut(),
+            self.v[idx].data_mut(),
             self.lr,
             self.beta1,
             self.beta2,
             self.eps,
             self.weight_decay,
+            self.t,
         );
     }
 }

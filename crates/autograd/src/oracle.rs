@@ -1,15 +1,19 @@
-//! The reference oracle: the plain serial definition of every op's backward
-//! rule, of the LayerNorm and broadcast-score forward loops, and of the
-//! Adam/AdamW update — kept only so tests can hold the plan VM to it bit for
-//! bit.
+//! The reference oracle: the definition of every op's backward rule, of the
+//! LayerNorm and broadcast-score forward loops, and of the Adam/AdamW update
+//! — kept only so tests can hold the plan VM to it bit for bit.
 //!
 //! Production code never calls this module. [`Graph::backward`] and the
 //! training loop lower the tape with the plan emitter (`crate::plan`), the
-//! one place that decides how each op differentiates, and the fused kernels
-//! the VM dispatches promise to reproduce these loops exactly — same
-//! operations, same accumulation order — at any thread count. The parity
-//! suites compare the two, and the `opcode-coverage` lint requires every
-//! tape `Op` to have a rule here as well as a lowering in the emitter.
+//! one place that decides how each op differentiates, and the parity suites
+//! compare the VM with this module at any thread count. The LayerNorm,
+//! softmax, bias, pointwise and slice rules, both forward loops and AdamW
+//! are plain serial loops here, so the suites check those kernels too. The
+//! other rules compose `Tensor` ops, which run the same `focus_tensor::exec`
+//! kernels as the VM: for them the suites check the lowering (which product,
+//! which operands, which accumulation order), and focus-tensor's own tests
+//! check the kernels against serial loops and `focus_tensor::reference`. The
+//! `opcode-coverage` lint requires every tape `Op` to have a rule here as
+//! well as a lowering in the emitter.
 
 use crate::graph::{swap01, Graph, Op, Var};
 use crate::optim::Optimizer;

@@ -1,11 +1,14 @@
 //! Plan VM: replays a compiled [`Plan`] through a compact opcode dispatch.
 //!
-//! Every instruction calls the same `focus_tensor::exec` slice kernels the
-//! tape's tensor ops bottom out in, with identical operand order and
-//! geometry, so a plan's forward is bitwise-equal to the tape it was
-//! compiled from, and its backward to the reference oracle — at any thread
-//! count. The VM runs every backward: [`crate::Graph::backward`], uncached
-//! training steps and replays alike.
+//! Every instruction calls a `focus_tensor::exec` slice kernel. A forward
+//! instruction calls the kernel the tape called when it recorded the node
+//! (the GEMMs and LayerNorm through the same dispatcher and fused core),
+//! with identical operand order and geometry, so a plan's forward is
+//! bitwise-equal to the tape it was compiled from by construction, at any
+//! thread count. The backward instructions have no tape twin; the parity
+//! suites hold them to the reference oracle bit for bit. The VM runs every
+//! backward: [`crate::Graph::backward`], uncached training steps and replays
+//! alike.
 //!
 //! Slot buffers are plain `Vec<f32>`s owned by the caller (sized once when a
 //! plan is compiled); the dispatch `mem::take`s an instruction's destinations,

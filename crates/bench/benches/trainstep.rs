@@ -39,11 +39,10 @@
 use focus_autograd::plan::{self, PlanCache};
 use focus_autograd::{AdamW, Graph};
 use focus_bench::measure::{fmt_ms, sweep_threads, write_report};
-use focus_core::forecaster::normalise_target;
 use focus_core::model::{Focus, FocusConfig};
 use focus_core::{Forecaster, Loss};
 use focus_data::{Benchmark, MtsDataset, Split};
-use focus_nn::revin::instance_norm;
+use focus_nn::revin::{instance_norm, normalise_target};
 use focus_tensor::{par, pool};
 use focus_trace::clock;
 use std::hint::black_box;

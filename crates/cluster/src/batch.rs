@@ -26,7 +26,8 @@
 //! `tests/properties.rs` pin both claims down.
 
 use crate::objective::Objective;
-use focus_tensor::{par, raw, stats, Tensor};
+use focus_tensor::exec::{self, Trans};
+use focus_tensor::{par, stats, Tensor};
 
 /// Rows of the distance matrix computed per block: bounds the live
 /// `[block, k]` scratch while keeping each GEMM big enough to tile well.
@@ -206,11 +207,11 @@ where
         let seg_block = &seg.segments.data()[r0 * p..(r0 + rows) * p];
 
         // Reconstruction dots: X·Cᵀ on the raw rows.
-        raw::gemm_nt(rows, p, k, seg_block, &cache.centers, &mut dist[..rows * k]);
+        exec::gemm(Trans::Nt, rows, p, k, seg_block, &cache.centers, &mut dist[..rows * k]);
         // Correlation dots: X̂·Ĉᵀ on the centred-normalised rows.
         if corr {
             let unit_block = &seg.unit[r0 * p..(r0 + rows) * p];
-            raw::gemm_nt(rows, p, k, unit_block, &cache.unit, &mut dots[..rows * k]);
+            exec::gemm(Trans::Nt, rows, p, k, unit_block, &cache.unit, &mut dots[..rows * k]);
         }
 
         // Epilogue: Eq. 6 from the dots and the cached norms.

@@ -10,7 +10,7 @@
 use focus_autograd::plan::{CompileError, PlanCache};
 use focus_autograd::{AdamW, Graph, ParamStore, ParamVars, Route, Var};
 use focus_data::{Metrics, MtsDataset, Split};
-use focus_nn::revin::{instance_denorm, instance_norm, InstanceStats};
+use focus_nn::revin::{instance_denorm, instance_norm, normalise_target};
 use focus_nn::CostReport;
 use focus_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -146,20 +146,6 @@ pub struct RecordedWindow {
     pub pred: Var,
     /// The normalised target `[N, L_f]`, when the window carried one.
     pub target: Option<Var>,
-}
-
-/// Normalises a target `[N, L_f]` with the lookback window's instance
-/// statistics, so training happens in the same space the network sees.
-pub fn normalise_target(y: &Tensor, stats: &InstanceStats) -> Tensor {
-    let mut out = y.clone();
-    let l = y.dims()[1];
-    for (e, (&mean, &std)) in stats.means.iter().zip(&stats.stds).enumerate() {
-        let denom = std.max(1e-5);
-        for v in &mut out.data_mut()[e * l..(e + 1) * l] {
-            *v = (*v - mean) / denom;
-        }
-    }
-    out
 }
 
 /// A trainable multivariate forecaster over fixed-size windows.
@@ -430,6 +416,7 @@ fn assert_finite_window(x: &Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use focus_nn::revin::InstanceStats;
 
     #[test]
     fn normalise_target_uses_window_stats() {

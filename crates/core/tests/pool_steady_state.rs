@@ -7,11 +7,10 @@
 //! not perturbed by unrelated tests sharing the binary.
 
 use focus_autograd::{AdamW, Graph};
-use focus_core::forecaster::normalise_target;
 use focus_core::model::{Focus, FocusConfig};
 use focus_core::{Forecaster, WindowInputs};
 use focus_data::{Benchmark, MtsDataset, Split};
-use focus_nn::revin::instance_norm;
+use focus_nn::revin::{instance_norm, normalise_target};
 use focus_tensor::pool;
 
 #[test]

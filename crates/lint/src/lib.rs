@@ -22,9 +22,10 @@
 //! * **opcode-coverage** — cross-file: every `OpCode` variant must be
 //!   referenced in the VM dispatch, the plan verifier and the plan-parity
 //!   test corpus, and every tape `Op` in both the plan compiler and the
-//!   reference oracle, so a missing match arm is flagged before it becomes a
-//!   runtime failure; and every `impl Forecaster` type must be named in the
-//!   plan-replay guard, `tests/plan_replays.rs`;
+//!   reference oracle (the compiler already rejects a missing match arm in
+//!   all but the corpus, since those matches have no wildcard arm); and
+//!   every `impl Forecaster` type must be named in the plan-replay guard,
+//!   `tests/plan_replays.rs`;
 //! * **pool-bypass** — float buffers in `tensor`/`autograd` library code
 //!   come from `focus_tensor::pool`, not `vec![0.0; n]` /
 //!   `Vec::<f32>::with_capacity`; enforced now that every deliberate heap

@@ -25,9 +25,9 @@
 //! | `opcode-coverage`| *(cross-file)* every `OpCode` variant appears in the VM   |
 //! |                 | dispatch, the verifier and the plan-parity corpus; every   |
 //! |                 | tape `Op` has both a lowering in the plan compiler and a   |
-//! |                 | rule in the reference oracle — a missing arm is flagged    |
-//! |                 | before it becomes a runtime panic; every `impl Forecaster` |
-//! |                 | type is named in the plan-replay guard,                    |
+//! |                 | rule in the reference oracle (of these, only the parity    |
+//! |                 | corpus is not already checked by the compiler); every      |
+//! |                 | `impl Forecaster` type is named in the plan-replay guard,  |
 //! |                 | `tests/plan_replays.rs`                                    |
 //! | `pool-bypass`   | float buffers in `tensor`/`autograd` library code come     |
 //! |                 | from `focus_tensor::pool`, not the heap; enforced now that |
@@ -322,11 +322,13 @@ struct CoverageTarget {
     require: &'static [(&'static str, &'static str)],
 }
 
-/// The workspace's coverage contracts. `OpCode` is the VM instruction set:
-/// an unhandled variant in the dispatch or the verifier is a runtime panic,
-/// and one missing from the parity corpus is an untested kernel. `Op` is the
-/// tape node set: a variant the plan compiler does not lower cannot train,
-/// and one without a reference rule in the oracle has nothing to be held to.
+/// The workspace's coverage contracts. `OpCode` is the VM instruction set
+/// and `Op` the tape node set. A missing arm in the VM dispatch, the
+/// verifier, the plan compiler or the oracle is already a compile error,
+/// because their matches on these enums have no wildcard arm; the contract
+/// there only keeps a wildcard added later from hiding a variant. Its own
+/// reach is the parity corpus: an `OpCode` no test emits is an untested
+/// kernel.
 const COVERAGE: [CoverageTarget; 2] = [
     CoverageTarget {
         enum_name: "OpCode",
@@ -417,7 +419,7 @@ pub fn cross_file(scans: &[FileScan], findings: &mut Vec<Finding>) {
                         line: *line,
                         rule: "opcode-coverage",
                         message: format!(
-                            "{}::{variant} is not referenced in {role} ({suffix}): a missing arm becomes a runtime failure",
+                            "{}::{variant} is not referenced in {role} ({suffix})",
                             tgt.enum_name
                         ),
                     });

@@ -25,17 +25,26 @@ const EPS: f32 = 1e-5;
 /// transform on the forecast.
 pub fn instance_norm(x: &Tensor) -> (Tensor, InstanceStats) {
     assert_eq!(x.rank(), 2, "instance_norm expects [entities, time]");
-    let stats = x.row_mean_std();
-    let l = x.dims()[1];
-    let mut out = x.clone();
-    for (i, &(mean, std)) in stats.iter().enumerate() {
+    let (means, stds) = x.row_mean_std().into_iter().unzip();
+    let stats = InstanceStats { means, stds };
+    (normalise_target(x, &stats), stats)
+}
+
+/// Normalises each row of `y: [N, L]` with the given per-row statistics:
+/// `(v − mean) / max(std, eps)`, the transform [`instance_norm`] applies to
+/// the lookback window. Training normalises a target `[N, L_f]` with its
+/// lookback window's statistics, so it happens in the space the network
+/// sees.
+pub fn normalise_target(y: &Tensor, stats: &InstanceStats) -> Tensor {
+    let l = y.dims()[1];
+    let mut out = y.clone();
+    for (e, (&mean, &std)) in stats.means.iter().zip(&stats.stds).enumerate() {
         let denom = std.max(EPS);
-        for v in &mut out.data_mut()[i * l..(i + 1) * l] {
+        for v in &mut out.data_mut()[e * l..(e + 1) * l] {
             *v = (*v - mean) / denom;
         }
     }
-    let (means, stds) = stats.into_iter().unzip();
-    (out, InstanceStats { means, stds })
+    out
 }
 
 /// Inverts [`instance_norm`] on a forecast `y: [N, L_f]` using the lookback

@@ -1,32 +1,27 @@
-//! Slice-level execution entry points for compiled autograd plans.
+//! Slice kernels: the one place where an op's loop, grain and thread split
+//! are written.
 //!
-//! The plan VM in `focus-autograd` replays a recorded training step against
-//! pre-allocated buffer slots instead of pool-backed [`Tensor`]s. Every
-//! function here writes into a caller-provided `&mut [f32]` and performs
-//! **zero pool traffic**; each one reproduces, operation for operation, the
-//! floating-point sequence of the Tensor-level op it mirrors (same kernels,
-//! same [`crate::par`] grains, same serial loops), so a plan's forward is
-//! bitwise-identical to the tape's at any thread count.
-//!
-//! The mirrors fall into three groups:
-//!
-//! * **shared cores** — the GEMM family, fused LayerNorm/softmax and the
-//!   routing kernels call the *same* internal functions as the Tensor ops
-//!   (`matmul::gemm_dispatch` / `bmm_dispatch`, `fused::*_into`), so parity
-//!   is structural. The GEMM kernels write their output through from
-//!   registers, so no GEMM entry point zeroes `dst` first;
-//! * **re-expressed loops** — elementwise zips/maps and the small copy /
-//!   transpose ops restate the Tensor op's loop over slices with identical
-//!   split parameters;
-//! * **pre-zeroed accumulators** — the non-GEMM ops whose Tensor form starts
-//!   from [`Tensor::zeros`] before accumulating (`scatter_cols`,
-//!   `route_scatter_add`, `bias_grad`'s column blocks) zero `dst` here with
-//!   `fill(0.0)` first.
+//! Every function here writes into a caller-provided `&mut [f32]` and
+//! performs **zero pool traffic**. The [`Tensor`](crate::Tensor) ops with a
+//! kernel here check shapes, take their output from the pool and call it;
+//! the plan VM in `focus-autograd` calls the same kernels on its slot
+//! buffers. So a plan's forward is bitwise-identical to the tape's at any
+//! thread count by construction. Each kernel overwrites `dst`: the GEMM
+//! family writes its output through from registers, and the accumulating
+//! kernels (`scatter_cols`, `route_scatter_add`, `bias_grad`) zero it first.
 
 use crate::matmul::{self, Kind};
-use crate::ops::{ELEM_GRAIN, EXP_GRAIN};
-use crate::route::ROUTE_GRAIN;
 use crate::{fused, par};
+
+/// Minimum elements per thread for cheap elementwise ops (add/mul/map):
+/// below ~2 grains the spawn overhead exceeds the arithmetic.
+pub(crate) const ELEM_GRAIN: usize = 16 * 1024;
+/// Minimum elements per thread for transcendental row ops (softmax's `exp`
+/// is ~10× the cost of an add, so it pays off earlier).
+pub(crate) const EXP_GRAIN: usize = 2 * 1024;
+/// Minimum copied/accumulated elements per thread before the routing kernels
+/// go parallel.
+const ROUTE_GRAIN: usize = 64 * 1024;
 
 /// Transpose mode of a GEMM, the public face of the dispatcher's kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,9 +44,8 @@ impl Trans {
     }
 }
 
-/// Elementwise binary op into `dst`: the slice mirror of
-/// [`Tensor::zip_with`] (same [`par::parallel_fill`] split).
-fn zip(a: &[f32], b: &[f32], dst: &mut [f32], op: impl Fn(f32, f32) -> f32 + Sync) {
+/// Elementwise binary op into `dst`.
+pub(crate) fn zip(a: &[f32], b: &[f32], dst: &mut [f32], op: impl Fn(f32, f32) -> f32 + Sync) {
     debug_assert!(a.len() == dst.len() && b.len() == dst.len());
     par::parallel_fill(dst, ELEM_GRAIN, |range, chunk| {
         let av = &a[range.clone()];
@@ -62,8 +56,8 @@ fn zip(a: &[f32], b: &[f32], dst: &mut [f32], op: impl Fn(f32, f32) -> f32 + Syn
     });
 }
 
-/// Elementwise map into `dst`: the slice mirror of [`Tensor::map`].
-fn map(src: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
+/// Elementwise map into `dst`.
+pub(crate) fn map(src: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
     debug_assert_eq!(src.len(), dst.len());
     par::parallel_fill(dst, ELEM_GRAIN, |range, chunk| {
         for (o, &v) in chunk.iter_mut().zip(&src[range]) {
@@ -72,23 +66,22 @@ fn map(src: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
     });
 }
 
-/// `dst = a + b` (mirror of [`Tensor::add`]).
+/// `dst = a + b`.
 pub fn zip_add(a: &[f32], b: &[f32], dst: &mut [f32]) {
     zip(a, b, dst, |x, y| x + y);
 }
 
-/// `dst = a - b` (mirror of [`Tensor::sub`]).
+/// `dst = a - b`.
 pub fn zip_sub(a: &[f32], b: &[f32], dst: &mut [f32]) {
     zip(a, b, dst, |x, y| x - y);
 }
 
-/// `dst = a ⊙ b` (mirror of [`Tensor::mul`]).
+/// `dst = a ⊙ b`.
 pub fn zip_mul(a: &[f32], b: &[f32], dst: &mut [f32]) {
     zip(a, b, dst, |x, y| x * y);
 }
 
-/// ReLU backward: `dst = g where x > 0 else 0` (mirror of the autograd
-/// activation rule's `zip_with`).
+/// ReLU backward: `dst = g where x > 0 else 0`.
 pub fn zip_relu_bwd(x: &[f32], g: &[f32], dst: &mut [f32]) {
     zip(x, g, dst, |v, gv| if v > 0.0 { gv } else { 0.0 });
 }
@@ -121,17 +114,17 @@ pub fn zip_tanh_bwd(y: &[f32], g: &[f32], dst: &mut [f32]) {
     zip(y, g, dst, |v, gv| gv * (1.0 - v * v));
 }
 
-/// `dst = src · alpha` (mirror of [`Tensor::scale`]).
+/// `dst = src · alpha`.
 pub fn map_scale(src: &[f32], alpha: f32, dst: &mut [f32]) {
     map(src, dst, |v| v * alpha);
 }
 
-/// `dst = src + alpha` (mirror of [`Tensor::add_scalar`]).
+/// `dst = src + alpha`.
 pub fn map_add_scalar(src: &[f32], alpha: f32, dst: &mut [f32]) {
     map(src, dst, |v| v + alpha);
 }
 
-/// ReLU forward (mirror of the autograd `relu` map).
+/// ReLU forward.
 pub fn map_relu(src: &[f32], dst: &mut [f32]) {
     map(src, dst, |v| v.max(0.0));
 }
@@ -156,8 +149,8 @@ pub fn map_abs(src: &[f32], dst: &mut [f32]) {
     map(src, dst, f32::abs);
 }
 
-/// `dst += alpha · src` over the flat element order (mirror of
-/// [`Tensor::axpy_flat`], the gradient accumulator).
+/// `dst += alpha · src` over the flat element order (the gradient
+/// accumulator).
 pub fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
     debug_assert_eq!(dst.len(), src.len());
     par::parallel_rows(dst, 1, ELEM_GRAIN, 1, |start, block| {
@@ -168,18 +161,18 @@ pub fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
     });
 }
 
-/// `dst = value` everywhere (mirror of [`Tensor::full`]'s serial fill).
+/// `dst = value` everywhere.
 pub fn fill(dst: &mut [f32], value: f32) {
     dst.fill(value);
 }
 
-/// `dst = src` (mirror of [`Tensor::clone`]'s buffer copy).
+/// `dst = src`.
 pub fn copy(src: &[f32], dst: &mut [f32]) {
     dst.copy_from_slice(src);
 }
 
 /// Row-broadcast add: `dst = x` then `dst[r, :] += row` for every length-`n`
-/// row (mirror of [`Tensor::add_row_broadcast`]: clone + in-place sweep).
+/// row.
 pub fn add_row_broadcast(x: &[f32], row: &[f32], n: usize, dst: &mut [f32]) {
     debug_assert_eq!(row.len(), n);
     dst.copy_from_slice(x);
@@ -212,8 +205,8 @@ pub fn bias_grad(g: &[f32], rows: usize, n: usize, dst: &mut [f32]) {
     });
 }
 
-/// Row softmax over trailing axis `n` (mirror of [`Tensor::softmax_last`]:
-/// clone + in-place [`fused::softmax_rows`] sweep).
+/// Row softmax over trailing axis `n`: `dst = src`, then an in-place
+/// [`fused::softmax_rows`] sweep over blocks of rows.
 pub fn softmax_last(src: &[f32], n: usize, dst: &mut [f32]) {
     dst.copy_from_slice(src);
     let grain_rows = EXP_GRAIN.div_ceil(n).max(1);
@@ -254,7 +247,7 @@ pub fn layer_norm_bwd(
     fused::layer_norm_bwd_into(x, n, gamma, cache, g, dx, dgamma, dbeta);
 }
 
-/// Rank-2 transpose (mirror of [`Tensor::transpose`]'s serial loop).
+/// Transpose of the row-major `[m, n]` matrix `src` into `[n, m]`.
 pub fn transpose2(src: &[f32], m: usize, n: usize, dst: &mut [f32]) {
     debug_assert_eq!(src.len(), m * n);
     for i in 0..m {
@@ -264,8 +257,7 @@ pub fn transpose2(src: &[f32], m: usize, n: usize, dst: &mut [f32]) {
     }
 }
 
-/// Swap of the last two axes of `[b, m, n]` (mirror of
-/// [`Tensor::transpose_last2`]).
+/// Swap of the last two axes of `[b, m, n]`.
 pub fn transpose_last2(src: &[f32], b: usize, m: usize, n: usize, dst: &mut [f32]) {
     debug_assert_eq!(src.len(), b * m * n);
     for bi in 0..b {
@@ -278,8 +270,7 @@ pub fn transpose_last2(src: &[f32], b: usize, m: usize, n: usize, dst: &mut [f32
     }
 }
 
-/// Swap of the first two axes of `[a, b, c]`: `dst[j, i, :] = src[i, j, :]`
-/// (mirror of the autograd `swap_axes01` helper's row copies).
+/// Swap of the first two axes of `[a, b, c]`: `dst[j, i, :] = src[i, j, :]`.
 pub fn swap01(src: &[f32], a: usize, b: usize, c: usize, dst: &mut [f32]) {
     debug_assert_eq!(src.len(), a * b * c);
     for i in 0..a {
@@ -291,7 +282,7 @@ pub fn swap01(src: &[f32], a: usize, b: usize, c: usize, dst: &mut [f32]) {
     }
 }
 
-/// Trailing-axis concatenation (mirror of [`Tensor::concat_last`]).
+/// Trailing-axis concatenation of `rows` rows of widths `na` and `nb`.
 pub fn concat_last(a: &[f32], b: &[f32], na: usize, nb: usize, rows: usize, dst: &mut [f32]) {
     debug_assert_eq!(dst.len(), rows * (na + nb));
     for i in 0..rows {
@@ -302,8 +293,7 @@ pub fn concat_last(a: &[f32], b: &[f32], na: usize, nb: usize, rows: usize, dst:
 }
 
 /// Column-range copy `dst[r, :] = src[r, from..to]` for rows of width `n`:
-/// covers `split_last` halves and the `slice_last` forward (byte-identical
-/// to the Tensor ops' staged copies).
+/// both halves of `split_last`, and the `slice_last` forward.
 pub fn slice_cols(src: &[f32], n: usize, from: usize, to: usize, rows: usize, dst: &mut [f32]) {
     let w = to - from;
     debug_assert_eq!(dst.len(), rows * w);
@@ -324,9 +314,9 @@ pub fn scatter_cols(g: &[f32], n: usize, start: usize, w: usize, rows: usize, ds
     }
 }
 
-/// One-hot routing forward into `dst` (mirror of
-/// [`crate::route::route_gather`]'s gather sweep; every output row is
-/// overwritten).
+/// One-hot routing forward: `dst[b, i, :] = head[b, indices[b·l + i], :]`
+/// for `head: [b, k, d]`, a gather over disjoint output rows. Indices are
+/// not range-checked here.
 pub fn route_gather(head: &[f32], indices: &[u32], b: usize, k: usize, d: usize, l: usize, dst: &mut [f32]) {
     debug_assert_eq!(head.len(), b * k * d);
     debug_assert_eq!(indices.len(), b * l);
@@ -334,7 +324,7 @@ pub fn route_gather(head: &[f32], indices: &[u32], b: usize, k: usize, d: usize,
     let grain_rows = ROUTE_GRAIN.div_ceil(d.max(1)).max(1);
     par::parallel_rows(dst, d, grain_rows, 1, |row0, chunk| {
         for (off, out) in chunk.chunks_exact_mut(d).enumerate() {
-            let row = row0 + off;
+            let row = row0 + off; // global segment slot in [b·l]
             let bi = row / l;
             let j = indices[row] as usize;
             let src = (bi * k + j) * d;
@@ -343,9 +333,9 @@ pub fn route_gather(head: &[f32], indices: &[u32], b: usize, k: usize, d: usize,
     });
 }
 
-/// One-hot routing backward into `dst` (mirror of
-/// [`crate::route::route_scatter_add`]: zeroed, then per-batch ascending
-/// scatter-add).
+/// One-hot routing backward: `dst` zeroed, then
+/// `dst[b, indices[b·l + i], :] += dout[b, i, :]` over ascending `i` within
+/// each batch, batches in parallel. Indices are not range-checked here.
 pub fn route_scatter_add(
     dout: &[f32],
     indices: &[u32],
@@ -375,15 +365,25 @@ pub fn route_scatter_add(
     });
 }
 
-/// One GEMM written through into `dst` by the shared dispatcher — the exact
-/// path of [`Tensor::matmul`] / `matmul_nt` / `matmul_tn`.
+/// One GEMM written through into `dst`: `a` is `[m×k]` (`[k×m]` for
+/// [`Trans::Tn`]) and `b` is `[k×n]` (`[n×k]` for [`Trans::Nt`]), all
+/// row-major.
+///
+/// # Panics
+/// If a slice length disagrees with its shape.
 pub fn gemm(trans: Trans, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], dst: &mut [f32]) {
-    debug_assert_eq!(dst.len(), m * n);
+    assert_eq!(a.len(), m * k, "gemm lhs length");
+    assert_eq!(b.len(), k * n, "gemm rhs length");
+    assert_eq!(dst.len(), m * n, "gemm out length");
     matmul::gemm_dispatch(trans.kind(), m, k, n, a, b, dst);
 }
 
-/// One batched GEMM written through into `dst` by the shared dispatcher —
-/// the exact path of [`Tensor::bmm`] / `bmm_nt` / `bmm_tn`.
+/// `bt` GEMMs written through into consecutive `[m×n]` blocks of `dst`,
+/// batch `bi` reading the `bi`-th operand blocks of `a` and `b` (shaped as
+/// for [`gemm`]).
+///
+/// # Panics
+/// If a slice length disagrees with its shape.
 #[allow(clippy::too_many_arguments)]
 pub fn bmm(
     trans: Trans,
@@ -395,14 +395,22 @@ pub fn bmm(
     b: &[f32],
     dst: &mut [f32],
 ) {
-    debug_assert_eq!(dst.len(), bt * m * n);
+    assert_eq!(a.len(), bt * m * k, "bmm lhs length");
+    assert_eq!(b.len(), bt * k * n, "bmm rhs length");
+    assert_eq!(dst.len(), bt * m * n, "bmm out length");
     matmul::bmm_dispatch(trans.kind(), bt, m, k, n, (a, m * k), (b, k * n), dst);
 }
 
-/// Broadcast-left `a · bᵀ` sweep written through into `dst` (the exact path
-/// of the autograd `matmul_broadcast_nt` forward).
+/// Broadcast-left `dst[bi] = a · (b[bi])ᵀ` written through: `a` is one
+/// `[m×k]` matrix, `b` holds `bt` batches of `[n×k]` and `dst` `bt` batches
+/// of `[m×n]` (the autograd `matmul_broadcast_nt` forward).
+///
+/// # Panics
+/// If a slice length disagrees with its shape.
 pub fn bcast_nt(bt: usize, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], dst: &mut [f32]) {
-    debug_assert_eq!(dst.len(), bt * m * n);
+    assert_eq!(a.len(), m * k, "bcast_nt lhs length");
+    assert_eq!(b.len(), bt * n * k, "bcast_nt rhs length");
+    assert_eq!(dst.len(), bt * m * n, "bcast_nt out length");
     matmul::bmm_dispatch(Kind::Nt, bt, m, k, n, (a, 0), (b, n * k), dst);
 }
 
@@ -429,13 +437,13 @@ pub fn bcast_nt_dx(g: &[f32], a: &[f32], bsz: usize, k: usize, l: usize, d: usiz
     matmul::bmm_dispatch(Kind::Tn, bsz, l, k, d, (g, k * l), (a, 0), dx);
 }
 
-/// Sum over the flat elements with an f64 accumulator (mirror of
-/// [`Tensor::sum_all`]).
+/// Sum over the flat elements with an f64 accumulator, serial on purpose:
+/// splitting the one accumulation chain would change its bits.
 pub fn sum_all(src: &[f32]) -> f32 {
     src.iter().map(|&v| v as f64).sum::<f64>() as f32
 }
 
-/// Mean over the flat elements (mirror of [`Tensor::mean_all`]).
+/// Mean over the flat elements.
 pub fn mean_all(src: &[f32]) -> f32 {
     sum_all(src) / src.len() as f32
 }
@@ -443,7 +451,8 @@ pub fn mean_all(src: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tensor;
+    use crate::fused::{combine_lanes, LANES};
+    use crate::{route, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -453,18 +462,20 @@ mod tests {
     }
 
     #[test]
-    fn zips_and_maps_match_tensor_ops_bitwise() {
-        let a = rt(&[7, 13], 1);
-        let b = rt(&[7, 13], 2);
+    fn zips_and_maps_match_serial_loops_bitwise() {
+        let (a, b) = (rt(&[7, 13], 1), rt(&[7, 13], 2));
+        let (a, b) = (a.data(), b.data());
+        let zipped = |f: fn(f32, f32) -> f32| a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect::<Vec<_>>();
+        let mapped = |f: fn(f32) -> f32| a.iter().map(|&x| f(x)).collect::<Vec<_>>();
         let mut out = vec![0.0f32; 91];
-        zip_add(a.data(), b.data(), &mut out);
-        assert_eq!(out, a.add(&b).data());
-        zip_mul(a.data(), b.data(), &mut out);
-        assert_eq!(out, a.mul(&b).data());
-        map_scale(a.data(), -1.7, &mut out);
-        assert_eq!(out, a.scale(-1.7).data());
-        map_sigmoid(a.data(), &mut out);
-        assert_eq!(out, a.map(fused::sigmoid).data());
+        zip_add(a, b, &mut out);
+        assert_eq!(out, zipped(|x, y| x + y));
+        zip_mul(a, b, &mut out);
+        assert_eq!(out, zipped(|x, y| x * y));
+        map_scale(a, -1.7, &mut out);
+        assert_eq!(out, mapped(|x| x * -1.7));
+        map_sigmoid(a, &mut out);
+        assert_eq!(out, mapped(|x| 1.0 / (1.0 + fused::exp(-x))));
     }
 
     #[test]
@@ -480,20 +491,46 @@ mod tests {
     }
 
     #[test]
-    fn softmax_and_layer_norm_match_tensor_paths_bitwise() {
-        let x = rt(&[12, 16], 6);
-        let mut out = vec![0.0f32; 12 * 16];
-        softmax_last(x.data(), 16, &mut out);
-        assert_eq!(out, x.softmax_last().data());
+    fn softmax_and_layer_norm_match_serial_loops_bitwise() {
+        let (rows, n) = (12, 16);
+        let x = rt(&[rows, n], 6);
+        let mut out = vec![0.0f32; rows * n];
+        softmax_last(x.data(), n, &mut out);
+        let mut expect = x.data().to_vec();
+        for row in expect.chunks_exact_mut(n) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            for v in row.iter_mut() {
+                *v = fused::exp(*v - max);
+            }
+            let inv = 1.0 / row.iter().fold(0.0f32, |s, &v| s + v);
+            for v in row.iter_mut() {
+                *v *= inv;
+            }
+        }
+        assert_eq!(out, expect);
 
-        let gamma = rt(&[16], 7);
-        let beta = rt(&[16], 8);
-        let mut y = vec![0.0f32; 12 * 16];
-        let mut cache = vec![0.0f32; 24];
-        layer_norm_fwd(x.data(), 16, gamma.data(), beta.data(), 1e-5, &mut y, &mut cache);
-        let (ty, tcache) = fused::layer_norm_fwd(&x, gamma.data(), beta.data(), 1e-5);
-        assert_eq!(y, ty.data());
-        assert_eq!(cache, tcache.data());
+        // LayerNorm with its fixed-lane row statistics.
+        let (gamma, beta, eps) = (rt(&[n], 7), rt(&[n], 8), 1e-5);
+        let (gamma, beta) = (gamma.data(), beta.data());
+        let mut y = vec![0.0f32; rows * n];
+        let mut cache = vec![0.0f32; 2 * rows];
+        layer_norm_fwd(x.data(), n, gamma, beta, eps, &mut y, &mut cache);
+        let (mut ey, mut ecache) = (Vec::new(), Vec::new());
+        for row in x.data().chunks_exact(n) {
+            let (mut s, mut q) = ([0.0f32; LANES], [0.0f32; LANES]);
+            for (j, &v) in row.iter().enumerate() {
+                s[j % LANES] += v;
+            }
+            let mean = combine_lanes(s) / n as f32;
+            for (j, &v) in row.iter().enumerate() {
+                q[j % LANES] += (v - mean) * (v - mean);
+            }
+            let rstd = 1.0 / (combine_lanes(q) / n as f32 + eps).sqrt();
+            ecache.extend([mean, rstd]);
+            ey.extend(row.iter().enumerate().map(|(j, &v)| (v - mean) * rstd * gamma[j] + beta[j]));
+        }
+        assert_eq!(y, ey);
+        assert_eq!(cache, ecache);
     }
 
     #[test]
@@ -502,7 +539,8 @@ mod tests {
         let row = rt(&[8], 10);
         let mut out = vec![0.0f32; 31 * 8];
         add_row_broadcast(x.data(), row.data(), 8, &mut out);
-        assert_eq!(out, x.add_row_broadcast(&row).data());
+        let expect: Vec<f32> = x.data().iter().enumerate().map(|(i, &v)| v + row.data()[i % 8]).collect();
+        assert_eq!(out, expect);
 
         let mut db = vec![0.0f32; 8];
         bias_grad(x.data(), 31, 8, &mut db);
@@ -516,12 +554,13 @@ mod tests {
     }
 
     #[test]
-    fn slice_scatter_and_concat_mirror_tensor_ops() {
+    fn slice_scatter_and_concat_match_serial_copies() {
         let a = rt(&[5, 6], 11);
         let b = rt(&[5, 3], 12);
         let mut cat = vec![0.0f32; 5 * 9];
         concat_last(a.data(), b.data(), 6, 3, 5, &mut cat);
-        assert_eq!(cat, a.concat_last(&b).data());
+        let expect: Vec<f32> = (0..5).flat_map(|i| [a.row(i), b.row(i)].concat()).collect();
+        assert_eq!(cat, expect);
 
         let mut left = vec![0.0f32; 5 * 6];
         slice_cols(&cat, 9, 0, 6, 5, &mut left);
@@ -536,17 +575,59 @@ mod tests {
     }
 
     #[test]
-    fn route_mirrors_match_tensor_kernels_bitwise() {
-        use crate::route;
+    fn route_kernels_match_dense_one_hot_bmm_bitwise() {
         let head = rt(&[3, 5, 4], 13);
         let indices: Vec<u32> = (0..3 * 7).map(|i| (i % 5) as u32).collect();
+        let one_hot = route::one_hot_matrix(&indices, 3, 7, 5);
         let mut out = vec![0.0f32; 3 * 7 * 4];
         route_gather(head.data(), &indices, 3, 5, 4, 7, &mut out);
-        assert_eq!(out, route::route_gather(&head, &indices, 7).data());
+        assert_eq!(out, one_hot.bmm(&head).data());
 
         let dout = rt(&[3, 7, 4], 14);
-        let mut dh = vec![1.0f32; 3 * 5 * 4];
+        let mut dh = vec![1.0f32; 3 * 5 * 4]; // stale contents must not leak
         route_scatter_add(dout.data(), &indices, 3, 7, 4, 5, &mut dh);
-        assert_eq!(dh, route::route_scatter_add(&dout, &indices, 5).data());
+        assert_eq!(dh, one_hot.bmm_tn(&dout).data());
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm lhs length")]
+    fn gemm_rejects_long_lhs() {
+        let mut c = vec![0.0f32; 2 * 3];
+        gemm(Trans::Nn, 2, 4, 3, &[0.0; 2 * 4 + 1], &[0.0; 4 * 3], &mut c);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm out length")]
+    fn gemm_rejects_long_out() {
+        let mut c = vec![0.0f32; 2 * 3 + 1];
+        gemm(Trans::Nt, 2, 4, 3, &[0.0; 2 * 4], &[0.0; 3 * 4], &mut c);
+    }
+
+    #[test]
+    #[should_panic(expected = "bmm rhs length")]
+    fn bmm_rejects_short_rhs() {
+        let mut c = vec![0.0f32; 2 * 2 * 3];
+        bmm(Trans::Nn, 2, 2, 4, 3, &[0.0; 2 * 2 * 4], &[0.0; 4 * 3], &mut c);
+    }
+
+    #[test]
+    #[should_panic(expected = "bmm out length")]
+    fn bmm_rejects_long_out() {
+        let mut c = vec![0.0f32; 2 * 2 * 3 + 1];
+        bmm(Trans::Tn, 2, 2, 4, 3, &[0.0; 2 * 4 * 2], &[0.0; 2 * 4 * 3], &mut c);
+    }
+
+    #[test]
+    #[should_panic(expected = "bcast_nt lhs length")]
+    fn bcast_nt_rejects_batched_lhs() {
+        let mut c = vec![0.0f32; 2 * 2 * 3];
+        bcast_nt(2, 2, 4, 3, &[0.0; 2 * 2 * 4], &[0.0; 2 * 3 * 4], &mut c);
+    }
+
+    #[test]
+    #[should_panic(expected = "bcast_nt out length")]
+    fn bcast_nt_rejects_short_out() {
+        let mut c = vec![0.0f32; 2 * 3];
+        bcast_nt(2, 2, 4, 3, &[0.0; 2 * 4], &[0.0; 2 * 3 * 4], &mut c);
     }
 }

@@ -28,7 +28,7 @@
 //! reference loops they must reproduce bit for bit live in
 //! `focus_autograd::oracle`, which the parity tests compare against.
 
-use crate::ops::{ELEM_GRAIN, EXP_GRAIN};
+use crate::exec::{ELEM_GRAIN, EXP_GRAIN};
 use crate::{par, Tensor};
 
 /// `e^x` in f32: Cody–Waite range reduction and a degree-7 polynomial, with

@@ -52,7 +52,7 @@ pub mod pool;
 pub mod route;
 pub mod stats;
 
-pub use matmul::{raw, reference};
+pub use matmul::reference;
 
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -22,10 +22,9 @@
 //! reference.
 //!
 //! **Write-through versus accumulating.** Every entry point of the family
-//! ([`raw`], the [`Tensor`] methods, and the `exec` mirrors the plan VM
-//! calls) *overwrites* its output: a tile's accumulators start at `+0.0` in
-//! registers and are stored once, so the output is never zeroed, loaded or
-//! read back. Seeding an accumulator from its first product instead would
+//! (the [`Tensor`] methods and the `exec` GEMM kernels) *overwrites* its
+//! output: a tile's accumulators start at `+0.0` in registers and are stored
+//! once, so the output is never zeroed, loaded or read back. Seeding an accumulator from its first product instead would
 //! turn a `+0.0` result into `−0.0`, so the kernels never do. Only the
 //! [`reference`] kernels accumulate into their output (zero it first); a
 //! chain that starts from `+0.0` can never end at `−0.0`, so adding it to a
@@ -449,77 +448,6 @@ fn gemm_nt_narrow<const M: usize, const W: usize>(
                 c[i * n + t0 + r] = v;
             }
         }
-    }
-}
-
-pub mod raw {
-    //! Raw-slice entry points to the dispatched kernels.
-    //!
-    //! These run the same tiled + parallel dispatch as the [`Tensor`]
-    //! methods but write into a caller-owned buffer, so batched sweeps
-    //! (e.g. the clustering distance matrix, the broadcast-LHS attention
-    //! products) can fill slices of one output allocation. Like every
-    //! entry point of the family they **overwrite** `c`; its prior contents
-    //! are never read.
-    //!
-    //! [`Tensor`]: crate::Tensor
-
-    use super::Kind;
-
-    /// `c[m×n] = a[m×k] · b[k×n]`, all row-major slices (zero-skip on `a`).
-    ///
-    /// # Panics
-    /// If a slice length disagrees with its shape.
-    pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        assert_eq!(a.len(), m * k, "gemm lhs length");
-        assert_eq!(b.len(), k * n, "gemm rhs length");
-        assert_eq!(c.len(), m * n, "gemm out length");
-        super::gemm_dispatch(Kind::Nn, m, k, n, a, b, c);
-    }
-
-    /// `c[m×n] = a[m×k] · (b[n×k])ᵀ`, all row-major slices.
-    ///
-    /// # Panics
-    /// If a slice length disagrees with its shape.
-    pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        assert_eq!(a.len(), m * k, "gemm_nt lhs length");
-        assert_eq!(b.len(), n * k, "gemm_nt rhs length");
-        assert_eq!(c.len(), m * n, "gemm_nt out length");
-        super::gemm_dispatch(Kind::Nt, m, k, n, a, b, c);
-    }
-
-    /// `c[m×n] = (a[k×m])ᵀ · b[k×n]`, all row-major slices (zero-skip on
-    /// `a`).
-    ///
-    /// # Panics
-    /// If a slice length disagrees with its shape.
-    pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        assert_eq!(a.len(), k * m, "gemm_tn lhs length");
-        assert_eq!(b.len(), k * n, "gemm_tn rhs length");
-        assert_eq!(c.len(), m * n, "gemm_tn out length");
-        super::gemm_dispatch(Kind::Tn, m, k, n, a, b, c);
-    }
-
-    /// Batched `c[bi] = a · (b[bi])ᵀ` with a broadcast left operand: `a` is
-    /// one `[m × k]` matrix, `b` holds `bt` batches of `[n × k]` and `c`
-    /// holds `bt` batches of `[m × n]`. Bitwise-identical to [`gemm_nt`]
-    /// per batch.
-    ///
-    /// # Panics
-    /// If a slice length disagrees with its shape.
-    pub fn gemm_nt_bcast(
-        bt: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        assert_eq!(a.len(), m * k, "gemm_nt_bcast lhs length");
-        assert_eq!(b.len(), bt * n * k, "gemm_nt_bcast rhs length");
-        assert_eq!(c.len(), bt * m * n, "gemm_nt_bcast out length");
-        super::bmm_dispatch(Kind::Nt, bt, m, k, n, (a, 0), (b, n * k), c);
     }
 }
 

@@ -1,23 +1,22 @@
 //! Elementwise operations, broadcasting helpers, softmax, transposes and
 //! concatenation.
 //!
-//! Large elementwise maps, broadcasts and row-softmaxes run on the scoped
-//! thread pool ([`crate::par`]); every output element depends only on its own
-//! input position (or its own row), so the parallel split is bitwise-identical
-//! to serial at any thread count.
+//! Each op with a slice kernel in [`crate::exec`] checks its shapes, takes
+//! its output from the pool and calls that kernel, which owns the loop and
+//! its parallel split on [`crate::par`]: every output element depends only
+//! on its own input position (or its own row), so the split is
+//! bitwise-identical to serial at any thread count.
 
-use crate::{fused, par, Shape, Tensor};
-
-/// Minimum elements per thread for cheap elementwise ops (add/mul/map):
-/// below ~2 grains the spawn overhead exceeds the arithmetic.
-pub(crate) const ELEM_GRAIN: usize = 16 * 1024;
-/// Minimum elements per thread for transcendental row ops (softmax's `exp`
-/// is ~10× the cost of an add, so it pays off earlier).
-pub(crate) const EXP_GRAIN: usize = 2 * 1024;
+use crate::{exec, Shape, Tensor};
 
 impl Tensor {
     /// Elementwise binary operation on same-shape tensors.
     pub fn zip_with(&self, other: &Tensor, op: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+        self.zip_kernel(other, |a, b, dst| exec::zip(a, b, dst, op))
+    }
+
+    /// Runs the same-shape binary slice kernel `kernel(self, other, out)`.
+    fn zip_kernel(&self, other: &Tensor, kernel: impl FnOnce(&[f32], &[f32], &mut [f32])) -> Tensor {
         assert!(
             self.shape().same_as(other.shape()),
             "elementwise op shape mismatch: {} vs {}",
@@ -25,29 +24,23 @@ impl Tensor {
             other.shape()
         );
         let mut out = Tensor::uninit(self.dims());
-        par::parallel_fill(out.data_mut(), ELEM_GRAIN, |range, chunk| {
-            let a = &self.data()[range.clone()];
-            let b = &other.data()[range];
-            for ((o, &x), &y) in chunk.iter_mut().zip(a).zip(b) {
-                *o = op(x, y);
-            }
-        });
+        kernel(self.data(), other.data(), out.data_mut());
         out
     }
 
     /// Elementwise sum. Panics on shape mismatch.
     pub fn add(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a + b)
+        self.zip_kernel(other, exec::zip_add)
     }
 
     /// Elementwise difference. Panics on shape mismatch.
     pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a - b)
+        self.zip_kernel(other, exec::zip_sub)
     }
 
     /// Elementwise (Hadamard) product. Panics on shape mismatch.
     pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a * b)
+        self.zip_kernel(other, exec::zip_mul)
     }
 
     /// Elementwise quotient. Panics on shape mismatch.
@@ -57,22 +50,23 @@ impl Tensor {
 
     /// Adds `rhs` to every element.
     pub fn add_scalar(&self, rhs: f32) -> Tensor {
-        self.map(|v| v + rhs)
+        self.map_kernel(|src, dst| exec::map_add_scalar(src, rhs, dst))
     }
 
     /// Multiplies every element by `rhs`.
     pub fn scale(&self, rhs: f32) -> Tensor {
-        self.map(|v| v * rhs)
+        self.map_kernel(|src, dst| exec::map_scale(src, rhs, dst))
     }
 
     /// Applies `f` to every element.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+        self.map_kernel(|src, dst| exec::map(src, dst, f))
+    }
+
+    /// Runs the shape-preserving slice kernel `kernel(self, out)`.
+    fn map_kernel(&self, kernel: impl FnOnce(&[f32], &mut [f32])) -> Tensor {
         let mut out = Tensor::uninit(self.dims());
-        par::parallel_fill(out.data_mut(), ELEM_GRAIN, |range, chunk| {
-            for (o, &v) in chunk.iter_mut().zip(&self.data()[range]) {
-                *o = f(v);
-            }
-        });
+        kernel(self.data(), out.data_mut());
         out
     }
 
@@ -92,20 +86,13 @@ impl Tensor {
 
     /// `self += alpha · other` over the flat element order, ignoring shape:
     /// the rank-agnostic core of [`Tensor::axpy`], for gradients flowing
-    /// through layout-preserving views (reshape). Identical per-element
-    /// arithmetic and parallel split as `axpy`.
+    /// through layout-preserving views (reshape).
     ///
     /// # Panics
     /// On element-count mismatch.
     pub fn axpy_flat(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(self.numel(), other.numel(), "axpy_flat element count mismatch");
-        let src = other.data();
-        par::parallel_rows(self.data_mut(), 1, ELEM_GRAIN, 1, |start, block| {
-            let n = block.len();
-            for (a, &b) in block.iter_mut().zip(&src[start..start + n]) {
-                *a += alpha * b;
-            }
-        });
+        exec::axpy(self.data_mut(), alpha, other.data());
     }
 
     /// Adds a length-`n` row vector to every row of a `[.., n]` tensor.
@@ -119,16 +106,7 @@ impl Tensor {
             "broadcast row has {} elements, last dim is {n}",
             row.numel()
         );
-        let mut out = self.clone();
-        let grain_rows = ELEM_GRAIN.div_ceil(n).max(1);
-        par::parallel_rows(out.data_mut(), n, grain_rows, 1, |_, block| {
-            for chunk in block.chunks_mut(n) {
-                for (o, &b) in chunk.iter_mut().zip(row.data()) {
-                    *o += b;
-                }
-            }
-        });
-        out
+        self.map_kernel(|src, dst| exec::add_row_broadcast(src, row.data(), n, dst))
     }
 
     /// Transpose of a rank-2 tensor.
@@ -136,12 +114,7 @@ impl Tensor {
         assert_eq!(self.rank(), 2, "transpose requires rank 2, got {}", self.shape());
         let (m, n) = (self.dims()[0], self.dims()[1]);
         let mut out = Tensor::uninit(&[n, m]);
-        let (src, dst) = (self.data(), out.data_mut());
-        for i in 0..m {
-            for j in 0..n {
-                dst[j * m + i] = src[i * n + j];
-            }
-        }
+        exec::transpose2(self.data(), m, n, out.data_mut());
         out
     }
 
@@ -155,32 +128,19 @@ impl Tensor {
         );
         let (b, m, n) = (self.dims()[0], self.dims()[1], self.dims()[2]);
         let mut out = Tensor::uninit(&[b, n, m]);
-        let (src, dst) = (self.data(), out.data_mut());
-        for bi in 0..b {
-            let base = bi * m * n;
-            for i in 0..m {
-                for j in 0..n {
-                    dst[base + j * m + i] = src[base + i * n + j];
-                }
-            }
-        }
+        exec::transpose_last2(self.data(), b, m, n, out.data_mut());
         out
     }
 
     /// Numerically stable softmax over the trailing axis.
     ///
     /// Each length-`last_dim` row is shifted by its maximum before
-    /// exponentiation (the [`fused::softmax_rows`] kernel), so the result is
-    /// finite for any finite input and every row sums to 1.
+    /// exponentiation (the [`crate::fused::softmax_rows`] kernel), so the
+    /// result is finite for any finite input and every row sums to 1.
     pub fn softmax_last(&self) -> Tensor {
         let n = self.shape().last_dim();
         assert!(n > 0, "softmax over an empty trailing axis");
-        let mut out = self.clone();
-        let grain_rows = EXP_GRAIN.div_ceil(n).max(1);
-        par::parallel_rows(out.data_mut(), n, grain_rows, 1, |_, block| {
-            fused::softmax_rows(block, n)
-        });
-        out
+        self.map_kernel(|src, dst| exec::softmax_last(src, n, dst))
     }
 
     /// Concatenates two tensors along the trailing axis.
@@ -204,16 +164,10 @@ impl Tensor {
             other.shape()
         );
         let (na, nb) = (self.shape().last_dim(), other.shape().last_dim());
-        let rows = self.shape().leading();
         let mut dims = self.dims().to_vec();
         dims[r - 1] = na + nb;
         let mut out = Tensor::uninit(&dims);
-        let dst = out.data_mut();
-        for i in 0..rows {
-            let base = i * (na + nb);
-            dst[base..base + na].copy_from_slice(&self.data()[i * na..(i + 1) * na]);
-            dst[base + na..base + na + nb].copy_from_slice(&other.data()[i * nb..(i + 1) * nb]);
-        }
+        exec::concat_last(self.data(), other.data(), na, nb, self.shape().leading(), out.data_mut());
         out
     }
 
@@ -222,19 +176,14 @@ impl Tensor {
         let n = self.shape().last_dim();
         assert!(split <= n, "split point {split} exceeds last dim {n}");
         let rows = self.shape().leading();
-        let r = self.rank();
-        let mut da = self.dims().to_vec();
-        let mut db = self.dims().to_vec();
-        da[r - 1] = split;
-        db[r - 1] = n - split;
-        let mut a = Tensor::uninit(&da);
-        let mut b = Tensor::uninit(&db);
-        for i in 0..rows {
-            let row = &self.data()[i * n..(i + 1) * n];
-            a.data_mut()[i * split..(i + 1) * split].copy_from_slice(&row[..split]);
-            b.data_mut()[i * (n - split)..(i + 1) * (n - split)].copy_from_slice(&row[split..]);
-        }
-        (a, b)
+        let half = |from: usize, to: usize| {
+            let mut dims = self.dims().to_vec();
+            dims[self.rank() - 1] = to - from;
+            let mut out = Tensor::uninit(&dims);
+            exec::slice_cols(self.data(), n, from, to, rows, out.data_mut());
+            out
+        };
+        (half(0, split), half(split, n))
     }
 
     /// Stacks rank-`r` tensors of identical shape into one rank-`r+1` tensor.

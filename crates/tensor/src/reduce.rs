@@ -7,7 +7,7 @@
 //! (`sum_all`, `var_all`) stay serial on purpose: splitting a single
 //! accumulation chain would change summation order and therefore bits.
 
-use crate::{par, Tensor};
+use crate::{exec, par, Tensor};
 
 /// Minimum input elements per thread for row-wise reductions.
 const ROW_GRAIN: usize = 16 * 1024;
@@ -15,7 +15,7 @@ const ROW_GRAIN: usize = 16 * 1024;
 impl Tensor {
     /// Sum of all elements (accumulated in `f64` for stability).
     pub fn sum_all(&self) -> f32 {
-        self.data().iter().map(|&v| v as f64).sum::<f64>() as f32
+        exec::sum_all(self.data())
     }
 
     /// Mean of all elements.
@@ -24,7 +24,7 @@ impl Tensor {
     /// If the tensor is empty.
     pub fn mean_all(&self) -> f32 {
         assert!(self.numel() > 0, "mean of an empty tensor");
-        self.sum_all() / self.numel() as f32
+        exec::mean_all(self.data())
     }
 
     /// Population variance of all elements.

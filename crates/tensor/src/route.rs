@@ -13,16 +13,13 @@
 //!   and skips the zero entries, adding `1.0 · g` terms in the same order),
 //!   so the result is **bitwise identical** to the dense backward.
 //!
-//! Both kernels split work over disjoint output rows (gather) or disjoint
-//! batches (scatter), so the determinism contract of [`crate::par`] holds at
-//! any thread count.
+//! The loops live in [`crate::exec`]; these wrappers check shapes and
+//! indices. Both kernels split work over disjoint output rows (gather) or
+//! disjoint batches (scatter), so the determinism contract of [`crate::par`]
+//! holds at any thread count.
 
-use crate::par;
+use crate::exec;
 use crate::Tensor;
-
-/// Minimum copied/accumulated elements per thread before the routing kernels
-/// go parallel.
-pub(crate) const ROUTE_GRAIN: usize = 64 * 1024;
 
 /// Validates a routing index vector against the prototype count `k`.
 fn check_indices(indices: &[u32], k: usize) {
@@ -48,18 +45,8 @@ pub fn route_gather(head: &Tensor, indices: &[u32], l: usize) -> Tensor {
     let (b, k, d) = (head.dims()[0], head.dims()[1], head.dims()[2]);
     assert_eq!(indices.len(), b * l, "route_gather expects B·l = {} indices, got {}", b * l, indices.len());
     check_indices(indices, k);
-    let mut out = Tensor::zeros(&[b, l, d]);
-    let grain_rows = ROUTE_GRAIN.div_ceil(d.max(1)).max(1);
-    let head_data = head.data();
-    par::parallel_rows(out.data_mut(), d, grain_rows, 1, |row0, chunk| {
-        for (off, dst) in chunk.chunks_exact_mut(d).enumerate() {
-            let row = row0 + off; // global segment slot in [B·l]
-            let bi = row / l;
-            let j = indices[row] as usize;
-            let src = (bi * k + j) * d;
-            dst.copy_from_slice(&head_data[src..src + d]);
-        }
-    });
+    let mut out = Tensor::uninit(&[b, l, d]);
+    exec::route_gather(head.data(), indices, b, k, d, l, out.data_mut());
     out
 }
 
@@ -77,22 +64,8 @@ pub fn route_scatter_add(dout: &Tensor, indices: &[u32], k: usize) -> Tensor {
     let (b, l, d) = (dout.dims()[0], dout.dims()[1], dout.dims()[2]);
     assert_eq!(indices.len(), b * l, "route_scatter_add expects B·l = {} indices, got {}", b * l, indices.len());
     check_indices(indices, k);
-    let mut out = Tensor::zeros(&[b, k, d]);
-    let grain_batches = ROUTE_GRAIN.div_ceil((l * d).max(1)).max(1);
-    let dout_data = dout.data();
-    par::parallel_rows(out.data_mut(), k * d, grain_batches, 1, |b0, chunk| {
-        for (off, dst) in chunk.chunks_exact_mut(k * d).enumerate() {
-            let bi = b0 + off;
-            for i in 0..l {
-                let j = indices[bi * l + i] as usize;
-                let src = (bi * l + i) * d;
-                let acc = &mut dst[j * d..(j + 1) * d];
-                for (o, &v) in acc.iter_mut().zip(&dout_data[src..src + d]) {
-                    *o += v;
-                }
-            }
-        }
-    });
+    let mut out = Tensor::uninit(&[b, k, d]);
+    exec::route_scatter_add(dout.data(), indices, b, l, d, k, out.data_mut());
     out
 }
 

@@ -27,9 +27,10 @@ FOCUS_THREADS=2 cargo test --workspace -q
 # 8-lane LayerNorm sums, the register-tiled GEMM family) exists only under
 # optimisation, while every leg above runs the debug build's scalar code.
 # The parity suites and both golden digests (core, and the cluster fit whose
-# assignment sweeps run the narrow a·bᵀ GEMM) must hold bit for bit in both.
-echo "==> cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster"
-cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster
+# assignment sweeps run the narrow a·bᵀ GEMM) must hold bit for bit in both,
+# and so must the root package's plan-replay guards for all 13 forecasters.
+echo "==> cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster -p focus"
+cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster -p focus
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -17,9 +17,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use focus::autograd::plan::{self, PlanCache};
 use focus::autograd::{AdamW, Graph};
-use focus::core::forecaster::normalise_target;
 use focus::core::{Loss, WindowInputs};
-use focus::nn::revin::instance_norm;
+use focus::nn::revin::{instance_norm, normalise_target};
 use focus::{
     AblationVariant, Assignment, BaselineConfig, Benchmark, Focus, FocusAblation, FocusConfig,
     Forecaster, ModelKind, MtsDataset, Split, Tensor, TrainOptions,
