@@ -5,7 +5,7 @@
 //! all run the plans it lowers.
 //!
 //! 1. **Forward emission** walks the recorded nodes once and emits one
-//!    [`Instr`] per kernel call ([`Op::Reshape`] emits nothing — it is a
+//!    [`Instr`] per kernel call (`Op::Reshape` emits nothing — it is a
 //!    location alias).
 //! 2. **Symbolic backward** emits each op's adjoint kernels in reverse tape
 //!    order. Gradients of scalar nodes on the loss chain stay compile-time

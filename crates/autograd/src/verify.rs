@@ -23,7 +23,7 @@
 //!    allocator's recorded slot capacity (`numel.next_power_of_two()` — the
 //!    pool-class invariant).
 //! 3. **Slot lifetime.** At the virtual-register layer (inside
-//!    [`check_intervals`], run during compilation where liveness is known),
+//!    `check_intervals`, run during compilation where liveness is known),
 //!    no two values assigned to one slot may have overlapping live intervals,
 //!    and a freed slot can only be redefined strictly after its previous
 //!    value's last use. At the plan layer, nothing may be read after its
@@ -104,7 +104,7 @@ pub enum VerifyErrorKind {
     /// the instruction stream (missing value, wrong size, duplicate slots).
     BadSink,
     /// Two virtual registers with overlapping live intervals were assigned
-    /// the same slot (compile-time check; see [`check_intervals`]).
+    /// the same slot (compile-time check; see `check_intervals`).
     OverlappingLiveRange,
     /// The [`set_fail_all`] test failpoint is enabled.
     Injected,

@@ -5,12 +5,14 @@
 //! * the serial reference GEMMs against the register-tiled ones
 //!   (`a·b`, `a·bᵀ`, `aᵀ·b` at 256³), outputs bitwise equal;
 //! * every GEMM-shaped plan opcode at the FOCUS bench model's shapes
-//!   (p = 8, k = 6–8 prototypes, l = 12 segments, d = 32, 32 entities) plus
-//!   the offline-cluster assignment GEMM: the reference kernel per batch, in
-//!   each opcode's exact chain, against the `focus_tensor::exec` entry point
-//!   the plan VM calls, outputs bitwise equal;
-//! * the scalar per-pair `assign_all_scalar` against the blocked two-GEMM
-//!   `assign_all`, under Rec Only and Rec+Corr, assignments equal;
+//!   (p = 8, k = 6–8 prototypes, l = 12 segments, d = 32, 32 entities): the
+//!   reference kernel per batch, in each opcode's exact chain, against the
+//!   `focus_tensor::exec` entry point the plan VM calls, outputs bitwise
+//!   equal;
+//! * the scalar per-pair `assign_all_scalar` against the fused Eq. 6 sweep
+//!   kernel behind `assign_all`, under Rec Only and Rec+Corr at 20 000×32
+//!   segments and k = 64, and under Rec+Corr at the offline-cluster
+//!   workload's 4 800×8 segments and k = 8, assignments equal;
 //! * one-hot routing: the dense `[B,l,k]·[B,k,d]` bmm against the
 //!   `route_gather` index kernel, and the dense `bmm_tn` backward against
 //!   `route_scatter_add`, outputs bitwise equal.
@@ -128,8 +130,7 @@ fn per_batch(
     }
 }
 
-/// Every GEMM-shaped plan opcode at the bench model's shapes, plus the
-/// offline-cluster assignment GEMM (`[4800, 8] · [8, 8]ᵀ`).
+/// Every GEMM-shaped plan opcode at the bench model's shapes.
 fn opcode_sweeps() -> Vec<Sweep> {
     let mut rng = StdRng::seed_from_u64(0xf0c5);
     let mut v = |n: usize| Tensor::randn(&[n], 1.0, &mut rng).into_vec();
@@ -182,7 +183,6 @@ fn opcode_sweeps() -> Vec<Sweep> {
         gemm("gemm_tn_8x384x32", Trans::Tn, (8, 384, 32), v(384 * 8), v(384 * 32)),
         gemm("gemm_nt_192x32x64", Trans::Nt, (192, 32, 64), v(192 * 32), v(64 * 32)),
         gemm("gemm_tn_192x32x24", Trans::Tn, (192, 32, 24), v(32 * 192), v(32 * 24)),
-        gemm("assign_gemm_nt_4800x8x8", Trans::Nt, (4800, 8, 8), v(4800 * 8), v(8 * 8)),
         bmm("bmm_nn_32x6x12x32", Trans::Nn, (bsz, kp, l, d), g.clone(), x.clone()),
         bmm("bmm_nn_32x8x12x32", Trans::Nn, (bsz, 8, l, d), g8.clone(), x.clone()),
         bmm("bmm_nt_32x6x32x12", Trans::Nt, (bsz, kp, d, l), v(bsz * kp * d), x.clone()),
@@ -204,10 +204,9 @@ fn opcode_sweeps() -> Vec<Sweep> {
     ]
 }
 
-/// The scalar per-pair assignment sweep against the blocked two-GEMM kernel
-/// on 20 000×32 segments at k = 64.
-fn assign_sweep(label: &'static str, objective: Objective) -> Sweep {
-    let (n, p, k) = (20_000usize, 32usize, 64usize);
+/// The scalar per-pair assignment sweep against the fused sweep kernel on
+/// `n` segments of length `p` at `k` prototypes.
+fn assign_sweep(label: &'static str, (n, p, k): (usize, usize, usize), objective: Objective) -> Sweep {
     let mut rng = StdRng::seed_from_u64(0xa551);
     let segs = Tensor::randn(&[n, p], 1.0, &mut rng);
     let protos = ClusterConfig::new(k, p)
@@ -255,8 +254,10 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("kernel sweeps (host cores: {cores}; {SAMPLES} timed calls per series)");
     let mut sweeps = Vec::from(gemm_sweeps());
-    sweeps.push(assign_sweep("assign_all_rec_only_20000x32_k64", Objective::RecOnly));
-    sweeps.push(assign_sweep("assign_all_rec_corr_20000x32_k64", Objective::rec_corr(0.2)));
+    let wide = (20_000, 32, 64);
+    sweeps.push(assign_sweep("assign_all_rec_only_20000x32_k64", wide, Objective::RecOnly));
+    sweeps.push(assign_sweep("assign_all_rec_corr_20000x32_k64", wide, Objective::rec_corr(0.2)));
+    sweeps.push(assign_sweep("assign_all_rec_corr_4800x8_k8", (4800, 8, 8), Objective::rec_corr(0.2)));
     sweeps.extend(routing_sweeps());
     sweeps.extend(opcode_sweeps());
 
@@ -268,7 +269,10 @@ fn main() {
             "opcodes",
             format!("plan-opcode shapes (dims as in each label), {REPS} calls per timed sample"),
         )
-        .setting("assign", "20000x32 segments, k=64, rec-only and rec+corr(0.2)")
+        .setting(
+            "assign",
+            "20000x32 segments, k=64, rec-only and rec+corr(0.2); 4800x8 segments, k=8, rec+corr(0.2)",
+        )
         .setting("routing", "b=64, l=128, k=64, d=64");
     for s in &sweeps {
         s.record(&mut report);

@@ -10,7 +10,7 @@
 
 use crate::batch::{assign_batched, distance_matrix, lower_to_center, CenterCache, SegmentCache};
 use crate::objective::{bucket_corr_grad, Objective};
-use focus_tensor::{par, Tensor};
+use focus_tensor::{par, pool, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -154,11 +154,16 @@ impl ClusterConfig {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc1a5_7e12u64.rotate_left(3));
         focus_trace::span!("cluster/fit");
 
-        let (seg, mut centers) = {
+        let (seg, unit_rows, mut centers) = {
             focus_trace::span!("cluster/init");
             let seg = SegmentCache::new(segments, &self.objective);
-            let centers = kmeans_pp_init(&seg, self.k, &self.objective, &mut rng);
-            (seg, centers)
+            // Only the AdamW correlation gradient reads `U_j = Σ x̂_i`.
+            let unit_rows = match self.update {
+                ProtoUpdate::AdamW { .. } => seg.unit_rows(),
+                ProtoUpdate::ClosedFormMean => Vec::new(),
+            };
+            let centers = kmeans_pp_init(segments, &seg, self.k, &self.objective, &mut rng);
+            (seg, unit_rows, centers)
         };
         let mut assignment = vec![usize::MAX; n];
         let mut trace = FitTrace::default();
@@ -166,9 +171,9 @@ impl ClusterConfig {
 
         let mut nearest = vec![(0usize, 0.0f32); n];
         for iter in 0..self.max_iters {
-            // Assignment step (Eq. 6) via the blocked two-GEMM kernel; the
-            // f64 loss is then folded serially in ascending segment order so
-            // the trace is identical at any thread count.
+            // Assignment step (Eq. 6) via the fused sweep kernel; the f64
+            // loss is then folded serially in ascending segment order so the
+            // trace is identical at any thread count.
             let cache = CenterCache::new(&centers, &self.objective);
             assign_batched(&seg, &cache, &mut nearest);
             let mut changed = 0usize;
@@ -194,16 +199,16 @@ impl ClusterConfig {
             focus_trace::span!("cluster/update");
             match self.update {
                 ProtoUpdate::ClosedFormMean => {
-                    let buckets = BucketStats::gather(&seg, &assignment, self.k, false);
+                    let buckets = BucketStats::gather(segments, &unit_rows, &assignment, self.k);
                     update_mean(&buckets, &mut centers);
                 }
                 ProtoUpdate::AdamW { lr, steps, weight_decay } => {
-                    let alpha = self.objective.alpha();
-                    let buckets = BucketStats::gather(&seg, &assignment, self.k, alpha > 0.0);
-                    update_adamw(&buckets, &mut centers, alpha, &mut adam, lr, steps, weight_decay);
+                    let buckets = BucketStats::gather(segments, &unit_rows, &assignment, self.k);
+                    update_adamw(&buckets, &mut centers, self.objective.alpha(), &mut adam, lr, steps, weight_decay);
                 }
             }
         }
+        pool::give(unit_rows);
 
         (
             Prototypes {
@@ -261,9 +266,9 @@ impl Prototypes {
     /// Index of the nearest prototype to `segment` under the fitted
     /// objective (Eq. 6) — the online assignment of Algorithm 2, line 3.
     ///
-    /// Single segments run through the same batched GEMM kernel as
-    /// [`Prototypes::assign_all`] with `n = 1`, so one-off and bulk
-    /// assignment can never disagree.
+    /// A single segment runs through the same fused sweep kernel as
+    /// [`Prototypes::assign_all`], as one zero-padded 16-row panel, so
+    /// one-off and bulk assignment can never disagree.
     pub fn assign(&self, segment: &[f32]) -> usize {
         assert_eq!(
             segment.len(),
@@ -285,9 +290,13 @@ impl Prototypes {
     /// Assigns every row of `segments: [n, p]`, returning the bucket index
     /// per segment.
     ///
-    /// Computes the full `[n, k]` composite-distance matrix with two tiled
-    /// GEMMs (`X·Cᵀ` on raw and on centred-normalised rows — see
-    /// [`crate::batch`]) instead of a scalar pair loop. Distances agree with
+    /// One fused sweep: the segments are stored once as 16-row panels, and
+    /// per panel and prototype both dot products of Eq. 6 (`x·c` on the raw
+    /// rows, `x̂·ĉ` on the centred-normalised ones) run in 16-lane registers,
+    /// followed by the distance formula and a running argmin. No `[n, k]`
+    /// distance matrix is formed. Each dot is the `a·bᵀ` GEMM chain (`f32`,
+    /// ascending, from `+0.0`), so every distance has the bits the two
+    /// `X·Cᵀ` GEMMs plus the epilogue would give. Distances agree with
     /// [`Prototypes::assign_all_scalar`] to f32 roundoff, argmins whenever
     /// the best/second-best margin exceeds it, and exact ties break to the
     /// lowest index on both paths. Identical at any thread count.
@@ -304,7 +313,7 @@ impl Prototypes {
 
     /// Scalar-oracle assignment sweep: a straight per-pair
     /// [`Objective::distance`] loop with f64 accumulation. Kept as the
-    /// ground-truth reference for the GEMM path (property tests, benchmark
+    /// ground-truth reference for the fused sweep (property tests, benchmark
     /// baselines); prefer [`Prototypes::assign_all`] everywhere else.
     pub fn assign_all_scalar(&self, segments: &Tensor) -> Vec<usize> {
         assert_eq!(segments.rank(), 2, "segments must be [n, p]");
@@ -320,7 +329,9 @@ impl Prototypes {
     }
 
     /// The full `[n, k]` composite-distance matrix from every row of
-    /// `segments` to every prototype, via the batched GEMM kernel.
+    /// `segments` to every prototype (soft routing's input), via the same
+    /// fused sweep kernel as [`Prototypes::assign_all`], which writes each
+    /// panel's distances out instead of reducing them.
     pub fn distances(&self, segments: &Tensor) -> Tensor {
         distance_matrix(
             &SegmentCache::new(segments, &self.objective),
@@ -335,10 +346,9 @@ impl Prototypes {
     }
 }
 
-/// k-means++ seeding under the composite distance, evaluated by the
-/// assignment kernel from the cached segment statistics.
-fn kmeans_pp_init(seg: &SegmentCache, k: usize, objective: &Objective, rng: &mut StdRng) -> Tensor {
-    let segments = seg.segments();
+/// k-means++ seeding under the composite distance, evaluated by the sweep
+/// kernel from the segments' cache `seg`.
+fn kmeans_pp_init(segments: &Tensor, seg: &SegmentCache, k: usize, objective: &Objective, rng: &mut StdRng) -> Tensor {
     let (n, p) = (segments.dims()[0], segments.dims()[1]);
     let mut centers = Tensor::zeros(&[k, p]);
     let first = rng.gen_range(0..n);
@@ -348,7 +358,7 @@ fn kmeans_pp_init(seg: &SegmentCache, k: usize, objective: &Objective, rng: &mut
     // identical to serial); the weighted pick itself stays serial so the RNG
     // stream and the f64 prefix scan keep their exact order.
     let mut dists = vec![f32::INFINITY; n];
-    lower_to_center(seg, segments.row(first), objective, &mut dists);
+    lower_to_center(seg, &CenterCache::one(segments.row(first), objective), &mut dists);
 
     for j in 1..k {
         let total: f64 = dists.iter().map(|&d| d.max(0.0) as f64).sum();
@@ -367,7 +377,7 @@ fn kmeans_pp_init(seg: &SegmentCache, k: usize, objective: &Objective, rng: &mut
             chosen
         };
         centers.data_mut()[j * p..(j + 1) * p].copy_from_slice(segments.row(pick));
-        lower_to_center(seg, segments.row(pick), objective, &mut dists);
+        lower_to_center(seg, &CenterCache::one(segments.row(pick), objective), &mut dists);
     }
     centers
 }
@@ -416,7 +426,8 @@ fn reseed_empty_buckets(
 /// Per-bucket statistics of one assignment, gathered in one serial
 /// ascending-`i` pass (so they are identical at any thread count): member
 /// counts, the bucket means (from f64 sums) and — when the correlation
-/// gradient needs it — `U_j = Σ_{i∈B_j} x̂_i` over the cached unit rows.
+/// gradient needs it — `U_j = Σ_{i∈B_j} x̂_i` over the unit rows the fit
+/// copied out of its cache.
 struct BucketStats {
     counts: Vec<usize>,
     /// Bucket means `[k, p]`; zero rows for empty buckets.
@@ -426,9 +437,10 @@ struct BucketStats {
 }
 
 impl BucketStats {
-    fn gather(seg: &SegmentCache, assignment: &[usize], k: usize, unit: bool) -> BucketStats {
-        let segments = seg.segments();
+    /// `unit_rows` is `[n, p]` row-major, or empty to skip `U_j`.
+    fn gather(segments: &Tensor, unit_rows: &[f32], assignment: &[usize], k: usize) -> BucketStats {
         let p = segments.dims()[1];
+        let unit = !unit_rows.is_empty();
         let mut counts = vec![0usize; k];
         let mut sums = vec![0.0f64; k * p];
         let mut unit_sums = vec![0.0f64; if unit { k * p } else { 0 }];
@@ -438,7 +450,7 @@ impl BucketStats {
                 *s += v as f64;
             }
             if unit {
-                for (u, &v) in unit_sums[a * p..(a + 1) * p].iter_mut().zip(seg.unit_row(i)) {
+                for (u, &v) in unit_sums[a * p..(a + 1) * p].iter_mut().zip(&unit_rows[i * p..(i + 1) * p]) {
                     *u += v as f64;
                 }
             }

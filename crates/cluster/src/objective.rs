@@ -249,12 +249,12 @@ mod tests {
     fn bucket_vs_oracle(members: &[Vec<f32>], prototype: &[f32]) -> (Vec<f64>, Vec<f64>) {
         let p = prototype.len();
         let segs = focus_tensor::Tensor::from_vec(members.concat(), &[members.len(), p]);
-        let cache = crate::batch::SegmentCache::new(&segs, &Objective::paper_default());
+        let unit_rows = crate::batch::SegmentCache::new(&segs, &Objective::paper_default()).unit_rows();
         let mut unit_sum = vec![0.0f64; p];
         let mut want = vec![0.0f64; p];
         let mut g = vec![0.0f32; p];
-        for (i, m) in members.iter().enumerate() {
-            for (u, &v) in unit_sum.iter_mut().zip(cache.unit_row(i)) {
+        for (m, unit) in members.iter().zip(unit_rows.chunks_exact(p)) {
+            for (u, &v) in unit_sum.iter_mut().zip(unit) {
                 *u += v as f64;
             }
             corr_grad_wrt_prototype(m, prototype, &mut g);

@@ -75,7 +75,7 @@ impl Prototypes {
 
     /// Parses a prototype set from the text format.
     ///
-    /// Every [`PersistError::Format`] message carries the 1-based line number
+    /// Every `PersistError::Format` message carries the 1-based line number
     /// it refers to (magic = line 1, header = line 2, prototype row `j` =
     /// line `3 + j`). Non-finite values (NaN, ±inf) are rejected: they would
     /// poison every distance computed against the loaded centers. `k` and

@@ -1,8 +1,10 @@
 //! Property-based tests for the clustering engine's invariants.
 
 use focus_cluster::{segment_matrix, ClusterConfig, Objective, ProtoUpdate, Prototypes};
-use focus_tensor::Tensor;
+use focus_tensor::{par, reference, stats, Tensor};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn segments(n: usize, p: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-5.0f32..5.0, n * p).prop_map(move |v| Tensor::from_vec(v, &[n, p]))
@@ -186,9 +188,9 @@ proptest! {
         centers in mixed_rows(6, 8),
         alpha in 0.0f32..1.0,
     ) {
-        // Constant (zero-variance) rows previously slipped past the
-        // normalisation guard at large magnitudes, feeding noise-only unit
-        // vectors into the correlation GEMM. Every distance must now be
+        // Constant (zero-variance) rows at magnitudes up to 1e8 and
+        // near-constant rows must normalise to a zero or genuine unit row,
+        // never a division by a zero norm. Every distance must be
         // finite and agree with the scalar oracle to f32 roundoff of the
         // *cancelled* terms (‖x‖² and ‖c‖², not the small result), and the
         // two sweeps must assign identically wherever the scalar margin
@@ -242,6 +244,160 @@ proptest! {
         prop_assert!(gemm.iter().all(|&j| j == 0), "gemm path broke the tie upward: {gemm:?}");
         prop_assert_eq!(gemm, scalar);
     }
+}
+
+/// `n` rows of width `p` cycling through the shapes the sweep must keep
+/// bit-exact: flat rows, flat and varying rows at 1e8 magnitude, rows of
+/// `±0.0`, and ordinary random rows.
+fn contract_rows(n: usize, p: usize, rng: &mut StdRng) -> Tensor {
+    let start = rng.gen_range(0..6usize);
+    let mut data = Vec::with_capacity(n * p);
+    for i in 0..n {
+        let level = rng.gen_range(-3.0f32..3.0);
+        data.extend((0..p).map(|t| match (start + i) % 6 {
+            0 => level,
+            1 => 1.0e8 * level,
+            2 => 1.0e8 * rng.gen_range(-1.0f32..1.0),
+            3 => [0.0, -0.0][(t + i) % 2],
+            _ => rng.gen_range(-5.0f32..5.0),
+        }));
+    }
+    Tensor::from_vec(data, &[n, p])
+}
+
+/// The centred-normalised rows `(x − mean) / ‖x − mean‖` of `m`, f64
+/// statistics rounded once, all-zero where `stats::zero_variance` calls the
+/// row flat.
+fn unit_rows(m: &Tensor) -> Vec<f32> {
+    let p = m.dims()[1];
+    let mut out = Vec::with_capacity(m.numel());
+    for i in 0..m.dims()[0] {
+        let row = m.row(i);
+        let mean = row.iter().map(|&x| x as f64).sum::<f64>() / p as f64;
+        let (mut sxx, mut max_abs) = (0.0f64, 0.0f64);
+        for &x in row {
+            let d = x as f64 - mean;
+            sxx += d * d;
+            max_abs = max_abs.max((x as f64).abs());
+        }
+        if stats::zero_variance(sxx, p, max_abs) {
+            out.extend(std::iter::repeat_n(0.0, p));
+        } else {
+            let inv = 1.0 / sxx.sqrt();
+            out.extend(row.iter().map(|&x| ((x as f64 - mean) * inv) as f32));
+        }
+    }
+    out
+}
+
+/// Eq. 6 the unfused way, as `[n, k]`: `reference::gemm_nt` chains for
+/// `X·Cᵀ` and `X̂·Ĉᵀ`, then `max(‖x‖² − 2·x·c + ‖c‖², 0) + α·(1 − clamp(x̂·ĉ,
+/// −1, 1))` per element, the norms f64-accumulated and rounded once.
+fn reference_distances(segs: &Tensor, centers: &Tensor, alpha: f32) -> Vec<f32> {
+    let (n, p, k) = (segs.dims()[0], segs.dims()[1], centers.dims()[0]);
+    let sq = |row: &[f32]| row.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>() as f32;
+    let mut dots = vec![0.0f32; n * k];
+    reference::gemm_nt(n, p, k, segs.data(), centers.data(), &mut dots);
+    let mut unit_dots = vec![0.0f32; n * k];
+    if alpha > 0.0 {
+        reference::gemm_nt(n, p, k, &unit_rows(segs), &unit_rows(centers), &mut unit_dots);
+    }
+    let mut d = vec![0.0f32; n * k];
+    for i in 0..n {
+        for j in 0..k {
+            let rec = (sq(segs.row(i)) - 2.0 * dots[i * k + j] + sq(centers.row(j))).max(0.0);
+            let corr = alpha * (1.0 - unit_dots[i * k + j].clamp(-1.0, 1.0));
+            d[i * k + j] = if alpha > 0.0 { rec + corr } else { rec };
+        }
+    }
+    d
+}
+
+/// The fit's k-means++ seeding recomputed on reference distances: the
+/// engine's RNG stream, a first uniform pick, then each pick weighted by
+/// the running minimum distance (uniform once every distance is ~0).
+fn reference_kmeans_pp(segs: &Tensor, k: usize, alpha: f32, seed: u64) -> Vec<f32> {
+    let n = segs.dims()[0];
+    let p = segs.dims()[1];
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xc1a5_7e12u64.rotate_left(3));
+    let mut pick = rng.gen_range(0..n);
+    let mut centers = Vec::with_capacity(k * p);
+    let mut dists = vec![f32::INFINITY; n];
+    for j in 0..k {
+        centers.extend_from_slice(segs.row(pick));
+        let center = Tensor::from_vec(segs.row(pick).to_vec(), &[1, p]);
+        for (d, &nd) in dists.iter_mut().zip(&reference_distances(segs, &center, alpha)) {
+            if nd < *d {
+                *d = nd;
+            }
+        }
+        if j + 1 == k {
+            break;
+        }
+        let total: f64 = dists.iter().map(|&d| d.max(0.0) as f64).sum();
+        pick = if total <= f64::EPSILON {
+            rng.gen_range(0..n)
+        } else {
+            let mut target = rng.gen::<f64>() * total;
+            let mut chosen = n - 1;
+            for (i, &d) in dists.iter().enumerate() {
+                target -= d.max(0.0) as f64;
+                if target <= 0.0 {
+                    chosen = i;
+                    break;
+                }
+            }
+            chosen
+        };
+    }
+    centers
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn fused_sweep_matches_reference_gemm_chains_bitwise() {
+    // The fused kernel computes each dot as the reference `a·bᵀ` chain and
+    // applies the Eq. 6 epilogue in registers, so `distances`,
+    // `assign_all` and the fit's k-means++ sweeps must reproduce the
+    // unfused route bit for bit, on every panel edge and at every thread
+    // count.
+    let _g = par::threads_guard();
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    for n in [1usize, 15, 16, 17, 4800] {
+        for k in [1usize, 8, 9, 64] {
+            // 12: a length whose mean is not a power-of-two scaling.
+            for p in [1usize, 8, 12, 32] {
+                let segs = contract_rows(n, p, &mut rng);
+                let centers = contract_rows(k, p, &mut rng);
+                for alpha in [0.0f32, 0.2] {
+                    let objective = if alpha > 0.0 { Objective::rec_corr(alpha) } else { Objective::RecOnly };
+                    let case = format!("n {n}, k {k}, p {p}, α {alpha}");
+                    let want = reference_distances(&segs, &centers, alpha);
+                    let nearest: Vec<usize> = want
+                        .chunks_exact(k)
+                        .map(|row| (0..k).fold(0, |b, j| if row[j] < row[b] { j } else { b }))
+                        .collect();
+                    let seeds = (n >= k).then(|| reference_kmeans_pp(&segs, k, alpha, 3));
+                    let protos = Prototypes::from_centers(centers.clone(), objective);
+                    for threads in [1usize, 2, 4] {
+                        par::set_threads(threads);
+                        let got = protos.distances(&segs);
+                        assert_eq!(bits(got.data()), bits(&want), "distances, {case}, {threads} threads");
+                        assert_eq!(protos.assign_all(&segs), nearest, "assign_all, {case}, {threads} threads");
+                        if let Some(seeds) = &seeds {
+                            let cfg = ClusterConfig::new(k, p).with_objective(objective).with_max_iters(0);
+                            let fitted = cfg.fit(&segs, 3);
+                            assert_eq!(bits(fitted.centers().data()), bits(seeds), "k-means++, {case}, {threads} threads");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    par::set_threads(0);
 }
 
 /// Parses `text` as a prototype dump: it must yield `Ok` or a format error

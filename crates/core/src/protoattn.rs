@@ -132,7 +132,7 @@ impl RoutingPlan {
 impl Assignment {
     /// Nearest-prototype index per segment slot of `segments: [B, l, p]`,
     /// flat `[B·l]` — the sparse form of the hard one-hot matrix, computed
-    /// with the batched GEMM assignment kernel.
+    /// with the fused Eq. 6 sweep kernel.
     pub fn indices(segments: &Tensor, prototypes: &Prototypes) -> Vec<u32> {
         let (b, l, p) = check_segments(segments, prototypes);
         prototypes
@@ -345,16 +345,18 @@ impl ProtoAttn {
             params: 0,
             peak_mem_bytes: ((b * k * l).max(b * l * self.d) * 4) as u64,
         };
-        // Assignment via the batched two-GEMM distance kernel: 2·(2·l·k·p)
-        // GEMM flops plus centring/normalisation (~6·l·p) and the distance
-        // epilogue (~4·l·k). Live scratch is two [block, k] distance tiles
-        // plus the flat index vector — the [b, l, k] one-hot is never
+        // Assignment via the fused Eq. 6 sweep kernel: two length-p dot
+        // chains per (segment, prototype) pair, 2·(2·l·k·p) flops, plus
+        // centring/normalisation (~6·l·p) and the distance epilogue
+        // (~4·l·k). Live memory is the segment panels, (2·p + 1) floats per
+        // segment padded to 16-row blocks, plus the flat index vector — no
+        // [b·l, k] distance matrix, and the [b, l, k] one-hot is never
         // materialised on the hard path.
-        let block = (b * l).min(4096);
+        let panel_rows = (b * l).next_multiple_of(16);
         let assign = CostReport {
             flops: (4 * b * l * k * p + 6 * b * l * p + 4 * b * l * k) as u64,
             params: 0,
-            peak_mem_bytes: (2 * block * k * 4 + b * l * 4) as u64,
+            peak_mem_bytes: ((2 * p + 1) * panel_rows * 4 + b * l * 4) as u64,
         };
         proto_proj + kv_proj + attn + assign
     }

@@ -158,7 +158,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -6,7 +6,7 @@
 //! Every kernel here obeys the two backend invariants:
 //!
 //! * **Pooled, no temporaries** — outputs come from the buffer
-//!   [`pool`](crate::pool) via [`Tensor::uninit`]-style construction and the
+//!   [`pool`](crate::pool) via `Tensor::uninit`-style construction and the
 //!   kernels write each element exactly once (no intermediate tensors), so a
 //!   steady-state train step allocates nothing.
 //! * **Bitwise-deterministic parallelism** — work splits into disjoint
@@ -192,7 +192,7 @@ fn ln_bwd_sums(x: &[f32], g: &[f32], gamma: &[f32], mu: f32, rstd: f32) -> (f32,
 /// Fused LayerNorm forward over the trailing axis.
 ///
 /// Returns `(y, cache)` where `cache` is a `[rows, 2]` tensor of
-/// interleaved `(mean, rstd)` per row, consumed by [`layer_norm_bwd_into`].
+/// interleaved `(mean, rstd)` per row, consumed by `layer_norm_bwd_into`.
 /// One pass per row: statistics then the affine normalisation, writing the
 /// output directly (no cloned input, no copied `gamma`/`beta`).
 pub fn layer_norm_fwd(x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> (Tensor, Tensor) {

@@ -23,13 +23,13 @@
 //! 4. **No small-op regressions** — callers pass a *grain* (minimum items per
 //!    thread); when the work does not cover two grains the closure runs
 //!    inline on the calling thread with no worker traffic at all, and the
-//!    clock-free autotuner ([`plan_threads`]) raises the effective grain for
+//!    clock-free autotuner (`plan_threads`) raises the effective grain for
 //!    partitioner classes whose recent traffic is dominated by sub-grain
 //!    calls.
 //!
 //! # Barrier protocol
 //!
-//! One static [`Pool`] owns up to [`MAX_THREADS`]` - 1` lazily spawned
+//! One static `Pool` owns up to [`MAX_THREADS`]` - 1` lazily spawned
 //! workers. A dispatch with `p` parts:
 //!
 //! 1. takes the dispatch arbiter with `try_lock` — if another dispatch is in

@@ -24,16 +24,21 @@ echo "==> FOCUS_THREADS=2 cargo test --workspace -q"
 FOCUS_THREADS=2 cargo test --workspace -q
 
 # Release-mode parity leg: the kernels' vector code (the flat exp pass, the
-# 8-lane LayerNorm sums, the register-tiled GEMM family) exists only under
-# optimisation, while every leg above runs the debug build's scalar code.
-# The parity suites and both golden digests (core, and the cluster fit whose
-# assignment sweeps run the narrow a·bᵀ GEMM) must hold bit for bit in both,
-# and so must the root package's plan-replay guards for all 13 forecasters.
+# 8-lane LayerNorm sums, the register-tiled GEMM family, the fused Eq. 6
+# sweep kernel) exists only under optimisation, while every leg above runs
+# the debug build's scalar code. The parity suites and both golden digests
+# (core, and the cluster fit whose k-means++ and assignment sweeps run the
+# fused sweep kernel) must hold bit for bit in both, and so must the root
+# package's plan-replay guards for all 13 forecasters.
 echo "==> cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster -p focus"
 cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster -p focus
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# API docs build warning-free: a broken or private intra-doc link fails here.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Static-analysis pass: determinism / panic-hygiene / float-hygiene /
 # unsafe-forbid invariants plus the cross-file stale-allow and
@@ -75,7 +80,8 @@ for workload in train soft-route serve offline-cluster; do
 done
 
 # Kernel sweeps: naive vs fast GEMM (256³ and every GEMM-shaped plan opcode
-# at the bench model's shapes), assign_all and routing at 1/2/4/max
+# at the bench model's shapes), assign_all (20000x32 at k = 64, and the
+# offline-cluster workload's 4800x8 at k = 8) and routing at 1/2/4/max
 # threads, rewriting BENCH_kernels.json. The bench asserts that every fast
 # path reproduced its naive path's output (bitwise for GEMM and routing) and
 # fails if it cannot write its report; the greps guard the report wiring.
@@ -84,6 +90,7 @@ cargo bench -p focus-bench --bench kernels
 grep -q '"schema": "focus-trace-report v1"' BENCH_kernels.json
 grep -q '"gemm_256/fast_t1/median_ns"' BENCH_kernels.json
 grep -q '"assign_all_rec_corr_20000x32_k64/output_match": 1' BENCH_kernels.json
+grep -q '"assign_all_rec_corr_4800x8_k8/output_match": 1' BENCH_kernels.json
 grep -q '"route_scatter_add_b64_l128_k64_d64/output_match": 1' BENCH_kernels.json
 grep -q '"bcast_nt_da_32x6x12x32/output_match": 1' BENCH_kernels.json
 
