@@ -15,16 +15,22 @@
 //!   workload's 4 800×8 segments and k = 8, assignments equal;
 //! * one-hot routing: the dense `[B,l,k]·[B,k,d]` bmm against the
 //!   `route_gather` index kernel, and the dense `bmm_tn` backward against
-//!   `route_scatter_add`, outputs bitwise equal.
+//!   `route_scatter_add`, outputs bitwise equal;
+//! * every non-GEMM opcode of the FOCUS train plan at its plan shape: a
+//!   serial loop in the kernel's documented chain against the `exec` entry
+//!   point, outputs bitwise equal.
 //!
 //! The run rewrites `BENCH_kernels.json` at the repository root, then fails
-//! if any fast path disagreed with its naive path. Thread counts beyond the
-//! host's cores cannot speed anything up, so the report records the core
-//! count next to the sweeps.
+//! if any fast path disagreed with its naive path, or if an elementwise
+//! kernel's median at 1 thread exceeds [`ELEMENTWISE_BOUND`] times its
+//! serial loop's (that loop vectorises, so such a kernel is below vector
+//! speed). Thread counts beyond the host's cores cannot speed anything up,
+//! so the report records the core count next to the sweeps.
 
 use focus_bench::measure::{write_report, Sweep};
 use focus_cluster::{ClusterConfig, Objective, ProtoUpdate};
 use focus_tensor::exec::{self, Trans};
+use focus_tensor::fused::{self, combine_lanes, LANES};
 use focus_tensor::{par, reference, route, Tensor};
 use focus_trace::report::RunReport;
 use rand::rngs::StdRng;
@@ -39,6 +45,13 @@ type RawGemm = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
 /// Calls per timed sample of a FOCUS-shape sweep: one call takes
 /// microseconds, so a sample times this many back to back.
 const REPS: usize = 20;
+
+/// Calls per timed sample of a non-GEMM sweep: one call takes 0.1–5 µs.
+const KERNEL_REPS: usize = 100;
+
+/// An elementwise kernel whose median at 1 thread exceeds this multiple of
+/// its serial loop's fails the bench.
+const ELEMENTWISE_BOUND: f64 = 3.0;
 
 fn same_bits(a: &Tensor, b: &Tensor) -> bool {
     a.dims() == b.dims() && bits_eq(a.data(), b.data())
@@ -204,6 +217,298 @@ fn opcode_sweeps() -> Vec<Sweep> {
     ]
 }
 
+/// One non-GEMM opcode: `naive` (a serial loop in the kernel's documented
+/// chain) against `fast` (the `exec` entry point the plan VM calls), each
+/// sample [`KERNEL_REPS`] calls into an output that starts from `init`:
+/// NaN for a kernel that overwrites its output, so an element it fails to
+/// write cannot match, and the start value for `axpy`, which accumulates.
+fn kernel_sweep(
+    label: &'static str,
+    init: Vec<f32>,
+    mut naive: impl FnMut(&mut [f32]),
+    fast: impl Fn(&mut [f32]),
+) -> Sweep {
+    let (mut want, mut out) = (init.clone(), init.clone());
+    Sweep::run(
+        label,
+        SAMPLES,
+        || {
+            want.copy_from_slice(&init);
+            for _ in 0..KERNEL_REPS {
+                naive(&mut want);
+            }
+            want.clone()
+        },
+        || {
+            out.copy_from_slice(&init);
+            for _ in 0..KERNEL_REPS {
+                fast(&mut out);
+            }
+            out.clone()
+        },
+        |x, y| bits_eq(x, y),
+    )
+}
+
+/// Serial loops, one per non-GEMM opcode, in the chain each kernel
+/// documents: elementwise ops element by element, softmax row by row (the
+/// serial `f32::max` fold, `exp(v − max)`, the ascending sum from `+0.0`,
+/// the scale by its inverse), LayerNorm with its fixed-lane row statistics
+/// and its `dgamma`/`dbeta` column sums over ascending rows from `+0.0`, as
+/// the bias gradient's.
+mod serial {
+    use super::{combine_lanes, fused, LANES};
+
+    pub fn scale(x: &[f32], alpha: f32, out: &mut [f32]) {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = v * alpha;
+        }
+    }
+
+    pub fn add_scalar(x: &[f32], alpha: f32, out: &mut [f32]) {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = v + alpha;
+        }
+    }
+
+    pub fn relu(x: &[f32], out: &mut [f32]) {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = v.max(0.0);
+        }
+    }
+
+    pub fn mul(a: &[f32], b: &[f32], out: &mut [f32]) {
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = x * y;
+        }
+    }
+
+    pub fn axpy(out: &mut [f32], alpha: f32, x: &[f32]) {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o += alpha * v;
+        }
+    }
+
+    pub fn softmax(x: &[f32], n: usize, out: &mut [f32]) {
+        for (row, o) in x.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for (o, &v) in o.iter_mut().zip(row) {
+                *o = fused::exp(v - max);
+                sum += *o;
+            }
+            let inv = 1.0 / sum;
+            for o in o.iter_mut() {
+                *o *= inv;
+            }
+        }
+    }
+
+    pub fn softmax_bwd(y: &[f32], g: &[f32], n: usize, out: &mut [f32]) {
+        for ((yr, gr), o) in y.chunks_exact(n).zip(g.chunks_exact(n)).zip(out.chunks_exact_mut(n)) {
+            let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
+            for ((o, &yv), &gv) in o.iter_mut().zip(yr).zip(gr) {
+                *o = yv * (gv - dot);
+            }
+        }
+    }
+
+    /// Fixed-lane sum: element `j` into lane `j % LANES`, then the tree.
+    fn lanes(row: impl Iterator<Item = f32>) -> f32 {
+        let mut l = [0.0f32; LANES];
+        for (j, v) in row.enumerate() {
+            l[j % LANES] += v;
+        }
+        combine_lanes(l)
+    }
+
+    /// `out` holds the normalised rows, then the `(mean, rstd)` pairs.
+    pub fn layer_norm_fwd(x: &[f32], n: usize, gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+        let (y, cache) = out.split_at_mut(x.len());
+        for ((row, yr), c) in x.chunks_exact(n).zip(y.chunks_exact_mut(n)).zip(cache.chunks_exact_mut(2)) {
+            let mean = lanes(row.iter().copied()) / n as f32;
+            let var = lanes(row.iter().map(|&v| (v - mean) * (v - mean))) / n as f32;
+            let rstd = 1.0 / (var + eps).sqrt();
+            c.copy_from_slice(&[mean, rstd]);
+            for (j, (o, &v)) in yr.iter_mut().zip(row).enumerate() {
+                *o = (v - mean) * rstd * gamma[j] + beta[j];
+            }
+        }
+    }
+
+    /// `out` holds `dx`, then `dgamma`, then `dbeta`.
+    pub fn layer_norm_bwd(x: &[f32], n: usize, gamma: &[f32], cache: &[f32], g: &[f32], out: &mut [f32]) {
+        let (dx, rest) = out.split_at_mut(x.len());
+        let (dgamma, dbeta) = rest.split_at_mut(n);
+        let inv_n = 1.0 / n as f32;
+        let rows = x.chunks_exact(n).zip(g.chunks_exact(n)).zip(cache.chunks_exact(2));
+        for (((xr, gr), c), o) in rows.zip(dx.chunks_exact_mut(n)) {
+            let (mu, rstd) = (c[0], c[1]);
+            let sum_dy = lanes(gr.iter().zip(gamma).map(|(&gv, &w)| gv * w));
+            let xhat = |j: usize| (xr[j] - mu) * rstd;
+            let sum_dy_xhat = lanes((0..n).map(|j| gr[j] * gamma[j] * xhat(j)));
+            for (j, o) in o.iter_mut().enumerate() {
+                let dy = gr[j] * gamma[j];
+                *o = rstd * (dy - sum_dy * inv_n - xhat(j) * sum_dy_xhat * inv_n);
+            }
+        }
+        dgamma.fill(0.0);
+        dbeta.fill(0.0);
+        for ((xr, gr), c) in x.chunks_exact(n).zip(g.chunks_exact(n)).zip(cache.chunks_exact(2)) {
+            for j in 0..n {
+                dgamma[j] += gr[j] * ((xr[j] - c[0]) * c[1]);
+                dbeta[j] += gr[j];
+            }
+        }
+    }
+
+    pub fn bias_grad(g: &[f32], n: usize, out: &mut [f32]) {
+        out.fill(0.0);
+        for row in g.chunks_exact(n) {
+            for (o, &v) in out.iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+    }
+
+    pub fn add_row_bcast(x: &[f32], row: &[f32], out: &mut [f32]) {
+        let n = row.len();
+        for (o, xr) in out.chunks_exact_mut(n).zip(x.chunks_exact(n)) {
+            for ((o, &v), &b) in o.iter_mut().zip(xr).zip(row) {
+                *o = v + b;
+            }
+        }
+    }
+
+    /// `[a, b, c]` to `[b, a, c]`, element by element.
+    pub fn swap01(x: &[f32], (a, b, c): (usize, usize, usize), out: &mut [f32]) {
+        for i in 0..a {
+            for j in 0..b {
+                for t in 0..c {
+                    out[(j * a + i) * c + t] = x[(i * b + j) * c + t];
+                }
+            }
+        }
+    }
+}
+
+/// Every non-GEMM opcode of the FOCUS train plan at its plan shape, and
+/// whether it is elementwise (held to [`ELEMENTWISE_BOUND`]).
+fn kernel_sweeps() -> Vec<(Sweep, bool)> {
+    let mut rng = StdRng::seed_from_u64(0x4e6e);
+    let mut v = |n: usize| Tensor::randn(&[n], 1.0, &mut rng).into_vec();
+    let nan = |n: usize| vec![f32::NAN; n];
+    let alpha = 0.176_776_7; // 1/√32, the attention score scale
+    let scale = |label, x: Vec<f32>| {
+        let n = x.len();
+        kernel_sweep(label, nan(n), |o| serial::scale(&x, alpha, o), |o| exec::map_scale(&x, alpha, o))
+    };
+    let softmax = |label, n: usize, x: Vec<f32>| {
+        let len = x.len();
+        kernel_sweep(label, nan(len), |o| serial::softmax(&x, n, o), |o| exec::softmax_last(&x, n, o))
+    };
+    let bias_grad = |label, (rows, n): (usize, usize), g: Vec<f32>| {
+        kernel_sweep(label, nan(n), |o| serial::bias_grad(&g, n, o), |o| exec::bias_grad(&g, rows, n, o))
+    };
+    let add_row = |label, x: Vec<f32>, row: Vec<f32>| {
+        kernel_sweep(
+            label,
+            nan(x.len()),
+            |o| serial::add_row_bcast(&x, &row, o),
+            |o| exec::add_row_broadcast(&x, &row, row.len(), o),
+        )
+    };
+    let (x3k, x6k, y6k, x12k, y12k) = (v(3072), v(6144), v(6144), v(12288), v(12288));
+    // LayerNorm at [384, 32]: the forward's (mean, rstd) cache feeds the
+    // backward.
+    let (rows, n, eps) = (384usize, 32usize, 1e-5f32);
+    let (ln_x, gamma, beta, ln_g) = (v(rows * n), v(n), v(n), v(rows * n));
+    let mut fwd = vec![0.0f32; rows * n + 2 * rows];
+    serial::layer_norm_fwd(&ln_x, n, &gamma, &beta, eps, &mut fwd);
+    let cache = fwd.split_off(rows * n);
+    let (sm_y, sm_g) = (v(256 * 12), v(256 * 12));
+    let swap_x = v(32 * 12 * 32);
+    vec![
+        (scale("map_scale_3072", x3k.clone()), true),
+        (scale("map_scale_6144", x6k.clone()), true),
+        (
+            kernel_sweep(
+                "map_add_scalar_6144",
+                nan(6144),
+                |o| serial::add_scalar(&x6k, alpha, o),
+                |o| exec::map_add_scalar(&x6k, alpha, o),
+            ),
+            true,
+        ),
+        (
+            kernel_sweep("map_relu_6144", nan(6144), |o| serial::relu(&x6k, o), |o| exec::map_relu(&x6k, o)),
+            true,
+        ),
+        (
+            kernel_sweep("zip_mul_6144", nan(6144), |o| serial::mul(&x6k, &y6k, o), |o| exec::zip_mul(&x6k, &y6k, o)),
+            true,
+        ),
+        (
+            kernel_sweep(
+                "axpy_12288",
+                y12k.clone(),
+                |o| serial::axpy(o, alpha, &x12k),
+                |o| exec::axpy(o, alpha, &x12k),
+            ),
+            true,
+        ),
+        (add_row("add_row_bcast_384x32", v(384 * 32), v(32)), true),
+        (add_row("add_row_bcast_32x384", v(32 * 384), v(384)), true),
+        (softmax("softmax_256x12", 12, v(256 * 12)), false),
+        (softmax("softmax_96x32", 32, v(96 * 32)), false),
+        (
+            kernel_sweep(
+                "softmax_bwd_256x12",
+                nan(256 * 12),
+                |o| serial::softmax_bwd(&sm_y, &sm_g, 12, o),
+                |o| exec::softmax_last_bwd(&sm_y, &sm_g, 12, o),
+            ),
+            false,
+        ),
+        (
+            kernel_sweep(
+                "layer_norm_fwd_384x32",
+                nan(rows * n + 2 * rows),
+                |o| serial::layer_norm_fwd(&ln_x, n, &gamma, &beta, eps, o),
+                |o| {
+                    let (y, c) = o.split_at_mut(rows * n);
+                    exec::layer_norm_fwd(&ln_x, n, &gamma, &beta, eps, y, c);
+                },
+            ),
+            false,
+        ),
+        (
+            kernel_sweep(
+                "layer_norm_bwd_384x32",
+                nan(rows * n + 2 * n),
+                |o| serial::layer_norm_bwd(&ln_x, n, &gamma, &cache, &ln_g, o),
+                |o| {
+                    let (dx, rest) = o.split_at_mut(rows * n);
+                    let (dgamma, dbeta) = rest.split_at_mut(n);
+                    exec::layer_norm_bwd(&ln_x, n, &gamma, &cache, &ln_g, dx, dgamma, dbeta);
+                },
+            ),
+            false,
+        ),
+        (bias_grad("bias_grad_384x32", (384, 32), v(384 * 32)), false),
+        (bias_grad("bias_grad_32x384", (32, 384), v(32 * 384)), false),
+        (
+            kernel_sweep(
+                "swap01_32x12x32",
+                nan(swap_x.len()),
+                |o| serial::swap01(&swap_x, (32, 12, 32), o),
+                |o| exec::swap01(&swap_x, 32, 12, 32, o),
+            ),
+            false,
+        ),
+    ]
+}
+
 /// The scalar per-pair assignment sweep against the fused sweep kernel on
 /// `n` segments of length `p` at `k` prototypes.
 fn assign_sweep(label: &'static str, (n, p, k): (usize, usize, usize), objective: Objective) -> Sweep {
@@ -260,6 +565,9 @@ fn main() {
     sweeps.push(assign_sweep("assign_all_rec_corr_4800x8_k8", (4800, 8, 8), Objective::rec_corr(0.2)));
     sweeps.extend(routing_sweeps());
     sweeps.extend(opcode_sweeps());
+    let kernels = kernel_sweeps();
+    let elementwise: Vec<&'static str> = kernels.iter().filter(|k| k.1).map(|k| k.0.label).collect();
+    sweeps.extend(kernels.into_iter().map(|k| k.0));
 
     let mut report = RunReport::new("kernels");
     report
@@ -273,7 +581,11 @@ fn main() {
             "assign",
             "20000x32 segments, k=64, rec-only and rec+corr(0.2); 4800x8 segments, k=8, rec+corr(0.2)",
         )
-        .setting("routing", "b=64, l=128, k=64, d=64");
+        .setting("routing", "b=64, l=128, k=64, d=64")
+        .setting(
+            "kernels",
+            format!("non-GEMM plan opcodes at their plan shapes, {KERNEL_REPS} calls per timed sample"),
+        );
     for s in &sweeps {
         s.record(&mut report);
     }
@@ -286,5 +598,13 @@ fn main() {
 
     for s in &sweeps {
         assert!(s.matches, "{}: the fast path's output differs from the naive path's", s.label);
+        if elementwise.contains(&s.label) {
+            let slowdown = 1.0 / s.speedup_t1();
+            assert!(
+                slowdown <= ELEMENTWISE_BOUND,
+                "{}: the kernel takes {slowdown:.1}x its serial loop's time (bound {ELEMENTWISE_BOUND}x)",
+                s.label
+            );
+        }
     }
 }

@@ -144,7 +144,7 @@ impl Sweep {
 
     /// Median speedup of the fast path over the naive one at 1 thread, the
     /// first count [`sweep_threads`] visits.
-    fn speedup_t1(&self) -> f64 {
+    pub fn speedup_t1(&self) -> f64 {
         self.naive.median_ns / self.fast[0].1.median_ns
     }
 

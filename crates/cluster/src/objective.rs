@@ -130,9 +130,10 @@ pub(crate) fn corr_grad_wrt_prototype(segment: &[f32], prototype: &[f32], out: &
         max_c = max_c.max((c as f64).abs());
     }
     // Shared scale-aware floor (see `stats::zero_variance`): a constant
-    // vector of large magnitude leaves mean-rounding residue in ns2/nc2 that
-    // an absolute epsilon misses; dividing by it would make the gradient
-    // noise-driven garbage where `corr = 0` defines it as zero.
+    // vector has ns2/nc2 exactly 0 (the f64 sum and mean of equal f32 values
+    // are exact), and the floor reads a norm of rounding residue alone as 0
+    // too; dividing by either would make the gradient garbage where
+    // `corr = 0` defines it as zero.
     if stats::zero_variance(ns2, segment.len(), max_s)
         || stats::zero_variance(nc2, prototype.len(), max_c)
     {
@@ -216,8 +217,8 @@ mod tests {
 
     #[test]
     fn corr_gradient_is_zero_for_large_magnitude_flat_inputs() {
-        // |v| ≈ 1e8: mean rounding leaves ns2 tiny-but-positive; the
-        // scale-aware floor must still read the vector as flat.
+        // |v| ≈ 1e8: the f64 sum and mean of the equal f32 values are
+        // exact, so ns2 is exactly 0 and the vector reads as flat.
         let flat = [1.0e8f32; 6];
         let c = [0.5f32, 1.0, -1.0, 0.2, 0.9, -0.3];
         let mut grad = [9.0f32; 6];
@@ -293,8 +294,8 @@ mod tests {
 
     #[test]
     fn bucket_corr_grad_ignores_flat_members() {
-        // Flat members — including 1e8-magnitude ones whose f64 mean
-        // rounds — contribute zero to both U and the oracle.
+        // Flat members — including 1e8-magnitude ones, whose centred sum
+        // of squares is exactly 0 — contribute zero to both U and the oracle.
         let prototype = [0.5f32, 1.0, -1.0, 0.2, 0.9, -0.3];
         let members = vec![
             vec![0.3, -1.0, 2.0, 0.5, -0.8, 0.1],

@@ -10,8 +10,8 @@ fn segments(n: usize, p: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-5.0f32..5.0, n * p).prop_map(move |v| Tensor::from_vec(v, &[n, p]))
 }
 
-/// Rows that may be exactly constant (wide magnitude range, including values
-/// whose f64 mean rounds), near-constant (tiny noise on a base — at large
+/// Rows that may be exactly constant (magnitudes up to 1e8, where `sxx` is
+/// still exactly 0), near-constant (tiny noise on a base — at large
 /// bases the noise vanishes below the f32 ulp, at small bases it survives),
 /// or ordinary random rows. Exercises the zero-variance guard on both sides.
 fn mixed_rows(n: usize, p: usize) -> impl Strategy<Value = Tensor> {

@@ -284,17 +284,20 @@ pub trait Forecaster {
     /// step's loss is not finite (the run diverged). The last two name the
     /// epoch and window.
     fn train(&mut self, ds: &MtsDataset, opts: &TrainOptions) -> TrainReport {
-        let mut windows = ds.windows(Split::Train, self.lookback(), self.horizon(), opts.stride);
+        let (lookback, horizon) = (self.lookback(), self.horizon());
+        // Shuffle the window starts and build only the kept windows: the
+        // shuffle's draws depend only on the count, so the order is that of
+        // shuffling `ds.windows(Split::Train, ..)` itself.
+        let mut starts = window_starts(ds, Split::Train, lookback + horizon, opts.stride);
         assert!(
-            !windows.is_empty(),
-            "training split too short for lookback {} + horizon {}",
-            self.lookback(),
-            self.horizon()
+            !starts.is_empty(),
+            "training split too short for lookback {lookback} + horizon {horizon}"
         );
         let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x7ea1);
-        windows.shuffle(&mut rng);
-        windows.truncate(opts.max_windows);
-        assert!(!windows.is_empty(), "max_windows is 0: no training windows to train on");
+        starts.shuffle(&mut rng);
+        starts.truncate(opts.max_windows);
+        assert!(!starts.is_empty(), "max_windows is 0: no training windows to train on");
+        let windows: Vec<_> = starts.iter().map(|&s| ds.window_at(s, lookback, horizon)).collect();
 
         // Validation windows for early stopping (a small fixed set).
         let val_windows: Vec<_> = if opts.patience.is_some() {
@@ -396,6 +399,24 @@ pub trait Forecaster {
     }
 }
 
+/// Start indices of the windows [`MtsDataset::windows`] draws from `split`
+/// with `need` (lookback + horizon) steps each, in its order: every
+/// `stride` steps, then the split's last admissible start if the stride
+/// missed it.
+fn window_starts(ds: &MtsDataset, split: Split, need: usize, stride: usize) -> Vec<usize> {
+    assert!(stride > 0, "stride must be positive");
+    let r = ds.range(split);
+    if r.len() < need {
+        return Vec::new();
+    }
+    let last = r.end - need;
+    let mut starts: Vec<usize> = (r.start..=last).step_by(stride).collect();
+    if starts.last().is_some_and(|&s| s < last) {
+        starts.push(last);
+    }
+    starts
+}
+
 /// Checks that a window `x: [N, L]` holds only finite values.
 ///
 /// # Panics
@@ -427,6 +448,19 @@ mod tests {
         let y = Tensor::from_vec(vec![12.0, 14.0, -5.5, -4.5], &[2, 2]);
         let n = normalise_target(&y, &stats);
         assert_eq!(n.data(), &[1.0, 2.0, -1.0, 1.0]);
+    }
+
+    #[test]
+    fn window_starts_follow_dataset_windows() {
+        use focus_data::{Benchmark, MtsDataset};
+        let ds = MtsDataset::generate(Benchmark::Pems08.scaled(2, 400), 1);
+        for split in [Split::Train, Split::Val, Split::Test] {
+            for (lookback, horizon, stride) in [(48, 12, 1), (48, 12, 7), (96, 24, 24), (20, 4, 1000), (500, 1, 1)] {
+                let want: Vec<usize> = ds.windows(split, lookback, horizon, stride).iter().map(|w| w.start).collect();
+                let got = window_starts(&ds, split, lookback + horizon, stride);
+                assert_eq!(got, want, "{split:?} lookback {lookback} horizon {horizon} stride {stride}");
+            }
+        }
     }
 
     #[test]

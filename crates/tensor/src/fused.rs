@@ -19,16 +19,21 @@
 //! Transcendentals and row reductions are defined here, not borrowed from
 //! libm or left to the compiler: [`exp`] is built from IEEE `+`, `×`,
 //! `clamp` and exponent-bit construction only, and LayerNorm's row
-//! statistics use the fixed [`LANES`]-lane order of [`combine_lanes`]. Both
-//! are plain scalar code that LLVM vectorises under optimisation without
-//! changing a bit, so results are the same on every host and in every build.
+//! statistics use the fixed [`LANES`]-lane order of [`combine_lanes`]. The
+//! source fixes every operation's order, and Rust neither reassociates nor
+//! contracts float arithmetic, so results are the same on every host and in
+//! every build, vectorised or not. Whether LLVM vectorises a loop is not
+//! guaranteed, though, and is checked by measurement (the kernels bench):
+//! a scalar captured by reference, a column sum kept in memory across rows
+//! and a dynamic-length loop over a 12-wide row each kept a kernel here
+//! below vector speed until it was timed (see the rules in `exec`).
 //!
 //! The plan VM and the autograd tape run their softmax, LayerNorm,
 //! activation and AdamW steps through these entry points. The serial
 //! reference loops they must reproduce bit for bit live in
 //! `focus_autograd::oracle`, which the parity tests compare against.
 
-use crate::exec::{ELEM_GRAIN, EXP_GRAIN};
+use crate::exec::{ELEM_GRAIN, EXP_GRAIN, STRIP};
 use crate::{par, Tensor};
 
 /// `e^x` in f32: Cody–Waite range reduction and a degree-7 polynomial, with
@@ -94,24 +99,25 @@ const SOFTMAX_TILE: usize = 2048;
 /// to vectorise), then scale each row by the inverse of its ascending sum.
 /// Elementwise `exp` makes the result bitwise-independent of the tiling and
 /// of how the caller splits rows across threads.
+///
+/// The maximum is taken over fixed lanes (`lane_max`); it is the value of
+/// the serial `f32::max` fold, and the sum stays one ascending chain per row
+/// from `+0.0`. The subtract and scale loops run in fixed 4-element steps,
+/// one 4-lane vector op each for any row length.
 pub fn softmax_rows(block: &mut [f32], n: usize) {
     assert!(n > 0, "softmax over an empty trailing axis");
     assert_eq!(block.len() % n, 0, "softmax_rows: block is not a whole number of rows");
     for tile in block.chunks_mut(SOFTMAX_TILE.div_ceil(n) * n) {
         for row in tile.chunks_exact_mut(n) {
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            for v in row.iter_mut() {
-                *v -= max;
-            }
+            let max = lane_max(row);
+            in_steps(row, move |v| v - max);
         }
         for v in tile.iter_mut() {
             *v = exp(*v);
         }
         for row in tile.chunks_exact_mut(n) {
             let inv = 1.0 / row.iter().fold(0.0f32, |s, &v| s + v);
-            for v in row.iter_mut() {
-                *v *= inv;
-            }
+            in_steps(row, move |v| v * inv);
         }
     }
 }
@@ -122,7 +128,7 @@ pub fn softmax_rows(block: &mut [f32], n: usize) {
 /// the parallel split is bitwise-identical to serial.
 pub(crate) fn softmax_last_bwd_into(y: &[f32], g: &[f32], n: usize, dx: &mut [f32]) {
     let grain_rows = EXP_GRAIN.div_ceil(n).max(1);
-    par::parallel_rows(dx, n, grain_rows, 1, |row0, block| {
+    par::parallel_rows(dx, n, grain_rows, 1, move |row0, block| {
         for (r, out) in block.chunks_mut(n).enumerate() {
             let at = (row0 + r) * n;
             let yr = &y[at..at + n];
@@ -164,6 +170,60 @@ fn lane_sum(x: &[f32], f: impl Fn(f32) -> f32) -> f32 {
         *a += f(v);
     }
     combine_lanes(l)
+}
+
+/// Step width of softmax's row loops: a 12-wide row (the FOCUS plan's
+/// temporal attention) is three whole steps, a 32-wide row eight; 8 and 16
+/// lanes measured slower at width 12 and no faster at 32.
+const STEP: usize = 4;
+
+/// `m` or `v`, whichever is greater; `m` when they compare equal or `v` is
+/// NaN. One `maxps` on x86, where `f32::max` adds a NaN fix-up.
+#[inline(always)]
+fn greater(m: f32, v: f32) -> f32 {
+    if v > m {
+        v
+    } else {
+        m
+    }
+}
+
+/// Row maximum over [`STEP`] fixed lanes from `−∞`, the lanes combined by a
+/// pairwise tree. A NaN never compares greater, so it is skipped, as the
+/// serial `f32::max` fold skips it, and an all-NaN row gives `−∞` in both.
+/// The maximum is exact, so any order gives the fold's value up to the sign
+/// of a zero maximum; that sign changes `v − max` only for `v = −0.0`
+/// (`−0.0` against `+0.0`), and [`exp`] maps both to `1.0`, so the softmax
+/// keeps its bits.
+#[inline(always)]
+fn lane_max(x: &[f32]) -> f32 {
+    let mut l = [f32::NEG_INFINITY; STEP];
+    let mut chunks = x.chunks_exact(STEP);
+    for c in &mut chunks {
+        for (m, &v) in l.iter_mut().zip(c) {
+            *m = greater(*m, v);
+        }
+    }
+    for (m, &v) in l.iter_mut().zip(chunks.remainder()) {
+        *m = greater(*m, v);
+    }
+    greater(greater(l[0], l[1]), greater(l[2], l[3]))
+}
+
+/// `v = f(v)` over a short row in whole [`STEP`]-element steps, then the
+/// remainder. A plain loop over a dynamic-length 12-wide row runs a vector
+/// body sized for long rows, and falls to its scalar remainder instead.
+#[inline(always)]
+fn in_steps(row: &mut [f32], f: impl Fn(f32) -> f32) {
+    let mut chunks = row.chunks_exact_mut(STEP);
+    for c in &mut chunks {
+        for v in c {
+            *v = f(*v);
+        }
+    }
+    for v in chunks.into_remainder() {
+        *v = f(*v);
+    }
 }
 
 /// LayerNorm backward row statistics `(Σ dy, Σ dy·x̂)` with
@@ -222,7 +282,7 @@ pub(crate) fn layer_norm_fwd_into(
     cache: &mut [f32],
 ) {
     let grain_rows = EXP_GRAIN.div_ceil(n).max(1);
-    par::parallel_rows2(out, n, cache, 2, grain_rows, |row0, block, cblock| {
+    par::parallel_rows2(out, n, cache, 2, grain_rows, move |row0, block, cblock| {
         let rows = x[row0 * n..].chunks_exact(n);
         for ((orow, c), xr) in block.chunks_exact_mut(n).zip(cblock.chunks_exact_mut(2)).zip(rows) {
             let mean = lane_sum(xr, |v| v) / n as f32;
@@ -256,7 +316,7 @@ pub(crate) fn layer_norm_bwd_into(
 ) {
     let rows = dx.len() / n;
     let grain_rows = EXP_GRAIN.div_ceil(n).max(1);
-    par::parallel_rows(dx, n, grain_rows, 1, |row0, block| {
+    par::parallel_rows(dx, n, grain_rows, 1, move |row0, block| {
         let inv_n = 1.0 / n as f32;
         for (r, out) in block.chunks_exact_mut(n).enumerate() {
             let at = (row0 + r) * n;
@@ -272,28 +332,64 @@ pub(crate) fn layer_norm_bwd_into(
     });
 
     let col_grain = ELEM_GRAIN.div_ceil(rows.max(1)).max(1);
-    par::parallel_rows2(dgamma, 1, dbeta, 1, col_grain, |col0, gchunk, bchunk| {
-        // Row-major sweep with the output chunks as accumulators: each
-        // column still sums rows in ascending order (bitwise-equal to the
-        // serial reference), but reads walk `g`/`x` contiguously instead
-        // of striding a full row per element.
-        gchunk.fill(0.0);
-        bchunk.fill(0.0);
+    par::parallel_rows2(dgamma, 1, dbeta, 1, col_grain, move |col0, gchunk, bchunk| {
+        // Row-major sweeps, so reads walk `g`/`x` contiguously: two strips
+        // of both sums at a time in registers, then the last `w % 16`
+        // columns with their output slices as accumulators. Each column
+        // sums rows in ascending order from `+0.0` either way, bitwise-equal
+        // to the serial reference.
         let w = gchunk.len();
-        for r in 0..rows {
-            let base = r * n + col0;
-            let (mu, rstd) = (cd[2 * r], cd[2 * r + 1]);
-            let gr = &g[base..base + w];
-            let xr = &x[base..base + w];
-            for ((dg, db), (&gv, &xv)) in
-                gchunk.iter_mut().zip(bchunk.iter_mut()).zip(gr.iter().zip(xr))
-            {
-                let xhat = (xv - mu) * rstd;
-                *dg += gv * xhat;
-                *db += gv;
+        let whole = w / STRIP * STRIP;
+        let (gs, gtail) = gchunk.split_at_mut(whole);
+        let (bs, btail) = bchunk.split_at_mut(whole);
+        for (i, (dg, db)) in gs.chunks_mut(2 * STRIP).zip(bs.chunks_mut(2 * STRIP)).enumerate() {
+            let c0 = col0 + 2 * STRIP * i;
+            if dg.len() == 2 * STRIP {
+                ln_strip_sums::<{ 2 * STRIP }>(x, g, cd, n, c0, dg, db);
+            } else {
+                ln_strip_sums::<STRIP>(x, g, cd, n, c0, dg, db);
+            }
+        }
+        if !gtail.is_empty() {
+            gtail.fill(0.0);
+            btail.fill(0.0);
+            let c0 = col0 + whole;
+            for r in 0..rows {
+                let (mu, rstd) = (cd[2 * r], cd[2 * r + 1]);
+                let (gr, xr) = (&g[r * n + c0..], &x[r * n + c0..]);
+                for ((dg, db), (&gv, &xv)) in gtail.iter_mut().zip(btail.iter_mut()).zip(gr.iter().zip(xr)) {
+                    *dg += gv * ((xv - mu) * rstd);
+                    *db += gv;
+                }
             }
         }
     });
+}
+
+/// `dgamma[j] = Σ_r g·x̂` and `dbeta[j] = Σ_r g` for the `W` columns from
+/// `c0`, over ascending rows from `+0.0`, the sums held in registers until
+/// the last row.
+#[inline(always)]
+fn ln_strip_sums<const W: usize>(
+    x: &[f32],
+    g: &[f32],
+    cd: &[f32],
+    n: usize,
+    c0: usize,
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    let (mut sg, mut sb) = ([0.0f32; W], [0.0f32; W]);
+    for (r, stats) in cd.chunks_exact(2).enumerate() {
+        let (mu, rstd) = (stats[0], stats[1]);
+        let (gr, xr) = (&g[r * n + c0..][..W], &x[r * n + c0..][..W]);
+        for ((dg, db), (&gv, &xv)) in sg.iter_mut().zip(sb.iter_mut()).zip(gr.iter().zip(xr)) {
+            *dg += gv * ((xv - mu) * rstd);
+            *db += gv;
+        }
+    }
+    dgamma.copy_from_slice(&sg);
+    dbeta.copy_from_slice(&sb);
 }
 
 /// GELU forward, tanh approximation (shared scalar).
@@ -337,7 +433,7 @@ pub fn adamw_step(
     let bc2 = 1.0 - beta2.powi(t as i32);
     let shrink = 1.0 - lr * weight_decay;
     let decay = weight_decay > 0.0;
-    par::parallel_zip4(param, grad, m, v, ELEM_GRAIN, |_, pc, gc, mc, vc| {
+    par::parallel_zip4(param, grad, m, v, ELEM_GRAIN, move |_, pc, gc, mc, vc| {
         for (((p, &g), m), v) in pc.iter_mut().zip(gc).zip(mc.iter_mut()).zip(vc.iter_mut()) {
             if decay {
                 *p *= shrink;

@@ -8,14 +8,14 @@
 /// normalisation in the workspace (Pearson here, the centred-normalised rows
 /// in `focus-cluster`'s batched sweep, and the correlation gradient).
 ///
-/// A constant `f32` slice rarely produces an *exactly* zero centred sum of
-/// squares in `f64`: the mean of `n` copies of `v` rounds, leaving per-element
-/// residuals of order `ε₆₄ · |v|`, so `sxx ≈ n · (ε₆₄ · |v|)²` — tiny but
-/// positive, and for large `|v|` far above the absolute `f64::EPSILON`
-/// threshold. Dividing by such a noise-only norm manufactures a garbage
-/// "unit" vector (the NaN/garbage-corr bug). The fix: treat `sxx` as zero
-/// when it is at or below the accumulated-rounding noise floor for a slice
-/// of `n` elements with magnitude `max_abs`.
+/// A constant `f32` slice has `sxx == 0` exactly: the `f64` sum of equal
+/// `f32` values is exact, and so is its division by `n`, so every centred
+/// residual is 0. The test still compares against a floor, not zero: `sxx`
+/// at or below the accumulated-rounding noise floor for a slice of `n`
+/// elements with magnitude `max_abs` reads as zero, so a centred norm made
+/// of rounding residue alone never becomes a garbage "unit" vector (the
+/// NaN/garbage-corr bug) at any magnitude, where the absolute
+/// `f64::EPSILON` threshold would only hold below magnitude 1.
 ///
 /// The floor is deliberately generous (×256) so near-constant rows whose
 /// variation is itself rounding noise also read as flat; genuinely varying
@@ -162,9 +162,8 @@ mod tests {
 
     #[test]
     fn pearson_large_magnitude_constant_is_zero() {
-        // At |v| ≈ 1e8 the f64 mean rounds, leaving sxx tiny-but-positive —
-        // far above the old absolute f64::EPSILON threshold. The scale-aware
-        // floor must still read the row as flat.
+        // At |v| ≈ 1e8 the f64 sum and mean of the equal f32 values are
+        // still exact, so sxx is exactly 0 and the row reads as flat.
         let flat = [1.0e8f32, 1.0e8, 1.0e8, 1.0e8, 1.0e8, 1.0e8, 1.0e8];
         let y = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
         assert_eq!(pearson(&flat, &y), 0.0);

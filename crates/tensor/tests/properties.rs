@@ -392,3 +392,189 @@ proptest! {
         par::set_threads(0);
     }
 }
+
+/// Row widths for the edge-value tests: on and off softmax's 4-wide steps,
+/// LayerNorm's 8 lanes and the 16-column strips of the cross-row sums.
+const EDGE_WIDTHS: [usize; 10] = [1, 3, 4, 5, 12, 15, 16, 17, 32, 33];
+
+/// `w` values of one edge kind: random finite values with exact zeros,
+/// all `+0.0`, all `−0.0`, negatives with a `−0.0` maximum beside a `+0.0`
+/// one, one NaN, all NaN, one `+∞`, one `−∞`, or all `−∞`.
+fn edge_values(kind: u32, w: usize, rng: &mut StdRng) -> Vec<f32> {
+    use rand::Rng;
+    let mut v: Vec<f32> =
+        (0..w).map(|_| if rng.gen_bool(0.2) { 0.0 } else { rng.gen_range(-4.0f32..4.0) }).collect();
+    let at = rng.gen_range(0..w);
+    match kind {
+        1 => v.fill(0.0),
+        2 => v.fill(-0.0),
+        3 => {
+            for x in &mut v {
+                *x = -1.0 - x.abs();
+            }
+            v[at] = -0.0;
+            if w > 1 {
+                v[(at + rng.gen_range(1..w)) % w] = 0.0;
+            }
+        }
+        4 => v[at] = f32::NAN,
+        5 => v.fill(f32::NAN),
+        6 => v[at] = f32::INFINITY,
+        7 => v[at] = f32::NEG_INFINITY,
+        8 => v.fill(f32::NEG_INFINITY),
+        _ => {}
+    }
+    v
+}
+
+/// `rows` rows of width `w`, each of a random edge kind.
+fn edge_rows(rows: usize, w: usize, rng: &mut StdRng) -> Vec<f32> {
+    use rand::Rng;
+    (0..rows).flat_map(|_| edge_values(rng.gen_range(0..10), w, rng)).collect()
+}
+
+/// `[rows, w]` whose columns are each of a random edge kind, plus one
+/// column of all `−0.0`, which sums to `+0.0` from a `+0.0` start but to
+/// `−0.0` from a start seeded with its first row.
+fn edge_columns(rows: usize, w: usize, rng: &mut StdRng) -> Vec<f32> {
+    use rand::Rng;
+    let mut cols = edge_rows(w, rows, rng);
+    cols[rng.gen_range(0..w) * rows..][..rows].fill(-0.0);
+    (0..rows * w).map(|i| cols[(i % w) * rows + i / w]).collect()
+}
+
+/// Rows that cross every width's parallel threshold: `min_len` elements in
+/// all, and a ragged last block.
+fn edge_row_count(w: usize, min_len: usize) -> usize {
+    min_len / w + 37
+}
+
+/// `f` at 1, 2 and 4 threads, each result required bit-equal to `want`.
+fn at_each_thread_count(what: &str, want: &[f32], f: impl Fn() -> Vec<f32>) {
+    for threads in [1usize, 2, 4] {
+        par::set_threads(threads);
+        let got = f();
+        let first = got.iter().zip(want).position(|(g, w)| !same_bits(&[*g], &[*w]));
+        assert!(got.len() == want.len() && first.is_none(), "{what} t{threads}: first mismatch at {first:?}");
+    }
+    par::set_threads(0);
+}
+
+#[test]
+fn map_scale_and_add_scalar_match_serial_loops_on_edge_values() {
+    use focus_tensor::exec;
+    let _guard = lock_threads();
+    let mut rng = StdRng::seed_from_u64(0xed6e);
+    let x = edge_rows(40_000 / 17, 17, &mut rng);
+    for alpha in [0.176_776_7f32, -1.5, -0.0, f32::INFINITY] {
+        let scaled: Vec<f32> = x.iter().map(|&v| v * alpha).collect();
+        let shifted: Vec<f32> = x.iter().map(|&v| v + alpha).collect();
+        at_each_thread_count(&format!("map_scale {alpha}"), &scaled, || {
+            let mut out = vec![f32::NAN; x.len()];
+            exec::map_scale(&x, alpha, &mut out);
+            out
+        });
+        at_each_thread_count(&format!("map_add_scalar {alpha}"), &shifted, || {
+            let mut out = vec![f32::NAN; x.len()];
+            exec::map_add_scalar(&x, alpha, &mut out);
+            out
+        });
+    }
+}
+
+#[test]
+fn softmax_matches_serial_loop_on_edge_rows() {
+    use focus_tensor::{exec, fused};
+    let _guard = lock_threads();
+    let mut rng = StdRng::seed_from_u64(0x50f7);
+    for w in EDGE_WIDTHS {
+        let x = edge_rows(edge_row_count(w, 8192), w, &mut rng);
+        let mut want = x.clone();
+        for row in want.chunks_exact_mut(w) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            for v in row.iter_mut() {
+                *v = fused::exp(*v - max);
+            }
+            let inv = 1.0 / row.iter().fold(0.0f32, |s, &v| s + v);
+            for v in row.iter_mut() {
+                *v *= inv;
+            }
+        }
+        at_each_thread_count(&format!("softmax width {w}"), &want, || {
+            let mut out = vec![f32::NAN; x.len()];
+            exec::softmax_last(&x, w, &mut out);
+            out
+        });
+    }
+}
+
+#[test]
+fn add_row_broadcast_matches_serial_loop_on_edge_values() {
+    use focus_tensor::exec;
+    let _guard = lock_threads();
+    let mut rng = StdRng::seed_from_u64(0xadd5);
+    for w in EDGE_WIDTHS {
+        let rows = edge_row_count(w, 40_000);
+        let (x, row) = (edge_rows(rows, w, &mut rng), edge_rows(1, w, &mut rng));
+        let want: Vec<f32> = x.iter().enumerate().map(|(i, &v)| v + row[i % w]).collect();
+        at_each_thread_count(&format!("add_row_broadcast width {w}"), &want, || {
+            let mut out = vec![f32::NAN; x.len()];
+            exec::add_row_broadcast(&x, &row, w, &mut out);
+            out
+        });
+    }
+}
+
+/// Column sums of `[rows, n]` in the serial chain: ascending rows from
+/// `+0.0`.
+fn serial_column_sums(rows: usize, n: usize, term: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let mut sums = vec![0.0f32; n];
+    for r in 0..rows {
+        for (j, s) in sums.iter_mut().enumerate() {
+            *s += term(r, j);
+        }
+    }
+    sums
+}
+
+#[test]
+fn bias_grad_matches_serial_column_sums_on_edge_columns() {
+    use focus_tensor::exec;
+    let _guard = lock_threads();
+    let mut rng = StdRng::seed_from_u64(0xb1a5);
+    // The widths, then one wide enough to split its columns across threads
+    // (the split aligns to whole strips, leaving a ragged tail strip).
+    let shapes = EDGE_WIDTHS.iter().map(|&w| (29, w)).chain([(24, 1400)]);
+    for (rows, n) in shapes {
+        let g = edge_columns(rows, n, &mut rng);
+        let want = serial_column_sums(rows, n, |r, j| g[r * n + j]);
+        at_each_thread_count(&format!("bias_grad [{rows}, {n}]"), &want, || {
+            let mut out = vec![f32::NAN; n];
+            exec::bias_grad(&g, rows, n, &mut out);
+            out
+        });
+    }
+}
+
+#[test]
+fn layer_norm_param_grads_match_serial_column_sums_on_edge_columns() {
+    use focus_tensor::exec;
+    let _guard = lock_threads();
+    let mut rng = StdRng::seed_from_u64(0x1a7e);
+    let shapes = EDGE_WIDTHS.iter().map(|&w| (29, w)).chain([(24, 1400)]);
+    for (rows, n) in shapes {
+        let (x, g) = (edge_columns(rows, n, &mut rng), edge_columns(rows, n, &mut rng));
+        let (gamma, beta) = (edge_rows(1, n, &mut rng), vec![0.0f32; n]);
+        let (mut y, mut cache) = (vec![0.0f32; rows * n], vec![0.0f32; 2 * rows]);
+        exec::layer_norm_fwd(&x, n, &gamma, &beta, 1e-5, &mut y, &mut cache);
+        let xhat = |r: usize, j: usize| (x[r * n + j] - cache[2 * r]) * cache[2 * r + 1];
+        let mut want = serial_column_sums(rows, n, |r, j| g[r * n + j] * xhat(r, j));
+        want.extend(serial_column_sums(rows, n, |r, j| g[r * n + j]));
+        at_each_thread_count(&format!("layer_norm dgamma/dbeta [{rows}, {n}]"), &want, || {
+            let (mut dx, mut dgamma, mut dbeta) = (vec![0.0f32; rows * n], vec![f32::NAN; n], vec![f32::NAN; n]);
+            exec::layer_norm_bwd(&x, n, &gamma, &cache, &g, &mut dx, &mut dgamma, &mut dbeta);
+            dgamma.extend(dbeta);
+            dgamma
+        });
+    }
+}

@@ -80,11 +80,14 @@ for workload in train soft-route serve offline-cluster; do
 done
 
 # Kernel sweeps: naive vs fast GEMM (256³ and every GEMM-shaped plan opcode
-# at the bench model's shapes), assign_all (20000x32 at k = 64, and the
-# offline-cluster workload's 4800x8 at k = 8) and routing at 1/2/4/max
-# threads, rewriting BENCH_kernels.json. The bench asserts that every fast
-# path reproduced its naive path's output (bitwise for GEMM and routing) and
-# fails if it cannot write its report; the greps guard the report wiring.
+# at the bench model's shapes), a serial loop vs the exec kernel for every
+# non-GEMM opcode of the train plan at its plan shape, assign_all (20000x32
+# at k = 64, and the offline-cluster workload's 4800x8 at k = 8) and routing
+# at 1/2/4/max threads, rewriting BENCH_kernels.json. The bench asserts that
+# every fast path reproduced its naive path's output (bitwise for GEMM,
+# routing and the non-GEMM opcodes), fails if an elementwise kernel takes
+# more than 3x its serial loop's time, and fails if it cannot write its
+# report; the greps guard the report wiring.
 echo "==> cargo bench -p focus-bench --bench kernels"
 cargo bench -p focus-bench --bench kernels
 grep -q '"schema": "focus-trace-report v1"' BENCH_kernels.json
@@ -93,6 +96,7 @@ grep -q '"assign_all_rec_corr_20000x32_k64/output_match": 1' BENCH_kernels.json
 grep -q '"assign_all_rec_corr_4800x8_k8/output_match": 1' BENCH_kernels.json
 grep -q '"route_scatter_add_b64_l128_k64_d64/output_match": 1' BENCH_kernels.json
 grep -q '"bcast_nt_da_32x6x12x32/output_match": 1' BENCH_kernels.json
+grep -q '"softmax_256x12/output_match": 1' BENCH_kernels.json
 
 # Efficiency claims as wall clock (Fig. 6, Fig. 8, §VII-B): ProtoAttn vs
 # self-attention, clustering, the zoo's forwards and fusion, rewriting
