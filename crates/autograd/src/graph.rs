@@ -1,6 +1,8 @@
-//! The tape: node arena, op records and forward evaluation.
+//! The tape: a record-only node arena. Each op checks its operands' dims and
+//! records a node carrying its own dims; only leaves and inputs hold a
+//! tensor. Every value comes from the plan VM (`crate::vm`).
 
-use focus_tensor::{exec, pool, Tensor};
+use focus_tensor::{Shape, Tensor};
 
 /// Index of a node in a [`Graph`]. Cheap to copy; only valid for the graph
 /// that created it.
@@ -80,16 +82,21 @@ pub(crate) enum Op {
 }
 
 pub(crate) struct Node {
-    pub value: Tensor,
     pub op: Op,
+    pub shape: Shape,
+    /// The tensor of a leaf or an input; a computed node holds none.
+    pub value: Option<Tensor>,
     pub requires_grad: bool,
 }
 
-/// An append-only computation tape.
+/// An append-only recording tape.
 ///
-/// Build the forward pass with the op methods, call [`Graph::backward`] on a
-/// scalar node, then read the trainable leaves' gradients with
-/// [`Graph::grad`].
+/// Build the forward pass with the op methods: each checks its operands'
+/// dims and records a node that carries only its own dims, so recording
+/// runs no kernel and takes no pool buffer. Values come from the plan VM:
+/// [`Graph::value`] runs a forward plan up to a node, and
+/// [`Graph::backward`] runs the lowered forward + backward on a scalar node,
+/// after which [`Graph::grad`] reads the trainable leaves' gradients.
 #[derive(Default)]
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
@@ -114,8 +121,9 @@ impl Graph {
     /// once and stay there. All `Var` handles from before the reset are
     /// invalidated.
     pub fn reset(&mut self) {
-        // Dropping the node tensors hands their buffers back to the pool, so
-        // this span is where per-step reclamation cost shows up.
+        // Dropping the leaf, input and gradient tensors hands their buffers
+        // back to the pool, so this span is where per-step reclamation cost
+        // shows up.
         focus_trace::span!("pool/reclaim");
         self.nodes.clear();
         self.grads.clear();
@@ -133,13 +141,36 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    fn push(&mut self, value: Tensor, op: Op, requires_grad: bool) -> Var {
+    fn push(&mut self, op: Op, shape: Shape, value: Option<Tensor>, requires_grad: bool) -> Var {
         self.nodes.push(Node {
-            value,
             op,
+            shape,
+            value,
             requires_grad,
         });
         Var(self.nodes.len() - 1)
+    }
+
+    /// Records a computed node of `dims` that needs a gradient if any of
+    /// `operands` does.
+    fn record(&mut self, op: Op, dims: &[usize], operands: &[Var]) -> Var {
+        let rg = operands.iter().any(|&v| self.rg(v));
+        self.push(op, Shape::new(dims), None, rg)
+    }
+
+    /// Records a computed node with the dims of `a` that needs a gradient
+    /// if any of `operands` does.
+    fn like(&mut self, op: Op, a: Var, operands: &[Var]) -> Var {
+        let rg = operands.iter().any(|&v| self.rg(v));
+        let shape = self.nodes[a.0].shape.clone();
+        self.push(op, shape, None, rg)
+    }
+
+    /// Records an elementwise op over the same-dims operands `a` and `b`.
+    fn zip(&mut self, op: Op, a: Var, b: Var) -> Var {
+        let (sa, sb) = (&self.nodes[a.0].shape, &self.nodes[b.0].shape);
+        assert!(sa.same_as(sb), "elementwise op shape mismatch: {sa} vs {sb}");
+        self.like(op, a, &[a, b])
     }
 
     #[inline]
@@ -147,17 +178,22 @@ impl Graph {
         self.nodes[v.0].requires_grad
     }
 
+    /// The tensor a leaf or an input node holds.
+    pub(crate) fn held(&self, v: Var) -> &Tensor {
+        self.nodes[v.0].value.as_ref().expect("leaves and inputs hold their tensor")
+    }
+
     /// Registers a trainable leaf (a parameter). Its gradient is available
     /// after [`Graph::backward`].
     pub fn leaf(&mut self, t: Tensor) -> Var {
-        self.push(t, Op::Leaf, true)
+        self.push(Op::Leaf, t.shape().clone(), Some(t), true)
     }
 
     /// Registers a constant leaf: data that is the same for every step, such
     /// as prototypes. No gradient is computed for it, and a compiled plan
     /// bakes it in; record per-step data with [`Graph::input`] instead.
     pub fn constant(&mut self, t: Tensor) -> Var {
-        self.push(t, Op::Leaf, false)
+        self.push(Op::Leaf, t.shape().clone(), Some(t), false)
     }
 
     /// Records the next per-step input (a window, a target, a per-window
@@ -165,7 +201,7 @@ impl Graph {
     /// from this tape binds its `k`-th input to the `k`-th recorded one, so a
     /// replay reads each step's own data. No gradient is computed for it.
     pub fn input(&mut self, t: Tensor) -> Var {
-        let v = self.push(t, Op::Input(self.inputs.len()), false);
+        let v = self.push(Op::Input(self.inputs.len()), t.shape().clone(), Some(t), false);
         self.inputs.push(v);
         v
     }
@@ -181,13 +217,30 @@ impl Graph {
     /// The data a plan compiled from this tape binds: the recorded inputs
     /// and the registered routes, in order.
     pub(crate) fn bindings(&self) -> (Vec<&[f32]>, Vec<&[u32]>) {
-        let inputs = self.inputs.iter().map(|v| self.nodes[v.0].value.data()).collect();
+        let inputs = self.inputs.iter().map(|&v| self.held(v).data()).collect();
         (inputs, self.routes.iter().map(Vec::as_slice).collect())
     }
 
-    /// The forward value of a node.
-    pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+    /// The dims of a node's value.
+    pub fn dims(&self, v: Var) -> &[usize] {
+        self.nodes[v.0].shape.dims()
+    }
+
+    /// The forward value of a node. A leaf or an input returns a copy of its
+    /// own data; any other node's value comes from a forward plan compiled
+    /// up to it and run once on the plan VM.
+    ///
+    /// # Panics
+    /// If the lowered plan fails verification (a compiler bug; the message
+    /// names the instruction).
+    pub fn value(&self, v: Var) -> Tensor {
+        if let Some(t) = &self.nodes[v.0].value {
+            return t.clone();
+        }
+        crate::plan::node_value(self, v).unwrap_or_else(|e| {
+            // focus-lint: allow(panic-hygiene) -- documented panic: there is no other executor, and the message names the verifier's position
+            panic!("value: the tape did not lower: {e}")
+        })
     }
 
     /// The gradient of the loss w.r.t. the trainable leaf `v`, if the last
@@ -211,12 +264,8 @@ impl Graph {
     /// verification (a compiler bug; the message names the instruction).
     pub fn backward(&mut self, loss: Var) {
         focus_trace::span!("autograd/backward");
-        assert_eq!(
-            self.nodes[loss.0].value.numel(),
-            1,
-            "backward requires a scalar loss, got shape {}",
-            self.nodes[loss.0].value.shape()
-        );
+        let shape = &self.nodes[loss.0].shape;
+        assert_eq!(shape.numel(), 1, "backward requires a scalar loss, got shape {shape}");
         let grads = crate::plan::leaf_gradients(self, loss).unwrap_or_else(|e| {
             // focus-lint: allow(panic-hygiene) -- documented panic: there is no other executor, and the message names the verifier's position
             panic!("backward: the tape did not lower: {e}")
@@ -234,60 +283,55 @@ impl Graph {
 
     /// Elementwise `a + b` (same shape).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).add(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Add(a, b), rg)
+        self.zip(Op::Add(a, b), a, b)
     }
 
     /// Elementwise `a - b` (same shape).
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).sub(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Sub(a, b), rg)
+        self.zip(Op::Sub(a, b), a, b)
     }
 
     /// Elementwise `a ⊙ b` (same shape).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).mul(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Mul(a, b), rg)
+        self.zip(Op::Mul(a, b), a, b)
     }
 
     /// Elementwise negation.
     pub fn neg(&mut self, a: Var) -> Var {
-        let v = self.value(a).scale(-1.0);
-        let rg = self.rg(a);
-        self.push(v, Op::Neg(a), rg)
+        self.like(Op::Neg(a), a, &[a])
     }
 
     /// Multiplies every element by the constant `c`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).scale(c);
-        let rg = self.rg(a);
-        self.push(v, Op::Scale(a, c), rg)
+        self.like(Op::Scale(a, c), a, &[a])
     }
 
     /// Adds the constant `c` to every element.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).add_scalar(c);
-        let rg = self.rg(a);
-        self.push(v, Op::AddScalar(a, c), rg)
+        self.like(Op::AddScalar(a, c), a, &[a])
     }
 
     // ---- linear algebra ----
 
     /// 2-D matrix product `[m, k] · [k, n] → [m, n]`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Matmul(a, b), rg)
+        let (ad, bd) = (self.dims(a), self.dims(b));
+        assert_eq!(ad.len(), 2, "matmul lhs must be rank 2, got {ad:?}");
+        assert_eq!(bd.len(), 2, "matmul rhs must be rank 2, got {bd:?}");
+        assert_eq!(ad[1], bd[0], "matmul inner dims: {ad:?} vs {bd:?}");
+        let dims = [ad[0], bd[1]];
+        self.record(Op::Matmul(a, b), &dims, &[a, b])
     }
 
     /// Batched 3-D matrix product `[B, m, k] · [B, k, n] → [B, m, n]`.
     pub fn bmm(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).bmm(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Bmm(a, b), rg)
+        let (ad, bd) = (self.dims(a), self.dims(b));
+        assert_eq!(ad.len(), 3, "bmm lhs must be rank 3, got {ad:?}");
+        assert_eq!(bd.len(), 3, "bmm rhs must be rank 3, got {bd:?}");
+        assert_eq!(ad[0], bd[0], "bmm batch dims: {ad:?} vs {bd:?}");
+        assert_eq!(ad[2], bd[1], "bmm inner dims: {ad:?} vs {bd:?}");
+        let dims = [ad[0], ad[1], bd[2]];
+        self.record(Op::Bmm(a, b), &dims, &[a, b])
     }
 
     /// Batched product against a transposed RHS, `[B, m, k] · [B, n, k]ᵀ →
@@ -295,9 +339,13 @@ impl Graph {
     /// `transpose_last2` + [`Graph::bmm`] (same result, no transposed copy
     /// on the tape and no `TransposeLast2` backward step).
     pub fn bmm_nt(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).bmm_nt(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::BmmNt(a, b), rg)
+        let (ad, bd) = (self.dims(a), self.dims(b));
+        assert_eq!(ad.len(), 3, "bmm_nt lhs must be rank 3, got {ad:?}");
+        assert_eq!(bd.len(), 3, "bmm_nt rhs must be rank 3, got {bd:?}");
+        assert_eq!(ad[0], bd[0], "bmm_nt batch dims: {ad:?} vs {bd:?}");
+        assert_eq!(ad[2], bd[2], "bmm_nt inner dims: {ad:?} vs {bd:?}");
+        let dims = [ad[0], ad[1], bd[1]];
+        self.record(Op::BmmNt(a, b), &dims, &[a, b])
     }
 
     /// Sparse one-hot routing: `out[b, i, :] = head[b, indices[b·l + i], :]`
@@ -308,170 +356,157 @@ impl Graph {
     /// stand for — forward and backward both (see `focus_tensor::route`) —
     /// at `O(B·l·d)` instead of `O(B·l·k·d)`. The indices are data, not a
     /// differentiable input; only `head` receives a gradient.
+    ///
+    /// # Panics
+    /// If `head` is not rank 3, or the route does not hold `B·l` indices
+    /// below `k` (the message names the first bad index's position and
+    /// value): the kernels index unchecked, so this is the check every
+    /// never-cached run relies on.
     pub fn route_one_hot(&mut self, head: Var, route: Route, l: usize) -> Var {
-        let v = focus_tensor::route::route_gather(self.value(head), &self.routes[route.0], l);
-        let rg = self.rg(head);
-        self.push(v, Op::RouteOneHot { head, route }, rg)
+        let hd = self.dims(head);
+        assert_eq!(hd.len(), 3, "route_one_hot head must be [B, k, d], got {hd:?}");
+        let (b, k, d) = (hd[0], hd[1], hd[2]);
+        focus_tensor::route::check_route(&self.routes[route.0], b, l, k);
+        self.record(Op::RouteOneHot { head, route }, &[b, l, d], &[head])
     }
 
     /// Broadcast score kernel: `out[b] = a · x[b]ᵀ` for 2-D `a: [k, d]` and
     /// 3-D `x: [B, l, d]`, producing `[B, k, l]`.
     pub fn matmul_broadcast_nt(&mut self, a: Var, x: Var) -> Var {
-        let at = self.value(a);
-        let xt = self.value(x);
-        assert_eq!(at.rank(), 2, "matmul_broadcast_nt lhs must be rank 2");
-        assert_eq!(xt.rank(), 3, "matmul_broadcast_nt rhs must be rank 3");
-        let (k, d) = (at.dims()[0], at.dims()[1]);
-        let (bsz, l, d2) = (xt.dims()[0], xt.dims()[1], xt.dims()[2]);
+        let (ad, xd) = (self.dims(a), self.dims(x));
+        assert_eq!(ad.len(), 2, "matmul_broadcast_nt lhs must be rank 2");
+        assert_eq!(xd.len(), 3, "matmul_broadcast_nt rhs must be rank 3");
+        let (k, d) = (ad[0], ad[1]);
+        let (bsz, l, d2) = (xd[0], xd[1], xd[2]);
         assert_eq!(d, d2, "matmul_broadcast_nt inner dims: {d} vs {d2}");
-        // One batched sweep straight over slices of `x` and `out`: no
-        // per-batch index copy, shared packing scratch across batches.
-        let mut out = uninit(&[bsz, k, l]);
-        exec::bcast_nt(bsz, k, d, l, at.data(), xt.data(), out.data_mut());
-        let rg = self.rg(a) || self.rg(x);
-        self.push(out, Op::MatmulBroadcastNt(a, x), rg)
+        self.record(Op::MatmulBroadcastNt(a, x), &[bsz, k, l], &[a, x])
     }
 
     /// Transpose of a rank-2 node.
     pub fn transpose(&mut self, a: Var) -> Var {
-        let v = self.value(a).transpose();
-        let rg = self.rg(a);
-        self.push(v, Op::Transpose2(a), rg)
+        let ad = self.dims(a);
+        assert_eq!(ad.len(), 2, "transpose requires rank 2, got {ad:?}");
+        let dims = [ad[1], ad[0]];
+        self.record(Op::Transpose2(a), &dims, &[a])
     }
 
     /// Swap the last two axes of a rank-3 node.
     pub fn transpose_last2(&mut self, a: Var) -> Var {
-        let v = self.value(a).transpose_last2();
-        let rg = self.rg(a);
-        self.push(v, Op::TransposeLast2(a), rg)
+        let ad = self.dims(a);
+        assert_eq!(ad.len(), 3, "transpose_last2 requires rank 3, got {ad:?}");
+        let dims = [ad[0], ad[2], ad[1]];
+        self.record(Op::TransposeLast2(a), &dims, &[a])
     }
 
     /// Swaps the first two axes of a rank-3 node: `[a, b, c] → [b, a, c]`.
     pub fn swap_axes01(&mut self, a: Var) -> Var {
-        let v = swap01(self.value(a));
-        let rg = self.rg(a);
-        self.push(v, Op::SwapAxes01(a), rg)
+        let ad = self.dims(a);
+        assert_eq!(ad.len(), 3, "swap_axes01 requires rank 3, got {ad:?}");
+        let dims = [ad[1], ad[0], ad[2]];
+        self.record(Op::SwapAxes01(a), &dims, &[a])
     }
 
     /// Shape change without data movement.
     pub fn reshape(&mut self, a: Var, dims: &[usize]) -> Var {
-        let v = self.value(a).reshape(dims);
-        let rg = self.rg(a);
-        self.push(v, Op::Reshape(a), rg)
+        let (from, to) = (self.nodes[a.0].shape.numel(), dims.iter().product::<usize>());
+        assert_eq!(
+            from,
+            to,
+            "cannot reshape {:?} ({from} elements) to {dims:?} ({to} elements)",
+            self.dims(a)
+        );
+        self.record(Op::Reshape(a), dims, &[a])
     }
 
     /// Adds a trailing-axis-length `bias` vector to every row of `x`.
     pub fn add_row_broadcast(&mut self, x: Var, bias: Var) -> Var {
-        let v = self.value(x).add_row_broadcast(self.value(bias));
-        let rg = self.rg(x) || self.rg(bias);
-        self.push(v, Op::AddRowBroadcast(x, bias), rg)
+        let (n, len) = (self.nodes[x.0].shape.last_dim(), self.nodes[bias.0].shape.numel());
+        assert_eq!(len, n, "broadcast row has {len} elements, last dim is {n}");
+        self.like(Op::AddRowBroadcast(x, bias), x, &[x, bias])
     }
 
     // ---- normalisation / attention ----
 
     /// Numerically stable softmax over the trailing axis.
     pub fn softmax_last(&mut self, a: Var) -> Var {
-        let v = self.value(a).softmax_last();
-        let rg = self.rg(a);
-        self.push(v, Op::SoftmaxLast(a), rg)
+        assert!(self.nodes[a.0].shape.last_dim() > 0, "softmax over an empty trailing axis");
+        self.like(Op::SoftmaxLast(a), a, &[a])
     }
 
     /// LayerNorm over the trailing axis with affine parameters.
     ///
-    /// `gamma`/`beta` must be rank-1 with the length of `x`'s trailing axis.
+    /// `gamma`/`beta` must have the length of `x`'s trailing axis.
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let xt = self.value(x);
-        let n = xt.shape().last_dim();
-        assert_eq!(self.value(gamma).numel(), n, "layer_norm gamma length");
-        assert_eq!(self.value(beta).numel(), n, "layer_norm beta length");
-        let (out, _) = focus_tensor::fused::layer_norm_fwd(
-            xt,
-            self.value(gamma).data(),
-            self.value(beta).data(),
-            eps,
-        );
-        let rg = self.rg(x) || self.rg(gamma) || self.rg(beta);
-        self.push(
-            out,
-            Op::LayerNormLast { x, gamma, beta, eps },
-            rg,
-        )
+        let n = self.nodes[x.0].shape.last_dim();
+        assert_eq!(self.nodes[gamma.0].shape.numel(), n, "layer_norm gamma length");
+        assert_eq!(self.nodes[beta.0].shape.numel(), n, "layer_norm beta length");
+        self.like(Op::LayerNormLast { x, gamma, beta, eps }, x, &[x, gamma, beta])
     }
 
     // ---- nonlinearities ----
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = mapped(self.value(a), exec::map_relu);
-        let rg = self.rg(a);
-        self.push(v, Op::Relu(a), rg)
+        self.like(Op::Relu(a), a, &[a])
     }
 
     /// GELU with the tanh approximation.
     pub fn gelu(&mut self, a: Var) -> Var {
-        let v = mapped(self.value(a), exec::map_gelu);
-        let rg = self.rg(a);
-        self.push(v, Op::Gelu(a), rg)
+        self.like(Op::Gelu(a), a, &[a])
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = mapped(self.value(a), exec::map_sigmoid);
-        let rg = self.rg(a);
-        self.push(v, Op::Sigmoid(a), rg)
+        self.like(Op::Sigmoid(a), a, &[a])
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = mapped(self.value(a), exec::map_tanh);
-        let rg = self.rg(a);
-        self.push(v, Op::Tanh(a), rg)
+        self.like(Op::Tanh(a), a, &[a])
     }
 
     /// Elementwise absolute value (subgradient 0 at the kink).
     pub fn abs(&mut self, a: Var) -> Var {
-        let v = mapped(self.value(a), exec::map_abs);
-        let rg = self.rg(a);
-        self.push(v, Op::Abs(a), rg)
+        self.like(Op::Abs(a), a, &[a])
     }
 
     // ---- structure ----
 
-    /// Concatenates along the trailing axis.
+    /// Concatenates along the trailing axis. All leading dimensions must
+    /// match.
     pub fn concat_last(&mut self, a: Var, b: Var) -> Var {
-        let split = self.value(a).shape().last_dim();
-        let v = self.value(a).concat_last(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::ConcatLast(a, b, split), rg)
+        let (ad, bd) = (self.dims(a), self.dims(b));
+        let r = ad.len();
+        assert_eq!(r, bd.len(), "concat_last rank mismatch: {ad:?} vs {bd:?}");
+        assert!(r >= 1, "concat_last requires rank >= 1");
+        assert_eq!(ad[..r - 1], bd[..r - 1], "concat_last leading dims mismatch: {ad:?} vs {bd:?}");
+        let split = ad[r - 1];
+        let mut dims = ad.to_vec();
+        dims[r - 1] += bd[r - 1];
+        self.record(Op::ConcatLast(a, b, split), &dims, &[a, b])
     }
 
     /// Slices columns `[start, end)` of the trailing axis.
     pub fn slice_last(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let at = self.value(a);
-        let n = at.shape().last_dim();
+        let n = self.nodes[a.0].shape.last_dim();
         assert!(start < end && end <= n, "slice [{start}, {end}) out of trailing dim {n}");
-        let mut dims = at.dims().to_vec();
-        dims[at.rank() - 1] = end - start;
-        let mut v = uninit(&dims);
-        exec::slice_cols(at.data(), n, start, end, at.shape().leading(), v.data_mut());
-        let rg = self.rg(a);
-        self.push(v, Op::SliceLast(a, start, end), rg)
+        let mut dims = self.dims(a).to_vec();
+        let r = dims.len();
+        dims[r - 1] = end - start;
+        self.record(Op::SliceLast(a, start, end), &dims, &[a])
     }
 
     // ---- reductions / losses ----
 
     /// Scalar mean of all elements.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).mean_all());
-        let rg = self.rg(a);
-        self.push(v, Op::MeanAll(a), rg)
+        assert!(self.nodes[a.0].shape.numel() > 0, "mean of an empty tensor");
+        self.record(Op::MeanAll(a), &[], &[a])
     }
 
     /// Scalar sum of all elements.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).sum_all());
-        let rg = self.rg(a);
-        self.push(v, Op::SumAll(a), rg)
+        self.record(Op::SumAll(a), &[], &[a])
     }
 
     /// Mean squared error between two same-shape nodes (scalar).
@@ -487,29 +522,6 @@ impl Graph {
         let a = self.abs(d);
         self.mean_all(a)
     }
-}
-
-/// Swap the first two axes of a rank-3 tensor (shared by forward/backward).
-pub(crate) fn swap01(t: &Tensor) -> Tensor {
-    assert_eq!(t.rank(), 3, "swap_axes01 requires rank 3, got {}", t.shape());
-    let (a, b, c) = (t.dims()[0], t.dims()[1], t.dims()[2]);
-    let mut out = uninit(&[b, a, c]);
-    exec::swap01(t.data(), a, b, c, out.data_mut());
-    out
-}
-
-/// A pooled tensor of shape `dims` with unspecified contents, for a kernel
-/// that overwrites every element.
-fn uninit(dims: &[usize]) -> Tensor {
-    Tensor::from_vec(pool::take(dims.iter().product()), dims)
-}
-
-/// `kernel(src, out)` into a fresh tensor of `src`'s shape: an activation's
-/// forward, through the kernel its VM opcode calls.
-fn mapped(src: &Tensor, kernel: fn(&[f32], &mut [f32])) -> Tensor {
-    let mut out = uninit(src.dims());
-    kernel(src.data(), out.data_mut());
-    out
 }
 
 #[cfg(test)]
@@ -547,7 +559,7 @@ mod tests {
         let av = g.constant(a.clone());
         let xv = g.constant(x.clone());
         let s = g.matmul_broadcast_nt(av, xv);
-        assert_eq!(g.value(s).dims(), &[2, 2, 4]);
+        assert_eq!(g.dims(s), &[2, 2, 4]);
         for b in 0..2 {
             let expect = a.matmul_nt(&x.index_axis0(b));
             assert!(g.value(s).index_axis0(b).max_abs_diff(&expect) < 1e-6);
@@ -561,8 +573,9 @@ mod tests {
         let gamma = g.constant(Tensor::ones(&[4]));
         let beta = g.constant(Tensor::zeros(&[4]));
         let y = g.layer_norm(x, gamma, beta, 1e-5);
+        let y = g.value(y);
         for i in 0..2 {
-            let row = g.value(y).row(i);
+            let row = y.row(i);
             let mean: f32 = row.iter().sum::<f32>() / 4.0;
             let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
             assert!(mean.abs() < 1e-5);

@@ -7,19 +7,20 @@
 //!
 //! ## Design
 //!
-//! A [`Graph`] is an append-only arena of nodes. Every operation computes its
-//! forward value and records its inputs; [`Var`] is a copyable index into the
-//! arena. A fresh graph is built for every training step — parameters live
-//! outside the graph in a [`ParamStore`] and are registered as trainable
-//! leaves at the start of each step. This keeps the engine free of interior
-//! mutability and reference cycles.
+//! A [`Graph`] is an append-only arena of nodes. Every operation checks its
+//! operands' dims and records its inputs and its output dims, computing
+//! nothing; only leaves and inputs hold a tensor. [`Var`] is a copyable
+//! index into the arena. A fresh graph is built for every training step —
+//! parameters live outside the graph in a [`ParamStore`] and are registered
+//! as trainable leaves at the start of each step. This keeps the engine free
+//! of interior mutability and reference cycles.
 //!
-//! There is one backward: the [`plan`] compiler lowers a recorded tape to a
+//! There is one executor: the [`plan`] compiler lowers a recorded tape to a
 //! flat, verified instruction stream and the plan VM runs it.
-//! [`Graph::backward`] lowers and runs the tape once; the training loop
-//! additionally caches the plan and replays it on later windows of the same
-//! shape. The unfused reference rules live in [`oracle`], which only tests
-//! call.
+//! [`Graph::value`] and [`Graph::backward`] lower and run the tape once; the
+//! training loop and `ParamStore::run_forward` additionally keep the plan
+//! and replay it on later windows of the same shape. The reference forward
+//! and backward rules live in [`oracle`], which only tests call.
 //!
 //! ```
 //! use focus_autograd::Graph;

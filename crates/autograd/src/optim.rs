@@ -146,9 +146,9 @@ impl ParamStore {
     /// `inputs`, `routes` and this store. Otherwise `record` records the pass
     /// on a fresh tape, registering this store's parameters and recording
     /// `inputs` as the tape's inputs and `routes` as its routes, in order,
-    /// and returns the output and the parameter leaves. The tape is compiled,
-    /// its plan kept (unless caching is off, see [`crate::plan::set_enabled`])
-    /// and its value returned. Both ways give the same bits.
+    /// and returns the output and the parameter leaves. The tape is compiled
+    /// and its plan run once for the value, then kept (unless caching is
+    /// off, see [`crate::plan::set_enabled`]). Both ways give the same bits.
     ///
     /// The lock is held for the whole pass, so concurrent calls on one store
     /// wait for each other. After a pass panicked while holding it, the next
@@ -160,7 +160,8 @@ impl ParamStore {
     /// no plan is kept then.
     ///
     /// # Panics
-    /// If a route index is out of range for the kept plan.
+    /// If a route index is out of range: for the kept plan on a replay, for
+    /// its prototype count when `record` records it.
     pub fn run_forward(
         &self,
         inputs: &[&Tensor],

@@ -1,23 +1,27 @@
-//! The reference oracle: the definition of every op's backward rule, of the
-//! LayerNorm and broadcast-score forward loops, and of the Adam/AdamW update
-//! — kept only so tests can hold the plan VM to it bit for bit.
+//! The reference oracle: the definition of every op's forward and backward
+//! rule and of the Adam/AdamW update — kept only so tests can hold the plan
+//! VM to it bit for bit.
 //!
-//! Production code never calls this module. [`Graph::backward`] and the
-//! training loop lower the tape with the plan emitter (`crate::plan`), the
-//! one place that decides how each op differentiates, and the parity suites
-//! compare the VM with this module at any thread count. The LayerNorm,
-//! softmax, bias, pointwise and slice rules, both forward loops and AdamW
-//! are plain serial loops here, so the suites check those kernels too. The
-//! other rules compose `Tensor` ops, which run the same `focus_tensor::exec`
-//! kernels as the VM: for them the suites check the lowering (which product,
-//! which operands, which accumulation order), and focus-tensor's own tests
-//! check the kernels against serial loops and `focus_tensor::reference`. The
-//! `opcode-coverage` lint requires every tape `Op` to have a rule here as
-//! well as a lowering in the emitter.
+//! Production code never calls this module. The plan VM computes every
+//! value the tape's users see ([`Graph::value`], [`Graph::backward`], the
+//! training loop and `predict`), lowered by the plan emitter
+//! (`crate::plan`), the one place that decides how each op runs and
+//! differentiates. [`forward`] and [`backward`] evaluate the same tape
+//! without a plan, so the parity suites compare the VM's values, gradients
+//! and updates with this module at any thread count. The LayerNorm and
+//! broadcast-score forwards, the axis swap, the softmax, bias, pointwise and
+//! slice backward rules and AdamW are plain serial loops here, so the
+//! suites check those kernels too. The other rules compose `Tensor` ops,
+//! which run the same `focus_tensor::exec` kernels as the VM: for them the
+//! suites check the lowering (which product, which operands, which
+//! accumulation order), and focus-tensor's own tests check the kernels
+//! against serial loops and `focus_tensor::reference`. The `opcode-coverage`
+//! lint requires every tape `Op` to have a rule here as well as a lowering
+//! in the emitter.
 
-use crate::graph::{swap01, Graph, Op, Var};
+use crate::graph::{Graph, Op, Var};
 use crate::optim::Optimizer;
-use focus_tensor::fused::{combine_lanes, gelu_bwd, LANES};
+use focus_tensor::fused::{combine_lanes, gelu_bwd, gelu_fwd, sigmoid, LANES};
 use focus_tensor::Tensor;
 
 /// LayerNorm over the trailing axis: the output and a `[rows, 2]` tensor of
@@ -62,7 +66,73 @@ pub fn matmul_broadcast_nt(a: &Tensor, x: &Tensor) -> Tensor {
     out
 }
 
-/// Reference reverse pass from the scalar node `loss`.
+/// Swaps the first two axes of a rank-3 tensor: `[a, b, c] → [b, a, c]`.
+fn swap01(t: &Tensor) -> Tensor {
+    let (a, b, c) = (t.dims()[0], t.dims()[1], t.dims()[2]);
+    let mut out = Tensor::zeros(&[b, a, c]);
+    for i in 0..a {
+        for j in 0..b {
+            let src = &t.data()[(i * b + j) * c..(i * b + j + 1) * c];
+            out.data_mut()[(j * a + i) * c..(j * a + i + 1) * c].copy_from_slice(src);
+        }
+    }
+    out
+}
+
+/// Reference forward: the value of node `v` of `g`, computed without a
+/// plan. Leaves and inputs give their own data; LayerNorm, the broadcast
+/// score product and the axis swap run the serial loops above, and every
+/// other op the `Tensor` op of the same meaning.
+pub fn forward(g: &Graph, v: Var) -> Tensor {
+    values(g, v.0 + 1).swap_remove(v.0)
+}
+
+/// The reference values of the first `n` nodes of `g`, in tape order.
+fn values(g: &Graph, n: usize) -> Vec<Tensor> {
+    let mut vals: Vec<Tensor> = Vec::with_capacity(n);
+    for (i, node) in g.nodes[..n].iter().enumerate() {
+        let val = |v: &Var| &vals[v.0];
+        let y = match &node.op {
+            Op::Leaf | Op::Input(_) => g.held(Var(i)).clone(),
+            Op::Add(a, b) => val(a).add(val(b)),
+            Op::Sub(a, b) => val(a).sub(val(b)),
+            Op::Mul(a, b) => val(a).mul(val(b)),
+            Op::Neg(a) => val(a).scale(-1.0),
+            Op::Scale(a, c) => val(a).scale(*c),
+            Op::AddScalar(a, c) => val(a).add_scalar(*c),
+            Op::Matmul(a, b) => val(a).matmul(val(b)),
+            Op::Bmm(a, b) => val(a).bmm(val(b)),
+            Op::BmmNt(a, b) => val(a).bmm_nt(val(b)),
+            Op::RouteOneHot { head, route } => {
+                focus_tensor::route::route_gather(val(head), &g.routes[route.0], node.shape.dims()[1])
+            }
+            Op::MatmulBroadcastNt(a, x) => matmul_broadcast_nt(val(a), val(x)),
+            Op::Transpose2(a) => val(a).transpose(),
+            Op::TransposeLast2(a) => val(a).transpose_last2(),
+            Op::SwapAxes01(a) => swap01(val(a)),
+            Op::Reshape(a) => val(a).reshape(node.shape.dims()),
+            Op::AddRowBroadcast(x, bias) => val(x).add_row_broadcast(val(bias)),
+            Op::SoftmaxLast(a) => val(a).softmax_last(),
+            Op::LayerNormLast { x, gamma, beta, eps } => {
+                layer_norm(val(x), val(gamma).data(), val(beta).data(), *eps).0
+            }
+            Op::Relu(a) => val(a).map(|x| x.max(0.0)),
+            Op::Gelu(a) => val(a).map(gelu_fwd),
+            Op::Sigmoid(a) => val(a).map(sigmoid),
+            Op::Tanh(a) => val(a).map(f32::tanh),
+            Op::Abs(a) => val(a).map(f32::abs),
+            Op::ConcatLast(a, b, _) => val(a).concat_last(val(b)),
+            Op::SliceLast(a, start, end) => val(a).split_last(*end).0.split_last(*start).1,
+            Op::MeanAll(a) => Tensor::scalar(val(a).mean_all()),
+            Op::SumAll(a) => Tensor::scalar(val(a).sum_all()),
+        };
+        vals.push(y);
+    }
+    vals
+}
+
+/// Reference reverse pass from the scalar node `loss`, over the values of
+/// [`forward`]; returns the loss's value.
 ///
 /// Fills `g`'s gradient of *every* node on a path from a trainable leaf to
 /// `loss` (where [`Graph::backward`] keeps only the leaves'), so
@@ -71,20 +141,20 @@ pub fn matmul_broadcast_nt(a: &Tensor, x: &Tensor) -> Tensor {
 ///
 /// # Panics
 /// If `loss` is not a single-element tensor.
-pub fn backward(g: &mut Graph, loss: Var) {
-    let dims = g.value(loss).dims().to_vec();
-    assert_eq!(g.value(loss).numel(), 1, "backward requires a scalar loss");
+pub fn backward(g: &mut Graph, loss: Var) -> Tensor {
+    assert_eq!(g.nodes[loss.0].shape.numel(), 1, "backward requires a scalar loss");
+    let mut vals = values(g, loss.0 + 1);
     g.grads.clear();
     g.grads.resize(g.nodes.len(), None);
-    g.grads[loss.0] = Some(Tensor::full(&dims, 1.0));
-    for i in (0..g.nodes.len()).rev() {
+    g.grads[loss.0] = Some(Tensor::full(vals[loss.0].dims(), 1.0));
+    for i in (0..=loss.0).rev() {
         if !g.nodes[i].requires_grad {
             continue;
         }
         let Some(grad) = g.grads[i].take() else {
             continue;
         };
-        for (v, delta) in rule(g, i, &grad) {
+        for (v, delta) in rule(g, &vals, i, &grad) {
             if !g.nodes[v.0].requires_grad {
                 continue;
             }
@@ -95,12 +165,14 @@ pub fn backward(g: &mut Graph, loss: Var) {
         }
         g.grads[i] = Some(grad);
     }
+    vals.swap_remove(loss.0)
 }
 
-/// Node `i`'s adjoint: the gradient contribution `gr` sends to each input.
-fn rule(g: &Graph, i: usize, gr: &Tensor) -> Vec<(Var, Tensor)> {
-    let val = |v: Var| &g.nodes[v.0].value;
-    let y = &g.nodes[i].value;
+/// Node `i`'s adjoint: the gradient contribution `gr` sends to each input,
+/// given every node's value `vals`.
+fn rule(g: &Graph, vals: &[Tensor], i: usize, gr: &Tensor) -> Vec<(Var, Tensor)> {
+    let val = |v: Var| &vals[v.0];
+    let y = &vals[i];
     // Pointwise rule over the op's input `x` (or output `y`) and `gr`.
     let pointwise = |x: &Tensor, f: fn(f32, f32) -> f32| {
         let data = x

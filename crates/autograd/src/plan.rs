@@ -23,12 +23,13 @@
 //!
 //! # Binding and caching
 //!
-//! A tape records *values*, so the compiler must know which recorded values
-//! are the same on every step and which are per-step data. The tape says so
-//! itself: a node recorded with [`Graph::input`] lowers to
-//! [`Loc::Input`]`(k)`, `k` its record order, and a `RouteOneHot` reads the
-//! route its [`Route`](crate::Route) handle registered; a constant leaf only
-//! ever becomes a static, deduplicated by bits. So a plan compiled from one
+//! A tape records ops and dims; its only data are the tensors its leaves and
+//! inputs hold. The compiler must know which of those are the same on every
+//! step and which are per-step data, and the tape says so itself: a node
+//! recorded with [`Graph::input`] lowers to [`Loc::Input`]`(k)`, `k` its
+//! record order, and a `RouteOneHot` reads the route its
+//! [`Route`](crate::Route) handle registered; a constant leaf only ever
+//! becomes a static, deduplicated by bits. So a plan compiled from one
 //! window replays every later window of the same shapes. [`PlanCache`]
 //! keeps that plan: a step that cannot replay records its tape, compiles it,
 //! runs it and keeps the plan; a shape change drops it. Each model's
@@ -492,13 +493,13 @@ impl<'a> Emitter<'a> {
     }
 
     fn numel(&self, v: Var) -> usize {
-        self.g.nodes[v.0].value.numel()
+        self.g.nodes[v.0].shape.numel()
     }
 
     fn dims_of(&self, v: Var) -> &'a [usize] {
         // `self.g` outlives the emitter, so the borrow is 'a, not tied to
         // &self — the backward arms hold these across &mut self calls.
-        self.g.nodes[v.0].value.dims()
+        self.g.nodes[v.0].shape.dims()
     }
 
     /// Bakes a constant leaf into the plan as a static, deduplicated by bits.
@@ -518,7 +519,7 @@ impl<'a> Emitter<'a> {
         match self.grad[i].expect("plan emitter: gradient requested but absent") {
             GradRepr::V(r) => r,
             GradRepr::Const(c) => {
-                let n = self.g.nodes[i].value.numel();
+                let n = self.g.nodes[i].shape.numel();
                 let r = self.fresh(n);
                 self.emit(OpCode::Fill, vec![r], vec![], vec![n as u32], c);
                 self.grad[i] = Some(GradRepr::V(r));
@@ -536,7 +537,7 @@ impl<'a> Emitter<'a> {
         if !self.rg(v) {
             return;
         }
-        let gnumel = self.g.nodes[gi].value.numel();
+        let gnumel = self.g.nodes[gi].shape.numel();
         let gl = gnumel as u32;
         match self.grad[gi].expect("accum_scaled without a source gradient") {
             GradRepr::Const(c) => match self.grad[v.0] {
@@ -596,14 +597,15 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// Lowers the forward tape: one instruction per kernel, `Reshape` as a
-    /// pure location alias, leaves classified as params / inputs / statics.
-    fn forward_pass(&mut self) -> Result<(), CompileError> {
+    /// Lowers the first `end` nodes of the tape: one instruction per kernel,
+    /// `Reshape` as a pure location alias, leaves classified as params /
+    /// inputs / statics.
+    fn forward_pass(&mut self, end: usize) -> Result<(), CompileError> {
         let g = self.g;
-        for i in 0..g.nodes.len() {
+        for i in 0..end {
             let node = &g.nodes[i];
-            let vd = node.value.dims();
-            let nl = node.value.numel();
+            let vd = node.shape.dims();
+            let nl = node.shape.numel();
             let out = match &node.op {
                 Op::Leaf => {
                     if node.requires_grad {
@@ -612,7 +614,7 @@ impl<'a> Emitter<'a> {
                             None => return Err(CompileError::UntrackedParamLeaf(i)),
                         }
                     } else {
-                        self.static_of(&node.value)
+                        self.static_of(g.held(Var(i)))
                     }
                 }
                 Op::Input(k) => {
@@ -883,7 +885,7 @@ impl<'a> Emitter<'a> {
     /// for bit.
     fn backward_pass(&mut self, loss: Var) -> Result<(), CompileError> {
         let g = self.g;
-        if g.nodes[loss.0].value.numel() != 1 {
+        if g.nodes[loss.0].shape.numel() != 1 {
             return Err(CompileError::NonScalarLoss);
         }
         self.grad[loss.0] = Some(GradRepr::Const(1.0));
@@ -891,8 +893,8 @@ impl<'a> Emitter<'a> {
             if !g.nodes[i].requires_grad || self.grad[i].is_none() {
                 continue;
             }
-            let nl = g.nodes[i].value.numel();
-            let vd = g.nodes[i].value.dims();
+            let nl = g.nodes[i].shape.numel();
+            let vd = g.nodes[i].shape.dims();
             match &g.nodes[i].op {
                 Op::Leaf | Op::Input(_) => {}
                 Op::Add(a, b) => {
@@ -1517,7 +1519,9 @@ fn compile(
 ) -> Result<Plan, CompileError> {
     focus_trace::span!("plan/compile");
     let mut em = Emitter::new(g, params);
-    em.forward_pass()?;
+    // A forward plan lowers the tape up to its output: no later node feeds it.
+    let end = output.filter(|_| loss.is_none()).map_or(g.nodes.len(), |out| out.0 + 1);
+    em.forward_pass(end)?;
 
     let mut pinned: Vec<u32> = Vec::new();
     let mut update_vregs: Vec<(u32, u32)> = Vec::new();
@@ -1545,7 +1549,7 @@ fn compile(
     }
     if let Some(out) = output {
         let ov = em.sink_vreg(out);
-        output_vreg = Some((ov, g.nodes[out.0].value.dims().to_vec()));
+        output_vreg = Some((ov, g.nodes[out.0].shape.dims().to_vec()));
         pinned.push(ov);
     }
 
@@ -1557,7 +1561,7 @@ fn compile(
     let vinstrs = eliminate_dead(std::mem::take(&mut em.instrs), nv, &pinned);
     let (instrs, slot_caps, slot_of) =
         allocate(&vinstrs, &em.vnumel, &pinned).map_err(reject)?;
-    let dims_of = |v: &Var| g.nodes[v.0].value.dims().to_vec();
+    let dims_of = |v: &Var| g.nodes[v.0].shape.dims().to_vec();
     let mut routes: Vec<(usize, u32)> = g.routes.iter().map(|r| (r.len(), u32::MAX)).collect();
     for ins in &instrs {
         // dims: RouteGather [src, b, k, d, l], RouteScatter [src, b, l, d, k].
@@ -1610,37 +1614,56 @@ pub fn compile_forward(g: &Graph, output: Var, pv: &ParamVars) -> Result<Plan, C
     compile(g, pv.raw(), None, Some(output))
 }
 
-/// The gradient of `loss` with respect to every trainable leaf of `g` that
-/// it depends on — the engine behind [`Graph::backward`].
-///
-/// Lowers the tape with each trainable leaf as a plan parameter (in tape
-/// order), then runs the plan once on the VM over the tape's own inputs and
-/// routes.
-pub(crate) fn leaf_gradients(g: &Graph, loss: Var) -> Result<Vec<(Var, Tensor)>, CompileError> {
+/// Compiles `g` with its trainable leaves as the plan's parameters, in tape
+/// order, runs the plan once on the VM over the tape's own leaves, inputs
+/// and routes, and returns what `read` takes from its slots: the engine
+/// behind [`Graph::backward`] and [`Graph::value`]. The slots then go back
+/// to the pool, so a loop of such calls allocates nothing fresh.
+fn run_once<T>(
+    g: &Graph,
+    loss: Option<Var>,
+    output: Option<Var>,
+    read: impl FnOnce(&Plan, &mut [Vec<f32>], &[Var]) -> T,
+) -> Result<T, CompileError> {
     let leaves: Vec<Var> = (0..g.nodes.len())
         .filter(|&i| g.nodes[i].requires_grad && matches!(g.nodes[i].op, Op::Leaf))
         .map(Var)
         .collect();
-    let plan = compile(g, &leaves, Some(loss), None)?;
-    let values: Vec<&Tensor> = leaves.iter().map(|v| &g.nodes[v.0].value).collect();
+    let plan = compile(g, &leaves, loss, output)?;
+    let values: Vec<&Tensor> = leaves.iter().map(|&v| g.held(v)).collect();
     let (inputs, routes) = g.bindings();
-    // The slots go back to the pool (the gradients when their tensors
-    // drop), so a loop of `backward` calls reaches a steady state without
-    // fresh allocations.
     let mut slots = Vec::new();
     plan.fit_slots(&mut slots);
     vm::run(&plan, &mut slots, &inputs, &routes, &values[..]);
-    let grads = plan
-        .updates
-        .iter()
-        .map(|u| {
-            let mut grad = std::mem::take(&mut slots[u.grad_slot as usize]);
-            grad.truncate(u.dims.iter().product());
-            (leaves[u.param as usize], Tensor::from_vec(grad, &u.dims))
-        })
-        .collect();
+    let out = read(&plan, &mut slots, &leaves);
     slots.into_iter().for_each(pool::give);
-    Ok(grads)
+    Ok(out)
+}
+
+/// Moves slot `slot` out as a tensor of `dims`, leaving it empty.
+fn slot_tensor(slots: &mut [Vec<f32>], slot: u32, dims: &[usize]) -> Tensor {
+    let mut buf = std::mem::take(&mut slots[slot as usize]);
+    buf.truncate(dims.iter().product());
+    Tensor::from_vec(buf, dims)
+}
+
+/// The gradient of `loss` with respect to every trainable leaf of `g` that
+/// it depends on — the engine behind [`Graph::backward`].
+pub(crate) fn leaf_gradients(g: &Graph, loss: Var) -> Result<Vec<(Var, Tensor)>, CompileError> {
+    run_once(g, Some(loss), None, |plan, slots, leaves| {
+        plan.updates
+            .iter()
+            .map(|u| (leaves[u.param as usize], slot_tensor(slots, u.grad_slot, &u.dims)))
+            .collect()
+    })
+}
+
+/// The value of the computed node `v` — the engine behind [`Graph::value`].
+pub(crate) fn node_value(g: &Graph, v: Var) -> Result<Tensor, CompileError> {
+    run_once(g, None, Some(v), |plan, slots, _| {
+        let (slot, dims) = plan.output.as_ref().expect("a forward plan has an output");
+        slot_tensor(slots, *slot, dims)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1732,9 +1755,9 @@ impl PlanCache {
     }
 
     /// One forward pass: replays the kept plan if it matches, otherwise
-    /// records the pass with `record`, keeps its compiled plan and returns
-    /// the tape's value. See [`ParamStore::run_forward`], which owns the one
-    /// forward cache per store; `store` is that owner.
+    /// records the pass with `record`, compiles it, runs that plan and keeps
+    /// it. See [`ParamStore::run_forward`], which owns the one forward cache
+    /// per store; `store` is that owner.
     ///
     /// # Errors
     /// If the tape does not lower, or the lowered plan fails verification.
@@ -1751,12 +1774,20 @@ impl PlanCache {
         }
         let mut g = Graph::new();
         let (output, pv) = record(&mut g);
-        if enabled() {
-            let plan = compile_forward(&g, output, &pv)?;
-            plan.fit_slots(&mut self.slots);
+        let plan = compile_forward(&g, output, &pv)?;
+        let (inputs, routes) = g.bindings();
+        // A plan that is not kept runs on slots of its own: the kept plan's
+        // must still fit it when caching comes back on.
+        let keep = enabled();
+        let mut own = Vec::new();
+        let slots = if keep { &mut self.slots } else { &mut own };
+        plan.fit_slots(slots);
+        let value = vm::replay_forward(&plan, slots, &inputs, &routes, store);
+        own.into_iter().for_each(pool::give);
+        if keep {
             self.plan = Some(Box::new(plan));
         }
-        Ok(g.value(output).clone())
+        Ok(value)
     }
 }
 

@@ -1,14 +1,12 @@
-//! Plan VM: replays a compiled [`Plan`] through a compact opcode dispatch.
+//! Plan VM: runs a compiled [`Plan`] through a compact opcode dispatch.
 //!
-//! Every instruction calls a `focus_tensor::exec` slice kernel. A forward
-//! instruction calls the kernel the tape called when it recorded the node
-//! (the GEMMs and LayerNorm through the same dispatcher and fused core),
-//! with identical operand order and geometry, so a plan's forward is
-//! bitwise-equal to the tape it was compiled from by construction, at any
-//! thread count. The backward instructions have no tape twin; the parity
-//! suites hold them to the reference oracle bit for bit. The VM runs every
-//! backward: [`crate::Graph::backward`], uncached training steps and replays
-//! alike.
+//! Every instruction calls a `focus_tensor::exec` slice kernel, so the VM
+//! is the one executor: the tape only records, and every forward value and
+//! every gradient comes from here — [`crate::Graph::value`],
+//! [`crate::Graph::backward`], uncached training steps and forward passes,
+//! and replays alike. Each kernel is bitwise-identical at any thread count,
+//! and the parity suites hold the VM's forward and backward to the
+//! reference oracle (`crate::oracle`), which runs no plan, bit for bit.
 //!
 //! Slot buffers are plain `Vec<f32>`s owned by the caller (sized once when a
 //! plan is compiled); the dispatch `mem::take`s an instruction's destinations,
@@ -24,8 +22,9 @@ use focus_tensor::{exec, pool, Tensor};
 use crate::optim::{Optimizer, ParamStore};
 use crate::plan::{Instr, Loc, OpCode, Plan};
 
-/// Where `Loc::Param` operands live: the [`ParamStore`] on the training path,
-/// the tape's own trainable leaves under [`crate::Graph::backward`].
+/// Where `Loc::Param` operands live: the [`ParamStore`] on the training and
+/// forward paths, the tape's own trainable leaves under
+/// [`crate::Graph::backward`] and [`crate::Graph::value`].
 pub(crate) trait Params {
     fn param(&self, i: usize) -> &[f32];
 }
@@ -477,7 +476,7 @@ pub(crate) fn replay_train<O: Optimizer>(
     loss
 }
 
-/// Replays a forward-only plan, returning the output tensor in a pooled
+/// Runs a forward-only plan, returning the output tensor in a pooled
 /// buffer. `plan/pool_lookups_steady` covers the instruction sweep only, not
 /// the output's one pool lookup.
 pub(crate) fn replay_forward(

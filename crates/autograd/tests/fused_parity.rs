@@ -52,17 +52,18 @@ fn run_net(inputs: &[Tensor], reference: bool) -> (f32, Vec<Tensor>, [Tensor; 2]
     let th = g.tanh(mixed);
     let sm = g.softmax_last(th);
     let loss = g.mse(sm, target);
-    if reference {
-        oracle::backward(&mut g, loss);
+    let loss_value = if reference {
+        oracle::backward(&mut g, loss)
     } else {
         g.backward(loss);
-    }
+        g.value(loss)
+    };
     let grads = vars
         .iter()
         .map(|&v| g.grad(v).cloned().unwrap_or_else(|| Tensor::zeros(&[1])))
         .collect();
     let (ln_ref, _) = oracle::layer_norm(&inputs[0], inputs[1].data(), inputs[2].data(), 1e-5);
-    (g.value(loss).item(), grads, [g.value(ln).clone(), ln_ref])
+    (loss_value.item(), grads, [g.value(ln), ln_ref])
 }
 
 /// Inputs for `run_net` with `rows × width` LayerNorm input: width 7 is all
@@ -143,7 +144,7 @@ fn broadcast_score_forward_matches_oracle_at_1_2_4_threads() {
             let mut g = Graph::new();
             let (av, xv) = (g.constant(a.clone()), g.constant(x.clone()));
             let s = g.matmul_broadcast_nt(av, xv);
-            assert_bitwise_eq(&reference, g.value(s), &format!("[{k}, {bsz}, {l}, {d}] at {threads} threads"));
+            assert_bitwise_eq(&reference, &g.value(s), &format!("[{k}, {bsz}, {l}, {d}] at {threads} threads"));
         }
     }
     par::set_threads(0);

@@ -185,9 +185,9 @@ fn oracle_step(
     let mut g = Graph::new();
     let pv = model.store.register(&mut g);
     let (loss, _) = build_loss(&mut g, &pv, &model.ids, seq, x, tgt, routes);
-    oracle::backward(&mut g, loss);
+    let loss = oracle::backward(&mut g, loss);
     model.store.step(opt, &g, &pv);
-    g.value(loss).data()[0]
+    loss.data()[0]
 }
 
 /// One VM step with the core train loop's control flow: replay the cached
@@ -423,7 +423,7 @@ fn forward_replay_matches_the_tape() {
     let (pred, _) = record_pred(&mut g, &model, &x, &t, &r);
     let reference = g.value(pred);
     assert_eq!(reference.dims(), replayed.dims());
-    assert_eq!(tensor_bits(reference), tensor_bits(&replayed), "forward replay must be bitwise equal");
+    assert_eq!(tensor_bits(&reference), tensor_bits(&replayed), "forward replay must be bitwise equal");
 }
 
 /// Replay checks every route index against the plan's prototype count: the
@@ -443,6 +443,119 @@ fn out_of_range_route_fails_the_replay() {
     let mut bad = r.clone();
     bad[0] = K as u32;
     let _ = model.store.run_forward(&[&x, &t], &[&bad], |_| unreachable!("the kept plan matches"));
+}
+
+/// Runs `f`, which must panic, and returns its panic message.
+fn panic_message(f: impl FnOnce()) -> String {
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("the call must panic");
+    match panic.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(panic) => panic.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string()),
+    }
+}
+
+/// `sample(SEQ, 0)` with one index out of range: value `K + 1` at position
+/// 5, and the message every never-cached path must fail with.
+fn bad_route() -> (Tensor, Tensor, Vec<u32>, &'static str) {
+    let (x, t, mut r) = sample(SEQ, 0);
+    r[5] = K as u32 + 1;
+    (x, t, r, "routing index 4 at position 5 out of range for k = 3")
+}
+
+/// A never-cached step has no kept plan to check its routes against: the
+/// tape checks every index when it records the route, before any kernel
+/// runs, so the first `run_train` step fails naming the index and updates
+/// nothing.
+#[test]
+fn out_of_range_route_fails_the_first_train_step() {
+    let _lock = guard();
+    let _caching = Caching::set(true);
+    let mut model = init_model();
+    let mut opt = AdamW::new(1e-2, 0.0);
+    let mut cache = PlanCache::new();
+    let (x, t, bad, want) = bad_route();
+    let before = model.store.snapshot();
+    let msg = panic_message(|| {
+        vm_step(&mut model, &mut opt, &mut cache, SEQ, &x, &t, &bad);
+    });
+    assert!(msg.contains(want), "the message names the index: {msg}");
+    assert!(!cache.is_ready(), "a failed step keeps no plan");
+    assert_bitwise_eq(&before, &model.store.snapshot(), "no parameter may change");
+}
+
+/// As above, for the first `ParamStore::run_forward`: the recording fails
+/// before the pass compiles, and the next pass records afresh.
+#[test]
+fn out_of_range_route_fails_the_first_forward_pass() {
+    let _lock = guard();
+    let _caching = Caching::set(true);
+    let model = init_model();
+    let (x, t, bad, want) = bad_route();
+    let before = model.store.snapshot();
+    let msg = panic_message(|| {
+        let _ = model.store.run_forward(&[&x, &t], &[&bad], |g| record_pred(g, &model, &x, &t, &bad));
+    });
+    assert!(msg.contains(want), "the message names the index: {msg}");
+    assert_bitwise_eq(&before, &model.store.snapshot(), "no parameter may change");
+    let (x, t, r) = sample(SEQ, 0);
+    let mut recorded = false;
+    model
+        .store
+        .run_forward(&[&x, &t], &[&r], |g| {
+            recorded = true;
+            record_pred(g, &model, &x, &t, &r)
+        })
+        .expect("the corpus model lowers");
+    assert!(recorded, "the failed pass kept no plan");
+}
+
+/// As above, for `Graph::backward`.
+#[test]
+fn out_of_range_route_fails_graph_backward() {
+    let _lock = guard();
+    let model = init_model();
+    let (x, t, bad, want) = bad_route();
+    let before = model.store.snapshot();
+    let msg = panic_message(|| {
+        let mut g = Graph::new();
+        let pv = model.store.register(&mut g);
+        let (loss, _) = build_loss(&mut g, &pv, &model.ids, SEQ, &x, &t, &bad);
+        g.backward(loss);
+    });
+    assert!(msg.contains(want), "the message names the index: {msg}");
+    assert_bitwise_eq(&before, &model.store.snapshot(), "no parameter may change");
+}
+
+/// The VM's forward — a never-cached pass, a replay and `Graph::value` —
+/// equals the oracle's reference forward, which runs no plan, bit for bit
+/// at 1, 2 and 4 threads.
+#[test]
+fn vm_forward_is_bitwise_equal_to_the_oracle_at_1_2_4_threads() {
+    let _lock = guard();
+    let model = init_model();
+    let pass = |x: &Tensor, t: &Tensor, r: &[u32]| {
+        model
+            .store
+            .run_forward(&[x, t], &[r], |g| record_pred(g, &model, x, t, r))
+            .expect("the corpus model lowers")
+    };
+    for threads in [1usize, 2, 4] {
+        par::set_threads(threads);
+        let (x, t, r) = sample(SEQ, 5);
+        let mut g = Graph::new();
+        let (pred, _) = record_pred(&mut g, &model, &x, &t, &r);
+        let reference = tensor_bits(&oracle::forward(&g, pred));
+        assert_eq!(tensor_bits(&g.value(pred)), reference, "Graph::value, threads={threads}");
+        {
+            let _caching = Caching::set(false);
+            assert_eq!(tensor_bits(&pass(&x, &t, &r)), reference, "never cached, threads={threads}");
+        }
+        let _caching = Caching::set(true);
+        let (x0, t0, r0) = sample(SEQ, 0);
+        pass(&x0, &t0, &r0);
+        assert_eq!(tensor_bits(&pass(&x, &t, &r)), reference, "replayed, threads={threads}");
+    }
+    par::set_threads(0);
 }
 
 /// A pass that panics while holding the store's forward lock poisons it. A

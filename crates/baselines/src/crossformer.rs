@@ -77,7 +77,7 @@ impl Forecaster for Crossformer {
     }
 
     fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, _: &OperandVars) -> Var {
-        let n = g.value(x).dims()[0];
+        let n = g.dims(x)[0];
         let l = self.n_patches();
         let patches = g.reshape(x, &[n, l, self.patch]); // [N, l, p]
         let emb = self.embed.forward(g, pv, patches); // [N, l, d]

@@ -90,7 +90,7 @@ impl Forecaster for GraphWavenet {
     }
 
     fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, _: &OperandVars) -> Var {
-        let n = g.value(x).dims()[0];
+        let n = g.dims(x)[0];
         assert_eq!(
             n, self.entities,
             "GraphWavenet adjacency built for {} entities, window has {n}",

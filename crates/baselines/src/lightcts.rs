@@ -71,7 +71,7 @@ impl Forecaster for LightCts {
     }
 
     fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, _: &OperandVars) -> Var {
-        let n = g.value(x).dims()[0];
+        let n = g.dims(x)[0];
         let l = self.lookback / self.patch;
         let patches = g.reshape(x, &[n, l, self.patch]);
         let emb = self.embed.forward(g, pv, patches); // [N, l, d]

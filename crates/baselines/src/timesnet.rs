@@ -98,7 +98,7 @@ impl Forecaster for TimesNet {
     }
 
     fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, _: &OperandVars) -> Var {
-        let n = g.value(x).dims()[0];
+        let n = g.dims(x)[0];
         let cycles = self.lookback / self.period;
 
         // Intra-period variation: rows of the [cycles, period] grid.

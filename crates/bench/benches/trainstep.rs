@@ -14,7 +14,7 @@
 //!
 //! A serve arm times [`Forecaster::predict`] the same way: replaying the
 //! forward plan the model keeps, against never-cached prediction, which
-//! records every forward pass.
+//! records, compiles and runs every forward pass.
 //!
 //! The host may be time-shared, so modes are measured in *interleaved*
 //! rounds — one block of each per round, best block kept for each — so that
@@ -257,8 +257,9 @@ fn main() {
 
     // Serve arm: `predict` on the plan harness's trained model, replaying
     // the forward plan its ParamStore keeps, against never-cached predicts
-    // that record every forward pass. One block of each mode warms its pool
-    // classes; the cached block's first predict compiles and keeps the plan.
+    // that record, compile and run every forward pass. One block of each
+    // mode warms its pool classes; the cached block's first predict compiles
+    // and keeps the plan.
     plan::set_enabled(false);
     plan_h.predict_block_ns();
     plan::set_enabled(true);
@@ -282,7 +283,7 @@ fn main() {
     );
     let predict_speedup = predict_uncached_ns / predict_ns;
     println!(
-        "predict (never-cached: record the forward, 1 thread): {}",
+        "predict (never-cached: record, compile and run the forward, 1 thread): {}",
         fmt_ms(predict_uncached_ns)
     );
     println!(

@@ -16,25 +16,23 @@ fn main() {
         patience: Some(10),
         ..Default::default()
     };
-    for (p, k, d, layers) in [
-        (8usize, 12usize, 32usize, 1usize), // current table3 config
-        (8, 24, 32, 1),
-        (8, 48, 32, 1),
-        (16, 24, 32, 1),
-        (8, 24, 48, 1),
-        (8, 24, 32, 2),
-        (12, 24, 32, 1),
+    for (p, k, d) in [
+        (8usize, 12usize, 32usize), // current table3 config
+        (8, 24, 32),
+        (8, 48, 32),
+        (16, 24, 32),
+        (8, 24, 48),
+        (12, 24, 32),
     ] {
         let mut cfg = FocusConfig::new(192, 48);
         cfg.segment_len = p;
         cfg.n_prototypes = k;
         cfg.d = d;
-        cfg.n_layers = layers;
         let mut model = Focus::fit_offline(&ds, cfg, settings::seed_for("table3-model", 48));
         let r = model.train(&ds, &opts);
         let m = model.evaluate(&ds, Split::Test, 48);
         println!(
-            "p={p:<3} k={k:<3} d={d:<3} layers={layers}: MSE {:.4} MAE {:.4} (epochs {}, best {:?})",
+            "p={p:<3} k={k:<3} d={d:<3}: MSE {:.4} MAE {:.4} (epochs {}, best {:?})",
             m.mse(),
             m.mae(),
             r.epoch_losses.len(),

@@ -161,7 +161,7 @@ impl FocusAblation {
     /// Runs the extraction stage on the window `x: [N, L]`, returning
     /// `(H_t, H_e)`, each `[N, l, d]`.
     fn extract(&self, g: &mut Graph, pv: &ParamVars, x: Var, operands: &OperandVars) -> (Var, Var) {
-        let n = g.value(x).dims()[0];
+        let n = g.dims(x)[0];
         let (l, p) = (self.cfg.n_segments(), self.cfg.segment_len);
         match &self.extract {
             Extract::Proto(ext) => ext.forward(g, pv, x, operands),
@@ -201,7 +201,7 @@ impl FocusAblation {
         match &self.fuse {
             Fuse::Parallel(fusion) => fusion.forward(g, pv, h_t, h_e),
             Fuse::GatedLinear { w1, w2 } => {
-                let dims = g.value(h_t).dims().to_vec();
+                let dims = g.dims(h_t).to_vec();
                 let (n, l, d) = (dims[0], dims[1], dims[2]);
                 let flat_t = g.reshape(h_t, &[n, l * d]);
                 let flat_e = g.reshape(h_e, &[n, l * d]);

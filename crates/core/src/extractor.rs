@@ -60,7 +60,7 @@ impl SegmentEmbedding {
     /// Embeds `segments: [N, l, p]` into `[N, l, d]`, adding the positional
     /// table (broadcast over entities).
     pub fn forward(&self, g: &mut Graph, pv: &ParamVars, segments: Var) -> Var {
-        let dims = g.value(segments).dims().to_vec();
+        let dims = g.dims(segments).to_vec();
         assert_eq!(dims.len(), 3, "SegmentEmbedding expects [N, l, p]");
         assert_eq!(
             dims[1], self.n_segments,
@@ -85,28 +85,15 @@ impl SegmentEmbedding {
     }
 }
 
-/// One stacked refinement layer of a branch: ProtoAttn over the previous
-/// features plus residual + LayerNorm.
-struct RefineLayer {
-    attn: ProtoAttn,
-    ln: LayerNorm,
-}
-
 /// Dual-branch extractor producing aligned `[N, l, d]` temporal and entity
-/// feature tensors.
-///
-/// The paper uses a single layer per branch (§VIII-A); `new_stacked` builds
-/// the natural multi-layer extension where additional ProtoAttn layers
-/// refine the `d`-wide features (assignments stay fixed to the raw-segment
-/// buckets).
+/// feature tensors, with one ProtoAttn layer per branch as in the paper
+/// (§VIII-A).
 pub struct DualBranchExtractor {
     embed: SegmentEmbedding,
     temporal: ProtoAttn,
     entity: ProtoAttn,
     ln_t: LayerNorm,
     ln_e: LayerNorm,
-    temporal_stack: Vec<RefineLayer>,
-    entity_stack: Vec<RefineLayer>,
     assignment: Assignment,
     prototypes: Prototypes,
     segment_len: usize,
@@ -114,8 +101,8 @@ pub struct DualBranchExtractor {
 }
 
 impl DualBranchExtractor {
-    /// Builds the paper's single-layer extractor around an offline prototype
-    /// set, for windows of exactly `n_segments` segments.
+    /// Builds the extractor around an offline prototype set, for windows of
+    /// exactly `n_segments` segments.
     pub fn new<R: Rng + ?Sized>(
         ps: &mut ParamStore,
         name: &str,
@@ -125,67 +112,18 @@ impl DualBranchExtractor {
         assignment: Assignment,
         rng: &mut R,
     ) -> Self {
-        Self::new_stacked(ps, name, prototypes, d, n_segments, 1, assignment, rng)
-    }
-
-    /// Builds an extractor with `n_layers ≥ 1` ProtoAttn layers per branch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_stacked<R: Rng + ?Sized>(
-        ps: &mut ParamStore,
-        name: &str,
-        prototypes: &Prototypes,
-        d: usize,
-        n_segments: usize,
-        n_layers: usize,
-        assignment: Assignment,
-        rng: &mut R,
-    ) -> Self {
-        assert!(n_layers >= 1, "need at least one extractor layer");
         let p = prototypes.segment_len();
-        let mut temporal_stack = Vec::new();
-        let mut entity_stack = Vec::new();
-        for layer in 1..n_layers {
-            temporal_stack.push(RefineLayer {
-                attn: ProtoAttn::with_kv_dim(
-                    ps,
-                    &format!("{name}.temporal{layer}"),
-                    prototypes,
-                    d,
-                    d,
-                    rng,
-                ),
-                ln: LayerNorm::new(ps, &format!("{name}.ln_t{layer}"), d),
-            });
-            entity_stack.push(RefineLayer {
-                attn: ProtoAttn::with_kv_dim(
-                    ps,
-                    &format!("{name}.entity{layer}"),
-                    prototypes,
-                    d,
-                    d,
-                    rng,
-                ),
-                ln: LayerNorm::new(ps, &format!("{name}.ln_e{layer}"), d),
-            });
-        }
         DualBranchExtractor {
             embed: SegmentEmbedding::new(ps, &format!("{name}.embed"), p, d, n_segments, rng),
             temporal: ProtoAttn::new(ps, &format!("{name}.temporal"), prototypes, d, rng),
             entity: ProtoAttn::new(ps, &format!("{name}.entity"), prototypes, d, rng),
             ln_t: LayerNorm::new(ps, &format!("{name}.ln_t"), d),
             ln_e: LayerNorm::new(ps, &format!("{name}.ln_e"), d),
-            temporal_stack,
-            entity_stack,
             assignment,
             prototypes: prototypes.clone(),
             segment_len: p,
             d,
         }
-    }
-
-    /// Number of ProtoAttn layers per branch.
-    pub fn n_layers(&self) -> usize {
-        1 + self.temporal_stack.len()
     }
 
     /// Feature width `d`.
@@ -214,7 +152,7 @@ impl DualBranchExtractor {
     /// The per-window operands [`DualBranchExtractor::forward`] reads for
     /// window `x`: the temporal and entity route indices under hard
     /// assignment, the temporal and entity mixture matrices under soft
-    /// assignment (stacked layers reuse both).
+    /// assignment.
     pub fn window_operands(&self, x: &Tensor) -> WindowOperands {
         let routing = self.routing(x);
         let swapped = routing.swap01();
@@ -264,7 +202,7 @@ impl DualBranchExtractor {
                 (Routing::Soft(operands.tensors[0]), Routing::Soft(operands.tensors[1]))
             }
         };
-        let (n, len) = (g.value(x).dims()[0], g.value(x).dims()[1]);
+        let (n, len) = (g.dims(x)[0], g.dims(x)[1]);
         let p_t = g.reshape(x, &[n, len / self.segment_len, self.segment_len]); // [N, l, p]
 
         // Shared input embedding provides the residual path.
@@ -273,12 +211,7 @@ impl DualBranchExtractor {
         // Temporal branch.
         let attn_t = self.temporal.forward(g, pv, p_t, routing_t);
         let sum_t = g.add(attn_t, emb_t);
-        let mut h_t = self.ln_t.forward(g, pv, sum_t); // [N, l, d]
-        for layer in &self.temporal_stack {
-            let refined = layer.attn.forward(g, pv, h_t, routing_t);
-            let sum = g.add(refined, h_t);
-            h_t = layer.ln.forward(g, pv, sum);
-        }
+        let h_t = self.ln_t.forward(g, pv, sum_t); // [N, l, d]
 
         // Entity branch: same segments viewed as [l, N, p] with swapped
         // routing (a pure index permutation on the hard path).
@@ -286,12 +219,7 @@ impl DualBranchExtractor {
         let emb_e = g.swap_axes01(emb_t); // [l, N, d] (embedding is pointwise per segment)
         let attn_e = self.entity.forward(g, pv, p_e, routing_e);
         let sum_e = g.add(attn_e, emb_e);
-        let mut h_e_raw = self.ln_e.forward(g, pv, sum_e); // [l, N, d]
-        for layer in &self.entity_stack {
-            let refined = layer.attn.forward(g, pv, h_e_raw, routing_e);
-            let sum = g.add(refined, h_e_raw);
-            h_e_raw = layer.ln.forward(g, pv, sum);
-        }
+        let h_e_raw = self.ln_e.forward(g, pv, sum_e); // [l, N, d]
         let h_e = g.swap_axes01(h_e_raw); // [N, l, d]
 
         (h_t, h_e)
@@ -299,18 +227,11 @@ impl DualBranchExtractor {
 
     /// Analytic cost for a window of `n` entities × `l` segments.
     pub fn cost(&self, n: usize, l: usize) -> CostReport {
-        let mut total = self.embed.cost(n)
+        self.embed.cost(n)
             + self.temporal.cost(n, l)
             + self.entity.cost(l, n)
             + self.ln_t.cost(n * l)
-            + self.ln_e.cost(n * l);
-        for layer in self.temporal_stack.iter() {
-            total = total + layer.attn.cost(n, l) + layer.ln.cost(n * l);
-        }
-        for layer in self.entity_stack.iter() {
-            total = total + layer.attn.cost(l, n) + layer.ln.cost(n * l);
-        }
-        total
+            + self.ln_e.cost(n * l)
     }
 }
 
@@ -362,8 +283,8 @@ mod tests {
         let pv = ps.register(&mut g);
         let (xv, ops) = record(&ext, &mut g, &x);
         let (h_t, h_e) = ext.forward(&mut g, &pv, xv, &ops);
-        assert_eq!(g.value(h_t).dims(), &[4, 4, 6]);
-        assert_eq!(g.value(h_e).dims(), &[4, 4, 6]);
+        assert_eq!(g.dims(h_t), &[4, 4, 6]);
+        assert_eq!(g.dims(h_e), &[4, 4, 6]);
         assert!(g.value(h_t).all_finite());
         assert!(g.value(h_e).all_finite());
     }
@@ -377,7 +298,7 @@ mod tests {
         let pv = ps.register(&mut g);
         let (xv, ops) = record(&ext, &mut g, &x);
         let (h_t, h_e) = ext.forward(&mut g, &pv, xv, &ops);
-        let diff = g.value(h_t).max_abs_diff(g.value(h_e));
+        let diff = g.value(h_t).max_abs_diff(&g.value(h_e));
         assert!(diff > 1e-3, "branches coincide (diff {diff})");
     }
 
@@ -398,36 +319,6 @@ mod tests {
         let (_, ext, _) = fixture();
         let bad = Tensor::zeros(&[4, 30]);
         let _ = ext.segment_view(&bad);
-    }
-
-    #[test]
-    fn stacked_extractor_runs_and_costs_more() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let x = Tensor::randn(&[4, 32], 1.0, &mut rng);
-        let segs = segment_matrix(&x, 8);
-        let protos = ClusterConfig::new(3, 8).fit(&segs, 1);
-
-        let mut ps1 = ParamStore::new();
-        let one = DualBranchExtractor::new_stacked(
-            &mut ps1, "e1", &protos, 6, 4, 1, Assignment::Hard, &mut rng,
-        );
-        let mut ps3 = ParamStore::new();
-        let three = DualBranchExtractor::new_stacked(
-            &mut ps3, "e3", &protos, 6, 4, 3, Assignment::Hard, &mut rng,
-        );
-        assert_eq!(one.n_layers(), 1);
-        assert_eq!(three.n_layers(), 3);
-        assert!(three.cost(4, 4).flops > one.cost(4, 4).flops);
-        assert!(ps3.scalar_count() > ps1.scalar_count());
-
-        let mut g = Graph::new();
-        let pv = ps3.register(&mut g);
-        let (xv, ops) = record(&three, &mut g, &x);
-        let (h_t, h_e) = three.forward(&mut g, &pv, xv, &ops);
-        assert_eq!(g.value(h_t).dims(), &[4, 4, 6]);
-        assert!(g.value(h_t).all_finite() && g.value(h_e).all_finite());
-        // Params accounted analytically must match the store.
-        assert_eq!(three.cost(4, 4).params, ps3.scalar_count());
     }
 
     #[test]

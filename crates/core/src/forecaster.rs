@@ -240,8 +240,8 @@ pub trait Forecaster {
     ///
     /// The forward pass runs through the plan the model's [`ParamStore`]
     /// keeps ([`ParamStore::run_forward`]): the first call records the pass,
-    /// compiles it and keeps the plan, and every later call with the same
-    /// shapes replays it, with the same bits as a recorded pass. A shape
+    /// compiles it, runs it and keeps the plan, and every later call with
+    /// the same shapes replays it, with the same bits as a never-cached pass. A shape
     /// change drops the plan and compiles a new one. Keeping the plan is
     /// sound because no forecaster has a `&mut self` method besides
     /// `params_mut` and `train`: the constants a model records, which the
@@ -583,9 +583,9 @@ mod tests {
                 let w = WindowInputs::new(&*model, x_norm, Some(y_norm));
                 let rec = model.record_window(&mut g, &w);
                 let loss = g.mse(rec.pred, rec.target.expect("the window carries its target"));
-                focus_autograd::oracle::backward(&mut g, loss);
+                let loss = focus_autograd::oracle::backward(&mut g, loss);
                 model.params_mut().step(&mut opt, &g, &rec.pv);
-                total += g.value(loss).item() as f64;
+                total += loss.item() as f64;
             }
             losses.push(total / windows.len() as f64);
         }

@@ -67,9 +67,9 @@ impl ParallelFusion {
     /// Fuses `h_t` and `h_e` (both `[N, l, d]`) into a forecast `[N, horizon]`.
     pub fn forward(&self, g: &mut Graph, pv: &ParamVars, h_t: Var, h_e: Var) -> Var {
         focus_trace::span!("model/fusion");
-        let n = g.value(h_t).dims()[0];
-        assert_eq!(g.value(h_t).dims(), g.value(h_e).dims(), "branch shape mismatch");
-        assert_eq!(g.value(h_t).dims()[2], self.d, "feature width mismatch");
+        let n = g.dims(h_t)[0];
+        assert_eq!(g.dims(h_t), g.dims(h_e), "branch shape mismatch");
+        assert_eq!(g.dims(h_t)[2], self.d, "feature width mismatch");
 
         let q = pv.var(self.queries); // [m, d]
         let f_t = self.readout(g, q, h_t); // [N, m, d]
@@ -129,7 +129,7 @@ mod tests {
         let h_t = g.constant(Tensor::randn(&[5, 7, 8], 1.0, &mut rng));
         let h_e = g.constant(Tensor::randn(&[5, 7, 8], 1.0, &mut rng));
         let y = fusion.forward(&mut g, &pv, h_t, h_e);
-        assert_eq!(g.value(y).dims(), &[5, 12]);
+        assert_eq!(g.dims(y), &[5, 12]);
         assert!(g.value(y).all_finite());
     }
 
@@ -149,7 +149,7 @@ mod tests {
         // Recompute with a perturbed second branch: output must change.
         let h_e2 = g.constant(h.add_scalar(1.0));
         let y_diff = fusion.forward(&mut g, &pv, h_t, h_e2);
-        assert!(g.value(y_same).max_abs_diff(g.value(y_diff)) > 1e-4);
+        assert!(g.value(y_same).max_abs_diff(&g.value(y_diff)) > 1e-4);
     }
 
     #[test]

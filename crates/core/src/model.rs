@@ -42,9 +42,6 @@ pub struct FocusConfig {
     pub cluster_update: ProtoUpdate,
     /// Outer iterations of the offline clustering.
     pub cluster_iters: usize,
-    /// ProtoAttn layers per extractor branch (1 in the paper; >1 enables the
-    /// stacked-extractor extension).
-    pub n_layers: usize,
 }
 
 impl FocusConfig {
@@ -65,7 +62,6 @@ impl FocusConfig {
             assignment: Assignment::Hard,
             cluster_update: ProtoUpdate::paper_default(),
             cluster_iters: 20,
-            n_layers: 1,
         };
         cfg.validate();
         cfg
@@ -97,7 +93,6 @@ impl FocusConfig {
         );
         assert!(self.n_prototypes > 0, "need at least one prototype");
         assert!(self.d > 0 && self.readout > 0, "d and m must be positive");
-        assert!(self.n_layers >= 1, "need at least one extractor layer");
     }
 
     /// Runs the offline clustering phase on a training matrix `[N, T_train]`
@@ -150,13 +145,12 @@ impl Focus {
         );
         let mut rng = StdRng::seed_from_u64(seed ^ 0xf0c5);
         let mut ps = ParamStore::new();
-        let extractor = DualBranchExtractor::new_stacked(
+        let extractor = DualBranchExtractor::new(
             &mut ps,
             "extractor",
             &prototypes,
             cfg.d,
             cfg.n_segments(),
-            cfg.n_layers,
             cfg.assignment,
             &mut rng,
         );
@@ -209,7 +203,7 @@ impl Forecaster for Focus {
 
     fn forward_window(&self, g: &mut Graph, pv: &ParamVars, x: Var, operands: &OperandVars) -> Var {
         focus_trace::span!("model/forward");
-        let dims = g.value(x).dims();
+        let dims = g.dims(x);
         assert_eq!(dims.len(), 2, "window must be [N, L]");
         assert_eq!(
             dims[1], self.cfg.lookback,

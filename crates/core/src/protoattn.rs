@@ -205,14 +205,13 @@ pub struct ProtoAttn {
     w_k: Linear,
     w_v: Linear,
     prototypes: Tensor,
-    kv_dim: usize,
     d: usize,
 }
 
 impl ProtoAttn {
     /// Builds a block for prototypes of shape `[k, p]`, embedding into
     /// feature width `d`. Keys/values are projected from raw segments
-    /// (`kv_dim = p`, Eq. 14).
+    /// (Eq. 14).
     pub fn new<R: Rng + ?Sized>(
         ps: &mut ParamStore,
         name: &str,
@@ -221,27 +220,11 @@ impl ProtoAttn {
         rng: &mut R,
     ) -> Self {
         let p = prototypes.segment_len();
-        Self::with_kv_dim(ps, name, prototypes, p, d, rng)
-    }
-
-    /// Builds a block whose keys/values are projected from `kv_dim`-wide
-    /// inputs instead of raw segments — used by the stacked layers of the
-    /// multi-layer extractor extension, which attend over `d`-wide features.
-    pub fn with_kv_dim<R: Rng + ?Sized>(
-        ps: &mut ParamStore,
-        name: &str,
-        prototypes: &Prototypes,
-        kv_dim: usize,
-        d: usize,
-        rng: &mut R,
-    ) -> Self {
-        let p = prototypes.segment_len();
         ProtoAttn {
             w_e: Linear::new_no_bias(ps, &format!("{name}.w_e"), p, d, rng),
-            w_k: Linear::new_no_bias(ps, &format!("{name}.w_k"), kv_dim, d, rng),
-            w_v: Linear::new_no_bias(ps, &format!("{name}.w_v"), kv_dim, d, rng),
+            w_k: Linear::new_no_bias(ps, &format!("{name}.w_k"), p, d, rng),
+            w_v: Linear::new_no_bias(ps, &format!("{name}.w_v"), p, d, rng),
             prototypes: prototypes.centers().clone(),
-            kv_dim,
             d,
         }
     }
@@ -261,7 +244,7 @@ impl ProtoAttn {
         self.prototypes.dims()[1]
     }
 
-    /// Applies ProtoAttn to `segments: [B, l, kv_dim]` under `routing`,
+    /// Applies ProtoAttn to `segments: [B, l, p]` under `routing`,
     /// returning `[B, l, d]` (Algorithm 2).
     ///
     /// Hard routing gathers each segment's prototype summary through the
@@ -270,16 +253,16 @@ impl ProtoAttn {
     /// `bmm` at any thread count (see `focus_tensor::route`).
     ///
     /// # Panics
-    /// If `segments` is not `[B, l, kv_dim]`, a hard route does not hold
+    /// If `segments` is not `[B, l, p]`, a hard route does not hold
     /// `B·l` indices below `k`, or a soft matrix is not `[B, l, k]`.
     pub fn forward(&self, g: &mut Graph, pv: &ParamVars, segments: Var, routing: Routing) -> Var {
         focus_trace::span!("model/protoattn");
-        let dims = g.value(segments).dims().to_vec();
+        let dims = g.dims(segments).to_vec();
         if focus_trace::enabled() && dims.len() == 3 {
             focus_trace::counter_add("flops/protoattn_est", self.cost(dims[0], dims[1]).flops);
         }
-        assert_eq!(dims.len(), 3, "ProtoAttn expects [B, l, kv_dim] inputs");
-        assert_eq!(dims[2], self.kv_dim, "ProtoAttn input width mismatch");
+        assert_eq!(dims.len(), 3, "ProtoAttn expects [B, l, p] inputs");
+        assert_eq!(dims[2], self.segment_len(), "ProtoAttn input width mismatch");
 
         let c = g.constant(self.prototypes.clone());
         let c_q = self.w_e.forward(g, pv, c); // [k, d]
@@ -293,7 +276,7 @@ impl ProtoAttn {
             Routing::Hard(route) => g.route_one_hot(head, route, dims[1]),
             Routing::Soft(a) => {
                 assert_eq!(
-                    g.value(a).dims(),
+                    g.dims(a),
                     &[dims[0], dims[1], self.k()],
                     "soft routing must cover [B, l, k]"
                 );
@@ -322,14 +305,13 @@ impl ProtoAttn {
         let alpha = g.softmax_last(scaled); // [B, k, l]
         let a_v = g.constant(assign.clone());
         let dep = g.bmm(a_v, alpha); // [B, l, l]
-        g.value(dep).clone()
+        g.value(dep)
     }
 
     /// Analytic cost over a batch of `b` sequences of `l` segments
     /// (the `O(l·(k·d + d²) + k·d²)` of the paper's complexity analysis).
     pub fn cost(&self, b: usize, l: usize) -> CostReport {
-        let k = self.k();
-        let p = self.kv_dim;
+        let (k, p) = (self.k(), self.segment_len());
         // Prototype queries are computed once per forward (shared over batch).
         let proto_proj = self.w_e.cost(k);
         let kv_proj = self.w_k.cost(b * l) + self.w_v.cost(b * l);
@@ -439,9 +421,10 @@ mod tests {
         let seg_v = g.input(segs);
         let routing = record(&mut g, &plan);
         let out = pa.forward(&mut g, &pv, seg_v, routing);
-        assert_eq!(g.value(out).dims(), &[1, 3, 8]);
-        let row0: Vec<f32> = (0..8).map(|j| g.value(out).at3(0, 0, j)).collect();
-        let row2: Vec<f32> = (0..8).map(|j| g.value(out).at3(0, 2, j)).collect();
+        assert_eq!(g.dims(out), &[1, 3, 8]);
+        let out = g.value(out);
+        let row0: Vec<f32> = (0..8).map(|j| out.at3(0, 0, j)).collect();
+        let row2: Vec<f32> = (0..8).map(|j| out.at3(0, 2, j)).collect();
         assert_eq!(row0, row2, "same-bucket segments must share outputs");
     }
 

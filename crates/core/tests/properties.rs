@@ -75,14 +75,15 @@ proptest! {
         let seg_v = g.input(segs.clone());
         let route = g.route(indices);
         let out = pa.forward(&mut g, &pv, seg_v, Routing::Hard(route));
+        let out = g.value(out);
         let assigned: Vec<usize> = (0..6)
             .map(|i| (0..K).position(|j| a.at3(0, i, j) == 1.0).unwrap())
             .collect();
         for i in 0..6 {
             for j in (i + 1)..6 {
                 if assigned[i] == assigned[j] {
-                    let ri: Vec<f32> = (0..8).map(|d| g.value(out).at3(0, i, d)).collect();
-                    let rj: Vec<f32> = (0..8).map(|d| g.value(out).at3(0, j, d)).collect();
+                    let ri: Vec<f32> = (0..8).map(|d| out.at3(0, i, d)).collect();
+                    let rj: Vec<f32> = (0..8).map(|d| out.at3(0, j, d)).collect();
                     prop_assert_eq!(ri, rj);
                 }
             }
@@ -105,7 +106,7 @@ proptest! {
             let seg_v = g.input(input.clone());
             let route = g.route(Assignment::indices(input, &protos));
             let out = pa.forward(&mut g, &pv, seg_v, Routing::Hard(route));
-            g.value(out).clone()
+            g.value(out)
         };
 
         let forward = run(&segs);

@@ -41,7 +41,7 @@ impl SelfAttention {
 
     /// Applies attention to `x: [B, l, d]`, returning `[B, l, d]`.
     pub fn forward(&self, g: &mut Graph, pv: &ParamVars, x: Var) -> Var {
-        assert_eq!(g.value(x).rank(), 3, "SelfAttention expects [B, l, d]");
+        assert_eq!(g.dims(x).len(), 3, "SelfAttention expects [B, l, d]");
         let q = self.wq.forward(g, pv, x);
         let k = self.wk.forward(g, pv, x);
         let v = self.wv.forward(g, pv, x);
@@ -114,7 +114,7 @@ impl MultiHeadAttention {
 
     /// Applies attention to `x: [B, l, d]`, returning `[B, l, d]`.
     pub fn forward(&self, g: &mut Graph, pv: &ParamVars, x: Var) -> Var {
-        assert_eq!(g.value(x).rank(), 3, "MultiHeadAttention expects [B, l, d]");
+        assert_eq!(g.dims(x).len(), 3, "MultiHeadAttention expects [B, l, d]");
         let q = self.wq.forward(g, pv, x);
         let k = self.wk.forward(g, pv, x);
         let v = self.wv.forward(g, pv, x);
@@ -172,7 +172,7 @@ mod tests {
         let pv = ps.register(&mut g);
         let x = g.constant(Tensor::randn(&[2, 5, 8], 1.0, &mut rng));
         let y = attn.forward(&mut g, &pv, x);
-        assert_eq!(g.value(y).dims(), &[2, 5, 8]);
+        assert_eq!(g.dims(y), &[2, 5, 8]);
         assert!(g.value(y).all_finite());
     }
 
@@ -211,7 +211,7 @@ mod tests {
         let pv = ps.register(&mut g);
         let x = g.constant(Tensor::randn(&[2, 5, 8], 1.0, &mut rng));
         let y = mha.forward(&mut g, &pv, x);
-        assert_eq!(g.value(y).dims(), &[2, 5, 8]);
+        assert_eq!(g.dims(y), &[2, 5, 8]);
         assert!(g.value(y).all_finite());
         // Same parameter count as single-head at equal width.
         let mut ps1 = ParamStore::new();

@@ -68,7 +68,7 @@ impl Linear {
 
     /// Applies the layer to `x` (trailing axis = `in_dim`).
     pub fn forward(&self, g: &mut Graph, pv: &ParamVars, x: Var) -> Var {
-        let dims = g.value(x).dims().to_vec();
+        let dims = g.dims(x).to_vec();
         let rank = dims.len();
         assert_eq!(
             dims[rank - 1],
@@ -126,13 +126,13 @@ mod tests {
         let pv = ps.register(&mut g);
         let x2 = g.constant(Tensor::ones(&[5, 4]));
         let y2 = lin.forward(&mut g, &pv, x2);
-        assert_eq!(g.value(y2).dims(), &[5, 3]);
+        assert_eq!(g.dims(y2), &[5, 3]);
         let x3 = g.constant(Tensor::ones(&[2, 5, 4]));
         let y3 = lin.forward(&mut g, &pv, x3);
-        assert_eq!(g.value(y3).dims(), &[2, 5, 3]);
+        assert_eq!(g.dims(y3), &[2, 5, 3]);
         // Rank-3 application must equal per-slice rank-2 application.
         let y3b = g.value(y3).index_axis0(0);
-        assert!(y3b.max_abs_diff(g.value(y2)) < 1e-6);
+        assert!(y3b.max_abs_diff(&g.value(y2)) < 1e-6);
     }
 
     #[test]

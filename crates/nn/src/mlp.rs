@@ -112,7 +112,7 @@ mod tests {
             let pv = ps.register(&mut g);
             let x = g.constant(Tensor::randn(&[4, 3], 1.0, &mut rng));
             let y = mlp.forward(&mut g, &pv, x);
-            assert_eq!(g.value(y).dims(), &[4, 2]);
+            assert_eq!(g.dims(y), &[4, 2]);
             assert!(g.value(y).all_finite());
         }
     }

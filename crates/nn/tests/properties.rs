@@ -27,7 +27,7 @@ proptest! {
             let pv = ps.register(&mut g);
             let xv = g.constant(input.clone());
             let out = lin.forward(&mut g, &pv, xv);
-            g.value(out).clone()
+            g.value(out)
         };
         let mixed = x.scale(a).add(&y.scale(1.0 - a));
         let lhs = apply(&mixed);
@@ -44,7 +44,7 @@ proptest! {
             let pv = ps.register(&mut g);
             let xv = g.constant(input.clone());
             let out = ln.forward(&mut g, &pv, xv);
-            g.value(out).clone()
+            g.value(out)
         };
         let base = apply(&x);
         let transformed = apply(&x.scale(scale).add_scalar(shift));
@@ -61,7 +61,7 @@ proptest! {
         let pv = ps.register(&mut g);
         let xv = g.constant(x.reshape(&[1, 6, 4]));
         let out = sa.forward(&mut g, &pv, xv);
-        prop_assert_eq!(g.value(out).dims(), &[1, 6, 4]);
+        prop_assert_eq!(g.dims(out), &[1, 6, 4]);
         prop_assert!(g.value(out).all_finite());
     }
 
@@ -75,7 +75,7 @@ proptest! {
             let pv = ps.register(&mut g);
             let xv = g.constant(x.clone());
             let out = mlp.forward(&mut g, &pv, xv);
-            g.value(out).clone()
+            g.value(out)
         };
         let first = apply();
         let second = apply();

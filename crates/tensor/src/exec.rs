@@ -5,10 +5,10 @@
 //! performs **zero pool traffic**. The [`Tensor`](crate::Tensor) ops with a
 //! kernel here check shapes, take their output from the pool and call it;
 //! the plan VM in `focus-autograd` calls the same kernels on its slot
-//! buffers. So a plan's forward is bitwise-identical to the tape's at any
-//! thread count by construction. Each kernel overwrites `dst`: the GEMM
-//! family writes its output through from registers, and the accumulating
-//! kernels (`scatter_cols`, `route_scatter_add`) zero it first.
+//! buffers. So a `Tensor` op and the plan instruction for it give the same
+//! bits at any thread count by construction. Each kernel overwrites `dst`:
+//! the GEMM family writes its output through from registers, and the
+//! accumulating kernels (`scatter_cols`, `route_scatter_add`) zero it first.
 //!
 //! Two rules keep the loops at vector speed:
 //!

@@ -5,10 +5,9 @@
 //!
 //! Every kernel here obeys the two backend invariants:
 //!
-//! * **Pooled, no temporaries** — outputs come from the buffer
-//!   [`pool`](crate::pool) via `Tensor::uninit`-style construction and the
-//!   kernels write each element exactly once (no intermediate tensors), so a
-//!   steady-state train step allocates nothing.
+//! * **No temporaries** — the kernels write into caller-provided slices,
+//!   each element exactly once (no intermediate tensors), so a steady-state
+//!   train step allocates nothing.
 //! * **Bitwise-deterministic parallelism** — work splits into disjoint
 //!   contiguous row/element ranges on [`par`], and every output element is
 //!   produced by the same floating-point op sequence as the serial
@@ -28,13 +27,13 @@
 //! and a dynamic-length loop over a 12-wide row each kept a kernel here
 //! below vector speed until it was timed (see the rules in `exec`).
 //!
-//! The plan VM and the autograd tape run their softmax, LayerNorm,
-//! activation and AdamW steps through these entry points. The serial
-//! reference loops they must reproduce bit for bit live in
-//! `focus_autograd::oracle`, which the parity tests compare against.
+//! The plan VM runs its softmax, LayerNorm and activation steps through
+//! these entry points (by way of [`crate::exec`]), and the optimizer its
+//! AdamW step. The serial reference loops they must reproduce bit for bit
+//! live in `focus_autograd::oracle`, which the parity tests compare against.
 
 use crate::exec::{ELEM_GRAIN, EXP_GRAIN, STRIP};
-use crate::{par, Tensor};
+use crate::par;
 
 /// `e^x` in f32: Cody–Waite range reduction and a degree-7 polynomial, with
 /// no libm call and no FMA. The one exponential of every FOCUS-path kernel
@@ -249,26 +248,10 @@ fn ln_bwd_sums(x: &[f32], g: &[f32], gamma: &[f32], mu: f32, rstd: f32) -> (f32,
     (combine_lanes(sd), combine_lanes(sx))
 }
 
-/// Fused LayerNorm forward over the trailing axis.
-///
-/// Returns `(y, cache)` where `cache` is a `[rows, 2]` tensor of
-/// interleaved `(mean, rstd)` per row, consumed by `layer_norm_bwd_into`.
-/// One pass per row: statistics then the affine normalisation, writing the
-/// output directly (no cloned input, no copied `gamma`/`beta`).
-pub fn layer_norm_fwd(x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> (Tensor, Tensor) {
-    let n = x.shape().last_dim();
-    assert_eq!(gamma.len(), n, "layer_norm gamma length");
-    assert_eq!(beta.len(), n, "layer_norm beta length");
-    let rows = x.shape().leading();
-    let mut out = Tensor::uninit(x.dims());
-    let mut cache = Tensor::uninit(&[rows, 2]);
-    layer_norm_fwd_into(x.data(), n, gamma, beta, eps, out.data_mut(), cache.data_mut());
-    (out, cache)
-}
-
-/// Slice core of [`layer_norm_fwd`]: `out` holds `rows · n` elements,
-/// `cache` holds `rows · 2` interleaved `(mean, rstd)` pairs; both are fully
-/// overwritten. Shared with the compiled-plan VM.
+/// Fused LayerNorm forward over length-`n` rows: `out` holds `rows · n`
+/// elements, `cache` holds `rows · 2` interleaved `(mean, rstd)` pairs,
+/// consumed by `layer_norm_bwd_into`; both are fully overwritten. One pass
+/// per row: statistics then the affine normalisation, written directly.
 ///
 /// Mean and variance are fixed-lane sums ([`combine_lanes`]), so a row's
 /// statistics cost a few vector adds instead of a serial FP-add chain.
@@ -450,6 +433,7 @@ pub fn adamw_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tensor;
 
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -566,11 +550,11 @@ mod tests {
 
     #[test]
     fn layer_norm_fwd_normalises_rows() {
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0], &[2, 4]);
-        let (y, cache) = layer_norm_fwd(&x, &[1.0; 4], &[0.0; 4], 1e-5);
-        assert_eq!(cache.dims(), &[2, 2]);
-        for i in 0..2 {
-            let row = y.row(i);
+        let x = [1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0];
+        let (mut y, mut cache) = ([f32::NAN; 8], [f32::NAN; 4]);
+        layer_norm_fwd_into(&x, 4, &[1.0; 4], &[0.0; 4], 1e-5, &mut y, &mut cache);
+        assert_eq!((cache[0], cache[2]), (2.5, 25.0), "the cache holds each row's mean");
+        for row in y.chunks_exact(4) {
             let mean: f32 = row.iter().sum::<f32>() / 4.0;
             let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
             assert!(mean.abs() < 1e-5);

@@ -7,14 +7,9 @@
 //! on its own input position (or its own row), so the split is
 //! bitwise-identical to serial at any thread count.
 
-use crate::{exec, Shape, Tensor};
+use crate::{exec, Tensor};
 
 impl Tensor {
-    /// Elementwise binary operation on same-shape tensors.
-    pub fn zip_with(&self, other: &Tensor, op: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-        self.zip_kernel(other, |a, b, dst| exec::zip(a, b, dst, op))
-    }
-
     /// Runs the same-shape binary slice kernel `kernel(self, other, out)`.
     fn zip_kernel(&self, other: &Tensor, kernel: impl FnOnce(&[f32], &[f32], &mut [f32])) -> Tensor {
         assert!(
@@ -41,11 +36,6 @@ impl Tensor {
     /// Elementwise (Hadamard) product. Panics on shape mismatch.
     pub fn mul(&self, other: &Tensor) -> Tensor {
         self.zip_kernel(other, exec::zip_mul)
-    }
-
-    /// Elementwise quotient. Panics on shape mismatch.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a / b)
     }
 
     /// Adds `rhs` to every element.
@@ -81,17 +71,6 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        self.axpy_flat(alpha, other);
-    }
-
-    /// `self += alpha · other` over the flat element order, ignoring shape:
-    /// the rank-agnostic core of [`Tensor::axpy`], for gradients flowing
-    /// through layout-preserving views (reshape).
-    ///
-    /// # Panics
-    /// On element-count mismatch.
-    pub fn axpy_flat(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.numel(), other.numel(), "axpy_flat element count mismatch");
         exec::axpy(self.data_mut(), alpha, other.data());
     }
 
@@ -219,16 +198,6 @@ impl Tensor {
         out
     }
 
-    /// The shape both operands of a same-shape op must have, for diagnostics.
-    pub fn expect_shape(&self, dims: &[usize]) -> &Tensor {
-        assert!(
-            self.shape().same_as(&Shape::new(dims)),
-            "expected shape {:?}, got {}",
-            dims,
-            self.shape()
-        );
-        self
-    }
 }
 
 #[cfg(test)]
@@ -240,13 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_mul_div() {
+    fn add_sub_mul() {
         let a = t2();
         let b = Tensor::full(&[2, 2], 2.0);
         assert_eq!(a.add(&b).data(), &[3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.sub(&b).data(), &[-1.0, 0.0, 1.0, 2.0]);
         assert_eq!(a.mul(&b).data(), &[2.0, 4.0, 6.0, 8.0]);
-        assert_eq!(a.div(&b).data(), &[0.5, 1.0, 1.5, 2.0]);
     }
 
     #[test]

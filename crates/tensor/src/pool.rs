@@ -29,10 +29,10 @@ use std::sync::Mutex;
 
 /// One free-list per power-of-two capacity class (`2^0 ..= 2^63`).
 const CLASSES: usize = usize::BITS as usize;
-/// Buffers retained per class; excess returns are dropped (freed). A single
-/// training tape holds hundreds of same-class activations at once (every
-/// graph node keeps its value until `Graph::reset`), and they all return in
-/// one burst at reset — the class cap must absorb that burst or the next
+/// Buffers retained per class; excess returns are dropped (freed). Many
+/// same-class buffers can come back in one burst — a dropped plan's slot
+/// buffers, a tape's leaf and input copies at `Graph::reset`, a model's
+/// parameter snapshot — and the class cap must absorb that burst or the next
 /// step re-allocates what was just freed. [`MAX_RESIDENT_BYTES`] is the
 /// actual memory bound; this cap only stops one class hoarding it.
 const MAX_PER_CLASS: usize = 4096;

@@ -1,5 +1,5 @@
-//! Reductions: sums, means, variances, min/max, along the whole tensor or the
-//! trailing axis.
+//! Reductions: sums, means, variances and the argmax, along the whole tensor
+//! or the trailing axis.
 //!
 //! Row-wise reductions ([`Tensor::sum_last`], [`Tensor::row_mean_std`])
 //! parallelise over rows — each output is a function of one input row, so the
@@ -42,16 +42,6 @@ impl Tensor {
         (ss / self.numel() as f64) as f32
     }
 
-    /// Maximum element.
-    pub fn max_all(&self) -> f32 {
-        self.data().iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minimum element.
-    pub fn min_all(&self) -> f32 {
-        self.data().iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
     /// Sum over the trailing axis: `[.., n] → [..]` (shape loses the last dim).
     pub fn sum_last(&self) -> Tensor {
         let n = self.shape().last_dim();
@@ -64,12 +54,6 @@ impl Tensor {
             }
         });
         out
-    }
-
-    /// Mean over the trailing axis.
-    pub fn mean_last(&self) -> Tensor {
-        let n = self.shape().last_dim();
-        self.sum_last().scale(1.0 / n as f32)
     }
 
     /// Per-row `(mean, population std)` of a tensor viewed as `[leading, last]`.
@@ -88,24 +72,6 @@ impl Tensor {
                 *o = (mean, var.max(0.0).sqrt());
             }
         });
-        out
-    }
-
-    /// Sum over the first axis: `[b, ..] → [..]`.
-    pub fn sum_axis0(&self) -> Tensor {
-        assert!(self.rank() >= 1, "sum_axis0 requires rank >= 1");
-        let b = self.dims()[0];
-        let inner: usize = self.dims()[1..].iter().product();
-        let mut out = Tensor::zeros(&self.dims()[1..]);
-        for bi in 0..b {
-            for (o, &v) in out
-                .data_mut()
-                .iter_mut()
-                .zip(&self.data()[bi * inner..(bi + 1) * inner])
-            {
-                *o += v;
-            }
-        }
         out
     }
 
@@ -134,8 +100,6 @@ mod tests {
         assert_eq!(t.sum_all(), 10.0);
         assert_eq!(t.mean_all(), 2.5);
         assert_eq!(t.var_all(), 1.25);
-        assert_eq!(t.max_all(), 4.0);
-        assert_eq!(t.min_all(), 1.0);
     }
 
     #[test]
@@ -144,16 +108,6 @@ mod tests {
         let s = t.sum_last();
         assert_eq!(s.dims(), &[2]);
         assert_eq!(s.data(), &[3.0, 12.0]);
-        let m = t.mean_last();
-        assert_eq!(m.data(), &[1.0, 4.0]);
-    }
-
-    #[test]
-    fn sum_axis0_folds_batches() {
-        let t = Tensor::from_vec((0..12).map(|v| v as f32).collect(), &[3, 4]);
-        let s = t.sum_axis0();
-        assert_eq!(s.dims(), &[4]);
-        assert_eq!(s.data(), &[12.0, 15.0, 18.0, 21.0]);
     }
 
     #[test]

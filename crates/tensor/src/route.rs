@@ -13,16 +13,24 @@
 //!   and skips the zero entries, adding `1.0 · g` terms in the same order),
 //!   so the result is **bitwise identical** to the dense backward.
 //!
-//! The loops live in [`crate::exec`]; these wrappers check shapes and
-//! indices. Both kernels split work over disjoint output rows (gather) or
-//! disjoint batches (scatter), so the determinism contract of [`crate::par`]
-//! holds at any thread count.
+//! The loops live in [`crate::exec`]; these wrappers check shapes, and
+//! indices through [`check_route`]. Both kernels split work over disjoint
+//! output rows (gather) or disjoint batches (scatter), so the determinism
+//! contract of [`crate::par`] holds at any thread count.
 
 use crate::exec;
 use crate::Tensor;
 
-/// Validates a routing index vector against the prototype count `k`.
-fn check_indices(indices: &[u32], k: usize) {
+/// Checks a routing index vector for `b` batches of `l` segment slots
+/// against the prototype count `k`: `B·l` indices, each below `k`. The
+/// routing kernels index unchecked, so the wrappers here and the autograd
+/// tape, when it records a route, check through this first.
+///
+/// # Panics
+/// If `indices.len() != B·l`, or on the first index `≥ k`, naming its
+/// position and value.
+pub fn check_route(indices: &[u32], b: usize, l: usize, k: usize) {
+    assert_eq!(indices.len(), b * l, "route expects B·l = {} indices, got {}", b * l, indices.len());
     for (pos, &j) in indices.iter().enumerate() {
         assert!(
             (j as usize) < k,
@@ -43,8 +51,7 @@ fn check_indices(indices: &[u32], k: usize) {
 pub fn route_gather(head: &Tensor, indices: &[u32], l: usize) -> Tensor {
     assert_eq!(head.rank(), 3, "route_gather head must be [B, k, d]");
     let (b, k, d) = (head.dims()[0], head.dims()[1], head.dims()[2]);
-    assert_eq!(indices.len(), b * l, "route_gather expects B·l = {} indices, got {}", b * l, indices.len());
-    check_indices(indices, k);
+    check_route(indices, b, l, k);
     let mut out = Tensor::uninit(&[b, l, d]);
     exec::route_gather(head.data(), indices, b, k, d, l, out.data_mut());
     out
@@ -62,8 +69,7 @@ pub fn route_gather(head: &Tensor, indices: &[u32], l: usize) -> Tensor {
 pub fn route_scatter_add(dout: &Tensor, indices: &[u32], k: usize) -> Tensor {
     assert_eq!(dout.rank(), 3, "route_scatter_add dout must be [B, l, d]");
     let (b, l, d) = (dout.dims()[0], dout.dims()[1], dout.dims()[2]);
-    assert_eq!(indices.len(), b * l, "route_scatter_add expects B·l = {} indices, got {}", b * l, indices.len());
-    check_indices(indices, k);
+    check_route(indices, b, l, k);
     let mut out = Tensor::uninit(&[b, k, d]);
     exec::route_scatter_add(dout.data(), indices, b, l, d, k, out.data_mut());
     out
@@ -72,8 +78,7 @@ pub fn route_scatter_add(dout: &Tensor, indices: &[u32], k: usize) -> Tensor {
 /// Builds the dense one-hot `[B, l, k]` matrix a routing index vector stands
 /// for (diagnostics and the dense-path tests; the hot path never calls this).
 pub fn one_hot_matrix(indices: &[u32], b: usize, l: usize, k: usize) -> Tensor {
-    assert_eq!(indices.len(), b * l, "one_hot_matrix expects B·l = {} indices, got {}", b * l, indices.len());
-    check_indices(indices, k);
+    check_route(indices, b, l, k);
     let mut a = Tensor::zeros(&[b, l, k]);
     for (row, &j) in indices.iter().enumerate() {
         a.data_mut()[row * k + j as usize] = 1.0;

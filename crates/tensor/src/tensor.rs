@@ -236,19 +236,6 @@ impl Tensor {
         &self.data[i * last..(i + 1) * last]
     }
 
-    /// Stacks `rows` (each of length `width`) into a `[rows.len(), width]` matrix.
-    ///
-    /// # Panics
-    /// If any row's length differs from `width`.
-    pub fn from_rows(rows: &[&[f32]], width: usize) -> Tensor {
-        let mut t = Tensor::uninit(&[rows.len(), width]);
-        for (idx, r) in rows.iter().enumerate() {
-            assert_eq!(r.len(), width, "row {idx} has length {} != {width}", r.len());
-            t.data[idx * width..(idx + 1) * width].copy_from_slice(r);
-        }
-        t
-    }
-
     /// True if every element is finite (no NaN/±∞).
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -356,15 +343,6 @@ mod tests {
     #[test]
     fn scalar_item() {
         assert_eq!(Tensor::scalar(2.5).item(), 2.5);
-    }
-
-    #[test]
-    fn from_rows_stacks() {
-        let a = [1.0f32, 2.0];
-        let b = [3.0f32, 4.0];
-        let t = Tensor::from_rows(&[&a, &b], 2);
-        assert_eq!(t.dims(), &[2, 2]);
-        assert_eq!(t.at2(1, 0), 3.0);
     }
 
     #[test]

@@ -29,9 +29,11 @@ FOCUS_THREADS=2 cargo test --workspace -q
 # the debug build's scalar code. The parity suites and both golden digests
 # (core, and the cluster fit whose k-means++ and assignment sweeps run the
 # fused sweep kernel) must hold bit for bit in both, and so must the root
-# package's plan-replay guards for all 13 forecasters.
-echo "==> cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster -p focus"
-cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster -p focus
+# package's plan-replay guards for all 13 forecasters. The tape only
+# records, so the layer crates' unit tests (focus-nn's layers, the
+# focus-baselines models) read every value through the VM's kernels too.
+echo "==> cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster -p focus-nn -p focus-baselines -p focus"
+cargo test --release -q -p focus-tensor -p focus-autograd -p focus-core -p focus-cluster -p focus-nn -p focus-baselines -p focus
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -146,27 +146,6 @@ fn ablation_variants_run_through_public_api() {
 }
 
 #[test]
-fn stacked_focus_trains_through_public_api() {
-    let ds = small_ds(7);
-    let mut cfg = small_cfg();
-    cfg.n_layers = 2;
-    let mut model = Focus::fit_offline(&ds, cfg, 7);
-    let r = model.train(
-        &ds,
-        &TrainOptions {
-            epochs: 2,
-            max_windows: 12,
-            ..Default::default()
-        },
-    );
-    assert!(r.epoch_losses.iter().all(|l| l.is_finite()));
-    let w = ds.window_at(0, 64, 16);
-    let pred = model.predict(&w.x);
-    assert_eq!(pred.dims(), &[8, 16]);
-    assert!(pred.all_finite());
-}
-
-#[test]
 fn grid_search_selects_from_validation() {
     use focus::core::tune;
     let ds = small_ds(8);
