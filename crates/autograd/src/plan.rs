@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use focus_tensor::{pool, Tensor};
+use focus_tensor::{pool, work, Tensor};
 
 use crate::graph::{Graph, Op, Var};
 use crate::optim::{Optimizer, ParamStore, ParamVars};
@@ -300,6 +300,9 @@ pub struct Plan {
     pub(crate) updates: Vec<UpdateSpec>,
     pub(crate) loss_slot: Option<u32>,
     pub(crate) output: Option<(u32, Vec<usize>)>,
+    /// The most elements the plan's values hold at once (see
+    /// [`Plan::live_peak_bytes`]).
+    pub(crate) live_peak: usize,
 }
 
 impl PartialEq for Plan {
@@ -328,6 +331,19 @@ impl Plan {
     /// The flat instruction stream, in execution order.
     pub fn instrs(&self) -> &[Instr] {
         &self.instrs
+    }
+
+    /// Bytes of the slot buffers the plan runs on: one buffer per slot, each
+    /// sized to the power-of-two class of the values it holds.
+    pub fn slot_bytes(&self) -> usize {
+        self.slot_caps.iter().sum::<usize>() * std::mem::size_of::<f32>()
+    }
+
+    /// The most bytes the plan's values hold at once, each at its exact size
+    /// from its first write to its last read. What [`Plan::slot_bytes`]
+    /// adds on top is the allocator's rounding and class-wise reuse.
+    pub fn live_peak_bytes(&self) -> usize {
+        self.live_peak * std::mem::size_of::<f32>()
     }
 
     /// True if the caller-side geometry still matches what the plan was
@@ -1416,9 +1432,9 @@ fn eliminate_dead(vinstrs: Vec<VInstr>, nv: usize, pinned: &[u32]) -> Vec<VInstr
 /// vregs sharing a slot may have overlapping lifetimes. This is the one
 /// lifetime property the plan-level verifier cannot reconstruct, because at
 /// the slot level reads always attach to the most recent definition.
-/// Allocation result: the lowered instructions, per-slot capacities, and the
-/// vreg → slot map.
-type Allocation = (Vec<Instr>, Vec<usize>, Vec<u32>);
+/// Allocation result: the lowered instructions, per-slot capacities, the
+/// vreg → slot map, and the most elements live at once.
+type Allocation = (Vec<Instr>, Vec<usize>, Vec<u32>, usize);
 
 fn allocate(
     vinstrs: &[VInstr],
@@ -1504,7 +1520,22 @@ fn allocate(
         }
     }
     verify::check_intervals(&slot_of, &first_def, &last)?;
-    Ok((instrs, caps, slot_of))
+    // Each value is live from its first write through its last use; pinned
+    // ones to the end.
+    let mut change = vec![0i64; vinstrs.len() + 1];
+    for (v, def) in first_def.iter().enumerate() {
+        if let Some(d) = *def {
+            change[d] += vnumel[v] as i64;
+            if let Some(end) = last[v].checked_add(1) {
+                change[end] -= vnumel[v] as i64;
+            }
+        }
+    }
+    let live_peak = change.iter().scan(0i64, |live, &c| {
+        *live += c;
+        Some(*live)
+    });
+    Ok((instrs, caps, slot_of, live_peak.max().unwrap_or(0) as usize))
 }
 
 // ---------------------------------------------------------------------------
@@ -1559,7 +1590,7 @@ fn compile(
     };
     let nv = em.vnumel.len();
     let vinstrs = eliminate_dead(std::mem::take(&mut em.instrs), nv, &pinned);
-    let (instrs, slot_caps, slot_of) =
+    let (instrs, slot_caps, slot_of, live_peak) =
         allocate(&vinstrs, &em.vnumel, &pinned).map_err(reject)?;
     let dims_of = |v: &Var| g.nodes[v.0].shape.dims().to_vec();
     let mut routes: Vec<(usize, u32)> = g.routes.iter().map(|r| (r.len(), u32::MAX)).collect();
@@ -1590,6 +1621,7 @@ fn compile(
             .collect(),
         loss_slot: loss_vreg.map(|v| slot_of[v as usize]),
         output: output_vreg.map(|(v, dims)| (slot_of[v as usize], dims)),
+        live_peak,
     };
     // Static verification gates every compile: a plan that cannot be proven
     // safe never runs, and the cost stays inside this `plan/compile` span —
@@ -1724,7 +1756,7 @@ impl PlanCache {
     ) -> Option<f32> {
         let plan = replayable(&mut self.plan, inputs, routes, store)?;
         let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
-        Some(vm::replay_train(plan, &mut self.slots, &data, routes, store, opt))
+        Some(holding_slots(plan, || vm::replay_train(plan, &mut self.slots, &data, routes, store, opt)))
     }
 
     /// Runs one uncached training step from its recorded tape: compiles the
@@ -1770,7 +1802,7 @@ impl PlanCache {
     ) -> Result<Tensor, CompileError> {
         if let Some(plan) = replayable(&mut self.plan, inputs, routes, store) {
             let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
-            return Ok(vm::replay_forward(plan, &mut self.slots, &data, routes, store));
+            return Ok(holding_slots(plan, || vm::replay_forward(plan, &mut self.slots, &data, routes, store)));
         }
         let mut g = Graph::new();
         let (output, pv) = record(&mut g);
@@ -1789,6 +1821,16 @@ impl PlanCache {
         }
         Ok(value)
     }
+}
+
+/// Runs a replay of `plan`, counting its kept slot buffers as held by this
+/// thread meanwhile ([`focus_tensor::work`]): a plan compiled in this call
+/// took them from the pool, which counts them itself.
+fn holding_slots<R>(plan: &Plan, replay: impl FnOnce() -> R) -> R {
+    work::hold(plan.slot_bytes());
+    let out = replay();
+    work::release(plan.slot_bytes());
+    out
 }
 
 /// The kept plan if caching is enabled and it was compiled for these

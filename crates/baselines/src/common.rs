@@ -12,6 +12,9 @@ pub fn decompose(x: &Tensor, kernel: usize) -> (Tensor, Tensor) {
     assert!(kernel >= 1, "kernel must be >= 1");
     let (n, len) = (x.dims()[0], x.dims()[1]);
     let half = kernel / 2;
+    // `kernel` adds and one divide per trend value; the subtraction below
+    // counts itself.
+    focus_tensor::work::add_flops(n * len * (kernel + 1));
     let mut trend = Tensor::zeros(&[n, len]);
     for e in 0..n {
         let row = x.row(e);

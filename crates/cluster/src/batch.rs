@@ -49,7 +49,7 @@
 //! because both scan prototypes in ascending index with a strict `<`.
 
 use crate::objective::Objective;
-use focus_tensor::{par, pool, stats, Tensor};
+use focus_tensor::{par, pool, stats, work, Tensor};
 
 /// Rows per panel block: one 16-lane accumulator per dot chain.
 const LANES: usize = 16;
@@ -191,6 +191,9 @@ impl SegmentCache {
     fn from_rows(data: &[f32], n: usize, p: usize, objective: &Objective) -> SegmentCache {
         let corr = objective.alpha() > 0.0;
         let stride = record_len(p, corr);
+        // Per value: the square and the sum (3 FLOPs); with the correlation
+        // term also the centred square and the normalised value (5 more).
+        work::add_flops(n * p * if corr { 8 } else { 3 });
         // A recycled pool buffer: `fill_block` writes every element, padding
         // lanes included, so no zeroing pass runs, and a repeated build of
         // the same size (a refit, a routed window) allocates nothing.
@@ -372,18 +375,22 @@ fn centers<const J: usize, const CORR: bool>(
     }
 }
 
-/// Runs `f(panel, out_rows)` for every block, `out_rows` being the block's
-/// segments' rows of `out` (`row_len` values each). Blocks split
-/// across threads on block boundaries once a thread gets
-/// [`SWEEP_GRAIN_MACS`] of work at `macs_per_row` each.
+/// Runs `f(panel, out_rows)` for every block of a sweep against `cache`,
+/// `out_rows` being the block's segments' rows of `out` (`row_len` values
+/// each). Blocks split across threads on block boundaries once a thread
+/// gets [`SWEEP_GRAIN_MACS`] of work. The sweep's FLOPs count once: per
+/// segment, center and dot chain, 2 per multiply–accumulate and 3 for the
+/// chain's share of the Eq. 6 epilogue.
 fn for_each_panel<T: Send>(
     seg: &SegmentCache,
+    cache: &CenterCache,
     out: &mut [T],
     row_len: usize,
-    macs_per_row: usize,
     f: impl Fn(Panel<'_>, &mut [T]) + Sync,
 ) {
+    let macs_per_row = macs_per_row(seg, cache);
     assert_eq!(out.len(), seg.n * row_len, "output length {} != {} rows of {row_len}", out.len(), seg.n);
+    work::add_flops(seg.n * (2 * macs_per_row + 3 * cache.k * (1 + usize::from(seg.corr))));
     if out.is_empty() {
         return;
     }
@@ -406,8 +413,7 @@ fn macs_per_row(seg: &SegmentCache, cache: &CenterCache) -> usize {
 pub(crate) fn distance_matrix(seg: &SegmentCache, cache: &CenterCache) -> Tensor {
     let k = cache.k;
     let mut out = Tensor::zeros(&[seg.n, k]);
-    let macs = macs_per_row(seg, cache);
-    for_each_panel(seg, out.data_mut(), k, macs, |panel, block| {
+    for_each_panel(seg, cache, out.data_mut(), k, |panel, block| {
         each_center(panel, cache, |j, d| {
             for (row, &v) in block.chunks_exact_mut(k).zip(d) {
                 row[j] = v;
@@ -425,8 +431,7 @@ pub(crate) fn assign_batched(seg: &SegmentCache, cache: &CenterCache, out: &mut 
     let n = seg.n;
     focus_trace::counter_add("cluster/segments_assigned", n as u64);
     assert_eq!(out.len(), n, "output length {} != segment count {n}", out.len());
-    let macs = macs_per_row(seg, cache);
-    for_each_panel(seg, out, 1, macs, |panel, block| {
+    for_each_panel(seg, cache, out, 1, |panel, block| {
         let mut best = [0usize; LANES];
         let mut best_d = [f32::INFINITY; LANES];
         each_center(panel, cache, |j, d| {
@@ -446,8 +451,7 @@ pub(crate) fn assign_batched(seg: &SegmentCache, cache: &CenterCache, out: &mut 
 /// to the single center of `center` wherever that is nearer.
 pub(crate) fn lower_to_center(seg: &SegmentCache, center: &CenterCache, dists: &mut [f32]) {
     assert_eq!(center.k, 1, "a k-means++ sweep takes one center, got {}", center.k);
-    let macs = macs_per_row(seg, center);
-    for_each_panel(seg, dists, 1, macs, |panel, block| {
+    for_each_panel(seg, center, dists, 1, |panel, block| {
         each_center(panel, center, |_, d| {
             for (o, &v) in block.iter_mut().zip(d) {
                 *o = if v < *o { v } else { *o };

@@ -118,6 +118,11 @@ impl Prototypes {
         if !alpha.is_finite() {
             return Err(PersistError::Format(format!("line 2: non-finite alpha: {}", fields[7])));
         }
+        // A negative weight makes Eq. 6 reward anti-correlation, so loaded
+        // prototypes would misroute segments.
+        if alpha < 0.0 {
+            return Err(PersistError::Format(format!("line 2: negative alpha: {}", fields[7])));
+        }
         let objective = match fields[5] {
             "rec" => Objective::RecOnly,
             "reccorr" => Objective::RecCorr { alpha },
@@ -239,11 +244,12 @@ mod tests {
 
     #[test]
     fn every_format_error_names_its_line() {
-        let cases: [(&str, &str); 6] = [
+        let cases: [(&str, &str); 7] = [
             ("", "line 1"),
             ("wrong magic\n", "line 1"),
             ("focus-prototypes v1\n", "line 2"),
             ("focus-prototypes v1\nk x p 3 objective rec alpha 0\n", "line 2"),
+            ("focus-prototypes v1\nk 1 p 2 objective reccorr alpha -1\n1 2\n", "line 2"),
             ("focus-prototypes v1\nk 2 p 2 objective rec alpha 0\n1 2\n", "line 4"),
             ("focus-prototypes v1\nk 1 p 2 objective rec alpha 0\n1 oops\n", "line 3"),
         ];

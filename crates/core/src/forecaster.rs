@@ -12,6 +12,7 @@ use focus_autograd::{AdamW, Graph, ParamStore, ParamVars, Route, Var};
 use focus_data::{Metrics, MtsDataset, Split};
 use focus_nn::revin::{instance_denorm, instance_norm, normalise_target};
 use focus_nn::CostReport;
+use focus_tensor::work::{self, Work};
 use focus_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -397,6 +398,18 @@ pub trait Forecaster {
         }
         m
     }
+}
+
+/// Counts one forward pass of `model` on the window `x: [N, L]`, the way
+/// the paper's Fig. 6 measures it: the FLOPs and the peak buffer bytes of a
+/// [`Forecaster::predict`] that replays the model's kept plan (after one
+/// `predict` that compiles it). The bytes cover the normalised window, the
+/// routing and other per-window operands, the plan's slots and the output;
+/// parameters are held by the model, not by the pass. See
+/// [`focus_tensor::work`] for what each kernel counts.
+pub fn count_predict<F: Forecaster + ?Sized>(model: &F, x: &Tensor) -> Work {
+    model.predict(x);
+    work::measure(|| model.predict(x)).1
 }
 
 /// Start indices of the windows [`MtsDataset::windows`] draws from `split`

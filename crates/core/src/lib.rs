@@ -47,7 +47,7 @@ pub mod tune;
 
 pub use ablation::{AblationVariant, FocusAblation};
 pub use forecaster::{
-    Forecaster, Loss, OperandVars, RecordedWindow, TrainOptions, TrainReport, WindowInputs,
+    count_predict, Forecaster, Loss, OperandVars, RecordedWindow, TrainOptions, TrainReport, WindowInputs,
     WindowOperands,
 };
 pub use model::{Focus, FocusConfig};

@@ -6,7 +6,7 @@
 //! that otherwise dominates the loss. The statistics are not learned, so this
 //! lives outside the autograd graph.
 
-use focus_tensor::Tensor;
+use focus_tensor::{work, Tensor};
 
 /// Per-entity window statistics captured by [`instance_norm`].
 #[derive(Clone, Debug)]
@@ -37,6 +37,7 @@ pub fn instance_norm(x: &Tensor) -> (Tensor, InstanceStats) {
 /// sees.
 pub fn normalise_target(y: &Tensor, stats: &InstanceStats) -> Tensor {
     let l = y.dims()[1];
+    work::add_flops(2 * y.numel());
     let mut out = y.clone();
     for (e, (&mean, &std)) in stats.means.iter().zip(&stats.stds).enumerate() {
         let denom = std.max(EPS);
@@ -59,6 +60,7 @@ pub fn instance_denorm(y: &Tensor, stats: &InstanceStats) -> Tensor {
         stats.means.len()
     );
     let l = y.dims()[1];
+    work::add_flops(2 * y.numel());
     let mut out = y.clone();
     for i in 0..stats.means.len() {
         let std = stats.stds[i].max(EPS);

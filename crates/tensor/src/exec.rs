@@ -10,6 +10,10 @@
 //! the GEMM family writes its output through from registers, and the
 //! accumulating kernels (`scatter_cols`, `route_scatter_add`) zero it first.
 //!
+//! Each entry point adds its FLOPs to this thread's count once per call,
+//! before it splits its loop over workers (see [`crate::work`] for the
+//! per-kernel table).
+//!
 //! Two rules keep the loops at vector speed:
 //!
 //! * **A kernel closure takes its scalars by value** (`move`). A closure
@@ -26,7 +30,7 @@
 //!   bits are those of the serial loop.
 
 use crate::matmul::{self, Kind};
-use crate::{fused, par};
+use crate::{fused, par, work};
 
 /// Minimum elements per thread for cheap elementwise ops (add/mul/map):
 /// below ~2 grains the spawn overhead exceeds the arithmetic.
@@ -59,9 +63,10 @@ impl Trans {
     }
 }
 
-/// Elementwise binary op into `dst`.
-pub(crate) fn zip(a: &[f32], b: &[f32], dst: &mut [f32], op: impl Fn(f32, f32) -> f32 + Sync) {
+/// Elementwise binary op into `dst`, counting `flops` per element.
+pub(crate) fn zip(a: &[f32], b: &[f32], dst: &mut [f32], flops: usize, op: impl Fn(f32, f32) -> f32 + Sync) {
     debug_assert!(a.len() == dst.len() && b.len() == dst.len());
+    work::add_flops(flops * dst.len());
     par::parallel_fill(dst, ELEM_GRAIN, move |range, chunk| {
         let av = &a[range.clone()];
         let bv = &b[range];
@@ -71,9 +76,10 @@ pub(crate) fn zip(a: &[f32], b: &[f32], dst: &mut [f32], op: impl Fn(f32, f32) -
     });
 }
 
-/// Elementwise map into `dst`.
-pub(crate) fn map(src: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
+/// Elementwise map into `dst`, counting `flops` per element.
+pub(crate) fn map(src: &[f32], dst: &mut [f32], flops: usize, f: impl Fn(f32) -> f32 + Sync) {
     debug_assert_eq!(src.len(), dst.len());
+    work::add_flops(flops * dst.len());
     par::parallel_fill(dst, ELEM_GRAIN, move |range, chunk| {
         for (o, &v) in chunk.iter_mut().zip(&src[range]) {
             *o = f(v);
@@ -83,32 +89,32 @@ pub(crate) fn map(src: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
 
 /// `dst = a + b`.
 pub fn zip_add(a: &[f32], b: &[f32], dst: &mut [f32]) {
-    zip(a, b, dst, |x, y| x + y);
+    zip(a, b, dst, 1, |x, y| x + y);
 }
 
 /// `dst = a - b`.
 pub fn zip_sub(a: &[f32], b: &[f32], dst: &mut [f32]) {
-    zip(a, b, dst, |x, y| x - y);
+    zip(a, b, dst, 1, |x, y| x - y);
 }
 
 /// `dst = a ⊙ b`.
 pub fn zip_mul(a: &[f32], b: &[f32], dst: &mut [f32]) {
-    zip(a, b, dst, |x, y| x * y);
+    zip(a, b, dst, 1, |x, y| x * y);
 }
 
 /// ReLU backward: `dst = g where x > 0 else 0`.
 pub fn zip_relu_bwd(x: &[f32], g: &[f32], dst: &mut [f32]) {
-    zip(x, g, dst, |v, gv| if v > 0.0 { gv } else { 0.0 });
+    zip(x, g, dst, 1, |v, gv| if v > 0.0 { gv } else { 0.0 });
 }
 
 /// GELU backward over the forward *input*.
 pub fn zip_gelu_bwd(x: &[f32], g: &[f32], dst: &mut [f32]) {
-    zip(x, g, dst, |v, gv| gv * fused::gelu_bwd(v));
+    zip(x, g, dst, 5, |v, gv| gv * fused::gelu_bwd(v));
 }
 
 /// |x| backward over the forward *input*.
 pub fn zip_abs_bwd(x: &[f32], g: &[f32], dst: &mut [f32]) {
-    zip(x, g, dst, |v, gv| {
+    zip(x, g, dst, 1, |v, gv| {
         if v > 0.0 {
             gv
         } else if v < 0.0 {
@@ -121,53 +127,54 @@ pub fn zip_abs_bwd(x: &[f32], g: &[f32], dst: &mut [f32]) {
 
 /// Sigmoid backward over the forward *output* `y`: `dst = g · y · (1 − y)`.
 pub fn zip_sigmoid_bwd(y: &[f32], g: &[f32], dst: &mut [f32]) {
-    zip(y, g, dst, |v, gv| gv * v * (1.0 - v));
+    zip(y, g, dst, 3, |v, gv| gv * v * (1.0 - v));
 }
 
 /// Tanh backward over the forward *output* `y`: `dst = g · (1 − y²)`.
 pub fn zip_tanh_bwd(y: &[f32], g: &[f32], dst: &mut [f32]) {
-    zip(y, g, dst, |v, gv| gv * (1.0 - v * v));
+    zip(y, g, dst, 3, |v, gv| gv * (1.0 - v * v));
 }
 
 /// `dst = src · alpha`.
 pub fn map_scale(src: &[f32], alpha: f32, dst: &mut [f32]) {
-    map(src, dst, move |v| v * alpha);
+    map(src, dst, 1, move |v| v * alpha);
 }
 
 /// `dst = src + alpha`.
 pub fn map_add_scalar(src: &[f32], alpha: f32, dst: &mut [f32]) {
-    map(src, dst, move |v| v + alpha);
+    map(src, dst, 1, move |v| v + alpha);
 }
 
 /// ReLU forward.
 pub fn map_relu(src: &[f32], dst: &mut [f32]) {
-    map(src, dst, |v| v.max(0.0));
+    map(src, dst, 4, |v| v.max(0.0));
 }
 
 /// GELU forward (tanh approximation, shared scalar).
 pub fn map_gelu(src: &[f32], dst: &mut [f32]) {
-    map(src, dst, fused::gelu_fwd);
+    map(src, dst, 4, fused::gelu_fwd);
 }
 
 /// Sigmoid forward (shared [`fused::sigmoid`] scalar).
 pub fn map_sigmoid(src: &[f32], dst: &mut [f32]) {
-    map(src, dst, fused::sigmoid);
+    map(src, dst, 4, fused::sigmoid);
 }
 
 /// Tanh forward.
 pub fn map_tanh(src: &[f32], dst: &mut [f32]) {
-    map(src, dst, f32::tanh);
+    map(src, dst, 4, f32::tanh);
 }
 
 /// |x| forward.
 pub fn map_abs(src: &[f32], dst: &mut [f32]) {
-    map(src, dst, f32::abs);
+    map(src, dst, 1, f32::abs);
 }
 
 /// `dst += alpha · src` over the flat element order (the gradient
 /// accumulator).
 pub fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
     debug_assert_eq!(dst.len(), src.len());
+    work::add_flops(2 * dst.len());
     par::parallel_rows(dst, 1, ELEM_GRAIN, 1, move |start, block| {
         let n = block.len();
         for (a, &b) in block.iter_mut().zip(&src[start..start + n]) {
@@ -191,6 +198,7 @@ pub fn copy(src: &[f32], dst: &mut [f32]) {
 pub fn add_row_broadcast(x: &[f32], row: &[f32], n: usize, dst: &mut [f32]) {
     debug_assert_eq!(row.len(), n);
     debug_assert_eq!(x.len(), dst.len());
+    work::add_flops(dst.len());
     let grain_rows = ELEM_GRAIN.div_ceil(n).max(1);
     par::parallel_rows(dst, n, grain_rows, 1, move |row0, block| {
         for (out, xr) in block.chunks_exact_mut(n).zip(x[row0 * n..].chunks_exact(n)) {
@@ -212,6 +220,7 @@ pub(crate) const STRIP: usize = 16;
 pub fn bias_grad(g: &[f32], rows: usize, n: usize, dst: &mut [f32]) {
     debug_assert_eq!(g.len(), rows * n);
     debug_assert_eq!(dst.len(), n);
+    work::add_flops(g.len());
     let col_grain = (ELEM_GRAIN / rows.max(1)).max(1);
     par::parallel_rows(dst, 1, col_grain, STRIP, move |col0, cols| {
         let whole = cols.len() / STRIP * STRIP;
@@ -255,6 +264,7 @@ fn strip_sums<const W: usize>(g: &[f32], rows: usize, n: usize, c0: usize, out: 
 /// Row softmax over trailing axis `n`: `dst = src`, then an in-place
 /// [`fused::softmax_rows`] sweep over blocks of rows.
 pub fn softmax_last(src: &[f32], n: usize, dst: &mut [f32]) {
+    work::add_flops(5 * dst.len());
     dst.copy_from_slice(src);
     let grain_rows = EXP_GRAIN.div_ceil(n).max(1);
     par::parallel_rows(dst, n, grain_rows, 1, move |_, block| fused::softmax_rows(block, n));
@@ -262,6 +272,7 @@ pub fn softmax_last(src: &[f32], n: usize, dst: &mut [f32]) {
 
 /// Softmax backward (shared fused core).
 pub fn softmax_last_bwd(y: &[f32], g: &[f32], n: usize, dst: &mut [f32]) {
+    work::add_flops(4 * dst.len());
     fused::softmax_last_bwd_into(y, g, n, dst);
 }
 
@@ -276,6 +287,7 @@ pub fn layer_norm_fwd(
     out: &mut [f32],
     cache: &mut [f32],
 ) {
+    work::add_flops(8 * x.len());
     fused::layer_norm_fwd_into(x, n, gamma, beta, eps, out, cache);
 }
 
@@ -291,6 +303,7 @@ pub fn layer_norm_bwd(
     dgamma: &mut [f32],
     dbeta: &mut [f32],
 ) {
+    work::add_flops(12 * x.len());
     fused::layer_norm_bwd_into(x, n, gamma, cache, g, dx, dgamma, dbeta);
 }
 
@@ -395,6 +408,7 @@ pub fn route_scatter_add(
     debug_assert_eq!(dout.len(), b * l * d);
     debug_assert_eq!(indices.len(), b * l);
     debug_assert_eq!(dst.len(), b * k * d);
+    work::add_flops(dout.len());
     dst.fill(0.0);
     let grain_batches = ROUTE_GRAIN.div_ceil((l * d).max(1)).max(1);
     par::parallel_rows(dst, k * d, grain_batches, 1, move |b0, chunk| {
@@ -422,6 +436,7 @@ pub fn gemm(trans: Trans, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], ds
     assert_eq!(a.len(), m * k, "gemm lhs length");
     assert_eq!(b.len(), k * n, "gemm rhs length");
     assert_eq!(dst.len(), m * n, "gemm out length");
+    work::add_flops(2 * m * k * n);
     matmul::gemm_dispatch(trans.kind(), m, k, n, a, b, dst);
 }
 
@@ -445,6 +460,7 @@ pub fn bmm(
     assert_eq!(a.len(), bt * m * k, "bmm lhs length");
     assert_eq!(b.len(), bt * k * n, "bmm rhs length");
     assert_eq!(dst.len(), bt * m * n, "bmm out length");
+    work::add_flops(2 * bt * m * k * n);
     matmul::bmm_dispatch(trans.kind(), bt, m, k, n, (a, m * k), (b, k * n), dst);
 }
 
@@ -458,6 +474,7 @@ pub fn bcast_nt(bt: usize, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], d
     assert_eq!(a.len(), m * k, "bcast_nt lhs length");
     assert_eq!(b.len(), bt * n * k, "bcast_nt rhs length");
     assert_eq!(dst.len(), bt * m * n, "bcast_nt out length");
+    work::add_flops(2 * bt * m * k * n);
     matmul::bmm_dispatch(Kind::Nt, bt, m, k, n, (a, 0), (b, n * k), dst);
 }
 
@@ -467,6 +484,7 @@ pub fn bcast_nt(bt: usize, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], d
 /// registers.
 pub fn bcast_nt_da(g: &[f32], x: &[f32], bsz: usize, k: usize, l: usize, d: usize, da: &mut [f32]) {
     debug_assert_eq!(da.len(), k * d);
+    work::add_flops(2 * bsz * k * l * d);
     matmul::bmm_sum(bsz, k, l, d, g, x, da);
 }
 
@@ -481,18 +499,25 @@ pub fn bcast_nt_da(g: &[f32], x: &[f32], bsz: usize, k: usize, l: usize, d: usiz
 pub fn bcast_nt_dx(g: &[f32], a: &[f32], bsz: usize, k: usize, l: usize, d: usize, dx: &mut [f32]) {
     debug_assert_eq!(a.len(), k * d);
     debug_assert_eq!(dx.len(), bsz * l * d);
+    work::add_flops(2 * bsz * k * l * d);
     matmul::bmm_dispatch(Kind::Tn, bsz, l, k, d, (g, k * l), (a, 0), dx);
 }
 
 /// Sum over the flat elements with an f64 accumulator, serial on purpose:
 /// splitting the one accumulation chain would change its bits.
 pub fn sum_all(src: &[f32]) -> f32 {
-    src.iter().map(|&v| v as f64).sum::<f64>() as f32
+    work::add_flops(src.len());
+    serial_sum(src)
 }
 
 /// Mean over the flat elements.
 pub fn mean_all(src: &[f32]) -> f32 {
-    sum_all(src) / src.len() as f32
+    work::add_flops(src.len() + 1);
+    serial_sum(src) / src.len() as f32
+}
+
+fn serial_sum(src: &[f32]) -> f32 {
+    src.iter().map(|&v| v as f64).sum::<f64>() as f32
 }
 
 #[cfg(test)]

@@ -51,6 +51,7 @@ pub mod par;
 pub mod pool;
 pub mod route;
 pub mod stats;
+pub mod work;
 
 pub use matmul::reference;
 

@@ -48,9 +48,9 @@ impl Tensor {
         self.map_kernel(|src, dst| exec::map_scale(src, rhs, dst))
     }
 
-    /// Applies `f` to every element.
+    /// Applies `f` to every element, counted as one FLOP each.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        self.map_kernel(|src, dst| exec::map(src, dst, f))
+        self.map_kernel(|src, dst| exec::map(src, dst, 1, f))
     }
 
     /// Runs the shape-preserving slice kernel `kernel(self, out)`.

@@ -23,7 +23,12 @@
 //! held only for the bucket push/pop, never while zeroing or copying.
 //! Retention is capped per class and in total so pathological size sweeps
 //! cannot hold the high-water mark of every shape ever seen.
+//!
+//! A buffer handed out counts as held by the taking thread, at its requested
+//! length, until it comes back ([`crate::work`]): that is how a `predict`'s
+//! peak memory is counted.
 
+use crate::work;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -113,6 +118,7 @@ pub fn take(n: usize) -> Vec<f32> {
     if n == 0 {
         return Vec::new();
     }
+    work::hold(n * std::mem::size_of::<f32>());
     let c = class_for_request(n);
     let popped = {
         let mut s = lock();
@@ -164,6 +170,7 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
 /// Returns a buffer to the pool (or frees it if retention caps are hit).
 /// Zero-capacity buffers are ignored.
 pub fn give(v: Vec<f32>) {
+    work::release(v.len() * std::mem::size_of::<f32>());
     let cap_bytes = v.capacity() * std::mem::size_of::<f32>();
     if cap_bytes == 0 {
         return;

@@ -7,7 +7,7 @@
 //! (`sum_all`, `var_all`) stay serial on purpose: splitting a single
 //! accumulation chain would change summation order and therefore bits.
 
-use crate::{exec, par, Tensor};
+use crate::{exec, par, work, Tensor};
 
 /// Minimum input elements per thread for row-wise reductions.
 const ROW_GRAIN: usize = 16 * 1024;
@@ -62,6 +62,8 @@ impl Tensor {
     pub fn row_mean_std(&self) -> Vec<(f32, f32)> {
         let n = self.shape().last_dim();
         let rows = self.shape().leading();
+        // A sum, then a subtract and a square accumulated, per element.
+        work::add_flops(4 * self.numel());
         let mut out = vec![(0.0f32, 0.0f32); rows];
         let grain_rows = ROW_GRAIN.div_ceil(n).max(1);
         par::parallel_fill(&mut out, grain_rows, |range, chunk| {
