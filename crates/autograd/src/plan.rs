@@ -1756,7 +1756,8 @@ impl PlanCache {
     ) -> Option<f32> {
         let plan = replayable(&mut self.plan, inputs, routes, store)?;
         let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
-        Some(holding_slots(plan, || vm::replay_train(plan, &mut self.slots, &data, routes, store, opt)))
+        let slots = &mut self.slots;
+        Some(holding_slots(plan, || vm::replay_train(plan, slots, &data, routes, store, opt)))
     }
 
     /// Runs one uncached training step from its recorded tape: compiles the
@@ -1802,7 +1803,8 @@ impl PlanCache {
     ) -> Result<Tensor, CompileError> {
         if let Some(plan) = replayable(&mut self.plan, inputs, routes, store) {
             let data: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
-            return Ok(holding_slots(plan, || vm::replay_forward(plan, &mut self.slots, &data, routes, store)));
+            let slots = &mut self.slots;
+            return Ok(holding_slots(plan, || vm::replay_forward(plan, slots, &data, routes, store)));
         }
         let mut g = Graph::new();
         let (output, pv) = record(&mut g);
@@ -1823,9 +1825,10 @@ impl PlanCache {
     }
 }
 
-/// Runs a replay of `plan`, counting its kept slot buffers as held by this
-/// thread meanwhile ([`focus_tensor::work`]): a plan compiled in this call
-/// took them from the pool, which counts them itself.
+/// Runs a replay of the kept `plan`, counting its slot buffers as held by
+/// this thread meanwhile ([`focus_tensor::work`]). A plan compiled in the
+/// same call needs no such count: it took its slots from the tensor pool,
+/// which counts them.
 fn holding_slots<R>(plan: &Plan, replay: impl FnOnce() -> R) -> R {
     work::hold(plan.slot_bytes());
     let out = replay();

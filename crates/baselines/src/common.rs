@@ -81,6 +81,14 @@ mod tests {
     }
 
     #[test]
+    fn decompose_counts_the_moving_average_and_the_subtraction() {
+        let x = Tensor::from_vec((0..3 * 40).map(|t| (t as f32 * 0.5).sin()).collect(), &[3, 40]);
+        let (_, counted) = focus_tensor::work::measure(|| decompose(&x, 9));
+        // 9 adds and a divide per trend value, then one subtraction.
+        assert_eq!(counted.flops, 3 * 40 * (9 + 1) + 3 * 40);
+    }
+
+    #[test]
     fn trend_is_smoother_than_input() {
         let x = Tensor::from_vec(
             (0..64)

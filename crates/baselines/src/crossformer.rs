@@ -6,7 +6,7 @@
 
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
 use focus_core::{Forecaster, OperandVars};
-use focus_nn::{CostReport, LayerNorm, Linear, SelfAttention};
+use focus_nn::{LayerNorm, Linear, SelfAttention};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -97,23 +97,14 @@ impl Forecaster for Crossformer {
         let flat = g.reshape(h, &[n, l * self.d]);
         self.head.forward(g, pv, flat)
     }
-
-    fn cost(&self, entities: usize) -> CostReport {
-        let l = self.n_patches();
-        self.embed.cost(entities * l)
-            + self.time_attn.cost(entities, l)
-            + self.ln_t.cost(entities * l)
-            + self.dim_attn.cost(l, entities)
-            + self.ln_d.cost(entities * l)
-            + self.head.cost(entities)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window;
     use focus_tensor::Tensor;
-    use focus_core::TrainOptions;
+    use focus_core::{count_predict, TrainOptions};
     use focus_data::{Benchmark, MtsDataset, Split};
 
     #[test]
@@ -145,8 +136,8 @@ mod tests {
     #[test]
     fn cost_is_quadratic_in_entities() {
         let model = Crossformer::new(64, 16, 8, 8, 2);
-        let c16 = model.cost(16);
-        let c64 = model.cost(64);
+        let c16 = count_predict(&model, &window(16, 64));
+        let c64 = count_predict(&model, &window(64, 64));
         // The entity-attention term is O(N²·d): growth must exceed linear.
         let ratio = c64.flops as f64 / c16.flops as f64;
         assert!(ratio > 5.0, "ratio {ratio} not superlinear in N");

@@ -5,7 +5,7 @@
 use crate::common::decompose;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
 use focus_core::{Forecaster, OperandVars, WindowOperands};
-use focus_nn::{CostReport, Linear};
+use focus_nn::Linear;
 use focus_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,18 +71,13 @@ impl Forecaster for DLinear {
         let (trend, seasonal) = decompose(x_norm, self.kernel);
         WindowOperands { routes: Vec::new(), tensors: vec![trend, seasonal] }
     }
-
-    fn cost(&self, entities: usize) -> CostReport {
-        // Decomposition is a moving average: kernel FLOPs per input point.
-        let decomp = CostReport::pointwise(entities * self.lookback, self.kernel as u64);
-        decomp + self.trend.cost(entities) + self.seasonal.cost(entities)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use focus_core::TrainOptions;
+    use crate::window;
+    use focus_core::{count_predict, TrainOptions};
     use focus_data::{Benchmark, MtsDataset, Split};
 
     #[test]
@@ -115,9 +110,8 @@ mod tests {
     #[test]
     fn cost_is_quadratic_in_window_product_only() {
         let m = DLinear::new(96, 24, 2);
-        let c = m.cost(10);
         // Two L×L_f weight matrices dominate the parameter count.
-        assert_eq!(c.params, 2 * (96 * 24 + 24));
-        assert!(c.flops > 0);
+        assert_eq!(m.params().scalar_count(), 2 * (96 * 24 + 24));
+        assert!(count_predict(&m, &window(10, 96)).flops > 0);
     }
 }

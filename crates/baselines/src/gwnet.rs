@@ -5,7 +5,7 @@
 
 use focus_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
 use focus_core::{Forecaster, OperandVars};
-use focus_nn::{init, CostReport, Linear};
+use focus_nn::{init, Linear};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,7 +16,6 @@ pub struct GraphWavenet {
     entities: usize,
     patch: usize,
     d: usize,
-    node_rank: usize,
     ps: ParamStore,
     e1: ParamId,
     e2: ParamId,
@@ -54,7 +53,6 @@ impl GraphWavenet {
             entities,
             patch,
             d,
-            node_rank,
             e1,
             e2,
             embed: Linear::new(&mut ps, "embed", patch, d, &mut rng),
@@ -125,34 +123,14 @@ impl Forecaster for GraphWavenet {
         let fused = g.add(gated, h2); // skip connection
         self.head.forward(g, pv, fused)
     }
-
-    fn cost(&self, entities: usize) -> CostReport {
-        let l = self.lookback / self.patch;
-        let adjacency = CostReport::matmul(entities, self.node_rank, entities)
-            + CostReport::softmax(entities, entities);
-        let hops = CostReport::matmul(entities, entities, self.d).repeat_shared(2);
-        self.embed.cost(entities * l)
-            + self.gate_filter.cost(entities)
-            + self.gate_gate.cost(entities)
-            + CostReport::pointwise(entities * self.d, 3)
-            + adjacency
-            + hops
-            + self.hop1.cost(entities)
-            + self.hop2.cost(entities)
-            + self.head.cost(entities)
-            + CostReport {
-                flops: 0,
-                params: 2 * (self.entities * self.node_rank) as u64,
-                peak_mem_bytes: (entities * entities * 4) as u64,
-            }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window;
     use focus_tensor::Tensor;
-    use focus_core::TrainOptions;
+    use focus_core::{count_predict, TrainOptions};
     use focus_data::{Benchmark, MtsDataset, Split};
 
     #[test]
@@ -183,11 +161,11 @@ mod tests {
 
     #[test]
     fn adjacency_memory_grows_quadratically() {
-        let small = GraphWavenet::new(32, 8, 4, 8, 8, 2).cost(4);
-        let large = GraphWavenet::new(32, 8, 64, 8, 8, 2).cost(64);
+        let count = |n: usize| count_predict(&GraphWavenet::new(32, 8, n, 8, 8, 2), &window(n, 32));
+        let (small, large) = (count(4), count(64));
         // 16× more entities: a purely linear model would grow memory 16×;
         // the N×N adjacency pushes it beyond that.
-        let ratio = large.peak_mem_bytes as f64 / small.peak_mem_bytes as f64;
+        let ratio = large.peak_bytes as f64 / small.peak_bytes as f64;
         assert!(ratio > 16.0, "ratio {ratio} not superlinear");
     }
 }

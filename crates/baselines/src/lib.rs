@@ -42,3 +42,10 @@ pub use mtgnn::Mtgnn;
 pub use patchtst::PatchTst;
 pub use timesnet::TimesNet;
 pub use zoo::{BaselineConfig, ModelKind};
+
+/// A deterministic `[n, len]` window for the models' cost tests.
+#[cfg(test)]
+fn window(n: usize, len: usize) -> focus_tensor::Tensor {
+    let values = (0..n * len).map(|v| (v as f32 * 0.1).sin()).collect();
+    focus_tensor::Tensor::from_vec(values, &[n, len])
+}

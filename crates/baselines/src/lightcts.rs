@@ -6,7 +6,7 @@
 
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
 use focus_core::{Forecaster, OperandVars};
-use focus_nn::{CostReport, LayerNorm, Linear, SelfAttention};
+use focus_nn::{LayerNorm, Linear, SelfAttention};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -88,23 +88,14 @@ impl Forecaster for LightCts {
         let back = g.reshape(normed, &[n, self.d]);
         self.head.forward(g, pv, back)
     }
-
-    fn cost(&self, entities: usize) -> CostReport {
-        let l = self.lookback / self.patch;
-        self.embed.cost(entities * l)
-            + self.temporal.cost(entities)
-            + CostReport::pointwise(entities * self.d, 1)
-            + self.entity_attn.cost(1, entities)
-            + self.ln.cost(entities)
-            + self.head.cost(entities)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window;
     use focus_tensor::Tensor;
-    use focus_core::TrainOptions;
+    use focus_core::{count_predict, TrainOptions};
     use focus_data::{Benchmark, MtsDataset, Split};
 
     #[test]
@@ -138,6 +129,7 @@ mod tests {
         // baselines at the same window.
         let light = LightCts::new(128, 24, 8, 16, 2);
         let heavy = crate::patchtst::PatchTst::new(128, 24, 8, 16, 2);
-        assert!(light.cost(32).flops < heavy.cost(32).flops);
+        let x = window(32, 128);
+        assert!(count_predict(&light, &x).flops < count_predict(&heavy, &x).flops);
     }
 }

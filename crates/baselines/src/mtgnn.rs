@@ -7,7 +7,7 @@
 use focus_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
 use focus_core::{Forecaster, OperandVars};
 use focus_nn::mlp::{Activation, Mlp};
-use focus_nn::{init, CostReport, Linear};
+use focus_nn::{init, Linear};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -18,7 +18,6 @@ pub struct Mtgnn {
     entities: usize,
     patch: usize,
     d: usize,
-    node_rank: usize,
     ps: ParamStore,
     /// Source/target node embeddings for the adaptive adjacency
     /// `A = softmax(relu(E₁·E₂ᵀ))`.
@@ -57,7 +56,6 @@ impl Mtgnn {
             entities,
             patch,
             d,
-            node_rank,
             e1,
             e2,
             embed: Linear::new(&mut ps, "embed", patch, d, &mut rng),
@@ -120,24 +118,6 @@ impl Forecaster for Mtgnn {
         let mixed_proj = self.graph_proj.forward(g, pv, mixed);
         let both = g.concat_last(temporal, mixed_proj); // [N, 2d]
         self.head.forward(g, pv, both)
-    }
-
-    fn cost(&self, entities: usize) -> CostReport {
-        let l = self.lookback / self.patch;
-        let adjacency = CostReport::matmul(entities, self.node_rank, entities)
-            + CostReport::softmax(entities, entities);
-        let hop = CostReport::matmul(entities, entities, self.d);
-        self.embed.cost(entities * l)
-            + self.temporal.cost(entities)
-            + adjacency
-            + hop
-            + self.graph_proj.cost(entities)
-            + self.head.cost(entities)
-            + CostReport {
-                flops: 0,
-                params: 2 * (self.entities * self.node_rank) as u64,
-                peak_mem_bytes: (entities * entities * 4) as u64,
-            }
     }
 }
 

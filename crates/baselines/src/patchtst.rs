@@ -6,7 +6,7 @@
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
 use focus_core::{Forecaster, OperandVars};
 use focus_nn::mlp::{Activation, Mlp};
-use focus_nn::{CostReport, LayerNorm, Linear, SelfAttention};
+use focus_nn::{LayerNorm, Linear, SelfAttention};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -101,23 +101,14 @@ impl Forecaster for PatchTst {
         let flat = g.reshape(h2, &[n, l * self.d]);
         self.head.forward(g, pv, flat)
     }
-
-    fn cost(&self, entities: usize) -> CostReport {
-        let l = self.n_patches();
-        self.embed.cost(entities * l)
-            + self.attn.cost(entities, l)
-            + self.ln1.cost(entities * l)
-            + self.ffn.cost(entities * l)
-            + self.ln2.cost(entities * l)
-            + self.head.cost(entities)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window;
     use focus_tensor::Tensor;
-    use focus_core::TrainOptions;
+    use focus_core::{count_predict, TrainOptions};
     use focus_data::{Benchmark, MtsDataset, Split};
 
     #[test]
@@ -152,7 +143,9 @@ mod tests {
         // patch count doubles and l ≫ d is approached.
         let short = PatchTst::new(128, 24, 8, 8, 2);
         let long = PatchTst::new(256, 24, 8, 8, 2);
-        let ratio = long.cost(1).flops as f64 / short.cost(1).flops as f64;
+        let short = count_predict(&short, &window(1, 128)).flops;
+        let long = count_predict(&long, &window(1, 256)).flops;
+        let ratio = long as f64 / short as f64;
         assert!(ratio > 2.0, "ratio {ratio} not superlinear");
     }
 

@@ -8,7 +8,7 @@ use crate::common::dominant_period;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
 use focus_core::{Forecaster, OperandVars};
 use focus_nn::mlp::{Activation, Mlp};
-use focus_nn::{CostReport, Linear};
+use focus_nn::Linear;
 use focus_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,15 +116,6 @@ impl Forecaster for TimesNet {
         let feat = self.proj.forward(g, pv, res); // [N, d]
         let act = g.gelu(feat);
         self.head.forward(g, pv, act)
-    }
-
-    fn cost(&self, entities: usize) -> CostReport {
-        let cycles = self.lookback / self.period;
-        self.intra.cost(entities * cycles)
-            + self.inter.cost(entities * self.period)
-            + self.proj.cost(entities)
-            + self.head.cost(entities)
-            + CostReport::pointwise(entities * self.lookback, 1)
     }
 }
 

@@ -159,6 +159,7 @@ impl BaselineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use focus_core::count_predict;
     use focus_data::Benchmark;
 
     #[test]
@@ -176,8 +177,8 @@ mod tests {
             let pred = model.predict(&w.x);
             assert_eq!(pred.dims(), &[4, 12], "{kind:?}");
             assert!(pred.all_finite(), "{kind:?}");
-            let cost = model.cost(4);
-            assert!(cost.flops > 0 && cost.params > 0, "{kind:?}");
+            let flops = count_predict(&*model, &w.x).flops;
+            assert!(flops > 0 && model.params().scalar_count() > 0, "{kind:?}");
         }
     }
 

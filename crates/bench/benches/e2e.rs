@@ -2,8 +2,10 @@
 //!
 //! * Fig. 6 — ProtoAttn (linear in the segment count `l`) against full
 //!   self-attention (quadratic) over `l` = 16 → 256; hard against soft
-//!   routing; and every zoo model's forward pass next to its analytic FLOPs
-//!   from `focus-nn::cost`, the measured twin of the analytic figure;
+//!   routing; and every zoo model's forward pass next to the FLOPs and peak
+//!   bytes it counts (`focus_tensor::work`), the wall-clock twin of the
+//!   counted figure, with FOCUS's forward plan's exact liveness peak next to
+//!   the bytes of its power-of-two slots;
 //! * Fig. 8 — the offline phase: Rec Only against Rec+Corr, the closed-form
 //!   mean against AdamW prototype updates, and `FocusConfig::cluster` on a
 //!   PEMS08 profile;
@@ -17,16 +19,18 @@
 //!
 //! The run rewrites `BENCH_e2e.json` at the repository root.
 
+use focus_autograd::plan::compile_forward;
 use focus_autograd::{Graph, ParamStore, ParamVars, Route, Var};
 use focus_baselines::{BaselineConfig, ModelKind};
 use focus_bench::measure::{time_each, write_report, Timing};
 use focus_cluster::{ClusterConfig, Objective, Prototypes, ProtoUpdate};
 use focus_core::fusion::ParallelFusion;
 use focus_core::protoattn::{Assignment, ProtoAttn, Routing};
-use focus_core::FocusConfig;
+use focus_core::{FocusConfig, WindowInputs};
 use focus_data::{Benchmark, MtsDataset};
+use focus_nn::revin::instance_norm;
 use focus_nn::{Linear, SelfAttention};
-use focus_tensor::{par, Tensor};
+use focus_tensor::{par, work, Tensor};
 use focus_trace::report::RunReport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -171,22 +175,47 @@ fn clustering(report: &mut RunReport) {
     record_each(report, ["offline_phase".into()], [&mut || cfg.cluster(&train, 1)]);
 }
 
-/// Every zoo model's `predict` on one window, next to its analytic FLOPs.
+/// Every zoo model's `predict` on one window, next to the FLOPs and peak
+/// bytes it counts. Each model's first predict compiles its plan; every
+/// timed predict replays it and must count the same FLOPs.
 fn forward_pass(report: &mut RunReport) {
     let ds = MtsDataset::generate(Benchmark::Pems08.scaled(12, 2_400), 5);
     let cfg = BaselineConfig { d: 24, n_prototypes: 12, ..BaselineConfig::new(96, 24) };
     let x = &ds.window_at(0, 96, 24).x;
     let models = ModelKind::ALL.map(|kind| cfg.build(kind, &ds));
     let keys = ModelKind::ALL.map(|kind| format!("forward_pass/{}", kind.label()));
-    let mut predicts = models.each_ref().map(|model| move || model.predict(x));
+    let first = models.each_ref().map(|model| work::measure(|| model.predict(x)).1.flops);
+    let mut predicts: [_; 8] = std::array::from_fn(|i| {
+        let (model, key, flops) = (&models[i], &keys[i], first[i]);
+        move || {
+            let (y, counted) = work::measure(|| model.predict(x));
+            assert_eq!(
+                counted.flops, flops,
+                "{key}: a replayed predict must count its never-cached predict's FLOPs"
+            );
+            y
+        }
+    });
     let series = predicts.each_mut().map(|f| f as &mut dyn FnMut() -> Tensor);
     let timings = record_forwards(report, keys.clone(), series);
-    for ((key, model), timing) in keys.iter().zip(&models).zip(&timings) {
-        let flops = model.cost(12).flops as f64;
+    for (((key, model), timing), flops) in keys.iter().zip(&models).zip(&timings).zip(first) {
+        let peak_bytes = work::measure(|| model.predict(x)).1.peak_bytes;
         report
-            .metric(&format!("{key}/flops"), flops)
-            .metric(&format!("{key}/gflops_per_s"), flops / timing.median_ns);
+            .metric(&format!("{key}/flops"), flops as f64)
+            .metric(&format!("{key}/gflops_per_s"), flops as f64 / timing.median_ns)
+            .metric(&format!("{key}/peak_bytes"), peak_bytes as f64);
     }
+    // FOCUS's forward plan as `predict` keeps it: what its values hold at
+    // once, and what its power-of-two slots hold.
+    let focus = &models[0];
+    let (x_norm, _) = instance_norm(x);
+    let mut g = Graph::new();
+    let rec = focus.record_window(&mut g, &WindowInputs::new(&**focus, x_norm, None));
+    let plan =
+        compile_forward(&g, rec.pred, &rec.pv).expect("FOCUS's forward pass lowers and verifies");
+    report
+        .metric("forward_pass/FOCUS/plan_live_peak_bytes", plan.live_peak_bytes() as f64)
+        .metric("forward_pass/FOCUS/plan_slot_bytes", plan.slot_bytes() as f64);
 }
 
 /// The Parallel Fusion Module against gated linear fusion of two `[N, 24,

@@ -1,14 +1,14 @@
 //! Fig. 7: parameter study on the PEMS08-like dataset —
 //! (a) prototype count `k`, (b) embedding size `d`, (c) input window `L`,
 //! (d) patch length `p`. Each sweep reports accuracy (MSE/MAE) alongside
-//! the analytic FLOPs and peak memory, mirroring the paper's twin-axis
-//! plots.
+//! the FLOPs and peak memory counted on one forward pass
+//! (`focus_core::count_predict`), mirroring the paper's twin-axis plots.
 //!
 //! Usage: `cargo run --release -p focus-bench --bin fig7 [--part a|b|c|d] [--fast|--full] [--csv]`
 
 use focus_bench::report::{f4, Table};
 use focus_bench::settings::{self, Cli, Scale};
-use focus_core::{Focus, FocusConfig, Forecaster};
+use focus_core::{count_predict, Focus, FocusConfig, Forecaster};
 use focus_data::{Benchmark, MtsDataset, Split};
 
 fn main() {
@@ -30,7 +30,6 @@ fn main() {
         Benchmark::Pems08.scaled(max_entities, max_len),
         settings::seed_for("fig7", 1),
     );
-    let entities = ds.spec().entities;
 
     let base = |lookback: usize| -> FocusConfig {
         let mut cfg = FocusConfig::new(lookback, 24);
@@ -46,15 +45,16 @@ fn main() {
         let mut model = Focus::fit_offline(&ds, cfg, settings::seed_for("fig7-model", part as u64));
         model.train(&ds, &opts);
         let m = model.evaluate(&ds, Split::Test, 24);
-        let c = model.cost(entities);
-        eprintln!("  {part}/{setting}: MSE {:.4} FLOPs {:.2}M", m.mse(), c.mflops());
+        let work = count_predict(&model, &ds.window_at(0, model.lookback(), model.horizon()).x);
+        let mflops = work.flops as f64 / 1e6;
+        eprintln!("  {part}/{setting}: MSE {:.4} FLOPs {mflops:.2}M", m.mse());
         table.row(vec![
             part.to_string(),
             setting,
             f4(m.mse()),
             f4(m.mae()),
-            format!("{:.2}", c.mflops()),
-            format!("{:.3}", c.mem_mib()),
+            format!("{mflops:.2}"),
+            format!("{:.3}", work.peak_bytes as f64 / (1024.0 * 1024.0)),
         ]);
     };
 

@@ -1,12 +1,13 @@
 //! Table IV: ablation study — FOCUS vs FOCUS-Attn vs FOCUS-LnrFusion vs
 //! FOCUS-AllLnr on PEMS08-like and Electricity-like data, reporting
-//! MSE / MAE / FLOPs / peak memory / parameter count.
+//! MSE / MAE / FLOPs / peak memory / parameter count, the cost columns
+//! counted on one forward pass (`focus_core::count_predict`).
 //!
 //! Usage: `cargo run --release -p focus-bench --bin table4 [--fast|--full] [--csv]`
 
 use focus_bench::report::{f4, Table};
 use focus_bench::settings::{self, Cli};
-use focus_core::{AblationVariant, FocusAblation, FocusConfig, Forecaster};
+use focus_core::{count_predict, AblationVariant, FocusAblation, FocusConfig, Forecaster};
 use focus_data::{Benchmark, MtsDataset, Split};
 
 fn main() {
@@ -25,7 +26,6 @@ fn main() {
             bench.scaled(max_entities, max_len),
             settings::seed_for("table4", bench as u64),
         );
-        let entities = ds.spec().entities;
         let mut cfg = FocusConfig::new(lookback, horizon);
         cfg.segment_len = 8;
         cfg.n_prototypes = 12;
@@ -44,23 +44,23 @@ fn main() {
             );
             model.train(&ds, &opts);
             let m = model.evaluate(&ds, Split::Test, horizon);
-            let c = model.cost(entities);
+            let work = count_predict(&model, &ds.window_at(0, lookback, horizon).x);
+            let mflops = work.flops as f64 / 1e6;
+            let mib = work.peak_bytes as f64 / (1024.0 * 1024.0);
+            let kparams = model.params().scalar_count() as f64 / 1e3;
             eprintln!(
-                "  {:<16} MSE {:.4}  FLOPs {:.1}M  Mem {:.2}MB  Params {:.0}K",
+                "  {:<16} MSE {:.4}  FLOPs {mflops:.1}M  Mem {mib:.2}MB  Params {kparams:.0}K",
                 variant.label(),
                 m.mse(),
-                c.mflops(),
-                c.mem_mib(),
-                c.kparams()
             );
             table.row(vec![
                 ds.spec().name.clone(),
                 variant.label().to_string(),
                 f4(m.mse()),
                 f4(m.mae()),
-                format!("{:.1}", c.mflops()),
-                format!("{:.2}", c.mem_mib()),
-                format!("{:.0}", c.kparams()),
+                format!("{mflops:.1}"),
+                format!("{mib:.2}"),
+                format!("{kparams:.0}"),
             ]);
         }
     }

@@ -475,6 +475,25 @@ mod tests {
     }
 
     #[test]
+    fn sweeps_count_their_dot_chains_and_epilogue() {
+        use focus_tensor::work::measure;
+        for (alpha, chains, stats) in [(0.0, 1, 3), (0.2, 2, 8)] {
+            let (n, k, p) = (37, 5, 6);
+            let (segs, centers, obj) = random_case(n, k, p, alpha, 4);
+            let (seg, seg_work) = measure(|| SegmentCache::new(&segs, &obj));
+            assert_eq!(seg_work.flops as usize, stats * n * p, "α {alpha}: segment statistics");
+            let cache = CenterCache::new(&centers, &obj);
+            // Per segment, center and chain: 2 per multiply–accumulate over
+            // p steps, 3 for the epilogue.
+            let sweep = n * k * chains * (2 * p + 3);
+            let mut nearest = vec![(0, 0.0); n];
+            let assign = measure(|| assign_batched(&seg, &cache, &mut nearest)).1;
+            assert_eq!(assign.flops as usize, sweep);
+            assert_eq!(measure(|| distance_matrix(&seg, &cache)).1.flops as usize, sweep);
+        }
+    }
+
+    #[test]
     fn distance_matrix_matches_scalar_oracle() {
         for &(n, k, p, alpha, seed) in &[
             (7usize, 3usize, 5usize, 0.0f32, 1u64),

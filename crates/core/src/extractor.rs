@@ -20,7 +20,7 @@ use crate::forecaster::{OperandVars, WindowOperands};
 use crate::protoattn::{Assignment, ProtoAttn, Routing, RoutingPlan};
 use focus_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
 use focus_cluster::Prototypes;
-use focus_nn::{init, CostReport, LayerNorm, Linear};
+use focus_nn::{init, LayerNorm, Linear};
 use focus_tensor::Tensor;
 use rand::Rng;
 
@@ -72,16 +72,6 @@ impl SegmentEmbedding {
         let pos = g.reshape(pv.var(self.pos), &[self.n_segments * self.d]);
         let with_pos = g.add_row_broadcast(flat, pos);
         g.reshape(with_pos, &[dims[0], self.n_segments, self.d])
-    }
-
-    /// Analytic cost over `n` entities.
-    pub fn cost(&self, n: usize) -> CostReport {
-        self.linear.cost(n * self.n_segments)
-            + CostReport {
-                flops: (n * self.n_segments * self.d) as u64,
-                params: (self.n_segments * self.d) as u64,
-                peak_mem_bytes: (n * self.n_segments * self.d * 4) as u64,
-            }
     }
 }
 
@@ -223,15 +213,6 @@ impl DualBranchExtractor {
         let h_e = g.swap_axes01(h_e_raw); // [N, l, d]
 
         (h_t, h_e)
-    }
-
-    /// Analytic cost for a window of `n` entities × `l` segments.
-    pub fn cost(&self, n: usize, l: usize) -> CostReport {
-        self.embed.cost(n)
-            + self.temporal.cost(n, l)
-            + self.entity.cost(l, n)
-            + self.ln_t.cost(n * l)
-            + self.ln_e.cost(n * l)
     }
 }
 

@@ -11,7 +11,6 @@ use focus_autograd::plan::{CompileError, PlanCache};
 use focus_autograd::{AdamW, Graph, ParamStore, ParamVars, Route, Var};
 use focus_data::{Metrics, MtsDataset, Split};
 use focus_nn::revin::{instance_denorm, instance_norm, normalise_target};
-use focus_nn::CostReport;
 use focus_tensor::work::{self, Work};
 use focus_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -183,9 +182,6 @@ pub trait Forecaster {
         WindowOperands::default()
     }
 
-    /// Analytic cost of one forward pass for `entities` series.
-    fn cost(&self, entities: usize) -> CostReport;
-
     /// Records one window on `g`: registers the parameters, records `w`'s
     /// tensors as tape inputs and its routes as tape routes — in the order
     /// [`WindowInputs::tensors`] and [`WindowInputs::routes`] list them, the
@@ -258,19 +254,21 @@ pub trait Forecaster {
     /// names `predict` and the verifier's position.
     fn predict(&self, x: &Tensor) -> Tensor {
         assert_finite_window(x);
-        let (x_norm, stats) = instance_norm(x);
-        let w = WindowInputs::new(self, x_norm, None);
-        let y_norm = self
-            .params()
-            .run_forward(&w.tensors(), &w.routes(), |g| {
-                let rec = self.record_window(g, &w);
-                (rec.pred, rec.pv)
-            })
-            .unwrap_or_else(|e| {
-                // focus-lint: allow(panic-hygiene) -- documented panic: a plan that fails verification is a compiler bug, and the message names predict and the verifier's position
-                panic!("predict failed: {e}")
-            });
-        instance_denorm(&y_norm, &stats)
+        traced_pass(|| {
+            let (x_norm, stats) = instance_norm(x);
+            let w = WindowInputs::new(self, x_norm, None);
+            let y_norm = self
+                .params()
+                .run_forward(&w.tensors(), &w.routes(), |g| {
+                    let rec = self.record_window(g, &w);
+                    (rec.pred, rec.pv)
+                })
+                .unwrap_or_else(|e| {
+                    // focus-lint: allow(panic-hygiene) -- documented panic: a plan that fails verification is a compiler bug, and the message names predict and the verifier's position
+                    panic!("predict failed: {e}")
+                });
+            instance_denorm(&y_norm, &stats)
+        })
     }
 
     /// Trains on the dataset's training split with AdamW and an MSE loss.
@@ -325,14 +323,15 @@ pub trait Forecaster {
             let mut total = 0.0f64;
             for (wi, w) in windows.iter().enumerate() {
                 focus_trace::span!("train/step");
-                let (x_norm, stats) = instance_norm(&w.x);
-                let y_norm = normalise_target(&w.y, &stats);
-                let (loss, replayed) = self
-                    .train_step(&mut g, &mut pcache, &mut opt, x_norm, y_norm, opts.loss)
-                    .unwrap_or_else(|e| {
-                        // focus-lint: allow(panic-hygiene) -- documented panic: no other executor is left, and the message names the step and the verifier's position
-                        panic!("training step failed at epoch {epoch}, window {wi}: {e}")
-                    });
+                let (loss, replayed) = traced_pass(|| {
+                    let (x_norm, stats) = instance_norm(&w.x);
+                    let y_norm = normalise_target(&w.y, &stats);
+                    self.train_step(&mut g, &mut pcache, &mut opt, x_norm, y_norm, opts.loss)
+                })
+                .unwrap_or_else(|e| {
+                    // focus-lint: allow(panic-hygiene) -- documented panic: no other executor is left, and the message names the step and the verifier's position
+                    panic!("training step failed at epoch {epoch}, window {wi}: {e}")
+                });
                 plan_replays += usize::from(replayed);
                 assert!(
                     loss.is_finite(),
@@ -400,12 +399,26 @@ pub trait Forecaster {
     }
 }
 
+/// Runs one pass — a training step or a `predict` — and, when tracing is
+/// on, adds the FLOPs it counts to the `flops/counted` trace counter, so a
+/// traced run reports the work of every pass, replays included.
+fn traced_pass<R>(pass: impl FnOnce() -> R) -> R {
+    if !focus_trace::enabled() {
+        return pass();
+    }
+    let (out, counted) = work::measure(pass);
+    focus_trace::counter_add("flops/counted", counted.flops);
+    out
+}
+
 /// Counts one forward pass of `model` on the window `x: [N, L]`, the way
 /// the paper's Fig. 6 measures it: the FLOPs and the peak buffer bytes of a
 /// [`Forecaster::predict`] that replays the model's kept plan (after one
-/// `predict` that compiles it). The bytes cover the normalised window, the
-/// routing and other per-window operands, the plan's slots and the output;
-/// parameters are held by the model, not by the pass. See
+/// `predict` that compiles it, whose tape also holds copies of the
+/// parameters). The bytes are the plan's slots and the tensor buffers the
+/// pass takes: the normalised window, dense per-window operands, the
+/// routing's segment panels and the output. Parameters belong to the model,
+/// and route index vectors are not tensor buffers; neither counts. See
 /// [`focus_tensor::work`] for what each kernel counts.
 pub fn count_predict<F: Forecaster + ?Sized>(model: &F, x: &Tensor) -> Work {
     model.predict(x);

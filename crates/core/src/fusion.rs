@@ -11,7 +11,7 @@
 //! is `F_t = softmax(Q·H_tᵀ/√d)·H_t ∈ R^{m×d}`, which is what we implement.
 
 use focus_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
-use focus_nn::{init, CostReport, Linear};
+use focus_nn::{init, Linear};
 use rand::Rng;
 
 /// Readout-query fusion of the two branch feature tensors.
@@ -88,20 +88,6 @@ impl ParallelFusion {
         // Projection to the horizon (Algorithm 4 line 8).
         let flat = g.reshape(fused, &[n, self.m * self.d]);
         self.head.forward(g, pv, flat) // [N, horizon]
-    }
-
-    /// Analytic cost for `n` entities × `l` segments.
-    pub fn cost(&self, n: usize, l: usize) -> CostReport {
-        // Two readouts: scores + aggregation, each 2·n·m·l·d MACs.
-        let readouts = CostReport {
-            flops: 2 * (4 * n * self.m * l * self.d) as u64 + 2 * 5 * (n * self.m * l) as u64,
-            params: self.d as u64 * self.m as u64, // the queries
-            peak_mem_bytes: (n * self.m * l * 4) as u64,
-        };
-        let gate = self.gate.cost(n * self.m);
-        let mix = CostReport::pointwise(n * self.m * self.d, 4);
-        let head = self.head.cost(n);
-        readouts + gate + mix + head
     }
 }
 
@@ -182,10 +168,17 @@ mod tests {
 
     #[test]
     fn cost_linear_in_l_and_n() {
-        let (_, fusion) = fixture(4, 16, 24);
-        let base = fusion.cost(8, 16);
-        let double_l = fusion.cost(8, 32);
-        let double_n = fusion.cost(16, 16);
+        let (ps, fusion) = fixture(4, 16, 24);
+        let mut rng = StdRng::seed_from_u64(34);
+        let mut count = |n: usize, l: usize| {
+            let mut g = Graph::new();
+            let pv = ps.register(&mut g);
+            let h_t = g.input(Tensor::randn(&[n, l, 16], 1.0, &mut rng));
+            let h_e = g.input(Tensor::randn(&[n, l, 16], 1.0, &mut rng));
+            let y = fusion.forward(&mut g, &pv, h_t, h_e);
+            focus_tensor::work::measure(|| g.value(y)).1
+        };
+        let (base, double_l, double_n) = (count(8, 16), count(8, 32), count(16, 16));
         // The head is per-entity constant; readouts are linear. Ratios must
         // be well under quadratic.
         assert!((double_l.flops as f64) < 2.2 * base.flops as f64);

@@ -14,8 +14,7 @@
 //!   readout queries, gated mixing of the two branches, projection to the
 //!   horizon;
 //! * [`model`] — the complete [`Focus`] model with training and evaluation
-//!   loops, instance normalisation, offline-prototype wiring and the analytic
-//!   [`focus_nn::CostReport`];
+//!   loops, instance normalisation and offline-prototype wiring;
 //! * [`ablation`] — the Table IV variants (FOCUS-Attn, FOCUS-LnrFusion,
 //!   FOCUS-AllLnr);
 //! * [`lowrank`] — an empirical check of Theorem 1's low-rank approximation
@@ -47,8 +46,8 @@ pub mod tune;
 
 pub use ablation::{AblationVariant, FocusAblation};
 pub use forecaster::{
-    count_predict, Forecaster, Loss, OperandVars, RecordedWindow, TrainOptions, TrainReport, WindowInputs,
-    WindowOperands,
+    count_predict, Forecaster, Loss, OperandVars, RecordedWindow, TrainOptions, TrainReport,
+    WindowInputs, WindowOperands,
 };
 pub use model::{Focus, FocusConfig};
 pub use protoattn::{Assignment, ProtoAttn, Routing, RoutingPlan};

@@ -7,7 +7,6 @@ use crate::protoattn::Assignment;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
 use focus_cluster::{segment_matrix, ClusterConfig, Objective, ProtoUpdate, Prototypes};
 use focus_data::MtsDataset;
-use focus_nn::CostReport;
 use focus_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -214,11 +213,6 @@ impl Forecaster for Focus {
         self.fusion.forward(g, pv, h_t, h_e)
     }
 
-    fn cost(&self, entities: usize) -> CostReport {
-        let l = self.cfg.n_segments();
-        self.extractor.cost(entities, l) + self.fusion.cost(entities, l)
-    }
-
     fn window_operands(&self, x_norm: &Tensor) -> WindowOperands {
         self.extractor.window_operands(x_norm)
     }
@@ -324,16 +318,13 @@ mod tests {
         cfg_long.lookback = 128;
         let short = Focus::fit_offline(&ds, tiny_config(), 4);
         let long = Focus::fit_offline(&ds, cfg_long, 4);
-        let (cs, cl) = (short.cost(6), long.cost(6));
+        let count = |model: &Focus| {
+            let lookback = model.config().lookback;
+            crate::forecaster::count_predict(model, &ds.window_at(0, lookback, 16).x)
+        };
+        let (cs, cl) = (count(&short), count(&long));
         let ratio = cl.flops as f64 / cs.flops as f64;
         assert!(ratio < 2.6, "lookback doubling grew FLOPs {ratio}x");
         assert!(ratio > 1.2, "cost must still grow with lookback: {ratio}");
-    }
-
-    #[test]
-    fn param_count_matches_store() {
-        let ds = tiny_dataset();
-        let model = Focus::fit_offline(&ds, tiny_config(), 5);
-        assert_eq!(model.cost(6).params, model.params().scalar_count());
     }
 }

@@ -17,7 +17,7 @@
 
 use focus_autograd::{Graph, ParamStore, ParamVars, Route, Var};
 use focus_cluster::Prototypes;
-use focus_nn::{CostReport, Linear};
+use focus_nn::Linear;
 use focus_tensor::Tensor;
 use rand::Rng;
 
@@ -258,9 +258,6 @@ impl ProtoAttn {
     pub fn forward(&self, g: &mut Graph, pv: &ParamVars, segments: Var, routing: Routing) -> Var {
         focus_trace::span!("model/protoattn");
         let dims = g.dims(segments).to_vec();
-        if focus_trace::enabled() && dims.len() == 3 {
-            focus_trace::counter_add("flops/protoattn_est", self.cost(dims[0], dims[1]).flops);
-        }
         assert_eq!(dims.len(), 3, "ProtoAttn expects [B, l, p] inputs");
         assert_eq!(dims[2], self.segment_len(), "ProtoAttn input width mismatch");
 
@@ -306,41 +303,6 @@ impl ProtoAttn {
         let a_v = g.constant(assign.clone());
         let dep = g.bmm(a_v, alpha); // [B, l, l]
         g.value(dep)
-    }
-
-    /// Analytic cost over a batch of `b` sequences of `l` segments
-    /// (the `O(l·(k·d + d²) + k·d²)` of the paper's complexity analysis).
-    pub fn cost(&self, b: usize, l: usize) -> CostReport {
-        let (k, p) = (self.k(), self.segment_len());
-        // Prototype queries are computed once per forward (shared over batch).
-        let proto_proj = self.w_e.cost(k);
-        let kv_proj = self.w_k.cost(b * l) + self.w_v.cost(b * l);
-        // scores (k·l·d) and context (k·l·d) GEMMs, softmax, then sparse
-        // one-hot routing: an O(l·d) gather instead of the dense
-        // [l, k]·[k, d] bmm (and no wasted backward through a constant
-        // one-hot). Live activations: the [b, k, l] score matrix and the
-        // [b, l, d] routed output.
-        let attn = CostReport {
-            flops: 2 * (2 * b * k * l * self.d) as u64
-                + 5 * (b * k * l) as u64
-                + (b * l * self.d) as u64,
-            params: 0,
-            peak_mem_bytes: ((b * k * l).max(b * l * self.d) * 4) as u64,
-        };
-        // Assignment via the fused Eq. 6 sweep kernel: two length-p dot
-        // chains per (segment, prototype) pair, 2·(2·l·k·p) flops, plus
-        // centring/normalisation (~6·l·p) and the distance epilogue
-        // (~4·l·k). Live memory is the segment panels, (2·p + 1) floats per
-        // segment padded to 16-row blocks, plus the flat index vector — no
-        // [b·l, k] distance matrix, and the [b, l, k] one-hot is never
-        // materialised on the hard path.
-        let panel_rows = (b * l).next_multiple_of(16);
-        let assign = CostReport {
-            flops: (4 * b * l * k * p + 6 * b * l * p + 4 * b * l * k) as u64,
-            params: 0,
-            peak_mem_bytes: ((2 * p + 1) * panel_rows * 4 + b * l * 4) as u64,
-        };
-        proto_proj + kv_proj + attn + assign
     }
 }
 
@@ -546,8 +508,21 @@ mod tests {
         let protos = proto_fixture();
         let mut ps = ParamStore::new();
         let pa = ProtoAttn::new(&mut ps, "pa", &protos, 16, &mut rng);
-        let c1 = pa.cost(1, 64);
-        let c2 = pa.cost(1, 128);
+        // Routing and attention together, as a forward pass runs them.
+        let mut count = |l: usize| {
+            let segs = Tensor::randn(&[1, l, 4], 1.0, &mut rng);
+            let ((), counted) = focus_tensor::work::measure(|| {
+                let plan = Assignment::Hard.plan(&segs, &protos);
+                let mut g = Graph::new();
+                let pv = ps.register(&mut g);
+                let seg_v = g.input(segs.clone());
+                let routing = record(&mut g, &plan);
+                let out = pa.forward(&mut g, &pv, seg_v, routing);
+                g.value(out);
+            });
+            counted
+        };
+        let (c1, c2) = (count(64), count(128));
         let ratio = c2.flops as f64 / c1.flops as f64;
         assert!(
             (ratio - 2.0).abs() < 0.2,

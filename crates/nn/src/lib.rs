@@ -8,21 +8,13 @@
 //! per-step [`focus_autograd::Graph`]. This split keeps parameters easy to
 //! optimise, count and serialise.
 //!
-//! Two cross-cutting facilities live here as well:
-//!
-//! * [`cost`] — the analytic FLOPs / peak-activation-memory / parameter-count
-//!   model behind the paper's efficiency comparisons (Fig. 6, Table IV).
-//!   Counting is *architectural* (like `thop` for PyTorch): it depends only
-//!   on tensor shapes, never on runtime, so the numbers are reproducible on
-//!   any machine.
-//! * [`revin`] — instance normalisation of forecast windows (RevIN-style),
-//!   the standard distribution-shift guard used by PatchTST/DLinear-class
-//!   models and by FOCUS's online phase.
+//! [`revin`] lives here as well: instance normalisation of forecast windows
+//! (RevIN-style), the standard distribution-shift guard used by
+//! PatchTST/DLinear-class models and by FOCUS's online phase.
 
 #![forbid(unsafe_code)]
 
 pub mod attention;
-pub mod cost;
 pub mod init;
 pub mod linear;
 pub mod mlp;
@@ -30,7 +22,6 @@ pub mod norm;
 pub mod revin;
 
 pub use attention::{MultiHeadAttention, SelfAttention};
-pub use cost::CostReport;
 pub use linear::Linear;
 pub use mlp::Mlp;
 pub use norm::LayerNorm;

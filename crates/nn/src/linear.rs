@@ -1,6 +1,5 @@
 //! Fully connected layer.
 
-use crate::cost::CostReport;
 use crate::init;
 use focus_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
 use rand::Rng;
@@ -95,18 +94,6 @@ impl Linear {
             g.reshape(y, &out_dims)
         }
     }
-
-    /// Analytic cost of applying this layer to `rows` rows.
-    pub fn cost(&self, rows: usize) -> CostReport {
-        let params = (self.in_dim * self.out_dim + if self.b.is_some() { self.out_dim } else { 0 }) as u64;
-        CostReport {
-            // 2 FLOPs per MAC, plus the bias adds.
-            flops: 2 * (rows * self.in_dim * self.out_dim) as u64
-                + if self.b.is_some() { (rows * self.out_dim) as u64 } else { 0 },
-            params,
-            peak_mem_bytes: (rows * self.out_dim * 4) as u64,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -164,9 +151,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut ps = ParamStore::new();
         let lin = Linear::new(&mut ps, "l", 10, 20, &mut rng);
-        let c = lin.cost(5);
-        assert_eq!(c.params, 10 * 20 + 20);
-        assert_eq!(c.flops, 2 * 5 * 10 * 20 + 5 * 20);
-        assert_eq!(ps.scalar_count(), c.params);
+        let mut g = Graph::new();
+        let pv = ps.register(&mut g);
+        let x = g.input(Tensor::randn(&[5, 10], 1.0, &mut rng));
+        let y = lin.forward(&mut g, &pv, x);
+        let (_, counted) = focus_tensor::work::measure(|| g.value(y));
+        // 2 FLOPs per multiply–accumulate, plus the bias adds.
+        assert_eq!(counted.flops, 2 * 5 * 10 * 20 + 5 * 20);
+        assert_eq!(ps.scalar_count(), 10 * 20 + 20);
     }
 }

@@ -1,6 +1,5 @@
 //! Two-layer feed-forward block.
 
-use crate::cost::CostReport;
 use crate::linear::Linear;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
 use rand::Rng;
@@ -55,16 +54,6 @@ impl Mlp {
             Activation::Tanh => g.tanh(h),
         };
         self.fc2.forward(g, pv, a)
-    }
-
-    /// Analytic cost over `rows` rows.
-    pub fn cost(&self, rows: usize) -> CostReport {
-        let c = self.fc1.cost(rows) + self.fc2.cost(rows);
-        CostReport {
-            // ~4 FLOPs per activation element.
-            flops: c.flops + (rows * self.fc1.out_dim() * 4) as u64,
-            ..c
-        }
     }
 }
 

@@ -1,6 +1,5 @@
 //! Layer normalisation with learnable affine parameters.
 
-use crate::cost::CostReport;
 use focus_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
 use focus_tensor::Tensor;
 
@@ -38,16 +37,6 @@ impl LayerNorm {
         let n = g.dims(x).last().copied().unwrap_or(1);
         assert_eq!(n, self.dim, "LayerNorm: trailing dim {n} != {}", self.dim);
         g.layer_norm(x, pv.var(self.gamma), pv.var(self.beta), self.eps)
-    }
-
-    /// Analytic cost over `rows` rows.
-    pub fn cost(&self, rows: usize) -> CostReport {
-        CostReport {
-            // mean, var, normalise, affine ≈ 8 FLOPs per element.
-            flops: (rows * self.dim * 8) as u64,
-            params: 2 * self.dim as u64,
-            peak_mem_bytes: (rows * self.dim * 4) as u64,
-        }
     }
 }
 

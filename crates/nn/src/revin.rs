@@ -90,6 +90,16 @@ mod tests {
     }
 
     #[test]
+    fn statistics_normalisation_and_denormalisation_count_per_value() {
+        let x = Tensor::from_vec((0..2 * 9).map(|v| v as f32).collect(), &[2, 9]);
+        let ((_, stats), counted) = work::measure(|| instance_norm(&x));
+        // Row statistics (4 per value), then subtract and divide (2).
+        assert_eq!(counted.flops, (4 + 2) * 18);
+        let y = Tensor::zeros(&[2, 5]);
+        assert_eq!(work::measure(|| instance_denorm(&y, &stats)).1.flops, 2 * 10);
+    }
+
+    #[test]
     fn constant_rows_do_not_blow_up() {
         let x = Tensor::from_vec(vec![5.0, 5.0, 5.0, 5.0], &[1, 4]);
         let (n, stats) = instance_norm(&x);

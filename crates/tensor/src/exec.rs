@@ -64,7 +64,13 @@ impl Trans {
 }
 
 /// Elementwise binary op into `dst`, counting `flops` per element.
-pub(crate) fn zip(a: &[f32], b: &[f32], dst: &mut [f32], flops: usize, op: impl Fn(f32, f32) -> f32 + Sync) {
+pub(crate) fn zip(
+    a: &[f32],
+    b: &[f32],
+    dst: &mut [f32],
+    flops: usize,
+    op: impl Fn(f32, f32) -> f32 + Sync,
+) {
     debug_assert!(a.len() == dst.len() && b.len() == dst.len());
     work::add_flops(flops * dst.len());
     par::parallel_fill(dst, ELEM_GRAIN, move |range, chunk| {
@@ -507,17 +513,13 @@ pub fn bcast_nt_dx(g: &[f32], a: &[f32], bsz: usize, k: usize, l: usize, d: usiz
 /// splitting the one accumulation chain would change its bits.
 pub fn sum_all(src: &[f32]) -> f32 {
     work::add_flops(src.len());
-    serial_sum(src)
-}
-
-/// Mean over the flat elements.
-pub fn mean_all(src: &[f32]) -> f32 {
-    work::add_flops(src.len() + 1);
-    serial_sum(src) / src.len() as f32
-}
-
-fn serial_sum(src: &[f32]) -> f32 {
     src.iter().map(|&v| v as f64).sum::<f64>() as f32
+}
+
+/// Mean over the flat elements: the sum, then one divide.
+pub fn mean_all(src: &[f32]) -> f32 {
+    work::add_flops(1);
+    sum_all(src) / src.len() as f32
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //!
 //! [`counter_add`] / [`counter_set`] maintain named `u64` counters (GEMM
 //! calls by shape class, segments assigned, routing decisions, pool traffic,
-//! FLOPs estimates). Like spans they are keyed by static names and ordered
+//! counted FLOPs). Like spans they are keyed by static names and ordered
 //! deterministically (`BTreeMap`). The plan compiler's static verifier
 //! reports through this registry too: the `plan/verify` span times each
 //! verification pass, `plan/verify_dead` records how many dead instructions

@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use focus::core::count_predict;
 use focus::{trace, Benchmark, Focus, FocusConfig, Forecaster, MtsDataset, Split, TrainOptions};
 
 fn main() {
@@ -69,9 +70,14 @@ fn main() {
         println!("  t+{t:<2} pred {:+.3}   true {:+.3}", pred.at2(0, t), w.y.at2(0, t));
     }
 
-    // The efficiency story: analytic cost of one forward pass.
-    let cost = model.cost(ds.spec().entities);
-    println!("\nforward-pass cost: {cost}");
+    // The efficiency story: what one forward pass counts at the kernels.
+    let work = count_predict(&model, &w.x);
+    println!(
+        "\nforward-pass cost: {:.1} MFLOPs, {:.2} MiB peak, {:.1}K params",
+        work.flops as f64 / 1e6,
+        work.peak_bytes as f64 / (1024.0 * 1024.0),
+        model.params().scalar_count() as f64 / 1e3
+    );
 
     // Where the whole run (offline fit + training + evaluation + the
     // forecast above) spent its time, from the trace registry.

@@ -65,6 +65,14 @@ grep -q '"io_errors":0' /tmp/focus-lint-report.json
 echo "==> cargo test -p focus-lint -q"
 cargo test -p focus-lint -q
 
+# Fig. 6 at Fast scale: every model's FLOPs, peak memory and parameters,
+# counted on one predict per input length. The binary exits non-zero unless
+# FOCUS's FLOPs grow at most linearly with the input length (log-log slope
+# <= 1.05) and PatchTST's and Crossformer's grow faster, claims that hold at
+# every scale. No --csv: results/fig6.csv is the Standard-scale run.
+echo "==> fig6 --fast"
+cargo run -q --release -p focus-bench --bin fig6 -- --fast
+
 # Benchmark smoke leg: one short traced run of every perfbench workload.
 # Each run checks its own outputs (plan replay equals the never-cached path,
 # 1- and 2-thread results agree, predict equals evaluate, every segment goes
@@ -102,7 +110,8 @@ grep -q '"softmax_256x12/output_match": 1' BENCH_kernels.json
 
 # Efficiency claims as wall clock (Fig. 6, Fig. 8, §VII-B): ProtoAttn vs
 # self-attention, clustering, the zoo's forwards and fusion, rewriting
-# BENCH_e2e.json. Every forward's warm-up output is checked finite.
+# BENCH_e2e.json. Every forward's warm-up output is checked finite, and
+# every replayed zoo predict must count its never-cached predict's FLOPs.
 echo "==> cargo bench -p focus-bench --bench e2e"
 cargo bench -p focus-bench --bench e2e
 grep -q '"schema": "focus-trace-report v1"' BENCH_e2e.json
@@ -110,6 +119,7 @@ grep -q '"samples"' BENCH_e2e.json
 grep -q '"attention_scaling/protoattn/256/median_ns"' BENCH_e2e.json
 grep -q '"attention_scaling/self_attention/256/p90_ns"' BENCH_e2e.json
 grep -q '"forward_pass/FOCUS/flops"' BENCH_e2e.json
+grep -q '"forward_pass/FOCUS/peak_bytes"' BENCH_e2e.json
 grep -q '"fusion_scaling/parallel_fusion/128/median_ns"' BENCH_e2e.json
 
 # Steady-state train-step benchmark: measures the never-cached step (record,

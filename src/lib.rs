@@ -6,9 +6,10 @@
 //! Everything in the workspace is re-exported here so applications can
 //! depend on one crate:
 //!
-//! * [`tensor`] — dense f32 kernels;
+//! * [`tensor`] — dense f32 kernels, which count the FLOPs and bytes of
+//!   what runs;
 //! * [`autograd`] — reverse-mode differentiation + AdamW/SGD;
-//! * [`nn`] — layers and analytic cost accounting;
+//! * [`nn`] — layers and instance normalisation;
 //! * [`data`] — synthetic Table II benchmarks, windowing, metrics;
 //! * [`cluster`] — the offline segment-clustering phase;
 //! * [`core`] — ProtoAttn, the dual-branch FOCUS model, ablations;
