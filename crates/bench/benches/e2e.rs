@@ -207,7 +207,7 @@ fn forward_pass(report: &mut RunReport) {
     }
     // FOCUS's forward plan as `predict` keeps it: what its values hold at
     // once, and what its power-of-two slots hold.
-    let focus = &models[0];
+    let focus = &models[0]; // `ModelKind::ALL` lists FOCUS first
     let (x_norm, _) = instance_norm(x);
     let mut g = Graph::new();
     let rec = focus.record_window(&mut g, &WindowInputs::new(&**focus, x_norm, None));

@@ -261,7 +261,7 @@ mod tests {
     /// in the paper's PEMS08 setting.
     fn counted(v: AblationVariant, cfg: &FocusConfig, protos: &Prototypes, seed: u64) -> Work {
         let model = FocusAblation::with_prototypes(v, cfg.clone(), protos, seed);
-        let values = (0..64 * 48).map(|v| (v as f32 * 0.1).sin()).collect();
+        let values = (0..64 * 48).map(|i| (i as f32 * 0.1).sin()).collect();
         count_predict(&model, &Tensor::from_vec(values, &[64, 48]))
     }
 

@@ -8,8 +8,8 @@
 //!
 //! **FLOPs.** Every [`crate::exec`] entry point adds its count once per
 //! call, on the calling thread, before it splits its loop over workers; so
-//! do the few loops that run outside it (row statistics, the fused Eq. 6
-//! sweep, DLinear's decomposition). The convention is `thop`'s: one
+//! do the few loops that run outside it (row statistics and instance
+//! normalisation, the fused Eq. 6 sweep, DLinear's decomposition). The convention is `thop`'s: one
 //! multiply–accumulate is 2 FLOPs, pointwise ops cost a small constant per
 //! element, and data movement costs nothing:
 //!
@@ -31,7 +31,7 @@
 //!
 //! **Bytes.** The tensor [`crate::pool`] holds the bytes of every buffer it
 //! hands out, at the requested length, until the buffer comes back, and a
-//! plan replay holds its slot buffers while it runs. [`measure`] reports
+//! replay of a kept plan holds its slot buffers while it runs. [`measure`] reports
 //! the most bytes held at once above what was held when it started.
 //!
 //! Counting costs one thread-local add per kernel call: no lock, no
