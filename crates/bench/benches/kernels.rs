@@ -5,7 +5,8 @@
 //! * the serial reference GEMMs against the register-tiled ones
 //!   (`a·b`, `a·bᵀ`, `aᵀ·b` at 256³), outputs bitwise equal;
 //! * every GEMM-shaped plan opcode at the FOCUS bench model's shapes
-//!   (p = 8, k = 6–8 prototypes, l = 12 segments, d = 32, 32 entities): the
+//!   (p = 8, k = 6–8 prototypes, l = 12 segments, d = 32, 32 entities;
+//!   ProtoAttn's scores and readout at width p): the
 //!   reference kernel per batch, in each opcode's exact chain, against the
 //!   `focus_tensor::exec` entry point the plan VM calls, outputs bitwise
 //!   equal;
@@ -168,36 +169,38 @@ fn opcode_sweeps() -> Vec<Sweep> {
         )
     };
     // [bsz, k, l, d] = 32 entities' windows, 6 prototypes, 12 segments, d = 32;
-    // the `x8` sweeps take 8 prototypes, the other side of the 4-row tile's cut.
-    let (bsz, kp, l, d) = (32usize, 6usize, 12usize, 32usize);
+    // the `x8` sweeps take 8 prototypes, the other side of the 4-row tile's
+    // cut, and ProtoAttn's prototype-space products run at width p = 8.
+    let (bsz, kp, l, d, p) = (32usize, 6usize, 12usize, 32usize, 8usize);
     let (a, x, g, g8) = (v(kp * d), v(bsz * l * d), v(bsz * kp * l), v(bsz * 8 * l));
+    let (m8, segs) = (v(8 * p), v(bsz * l * p));
     // The autograd rule's chain: each per-batch product into a zeroed
     // scratch, added into the zeroed gradient in ascending batch order.
-    let bcast_da = |label, kp: usize, g: &[f32]| {
-        let mut tmp = vec![0.0f32; kp * d];
-        let x = &x;
+    let bcast_da = |label, kp: usize, g: &[f32], x: &[f32], w: usize| {
+        let mut tmp = vec![0.0f32; kp * w];
         opcode_sweep(
             label,
-            kp * d,
+            kp * w,
             move |da| {
                 for bi in 0..bsz {
                     tmp.fill(0.0);
-                    reference::gemm(kp, l, d, &g[bi * kp * l..][..kp * l], &x[bi * l * d..][..l * d], &mut tmp);
+                    reference::gemm(kp, l, w, &g[bi * kp * l..][..kp * l], &x[bi * l * w..][..l * w], &mut tmp);
                     for (o, &t) in da.iter_mut().zip(&tmp) {
                         *o += 1.0 * t;
                     }
                 }
             },
-            move |c| exec::bcast_nt_da(g, x, bsz, kp, l, d, c),
+            move |c| exec::bcast_nt_da(g, x, bsz, kp, l, w, c),
         )
     };
     vec![
         gemm("gemm_nn_384x8x32", Trans::Nn, (384, 8, 32), v(384 * 8), v(8 * 32)),
+        gemm("gemm_nn_256x8x32", Trans::Nn, (256, 8, 32), v(256 * 8), v(8 * 32)),
         gemm("gemm_tn_8x384x32", Trans::Tn, (8, 384, 32), v(384 * 8), v(384 * 32)),
         gemm("gemm_nt_192x32x64", Trans::Nt, (192, 32, 64), v(192 * 32), v(64 * 32)),
         gemm("gemm_tn_192x32x24", Trans::Tn, (192, 32, 24), v(32 * 192), v(32 * 24)),
         bmm("bmm_nn_32x6x12x32", Trans::Nn, (bsz, kp, l, d), g.clone(), x.clone()),
-        bmm("bmm_nn_32x8x12x32", Trans::Nn, (bsz, 8, l, d), g8.clone(), x.clone()),
+        bmm("bmm_nn_32x8x12x8", Trans::Nn, (bsz, 8, l, p), g8.clone(), segs.clone()),
         bmm("bmm_nt_32x6x32x12", Trans::Nt, (bsz, kp, d, l), v(bsz * kp * d), x.clone()),
         bmm("bmm_tn_32x12x6x32", Trans::Tn, (bsz, l, kp, d), g.clone(), v(bsz * kp * d)),
         opcode_sweep(
@@ -207,13 +210,19 @@ fn opcode_sweeps() -> Vec<Sweep> {
             |c| exec::bcast_nt(bsz, kp, d, l, &a, &x, c),
         ),
         opcode_sweep(
+            "bcast_nt_32x8x8x12",
+            bsz * 8 * l,
+            |c| per_batch(reference::gemm_nt, bsz, (8, p, l), (&m8, 0), (&segs, l * p), c),
+            |c| exec::bcast_nt(bsz, 8, p, l, &m8, &segs, c),
+        ),
+        opcode_sweep(
             "bcast_nt_dx_32x6x12x32",
             bsz * l * d,
             |c| per_batch(reference::gemm_tn, bsz, (l, kp, d), (&g, kp * l), (&a, 0), c),
             |c| exec::bcast_nt_dx(&g, &a, bsz, kp, l, d, c),
         ),
-        bcast_da("bcast_nt_da_32x6x12x32", kp, &g),
-        bcast_da("bcast_nt_da_32x8x12x32", 8, &g8),
+        bcast_da("bcast_nt_da_32x6x12x32", kp, &g, &x, d),
+        bcast_da("bcast_nt_da_32x8x12x8", 8, &g8, &segs, p),
     ]
 }
 
@@ -427,7 +436,16 @@ fn kernel_sweeps() -> Vec<(Sweep, bool)> {
     serial::layer_norm_fwd(&ln_x, n, &gamma, &beta, eps, &mut fwd);
     let cache = fwd.split_off(rows * n);
     let (sm_y, sm_g) = (v(256 * 12), v(256 * 12));
-    let swap_x = v(32 * 12 * 32);
+    let (swap_x, swap_x8) = (v(32 * 12 * 32), v(32 * 12 * 8));
+    let swap01 = |label, (a, b, c): (usize, usize, usize), x: &[f32]| {
+        let sweep = kernel_sweep(
+            label,
+            nan(x.len()),
+            |o| serial::swap01(x, (a, b, c), o),
+            |o| exec::swap01(x, a, b, c, o),
+        );
+        (sweep, false)
+    };
     vec![
         (scale("map_scale_3072", x3k.clone()), true),
         (scale("map_scale_6144", x6k.clone()), true),
@@ -497,15 +515,11 @@ fn kernel_sweeps() -> Vec<(Sweep, bool)> {
         ),
         (bias_grad("bias_grad_384x32", (384, 32), v(384 * 32)), false),
         (bias_grad("bias_grad_32x384", (32, 384), v(32 * 384)), false),
-        (
-            kernel_sweep(
-                "swap01_32x12x32",
-                nan(swap_x.len()),
-                |o| serial::swap01(&swap_x, (32, 12, 32), o),
-                |o| exec::swap01(&swap_x, 32, 12, 32, o),
-            ),
-            false,
-        ),
+        // Both loop orders: [12, 32, 32] reads in order, since writing in
+        // order would read rows 4 KiB apart.
+        swap01("swap01_32x12x32", (32, 12, 32), &swap_x),
+        swap01("swap01_12x32x32", (12, 32, 32), &swap_x),
+        swap01("swap01_32x12x8", (32, 12, 8), &swap_x8),
     ]
 }
 

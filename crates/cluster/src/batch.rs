@@ -70,6 +70,7 @@ const BUILD_GRAIN: usize = 16 * 1024;
 
 /// Per-prototype data of one sweep: the interleaved pair table and the
 /// squared norms.
+#[derive(Clone, Debug)]
 pub(crate) struct CenterCache {
     k: usize,
     p: usize,
@@ -188,7 +189,7 @@ impl SegmentCache {
     }
 
     /// The cache of the `n` row-major rows of `data`, `p` wide.
-    fn from_rows(data: &[f32], n: usize, p: usize, objective: &Objective) -> SegmentCache {
+    pub(crate) fn from_rows(data: &[f32], n: usize, p: usize, objective: &Objective) -> SegmentCache {
         let corr = objective.alpha() > 0.0;
         let stride = record_len(p, corr);
         // Per value: the square and the sum (3 FLOPs); with the correlation

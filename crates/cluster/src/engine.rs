@@ -210,13 +210,7 @@ impl ClusterConfig {
         }
         pool::give(unit_rows);
 
-        (
-            Prototypes {
-                centers,
-                objective: self.objective,
-            },
-            trace,
-        )
+        (Prototypes::from_centers(centers, self.objective), trace)
     }
 }
 
@@ -230,17 +224,23 @@ pub struct FitTrace {
 }
 
 /// The learned prototype set `C = {c_1, …, c_k}`.
+///
+/// Prototypes are fixed once built, so the sweep kernel's per-prototype
+/// data (norms, centred-normalised rows, the interleaved pair table) is
+/// built once here and shared by every assignment and distance call.
 #[derive(Clone, Debug)]
 pub struct Prototypes {
-    pub(crate) centers: Tensor,
-    pub(crate) objective: Objective,
+    centers: Tensor,
+    objective: Objective,
+    cache: CenterCache,
 }
 
 impl Prototypes {
     /// Builds a prototype set directly (for tests and deserialisation).
     pub fn from_centers(centers: Tensor, objective: Objective) -> Self {
         assert_eq!(centers.rank(), 2, "centers must be [k, p]");
-        Prototypes { centers, objective }
+        let cache = CenterCache::new(&centers, &objective);
+        Prototypes { centers, objective, cache }
     }
 
     /// The prototype matrix, `[k, p]`.
@@ -277,14 +277,7 @@ impl Prototypes {
             segment.len(),
             self.segment_len()
         );
-        let seg = Tensor::from_vec(segment.to_vec(), &[1, segment.len()]);
-        let mut out = [(0usize, 0.0f32)];
-        assign_batched(
-            &SegmentCache::new(&seg, &self.objective),
-            &CenterCache::new(&self.centers, &self.objective),
-            &mut out,
-        );
-        out[0].0
+        self.assign_rows(segment)[0]
     }
 
     /// Assigns every row of `segments: [n, p]`, returning the bucket index
@@ -301,13 +294,19 @@ impl Prototypes {
     /// the best/second-best margin exceeds it, and exact ties break to the
     /// lowest index on both paths. Identical at any thread count.
     pub fn assign_all(&self, segments: &Tensor) -> Vec<usize> {
-        let n = segments.dims()[0];
-        let mut nearest = vec![(0usize, 0.0f32); n];
-        assign_batched(
-            &SegmentCache::new(segments, &self.objective),
-            &CenterCache::new(&self.centers, &self.objective),
-            &mut nearest,
-        );
+        self.assign_rows(self.segment_rows(segments))
+    }
+
+    /// [`Prototypes::assign_all`] over `rows`, consecutive `p`-wide
+    /// segments read in place: a window `[N, L]` holds its `N·L/p`
+    /// segments this way, so routing needs no reshaped copy of it.
+    ///
+    /// # Panics
+    /// If `rows.len()` is not a multiple of `p`.
+    pub fn assign_rows(&self, rows: &[f32]) -> Vec<usize> {
+        let seg = self.segment_cache(rows);
+        let mut nearest = vec![(0usize, 0.0f32); rows.len() / self.segment_len()];
+        assign_batched(&seg, &self.cache, &mut nearest);
         nearest.into_iter().map(|(j, _)| j).collect()
     }
 
@@ -333,10 +332,40 @@ impl Prototypes {
     /// fused sweep kernel as [`Prototypes::assign_all`], which writes each
     /// panel's distances out instead of reducing them.
     pub fn distances(&self, segments: &Tensor) -> Tensor {
-        distance_matrix(
-            &SegmentCache::new(segments, &self.objective),
-            &CenterCache::new(&self.centers, &self.objective),
-        )
+        self.distance_rows(self.segment_rows(segments))
+    }
+
+    /// [`Prototypes::distances`] over `rows`, consecutive `p`-wide segments
+    /// read in place, as `[rows.len() / p, k]`.
+    ///
+    /// # Panics
+    /// If `rows.len()` is not a multiple of `p`.
+    pub fn distance_rows(&self, rows: &[f32]) -> Tensor {
+        distance_matrix(&self.segment_cache(rows), &self.cache)
+    }
+
+    /// The data of `segments: [n, p]`, checked against the prototypes' `p`.
+    fn segment_rows<'a>(&self, segments: &'a Tensor) -> &'a [f32] {
+        assert_eq!(segments.rank(), 2, "segments must be [n, p]");
+        assert_eq!(
+            segments.dims()[1],
+            self.segment_len(),
+            "segment length {} != prototype length {}",
+            segments.dims()[1],
+            self.segment_len()
+        );
+        segments.data()
+    }
+
+    /// The sweep's segment cache of `rows`, `p`-wide segments.
+    fn segment_cache(&self, rows: &[f32]) -> SegmentCache {
+        let p = self.segment_len();
+        assert!(
+            p > 0 && rows.len().is_multiple_of(p),
+            "{} values are not whole segments of length {p}",
+            rows.len()
+        );
+        SegmentCache::from_rows(rows, rows.len() / p, p, &self.objective)
     }
 
     /// The distance from `segment` to its nearest prototype.

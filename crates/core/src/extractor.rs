@@ -135,8 +135,8 @@ impl DualBranchExtractor {
     /// entity branch reuses it with axes swapped, since both views contain
     /// the same segments). Hard assignment stays sparse end to end.
     pub fn routing(&self, x: &Tensor) -> RoutingPlan {
-        let segs = self.segment_view(x);
-        self.assignment.plan(&segs, &self.prototypes)
+        let (n, l) = self.segment_dims(x);
+        self.assignment.plan_rows(x.data(), n, l, &self.prototypes)
     }
 
     /// The per-window operands [`DualBranchExtractor::forward`] reads for
@@ -166,11 +166,17 @@ impl DualBranchExtractor {
 
     /// Reshapes a window `[N, L]` into the temporal segment view `[N, l, p]`.
     pub fn segment_view(&self, x: &Tensor) -> Tensor {
+        let (n, l) = self.segment_dims(x);
+        x.reshape(&[n, l, self.segment_len])
+    }
+
+    /// The `(N, l)` of a window `x: [N, L]`, `l = L/p`.
+    fn segment_dims(&self, x: &Tensor) -> (usize, usize) {
         assert_eq!(x.rank(), 2, "window must be [N, L]");
         let (n, len) = (x.dims()[0], x.dims()[1]);
         let p = self.segment_len;
         assert_eq!(len % p, 0, "lookback {len} not divisible by segment length {p}");
-        x.reshape(&[n, len / p, p])
+        (n, len / p)
     }
 
     /// Runs both branches on the window `x: [N, L]`, a tape input, under the

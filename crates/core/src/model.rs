@@ -92,6 +92,7 @@ impl FocusConfig {
         );
         assert!(self.n_prototypes > 0, "need at least one prototype");
         assert!(self.d > 0 && self.readout > 0, "d and m must be positive");
+        self.assignment.validate();
     }
 
     /// Runs the offline clustering phase on a training matrix `[N, T_train]`
@@ -257,6 +258,35 @@ mod tests {
         let mut cfg = FocusConfig::new(64, 16);
         cfg.segment_len = 7;
         cfg.validate();
+    }
+
+    /// Runs `build`, which must panic naming `temperature`.
+    fn rejects_temperature(entry: &str, temperature: f32, build: impl FnOnce()) {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
+            .expect_err(&format!("{entry} accepted temperature {temperature}"));
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            msg.contains("temperature") && msg.contains(&temperature.to_string()),
+            "{entry} rejected {temperature} with {msg:?}"
+        );
+    }
+
+    #[test]
+    fn config_rejects_a_nan_or_non_positive_soft_temperature() {
+        use crate::ablation::{AblationVariant, FocusAblation};
+        let ds = tiny_dataset();
+        let protos = Prototypes::from_centers(Tensor::zeros(&[6, 8]), Objective::RecOnly);
+        for temperature in [f32::NAN, -1.0, 0.0] {
+            let mut cfg = tiny_config();
+            cfg.assignment = Assignment::Soft { temperature };
+            rejects_temperature("fit_offline", temperature, || drop(Focus::fit_offline(&ds, cfg.clone(), 1)));
+            rejects_temperature("with_prototypes", temperature, || {
+                drop(Focus::with_prototypes(cfg.clone(), protos.clone(), 1))
+            });
+            rejects_temperature("the ablation builder", temperature, || {
+                drop(FocusAblation::with_prototypes(AblationVariant::Full, cfg.clone(), &protos, 1))
+            });
+        }
     }
 
     #[test]

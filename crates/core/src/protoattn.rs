@@ -3,7 +3,7 @@
 //! Instead of all-pairs attention between `l` segments (`O(l²)`), ProtoAttn
 //! computes attention between the `k` *prototype queries* and the `l` segment
 //! keys, then routes each segment to its assigned prototype's output through
-//! the one-hot assignment matrix `A`:
+//! the one-hot assignment matrix `A`. The paper writes it as
 //!
 //! ```text
 //! C_Q = C·W_E          (k × d)   prototype queries          (Eq. 14)
@@ -12,8 +12,41 @@
 //! out = A · (α · V)             (l × d)                     (Eq. 18)
 //! ```
 //!
+//! **As computed.** `W_K` and `W_V` are bias-free linear maps of the
+//! `p`-wide segments `P`, so both products reassociate, and ProtoAttn runs
+//! at width `p` without building a per-segment key:
+//!
+//! ```text
+//! M   = C·W_E·W_Kᵀ / √d                  (k × p)   so C_Q·Kᵀ/√d = M·Pᵀ
+//! α   = softmax(M·Pᵀ)                    (k × l)
+//! α·V = (α·P)·W_V   if k·p·(l + d) < l·d·(p + k)   (readout first)
+//!     = α·(P·W_V)   otherwise                       (project first)
+//! out = A · (α·V)                        (l × d)
+//! ```
+//!
+//! The scores side has no choice to make: `M` costs `k·p·d` once per
+//! window and the scores `k·l·p` per batch, against `l·p·d + k·l·d` per
+//! batch for the keys and the scores at width `d`, fewer whenever `p ≤ d`.
+//! Eq. 18 takes whichever association counts
+//! fewer multiply–accumulates at the branch's static dims, so one plan keeps
+//! one form. Per branch of `B` batches of `l` segments the MACs are
+//!
+//! | product | MACs |
+//! |---|---|
+//! | `C·W_E`, then `·W_Kᵀ` | `2·k·p·d` |
+//! | scores `M·Pᵀ` | `B·k·l·p` |
+//! | readout first: `α·P`, then `·W_V` | `B·k·p·(l + d)` |
+//! | project first: `P·W_V`, then `α·V` | `B·l·d·(p + k)` |
+//!
+//! where Eqs. 14–18 as written count `k·p·d + 2·B·l·d·(p + k)`. At
+//! `k = p = 8`, `d = 32`, the temporal branch of a 32 × 96 window
+//! (`B = 32`, `l = 12`) falls from 395 264 to 118 784 MACs and the entity
+//! branch (`B = 12`, `l = 32`) from 395 264 to 77 824; both read out first.
+//! The backward loses the same `d`-wide products: no `dK` or `dV`, and the
+//! `W_K` and `W_V` gradients no longer sum over `B·l` rows.
+//!
 //! Segments sharing a prototype receive identical attention summaries
-//! (Eq. 19); total complexity is `O(k·l·d)` — linear in `l`.
+//! (Eq. 19); either way the cost is linear in `l`.
 
 use focus_autograd::{Graph, ParamStore, ParamVars, Route, Var};
 use focus_cluster::Prototypes;
@@ -130,16 +163,23 @@ impl RoutingPlan {
 }
 
 impl Assignment {
+    /// Panics unless a soft assignment's temperature is positive; NaN, zero
+    /// and negative temperatures are rejected with the value named.
+    pub(crate) fn validate(&self) {
+        if let Assignment::Soft { temperature } = *self {
+            assert!(
+                temperature > 0.0,
+                "soft assignment temperature must be positive, got {temperature}"
+            );
+        }
+    }
+
     /// Nearest-prototype index per segment slot of `segments: [B, l, p]`,
     /// flat `[B·l]` — the sparse form of the hard one-hot matrix, computed
     /// with the fused Eq. 6 sweep kernel.
     pub fn indices(segments: &Tensor, prototypes: &Prototypes) -> Vec<u32> {
-        let (b, l, p) = check_segments(segments, prototypes);
-        prototypes
-            .assign_all(&segments.reshape(&[b * l, p]))
-            .into_iter()
-            .map(|j| j as u32)
-            .collect()
+        check_segments(segments, prototypes);
+        hard_indices(segments.data(), prototypes)
     }
 
     /// Builds the routing plan for `segments: [B, l, p]` against the offline
@@ -148,15 +188,31 @@ impl Assignment {
     /// This runs outside the autograd graph: routing is data, not a
     /// trainable quantity. Both variants evaluate Eq. 6 through the batched
     /// GEMM distance kernel rather than a per-pair scalar loop.
+    ///
+    /// # Panics
+    /// If a soft temperature is NaN or not positive.
     pub fn plan(&self, segments: &Tensor, prototypes: &Prototypes) -> RoutingPlan {
+        let (b, l, _) = check_segments(segments, prototypes);
+        self.plan_rows(segments.data(), b, l, prototypes)
+    }
+
+    /// [`Assignment::plan`] for `B·l` segments held row-major in `rows`, read
+    /// in place: a window `[N, L]` is its `[N, L/p, p]` segment view.
+    pub(crate) fn plan_rows(&self, rows: &[f32], b: usize, l: usize, prototypes: &Prototypes) -> RoutingPlan {
         focus_trace::span!("model/routing");
-        let (b, l, p) = check_segments(segments, prototypes);
         let k = prototypes.k();
+        assert_eq!(
+            rows.len(),
+            b * l * prototypes.segment_len(),
+            "routing {} values as {b} × {l} segments of length {}",
+            rows.len(),
+            prototypes.segment_len()
+        );
         match self {
             Assignment::Hard => {
                 focus_trace::counter_add("route/hard_plans", 1);
                 RoutingPlan::Hard {
-                    indices: Assignment::indices(segments, prototypes),
+                    indices: hard_indices(rows, prototypes),
                     b,
                     l,
                     k,
@@ -164,8 +220,9 @@ impl Assignment {
             }
             Assignment::Soft { temperature } => {
                 focus_trace::counter_add("route/soft_plans", 1);
-                let t = temperature.max(1e-4);
-                let mut d = prototypes.distances(&segments.reshape(&[b * l, p]));
+                self.validate();
+                let t = *temperature;
+                let mut d = prototypes.distance_rows(rows);
                 for slot in d.data_mut().iter_mut() {
                     *slot = -*slot / t;
                 }
@@ -183,6 +240,11 @@ impl Assignment {
     pub fn matrix(&self, segments: &Tensor, prototypes: &Prototypes) -> Tensor {
         self.plan(segments, prototypes).to_matrix()
     }
+}
+
+/// Nearest-prototype index per `p`-wide segment of `rows`.
+fn hard_indices(rows: &[f32], prototypes: &Prototypes) -> Vec<u32> {
+    prototypes.assign_rows(rows).into_iter().map(|j| j as u32).collect()
 }
 
 /// Validates `segments: [B, l, p]` against the prototype set, returning
@@ -210,8 +272,8 @@ pub struct ProtoAttn {
 
 impl ProtoAttn {
     /// Builds a block for prototypes of shape `[k, p]`, embedding into
-    /// feature width `d`. Keys/values are projected from raw segments
-    /// (Eq. 14).
+    /// feature width `d`. `W_K` and `W_V` map the raw `p`-wide segments
+    /// (Eq. 14), which is what lets the forward fold them (module docs).
     pub fn new<R: Rng + ?Sized>(
         ps: &mut ParamStore,
         name: &str,
@@ -245,7 +307,8 @@ impl ProtoAttn {
     }
 
     /// Applies ProtoAttn to `segments: [B, l, p]` under `routing`,
-    /// returning `[B, l, d]` (Algorithm 2).
+    /// returning `[B, l, d]` (Algorithm 2), computed in prototype space as
+    /// the module docs set out.
     ///
     /// Hard routing gathers each segment's prototype summary through the
     /// sparse `RouteOneHot` op; soft routing multiplies by the dense mixture
@@ -261,14 +324,14 @@ impl ProtoAttn {
         assert_eq!(dims.len(), 3, "ProtoAttn expects [B, l, p] inputs");
         assert_eq!(dims[2], self.segment_len(), "ProtoAttn input width mismatch");
 
-        let c = g.constant(self.prototypes.clone());
-        let c_q = self.w_e.forward(g, pv, c); // [k, d]
-        let keys = self.w_k.forward(g, pv, segments); // [B, l, d]
-        let values = self.w_v.forward(g, pv, segments); // [B, l, d]
-        let scores = g.matmul_broadcast_nt(c_q, keys); // [B, k, l]
-        let scaled = g.scale(scores, 1.0 / (self.d as f32).sqrt());
-        let alpha = g.softmax_last(scaled); // [B, k, l]
-        let head = g.bmm(alpha, values); // [B, k, d]
+        let alpha = self.attention(g, pv, segments); // [B, k, l]
+        let head = if reads_out_first(self.k(), dims[2], dims[1], self.d) {
+            let summary = g.bmm(alpha, segments); // [B, k, p]
+            self.w_v.forward(g, pv, summary)
+        } else {
+            let values = self.w_v.forward(g, pv, segments); // [B, l, d]
+            g.bmm(alpha, values)
+        }; // [B, k, d]
         match routing {
             Routing::Hard(route) => g.route_one_hot(head, route, dims[1]),
             Routing::Soft(a) => {
@@ -282,9 +345,26 @@ impl ProtoAttn {
         }
     }
 
+    /// The attention weights `α = softmax(M·Pᵀ)` over `segments: [B, l, p]`,
+    /// `[B, k, l]`, with `M = C·W_E·W_Kᵀ/√d` (Eqs. 14–16 in prototype
+    /// space): `W_K` is read as `[1, p, d]`, so `C_Q·W_Kᵀ` is one broadcast
+    /// product and no transposed copy is made.
+    fn attention(&self, g: &mut Graph, pv: &ParamVars, segments: Var) -> Var {
+        let (k, p) = (self.k(), self.segment_len());
+        let c = g.constant(self.prototypes.clone());
+        let c_q = self.w_e.forward(g, pv, c); // [k, d]
+        let w_k = g.reshape(pv.var(self.w_k.weight()), &[1, p, self.d]);
+        let m = g.matmul_broadcast_nt(c_q, w_k); // [1, k, p]
+        let m = g.reshape(m, &[k, p]);
+        let m = g.scale(m, 1.0 / (self.d as f32).sqrt());
+        let scores = g.matmul_broadcast_nt(m, segments); // [B, k, l]
+        g.softmax_last(scores)
+    }
+
     /// The learned long-range dependency matrix `A · α ∈ [B, l, l]` of
     /// Fig. 13: row `i` shows how much segment `i`'s summary attends to each
-    /// other segment.
+    /// other segment. `α` comes from the helper the forward runs, so it is
+    /// the forward's bit for bit.
     pub fn dependency_matrix(
         &self,
         ps: &ParamStore,
@@ -294,16 +374,19 @@ impl ProtoAttn {
         let mut g = Graph::new();
         let pv = ps.register(&mut g);
         let seg_v = g.constant(segments.clone());
-        let c = g.constant(self.prototypes.clone());
-        let c_q = self.w_e.forward(&mut g, &pv, c);
-        let keys = self.w_k.forward(&mut g, &pv, seg_v);
-        let scores = g.matmul_broadcast_nt(c_q, keys);
-        let scaled = g.scale(scores, 1.0 / (self.d as f32).sqrt());
-        let alpha = g.softmax_last(scaled); // [B, k, l]
+        let alpha = self.attention(&mut g, &pv, seg_v); // [B, k, l]
         let a_v = g.constant(assign.clone());
         let dep = g.bmm(a_v, alpha); // [B, l, l]
         g.value(dep)
     }
+}
+
+/// Whether Eq. 18 reads out before projecting, `(α·P)·W_V`, rather than
+/// projecting every segment first, `α·(P·W_V)`: the association with fewer
+/// multiply–accumulates per batch of `l` segments of width `p`, for `k`
+/// prototypes and feature width `d` (ties project first).
+fn reads_out_first(k: usize, p: usize, l: usize, d: usize) -> bool {
+    k * p * (l + d) < l * d * (p + k)
 }
 
 #[cfg(test)]
@@ -499,6 +582,128 @@ mod tests {
         for i in 0..5 {
             let sum: f32 = (0..5).map(|j| dep.at3(0, i, j)).sum();
             assert!((sum - 1.0).abs() < 1e-4, "row {i} sums to {sum}");
+        }
+    }
+
+    /// Eqs. 14–18 as the paper writes them, with the keys `K = P·W_K` and
+    /// values `V = P·W_V` materialised: the reference the prototype-space
+    /// forward reassociates.
+    fn literal_forward(pa: &ProtoAttn, g: &mut Graph, pv: &ParamVars, segments: Var, routing: Routing) -> Var {
+        let l = g.dims(segments)[1];
+        let c = g.constant(pa.prototypes.clone());
+        let c_q = pa.w_e.forward(g, pv, c); // [k, d]
+        let keys = pa.w_k.forward(g, pv, segments); // [B, l, d]
+        let values = pa.w_v.forward(g, pv, segments); // [B, l, d]
+        let scores = g.matmul_broadcast_nt(c_q, keys); // [B, k, l]
+        let scaled = g.scale(scores, 1.0 / (pa.d as f32).sqrt());
+        let alpha = g.softmax_last(scaled);
+        let head = g.bmm(alpha, values); // [B, k, d]
+        match routing {
+            Routing::Hard(route) => g.route_one_hot(head, route, l),
+            Routing::Soft(a) => g.bmm(a, head),
+        }
+    }
+
+    /// A block with `k` random prototypes of length 4 and width `d`, and
+    /// random segments `[b, l, 4]`.
+    fn shape_fixture(k: usize, (b, l): (usize, usize), d: usize, seed: u64) -> (ParamStore, ProtoAttn, Prototypes, Tensor) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let protos = Prototypes::from_centers(Tensor::randn(&[k, 4], 1.0, &mut rng), Objective::rec_corr(0.2));
+        let mut ps = ParamStore::new();
+        let pa = ProtoAttn::new(&mut ps, "pa", &protos, d, &mut rng);
+        (ps, pa, protos, Tensor::randn(&[b, l, 4], 1.0, &mut rng))
+    }
+
+    /// One shape per side of the Eq. 18 rule: `k < l` reads out first,
+    /// `k ≥ l` projects first (`(k, (B, l), d)`, `p = 4`).
+    const RULE_SIDES: [(usize, (usize, usize), usize); 2] = [(2, (3, 6), 8), (6, (2, 3), 8)];
+
+    #[test]
+    fn prototype_space_matches_literal_eqs_14_to_18() {
+        // The reassociated products round differently, so outputs and the
+        // W_E, W_K, W_V gradients agree to f32 roundoff, not bit for bit:
+        // max |Δ| within REL_TOL of the reference's largest magnitude.
+        const REL_TOL: f32 = 1e-5;
+        for (si, &(k, bl, d)) in RULE_SIDES.iter().enumerate() {
+            let (ps, pa, protos, segs) = shape_fixture(k, bl, d, 40 + si as u64);
+            for assignment in [Assignment::Hard, Assignment::Soft { temperature: 0.5 }] {
+                let plan = assignment.plan(&segs, &protos);
+                let run = |literal: bool| {
+                    let mut g = Graph::new();
+                    let pv = ps.register(&mut g);
+                    let seg_v = g.input(segs.clone());
+                    let routing = record(&mut g, &plan);
+                    let out = if literal {
+                        literal_forward(&pa, &mut g, &pv, seg_v, routing)
+                    } else {
+                        pa.forward(&mut g, &pv, seg_v, routing)
+                    };
+                    let sq = g.mul(out, out);
+                    let loss = g.mean_all(sq);
+                    g.backward(loss);
+                    let grads: Vec<Tensor> =
+                        [&pa.w_e, &pa.w_k, &pa.w_v].iter().map(|w| g.grad(pv.var(w.weight())).unwrap().clone()).collect();
+                    (g.value(out), grads)
+                };
+                let ((out, grads), (want, want_grads)) = (run(false), run(true));
+                let close = |what: &str, got: &Tensor, want: &Tensor| {
+                    let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                    let diff = got.max_abs_diff(want);
+                    assert!(
+                        diff <= REL_TOL * scale,
+                        "{what} at k = {k}, (B, l) = {bl:?}, {assignment:?}: max |Δ| {diff} vs scale {scale}"
+                    );
+                };
+                close("output", &out, &want);
+                for (name, (got, want)) in ["W_E", "W_K", "W_V"].iter().zip(grads.iter().zip(&want_grads)) {
+                    close(&format!("{name} gradient"), got, want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counted_forward_flops_follow_the_closed_form() {
+        for (si, &(k, (b, l), d)) in RULE_SIDES.iter().enumerate() {
+            let (ps, pa, protos, segs) = shape_fixture(k, (b, l), d, 50 + si as u64);
+            let plan = Assignment::Hard.plan(&segs, &protos);
+            let mut g = Graph::new();
+            let pv = ps.register(&mut g);
+            let seg_v = g.input(segs.clone());
+            let routing = record(&mut g, &plan);
+            let out = pa.forward(&mut g, &pv, seg_v, routing);
+            let (_, counted) = focus_tensor::work::measure(|| g.value(out));
+            let p = 4;
+            // 2 FLOPs per MAC: C·W_E and ·W_Kᵀ, the scores, then Eq. 18 read
+            // out first at k < l and projected first at k ≥ l; k·p for the
+            // 1/√d scale of M and 5 per softmax element. The one-hot gather
+            // counts none.
+            let eq18 = if si == 0 { b * k * p * (l + d) } else { b * l * d * (p + k) };
+            let closed = 2 * (2 * k * p * d + b * k * l * p + eq18) + k * p + 5 * b * k * l;
+            assert_eq!(counted.flops, closed as u64, "k = {k}, (B, l) = {:?}", (b, l));
+        }
+    }
+
+    #[test]
+    fn dependency_matrix_reads_the_forward_alpha() {
+        // A one-hot A copies α's rows: each product is `1·α` plus exact
+        // zeros, so the dependency matrix holds the forward's α bit for bit.
+        let (ps, pa, protos, segs) = shape_fixture(3, (2, 7), 8, 60);
+        let plan = Assignment::Hard.plan(&segs, &protos);
+        let mut g = Graph::new();
+        let pv = ps.register(&mut g);
+        let seg_v = g.input(segs.clone());
+        let alpha = pa.attention(&mut g, &pv, seg_v);
+        let alpha = g.value(alpha); // [B, k, l]
+        let dep = pa.dependency_matrix(&ps, &segs, &plan.to_matrix()); // [B, l, l]
+        let RoutingPlan::Hard { indices, .. } = plan else { panic!("hard plan") };
+        for bi in 0..2 {
+            for i in 0..7 {
+                let j = indices[bi * 7 + i] as usize;
+                for t in 0..7 {
+                    assert_eq!(dep.at3(bi, i, t).to_bits(), alpha.at3(bi, j, t).to_bits(), "b {bi}, segment {i}, column {t}");
+                }
+            }
         }
     }
 

@@ -65,6 +65,12 @@ impl Linear {
         self.out_dim
     }
 
+    /// The weight `W: [in_dim, out_dim]`, for callers that fold it into
+    /// another product instead of applying the layer.
+    pub fn weight(&self) -> ParamId {
+        self.w
+    }
+
     /// Applies the layer to `x` (trailing axis = `in_dim`).
     pub fn forward(&self, g: &mut Graph, pv: &ParamVars, x: Var) -> Var {
         let dims = g.dims(x).to_vec();

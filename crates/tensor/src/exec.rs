@@ -337,13 +337,33 @@ pub fn transpose_last2(src: &[f32], b: usize, m: usize, n: usize, dst: &mut [f32
 }
 
 /// Swap of the first two axes of `[a, b, c]`: `dst[j, i, :] = src[i, j, :]`.
+///
+/// Rows of `c` floats move whole; one side goes in order and the other
+/// jumps between rows. Writing in order, the reads are `b·c` floats apart;
+/// reading in order, the writes are `a·c` apart. A jump that is a multiple
+/// of 4 KiB lands every row on the same cache sets and 4K-aliases loads
+/// against stores, which halved the copy at `[32, 12, 32]` (writes 4 KiB
+/// apart), so the kernel writes in order unless that puts the 4 KiB jump on
+/// the reads. A copy is exact either way.
 pub fn swap01(src: &[f32], a: usize, b: usize, c: usize, dst: &mut [f32]) {
     debug_assert_eq!(src.len(), a * b * c);
-    for i in 0..a {
+    let aliases = |floats: usize| (floats * size_of::<f32>()).is_multiple_of(4096);
+    let mut copy = |i: usize, j: usize| {
+        let s = (i * b + j) * c;
+        let d = (j * a + i) * c;
+        dst[d..d + c].copy_from_slice(&src[s..s + c]);
+    };
+    if aliases(b * c) && !aliases(a * c) {
+        for i in 0..a {
+            for j in 0..b {
+                copy(i, j);
+            }
+        }
+    } else {
         for j in 0..b {
-            let s = (i * b + j) * c;
-            let d = (j * a + i) * c;
-            dst[d..d + c].copy_from_slice(&src[s..s + c]);
+            for i in 0..a {
+                copy(i, j);
+            }
         }
     }
 }
@@ -533,6 +553,20 @@ mod tests {
     fn rt(dims: &[usize], seed: u64) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed);
         Tensor::randn(dims, 1.0, &mut rng)
+    }
+
+    #[test]
+    fn swap01_moves_every_row_in_either_loop_order() {
+        // [12, 32, 32] reads in order (a write-ordered pass would read 4 KiB
+        // apart); the others write in order.
+        for (a, b, c) in [(32, 12, 32), (12, 32, 32), (32, 12, 8), (2, 3, 5), (1, 1024, 1)] {
+            let src = rt(&[a, b, c], 3);
+            let mut out = vec![f32::NAN; a * b * c];
+            swap01(src.data(), a, b, c, &mut out);
+            for (i, j, t) in (0..a).flat_map(|i| (0..b).flat_map(move |j| (0..c).map(move |t| (i, j, t)))) {
+                assert_eq!(out[(j * a + i) * c + t].to_bits(), src.data()[(i * b + j) * c + t].to_bits());
+            }
+        }
     }
 
     #[test]

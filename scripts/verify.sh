@@ -106,6 +106,7 @@ grep -q '"assign_all_rec_corr_20000x32_k64/output_match": 1' BENCH_kernels.json
 grep -q '"assign_all_rec_corr_4800x8_k8/output_match": 1' BENCH_kernels.json
 grep -q '"route_scatter_add_b64_l128_k64_d64/output_match": 1' BENCH_kernels.json
 grep -q '"bcast_nt_da_32x6x12x32/output_match": 1' BENCH_kernels.json
+grep -q '"bcast_nt_32x8x8x12/output_match": 1' BENCH_kernels.json
 grep -q '"softmax_256x12/output_match": 1' BENCH_kernels.json
 
 # Efficiency claims as wall clock (Fig. 6, Fig. 8, §VII-B): ProtoAttn vs
