@@ -427,7 +427,7 @@ fn kernel_sweeps() -> Vec<(Sweep, bool)> {
             |o| exec::add_row_broadcast(&x, &row, row.len(), o),
         )
     };
-    let (x3k, x6k, y6k, x12k, y12k) = (v(3072), v(6144), v(6144), v(12288), v(12288));
+    let (x2k, x6k, y6k, x12k, y12k) = (v(2304), v(6144), v(6144), v(12288), v(12288));
     // LayerNorm at [384, 32]: the forward's (mean, rstd) cache feeds the
     // backward.
     let (rows, n, eps) = (384usize, 32usize, 1e-5f32);
@@ -447,7 +447,9 @@ fn kernel_sweeps() -> Vec<(Sweep, bool)> {
         (sweep, false)
     };
     vec![
-        (scale("map_scale_3072", x3k.clone()), true),
+        // The fusion's score scale. ProtoAttn scales only its 64-float `M`,
+        // where a call's fixed cost outweighs the loop (4× a serial loop).
+        (scale("map_scale_2304", x2k.clone()), true),
         (scale("map_scale_6144", x6k.clone()), true),
         (
             kernel_sweep(
