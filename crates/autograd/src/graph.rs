@@ -628,6 +628,22 @@ mod tests {
     }
 
     #[test]
+    fn parameters_sharing_a_gradient_each_get_their_own() {
+        // L = Σ (p + q)·c: the sum's gradient register reaches both leaves,
+        // and each update reads a slot of its own.
+        let mut g = Graph::new();
+        let p = g.leaf(Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        let q = g.leaf(Tensor::from_vec(vec![3.0, 4.0], &[2]));
+        let c = g.constant(Tensor::from_vec(vec![0.5, -2.0], &[2]));
+        let s = g.add(p, q);
+        let y = g.mul(s, c);
+        let loss = g.sum_all(y);
+        g.backward(loss);
+        assert_eq!(g.grad(p).expect("p is a trainable leaf in the graph").data(), &[0.5, -2.0]);
+        assert_eq!(g.grad(q).expect("q is a trainable leaf in the graph").data(), &[0.5, -2.0]);
+    }
+
+    #[test]
     fn constants_get_no_gradient() {
         let mut g = Graph::new();
         let c = g.constant(Tensor::ones(&[2]));

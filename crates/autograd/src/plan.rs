@@ -465,6 +465,9 @@ struct Emitter<'a> {
     instrs: Vec<VInstr>,
     node_loc: Vec<Option<VLoc>>,
     grad: Vec<Option<GradRepr>>,
+    /// vreg -> how many live gradients hold it. A gradient is live until its
+    /// node's backward has run, and a parameter's until the plan ends.
+    grad_refs: Vec<u32>,
     /// LayerNorm node id -> (mean, rstd) cache vreg from the forward pass.
     ln_cache: BTreeMap<usize, u32>,
 }
@@ -487,12 +490,14 @@ impl<'a> Emitter<'a> {
             instrs: Vec::new(),
             node_loc: vec![None; g.nodes.len()],
             grad: vec![None; g.nodes.len()],
+            grad_refs: Vec::new(),
             ln_cache: BTreeMap::new(),
         }
     }
 
     fn fresh(&mut self, numel: usize) -> u32 {
         self.vnumel.push(numel);
+        self.grad_refs.push(0);
         (self.vnumel.len() - 1) as u32
     }
 
@@ -538,17 +543,41 @@ impl<'a> Emitter<'a> {
                 let n = self.g.nodes[i].shape.numel();
                 let r = self.fresh(n);
                 self.emit(OpCode::Fill, vec![r], vec![], vec![n as u32], c);
-                self.grad[i] = Some(GradRepr::V(r));
+                self.set_grad(i, r);
                 r
             }
         }
     }
 
-    /// Propagates `alpha × grad(gi)` into `v`'s gradient: copy/scale on the
-    /// first contribution, `axpy(alpha)` thereafter, folding through
-    /// compile-time constants when the gradient is scalar. `axpy(alpha, g)`
-    /// and `axpy(1, scale(alpha, g))` round each element once in the same
-    /// place, so no scaled temporary is materialised.
+    /// Points node `i`'s gradient at register `r`, keeping the live counts.
+    fn set_grad(&mut self, i: usize, r: u32) {
+        if let Some(GradRepr::V(old)) = self.grad[i] {
+            self.grad_refs[old as usize] -= 1;
+        }
+        self.grad[i] = Some(GradRepr::V(r));
+        self.grad_refs[r as usize] += 1;
+    }
+
+    /// `v`'s gradient register `acc`, ready for an `Axpy`: `acc` itself when
+    /// no other live gradient holds it, else a `Copy` of it that becomes
+    /// `v`'s own (copy on write). A first contribution shares its source's
+    /// register, so this is the one place a gradient is copied.
+    fn owned(&mut self, v: Var, acc: u32, numel: usize) -> u32 {
+        if self.grad_refs[acc as usize] <= 1 {
+            return acc;
+        }
+        let r = self.fresh(numel);
+        self.emit(OpCode::Copy, vec![r], vec![VLoc::V(acc)], vec![numel as u32], 0.0);
+        self.set_grad(v.0, r);
+        r
+    }
+
+    /// Propagates `alpha × grad(gi)` into `v`'s gradient: the first
+    /// contribution shares `grad(gi)`'s register (or scales it into a fresh
+    /// one), later ones `axpy(alpha)` into a register `v` owns, folding
+    /// through compile-time constants when the gradient is scalar.
+    /// `axpy(alpha, g)` and `axpy(1, scale(alpha, g))` round each element
+    /// once in the same place, so no scaled temporary is materialised.
     fn accum_scaled(&mut self, v: Var, alpha: f32, gi: usize) {
         if !self.rg(v) {
             return;
@@ -567,27 +596,29 @@ impl<'a> Emitter<'a> {
                 }
                 Some(GradRepr::V(acc)) => {
                     let gr = self.grad_vreg(gi);
+                    let acc = self.owned(v, acc, gnumel);
                     self.emit(OpCode::Axpy, vec![acc], vec![VLoc::V(gr)], vec![gl], alpha);
                 }
             },
             GradRepr::V(gr) => match self.grad[v.0] {
                 None => {
-                    let r = self.fresh(gnumel);
-                    // focus-lint: allow(float-hygiene) -- exact-literal test picks a copy over a multiply pass; `scale(1.0)` yields the same bits
+                    // focus-lint: allow(float-hygiene) -- exact-literal test shares the register where `scale(1.0)` would copy the same bits
                     if alpha == 1.0 {
-                        self.emit(OpCode::Copy, vec![r], vec![VLoc::V(gr)], vec![gl], 0.0);
+                        self.set_grad(v.0, gr);
                     } else {
+                        let r = self.fresh(gnumel);
                         self.emit(OpCode::MapScale, vec![r], vec![VLoc::V(gr)], vec![gl], alpha);
+                        self.set_grad(v.0, r);
                     }
-                    self.grad[v.0] = Some(GradRepr::V(r));
                 }
                 Some(GradRepr::V(acc)) => {
+                    let acc = self.owned(v, acc, gnumel);
                     self.emit(OpCode::Axpy, vec![acc], vec![VLoc::V(gr)], vec![gl], alpha);
                 }
                 Some(GradRepr::Const(e)) => {
                     let acc = self.fresh(gnumel);
                     self.emit(OpCode::Fill, vec![acc], vec![], vec![gl], e);
-                    self.grad[v.0] = Some(GradRepr::V(acc));
+                    self.set_grad(v.0, acc);
                     self.emit(OpCode::Axpy, vec![acc], vec![VLoc::V(gr)], vec![gl], alpha);
                 }
             },
@@ -600,14 +631,15 @@ impl<'a> Emitter<'a> {
     fn accum_own(&mut self, v: Var, r: u32, numel: usize) {
         let nl = numel as u32;
         match self.grad[v.0] {
-            None => self.grad[v.0] = Some(GradRepr::V(r)),
+            None => self.set_grad(v.0, r),
             Some(GradRepr::V(acc)) => {
+                let acc = self.owned(v, acc, numel);
                 self.emit(OpCode::Axpy, vec![acc], vec![VLoc::V(r)], vec![nl], 1.0);
             }
             Some(GradRepr::Const(e)) => {
                 let acc = self.fresh(numel);
                 self.emit(OpCode::Fill, vec![acc], vec![], vec![nl], e);
-                self.grad[v.0] = Some(GradRepr::V(acc));
+                self.set_grad(v.0, acc);
                 self.emit(OpCode::Axpy, vec![acc], vec![VLoc::V(r)], vec![nl], 1.0);
             }
         }
@@ -1371,6 +1403,13 @@ impl<'a> Emitter<'a> {
                     }
                 }
             }
+            // Node `i`'s backward has read its gradient for the last time; a
+            // parameter's stays live for its update.
+            if !matches!(g.nodes[i].op, Op::Leaf) {
+                if let Some(GradRepr::V(r)) = self.grad[i] {
+                    self.grad_refs[r as usize] -= 1;
+                }
+            }
         }
         Ok(())
     }
@@ -1564,6 +1603,14 @@ fn compile(
         for (pi, var) in params.iter().enumerate() {
             match em.grad[var.0] {
                 None => {}
+                // Two parameters can share one gradient register (a fan-out
+                // neither wrote into); each update needs a slot of its own.
+                Some(GradRepr::V(r)) if update_vregs.iter().any(|&(_, u)| u == r) => {
+                    let n = em.numel(*var);
+                    let own = em.fresh(n);
+                    em.emit(OpCode::Copy, vec![own], vec![VLoc::V(r)], vec![n as u32], 0.0);
+                    update_vregs.push((pi as u32, own));
+                }
                 Some(GradRepr::V(r)) => update_vregs.push((pi as u32, r)),
                 Some(GradRepr::Const(c)) => {
                     let n = em.numel(*var);

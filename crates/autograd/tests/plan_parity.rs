@@ -160,6 +160,10 @@ fn build_loss(
     // scalars), not folded: lowers to `Splat`.
     let m_h = g.mean_all(h3);
     let m_sq = g.mul(m_h, m_h);
+    // A fan-out whose shared gradient register takes a later contribution
+    // while its other reader is still to run: the backward's copy on write.
+    let fan = g.add(sq, ab);
+    let l_fan = g.mean_all(fan);
 
     let s1 = g.scale(l_sq, 0.05);
     let s2 = g.scale(l_abs, 0.05);
@@ -170,7 +174,9 @@ fn build_loss(
     let t3 = g.sub(t1, na); // == t1 + l_alt
     let t4 = g.add(t2, s4);
     let t5 = g.add(t4, m_sq);
-    (g.add(t3, t5), pred)
+    let s5 = g.scale(l_fan, 0.01);
+    let t6 = g.add(t5, s5);
+    (g.add(t3, t6), pred)
 }
 
 /// One oracle step: record, reference backward, reference update.

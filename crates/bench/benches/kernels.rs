@@ -4,11 +4,14 @@
 //!
 //! * the serial reference GEMMs against the register-tiled ones
 //!   (`a·b`, `a·bᵀ`, `aᵀ·b` at 256³), outputs bitwise equal;
-//! * every GEMM-shaped plan opcode at the FOCUS bench model's shapes
-//!   (p = 8, k = 6–8 prototypes, l = 12 segments, d = 32, 32 entities;
-//!   ProtoAttn's scores and readout at width p): the
-//!   reference kernel per batch, in each opcode's exact chain, against the
-//!   `focus_tensor::exec` entry point the plan VM calls, outputs bitwise
+//! * every GEMM-family instruction shape of the FOCUS bench model's train
+//!   plan (32 entities, L = 96, H = 24, p = k = 8, d = 32, m = 6 readout
+//!   queries: the embedding, ProtoAttn's scores, readout and `W_V`
+//!   products in prototype space, the fusion readouts, its gate and the
+//!   head, with their backward twins), except the once-per-window
+//!   `[8, 8, 32]` and `[1, 8, …]` products for the prototype queries `M`:
+//!   the reference kernel per batch, in each opcode's exact chain, against
+//!   the `focus_tensor::exec` entry point the plan VM calls, outputs bitwise
 //!   equal;
 //! * the scalar per-pair `assign_all_scalar` against the fused Eq. 6 sweep
 //!   kernel behind `assign_all`, under Rec Only and Rec+Corr at 20 000×32
@@ -168,15 +171,16 @@ fn opcode_sweeps() -> Vec<Sweep> {
             |c| exec::bmm(trans, bt, m, k, n, &a, &b, c),
         )
     };
-    // [bsz, k, l, d] = 32 entities' windows, 6 prototypes, 12 segments, d = 32;
-    // the `x8` sweeps take 8 prototypes, the other side of the 4-row tile's
-    // cut, and ProtoAttn's prototype-space products run at width p = 8.
+    // [bsz, k, l, d] = 32 entities' windows, 6 readout queries, 12 segments,
+    // d = 32 (the fusion); ProtoAttn's prototype-space products run over 8
+    // prototypes at width p = 8, the temporal branch over 32 entities' 12
+    // segments and the entity branch over 12 segments' 32 entities.
     let (bsz, kp, l, d, p) = (32usize, 6usize, 12usize, 32usize, 8usize);
     let (a, x, g, g8) = (v(kp * d), v(bsz * l * d), v(bsz * kp * l), v(bsz * 8 * l));
-    let (m8, segs) = (v(8 * p), v(bsz * l * p));
+    let (m8, segs, g8e) = (v(8 * p), v(bsz * l * p), v(l * 8 * bsz));
     // The autograd rule's chain: each per-batch product into a zeroed
     // scratch, added into the zeroed gradient in ascending batch order.
-    let bcast_da = |label, kp: usize, g: &[f32], x: &[f32], w: usize| {
+    let bcast_da = |label, (bsz, kp, l, w): (usize, usize, usize, usize), g: &[f32], x: &[f32]| {
         let mut tmp = vec![0.0f32; kp * w];
         opcode_sweep(
             label,
@@ -193,36 +197,56 @@ fn opcode_sweeps() -> Vec<Sweep> {
             move |c| exec::bcast_nt_da(g, x, bsz, kp, l, w, c),
         )
     };
+    let bcast = |label, (bsz, k, dd, l): (usize, usize, usize, usize), a: &[f32], x: &[f32]| {
+        opcode_sweep(
+            label,
+            bsz * k * l,
+            |c| per_batch(reference::gemm_nt, bsz, (k, dd, l), (a, 0), (x, l * dd), c),
+            |c| exec::bcast_nt(bsz, k, dd, l, a, x, c),
+        )
+    };
     vec![
+        // Segment embedding and ProtoAttn's `·W_V`, both branches, and their
+        // backward twins.
         gemm("gemm_nn_384x8x32", Trans::Nn, (384, 8, 32), v(384 * 8), v(8 * 32)),
         gemm("gemm_nn_256x8x32", Trans::Nn, (256, 8, 32), v(256 * 8), v(8 * 32)),
+        gemm("gemm_nn_96x8x32", Trans::Nn, (96, 8, 32), v(96 * 8), v(8 * 32)),
+        gemm("gemm_nt_256x32x8", Trans::Nt, (256, 32, 8), v(256 * 32), v(8 * 32)),
+        gemm("gemm_nt_96x32x8", Trans::Nt, (96, 32, 8), v(96 * 32), v(8 * 32)),
         gemm("gemm_tn_8x384x32", Trans::Tn, (8, 384, 32), v(384 * 8), v(384 * 32)),
+        gemm("gemm_tn_8x256x32", Trans::Tn, (8, 256, 32), v(256 * 8), v(256 * 32)),
+        gemm("gemm_tn_8x96x32", Trans::Tn, (8, 96, 32), v(96 * 8), v(96 * 32)),
+        // The fusion gate and its backward pair.
+        gemm("gemm_nn_192x64x32", Trans::Nn, (192, 64, 32), v(192 * 64), v(64 * 32)),
         gemm("gemm_nt_192x32x64", Trans::Nt, (192, 32, 64), v(192 * 32), v(64 * 32)),
+        gemm("gemm_tn_64x192x32", Trans::Tn, (64, 192, 32), v(192 * 64), v(192 * 32)),
+        // The head and its backward pair.
+        gemm("gemm_nn_32x192x24", Trans::Nn, (32, 192, 24), v(32 * 192), v(192 * 24)),
+        gemm("gemm_nt_32x24x192", Trans::Nt, (32, 24, 192), v(32 * 24), v(192 * 24)),
         gemm("gemm_tn_192x32x24", Trans::Tn, (192, 32, 24), v(32 * 192), v(32 * 24)),
+        // The fusion readouts over m = 6 queries.
         bmm("bmm_nn_32x6x12x32", Trans::Nn, (bsz, kp, l, d), g.clone(), x.clone()),
-        bmm("bmm_nn_32x8x12x8", Trans::Nn, (bsz, 8, l, p), g8.clone(), segs.clone()),
         bmm("bmm_nt_32x6x32x12", Trans::Nt, (bsz, kp, d, l), v(bsz * kp * d), x.clone()),
         bmm("bmm_tn_32x12x6x32", Trans::Tn, (bsz, l, kp, d), g.clone(), v(bsz * kp * d)),
-        opcode_sweep(
-            "bcast_nt_32x6x32x12",
-            bsz * kp * l,
-            |c| per_batch(reference::gemm_nt, bsz, (kp, d, l), (&a, 0), (&x, l * d), c),
-            |c| exec::bcast_nt(bsz, kp, d, l, &a, &x, c),
-        ),
-        opcode_sweep(
-            "bcast_nt_32x8x8x12",
-            bsz * 8 * l,
-            |c| per_batch(reference::gemm_nt, bsz, (8, p, l), (&m8, 0), (&segs, l * p), c),
-            |c| exec::bcast_nt(bsz, 8, p, l, &m8, &segs, c),
-        ),
+        bcast("bcast_nt_32x6x32x12", (bsz, kp, d, l), &a, &x),
         opcode_sweep(
             "bcast_nt_dx_32x6x12x32",
             bsz * l * d,
             |c| per_batch(reference::gemm_tn, bsz, (l, kp, d), (&g, kp * l), (&a, 0), c),
             |c| exec::bcast_nt_dx(&g, &a, bsz, kp, l, d, c),
         ),
-        bcast_da("bcast_nt_da_32x6x12x32", kp, &g, &x, d),
-        bcast_da("bcast_nt_da_32x8x12x8", 8, &g8, &segs, p),
+        bcast_da("bcast_nt_da_32x6x12x32", (bsz, kp, l, d), &g, &x),
+        // ProtoAttn in prototype space: scores, readout `α·P`, `dα` and
+        // `dM`, temporal branch (32 entities × 12 segments) then entity
+        // branch (12 segments × 32 entities).
+        bcast("bcast_nt_32x8x8x12", (bsz, 8, p, l), &m8, &segs),
+        bmm("bmm_nn_32x8x12x8", Trans::Nn, (bsz, 8, l, p), g8.clone(), segs.clone()),
+        bmm("bmm_nt_32x8x8x12", Trans::Nt, (bsz, 8, p, l), v(bsz * 8 * p), segs.clone()),
+        bcast_da("bcast_nt_da_32x8x12x8", (bsz, 8, l, p), &g8, &segs),
+        bcast("bcast_nt_12x8x8x32", (l, 8, p, bsz), &m8, &segs),
+        bmm("bmm_nn_12x8x32x8", Trans::Nn, (l, 8, bsz, p), g8e.clone(), segs.clone()),
+        bmm("bmm_nt_12x8x8x32", Trans::Nt, (l, 8, p, bsz), v(l * 8 * p), segs.clone()),
+        bcast_da("bcast_nt_da_12x8x32x8", (l, 8, bsz, p), &g8e, &segs),
     ]
 }
 

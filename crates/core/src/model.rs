@@ -357,4 +357,31 @@ mod tests {
         assert!(ratio < 2.6, "lookback doubling grew FLOPs {ratio}x");
         assert!(ratio > 1.2, "cost must still grow with lookback: {ratio}");
     }
+
+    /// A first gradient contribution shares its source's register and a
+    /// gradient is copied only when a later contribution would write a
+    /// register another gradient still reads, which FOCUS never does: its
+    /// train plan at the perfbench shape (32 entities, L = 96, H = 24,
+    /// p = k = 8, d = 32, m = 6) holds no `Copy`.
+    #[test]
+    fn train_plan_copies_no_gradient() {
+        use crate::forecaster::WindowInputs;
+        use focus_autograd::plan::{compile_train, OpCode};
+        let ds = MtsDataset::generate(Benchmark::Pems08.scaled(32, 600), 5);
+        let mut cfg = FocusConfig::new(96, 24);
+        cfg.segment_len = 8;
+        cfg.n_prototypes = 8;
+        cfg.d = 32;
+        cfg.readout = 6;
+        cfg.cluster_iters = 2;
+        let model = Focus::fit_offline(&ds, cfg, 5);
+        let w = ds.window_at(0, 96, 24);
+        let mut g = Graph::new();
+        let rec = model.record_window(&mut g, &WindowInputs::new(&model, w.x, Some(w.y)));
+        let loss = g.mse(rec.pred, rec.target.expect("the window carries its target"));
+        let plan = compile_train(&g, loss, &rec.pv).expect("FOCUS lowers");
+        let copies = plan.instrs().iter().filter(|i| i.op == OpCode::Copy).count();
+        assert_eq!(copies, 0, "the train plan copies {copies} gradients");
+        assert_eq!(plan.instrs().len(), 112, "instructions of the copy-free train plan");
+    }
 }

@@ -507,9 +507,15 @@ pub fn bcast_nt(bt: usize, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], d
 /// Broadcast-NT backward for the shared LHS: `da = Σ_b g[b]·x[b]`, the
 /// autograd rule's chain — each per-batch product from `+0.0`, added into a
 /// zeroed `da` in ascending batch order — with the batch sum kept in
-/// registers.
+/// registers. `g` holds `bsz` batches of `[k×l]`, `x` `bsz` batches of
+/// `[l×d]`, and `da` is `[k×d]`.
+///
+/// # Panics
+/// If a slice length disagrees with its shape.
 pub fn bcast_nt_da(g: &[f32], x: &[f32], bsz: usize, k: usize, l: usize, d: usize, da: &mut [f32]) {
-    debug_assert_eq!(da.len(), k * d);
+    assert_eq!(g.len(), bsz * k * l, "bcast_nt_da grad length");
+    assert_eq!(x.len(), bsz * l * d, "bcast_nt_da rhs length");
+    assert_eq!(da.len(), k * d, "bcast_nt_da out length");
     work::add_flops(2 * bsz * k * l * d);
     matmul::bmm_sum(bsz, k, l, d, g, x, da);
 }
@@ -521,10 +527,16 @@ pub fn bcast_nt_da(g: &[f32], x: &[f32], bsz: usize, k: usize, l: usize, d: usiz
 /// Unlike the `da` reduction above, every batch writes a disjoint `dx` slice,
 /// so the sweep splits batches across threads like any batched GEMM: each
 /// batch's product is the identical serial kernel regardless of which thread
-/// runs it, keeping the gradient bitwise-stable at any thread count.
+/// runs it, keeping the gradient bitwise-stable at any thread count. `g`
+/// holds `bsz` batches of `[k×l]`, `a` is `[k×d]` and `dx` `bsz` batches of
+/// `[l×d]`.
+///
+/// # Panics
+/// If a slice length disagrees with its shape.
 pub fn bcast_nt_dx(g: &[f32], a: &[f32], bsz: usize, k: usize, l: usize, d: usize, dx: &mut [f32]) {
-    debug_assert_eq!(a.len(), k * d);
-    debug_assert_eq!(dx.len(), bsz * l * d);
+    assert_eq!(g.len(), bsz * k * l, "bcast_nt_dx grad length");
+    assert_eq!(a.len(), k * d, "bcast_nt_dx lhs length");
+    assert_eq!(dx.len(), bsz * l * d, "bcast_nt_dx out length");
     work::add_flops(2 * bsz * k * l * d);
     matmul::bmm_dispatch(Kind::Tn, bsz, l, k, d, (g, k * l), (a, 0), dx);
 }
@@ -737,5 +749,27 @@ mod tests {
     fn bcast_nt_rejects_short_out() {
         let mut c = vec![0.0f32; 2 * 3];
         bcast_nt(2, 2, 4, 3, &[0.0; 2 * 4], &[0.0; 2 * 3 * 4], &mut c);
+    }
+
+    // [bsz, k, l, d] = [2, 3, 4, 5]: g is 2·3·4, x 2·4·5, a 3·5, da 3·5.
+    #[test]
+    #[should_panic(expected = "bcast_nt_dx grad length")]
+    fn bcast_nt_dx_rejects_short_grad() {
+        let mut dx = vec![0.0f32; 2 * 4 * 5];
+        bcast_nt_dx(&[0.0; 2 * 3 * 4 - 1], &[0.0; 3 * 5], 2, 3, 4, 5, &mut dx);
+    }
+
+    #[test]
+    #[should_panic(expected = "bcast_nt_da grad length")]
+    fn bcast_nt_da_rejects_short_grad() {
+        let mut da = vec![0.0f32; 3 * 5];
+        bcast_nt_da(&[0.0; 2 * 3 * 4 - 1], &[0.0; 2 * 4 * 5], 2, 3, 4, 5, &mut da);
+    }
+
+    #[test]
+    #[should_panic(expected = "bcast_nt_da out length")]
+    fn bcast_nt_da_rejects_long_out() {
+        let mut da = vec![0.0f32; 3 * 5 + 1];
+        bcast_nt_da(&[0.0; 2 * 3 * 4], &[0.0; 2 * 4 * 5], 2, 3, 4, 5, &mut da);
     }
 }

@@ -32,20 +32,38 @@
 //!
 //! **Tile shapes.** A tile is `MR × NR` = 6 × 16 accumulators: twelve
 //! 8-lane vectors, which stay in registers on AVX2's sixteen as well as
-//! AVX-512's thirty-two. Two smaller shapes cover the products where a
-//! 6 × 16 tile would compute many lanes or rows it throws away: 8 lanes
-//! ([`NR_NARROW`]) for outputs at most 8 wide, and 4 rows ([`MR_ALT`]) for a
-//! short row count that 4 divides and 6 does not (8 prototypes, where a
-//! 6-row tiling computes 12 rows). The shape is picked from the call's
-//! static dims in one place (`with_tile_shape!`); every shape computes the
-//! same chains, so the choice moves speed, never bits. `a·b` and `a·bᵀ`
-//! read the left operand's rows in place and `aᵀ·b` copies a tile's
-//! columns of `a` once per row tile. `a·b` and `aᵀ·b` read the right
-//! operand in place, the last strip shifted back to overlap its neighbour
-//! rather than run past `n`; `a·bᵀ` transposes each strip of `bᵀ` once, or,
-//! when `a` has at most 8 rows, computes `cᵀ = b·aᵀ` so only the narrow
-//! operand is transposed. Packing goes to one per-thread buffer that grows
-//! to the largest call, so a warmed-up call never allocates.
+//! AVX-512's thirty-two. Three other shapes cover the products where a
+//! 6 × 16 tile would compute many lanes or rows it throws away, none with
+//! more than twelve accumulator vectors: 8 lanes ([`NR_NARROW`]) for
+//! outputs at most 8 wide, 4 rows ([`MR_ALT`]) for a short row count that 4
+//! divides and 6 does not (8 prototypes, where a 6-row tiling computes 12
+//! rows), and 4 × 24 ([`NR_WIDE`]) for outputs 17 to 24 wide (the forecast
+//! head, where two overlapping 16-lane strips compute 32 lanes for 24). The
+//! shape is picked from the call's static dims in one place
+//! (`with_tile_shape!`); every shape computes the same chains, so the
+//! choice moves speed, never bits.
+//!
+//! **One call, one kernel.** The shape is picked once per call (per thread
+//! block of it), and the batch loop runs inside the kernel it picks, so a
+//! batched product pays its dispatch, its scratch borrow and, for `a·b` and
+//! `aᵀ·b`, its zero scan once, not once per batch: one scan of every left
+//! operand the block reads picks the dense tile or the skip tile for all of
+//! its batches. Inside a tile the contraction walks both operands as
+//! iterators, so a step is its vector work plus a handful of scalar
+//! instructions, and a whole tile is stored straight from its registers;
+//! at the short depths of prototype and readout products (6–12 steps) the
+//! per-tile work around the loop is most of the cost.
+//!
+//! **Operand layouts.** `a·b` and `a·bᵀ` read the left operand's rows in
+//! place and `aᵀ·b` its columns, a tile's `M` consecutive floats of each
+//! row of `a` (a tile of fewer columns than `M` is packed). `a·b`
+//! and `aᵀ·b` read the right operand in place, the last strip shifted back
+//! to overlap its neighbour rather than run past `n`; `a·bᵀ` transposes each
+//! strip of `bᵀ` once, or, when `a` has at most 8 rows, computes
+//! `cᵀ = b·aᵀ` so only the narrow operand is transposed (once per call when
+//! `a` is broadcast) and stores each finished tile transposed. Packing goes
+//! to one per-thread buffer that grows to the largest call, so a warmed-up
+//! call never allocates.
 //!
 //! The serial references live in [`reference`] and stay the ground truth the
 //! property tests and the kernel bench compare against.
@@ -59,26 +77,36 @@ const NR: usize = 16;
 /// Tile width for outputs at most this wide, and the lane count of the
 /// narrow `a·bᵀ` orientation (one 8-lane vector).
 const NR_NARROW: usize = 8;
+/// Tile width for outputs 17 to 24 wide (the forecast head), which two
+/// overlapping [`NR`] strips would cover with 32 lanes.
+const NR_WIDE: usize = 24;
 /// Register tile height: output rows per tile.
 const MR: usize = 6;
 /// Tile height for a short row count that it divides and [`MR`] does not
-/// (8, 16, 20), which an `MR`-row tiling would end on an overlapping tile.
+/// (8, 16, 20), which an `MR`-row tiling would end on an overlapping tile,
+/// and for [`NR_WIDE`] tiles.
 const MR_ALT: usize = 4;
 
 /// Calls `$kernel::<M, W>(args…)` with the tile shape for an output of
-/// `$rows × $cols`: `M` = [`MR_ALT`] when it divides a row count of at most
-/// 24 that [`MR`] does not, else `MR`; `W` = [`NR_NARROW`] for outputs at
-/// most that wide, else [`NR`]. Every shape computes the same chains, so the
+/// `$rows × $cols`: `W` = [`NR_WIDE`] with `M` = [`MR_ALT`] for outputs 17 to
+/// 24 wide; otherwise `W` = [`NR_NARROW`] for outputs at most that wide,
+/// else [`NR`], and `M` = [`MR_ALT`] when it divides a row count of at most
+/// 24 that [`MR`] does not, else `MR`. Every shape keeps twelve 8-lane
+/// accumulators or fewer, and every shape computes the same chains, so the
 /// choice moves speed, never bits.
 macro_rules! with_tile_shape {
     ($rows:expr, $cols:expr, $kernel:ident($($arg:expr),* $(,)?)) => {{
         let (rows, cols): (usize, usize) = ($rows, $cols);
         let short = !rows.is_multiple_of(MR) && rows.is_multiple_of(MR_ALT) && rows <= 4 * MR;
-        match (short, cols <= NR_NARROW) {
-            (false, false) => $kernel::<MR, NR>($($arg),*),
-            (false, true) => $kernel::<MR, NR_NARROW>($($arg),*),
-            (true, false) => $kernel::<MR_ALT, NR>($($arg),*),
-            (true, true) => $kernel::<MR_ALT, NR_NARROW>($($arg),*),
+        if cols > NR && cols <= NR_WIDE {
+            $kernel::<MR_ALT, NR_WIDE>($($arg),*)
+        } else {
+            match (short, cols <= NR_NARROW) {
+                (false, false) => $kernel::<MR, NR>($($arg),*),
+                (false, true) => $kernel::<MR, NR_NARROW>($($arg),*),
+                (true, false) => $kernel::<MR_ALT, NR>($($arg),*),
+                (true, true) => $kernel::<MR_ALT, NR_NARROW>($($arg),*),
+            }
         }
     }};
 }
@@ -163,24 +191,25 @@ pub mod reference {
 /// chain in ascending `kk` from `+0.0`, held in registers for the whole
 /// contraction.
 ///
-/// `a_at(kk)` yields the tile's `M` left-operand values at step `kk`, and
-/// `b[kk * b_rs..][..W]` is the step's right-operand row. With `SKIP`, a
-/// zero `A(r, kk)` leaves row `r` as it was — the reference's per-`(row, k)`
-/// skip — through a select rather than a branch, so the tile stays in
-/// registers.
+/// `a_steps` yields the tile's `M` left-operand values step by step, and
+/// step `kk`'s right-operand row is `b[kk * b_rs + j0..][..W]`. With `SKIP`,
+/// a zero `A(r, kk)` leaves row `r` as it was — the reference's
+/// per-`(row, k)` skip. Every caller inlines the tile, so the accumulators
+/// never leave registers before their one store, and the loop walks both
+/// operands as iterators: a contraction step is a handful of scalar
+/// instructions besides its vector work, which matters at the short depths
+/// (6–12) of prototype and readout products.
 #[inline(always)]
 fn tile<const SKIP: bool, const M: usize, const W: usize>(
-    k: usize,
-    a_at: impl Fn(usize) -> [f32; M],
-    b: &[f32],
-    b_rs: usize,
+    a_steps: impl Iterator<Item = [f32; M]>,
+    (b, b_rs, j0): (&[f32], usize, usize),
 ) -> [[f32; W]; M] {
     let mut acc = [[0.0f32; W]; M];
-    for kk in 0..k {
-        let b_row: &[f32; W] = b[kk * b_rs..kk * b_rs + W]
+    for (a_step, b_row) in a_steps.zip(b.chunks_exact(b_rs)) {
+        let b_row: &[f32; W] = b_row[j0..j0 + W]
             .try_into()
             .expect("a B row is W wide by construction");
-        for (acc_r, av) in acc.iter_mut().zip(a_at(kk)) {
+        for (acc_r, av) in acc.iter_mut().zip(a_step) {
             // focus-lint: allow(float-hygiene) -- exact-zero test is the one-hot sparsity skip; skipped terms contribute nothing bitwise
             let live = !SKIP || av != 0.0;
             for (o, &bv) in acc_r.iter_mut().zip(b_row) {
@@ -192,73 +221,32 @@ fn tile<const SKIP: bool, const M: usize, const W: usize>(
     acc
 }
 
-/// The left operand of one `M`-row tile. A short tile (fewer than `M` rows
-/// left) repeats its last row; the repeats are computed and never stored.
-#[derive(Clone, Copy)]
-enum Lhs<'a, const M: usize> {
-    /// Row-major rows of `a`, each `k` long, read in place (`a·b`, `a·bᵀ`).
-    Rows([&'a [f32]; M]),
-    /// `[k × M]` step-major copy of `M` columns of `a` (`aᵀ·b`).
-    Packed(&'a [f32]),
-}
-
-impl<'a, const M: usize> Lhs<'a, M> {
-    /// Rows `r0..r0 + mr` of the row-major `[_ × k]` matrix `a`.
-    fn rows(a: &'a [f32], k: usize, r0: usize, mr: usize) -> Self {
-        Lhs::Rows(std::array::from_fn(|r| &a[(r0 + r.min(mr - 1)) * k..][..k]))
-    }
-
-    /// Columns `r0..r0 + mr` of the row-major `[k × m]` matrix `a`, packed
-    /// step-major into `panel` (`k · M` floats).
-    fn columns(a: &[f32], m: usize, r0: usize, mr: usize, panel: &'a mut [f32]) -> Self {
-        for (p, a_row) in panel.chunks_exact_mut(M).zip(a.chunks_exact(m)) {
-            if mr == M {
-                p.copy_from_slice(&a_row[r0..r0 + M]);
-            } else {
-                for (r, v) in p.iter_mut().enumerate() {
-                    *v = a_row[r0 + r.min(mr - 1)];
-                }
-            }
-        }
-        Lhs::Packed(panel)
-    }
-
-    /// Whether any left-operand value of the tile is exactly zero: one
-    /// branch-free scan per row tile picks the skip or the dense loop for
-    /// every column strip. Both give the same bits; only speed differs.
-    fn has_zero(&self) -> bool {
-        // focus-lint: allow(float-hygiene) -- exact-zero scan decides skip-vs-dense only; both paths compute identical bits
-        let scan = |v: &[f32]| v.iter().fold(false, |z, &x| z | (x == 0.0));
-        match self {
-            Lhs::Rows(rows) => rows.iter().any(|r| scan(r)),
-            Lhs::Packed(p) => scan(p),
-        }
-    }
-
-    /// This tile times the `[k × W]` strip `b` (row stride `b_rs`).
-    fn times<const W: usize>(&self, skip: bool, k: usize, b: &[f32], b_rs: usize) -> [[f32; W]; M] {
-        match (*self, skip) {
-            (Lhs::Rows(rows), false) => tile::<false, M, W>(k, |kk| column(&rows, kk), b, b_rs),
-            (Lhs::Rows(rows), true) => tile::<true, M, W>(k, |kk| column(&rows, kk), b, b_rs),
-            (Lhs::Packed(p), false) => tile::<false, M, W>(k, |kk| step(p, kk), b, b_rs),
-            (Lhs::Packed(p), true) => tile::<true, M, W>(k, |kk| step(p, kk), b, b_rs),
-        }
-    }
-}
-
-/// Step `kk` of in-place left-operand rows. (`array::map` over the rows
-/// keeps the tile out of registers; indexing them does not.)
+/// Rows `r0..r0 + mr` of the row-major `[_ × k]` matrix `a`, read in place.
+/// A short tile (fewer than `M` rows left) repeats its last row; the
+/// repeats are computed and never stored.
 #[inline(always)]
-fn column<const M: usize>(rows: &[&[f32]; M], kk: usize) -> [f32; M] {
-    std::array::from_fn(|r| rows[r][kk])
+fn rows_of<const M: usize>(a: &[f32], k: usize, r0: usize, mr: usize) -> [&[f32]; M] {
+    std::array::from_fn(|r| &a[(r0 + r.min(mr - 1)) * k..][..k])
 }
 
-/// Step `kk` of a packed left-operand panel.
+/// The steps of in-place left-operand rows, each `k` long. (`array::map`
+/// over the rows keeps the tile out of registers; indexing them does not.)
 #[inline(always)]
-fn step<const M: usize>(p: &[f32], kk: usize) -> [f32; M] {
-    p[kk * M..kk * M + M]
-        .try_into()
-        .expect("a packed step is M wide by construction")
+fn columns<'a, const M: usize>(rows: &'a [&'a [f32]; M], k: usize) -> impl Iterator<Item = [f32; M]> + 'a {
+    (0..k).map(move |kk| std::array::from_fn(|r| rows[r][kk]))
+}
+
+/// The steps of a packed step-major left-operand panel.
+#[inline(always)]
+fn steps<const M: usize>(p: &[f32]) -> impl Iterator<Item = [f32; M]> + '_ {
+    p.chunks_exact(M).map(|s| s.try_into().expect("a step is M wide by construction"))
+}
+
+/// Whether any value is exactly zero: picks the skip or the dense tile for
+/// a call's block of batches. Both give the same bits; only speed differs.
+fn has_zero(v: &[f32]) -> bool {
+    // focus-lint: allow(float-hygiene) -- exact-zero scan decides skip-vs-dense only; both paths compute identical bits
+    v.iter().fold(false, |z, &x| z | (x == 0.0))
 }
 
 /// Tiles covering `0..len` in steps of `w`, as `(start, width)`: full tiles,
@@ -299,7 +287,7 @@ fn wide<'p>(
 /// into the `[k × L]` panel. Lanes past `live` repeat the last row; they are
 /// computed and never stored.
 fn pack_t<const L: usize>(b: &[f32], k: usize, j0: usize, live: usize, panel: &mut [f32]) {
-    let rows: [&[f32]; L] = std::array::from_fn(|j| &b[(j0 + j.min(live - 1)) * k..][..k]);
+    let rows: [&[f32]; L] = rows_of(b, k, j0, live);
     for (kk, p) in panel[..k * L].chunks_exact_mut(L).enumerate() {
         for (v, row) in p.iter_mut().zip(&rows) {
             *v = row[kk];
@@ -309,6 +297,7 @@ fn pack_t<const L: usize>(b: &[f32], k: usize, j0: usize, live: usize, panel: &m
 
 /// Stores rows `0..mr`, lanes `0..w` of a finished tile at row `t0`, column
 /// `j0` of the row-major output `c` (row width `n`).
+#[inline(always)]
 fn store<const M: usize, const W: usize>(
     acc: &[[f32; W]; M],
     c: &mut [f32],
@@ -316,19 +305,25 @@ fn store<const M: usize, const W: usize>(
     (t0, mr): (usize, usize),
     (j0, w): (usize, usize),
 ) {
-    for (r, acc_r) in acc.iter().enumerate().take(mr) {
-        let dst = &mut c[(t0 + r) * n + j0..][..w];
-        if w == W {
-            dst.copy_from_slice(acc_r);
-        } else {
-            dst.copy_from_slice(&acc_r[..w]);
+    // A whole tile stores straight from its registers; only a tile shorter
+    // or narrower than the output (`m < M` or `n < W`) stores a prefix.
+    if mr == M && w == W {
+        for (r, acc_r) in acc.iter().enumerate() {
+            let dst: &mut [f32; W] = (&mut c[(t0 + r) * n + j0..][..W])
+                .try_into()
+                .expect("a tile row is W wide");
+            *dst = *acc_r;
+        }
+    } else {
+        for (r, acc_r) in acc.iter().enumerate().take(mr) {
+            c[(t0 + r) * n + j0..][..w].copy_from_slice(&acc_r[..w]);
         }
     }
 }
 
 std::thread_local! {
     /// Per-thread packing scratch: grows to the largest call's
-    /// `k · (NR + MR)` floats once, then every call reuses it, so a
+    /// `k · (NR_WIDE + MR)` floats once, then every call reuses it, so a
     /// warmed-up GEMM never touches the allocator or the tensor pool.
     /// Packers overwrite what they use before it is read.
     static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -347,105 +342,201 @@ fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
 
 /// Scratch floats one serial GEMM of depth `k` needs.
 fn scratch_len(k: usize) -> usize {
-    k * (NR + MR)
+    k * (NR_WIDE + MR)
 }
 
-/// Serial core: rows `i0..i0 + c.len() / n` of the product, written
-/// through into `c`.
-///
-/// `a_packed` says the previous call on this `scratch` had the same `a` (a
-/// broadcast left operand), so the narrow `a·bᵀ` path reuses the transposed
-/// copy of `a` that call left there.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows(
+/// One GEMM call's operands: `bt` products of `kind`, each `[m × n]`, the
+/// operand `x` of batch `bi` at `x[bi · x_step..]` (a step of 0 broadcasts
+/// one matrix to every batch).
+#[derive(Clone, Copy)]
+struct Job<'a> {
     kind: Kind,
-    i0: usize,
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    scratch: &mut [f32],
-    a_packed: bool,
-) {
-    if k == 0 {
+    a: (&'a [f32], usize),
+    b: (&'a [f32], usize),
+}
+
+impl<'a> Job<'a> {
+    fn a_of(&self, bi: usize) -> &'a [f32] {
+        &self.a.0[bi * self.a.1..][..self.m * self.k]
+    }
+
+    fn b_of(&self, bi: usize) -> &'a [f32] {
+        &self.b.0[bi * self.b.1..][..self.k * self.n]
+    }
+}
+
+/// Serial core: rows `i0..i0 + rows` of every batch from `b0` on, written
+/// through into `c` (`rows × n` floats per batch, as many batches as `c`
+/// holds). The tile shape is picked once for the whole block.
+fn gemm_block(job: &Job, b0: usize, (i0, rows): (usize, usize), c: &mut [f32]) {
+    if job.k == 0 {
         c.fill(0.0);
         return;
     }
-    let rows = c.len() / n;
-    if kind == Kind::Nt && rows <= NR_NARROW && n > NR_NARROW {
-        let a = (!a_packed).then(|| &a[i0 * k..][..rows * k]);
-        return with_tile_shape!(n, rows, gemm_nt_narrow(k, n, a, b, c, scratch));
-    }
-    with_tile_shape!(rows, n, gemm_tiles((kind, i0, m, k, n), a, b, c, scratch));
+    with_scratch(scratch_len(job.k), |s| {
+        if job.kind == Kind::Nt && rows <= NR_NARROW && job.n > NR_NARROW {
+            with_tile_shape!(job.n, rows, nt_narrow(job, b0, (i0, rows), c, s));
+        } else {
+            with_tile_shape!(rows, job.n, gemm_tiles(job, b0, (i0, rows), c, s));
+        }
+    });
 }
 
-/// [`gemm_rows`] with `M × W` tiles.
+/// [`gemm_block`] with `M × W` tiles.
 fn gemm_tiles<const M: usize, const W: usize>(
-    (kind, i0, m, k, n): (Kind, usize, usize, usize, usize),
-    a: &[f32],
-    b: &[f32],
+    job: &Job,
+    b0: usize,
+    (i0, rows): (usize, usize),
     c: &mut [f32],
     scratch: &mut [f32],
 ) {
-    let rows = c.len() / n;
+    let Job { kind, k, n, .. } = *job;
+    let nb = c.len() / (rows * n);
+    let batches = (b0..).zip(c.chunks_exact_mut(rows * n));
     let (b_panel, a_panel) = scratch.split_at_mut(k * W);
-    match kind {
+    if kind == Kind::Nt {
         // Strip-outer: each packed strip of bᵀ serves every row tile.
-        Kind::Nt => {
+        for (bi, c_one) in batches {
+            let (a, b) = (job.a_of(bi), job.b_of(bi));
             for (j0, w) in tiles(n, W) {
                 pack_t::<W>(b, k, j0, w, b_panel);
                 for (t0, mr) in tiles(rows, M) {
-                    let acc = Lhs::<M>::rows(a, k, i0 + t0, mr).times::<W>(false, k, b_panel, W);
-                    store(&acc, c, n, (t0, mr), (j0, w));
+                    let lhs = rows_of::<M>(a, k, i0 + t0, mr);
+                    let acc = tile::<false, M, W>(columns(&lhs, k), (&b_panel[..k * W], W, 0));
+                    store(&acc, c_one, n, (t0, mr), (j0, w));
                 }
             }
         }
-        // Row-tile-outer: one zero scan (and, for aᵀ, one pack) per row tile
-        // serves every column strip, read in place from `b`.
-        Kind::Nn | Kind::Tn => {
-            let (b, b_rs) = wide(b, k, n, W, b_panel);
-            for (t0, mr) in tiles(rows, M) {
-                let lhs = match kind {
-                    Kind::Tn => Lhs::<M>::columns(a, m, i0 + t0, mr, &mut a_panel[..k * M]),
-                    _ => Lhs::rows(a, k, i0 + t0, mr),
+        return;
+    }
+    // One zero scan of the left operand the block reads picks the skip or
+    // the dense tile for all of its batches.
+    let skip = (b0..b0 + nb).any(|bi| {
+        let a = job.a_of(bi);
+        has_zero(if kind == Kind::Nn { &a[i0 * k..(i0 + rows) * k] } else { a })
+    });
+    if skip {
+        nn_tn::<true, M, W>(job, batches, (i0, rows), (b_panel, a_panel));
+    } else {
+        nn_tn::<false, M, W>(job, batches, (i0, rows), (b_panel, a_panel));
+    }
+}
+
+/// `a·b` or `aᵀ·b` for each `(batch, output)` of `batches`: rows
+/// `i0..i0 + rows` of the batch's product, written through, `b` read in
+/// place by every row tile (copied into `b_panel` only when narrower than a
+/// tile). `aᵀ·b` reads a tile's `M` columns of `a` in place, `M`
+/// consecutive floats of each row of `a`; only when `a` has fewer than `M`
+/// columns does it pack them into `a_panel`, repeating the last.
+#[inline(always)]
+fn nn_tn<'c, const SKIP: bool, const M: usize, const W: usize>(
+    job: &Job,
+    batches: impl Iterator<Item = (usize, &'c mut [f32])>,
+    (i0, rows): (usize, usize),
+    (b_panel, a_panel): (&mut [f32], &mut [f32]),
+) {
+    let Job { kind, m, k, n, .. } = *job;
+    for (bi, c) in batches {
+        let a = job.a_of(bi);
+        let b = wide(job.b_of(bi), k, n, W, b_panel);
+        for (t0, mr) in tiles(rows, M) {
+            let r0 = i0 + t0;
+            let out = (&mut *c, n, (t0, mr));
+            if kind == Kind::Tn && mr == M {
+                let in_place = || {
+                    a.chunks_exact(m).map(move |row| -> [f32; M] {
+                        row[r0..r0 + M].try_into().expect("a step is M wide")
+                    })
                 };
-                let skip = lhs.has_zero();
-                for (j0, w) in tiles(n, W) {
-                    let acc = lhs.times::<W>(skip, k, &b[j0..], b_rs);
-                    store(&acc, c, n, (t0, mr), (j0, w));
+                strips::<SKIP, M, W, _>(in_place, b, out);
+            } else if kind == Kind::Tn {
+                let panel = &mut a_panel[..k * M];
+                for (p, a_row) in panel.chunks_exact_mut(M).zip(a.chunks_exact(m)) {
+                    for (r, v) in p.iter_mut().enumerate() {
+                        *v = a_row[r0 + r.min(mr - 1)];
+                    }
                 }
+                strips::<SKIP, M, W, _>(|| steps(panel), b, out);
+            } else {
+                let lhs = rows_of::<M>(a, k, r0, mr);
+                strips::<SKIP, M, W, _>(|| columns(&lhs, k), b, out);
             }
         }
     }
 }
 
-/// `a·bᵀ` for the at most [`NR_NARROW`] rows of `a` (prototype queries
-/// against a window's segments): computes `cᵀ = b·aᵀ` instead, tiles running
+/// One row tile times every column strip of `(b, b_rs)`, stored at row `t0`
+/// of `c` (row width `n`).
+#[inline(always)]
+fn strips<const SKIP: bool, const M: usize, const W: usize, I: Iterator<Item = [f32; M]>>(
+    a_steps: impl Fn() -> I,
+    (b, b_rs): (&[f32], usize),
+    (c, n, rows): (&mut [f32], usize, (usize, usize)),
+) {
+    for (j0, w) in tiles(n, W) {
+        let acc = tile::<SKIP, M, W>(a_steps(), (b, b_rs, j0));
+        store(&acc, c, n, rows, (j0, w));
+    }
+}
+
+/// `a·bᵀ` for the at most [`NR_NARROW`] rows of `a` (queries against a
+/// window's segments): computes `cᵀ = b·aᵀ` instead, `M`-row tiles running
 /// down the rows of `b` in place and lanes over the rows of `a`, so only the
-/// narrow operand is transposed. `a·bᵀ` has no skip, and each element is the
-/// same dot product in either orientation. `aᵀ` is packed at the head of
-/// `scratch`, unless `a` is `None`: then the previous call packed the same
-/// rows there.
-fn gemm_nt_narrow<const M: usize, const W: usize>(
-    k: usize,
-    n: usize,
-    a: Option<&[f32]>,
-    b: &[f32],
+/// narrow operand is transposed, once per call when `a` is broadcast.
+/// `a·bᵀ` has no skip, and each element is the same dot product in either
+/// orientation. Each finished tile is stored transposed.
+fn nt_narrow<const M: usize, const W: usize>(
+    job: &Job,
+    b0: usize,
+    rows: (usize, usize),
     c: &mut [f32],
     scratch: &mut [f32],
 ) {
-    let rows = c.len() / n;
-    if let Some(a) = a {
-        pack_t::<W>(a, k, 0, rows, scratch);
+    if rows.1 == W {
+        nt_narrow_tiles::<true, M, W>(job, b0, rows, c, scratch);
+    } else {
+        nt_narrow_tiles::<false, M, W>(job, b0, rows, c, scratch);
     }
-    let panel = &scratch[..k * W];
-    for (t0, mr) in tiles(n, M) {
-        let acc = Lhs::<M>::rows(b, k, t0, mr).times::<W>(false, k, panel, W);
-        for (r, acc_r) in acc.iter().enumerate().take(mr) {
-            for (i, &v) in acc_r.iter().enumerate().take(rows) {
-                c[i * n + t0 + r] = v;
+}
+
+/// [`nt_narrow`] for `a` with `W` rows (`FULL`) or fewer. With every lane
+/// live, a whole tile is stored one output row at a time from fixed lanes;
+/// otherwise lane by lane. The two stores live in separate instances: in
+/// one, the AVX2 build slowed the six-lane case by a sixth.
+#[inline(never)]
+fn nt_narrow_tiles<const FULL: bool, const M: usize, const W: usize>(
+    job: &Job,
+    b0: usize,
+    (i0, rows): (usize, usize),
+    c: &mut [f32],
+    scratch: &mut [f32],
+) {
+    let (k, n) = (job.k, job.n);
+    let panel = &mut scratch[..k * W];
+    for (bi, c_one) in (b0..).zip(c.chunks_exact_mut(rows * n)) {
+        if bi == b0 || job.a.1 != 0 {
+            pack_t::<W>(&job.a_of(bi)[i0 * k..], k, 0, rows, panel);
+        }
+        let b = job.b_of(bi);
+        for (t0, mr) in tiles(n, M) {
+            let lhs = rows_of::<M>(b, k, t0, mr);
+            let acc = tile::<false, M, W>(columns(&lhs, k), (&panel[..], W, 0));
+            if FULL && mr == M {
+                for i in 0..W {
+                    let dst: &mut [f32; M] = (&mut c_one[i * n + t0..][..M])
+                        .try_into()
+                        .expect("a tile spans M outputs");
+                    *dst = std::array::from_fn(|r| acc[r][i]);
+                }
+            } else {
+                for i in 0..rows {
+                    for (d, acc_r) in c_one[i * n + t0..][..mr].iter_mut().zip(&acc) {
+                        *d = acc_r[i];
+                    }
+                }
             }
         }
     }
@@ -465,7 +556,7 @@ pub(crate) enum Kind {
 /// Counts one GEMM entry in the `focus-trace` registry, bucketed by
 /// transpose kind and whether the dispatch may split it across threads.
 /// Every counted site runs on the coordinating thread (worker closures call
-/// [`gemm_rows`] directly), so the counts are thread-count-invariant.
+/// [`gemm_block`] directly), so the counts are thread-count-invariant.
 fn trace_gemm(batched: bool, kind: Kind, macs: usize) {
     if !focus_trace::enabled() {
         return;
@@ -509,11 +600,8 @@ pub(crate) fn gemm_dispatch(
     if m == 0 || n == 0 {
         return;
     }
-    let block = |row0: usize, c_block: &mut [f32]| {
-        with_scratch(scratch_len(k), |s| {
-            gemm_rows(kind, row0, m, k, n, a, b, c_block, s, false)
-        });
-    };
+    let job = Job { kind, m, k, n, a: (a, 0), b: (b, 0) };
+    let block = |row0: usize, c_block: &mut [f32]| gemm_block(&job, 0, (row0, c_block.len() / n), c_block);
     if macs < PAR_MIN_MACS {
         block(0, c);
     } else {
@@ -526,8 +614,8 @@ pub(crate) fn gemm_dispatch(
 /// `c`. Each operand is `(slice, batch stride)`; a stride of 0 broadcasts
 /// one matrix to every batch.
 ///
-/// Many small batches split across threads by batch; few large batches
-/// split inside each GEMM instead.
+/// Many small batches split across threads by batch, each thread's batches
+/// in one [`gemm_block`]; few large batches split inside each GEMM instead.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bmm_dispatch(
     kind: Kind,
@@ -535,8 +623,8 @@ pub(crate) fn bmm_dispatch(
     m: usize,
     k: usize,
     n: usize,
-    (a, a_step): (&[f32], usize),
-    (b, b_step): (&[f32], usize),
+    a: (&[f32], usize),
+    b: (&[f32], usize),
     c: &mut [f32],
 ) {
     let per_batch_macs = m * k * n;
@@ -545,25 +633,16 @@ pub(crate) fn bmm_dispatch(
     if m == 0 || n == 0 {
         return;
     }
-    let (a_len, b_len) = (m * k, k * n);
+    let job = Job { kind, m, k, n, a, b };
     let batch_grain = PAR_GRAIN_MACS.div_ceil(per_batch_macs.max(1)).max(1);
-    let sweep = |b0: usize, chunk: &mut [f32]| {
-        with_scratch(scratch_len(k), |s| {
-            for (bi, c_one) in (b0..).zip(chunk.chunks_exact_mut(m * n)) {
-                let (a_one, b_one) = (&a[bi * a_step..][..a_len], &b[bi * b_step..][..b_len]);
-                let a_packed = a_step == 0 && bi > b0;
-                gemm_rows(kind, 0, m, k, n, a_one, b_one, c_one, s, a_packed);
-            }
-        });
-    };
+    let sweep = |b0: usize, chunk: &mut [f32]| gemm_block(&job, b0, (0, m), chunk);
     if total_macs < PAR_MIN_MACS {
         sweep(0, c);
     } else if bt >= 2 * batch_grain {
         par::parallel_rows(c, m * n, batch_grain, 1, sweep);
     } else {
         for (bi, c_one) in c.chunks_exact_mut(m * n).enumerate() {
-            let (a_one, b_one) = (&a[bi * a_step..][..a_len], &b[bi * b_step..][..b_len]);
-            gemm_dispatch(kind, m, k, n, a_one, b_one, c_one);
+            gemm_dispatch(kind, m, k, n, job.a_of(bi), job.b_of(bi), c_one);
         }
     }
 }
@@ -586,14 +665,17 @@ pub(crate) fn bmm_sum(
         c.fill(0.0);
         return;
     }
+    let skip = has_zero(&a[..bt * m * k]);
     with_scratch(scratch_len(k), |s| {
-        with_tile_shape!(m, n, bmm_sum_tiles((bt, m, k, n), a, b, c, s))
+        with_tile_shape!(m, n, bmm_sum_tiles((bt, m, k, n), skip, a, b, c, s))
     });
 }
 
-/// [`bmm_sum`] with `M × W` tiles.
+/// [`bmm_sum`] with `M × W` tiles: each output tile sums its batches'
+/// products in registers, in ascending batch order.
 fn bmm_sum_tiles<const M: usize, const W: usize>(
     (bt, m, k, n): (usize, usize, usize, usize),
+    skip: bool,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -603,9 +685,9 @@ fn bmm_sum_tiles<const M: usize, const W: usize>(
         for (j0, w) in tiles(n, W) {
             let mut sum = [[0.0f32; W]; M];
             for bi in 0..bt {
-                let lhs = Lhs::<M>::rows(&a[bi * m * k..][..m * k], k, t0, mr);
-                let (b_one, b_rs) = wide(&b[bi * k * n..][..k * n], k, n, W, scratch);
-                let acc = lhs.times::<W>(lhs.has_zero(), k, &b_one[j0..], b_rs);
+                let lhs = rows_of::<M>(&a[bi * m * k..][..m * k], k, t0, mr);
+                let b = wide(&b[bi * k * n..][..k * n], k, n, W, scratch);
+                let acc = batch_tile::<M, W>(skip, &lhs, k, b, j0);
                 for (s_r, acc_r) in sum.iter_mut().zip(&acc) {
                     for (o, &v) in s_r.iter_mut().zip(acc_r) {
                         *o += v;
@@ -614,6 +696,23 @@ fn bmm_sum_tiles<const M: usize, const W: usize>(
             }
             store(&sum, c, n, (t0, mr), (j0, w));
         }
+    }
+}
+
+/// One batch's tile of [`bmm_sum`]. Kept out of line: inlined beside the
+/// running sums, the `4 × 8` tile lost a quarter of its speed.
+#[inline(never)]
+fn batch_tile<const M: usize, const W: usize>(
+    skip: bool,
+    lhs: &[&[f32]; M],
+    k: usize,
+    b: (&[f32], usize),
+    j0: usize,
+) -> [[f32; W]; M] {
+    if skip {
+        tile::<true, M, W>(columns(lhs, k), (b.0, b.1, j0))
+    } else {
+        tile::<false, M, W>(columns(lhs, k), (b.0, b.1, j0))
     }
 }
 

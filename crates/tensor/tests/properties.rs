@@ -269,6 +269,137 @@ fn bcast_family_splits_batches_bitwise() {
     assert_eq!(bcast_mismatch(0xbca6, (100, 6, 12, 40), false), None);
 }
 
+/// The left operand a tile-rule case feeds the kernels: generated data with
+/// exact `±0.0` and `±∞`, dense values with no zero (the dense tile runs),
+/// dense but for one `+0.0` in the last batch (one zero sends every batch of
+/// a call to the skip tile), or all `±0.0` (against `±∞` on the right, a
+/// term the skip drops would turn an output NaN).
+#[derive(Clone, Copy, Debug)]
+enum Left {
+    Specials,
+    Dense,
+    OneZero,
+    Zeros,
+}
+
+fn left_operand(len: usize, kind: Left, rng: &mut StdRng) -> Vec<f32> {
+    use rand::Rng;
+    let dense = |rng: &mut StdRng| -> Vec<f32> {
+        (0..len).map(|_| rng.gen_range(0.5f32..4.0) * if rng.gen_bool(0.5) { -1.0 } else { 1.0 }).collect()
+    };
+    match kind {
+        Left::Specials => gemm_operand(&[len], true, rng).into_vec(),
+        Left::Dense => dense(rng),
+        Left::OneZero => {
+            let mut v = dense(rng);
+            if let Some(last) = v.last_mut() {
+                *last = 0.0;
+            }
+            v
+        }
+        Left::Zeros => (0..len).map(|i| if i % 3 == 0 { -0.0 } else { 0.0 }).collect(),
+    }
+}
+
+/// Runs the `exec` GEMM entry the plan VM calls for `opcode` (`gemm` or
+/// `bmm`) at `[bt, m, k, n]` against per-batch reference chains, at 1, 2
+/// and 4 threads, and names the first mismatch. Outputs start as NaN.
+fn gemm_mismatch(opcode: &str, trans: focus_tensor::exec::Trans, (bt, m, k, n): (usize, usize, usize, usize), left: Left) -> Option<String> {
+    use focus_tensor::exec::{self, Trans};
+    let mut rng = StdRng::seed_from_u64((bt * 1_000_003 + m * 10_007 + k * 101 + n) as u64);
+    let a = left_operand(bt * m * k, left, &mut rng);
+    let b = gemm_operand(&[bt * k * n], true, &mut rng).into_vec();
+    let reference = match trans {
+        Trans::Nn => reference::gemm,
+        Trans::Nt => reference::gemm_nt,
+        Trans::Tn => reference::gemm_tn,
+    };
+    let mut want = vec![0.0f32; bt * m * n];
+    for (bi, c) in want.chunks_exact_mut(m * n).enumerate() {
+        reference(m, k, n, &a[bi * m * k..][..m * k], &b[bi * k * n..][..k * n], c);
+    }
+    let mut mismatch = None;
+    for threads in [1usize, 2, 4] {
+        par::set_threads(threads);
+        let mut got = vec![f32::NAN; bt * m * n];
+        if opcode == "gemm" {
+            exec::gemm(trans, m, k, n, &a, &b, &mut got);
+        } else {
+            exec::bmm(trans, bt, m, k, n, &a, &b, &mut got);
+        }
+        if !same_bits(&got, &want) {
+            mismatch.get_or_insert(format!("{opcode} {trans:?} [{bt},{m},{k},{n}] {left:?} t{threads}"));
+        }
+    }
+    par::set_threads(0);
+    mismatch
+}
+
+/// Every GEMM-family shape of the FOCUS bench model's train plan (32
+/// entities, L = 96, H = 24, p = k = 8, d = 32, m = 6; dims in the plan's
+/// dispatch order), and one shape on each side of each tile rule: the
+/// 24-lane tile for outputs 17 to 24 wide, the 4-row tile, and the narrow
+/// `a·bᵀ` orientation for at most 8 rows; each with every kind of left
+/// operand, bit for bit against the reference at 1, 2 and 4 threads.
+#[test]
+fn plan_shapes_and_tile_rule_edges_bitwise_match_reference() {
+    use focus_tensor::exec::Trans::{Nn, Nt, Tn};
+    let _guard = lock_threads();
+    let plan = [
+        ("gemm", Nn, (1, 384, 8, 32)),
+        ("gemm", Nn, (1, 256, 8, 32)),
+        ("gemm", Nn, (1, 96, 8, 32)),
+        ("gemm", Nn, (1, 8, 8, 32)),
+        ("gemm", Nn, (1, 192, 64, 32)),
+        ("gemm", Nn, (1, 32, 192, 24)),
+        ("gemm", Nt, (1, 32, 24, 192)),
+        ("gemm", Nt, (1, 192, 32, 64)),
+        ("gemm", Nt, (1, 96, 32, 8)),
+        ("gemm", Nt, (1, 256, 32, 8)),
+        ("gemm", Tn, (1, 192, 32, 24)),
+        ("gemm", Tn, (1, 64, 192, 32)),
+        ("gemm", Tn, (1, 8, 96, 32)),
+        ("gemm", Tn, (1, 8, 8, 32)),
+        ("gemm", Tn, (1, 8, 256, 32)),
+        ("gemm", Tn, (1, 8, 384, 32)),
+        ("bmm", Nn, (32, 8, 12, 8)),
+        ("bmm", Nn, (12, 8, 32, 8)),
+        ("bmm", Nn, (32, 6, 12, 32)),
+        ("bmm", Nt, (32, 6, 32, 12)),
+        ("bmm", Nt, (12, 8, 8, 32)),
+        ("bmm", Nt, (32, 8, 8, 12)),
+        ("bmm", Tn, (32, 12, 6, 32)),
+    ];
+    let mut cases = plan.to_vec();
+    for trans in [Nn, Nt, Tn] {
+        // Widths 16 | 17 and 24 | 25 straddle the 24-lane tile; 3 and 9
+        // rows run short tiles of it, 4 and 32 full ones.
+        for n in [16, 17, 24, 25] {
+            for m in [3, 4, 9, 32] {
+                cases.push(("gemm", trans, (1, m, 6, n)));
+            }
+            cases.push(("bmm", trans, (3, 5, 8, n)));
+        }
+        // Row counts 4 | 6 and 24 | 28 straddle the 4-row tile; 8 | 9 rows
+        // and widths 8 | 9 straddle the narrow a·bᵀ orientation.
+        for (m, n) in [(4, 33), (6, 33), (24, 33), (28, 33), (8, 9), (9, 9), (8, 8), (6, 12)] {
+            cases.push(("bmm", trans, (3, m, 7, n)));
+        }
+    }
+    for (opcode, trans, dims) in cases {
+        for left in [Left::Specials, Left::Dense, Left::OneZero, Left::Zeros] {
+            assert_eq!(gemm_mismatch(opcode, trans, dims, left), None);
+        }
+    }
+    // The broadcast opcodes' plan shapes, as `[bsz, k, l, d]`:
+    // `bcast_nt` [32,8,8,12], [12,8,8,32], [32,6,32,12], [1,8,32,8] and the
+    // `bcast_nt_da`/`_dx` shapes at the same `[bsz, k, l, d]`.
+    for (i, dims) in [(32, 8, 12, 8), (12, 8, 32, 8), (32, 6, 12, 32), (1, 8, 8, 32)].into_iter().enumerate() {
+        assert_eq!(bcast_mismatch(0x9a7e + i as u64, dims, true), None);
+        assert_eq!(bcast_mismatch(0x9b7e + i as u64, dims, false), None);
+    }
+}
+
 // Bitwise parity of the tiled + parallel matmul family with the serial
 // reference. Shapes deliberately straddle the tile edges: empty and
 // single-row cases, dims off every MR/NR multiple, `k` from 0 up past 256,
