@@ -386,6 +386,10 @@ fn plan_shapes_and_tile_rule_edges_bitwise_match_reference() {
             cases.push(("bmm", trans, (3, m, 7, n)));
         }
     }
+    // Above the parallel threshold at 2 and 4 threads: the narrow a·bᵀ split
+    // into row blocks of 6 and 2, and a batched call split by batches.
+    cases.push(("gemm", Nt, (1, 8, 64, 600)));
+    cases.push(("bmm", Nn, (128, 8, 32, 8)));
     for (opcode, trans, dims) in cases {
         for left in [Left::Specials, Left::Dense, Left::OneZero, Left::Zeros] {
             assert_eq!(gemm_mismatch(opcode, trans, dims, left), None);
