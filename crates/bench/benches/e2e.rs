@@ -8,7 +8,9 @@
 //!   the bytes of its power-of-two slots;
 //! * Fig. 8 — the offline phase: Rec Only against Rec+Corr, the closed-form
 //!   mean against AdamW prototype updates, and `FocusConfig::cluster` on a
-//!   PEMS08 profile;
+//!   PEMS08 profile and at perfbench `offline-cluster`'s shape; every timed
+//!   fit must repeat its warm-up fit's centers bit for bit
+//!   (`…/output_match`);
 //! * §VII-B — the Parallel Fusion Module against gated linear fusion over
 //!   the entity count `N`.
 //!
@@ -34,6 +36,7 @@ use focus_tensor::{par, work, Tensor};
 use focus_trace::report::RunReport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 
 /// Timed calls per series, after one warm-up call: enough that ten samples
 /// lie beyond the p90.
@@ -147,24 +150,66 @@ fn sinusoid_segments(n: usize) -> Tensor {
     Tensor::from_vec(data, &[n, 16]).add(&Tensor::randn(&[n, 16], 0.1, &mut rng))
 }
 
+/// Wraps a fit so that every call after the first checks its centers
+/// against the first call's (the warm-up's), bit for bit, clearing `same`
+/// on a mismatch.
+fn repeat_checked<'a>(mut fit: impl FnMut() -> Prototypes + 'a, same: &'a Cell<bool>) -> impl FnMut() -> Prototypes + 'a {
+    let mut first: Option<Vec<u32>> = None;
+    move || {
+        let protos = fit();
+        let bits: Vec<u32> = protos.centers().data().iter().map(|v| v.to_bits()).collect();
+        match &first {
+            None => first = Some(bits),
+            Some(first) => same.set(same.get() && *first == bits),
+        }
+        protos
+    }
+}
+
+/// Records `{key}/output_match` for each fit series: 1 when every timed fit
+/// returned its warm-up fit's centers. Returns whether all did.
+fn record_matches(report: &mut RunReport, keys: &[String], same: &[Cell<bool>]) -> bool {
+    for (key, same) in keys.iter().zip(same) {
+        println!("{key}: every fit repeats the warm-up's centers: {}", same.get());
+        report.metric(&format!("{key}/output_match"), f64::from(u8::from(same.get())));
+    }
+    same.iter().all(Cell::get)
+}
+
 /// Algorithm 1 at p = k = 16 over 10 iterations (the two objectives, then
-/// the two prototype update rules), then FOCUS's whole offline phase.
-fn clustering(report: &mut RunReport) {
+/// the two prototype update rules), then FOCUS's whole offline phase, at
+/// this bench's PEMS08 profile and at perfbench `offline-cluster`'s shape.
+/// Every timed fit must repeat its warm-up fit bit for bit; returns whether
+/// all did.
+fn clustering(report: &mut RunReport) -> bool {
     let config = |objective, update| {
         ClusterConfig::new(16, 16).with_objective(objective).with_update(update).with_max_iters(10)
     };
+    let mut all_match = true;
     for n in [512usize, 2048] {
         let segs = sinusoid_segments(n);
         let rec_only = config(Objective::RecOnly, ProtoUpdate::paper_default());
         let rec_corr = config(Objective::rec_corr(0.2), ProtoUpdate::paper_default());
         let keys = ["rec_only", "rec_corr"].map(|obj| format!("clustering_objective/{obj}/{n}"));
-        record_each(report, keys, [&mut || rec_only.fit(&segs, 1), &mut || rec_corr.fit(&segs, 1)]);
+        let same = [(); 2].map(|()| Cell::new(true));
+        record_each(
+            report,
+            keys.clone(),
+            [&mut repeat_checked(|| rec_only.fit(&segs, 1), &same[0]), &mut repeat_checked(|| rec_corr.fit(&segs, 1), &same[1])],
+        );
+        all_match &= record_matches(report, &keys, &same);
     }
     let segs = sinusoid_segments(1024);
     let mean = config(Objective::RecOnly, ProtoUpdate::ClosedFormMean);
     let adamw = config(Objective::rec_corr(0.2), ProtoUpdate::paper_default());
     let keys = ["closed_form_mean", "adamw"].map(|rule| format!("clustering_update/{rule}"));
-    record_each(report, keys, [&mut || mean.fit(&segs, 2), &mut || adamw.fit(&segs, 2)]);
+    let same = [(); 2].map(|()| Cell::new(true));
+    record_each(
+        report,
+        keys.clone(),
+        [&mut repeat_checked(|| mean.fit(&segs, 2), &same[0]), &mut repeat_checked(|| adamw.fit(&segs, 2), &same[1])],
+    );
+    all_match &= record_matches(report, &keys, &same);
 
     let ds = MtsDataset::generate(Benchmark::Pems08.scaled(12, 2_400), 7);
     let mut cfg = FocusConfig::new(96, 24);
@@ -172,7 +217,25 @@ fn clustering(report: &mut RunReport) {
     cfg.n_prototypes = 12;
     cfg.cluster_iters = 10;
     let train = ds.train_matrix();
-    record_each(report, ["offline_phase".into()], [&mut || cfg.cluster(&train, 1)]);
+    // perfbench `offline-cluster`: 32 series of 2 000 steps (a 32 × 1 200
+    // training matrix, 4 800 segments), p = k = 8, 6 iterations.
+    let bench_ds = MtsDataset::generate(Benchmark::Pems08.scaled(32, 2_000), 7);
+    let mut bench_cfg = FocusConfig::new(96, 24);
+    bench_cfg.segment_len = 8;
+    bench_cfg.n_prototypes = 8;
+    bench_cfg.cluster_iters = 6;
+    let bench_train = bench_ds.train_matrix();
+    let keys = ["offline_phase".to_string(), "offline_phase_4800x8_k8".to_string()];
+    let same = [(); 2].map(|()| Cell::new(true));
+    record_each(
+        report,
+        keys.clone(),
+        [
+            &mut repeat_checked(|| cfg.cluster(&train, 1), &same[0]),
+            &mut repeat_checked(|| bench_cfg.cluster(&bench_train, 1), &same[1]),
+        ],
+    );
+    all_match & record_matches(report, &keys, &same)
 }
 
 /// Every zoo model's `predict` on one window, next to the FLOPs and peak
@@ -259,12 +322,14 @@ fn main() {
         .setting("assignment", "[8, 64, p=8] segments, k=16")
         .setting("clustering", "p=16, k=16, 10 iterations; update rules on 1024 segments")
         .setting("offline_phase", "PEMS08 profile, 12 entities x 2400 steps, p=8, k=12, 10 iterations")
+        .setting("offline_phase_4800x8_k8", "perfbench offline-cluster: 32 entities x 2000 steps, p=8, k=8, 6 iterations")
         .setting("forward_pass", "predict, 12 entities, L=96, L_f=24, d=24, k=12")
         .setting("fusion", "[N, 24, 32] branches, m=6, horizon 24");
     attention_scaling(&mut report);
     assignment(&mut report);
-    clustering(&mut report);
+    let fits_match = clustering(&mut report);
     forward_pass(&mut report);
     fusion_scaling(&mut report);
     write_report(&report, concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e2e.json"));
+    assert!(fits_match, "a timed fit returned other centers than its warm-up fit");
 }

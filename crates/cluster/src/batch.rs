@@ -24,10 +24,15 @@
 //! **Kernel.** Per block, a pass takes [`CHAINS`] = 16 accumulators of 16
 //! lanes: 16 centers under Rec Only, or 8 centers with both chains under
 //! Rec+Corr. Each step is one vector load of the panel and, per chain, one
-//! broadcast multiply and one add. The Eq. 6 epilogue then runs on the
-//! accumulators, and each caller reduces the finished `[J, LANES]` tile in
-//! place: the k-means++ sweep lowers its running minimum
-//! ([`lower_to_center`]), the assignment sweep keeps a strict-`<` argmin
+//! broadcast multiply and one add. An 8-center Rec+Corr pass runs its raw
+//! chains to the end and through their part of the epilogue before it
+//! starts the correlation chains, so only half of its accumulators are live
+//! at once; a narrower pass runs both chains in one loop, and a one-center
+//! pass runs both chains of two blocks in one loop.
+//! The Eq. 6 epilogue then runs on the accumulators, and each caller
+//! reduces the finished `[J, LANES]` tile in place: the k-means++ sweep
+//! lowers its running minimum and keeps the pick that set it
+//! ([`lower_to_pick`]), the assignment sweep keeps a strict-`<` argmin
 //! over ascending `j` ([`assign_batched`]), soft routing writes the rows
 //! out ([`distance_matrix`]). No `[n, k]` scratch exists. Threads split
 //! the blocks.
@@ -50,15 +55,18 @@
 
 use crate::objective::Objective;
 use focus_tensor::{par, pool, stats, work, Tensor};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Rows per panel block: one 16-lane accumulator per dot chain.
 const LANES: usize = 16;
 
 /// Dot chains per pass over a block (`CHAINS` centers, or `CHAINS / 2`
-/// with the correlation chain): enough independent chains to hide the add
-/// latency, and with AVX-512 every 16-lane accumulator stays in one of the
-/// 32 vector registers. An AVX2 build spills some of them, yet a whole
-/// offline fit still measured faster with 16 chains than with 4 there.
+/// with the correlation chain, which [`tile`] then runs after the raw
+/// ones): enough independent chains to hide the add latency. At 256-bit
+/// vectors a chain takes two registers, so a Rec+Corr loop's 8 chains fill
+/// half of AVX-512's 32 and Rec Only's 16 fill them all; an AVX2 build
+/// spills some, yet a whole offline fit still measured faster with 16
+/// chains than with 4 there.
 const CHAINS: usize = 16;
 
 /// Minimum multiply–accumulates per thread before a sweep splits its
@@ -129,13 +137,13 @@ impl CenterCache {
 /// rows, the centred-normalised rows `x̂_i` (zero for constant segments;
 /// absent when the objective has no correlation term) and `‖x_i‖²`.
 ///
-/// A fit builds one cache and shares it by every k-means++ sweep and every
-/// assignment sweep, and copies `x̂` out once for the update step's bucket
-/// pass ([`SegmentCache::unit_rows`]); one-shot [`crate::Prototypes`] calls
-/// build one per call. Blocks are filled independently, so the cache is
-/// bitwise the same at any thread count, and a fit's sweeps equal one-shot
-/// calls bit for bit. The block buffer comes from the tensor pool and goes
-/// back to it on drop.
+/// A fit builds one cache ([`SegmentCache::for_fit`]) and shares it by
+/// every k-means++ sweep and every assignment sweep; its build also writes
+/// `x̂` in row-major order for the update step's bucket pass. One-shot
+/// [`crate::Prototypes`] calls build one per call, without those rows.
+/// Blocks are filled independently, so the cache is bitwise the same at any
+/// thread count, and a fit's sweeps equal one-shot calls bit for bit. The
+/// block buffer comes from the tensor pool and goes back to it on drop.
 pub(crate) struct SegmentCache {
     n: usize,
     p: usize,
@@ -182,6 +190,7 @@ impl<'a> Panel<'a> {
 }
 
 impl SegmentCache {
+    #[cfg(test)]
     pub(crate) fn new(segments: &Tensor, objective: &Objective) -> SegmentCache {
         assert_eq!(segments.rank(), 2, "segments must be [n, p]");
         let (n, p) = (segments.dims()[0], segments.dims()[1]);
@@ -190,6 +199,45 @@ impl SegmentCache {
 
     /// The cache of the `n` row-major rows of `data`, `p` wide.
     pub(crate) fn from_rows(data: &[f32], n: usize, p: usize, objective: &Objective) -> SegmentCache {
+        SegmentCache::build(data, n, p, objective, &mut []).0
+    }
+
+    /// A fit's cache of `segments: [n, p]`, plus the centred-normalised rows
+    /// `x̂_i` (all-zero when flat) in row-major order, padded to whole
+    /// blocks, in a tensor-pool buffer, when `unit_rows` is set and the
+    /// objective has a correlation term (else empty). The fit's bucket pass
+    /// adds whole rows into its f64 sums, one vector per row, where a row
+    /// read from the panel is a stride-16 gather; each block writes its rows
+    /// while they are still in cache.
+    ///
+    /// `Err(i)`: segment `i` is the first to hold a NaN or an infinity. A
+    /// lane's f64 `‖x‖²` is finite exactly when its row is (the square of
+    /// any finite `f32` is far inside f64's range), so clean data pays no
+    /// pass of its own for the check.
+    pub(crate) fn for_fit(
+        segments: &Tensor,
+        objective: &Objective,
+        unit_rows: bool,
+    ) -> Result<(SegmentCache, Vec<f32>), usize> {
+        assert_eq!(segments.rank(), 2, "segments must be [n, p]");
+        let (n, p) = (segments.dims()[0], segments.dims()[1]);
+        let mut rows = if unit_rows && objective.alpha() > 0.0 {
+            pool::take(n.div_ceil(LANES) * LANES * p)
+        } else {
+            Vec::new()
+        };
+        let (cache, first_bad) = SegmentCache::build(segments.data(), n, p, objective, &mut rows);
+        if first_bad < n {
+            pool::give(rows);
+            return Err(first_bad);
+        }
+        Ok((cache, rows))
+    }
+
+    /// The cache of `n` rows of `data`, writing `x̂` row-major into
+    /// `unit_rows` unless it is empty, and the first row holding a
+    /// non-finite value (`usize::MAX` if none).
+    fn build(data: &[f32], n: usize, p: usize, objective: &Objective, unit_rows: &mut [f32]) -> (SegmentCache, usize) {
         let corr = objective.alpha() > 0.0;
         let stride = record_len(p, corr);
         // Per value: the square and the sum (3 FLOPs); with the correlation
@@ -199,23 +247,39 @@ impl SegmentCache {
         // lanes included, so no zeroing pass runs, and a repeated build of
         // the same size (a refit, a routed window) allocates nothing.
         let mut blocks = pool::take(n.div_ceil(LANES) * stride);
+        let first_bad = AtomicUsize::new(usize::MAX);
         if p == 0 {
             blocks.fill(0.0);
         } else {
             let grain_blocks = BUILD_GRAIN.div_ceil(LANES * p).max(1);
-            par::parallel_rows(&mut blocks, stride, grain_blocks, 1, |b0, chunk| {
-                for (b, record) in (b0..).zip(chunk.chunks_exact_mut(stride)) {
-                    fill_block(&data[b * LANES * p..n.min((b + 1) * LANES) * p], p, corr, record);
+            let fill_block: FillBlock = match p {
+                8 => fill_block::<8>,
+                16 => fill_block::<16>,
+                _ => fill_block::<0>,
+            };
+            let fill = |b: usize, record: &mut [f32], unit_rows: &mut [f32]| {
+                let rows = &data[b * LANES * p..n.min((b + 1) * LANES) * p];
+                if let Some(r) = fill_block(rows, p, corr, record, unit_rows) {
+                    first_bad.fetch_min(b * LANES + r, Ordering::Relaxed);
                 }
-            });
+            };
+            if unit_rows.is_empty() {
+                par::parallel_rows(&mut blocks, stride, grain_blocks, 1, |b0, chunk| {
+                    for (b, record) in (b0..).zip(chunk.chunks_exact_mut(stride)) {
+                        fill(b, record, &mut []);
+                    }
+                });
+            } else {
+                assert!(corr, "unit rows exist only with the correlation term");
+                par::parallel_rows2(&mut blocks, stride, unit_rows, LANES * p, grain_blocks, |b0, chunk, rows| {
+                    let blocks = chunk.chunks_exact_mut(stride).zip(rows.chunks_exact_mut(LANES * p));
+                    for (b, (record, unit_rows)) in (b0..).zip(blocks) {
+                        fill(b, record, unit_rows);
+                    }
+                });
+            }
         }
-        SegmentCache { n, p, corr, blocks }
-    }
-
-    /// The blocks in ascending order: block `b` holds rows
-    /// `b·LANES .. (b + 1)·LANES`.
-    fn panels(&self) -> impl Iterator<Item = Panel<'_>> {
-        (0..self.n.div_ceil(LANES)).map(|b| self.panel(b))
+        (SegmentCache { n, p, corr, blocks }, first_bad.into_inner())
     }
 
     fn panel(&self, b: usize) -> Panel<'_> {
@@ -230,38 +294,27 @@ impl SegmentCache {
         }
     }
 
-    /// The centred-normalised rows `x̂_i` (all-zero when flat) copied out
-    /// of the unit panel as row-major `[n, p]`, in a tensor-pool buffer;
-    /// empty without the correlation term. The fit's bucket pass adds whole
-    /// rows into its f64 sums, one vector per row, where a row read from
-    /// the panel is a stride-16 gather.
-    pub(crate) fn unit_rows(&self) -> Vec<f32> {
-        if !self.corr {
-            return Vec::new();
-        }
-        let p = self.p;
-        let mut rows = pool::take(self.n * p);
-        for (panel, block) in self.panels().zip(rows.chunks_mut(LANES * p)) {
-            for (t, step) in panel.unit.chunks_exact(LANES).enumerate() {
-                for (row, &u) in block.chunks_exact_mut(p).zip(step) {
-                    row[t] = u;
-                }
-            }
-        }
-        rows
-    }
 }
+
+/// [`fill_block`] at one row width: the common segment lengths get their
+/// own instance, whose loops have fixed trip counts (about 10% faster
+/// blocks at `p = 8`).
+type FillBlock = fn(&[f32], usize, bool, &mut [f32], &mut [f32]) -> Option<usize>;
 
 /// Fills one block record from its at most [`LANES`] row-major rows (`p`
 /// wide): the raw panel, then per lane `‖x‖²` and the centred-normalised
-/// row `x̂ = (x − mean) / ‖x − mean‖`. A row whose centred sum of squares
-/// `sxx` falls at or under the shared scale-aware [`stats::zero_variance`]
-/// floor normalises to all-zero, matching `stats::pearson`'s zero-variance
-/// convention; an exactly constant row has `sxx == 0`, since the f64 sum and
-/// mean of equal `f32` values are exact. Each lane's statistics are f64
-/// chains over `t` in ascending order, as a row-by-row pass would accumulate
-/// them, and padding lanes read as flat zero rows.
-fn fill_block(rows: &[f32], p: usize, corr: bool, record: &mut [f32]) {
+/// row `x̂ = (x − mean) / ‖x − mean‖`, which it also writes row-major into
+/// `unit_rows` (`LANES` rows) unless that is empty. A row whose centred sum
+/// of squares `sxx` falls at or under the shared scale-aware
+/// [`stats::zero_variance`] floor normalises to all-zero, matching
+/// `stats::pearson`'s zero-variance convention; an exactly constant row has
+/// `sxx == 0`, since the f64 sum and mean of equal `f32` values are exact.
+/// Each lane's statistics are f64 chains over `t` in ascending order, as a
+/// row-by-row pass would accumulate them, and padding lanes read as flat
+/// zero rows. Returns the first lane whose row holds a non-finite value.
+/// `P > 0` fixes the width `p` at compile time.
+fn fill_block<const P: usize>(rows: &[f32], p: usize, corr: bool, record: &mut [f32], unit_rows: &mut [f32]) -> Option<usize> {
+    let p = if P > 0 { P } else { p };
     let (raw, rest) = record.split_at_mut(p * LANES);
     let (unit, sq) = rest.split_at_mut(rest.len() - LANES);
     if rows.len() < LANES * p {
@@ -283,8 +336,15 @@ fn fill_block(rows: &[f32], p: usize, corr: bool, record: &mut [f32]) {
     for (o, &q) in sq.iter_mut().zip(&x2) {
         *o = q as f32;
     }
+    // An OR over the lanes, not an early-exit search, so clean blocks pay
+    // one vector compare.
+    let non_finite = if x2.iter().fold(false, |bad, q| bad | !q.is_finite()) {
+        x2.iter().position(|q| !q.is_finite())
+    } else {
+        None
+    };
     if !corr {
-        return;
+        return non_finite;
     }
     let mean = sum.map(|s| s / p as f64);
     let mut sxx = [0.0f64; LANES];
@@ -303,43 +363,115 @@ fn fill_block(rows: &[f32], p: usize, corr: bool, record: &mut [f32]) {
             *u = if flat[r] { 0.0 } else { ((x as f64 - mean[r]) * inv[r]) as f32 };
         }
     }
-}
-
-/// Distances from the rows of `panel` to centers `j0 .. j0 + J`, as
-/// `[J, LANES]`. First the dots `x·c` (and, with `CORR`, `x̂·ĉ`) of every
-/// lane, each one chain in ascending `t` from `+0.0`, one multiply then one
-/// add per step, held in registers throughout; then the Eq. 6 epilogue
-/// `max(‖x‖² − 2·x·c + ‖c‖², 0) + α·(1 − clamp(x̂·ĉ, −1, 1))`, with the
-/// correlation term only when `CORR` (α > 0).
-#[inline(always)]
-fn tile<const J: usize, const CORR: bool>(panel: Panel<'_>, cache: &CenterCache, j0: usize) -> [[f32; LANES]; J] {
-    let mut dot = [[0.0f32; LANES]; J];
-    let mut unit_dot = [[0.0f32; LANES]; J];
-    let steps = panel.raw.chunks_exact(LANES).zip(cache.pairs.chunks_exact(2 * cache.k));
-    for (t, (x, step)) in steps.enumerate() {
-        let x: &[f32; LANES] = x.try_into().expect("a panel step is LANES wide");
-        let pairs = &step[2 * j0..2 * (j0 + J)];
-        // Lanes outer, centers inner: the lane loop becomes the vector.
-        for r in 0..LANES {
-            for jj in 0..J {
-                dot[jj][r] += x[r] * pairs[2 * jj];
-            }
-        }
-        if CORR {
-            let u: &[f32; LANES] = panel.unit[t * LANES..(t + 1) * LANES].try_into().expect("a panel step is LANES wide");
-            for r in 0..LANES {
-                for jj in 0..J {
-                    unit_dot[jj][r] += u[r] * pairs[2 * jj + 1];
-                }
+    if !unit_rows.is_empty() {
+        for (t, ustep) in unit.chunks_exact(LANES).enumerate() {
+            for (row, &u) in unit_rows.chunks_exact_mut(p).zip(ustep) {
+                row[t] = u;
             }
         }
     }
-    let (x2, c2, alpha) = (panel.sq_norms, &cache.sq_norms[j0..j0 + J], cache.alpha);
+    non_finite
+}
+
+/// One step of `J` dot chains: per lane `r`, `acc[jj][r] += v[r] ·
+/// pairs[2·jj + side]`, `side` 0 for the raw chain and 1 for the
+/// correlation chain. Lanes outer, centers inner: the lane loop becomes the
+/// vector.
+#[inline(always)]
+fn chain_step<const J: usize>(acc: &mut [[f32; LANES]; J], v: &[f32], pairs: &[f32], side: usize) {
+    let v: &[f32; LANES] = v.try_into().expect("a panel step is LANES wide");
+    for r in 0..LANES {
+        for jj in 0..J {
+            acc[jj][r] += v[r] * pairs[2 * jj + side];
+        }
+    }
+}
+
+/// The reconstruction part of the Eq. 6 epilogue, `max(‖x‖² − 2·x·c +
+/// ‖c‖², 0)`.
+#[inline(always)]
+fn rec_term(x2: f32, dot: f32, c2: f32) -> f32 {
+    (x2 - 2.0 * dot + c2).max(0.0)
+}
+
+/// The correlation part of the Eq. 6 epilogue, `α·(1 − clamp(x̂·ĉ, −1, 1))`.
+#[inline(always)]
+fn corr_term(alpha: f32, unit_dot: f32) -> f32 {
+    alpha * (1.0 - unit_dot.clamp(-1.0, 1.0))
+}
+
+/// Distances from the rows of `panel` to centers `j0 .. j0 + J`, as
+/// `[J, LANES]`: the dots `x·c` (and, with `CORR`, `x̂·ĉ`) of every lane,
+/// each one chain in ascending `t` from `+0.0`, one multiply then one add
+/// per step, held in registers throughout, then the Eq. 6 epilogue, with
+/// the correlation term only when `CORR` (α > 0). Both chains share one
+/// loop while their `2·J` rows of accumulators fit half of [`CHAINS`]; a
+/// wider tile (8 centers under Rec+Corr) runs its raw chains and their part
+/// of the epilogue first, then its correlation chains, so at 256-bit vectors
+/// its 16 registers of accumulators fit beside its operands instead of
+/// spilling.
+#[inline(always)]
+fn tile<const J: usize, const CORR: bool>(panel: Panel<'_>, cache: &CenterCache, j0: usize) -> [[f32; LANES]; J] {
+    let split = CORR && 2 * J > CHAINS / 2;
+    let steps = cache.pairs.chunks_exact(2 * cache.k).map(|step| &step[2 * j0..2 * (j0 + J)]);
+    let mut dot = [[0.0f32; LANES]; J];
+    let mut unit_dot = [[0.0f32; LANES]; J];
+    for (t, (x, pairs)) in panel.raw.chunks_exact(LANES).zip(steps.clone()).enumerate() {
+        chain_step(&mut dot, x, pairs, 0);
+        if CORR && !split {
+            chain_step(&mut unit_dot, &panel.unit[t * LANES..(t + 1) * LANES], pairs, 1);
+        }
+    }
+    let (x2, c2) = (panel.sq_norms, &cache.sq_norms[j0..j0 + J]);
     let mut d = [[0.0f32; LANES]; J];
     for r in 0..LANES {
         for jj in 0..J {
-            let rec = (x2[r] - 2.0 * dot[jj][r] + c2[jj]).max(0.0);
-            d[jj][r] = if CORR { rec + alpha * (1.0 - unit_dot[jj][r].clamp(-1.0, 1.0)) } else { rec };
+            d[jj][r] = rec_term(x2[r], dot[jj][r], c2[jj]);
+        }
+    }
+    if CORR {
+        if split {
+            for (u, pairs) in panel.unit.chunks_exact(LANES).zip(steps) {
+                chain_step(&mut unit_dot, u, pairs, 1);
+            }
+        }
+        for r in 0..LANES {
+            for jj in 0..J {
+                d[jj][r] += corr_term(cache.alpha, unit_dot[jj][r]);
+            }
+        }
+    }
+    d
+}
+
+/// Distances from the rows of `B` consecutive blocks to the single center
+/// `j`, as `[B, LANES]`, with [`tile`]'s chains and epilogue. One center
+/// gives a block only one or two chains, too few to hide the add latency,
+/// so both chains of all `B` blocks share one loop.
+#[inline(always)]
+fn one_center_tile<const B: usize, const CORR: bool>(
+    panels: &[Panel<'_>; B],
+    cache: &CenterCache,
+    j: usize,
+) -> [[f32; LANES]; B] {
+    let mut dot = [[[0.0f32; LANES]; 1]; B];
+    let mut unit_dot = [[[0.0f32; LANES]; 1]; B];
+    for (t, step) in cache.pairs.chunks_exact(2 * cache.k).enumerate() {
+        let pairs = &step[2 * j..2 * j + 2];
+        let lanes = t * LANES..(t + 1) * LANES;
+        for (b, panel) in panels.iter().enumerate() {
+            chain_step(&mut dot[b], &panel.raw[lanes.clone()], pairs, 0);
+            if CORR {
+                chain_step(&mut unit_dot[b], &panel.unit[lanes.clone()], pairs, 1);
+            }
+        }
+    }
+    let c2 = cache.sq_norms[j];
+    let mut d = [[0.0f32; LANES]; B];
+    for (b, panel) in panels.iter().enumerate() {
+        for r in 0..LANES {
+            let rec = rec_term(panel.sq_norms[r], dot[b][0][r], c2);
+            d[b][r] = if CORR { rec + corr_term(cache.alpha, unit_dot[b][0][r]) } else { rec };
         }
     }
     d
@@ -379,9 +511,7 @@ fn centers<const J: usize, const CORR: bool>(
 /// Runs `f(panel, out_rows)` for every block of a sweep against `cache`,
 /// `out_rows` being the block's segments' rows of `out` (`row_len` values
 /// each). Blocks split across threads on block boundaries once a thread
-/// gets [`SWEEP_GRAIN_MACS`] of work. The sweep's FLOPs count once: per
-/// segment, center and dot chain, 2 per multiply–accumulate and 3 for the
-/// chain's share of the Eq. 6 epilogue.
+/// gets [`SWEEP_GRAIN_MACS`] of work.
 fn for_each_panel<T: Send>(
     seg: &SegmentCache,
     cache: &CenterCache,
@@ -389,13 +519,11 @@ fn for_each_panel<T: Send>(
     row_len: usize,
     f: impl Fn(Panel<'_>, &mut [T]) + Sync,
 ) {
-    let macs_per_row = macs_per_row(seg, cache);
+    let grain_rows = sweep_grain_rows(seg, cache);
     assert_eq!(out.len(), seg.n * row_len, "output length {} != {} rows of {row_len}", out.len(), seg.n);
-    work::add_flops(seg.n * (2 * macs_per_row + 3 * cache.k * (1 + usize::from(seg.corr))));
     if out.is_empty() {
         return;
     }
-    let grain_rows = SWEEP_GRAIN_MACS.div_ceil(macs_per_row.max(1)).next_multiple_of(LANES);
     par::parallel_rows(out, row_len, grain_rows, LANES, |row0, chunk| {
         for (b, rows) in (row0 / LANES..).zip(chunk.chunks_mut(LANES * row_len)) {
             f(seg.panel(b), rows);
@@ -403,11 +531,17 @@ fn for_each_panel<T: Send>(
     });
 }
 
-/// Multiply–accumulates per segment of a sweep against `cache`.
-fn macs_per_row(seg: &SegmentCache, cache: &CenterCache) -> usize {
+/// Checks that `seg` and `cache` belong to one sweep, counts the sweep's
+/// FLOPs (per segment, center and dot chain, 2 per multiply–accumulate and 3
+/// for the chain's share of the Eq. 6 epilogue) and returns its rows per
+/// thread: a multiple of [`LANES`] worth [`SWEEP_GRAIN_MACS`].
+fn sweep_grain_rows(seg: &SegmentCache, cache: &CenterCache) -> usize {
     assert_eq!(seg.p, cache.p, "segment width {} != prototype width {}", seg.p, cache.p);
     assert_eq!(seg.corr, cache.alpha > 0.0, "segment and center caches built for different objectives");
-    cache.k * cache.p * (1 + usize::from(seg.corr))
+    let chains = 1 + usize::from(seg.corr);
+    let macs_per_row = cache.k * cache.p * chains;
+    work::add_flops(seg.n * (2 * macs_per_row + 3 * cache.k * chains));
+    SWEEP_GRAIN_MACS.div_ceil(macs_per_row.max(1)).next_multiple_of(LANES)
 }
 
 /// The full `[n, k]` composite distance matrix.
@@ -426,39 +560,137 @@ pub(crate) fn distance_matrix(seg: &SegmentCache, cache: &CenterCache) -> Tensor
 
 /// Nearest center per segment: fills `out[i] = (argmin_j d_ij, min_j d_ij)`
 /// with the lowest-index tie-break (strict `<` over ascending `j`, exactly
-/// like the scalar oracle).
+/// like the scalar oracle). The argmin lanes are `u32`, the width of the
+/// distance lanes, so the select vectorises without widening.
 pub(crate) fn assign_batched(seg: &SegmentCache, cache: &CenterCache, out: &mut [(usize, f32)]) {
     focus_trace::span!("cluster/assign");
     let n = seg.n;
     focus_trace::counter_add("cluster/segments_assigned", n as u64);
     assert_eq!(out.len(), n, "output length {} != segment count {n}", out.len());
+    assert!(u32::try_from(cache.k).is_ok(), "{} centers overflow the u32 argmin lanes", cache.k);
     for_each_panel(seg, cache, out, 1, |panel, block| {
-        let mut best = [0usize; LANES];
+        let mut best = [0u32; LANES];
         let mut best_d = [f32::INFINITY; LANES];
-        each_center(panel, cache, |j, d| {
-            for ((b, bd), &v) in best.iter_mut().zip(&mut best_d).zip(d) {
-                let nearer = v < *bd;
-                *bd = if nearer { v } else { *bd };
-                *b = if nearer { j } else { *b };
-            }
-        });
+        each_center(panel, cache, |j, d| lower_lanes(&mut best_d, &mut best, d, j as u32));
         for ((o, &b), &bd) in block.iter_mut().zip(&best).zip(&best_d) {
-            *o = (b, bd);
+            *o = (b as usize, bd);
         }
     });
 }
 
-/// One k-means++ sweep: lowers `dists[i]` to the distance from segment `i`
-/// to the single center of `center` wherever that is nearer.
-pub(crate) fn lower_to_center(seg: &SegmentCache, center: &CenterCache, dists: &mut [f32]) {
+/// Per lane, `(best_d, best) ← (d, j)` where `d < best_d`: the strict-`<`
+/// argmin step of every sweep. Written as a bit mask, not a select: which
+/// lanes move depends on the data, and LLVM turned the select into one
+/// mispredicting branch per lane.
+#[inline(always)]
+fn lower_lanes(best_d: &mut [f32; LANES], best: &mut [u32; LANES], d: &[f32; LANES], j: u32) {
+    for r in 0..LANES {
+        let nearer = 0u32.wrapping_sub(u32::from(d[r] < best_d[r]));
+        best_d[r] = f32::from_bits((d[r].to_bits() & nearer) | (best_d[r].to_bits() & !nearer));
+        best[r] = (j & nearer) | (best[r] & !nearer);
+    }
+}
+
+/// Blocks per one-center pass. Two blocks give 4 raw chains (8 with the
+/// correlation chain) of 256-bit accumulators, which ran a k-means++ sweep
+/// at 4 800×8 faster than one block or four.
+const PICK_BLOCKS: usize = 2;
+
+/// The running state of k-means++ seeding per segment: the distance to the
+/// nearest pick so far and that pick's index, padded to whole blocks.
+///
+/// Picks arrive in ascending index, every sweep lowers with a strict `<`,
+/// and each one-center sweep gives the assignment sweep's bits
+/// (`kmeans_sweep_matches_distance_matrix`). So after the last pick,
+/// [`NearestPick::hand_off`] is exactly what [`assign_batched`] returns on
+/// the seeded centers, and a fit's first iteration needs no sweep of its
+/// own.
+pub(crate) struct NearestPick {
+    n: usize,
+    dists: Vec<f32>,
+    picks: Vec<u32>,
+}
+
+impl NearestPick {
+    /// No pick yet: every distance infinite.
+    pub(crate) fn new(n: usize) -> NearestPick {
+        let padded = n.div_ceil(LANES) * LANES;
+        NearestPick {
+            n,
+            dists: vec![f32::INFINITY; padded],
+            picks: vec![0; padded],
+        }
+    }
+
+    /// The distance from each segment to its nearest pick.
+    pub(crate) fn dists(&self) -> &[f32] {
+        &self.dists[..self.n]
+    }
+
+    /// Fills `out[i]` with segment `i`'s nearest pick and its distance.
+    pub(crate) fn hand_off(&self, out: &mut [(usize, f32)]) {
+        assert_eq!(out.len(), self.n, "output length {} != segment count {}", out.len(), self.n);
+        for ((o, &j), &d) in out.iter_mut().zip(&self.picks).zip(&self.dists) {
+            *o = (j as usize, d);
+        }
+    }
+}
+
+/// One k-means++ sweep: lowers each segment's running distance to that to
+/// pick `j`, the single center of `center`, wherever that is nearer, and
+/// records `j` there. Runs [`PICK_BLOCKS`] blocks per pass.
+pub(crate) fn lower_to_pick(seg: &SegmentCache, center: &CenterCache, j: usize, running: &mut NearestPick) {
     assert_eq!(center.k, 1, "a k-means++ sweep takes one center, got {}", center.k);
-    for_each_panel(seg, center, dists, 1, |panel, block| {
-        each_center(panel, center, |_, d| {
-            for (o, &v) in block.iter_mut().zip(d) {
-                *o = if v < *o { v } else { *o };
+    assert_eq!(running.n, seg.n, "running state of {} segments for {} segments", running.n, seg.n);
+    let grain_blocks = sweep_grain_rows(seg, center) / LANES;
+    let j = u32::try_from(j).expect("pick index fits u32");
+    let (dists, picks) = (&mut running.dists, &mut running.picks);
+    if dists.is_empty() {
+        return;
+    }
+    par::parallel_rows2(dists, LANES, picks, LANES, grain_blocks, |b0, dists, picks| {
+        let group = LANES * PICK_BLOCKS;
+        for (g, (dists, picks)) in dists.chunks_mut(group).zip(picks.chunks_mut(group)).enumerate() {
+            let b = b0 + g * PICK_BLOCKS;
+            let lanes = dists.chunks_exact_mut(LANES).zip(picks.chunks_exact_mut(LANES));
+            if lanes.len() == PICK_BLOCKS {
+                let panels: [Panel<'_>; PICK_BLOCKS] = std::array::from_fn(|i| seg.panel(b + i));
+                for (d, (dl, pl)) in one_center_pass(&panels, center).iter().zip(lanes) {
+                    lower_lanes(lanes_of(dl), lanes_of(pl), d, j);
+                }
+            } else {
+                for (i, (dl, pl)) in lanes.enumerate() {
+                    let [d] = one_center_pass(&[seg.panel(b + i)], center);
+                    lower_lanes(lanes_of(dl), lanes_of(pl), &d, j);
+                }
             }
-        });
+        }
     });
+}
+
+/// [`lower_to_pick`] on bare running distances, the picks discarded.
+#[cfg(test)]
+pub(crate) fn lower_to_center(seg: &SegmentCache, center: &CenterCache, dists: &mut [f32]) {
+    let mut running = NearestPick::new(dists.len());
+    running.dists[..dists.len()].copy_from_slice(dists);
+    lower_to_pick(seg, center, 0, &mut running);
+    dists.copy_from_slice(running.dists());
+}
+
+/// A block's `LANES` entries of a padded per-segment buffer.
+#[inline(always)]
+fn lanes_of<T>(block: &mut [T]) -> &mut [T; LANES] {
+    block.try_into().expect("padded buffers hold whole blocks")
+}
+
+/// [`one_center_tile`] with the correlation term on or off.
+#[inline(always)]
+fn one_center_pass<const B: usize>(panels: &[Panel<'_>; B], center: &CenterCache) -> [[f32; LANES]; B] {
+    if center.alpha > 0.0 {
+        one_center_tile::<B, true>(panels, center, 0)
+    } else {
+        one_center_tile::<B, false>(panels, center, 0)
+    }
 }
 
 #[cfg(test)]
@@ -557,7 +789,9 @@ mod tests {
         // by a zero norm.
         let unit_of = |row: Vec<f32>| {
             let segs = Tensor::from_vec(row, &[1, 6]);
-            SegmentCache::new(&segs, &Objective::paper_default()).unit_rows()
+            let (_, mut rows) = SegmentCache::for_fit(&segs, &Objective::paper_default(), true).expect("finite row");
+            rows.truncate(6);
+            rows
         };
         assert_eq!(unit_of(vec![1.0e8; 6]), vec![0.0; 6], "constant row must normalise to all-zero");
 
@@ -634,3 +868,4 @@ mod tests {
         par::set_threads(0);
     }
 }
+

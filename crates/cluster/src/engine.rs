@@ -8,11 +8,12 @@
 //! until assignments stop changing or max_iters
 //! ```
 
-use crate::batch::{assign_batched, distance_matrix, lower_to_center, CenterCache, SegmentCache};
+use crate::batch::{assign_batched, distance_matrix, lower_to_pick, CenterCache, NearestPick, SegmentCache};
 use crate::objective::{bucket_corr_grad, Objective};
 use focus_tensor::{par, pool, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
 
 /// Minimum distance-evaluation work (~`segments × k × p` flops) per thread
 /// before the assignment sweeps go parallel.
@@ -46,15 +47,54 @@ pub fn segment_matrix(series: &Tensor, p: usize) -> Tensor {
     let (n, t) = (series.dims()[0], series.dims()[1]);
     let per_entity = t / p;
     assert!(per_entity > 0, "series length {t} shorter than segment {p}");
-    let mut data = Vec::with_capacity(n * per_entity * p);
-    for e in 0..n {
-        let row = series.row(e);
-        for s in 0..per_entity {
-            data.extend_from_slice(&row[s * p..(s + 1) * p]);
-        }
+    // A pool buffer, so the tensor's drop files it where the next call of
+    // the same shape finds it.
+    let mut data = pool::take(n * per_entity * p);
+    for (e, out) in data.chunks_exact_mut(per_entity * p).enumerate() {
+        out.copy_from_slice(&series.row(e)[..per_entity * p]);
     }
     Tensor::from_vec(data, &[n * per_entity, p])
 }
+
+/// The first NaN or infinity in a fit's segments: Eq. 6 has no distance to
+/// such a segment, so a fit refuses it instead of fitting a NaN prototype.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct NonFiniteSegment {
+    /// Row of the segment matrix.
+    pub segment: usize,
+    /// Position within the segment, `0 .. p`.
+    pub step: usize,
+    /// The value.
+    pub value: f32,
+}
+
+impl NonFiniteSegment {
+    /// The first non-finite value of row `segment` of `segments`.
+    fn in_row(segments: &Tensor, segment: usize) -> NonFiniteSegment {
+        let row = segments.row(segment);
+        let step = row
+            .iter()
+            .position(|v| !v.is_finite())
+            .expect("the cache build flags only rows with a non-finite value");
+        NonFiniteSegment {
+            segment,
+            step,
+            value: row[step],
+        }
+    }
+}
+
+impl fmt::Display for NonFiniteSegment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "segment value {} at segment {}, step {} is not finite",
+            self.value, self.segment, self.step
+        )
+    }
+}
+
+impl std::error::Error for NonFiniteSegment {}
 
 /// How prototypes are re-estimated each outer iteration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -134,15 +174,35 @@ impl ClusterConfig {
     /// Runs Algorithm 1 on `segments: [n, p]`.
     ///
     /// # Panics
-    /// If the segment width differs from `segment_len` or there are fewer
-    /// segments than prototypes.
+    /// If the segment width differs from `segment_len`, there are fewer
+    /// segments than prototypes, or a segment holds a NaN or an infinity
+    /// (naming its segment and step; [`ClusterConfig::try_fit`] returns it
+    /// instead).
     pub fn fit(&self, segments: &Tensor, seed: u64) -> Prototypes {
         self.fit_traced(segments, seed).0
+    }
+
+    /// Like [`ClusterConfig::fit`], but a NaN or an infinity in `segments`
+    /// comes back as the first such value's position.
+    ///
+    /// # Panics
+    /// If the segment width differs from `segment_len` or there are fewer
+    /// segments than prototypes.
+    pub fn try_fit(&self, segments: &Tensor, seed: u64) -> Result<Prototypes, NonFiniteSegment> {
+        self.run(segments, seed).map(|(protos, _)| protos)
     }
 
     /// Like [`ClusterConfig::fit`] but also returns the per-iteration loss
     /// trace (used by tests and the Fig. 8 harness).
     pub fn fit_traced(&self, segments: &Tensor, seed: u64) -> (Prototypes, FitTrace) {
+        match self.run(segments, seed) {
+            Ok(fit) => fit,
+            // focus-lint: allow(panic-hygiene) -- documented panic: a fit on non-finite data would return NaN prototypes, and the message names the segment, step and value
+            Err(bad) => panic!("{bad}"),
+        }
+    }
+
+    fn run(&self, segments: &Tensor, seed: u64) -> Result<(Prototypes, FitTrace), NonFiniteSegment> {
         assert_eq!(segments.rank(), 2, "segments must be [n, p]");
         let (n, p) = (segments.dims()[0], segments.dims()[1]);
         assert_eq!(p, self.segment_len, "segment width {p} != segment_len {}", self.segment_len);
@@ -151,31 +211,32 @@ impl ClusterConfig {
             "need at least k = {} segments, got {n}",
             self.k
         );
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xc1a5_7e12u64.rotate_left(3));
+        let mut rng = fit_rng(seed);
         focus_trace::span!("cluster/fit");
 
+        let mut nearest = vec![(0usize, 0.0f32); n];
         let (seg, unit_rows, mut centers) = {
             focus_trace::span!("cluster/init");
-            let seg = SegmentCache::new(segments, &self.objective);
             // Only the AdamW correlation gradient reads `U_j = Σ x̂_i`.
-            let unit_rows = match self.update {
-                ProtoUpdate::AdamW { .. } => seg.unit_rows(),
-                ProtoUpdate::ClosedFormMean => Vec::new(),
-            };
-            let centers = kmeans_pp_init(segments, &seg, self.k, &self.objective, &mut rng);
+            let unit = matches!(self.update, ProtoUpdate::AdamW { .. });
+            let (seg, unit_rows) = SegmentCache::for_fit(segments, &self.objective, unit)
+                .map_err(|i| NonFiniteSegment::in_row(segments, i))?;
+            let centers = kmeans_pp_init(segments, &seg, self.k, &self.objective, &mut rng, &mut nearest);
             (seg, unit_rows, centers)
         };
         let mut assignment = vec![usize::MAX; n];
         let mut trace = FitTrace::default();
         let mut adam = AdamState::new(self.k, p);
 
-        let mut nearest = vec![(0usize, 0.0f32); n];
         for iter in 0..self.max_iters {
-            // Assignment step (Eq. 6) via the fused sweep kernel; the f64
+            // Assignment step (Eq. 6) via the fused sweep kernel; the first
+            // takes k-means++'s hand-off, which holds the same bits. The f64
             // loss is then folded serially in ascending segment order so the
             // trace is identical at any thread count.
-            let cache = CenterCache::new(&centers, &self.objective);
-            assign_batched(&seg, &cache, &mut nearest);
+            if iter > 0 {
+                let cache = CenterCache::new(&centers, &self.objective);
+                assign_batched(&seg, &cache, &mut nearest);
+            }
             let mut changed = 0usize;
             let mut loss = 0.0f64;
             for (slot, &(best, best_d)) in assignment.iter_mut().zip(&nearest) {
@@ -197,21 +258,23 @@ impl ClusterConfig {
 
             // Update step (Eqs. 8–10).
             focus_trace::span!("cluster/update");
+            let buckets = BucketStats::gather(segments, &unit_rows, &assignment, self.k);
             match self.update {
-                ProtoUpdate::ClosedFormMean => {
-                    let buckets = BucketStats::gather(segments, &unit_rows, &assignment, self.k);
-                    update_mean(&buckets, &mut centers);
-                }
+                ProtoUpdate::ClosedFormMean => update_mean(&buckets, &mut centers),
                 ProtoUpdate::AdamW { lr, steps, weight_decay } => {
-                    let buckets = BucketStats::gather(segments, &unit_rows, &assignment, self.k);
                     update_adamw(&buckets, &mut centers, self.objective.alpha(), &mut adam, lr, steps, weight_decay);
                 }
             }
         }
         pool::give(unit_rows);
 
-        (Prototypes::from_centers(centers, self.objective), trace)
+        Ok((Prototypes::from_centers(centers, self.objective), trace))
     }
+}
+
+/// The RNG stream of a fit seeded with `seed`.
+fn fit_rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ 0xc1a5_7e12u64.rotate_left(3))
 }
 
 /// Per-iteration diagnostics of a [`ClusterConfig::fit_traced`] run.
@@ -376,39 +439,52 @@ impl Prototypes {
 }
 
 /// k-means++ seeding under the composite distance, evaluated by the sweep
-/// kernel from the segments' cache `seg`.
-fn kmeans_pp_init(segments: &Tensor, seg: &SegmentCache, k: usize, objective: &Objective, rng: &mut StdRng) -> Tensor {
+/// kernel from the segments' cache `seg`. Fills `nearest[i]` with segment
+/// `i`'s nearest pick and its distance: the assignment sweep's output on
+/// the returned centers, bit for bit ([`NearestPick`]).
+fn kmeans_pp_init(
+    segments: &Tensor,
+    seg: &SegmentCache,
+    k: usize,
+    objective: &Objective,
+    rng: &mut StdRng,
+    nearest: &mut [(usize, f32)],
+) -> Tensor {
     let (n, p) = (segments.dims()[0], segments.dims()[1]);
     let mut centers = Tensor::zeros(&[k, p]);
-    let first = rng.gen_range(0..n);
-    centers.data_mut()[..p].copy_from_slice(segments.row(first));
-
+    let mut running = NearestPick::new(n);
     // Distance sweeps below are per-segment independent (parallel, bitwise
     // identical to serial); the weighted pick itself stays serial so the RNG
     // stream and the f64 prefix scan keep their exact order.
-    let mut dists = vec![f32::INFINITY; n];
-    lower_to_center(seg, &CenterCache::one(segments.row(first), objective), &mut dists);
-
-    for j in 1..k {
-        let total: f64 = dists.iter().map(|&d| d.max(0.0) as f64).sum();
-        let pick = if total <= f64::EPSILON {
-            rng.gen_range(0..n)
-        } else {
-            let mut target = rng.gen::<f64>() * total;
-            let mut chosen = n - 1;
-            for (i, &d) in dists.iter().enumerate() {
-                target -= d.max(0.0) as f64;
-                if target <= 0.0 {
-                    chosen = i;
-                    break;
-                }
-            }
-            chosen
-        };
+    let mut pick = rng.gen_range(0..n);
+    for j in 0..k {
         centers.data_mut()[j * p..(j + 1) * p].copy_from_slice(segments.row(pick));
-        lower_to_center(seg, &CenterCache::one(segments.row(pick), objective), &mut dists);
+        lower_to_pick(seg, &CenterCache::one(segments.row(pick), objective), j, &mut running);
+        if j + 1 < k {
+            pick = weighted_pick(running.dists(), rng);
+        }
     }
+    running.hand_off(nearest);
     centers
+}
+
+/// The next k-means++ pick: segment `i` with probability proportional to
+/// `dists[i]`, from one f64 prefix scan in ascending `i`; uniform once
+/// every distance is ~0.
+fn weighted_pick(dists: &[f32], rng: &mut StdRng) -> usize {
+    let n = dists.len();
+    let total: f64 = dists.iter().map(|&d| d.max(0.0) as f64).sum();
+    if total <= f64::EPSILON {
+        return rng.gen_range(0..n);
+    }
+    let mut target = rng.gen::<f64>() * total;
+    for (i, &d) in dists.iter().enumerate() {
+        target -= d.max(0.0) as f64;
+        if target <= 0.0 {
+            return i;
+        }
+    }
+    n - 1
 }
 
 /// Moves any prototype with an empty bucket onto the segment farthest from
@@ -455,50 +531,142 @@ fn reseed_empty_buckets(
 /// Per-bucket statistics of one assignment, gathered in one serial
 /// ascending-`i` pass (so they are identical at any thread count): member
 /// counts, the bucket means (from f64 sums) and — when the correlation
-/// gradient needs it — `U_j = Σ_{i∈B_j} x̂_i` over the unit rows the fit
-/// copied out of its cache.
+/// gradient needs it — `U_j = Σ_{i∈B_j} x̂_i` over the unit rows the fit's
+/// cache build wrote.
 struct BucketStats {
     counts: Vec<usize>,
+    /// `Σ_{i∈B_j} x_i`, `[k, p]`.
+    sums: Vec<f64>,
     /// Bucket means `[k, p]`; zero rows for empty buckets.
     means: Vec<f32>,
-    /// `U: [k, p]`; empty unless gathered with `unit = true`.
+    /// `U: [k, p]`; empty unless gathered with unit rows.
     unit_sums: Vec<f64>,
 }
 
 impl BucketStats {
-    /// `unit_rows` is `[n, p]` row-major, or empty to skip `U_j`.
+    /// `unit_rows` holds `x̂_i` as row `i` (rows past `n` are ignored), or
+    /// is empty to skip `U_j`.
     fn gather(segments: &Tensor, unit_rows: &[f32], assignment: &[usize], k: usize) -> BucketStats {
         let p = segments.dims()[1];
-        let unit = !unit_rows.is_empty();
-        let mut counts = vec![0usize; k];
-        let mut sums = vec![0.0f64; k * p];
-        let mut unit_sums = vec![0.0f64; if unit { k * p } else { 0 }];
-        for (i, &a) in assignment.iter().enumerate() {
-            counts[a] += 1;
-            for (s, &v) in sums[a * p..(a + 1) * p].iter_mut().zip(segments.row(i)) {
-                *s += v as f64;
-            }
-            if unit {
-                for (u, &v) in unit_sums[a * p..(a + 1) * p].iter_mut().zip(&unit_rows[i * p..(i + 1) * p]) {
-                    *u += v as f64;
+        let mut buckets = BucketStats {
+            counts: vec![0; k],
+            sums: vec![0.0; k * p],
+            means: vec![0.0; k * p],
+            unit_sums: vec![0.0; if unit_rows.is_empty() { 0 } else { k * p }],
+        };
+        // Column groups of a fixed width, so a row's adds are straight-line
+        // vector code: a loop over the runtime width `p` cost the pass
+        // about half its time in loop overhead.
+        let mut c0 = 0;
+        while c0 < p {
+            let rows = (segments.data(), unit_rows);
+            c0 += match p - c0 {
+                8.. => buckets.add_runs::<8>(p, c0, rows, assignment),
+                4..=7 => buckets.add_runs::<4>(p, c0, rows, assignment),
+                2 | 3 => buckets.add_runs::<2>(p, c0, rows, assignment),
+                _ => buckets.add_runs::<1>(p, c0, rows, assignment),
+            };
+        }
+        for ((m, s), &count) in buckets.means.chunks_mut(p.max(1)).zip(buckets.sums.chunks(p.max(1))).zip(&buckets.counts) {
+            if count > 0 {
+                let inv = 1.0 / count as f64;
+                for (m, &s) in m.iter_mut().zip(s) {
+                    *m = (s * inv) as f32;
                 }
             }
         }
-        let mut means = vec![0.0f32; k * p];
-        for j in 0..k {
-            if counts[j] == 0 {
-                continue;
+        buckets
+    }
+
+    /// Adds columns `c0 .. c0 + W` of the `p`-wide segment rows (and of the
+    /// unit rows) into their buckets' f64 sums, and returns `W`; the group at
+    /// column 0 also counts the members. A run of consecutive segments in
+    /// one bucket is held in registers and stored once, so a row waits on
+    /// the previous row's add, not on its store and reload; every sum still
+    /// takes its bucket's rows in ascending `i`, starting from what the
+    /// bucket's earlier runs left.
+    fn add_runs<const W: usize>(
+        &mut self,
+        p: usize,
+        c0: usize,
+        (data, unit_rows): (&[f32], &[f32]),
+        assignment: &[usize],
+    ) -> usize {
+        let unit = !self.unit_sums.is_empty();
+        let group = |row: &[f32]| -> [f32; W] { row[c0..c0 + W].try_into().expect("a column group is W wide") };
+        // Without unit rows, the segment rows stand in for them unread.
+        let unit_rows = if unit { unit_rows } else { data };
+        let (mut cur, mut len) = (assignment.first().copied().unwrap_or(0), 0);
+        let (mut acc, mut unit_acc) = ([0.0f64; W], [0.0f64; W]);
+        for ((&a, row), unit_row) in assignment.iter().zip(data.chunks_exact(p)).zip(unit_rows.chunks_exact(p)) {
+            if a != cur {
+                self.flush(cur, p, c0, len, &acc, &unit_acc);
+                (cur, len) = (a, 0);
+                acc = self.sums[a * p + c0..][..W].try_into().expect("a column group is W wide");
+                if unit {
+                    unit_acc = self.unit_sums[a * p + c0..][..W].try_into().expect("a column group is W wide");
+                }
             }
-            let inv = 1.0 / counts[j] as f64;
-            for (m, &s) in means[j * p..(j + 1) * p].iter_mut().zip(&sums[j * p..(j + 1) * p]) {
-                *m = (s * inv) as f32;
+            len += 1;
+            for (s, v) in acc.iter_mut().zip(group(row)) {
+                *s += v as f64;
+            }
+            if unit {
+                for (s, v) in unit_acc.iter_mut().zip(group(unit_row)) {
+                    *s += v as f64;
+                }
             }
         }
-        BucketStats {
-            counts,
-            means,
-            unit_sums,
+        if len > 0 {
+            self.flush(cur, p, c0, len, &acc, &unit_acc);
         }
+        W
+    }
+
+    /// Stores a finished run of `len` members of bucket `j`.
+    fn flush<const W: usize>(&mut self, j: usize, p: usize, c0: usize, len: usize, acc: &[f64; W], unit_acc: &[f64; W]) {
+        if c0 == 0 {
+            self.counts[j] += len;
+        }
+        self.sums[j * p + c0..][..W].copy_from_slice(acc);
+        if !self.unit_sums.is_empty() {
+            self.unit_sums[j * p + c0..][..W].copy_from_slice(unit_acc);
+        }
+    }
+}
+
+/// The fit's internal passes, for the crate's property tests, which hold
+/// them to serial-order references. Not part of the API.
+#[doc(hidden)]
+pub mod fit_passes {
+    use super::{fit_rng, kmeans_pp_init, BucketStats, ClusterConfig, SegmentCache};
+    use focus_tensor::Tensor;
+
+    /// k-means++ seeding exactly as [`ClusterConfig::fit`] runs it on
+    /// `segments` with `seed`: the seeded centers and, per segment, the
+    /// nearest pick and its distance, which the fit's first iteration takes
+    /// as its assignment.
+    ///
+    /// # Panics
+    /// If a segment holds a non-finite value.
+    pub fn kmeans_pp(cfg: &ClusterConfig, segments: &Tensor, seed: u64) -> (Tensor, Vec<(usize, f32)>) {
+        let (seg, _) = SegmentCache::for_fit(segments, &cfg.objective, false).expect("finite segments");
+        let mut nearest = vec![(0, 0.0); segments.dims()[0]];
+        let centers = kmeans_pp_init(segments, &seg, cfg.k, &cfg.objective, &mut fit_rng(seed), &mut nearest);
+        (centers, nearest)
+    }
+
+    /// One update step's bucket pass over `assignment` into `k` buckets:
+    /// member counts, the f64 sums `Σ x_i` and, unless `unit_rows` is empty,
+    /// `U_j = Σ x̂_i` over its rows, each sum `[k, p]`.
+    pub fn bucket_sums(
+        segments: &Tensor,
+        unit_rows: &[f32],
+        assignment: &[usize],
+        k: usize,
+    ) -> (Vec<usize>, Vec<f64>, Vec<f64>) {
+        let b = BucketStats::gather(segments, unit_rows, assignment, k);
+        (b.counts, b.sums, b.unit_sums)
     }
 }
 
@@ -750,6 +918,66 @@ mod tests {
         assert_eq!(centers.row(2), segs.row(0), "bucket 2 takes bucket 1's farthest member");
     }
 
+    /// Fits 20 segments of 6 with `value` planted at the first or the last
+    /// value.
+    fn fit_with(value: f32, last: bool) {
+        let (segs, _) = planted(7, 6);
+        let mut data = segs.data().to_vec();
+        let at = if last { data.len() - 1 } else { 0 };
+        data[at] = value;
+        let _ = ClusterConfig::new(3, 6).with_max_iters(2).fit(&Tensor::from_vec(data, &[21, 6]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment value NaN at segment 0, step 0 is not finite")]
+    fn fit_names_a_nan_first_value() {
+        fit_with(f32::NAN, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment value NaN at segment 20, step 5 is not finite")]
+    fn fit_names_a_nan_last_value() {
+        fit_with(f32::NAN, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment value inf at segment 0, step 0 is not finite")]
+    fn fit_names_an_infinite_first_value() {
+        fit_with(f32::INFINITY, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment value inf at segment 20, step 5 is not finite")]
+    fn fit_names_an_infinite_last_value() {
+        fit_with(f32::INFINITY, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment value -inf at segment 0, step 0 is not finite")]
+    fn fit_names_a_negative_infinite_first_value() {
+        fit_with(f32::NEG_INFINITY, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment value -inf at segment 20, step 5 is not finite")]
+    fn fit_names_a_negative_infinite_last_value() {
+        fit_with(f32::NEG_INFINITY, true);
+    }
+
+    #[test]
+    fn try_fit_returns_the_first_non_finite_value() {
+        let (segs, _) = planted(7, 6);
+        let mut data = segs.data().to_vec();
+        data[4 * 6 + 3] = f32::NAN;
+        data[9 * 6 + 1] = f32::INFINITY;
+        let err = ClusterConfig::new(3, 6)
+            .try_fit(&Tensor::from_vec(data, &[21, 6]), 1)
+            .expect_err("a NaN segment is refused");
+        assert_eq!((err.segment, err.step), (4, 3));
+        assert!(err.value.is_nan());
+        assert!(ClusterConfig::new(3, 6).try_fit(&segs, 1).is_ok(), "finite segments fit");
+    }
+
     #[test]
     fn cached_fit_sweep_matches_assign_all_bitwise() {
         // The fit shares one segment cache across all its sweeps; one-shot
@@ -788,3 +1016,4 @@ mod tests {
         assert_eq!(last.to_bits(), (total / n as f64).to_bits());
     }
 }
+

@@ -36,5 +36,7 @@ mod objective;
 mod persist;
 
 pub use approx::{reconstruct_row, ReconstructionReport};
-pub use engine::{segment_matrix, ClusterConfig, FitTrace, ProtoUpdate, Prototypes};
+#[doc(hidden)]
+pub use engine::fit_passes;
+pub use engine::{segment_matrix, ClusterConfig, FitTrace, NonFiniteSegment, ProtoUpdate, Prototypes};
 pub use objective::Objective;

@@ -250,7 +250,8 @@ mod tests {
     fn bucket_vs_oracle(members: &[Vec<f32>], prototype: &[f32]) -> (Vec<f64>, Vec<f64>) {
         let p = prototype.len();
         let segs = focus_tensor::Tensor::from_vec(members.concat(), &[members.len(), p]);
-        let unit_rows = crate::batch::SegmentCache::new(&segs, &Objective::paper_default()).unit_rows();
+        let (_, unit_rows) = crate::batch::SegmentCache::for_fit(&segs, &Objective::paper_default(), true)
+            .expect("finite members");
         let mut unit_sum = vec![0.0f64; p];
         let mut want = vec![0.0f64; p];
         let mut g = vec![0.0f32; p];

@@ -1,6 +1,6 @@
 //! Property-based tests for the clustering engine's invariants.
 
-use focus_cluster::{segment_matrix, ClusterConfig, Objective, ProtoUpdate, Prototypes};
+use focus_cluster::{fit_passes, segment_matrix, ClusterConfig, Objective, ProtoUpdate, Prototypes};
 use focus_tensor::{par, reference, stats, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -393,6 +393,124 @@ fn fused_sweep_matches_reference_gemm_chains_bitwise() {
                             assert_eq!(bits(fitted.centers().data()), bits(seeds), "k-means++, {case}, {threads} threads");
                         }
                     }
+                }
+            }
+        }
+    }
+    par::set_threads(0);
+}
+
+/// The update step's bucket pass as one row-by-row loop in ascending `i`:
+/// per member, its count, then each column of its row added into the f64
+/// sums, then each column of its unit row into `U`.
+fn reference_bucket_sums(
+    segs: &Tensor,
+    unit_rows: &[f32],
+    assignment: &[usize],
+    k: usize,
+) -> (Vec<usize>, Vec<f64>, Vec<f64>) {
+    let p = segs.dims()[1];
+    let mut counts = vec![0usize; k];
+    let mut sums = vec![0.0f64; k * p];
+    let mut unit_sums = vec![0.0f64; if unit_rows.is_empty() { 0 } else { k * p }];
+    for (i, &a) in assignment.iter().enumerate() {
+        counts[a] += 1;
+        for t in 0..p {
+            sums[a * p + t] += segs.row(i)[t] as f64;
+            if !unit_rows.is_empty() {
+                unit_sums[a * p + t] += unit_rows[i * p + t] as f64;
+            }
+        }
+    }
+    (counts, sums, unit_sums)
+}
+
+fn bits64(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn bucket_pass_matches_serial_order_bitwise() {
+    // The pass holds runs of one bucket in registers, a fixed-width column
+    // group at a time; every f64 sum must still be the ascending-`i` chain.
+    // Values span 1e8 to 1e-3, so a sum taken in another order rounds
+    // differently; runs are long (40), short and singleton; the last bucket
+    // stays empty; a singleton bucket holds a row of −0.0, whose sum is
+    // +0.0 only when it starts from the stored zero.
+    let mut rng = StdRng::seed_from_u64(0xb0c7);
+    for p in [1usize, 3, 5, 8, 12, 16, 17] {
+        for case in 0..12 {
+            let k = rng.gen_range(3..9usize);
+            let mut assignment = Vec::new();
+            while assignment.len() < 200 {
+                let len = [1, 1, 2, 3, 40][rng.gen_range(0..5usize)];
+                let bucket = rng.gen_range(0..k - 2);
+                assignment.extend(std::iter::repeat_n(bucket, len));
+            }
+            let zero_row = rng.gen_range(0..assignment.len());
+            assignment[zero_row] = k - 2;
+            let n = assignment.len();
+            let data: Vec<f32> = (0..n * p)
+                .map(|v| match v / p {
+                    i if i == zero_row => -0.0,
+                    _ => rng.gen_range(-1.0f32..1.0) * [1.0e8, 1.0, 1.0e-3][rng.gen_range(0..3usize)],
+                })
+                .collect();
+            let segs = Tensor::from_vec(data, &[n, p]);
+            let unit: Vec<f32> = (0..n * p).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            for unit_rows in [&unit[..], &[]] {
+                let case = format!("p {p}, case {case}, unit rows {}", !unit_rows.is_empty());
+                let (counts, sums, unit_sums) = fit_passes::bucket_sums(&segs, unit_rows, &assignment, k);
+                let (want_counts, want_sums, want_unit) = reference_bucket_sums(&segs, unit_rows, &assignment, k);
+                assert_eq!(counts, want_counts, "counts, {case}");
+                assert_eq!(counts[k - 1], 0, "the last bucket stays empty, {case}");
+                assert_eq!(bits64(&sums), bits64(&want_sums), "sums, {case}");
+                assert_eq!(bits64(&unit_sums), bits64(&want_unit), "unit sums, {case}");
+                let zero_sum = &sums[(k - 2) * p..(k - 1) * p];
+                assert!(zero_sum.iter().all(|s| s.to_bits() == 0), "−0.0 row sums to +0.0, {case}");
+            }
+        }
+    }
+}
+
+/// `n` rows of width `p`, each a copy of one of `distinct` random rows, so
+/// k-means++ runs out of spread and picks duplicate centers, whose exact
+/// ties must break to the lower index.
+fn repeated_rows(n: usize, p: usize, distinct: usize, rng: &mut StdRng) -> Tensor {
+    let pool: Vec<Vec<f32>> = (0..distinct).map(|_| (0..p).map(|_| rng.gen_range(-3.0f32..3.0)).collect()).collect();
+    let rows: Vec<f32> = (0..n).flat_map(|_| pool[rng.gen_range(0..distinct)].clone()).collect();
+    Tensor::from_vec(rows, &[n, p])
+}
+
+#[test]
+fn kmeans_pp_hand_off_matches_a_fresh_assignment_bitwise() {
+    // Iteration 0 of a fit takes k-means++'s running (nearest pick,
+    // distance) instead of sweeping: it must equal a fresh assignment on
+    // the seeded centers, bit for bit, at every thread count. 4 800 rows at
+    // p = 32 and 9 000 at p = 8 pass the sweeps' parallel grain.
+    let _g = par::threads_guard();
+    let mut rng = StdRng::seed_from_u64(0x4a4d);
+    for (n, p, k) in [(37usize, 6usize, 5usize), (4800, 32, 8), (9000, 8, 8)] {
+        for distinct in [3usize, n] {
+            let segs = if distinct < n { repeated_rows(n, p, distinct, &mut rng) } else { contract_rows(n, p, &mut rng) };
+            for alpha in [0.0f32, 0.2] {
+                let objective = if alpha > 0.0 { Objective::rec_corr(alpha) } else { Objective::RecOnly };
+                let cfg = ClusterConfig::new(k, p).with_objective(objective).with_max_iters(1);
+                for threads in [1usize, 2, 4] {
+                    par::set_threads(threads);
+                    let case = format!("n {n}, p {p}, {distinct} distinct rows, α {alpha}, {threads} threads");
+                    let (centers, hand_off) = fit_passes::kmeans_pp(&cfg, &segs, 9);
+                    let protos = Prototypes::from_centers(centers, objective);
+                    let nearest = protos.assign_all(&segs);
+                    let d = protos.distances(&segs);
+                    for (i, (&(j, dist), &want)) in hand_off.iter().zip(&nearest).enumerate() {
+                        assert_eq!(j, want, "segment {i}'s nearest pick, {case}");
+                        assert_eq!(dist.to_bits(), d.at2(i, want).to_bits(), "segment {i}'s distance, {case}");
+                    }
+                    // The fit's first loss is the mean of the handed-off distances.
+                    let (_, trace) = cfg.fit_traced(&segs, 9);
+                    let total: f64 = hand_off.iter().map(|&(_, d)| d as f64).sum();
+                    assert_eq!(trace.loss_per_iter[0].to_bits(), (total / n as f64).to_bits(), "first loss, {case}");
                 }
             }
         }

@@ -97,9 +97,14 @@ impl FocusConfig {
 
     /// Runs the offline clustering phase on a training matrix `[N, T_train]`
     /// (Algorithm 1), returning the prototype set this config describes.
+    ///
+    /// # Panics
+    /// If a value the segments cover is NaN or infinite, naming the first
+    /// one's entity and time index.
     pub fn cluster(&self, train_matrix: &Tensor, seed: u64) -> Prototypes {
-        let segments = segment_matrix(train_matrix, self.segment_len);
-        ClusterConfig::new(self.n_prototypes, self.segment_len)
+        let p = self.segment_len;
+        let segments = segment_matrix(train_matrix, p);
+        let fit = ClusterConfig::new(self.n_prototypes, p)
             .with_objective(if self.alpha > 0.0 {
                 Objective::rec_corr(self.alpha)
             } else {
@@ -107,7 +112,17 @@ impl FocusConfig {
             })
             .with_update(self.cluster_update)
             .with_max_iters(self.cluster_iters)
-            .fit(&segments, seed)
+            .try_fit(&segments, seed);
+        match fit {
+            Ok(prototypes) => prototypes,
+            Err(bad) => {
+                // `segment_matrix` cuts each entity's row into whole segments.
+                let per_entity = train_matrix.dims()[1] / p;
+                let (entity, time) = (bad.segment / per_entity, bad.segment % per_entity * p + bad.step);
+                // focus-lint: allow(panic-hygiene) -- documented panic: clustering non-finite data would return NaN prototypes, and the message names the entity, time index and value
+                panic!("training value {} at entity {entity}, time index {time} is not finite", bad.value)
+            }
+        }
     }
 }
 
@@ -237,6 +252,61 @@ mod tests {
         cfg.readout = 4;
         cfg.cluster_iters = 8;
         cfg
+    }
+
+    /// Clusters a `[3, 64]` training matrix (8 segments of 8 per entity)
+    /// with `value` planted at the first or the last value.
+    fn cluster_with(value: f32, last: bool) {
+        let mut data: Vec<f32> = (0..3 * 64).map(|i| (i as f32 * 0.37).sin()).collect();
+        let at = if last { data.len() - 1 } else { 0 };
+        data[at] = value;
+        let _ = tiny_config().cluster(&Tensor::from_vec(data, &[3, 64]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "training value NaN at entity 0, time index 0 is not finite")]
+    fn cluster_names_a_nan_first_value() {
+        cluster_with(f32::NAN, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "training value NaN at entity 2, time index 63 is not finite")]
+    fn cluster_names_a_nan_last_value() {
+        cluster_with(f32::NAN, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "training value inf at entity 0, time index 0 is not finite")]
+    fn cluster_names_an_infinite_first_value() {
+        cluster_with(f32::INFINITY, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "training value inf at entity 2, time index 63 is not finite")]
+    fn cluster_names_an_infinite_last_value() {
+        cluster_with(f32::INFINITY, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "training value -inf at entity 0, time index 0 is not finite")]
+    fn cluster_names_a_negative_infinite_first_value() {
+        cluster_with(f32::NEG_INFINITY, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "training value -inf at entity 2, time index 63 is not finite")]
+    fn cluster_names_a_negative_infinite_last_value() {
+        cluster_with(f32::NEG_INFINITY, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "training value NaN at entity 5, time index 17 is not finite")]
+    fn cluster_maps_a_segment_back_to_its_entity_and_time() {
+        // 100 steps per entity are 12 segments of 8 and a dropped tail of 4:
+        // entity 5, time 17 is segment 62, step 1.
+        let mut data: Vec<f32> = (0..6 * 100).map(|i| (i as f32 * 0.37).sin()).collect();
+        data[5 * 100 + 17] = f32::NAN;
+        let _ = tiny_config().cluster(&Tensor::from_vec(data, &[6, 100]), 1);
     }
 
     #[test]

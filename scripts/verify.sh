@@ -112,7 +112,8 @@ grep -q '"softmax_256x12/output_match": 1' BENCH_kernels.json
 
 # Efficiency claims as wall clock (Fig. 6, Fig. 8, §VII-B): ProtoAttn vs
 # self-attention, clustering, the zoo's forwards and fusion, rewriting
-# BENCH_e2e.json. Every forward's warm-up output is checked finite, and
+# BENCH_e2e.json. Every forward's warm-up output is checked finite, every
+# timed prototype fit must repeat its warm-up fit's centers bit for bit, and
 # every replayed zoo predict must count its never-cached predict's FLOPs.
 echo "==> cargo bench -p focus-bench --bench e2e"
 cargo bench -p focus-bench --bench e2e
@@ -122,6 +123,8 @@ grep -q '"attention_scaling/protoattn/256/median_ns"' BENCH_e2e.json
 grep -q '"attention_scaling/self_attention/256/p90_ns"' BENCH_e2e.json
 grep -q '"forward_pass/FOCUS/flops"' BENCH_e2e.json
 grep -q '"forward_pass/FOCUS/peak_bytes"' BENCH_e2e.json
+grep -q '"offline_phase/output_match": 1' BENCH_e2e.json
+grep -q '"offline_phase_4800x8_k8/median_ns"' BENCH_e2e.json
 grep -q '"fusion_scaling/parallel_fusion/128/median_ns"' BENCH_e2e.json
 
 # Steady-state train-step benchmark: measures the never-cached step (record,
