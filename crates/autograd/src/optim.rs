@@ -186,17 +186,6 @@ impl ParamStore {
     pub(crate) fn tensor_mut_at(&mut self, i: usize) -> &mut Tensor {
         &mut self.tensors[i]
     }
-
-    /// Global L2 norm of all gradients in `g` for this store's leaves.
-    pub fn grad_norm(&self, g: &Graph, vars: &ParamVars) -> f32 {
-        let mut ss = 0.0f64;
-        for var in &vars.vars {
-            if let Some(grad) = g.grad(*var) {
-                ss += grad.data().iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
-            }
-        }
-        ss.sqrt() as f32
-    }
 }
 
 /// The graph leaves for one registration of a [`ParamStore`].

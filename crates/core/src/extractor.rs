@@ -320,7 +320,12 @@ mod tests {
         let sq = g.mul(s, s);
         let loss = g.mean_all(sq);
         g.backward(loss);
-        let norm = ps.grad_norm(&g, &pv);
+        let norm = ps
+            .iter()
+            .filter_map(|(id, _, _)| g.grad(pv.var(id)))
+            .flat_map(|grad| grad.data().iter().map(|&v| f64::from(v) * f64::from(v)))
+            .sum::<f64>()
+            .sqrt();
         assert!(norm > 0.0 && norm.is_finite());
         ps.step(&mut opt, &g, &pv); // must not panic
     }

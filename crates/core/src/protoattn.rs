@@ -490,11 +490,13 @@ mod tests {
         let loss = g.mean_all(sq);
         g.backward(loss);
         // All three projection weights must receive gradients.
-        assert!(ps.grad_norm(&g, &pv) > 0.0);
+        let mut any_nonzero = false;
         for (id, name, _) in ps.iter() {
             let grad = g.grad(pv.var(id));
             assert!(grad.is_some(), "{name} has no gradient");
+            any_nonzero |= grad.is_some_and(|t| t.data().iter().any(|&v| v != 0.0));
         }
+        assert!(any_nonzero);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * **panic-hygiene** — no bare `.unwrap()` / `panic!` in non-test library
 //!   code; failures carry an invariant message or propagate a `Result`;
 //! * **float-hygiene** — no `==`/`!=` against float literals without an
-//!   allow-marked reason (the one-hot sparsity skips are the canonical
-//!   intentional site);
+//!   allow-marked reason (the plan compiler's exact-literal `alpha == 1.0`
+//!   folds are the canonical intentional site);
 //! * **unsafe-forbid** — `#![forbid(unsafe_code)]` in every crate root;
 //! * **allow-marker** — suppressions are well-formed:
 //!   `// focus-lint: allow(<rule>) -- <reason>`, reason mandatory;

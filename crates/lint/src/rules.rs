@@ -227,9 +227,9 @@ fn str_is_empty(text: &str) -> bool {
 
 /// `float-hygiene`: `==`/`!=` where either operand is a float literal, plus
 /// `.contains(&<float>)` (element-wise exact equality in disguise). Exact
-/// float comparison is occasionally *correct* — the one-hot sparsity skips in
-/// `matmul.rs` test "is this the exact bit pattern of 0.0" on purpose — so
-/// intentional sites carry an allow marker with the reason spelled out.
+/// float comparison is occasionally *correct* — `plan.rs`'s exact-literal
+/// folds test `alpha == 1.0` on purpose — so intentional sites carry an
+/// allow marker with the reason spelled out.
 fn float_hygiene(ctx: &FileCtx, view: &CodeView<'_>, out: &mut Vec<Finding>) {
     let c = &view.code;
     for (j, t) in live(view) {

@@ -1,14 +1,15 @@
 //! Full softmax self-attention — the quadratic mechanism ProtoAttn replaces.
 //!
 //! Kept here because (a) the FOCUS-Attn ablation swaps it back in (Table IV),
-//! and (b) the transformer-family baselines (PatchTST-lite, Crossformer-lite)
-//! are built from it.
+//! and (b) the attention baselines (PatchTST, Crossformer, LightCTS) are
+//! built from it.
 
 use crate::linear::Linear;
 use focus_autograd::{Graph, ParamStore, ParamVars, Var};
 use rand::Rng;
 
-/// Single-head scaled-dot-product self-attention with output projection.
+/// Single-head scaled-dot-product self-attention with output projection: the
+/// attention block of PatchTST, Crossformer, LightCTS and FOCUS-Attn.
 ///
 /// Input/output shape `[B, l, d]`. Complexity is `O(B·l²·d)` — quadratic in
 /// the sequence length, which is exactly the bottleneck the paper's offline
@@ -49,77 +50,6 @@ impl SelfAttention {
         let attn = g.softmax_last(scaled);
         let ctx = g.bmm(attn, v); // [B, l, d]
         self.wo.forward(g, pv, ctx)
-    }
-}
-
-/// Multi-head scaled-dot-product self-attention.
-///
-/// Splits the `d`-wide projections into `h` heads of width `d/h`, attends
-/// per head, concatenates and projects — the mechanism the transformer
-/// baselines actually use. [`SelfAttention`] is the `h = 1` special case
-/// kept for the ablation variants.
-pub struct MultiHeadAttention {
-    wq: Linear,
-    wk: Linear,
-    wv: Linear,
-    wo: Linear,
-    d: usize,
-    heads: usize,
-}
-
-impl MultiHeadAttention {
-    /// A multi-head block over feature width `d` with `heads` heads.
-    ///
-    /// # Panics
-    /// If `heads` does not divide `d`.
-    pub fn new<R: Rng + ?Sized>(
-        ps: &mut ParamStore,
-        name: &str,
-        d: usize,
-        heads: usize,
-        rng: &mut R,
-    ) -> Self {
-        assert!(heads >= 1, "need at least one head");
-        assert_eq!(d % heads, 0, "heads {heads} must divide d {d}");
-        MultiHeadAttention {
-            wq: Linear::new_no_bias(ps, &format!("{name}.wq"), d, d, rng),
-            wk: Linear::new_no_bias(ps, &format!("{name}.wk"), d, d, rng),
-            wv: Linear::new_no_bias(ps, &format!("{name}.wv"), d, d, rng),
-            wo: Linear::new_no_bias(ps, &format!("{name}.wo"), d, d, rng),
-            d,
-            heads,
-        }
-    }
-
-    /// Number of heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
-    /// Applies attention to `x: [B, l, d]`, returning `[B, l, d]`.
-    pub fn forward(&self, g: &mut Graph, pv: &ParamVars, x: Var) -> Var {
-        assert_eq!(g.dims(x).len(), 3, "MultiHeadAttention expects [B, l, d]");
-        let q = self.wq.forward(g, pv, x);
-        let k = self.wk.forward(g, pv, x);
-        let v = self.wv.forward(g, pv, x);
-        let dh = self.d / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut ctx: Option<Var> = None;
-        for h in 0..self.heads {
-            let (lo, hi) = (h * dh, (h + 1) * dh);
-            let qh = g.slice_last(q, lo, hi); // [B, l, dh]
-            let kh = g.slice_last(k, lo, hi);
-            let vh = g.slice_last(v, lo, hi);
-            let scores = g.bmm_nt(qh, kh); // qh·khᵀ, no transposed copy
-            let scaled = g.scale(scores, scale);
-            let attn = g.softmax_last(scaled);
-            let head = g.bmm(attn, vh); // [B, l, dh]
-            ctx = Some(match ctx {
-                None => head,
-                Some(acc) => g.concat_last(acc, head),
-            });
-        }
-        self.wo.forward(g, pv, ctx.expect("at least one head"))
     }
 }
 
@@ -168,50 +98,6 @@ mod tests {
             last = g.value(loss).item();
         }
         assert!(last < first * 0.5, "first {first}, last {last}");
-    }
-
-    #[test]
-    fn multi_head_forward_shape_and_single_head_equivalence_class() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut ps = ParamStore::new();
-        let mha = MultiHeadAttention::new(&mut ps, "mha", 8, 4, &mut rng);
-        let mut g = Graph::new();
-        let pv = ps.register(&mut g);
-        let x = g.constant(Tensor::randn(&[2, 5, 8], 1.0, &mut rng));
-        let y = mha.forward(&mut g, &pv, x);
-        assert_eq!(g.dims(y), &[2, 5, 8]);
-        assert!(g.value(y).all_finite());
-        // Same parameter count as single-head at equal width.
-        let mut ps1 = ParamStore::new();
-        let sa = SelfAttention::new(&mut ps1, "sa", 8, &mut rng);
-        let _ = sa;
-        assert_eq!(ps.scalar_count(), ps1.scalar_count());
-    }
-
-    #[test]
-    fn multi_head_gradients_reach_all_heads() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut ps = ParamStore::new();
-        let mha = MultiHeadAttention::new(&mut ps, "mha", 6, 3, &mut rng);
-        let mut g = Graph::new();
-        let pv = ps.register(&mut g);
-        let x = g.constant(Tensor::randn(&[1, 4, 6], 1.0, &mut rng));
-        let y = mha.forward(&mut g, &pv, x);
-        let sq = g.mul(y, y);
-        let loss = g.mean_all(sq);
-        g.backward(loss);
-        for (id, name, _) in ps.iter() {
-            let grad = g.grad(pv.var(id)).unwrap_or_else(|| panic!("{name} missing grad"));
-            assert!(grad.data().iter().any(|&v| v != 0.0), "{name} grad all-zero");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide")]
-    fn multi_head_rejects_indivisible_width() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut ps = ParamStore::new();
-        let _ = MultiHeadAttention::new(&mut ps, "mha", 8, 3, &mut rng);
     }
 
     #[test]

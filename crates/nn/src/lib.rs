@@ -21,7 +21,7 @@ pub mod mlp;
 pub mod norm;
 pub mod revin;
 
-pub use attention::{MultiHeadAttention, SelfAttention};
+pub use attention::SelfAttention;
 pub use linear::Linear;
 pub use mlp::Mlp;
 pub use norm::LayerNorm;

@@ -5,21 +5,24 @@
 //! All kernels share one arithmetic contract: every output element is an
 //! `f32` accumulation chain over `k` in **ascending order**, starting from
 //! `+0.0`, one multiply then one add per step (Rust never contracts them into
-//! an FMA). The tiled and parallel paths block loops for register reuse and
-//! split *output rows* or batches across threads, but never reorder, split,
-//! or widen an element's accumulation chain — so their results are
-//! **bitwise identical** to the serial reference for any tile size and any
-//! thread count (see `tests/properties.rs`).
+//! an FMA), with no term skipped, in all three orientations. The tiled and
+//! parallel paths block loops for register reuse and split *output rows* or
+//! batches across threads, but never reorder, split, or widen an element's
+//! accumulation chain — so their results are **bitwise identical** to the
+//! serial reference for any tile size and any thread count (see
+//! `tests/properties.rs`).
 //!
-//! `a·b` and `aᵀ·b` skip `a_ik == 0.0` terms. This is not just a
-//! micro-optimisation: ProtoAttn routes per-segment head outputs through
-//! one-hot assignment matrices (`A · head`), and the skip turns those
-//! products from `O(l·k·d)` into `O(l·d)`. The skip is part of the
-//! arithmetic contract (skipping a `+ 0.0 * b` term is *not* a bitwise
-//! no-op: it changes `-0.0` and non-finite propagation), so the tiled
-//! kernels implement it per `(row, k)` exactly like the reference.
-//! `a·bᵀ` computes plain dot products and has no skip, matching its
-//! reference.
+//! A zero term is exact on finite operands: under round-to-nearest a sum is
+//! `−0.0` only when both addends are, so a chain that starts at `+0.0` never
+//! becomes `−0.0`, and adding a `±0.0` product leaves it as it was. So no
+//! kernel tests for zero entries: skipping them would give the same bits on
+//! finite data, and one-hot routing, the one product zeros dominate, runs as
+//! a gather and a scatter-add in [`crate::route`]. On non-finite operands
+//! the chain is plain IEEE arithmetic in every orientation: a zero left
+//! entry against an infinite or NaN right entry gives `0 · ±∞ = NaN`, which
+//! poisons its output element. Non-finite data is stopped at the edges:
+//! `predict` rejects a non-finite window, the offline fit a non-finite
+//! value, and training stops at its first non-finite loss.
 //!
 //! **Write-through versus accumulating.** Every entry point of the family
 //! (the [`Tensor`] methods and the `exec` GEMM kernels) *overwrites* its
@@ -45,10 +48,8 @@
 //!
 //! **One call, one kernel.** The shape is picked once per call (per thread
 //! block of it), and the batch loop runs inside the kernel it picks, so a
-//! batched product pays its dispatch, its scratch borrow and, for `a·b` and
-//! `aᵀ·b`, its zero scan once, not once per batch: one scan of every left
-//! operand the block reads picks the dense tile or the skip tile for all of
-//! its batches. Inside a tile the contraction walks both operands as
+//! batched product pays its dispatch and its scratch borrow once, not once
+//! per batch. Inside a tile the contraction walks both operands as
 //! iterators, so a step is its vector work plus a handful of scalar
 //! instructions, and a whole tile is stored straight from its registers;
 //! at the short depths of prototype and readout products (6–12 steps) the
@@ -133,8 +134,6 @@ pub mod reference {
     }
 
     /// Raw GEMM: `c[m×n] = a[m×k] · b[k×n]`, all row-major slices.
-    ///
-    /// Skips `a_ik == 0.0` terms (one-hot fast path; see module docs).
     pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), k * n);
@@ -142,11 +141,7 @@ pub mod reference {
         for i in 0..m {
             let c_row = &mut c[i * n..(i + 1) * n];
             for kk in 0..k {
-                let a_ik = a[i * k + kk];
-                // focus-lint: allow(float-hygiene) -- exact-zero test is the one-hot sparsity skip; skipped terms contribute nothing bitwise
-                if a_ik != 0.0 {
-                    saxpy_row(c_row, a_ik, &b[kk * n..(kk + 1) * n]);
-                }
+                saxpy_row(c_row, a[i * k + kk], &b[kk * n..(kk + 1) * n]);
             }
         }
     }
@@ -169,19 +164,13 @@ pub mod reference {
     }
 
     /// `c[m×n] = aᵀ · b` where `a` is `[k×m]` row-major and `b` is `[k×n]`.
-    ///
-    /// Skips `a_ki == 0.0` terms, like [`gemm`].
     pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         debug_assert_eq!(a.len(), k * m);
         debug_assert_eq!(b.len(), k * n);
         for kk in 0..k {
             let b_row = &b[kk * n..(kk + 1) * n];
             for i in 0..m {
-                let a_ki = a[kk * m + i];
-                // focus-lint: allow(float-hygiene) -- exact-zero test is the one-hot sparsity skip; skipped terms contribute nothing bitwise
-                if a_ki != 0.0 {
-                    saxpy_row(&mut c[i * n..(i + 1) * n], a_ki, b_row);
-                }
+                saxpy_row(&mut c[i * n..(i + 1) * n], a[kk * m + i], b_row);
             }
         }
     }
@@ -192,15 +181,14 @@ pub mod reference {
 /// contraction.
 ///
 /// `a_steps` yields the tile's `M` left-operand values step by step, and
-/// step `kk`'s right-operand row is `b[kk * b_rs + j0..][..W]`. With `SKIP`,
-/// a zero `A(r, kk)` leaves row `r` as it was — the reference's
-/// per-`(row, k)` skip. Every caller inlines the tile, so the accumulators
-/// never leave registers before their one store, and the loop walks both
-/// operands as iterators: a contraction step is a handful of scalar
-/// instructions besides its vector work, which matters at the short depths
-/// (6–12) of prototype and readout products.
+/// step `kk`'s right-operand row is `b[kk * b_rs + j0..][..W]`. Every
+/// caller inlines the tile, so the accumulators never leave registers
+/// before their one store, and the loop walks both operands as iterators: a
+/// contraction step is a handful of scalar instructions besides its vector
+/// work, which matters at the short depths (6–12) of prototype and readout
+/// products.
 #[inline(always)]
-fn tile<const SKIP: bool, const M: usize, const W: usize>(
+fn tile<const M: usize, const W: usize>(
     a_steps: impl Iterator<Item = [f32; M]>,
     (b, b_rs, j0): (&[f32], usize, usize),
 ) -> [[f32; W]; M] {
@@ -210,11 +198,8 @@ fn tile<const SKIP: bool, const M: usize, const W: usize>(
             .try_into()
             .expect("a B row is W wide by construction");
         for (acc_r, av) in acc.iter_mut().zip(a_step) {
-            // focus-lint: allow(float-hygiene) -- exact-zero test is the one-hot sparsity skip; skipped terms contribute nothing bitwise
-            let live = !SKIP || av != 0.0;
             for (o, &bv) in acc_r.iter_mut().zip(b_row) {
-                let s = *o + av * bv;
-                *o = if live { s } else { *o };
+                *o += av * bv;
             }
         }
     }
@@ -240,13 +225,6 @@ fn columns<'a, const M: usize>(rows: &'a [&'a [f32]; M], k: usize) -> impl Itera
 #[inline(always)]
 fn steps<const M: usize>(p: &[f32]) -> impl Iterator<Item = [f32; M]> + '_ {
     p.chunks_exact(M).map(|s| s.try_into().expect("a step is M wide by construction"))
-}
-
-/// Whether any value is exactly zero: picks the skip or the dense tile for
-/// a call's block of batches. Both give the same bits; only speed differs.
-fn has_zero(v: &[f32]) -> bool {
-    // focus-lint: allow(float-hygiene) -- exact-zero scan decides skip-vs-dense only; both paths compute identical bits
-    v.iter().fold(false, |z, &x| z | (x == 0.0))
 }
 
 /// Tiles covering `0..len` in steps of `w`, as `(start, width)`: full tiles,
@@ -385,7 +363,11 @@ fn gemm_block(job: &Job, b0: usize, (i0, rows): (usize, usize), c: &mut [f32]) {
     });
 }
 
-/// [`gemm_block`] with `M × W` tiles.
+/// [`gemm_block`] with `M × W` tiles. `a·b` and `aᵀ·b` read `b` in place
+/// for every row tile (copied into `b_panel` only when narrower than a
+/// tile). `aᵀ·b` reads a tile's `M` columns of `a` in place, `M` consecutive
+/// floats of each row of `a`; only when `a` has fewer than `M` columns does
+/// it pack them into `a_panel`, repeating the last.
 fn gemm_tiles<const M: usize, const W: usize>(
     job: &Job,
     b0: usize,
@@ -393,8 +375,7 @@ fn gemm_tiles<const M: usize, const W: usize>(
     c: &mut [f32],
     scratch: &mut [f32],
 ) {
-    let Job { kind, k, n, .. } = *job;
-    let nb = c.len() / (rows * n);
+    let Job { kind, m, k, n, .. } = *job;
     let batches = (b0..).zip(c.chunks_exact_mut(rows * n));
     let (b_panel, a_panel) = scratch.split_at_mut(k * W);
     if kind == Kind::Nt {
@@ -405,53 +386,26 @@ fn gemm_tiles<const M: usize, const W: usize>(
                 pack_t::<W>(b, k, j0, w, b_panel);
                 for (t0, mr) in tiles(rows, M) {
                     let lhs = rows_of::<M>(a, k, i0 + t0, mr);
-                    let acc = tile::<false, M, W>(columns(&lhs, k), (&b_panel[..k * W], W, 0));
+                    let acc = tile::<M, W>(columns(&lhs, k), (&b_panel[..k * W], W, 0));
                     store(&acc, c_one, n, (t0, mr), (j0, w));
                 }
             }
         }
         return;
     }
-    // One zero scan of the left operand the block reads picks the skip or
-    // the dense tile for all of its batches.
-    let skip = (b0..b0 + nb).any(|bi| {
-        let a = job.a_of(bi);
-        has_zero(if kind == Kind::Nn { &a[i0 * k..(i0 + rows) * k] } else { a })
-    });
-    if skip {
-        nn_tn::<true, M, W>(job, batches, (i0, rows), (b_panel, a_panel));
-    } else {
-        nn_tn::<false, M, W>(job, batches, (i0, rows), (b_panel, a_panel));
-    }
-}
-
-/// `a·b` or `aᵀ·b` for each `(batch, output)` of `batches`: rows
-/// `i0..i0 + rows` of the batch's product, written through, `b` read in
-/// place by every row tile (copied into `b_panel` only when narrower than a
-/// tile). `aᵀ·b` reads a tile's `M` columns of `a` in place, `M`
-/// consecutive floats of each row of `a`; only when `a` has fewer than `M`
-/// columns does it pack them into `a_panel`, repeating the last.
-#[inline(always)]
-fn nn_tn<'c, const SKIP: bool, const M: usize, const W: usize>(
-    job: &Job,
-    batches: impl Iterator<Item = (usize, &'c mut [f32])>,
-    (i0, rows): (usize, usize),
-    (b_panel, a_panel): (&mut [f32], &mut [f32]),
-) {
-    let Job { kind, m, k, n, .. } = *job;
-    for (bi, c) in batches {
+    for (bi, c_one) in batches {
         let a = job.a_of(bi);
         let b = wide(job.b_of(bi), k, n, W, b_panel);
         for (t0, mr) in tiles(rows, M) {
             let r0 = i0 + t0;
-            let out = (&mut *c, n, (t0, mr));
+            let out = (&mut *c_one, n, (t0, mr));
             if kind == Kind::Tn && mr == M {
                 let in_place = || {
                     a.chunks_exact(m).map(move |row| -> [f32; M] {
                         row[r0..r0 + M].try_into().expect("a step is M wide")
                     })
                 };
-                strips::<SKIP, M, W, _>(in_place, b, out);
+                strips::<M, W, _>(in_place, b, out);
             } else if kind == Kind::Tn {
                 let panel = &mut a_panel[..k * M];
                 for (p, a_row) in panel.chunks_exact_mut(M).zip(a.chunks_exact(m)) {
@@ -459,10 +413,10 @@ fn nn_tn<'c, const SKIP: bool, const M: usize, const W: usize>(
                         *v = a_row[r0 + r.min(mr - 1)];
                     }
                 }
-                strips::<SKIP, M, W, _>(|| steps(panel), b, out);
+                strips::<M, W, _>(|| steps(panel), b, out);
             } else {
                 let lhs = rows_of::<M>(a, k, r0, mr);
-                strips::<SKIP, M, W, _>(|| columns(&lhs, k), b, out);
+                strips::<M, W, _>(|| columns(&lhs, k), b, out);
             }
         }
     }
@@ -471,13 +425,13 @@ fn nn_tn<'c, const SKIP: bool, const M: usize, const W: usize>(
 /// One row tile times every column strip of `(b, b_rs)`, stored at row `t0`
 /// of `c` (row width `n`).
 #[inline(always)]
-fn strips<const SKIP: bool, const M: usize, const W: usize, I: Iterator<Item = [f32; M]>>(
+fn strips<const M: usize, const W: usize, I: Iterator<Item = [f32; M]>>(
     a_steps: impl Fn() -> I,
     (b, b_rs): (&[f32], usize),
     (c, n, rows): (&mut [f32], usize, (usize, usize)),
 ) {
     for (j0, w) in tiles(n, W) {
-        let acc = tile::<SKIP, M, W>(a_steps(), (b, b_rs, j0));
+        let acc = tile::<M, W>(a_steps(), (b, b_rs, j0));
         store(&acc, c, n, rows, (j0, w));
     }
 }
@@ -485,9 +439,9 @@ fn strips<const SKIP: bool, const M: usize, const W: usize, I: Iterator<Item = [
 /// `a·bᵀ` for the at most [`NR_NARROW`] rows of `a` (queries against a
 /// window's segments): computes `cᵀ = b·aᵀ` instead, `M`-row tiles running
 /// down the rows of `b` in place and lanes over the rows of `a`, so only the
-/// narrow operand is transposed, once per call when `a` is broadcast.
-/// `a·bᵀ` has no skip, and each element is the same dot product in either
-/// orientation. Each finished tile is stored transposed.
+/// narrow operand is transposed, once per call when `a` is broadcast. Each
+/// element is the same dot product in either orientation. Each finished
+/// tile is stored transposed.
 fn nt_narrow<const M: usize, const W: usize>(
     job: &Job,
     b0: usize,
@@ -523,7 +477,7 @@ fn nt_narrow_tiles<const FULL: bool, const M: usize, const W: usize>(
         let b = job.b_of(bi);
         for (t0, mr) in tiles(n, M) {
             let lhs = rows_of::<M>(b, k, t0, mr);
-            let acc = tile::<false, M, W>(columns(&lhs, k), (&panel[..], W, 0));
+            let acc = tile::<M, W>(columns(&lhs, k), (&panel[..], W, 0));
             if FULL && mr == M {
                 for i in 0..W {
                     let dst: &mut [f32; M] = (&mut c_one[i * n + t0..][..M])
@@ -647,11 +601,11 @@ pub(crate) fn bmm_dispatch(
     }
 }
 
-/// `c[m×n] = Σ_bi a[bi] · b[bi]` over `bt` batches of `[m×k] · [k×n]`
-/// (zero-skip on `a`), written through. Each batch's product is its own
-/// chain from `+0.0`, and the products are added into `c` in ascending
-/// batch order starting from `+0.0` — the chain of zeroing `c` and
-/// `axpy`-ing each zeroed per-batch product into it, kept in registers.
+/// `c[m×n] = Σ_bi a[bi] · b[bi]` over `bt` batches of `[m×k] · [k×n]`,
+/// written through. Each batch's product is its own chain from `+0.0`, and
+/// the products are added into `c` in ascending batch order starting from
+/// `+0.0` — the chain of zeroing `c` and `axpy`-ing each zeroed per-batch
+/// product into it, kept in registers.
 pub(crate) fn bmm_sum(
     bt: usize,
     m: usize,
@@ -665,9 +619,8 @@ pub(crate) fn bmm_sum(
         c.fill(0.0);
         return;
     }
-    let skip = has_zero(&a[..bt * m * k]);
     with_scratch(scratch_len(k), |s| {
-        with_tile_shape!(m, n, bmm_sum_tiles((bt, m, k, n), skip, a, b, c, s))
+        with_tile_shape!(m, n, bmm_sum_tiles((bt, m, k, n), a, b, c, s))
     });
 }
 
@@ -675,7 +628,6 @@ pub(crate) fn bmm_sum(
 /// products in registers, in ascending batch order.
 fn bmm_sum_tiles<const M: usize, const W: usize>(
     (bt, m, k, n): (usize, usize, usize, usize),
-    skip: bool,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -687,7 +639,7 @@ fn bmm_sum_tiles<const M: usize, const W: usize>(
             for bi in 0..bt {
                 let lhs = rows_of::<M>(&a[bi * m * k..][..m * k], k, t0, mr);
                 let b = wide(&b[bi * k * n..][..k * n], k, n, W, scratch);
-                let acc = batch_tile::<M, W>(skip, &lhs, k, b, j0);
+                let acc = batch_tile::<M, W>(&lhs, k, b, j0);
                 for (s_r, acc_r) in sum.iter_mut().zip(&acc) {
                     for (o, &v) in s_r.iter_mut().zip(acc_r) {
                         *o += v;
@@ -703,17 +655,12 @@ fn bmm_sum_tiles<const M: usize, const W: usize>(
 /// running sums, the `4 × 8` tile lost a quarter of its speed.
 #[inline(never)]
 fn batch_tile<const M: usize, const W: usize>(
-    skip: bool,
     lhs: &[&[f32]; M],
     k: usize,
-    b: (&[f32], usize),
+    (b, b_rs): (&[f32], usize),
     j0: usize,
 ) -> [[f32; W]; M] {
-    if skip {
-        tile::<true, M, W>(columns(lhs, k), (b.0, b.1, j0))
-    } else {
-        tile::<false, M, W>(columns(lhs, k), (b.0, b.1, j0))
-    }
+    tile::<M, W>(columns(lhs, k), (b, b_rs, j0))
 }
 
 impl Tensor {
@@ -921,9 +868,9 @@ mod tests {
         }
     }
 
-    /// The one-hot fast path: a sparse assignment matrix must produce exactly
-    /// the same bits as a dense product, on both the reference and the tiled
-    /// kernel (regression guard for the `a_ik != 0.0` skip).
+    /// A one-hot assignment matrix selects rows bit for bit, on both the
+    /// reference and the tiled kernel: `0.0 + 1.0·h` is exact, and each
+    /// zero term adds an exact `±0.0` to a chain that is never `−0.0`.
     #[test]
     fn one_hot_routing_matches_dense_product_bitwise() {
         let mut rng = StdRng::seed_from_u64(7);

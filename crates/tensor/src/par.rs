@@ -200,14 +200,13 @@ static CONTENDED: AtomicU64 = AtomicU64::new(0);
 /// usable (and clock-free) signal.
 #[derive(Clone, Copy)]
 enum Class {
-    For = 0,
-    Rows = 1,
-    Rows2 = 2,
-    Zip4 = 3,
+    Rows = 0,
+    Rows2 = 1,
+    Zip4 = 2,
 }
 
 /// Class names for trace export, indexed by `Class as usize`.
-const CLASS_NAMES: [&str; 4] = ["par/for", "par/rows", "par/rows2", "par/zip4"];
+const CLASS_NAMES: [&str; 3] = ["par/rows", "par/rows2", "par/zip4"];
 
 /// Dispatches per autotune decision window.
 const AUTOTUNE_WINDOW: u64 = 1024;
@@ -237,7 +236,7 @@ impl ClassStats {
     }
 }
 
-static CLASS_STATS: [ClassStats; 4] = [const { ClassStats::new() }; 4];
+static CLASS_STATS: [ClassStats; 3] = [const { ClassStats::new() }; 3];
 
 /// Records one dispatch outcome in the global counters.
 fn note_outcome(parallel: bool) {
@@ -639,34 +638,6 @@ unsafe impl<T: Sync> Sync for SendConst<T> {}
 // Partitioners
 // ---------------------------------------------------------------------------
 
-/// Runs `f` over disjoint contiguous subranges of `0..len`, in parallel when
-/// `len` spans at least two (autotuned) grains and more than one worker is
-/// available.
-///
-/// `f` receives each subrange exactly once; subranges cover `0..len` without
-/// overlap. `f(0..len)` runs inline (no worker traffic) in the serial case,
-/// so this is safe to call at any depth.
-pub fn parallel_for<F>(len: usize, grain: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let threads = plan_threads(Class::For, len, grain);
-    if threads <= 1 {
-        note_outcome(false);
-        if len > 0 {
-            f(0..len);
-        }
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    let parts = len.div_ceil(chunk);
-    run_parts(parts, |i| {
-        let start = i * chunk;
-        let end = ((i + 1) * chunk).min(len);
-        f(start..end);
-    });
-}
-
 /// Splits `out` (viewed as rows of `row_len` elements) into disjoint
 /// per-thread row blocks and runs `f(first_row, block)` on each, in parallel
 /// when the row count spans at least two (autotuned) grains.
@@ -872,28 +843,6 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn parallel_for_covers_every_index_once() {
-        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(1000, 10, |range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_for_handles_empty_and_tiny() {
-        parallel_for(0, 1, |_| panic!("must not run on empty input"));
-        let ran = AtomicUsize::new(0);
-        parallel_for(1, 1000, |r| {
-            assert_eq!(r, 0..1);
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn parallel_rows_partitions_disjointly() {
         let mut out = vec![0u32; 7 * 13];
         parallel_rows(&mut out, 13, 1, 2, |row0, block| {
@@ -963,7 +912,7 @@ mod tests {
     fn plan_clamps_at_max_threads() {
         let _g = threads_guard();
         set_threads(10 * MAX_THREADS);
-        let planned = plan_threads(Class::For, usize::MAX, 1);
+        let planned = plan_threads(Class::Rows, usize::MAX, 1);
         set_threads(0);
         assert_eq!(planned, MAX_THREADS, "dispatch must clamp huge overrides");
     }
@@ -994,7 +943,7 @@ mod tests {
         let _g = threads_guard();
         set_threads(2);
         let caught = std::panic::catch_unwind(|| {
-            parallel_for(1000, 1, |range| {
+            parallel_fill(&mut [0u8; 1000], 1, |range, _| {
                 if range.start > 0 {
                     panic!("boom in worker part");
                 }
@@ -1011,7 +960,7 @@ mod tests {
         // The pool must stay usable after a panic.
         set_threads(2);
         let hits = AtomicUsize::new(0);
-        parallel_for(1000, 1, |r| {
+        parallel_fill(&mut [0u8; 1000], 1, |r, _| {
             hits.fetch_add(r.len(), Ordering::Relaxed);
         });
         set_threads(0);
@@ -1023,9 +972,9 @@ mod tests {
         let _g = threads_guard();
         let before = stats();
         set_threads(1);
-        parallel_for(64, 1, |_| {}); // planned single-threaded ⇒ inline
+        parallel_fill(&mut [0u8; 64], 1, |_, _| {}); // planned single-threaded ⇒ inline
         set_threads(2);
-        parallel_for(4096, 1, |_| {}); // two grains of work ⇒ pooled
+        parallel_fill(&mut [0u8; 4096], 1, |_, _| {}); // two grains of work ⇒ pooled
         set_threads(0);
         let after = stats();
         assert!(after.inline > before.inline, "inline dispatch must count");

@@ -2,16 +2,16 @@
 //!
 //! ProtoAttn routes each segment to its assigned prototype's attention
 //! summary: `out = A · head` with `A: [B, l, k]` one-hot. Materialising `A`
-//! and running a dense batched product costs `O(B·l·k·d)` (the zero-skip in
-//! [`crate::reference::gemm`] helps, but still scans every `(row, k)` pair).
-//! These kernels carry the assignment as an index vector `[B·l]` instead:
+//! and running a dense batched product costs `O(B·l·k·d)`. These kernels
+//! carry the assignment as an index vector `[B·l]` instead:
 //!
 //! * forward ([`route_gather`]) is a row gather — `O(B·l·d)` copies;
 //! * backward ([`route_scatter_add`]) is a scatter-add over ascending segment
-//!   index within each batch — the identical per-element accumulation chain
-//!   as the dense `Aᵀ · g` (`gemm_tn` walks the contraction axis ascending
-//!   and skips the zero entries, adding `1.0 · g` terms in the same order),
-//!   so the result is **bitwise identical** to the dense backward.
+//!   index within each batch. The dense `Aᵀ · g` walks the same contraction
+//!   axis in the same order: its `1.0 · g` terms are the scatter's adds, and
+//!   on finite data each zero term adds an exact `±0.0` to a chain that
+//!   starts at `+0.0` and so is never `−0.0`. The result is therefore
+//!   **bitwise identical** to the dense backward.
 //!
 //! The loops live in [`crate::exec`]; these wrappers check shapes, and
 //! indices through [`check_route`]. Both kernels split work over disjoint

@@ -52,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Deterministic operand data with exact zeros, so the skip paths run too.
+/// Deterministic operand data, exact zeros included.
 fn data(n: usize, seed: usize) -> Vec<f32> {
     (0..n)
         .map(|i| {

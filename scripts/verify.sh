@@ -104,6 +104,7 @@ grep -q '"schema": "focus-trace-report v1"' BENCH_kernels.json
 grep -q '"gemm_256/fast_t1/median_ns"' BENCH_kernels.json
 grep -q '"assign_all_rec_corr_20000x32_k64/output_match": 1' BENCH_kernels.json
 grep -q '"assign_all_rec_corr_4800x8_k8/output_match": 1' BENCH_kernels.json
+grep -q '"route_gather_b64_l128_k64_d64/output_match": 1' BENCH_kernels.json
 grep -q '"route_scatter_add_b64_l128_k64_d64/output_match": 1' BENCH_kernels.json
 grep -q '"bcast_nt_da_32x6x12x32/output_match": 1' BENCH_kernels.json
 grep -q '"bcast_nt_32x8x8x12/output_match": 1' BENCH_kernels.json
