@@ -325,7 +325,7 @@ mod tests {
             .filter_map(|(id, _, _)| g.grad(pv.var(id)))
             .flat_map(|grad| grad.data().iter().map(|&v| f64::from(v) * f64::from(v)))
             .sum::<f64>()
-            .sqrt();
+            .sqrt() as f32;
         assert!(norm > 0.0 && norm.is_finite());
         ps.step(&mut opt, &g, &pv); // must not panic
     }

@@ -490,13 +490,14 @@ mod tests {
         let loss = g.mean_all(sq);
         g.backward(loss);
         // All three projection weights must receive gradients.
-        let mut any_nonzero = false;
+        let mut sum_sq = 0.0f64;
         for (id, name, _) in ps.iter() {
             let grad = g.grad(pv.var(id));
             assert!(grad.is_some(), "{name} has no gradient");
-            any_nonzero |= grad.is_some_and(|t| t.data().iter().any(|&v| v != 0.0));
+            sum_sq += grad.map_or(0.0, |t| t.data().iter().map(|&v| f64::from(v) * f64::from(v)).sum());
         }
-        assert!(any_nonzero);
+        let norm = sum_sq.sqrt() as f32;
+        assert!(norm > 0.0);
     }
 
     #[test]

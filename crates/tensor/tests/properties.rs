@@ -146,8 +146,8 @@ fn lock_threads() -> std::sync::MutexGuard<'static, ()> {
 /// Builds GEMM test data: exact `+0.0` at a quarter of the entries and
 /// `−0.0` at a few percent (a chain over zero terms must stay `+0.0`, never
 /// turn `−0.0`), and arbitrary finite values; with `specials`, also `±inf`
-/// at a few percent each, so `0·inf` and non-finite propagation are pinned
-/// too.
+/// and NaN at a few percent each, so `0·inf`, `0·NaN` and non-finite
+/// propagation are pinned too.
 fn gemm_operand(dims: &[usize], specials: bool, rng: &mut StdRng) -> Tensor {
     use rand::Rng;
     let n: usize = dims.iter().product();
@@ -157,6 +157,7 @@ fn gemm_operand(dims: &[usize], specials: bool, rng: &mut StdRng) -> Tensor {
             25..=27 => -0.0,
             28..=30 if specials => f32::INFINITY,
             31..=33 if specials => f32::NEG_INFINITY,
+            34..=35 if specials => f32::NAN,
             _ => rng.gen_range(-4.0f32..4.0),
         })
         .collect();
@@ -271,9 +272,9 @@ fn bcast_family_splits_batches_bitwise() {
 }
 
 /// The left operand a tile-rule case feeds the kernels: generated data with
-/// exact `±0.0` and `±∞`, dense values with no zero, or all `±0.0` (against
-/// `±∞` on the right, `0·±∞` turns an output NaN as in the reference chain,
-/// and elsewhere every chain must end at `+0.0`).
+/// exact `±0.0`, `±∞` and NaN, dense values with no zero, or all `±0.0`
+/// (against `±∞` or NaN on the right, `0·±∞` and `0·NaN` turn an output NaN
+/// as in the reference chain, and elsewhere every chain must end at `+0.0`).
 #[derive(Clone, Copy, Debug)]
 enum Left {
     Specials,
@@ -396,122 +397,33 @@ fn plan_shapes_and_tile_rule_edges_bitwise_match_reference() {
     }
 }
 
-/// The chain every GEMM computes, written out independently of
-/// [`reference`]: `c[i, j] = Σ_kk a(i, kk) · b(kk, j)` in ascending `kk`
-/// from `+0.0`, no term skipped, with `a` and `b` laid out as for
-/// `exec::gemm` under `trans`.
-fn plain_chain(trans: focus_tensor::exec::Trans, (m, k, n): (usize, usize, usize), a: &[f32], b: &[f32]) -> Vec<f32> {
-    use focus_tensor::exec::Trans;
-    let mut c = vec![0.0f32; m * n];
-    for (i, row) in c.chunks_exact_mut(n).enumerate() {
-        for (j, out) in row.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                let a_ik = if trans == Trans::Tn { a[kk * m + i] } else { a[i * k + kk] };
-                let b_kj = if trans == Trans::Nt { b[j * k + kk] } else { b[kk * n + j] };
-                acc += a_ik * b_kj;
-            }
-            *out = acc;
-        }
-    }
-    c
-}
-
-/// `len` left-operand values, each an exact `+0.0` or `−0.0` with
-/// probability `zero_pct`%, else finite and nonzero.
-fn zero_left(len: usize, zero_pct: u32, rng: &mut StdRng) -> Vec<f32> {
-    use rand::Rng;
-    (0..len)
-        .map(|_| match rng.gen_range(0u32..100) {
-            p if p < zero_pct && p % 4 == 0 => -0.0,
-            p if p < zero_pct => 0.0,
-            _ => rng.gen_range(0.5f32..4.0) * if rng.gen_bool(0.5) { -1.0 } else { 1.0 },
-        })
-        .collect()
-}
-
-/// `len` right-operand values: in output columns `j` with `j % 3 == 0`
-/// (`col(e)` names the column of entry `e`), a quarter of the entries are
-/// `+∞`, `−∞` or NaN; the rest, and every entry of the other columns, are
-/// finite. Outputs in the other columns stay finite, so a case checks
-/// finite bits beside NaN placement.
-fn non_finite_right(len: usize, col: impl Fn(usize) -> usize, rng: &mut StdRng) -> Vec<f32> {
-    use rand::Rng;
-    (0..len)
-        .map(|e| match (rng.gen_range(0u32..12), col(e).is_multiple_of(3)) {
-            (0, true) => f32::INFINITY,
-            (1, true) => f32::NEG_INFINITY,
-            (2, true) => f32::NAN,
-            (3, _) => 0.0,
-            _ => rng.gen_range(-4.0f32..4.0),
-        })
-        .collect()
-}
-
-/// Exact `±0.0` on the left against `±∞` or NaN on the right: every GEMM
-/// entry point the plan VM calls gives NaN exactly where the plain chain
-/// does (`0·±∞` and `0·NaN` are NaN; no zero term is skipped) and the
-/// chain's bits everywhere else, at 1, 2 and 4 threads. The left operand is
-/// all zeros or half zeros; the shapes cover every tile shape, the in-place
-/// and packed `aᵀ·b` steps, the row and batch splits above the parallel
-/// threshold, and `bcast_nt_da`'s register-held batch sum.
+/// `0·±∞` and `0·NaN` are NaN and no chain skips a zero term, so each
+/// reference chain gives NaN wherever a `±0.0` left entry meets a
+/// non-finite right entry, and `+0.0` where every term is a `±0.0`
+/// product. The GEMM sweeps in this file hold every tiled and parallel
+/// entry point to these chains bit for bit.
 #[test]
-fn zero_left_entries_against_non_finite_right_entries_follow_the_plain_chain() {
-    use focus_tensor::exec;
-    use focus_tensor::exec::Trans::{Nn, Nt, Tn};
-    let _guard = lock_threads();
-    let cases = [
-        ("gemm", Nn, (1, 96, 8, 32)),
-        ("gemm", Nn, (1, 8, 8, 32)),
-        ("gemm", Nn, (1, 32, 192, 24)),
-        ("gemm", Nn, (1, 192, 64, 32)),
-        ("gemm", Nn, (1, 9, 8, 8)),
-        ("gemm", Tn, (1, 8, 384, 32)),
-        ("gemm", Tn, (1, 3, 6, 17)),
-        ("gemm", Tn, (1, 64, 192, 32)),
-        ("gemm", Nt, (1, 8, 64, 600)),
-        ("bmm", Nn, (32, 8, 12, 8)),
-        ("bmm", Nn, (128, 8, 32, 8)),
-        ("bmm", Nn, (3, 5, 8, 25)),
-        ("bmm", Tn, (32, 12, 6, 32)),
-        ("bmm", Tn, (3, 5, 8, 25)),
-        ("bmm", Tn, (128, 8, 32, 8)),
-        ("bmm", Tn, (3, 9, 8, 8)),
-        ("bmm", Nt, (32, 6, 32, 12)),
-        ("bcast_nt_da", Nn, (32, 8, 12, 8)),
-    ];
-    let mut nan_cases = 0;
-    for (zero_pct, seed) in [(100u32, 0x2e40u64), (50, 0x2e41)] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for (opcode, trans, (bt, m, k, n)) in cases {
-            let a = zero_left(bt * m * k, zero_pct, &mut rng);
-            let col = |e: usize| if trans == Nt { e % (n * k) / k } else { e % n };
-            let b = non_finite_right(bt * k * n, col, &mut rng);
-            let per_batch = (0..bt).map(|bi| plain_chain(trans, (m, k, n), &a[bi * m * k..][..m * k], &b[bi * k * n..][..k * n]));
-            // `bcast_nt_da` adds each batch's chain into a zeroed output in
-            // ascending batch order.
-            let want: Vec<f32> = if opcode == "bcast_nt_da" {
-                per_batch.fold(vec![0.0f32; m * n], |sum, c| sum.iter().zip(&c).map(|(s, v)| s + v).collect())
-            } else {
-                per_batch.flatten().collect()
-            };
-            assert!(want.iter().any(|v| !v.is_nan()), "{opcode} {trans:?} [{bt},{m},{k},{n}]: no finite output");
-            nan_cases += usize::from(want.iter().any(|v| v.is_nan()));
-            for threads in [1usize, 2, 4] {
-                par::set_threads(threads);
-                let mut got = vec![f32::MAX; want.len()];
-                match opcode {
-                    "gemm" => exec::gemm(trans, m, k, n, &a, &b, &mut got),
-                    "bmm" => exec::bmm(trans, bt, m, k, n, &a, &b, &mut got),
-                    _ => exec::bcast_nt_da(&a, &b, bt, m, k, n, &mut got),
-                }
-                let at = format!("{opcode} {trans:?} [{bt},{m},{k},{n}] {zero_pct}% zeros t{threads}");
-                assert!(same_bits(&got, &want), "{at}: differs from the plain chain");
+fn reference_chains_give_nan_for_zero_times_non_finite() {
+    for gemm in [reference::gemm, reference::gemm_tn, reference::gemm_nt] {
+        for a in [0.0f32, -0.0] {
+            for b in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                let mut c = [0.0f32];
+                gemm(1, 1, 1, &[a], &[b], &mut c);
+                assert!(c[0].is_nan(), "{a} · {b} gave {}", c[0]);
             }
         }
     }
-    par::set_threads(0);
-    assert_eq!(nan_cases, 2 * cases.len(), "every case must meet a non-finite product");
+    // `[2×3]·[3×2]` and `[3×2]ᵀ·[3×2]` over `Left::Zeros`: the `∞` in
+    // column 0 of the right operand turns that column NaN.
+    let mut rng = StdRng::seed_from_u64(0);
+    let a = left_operand(6, Left::Zeros, &mut rng);
+    let b = [1.0, 2.0, f32::INFINITY, -3.0, 0.5, 4.0];
+    let want = [f32::NAN, 0.0, f32::NAN, 0.0];
+    for gemm in [reference::gemm, reference::gemm_tn] {
+        let mut c = [0.0f32; 4];
+        gemm(2, 3, 2, &a, &b, &mut c);
+        assert!(same_bits(&c, &want), "{c:?}");
+    }
 }
 
 // Bitwise parity of the tiled + parallel matmul family with the serial
