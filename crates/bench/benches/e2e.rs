@@ -12,7 +12,10 @@
 //!   fit must repeat its warm-up fit's centers bit for bit
 //!   (`…/output_match`);
 //! * §VII-B — the Parallel Fusion Module against gated linear fusion over
-//!   the entity count `N`.
+//!   the entity count `N`;
+//! * and last, a few traced fits at perfbench `offline-cluster`'s shape,
+//!   whose span tree (`cluster/{fit,init,assign,update}`) the report
+//!   carries; no other call of the run is traced.
 //!
 //! Series that are compared with each other are timed in interleaved rounds
 //! ([`time_each`]). Forwards run on the path serving takes: `predict` for
@@ -37,10 +40,13 @@ use focus_trace::report::RunReport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
+use std::hint::black_box;
 
 /// Timed calls per series, after one warm-up call: enough that ten samples
 /// lie beyond the p90.
 const SAMPLES: usize = 101;
+/// Traced fits that end the run.
+const TRACED_FITS: usize = 5;
 /// Attention series: feature width `d`, segment length `p`, prototypes `k`.
 const D: usize = 32;
 const P: usize = 8;
@@ -217,14 +223,7 @@ fn clustering(report: &mut RunReport) -> bool {
     cfg.n_prototypes = 12;
     cfg.cluster_iters = 10;
     let train = ds.train_matrix();
-    // perfbench `offline-cluster`: 32 series of 2 000 steps (a 32 × 1 200
-    // training matrix, 4 800 segments), p = k = 8, 6 iterations.
-    let bench_ds = MtsDataset::generate(Benchmark::Pems08.scaled(32, 2_000), 7);
-    let mut bench_cfg = FocusConfig::new(96, 24);
-    bench_cfg.segment_len = 8;
-    bench_cfg.n_prototypes = 8;
-    bench_cfg.cluster_iters = 6;
-    let bench_train = bench_ds.train_matrix();
+    let (bench_cfg, bench_train) = offline_cluster_shape();
     let keys = ["offline_phase".to_string(), "offline_phase_4800x8_k8".to_string()];
     let same = [(); 2].map(|()| Cell::new(true));
     record_each(
@@ -236,6 +235,32 @@ fn clustering(report: &mut RunReport) -> bool {
         ],
     );
     all_match & record_matches(report, &keys, &same)
+}
+
+/// perfbench `offline-cluster`'s fit: 32 series of 2 000 steps (a 32 × 1 200
+/// training matrix, 4 800 segments), p = k = 8, 6 iterations.
+fn offline_cluster_shape() -> (FocusConfig, Tensor) {
+    let ds = MtsDataset::generate(Benchmark::Pems08.scaled(32, 2_000), 7);
+    let mut cfg = FocusConfig::new(96, 24);
+    cfg.segment_len = 8;
+    cfg.n_prototypes = 8;
+    cfg.cluster_iters = 6;
+    (cfg, ds.train_matrix())
+}
+
+/// Fits at perfbench `offline-cluster`'s shape with tracing on, the run's
+/// only traced calls, whose span tree the report then carries: a fit's
+/// time split into `cluster/{fit,init,assign,update}`.
+fn traced_offline_fits(report: &mut RunReport) {
+    let (cfg, train) = offline_cluster_shape();
+    report.setting("traced", format!("{TRACED_FITS} fits at the offline_phase_4800x8_k8 shape"));
+    focus_trace::reset();
+    focus_trace::set_enabled(true);
+    for _ in 0..TRACED_FITS {
+        black_box(cfg.cluster(&train, 1));
+    }
+    focus_trace::set_enabled(false);
+    report.capture_trace();
 }
 
 /// Every zoo model's `predict` on one window, next to the FLOPs and peak
@@ -330,6 +355,7 @@ fn main() {
     let fits_match = clustering(&mut report);
     forward_pass(&mut report);
     fusion_scaling(&mut report);
+    traced_offline_fits(&mut report);
     write_report(&report, concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e2e.json"));
     assert!(fits_match, "a timed fit returned other centers than its warm-up fit");
 }

@@ -33,9 +33,9 @@
 //! reduces the finished `[J, LANES]` tile in place: the k-means++ sweep
 //! lowers its running minimum and keeps the pick that set it
 //! ([`lower_to_pick`]), the assignment sweep keeps a strict-`<` argmin
-//! over ascending `j` ([`assign_batched`]), soft routing writes the rows
-//! out ([`distance_matrix`]). No `[n, k]` scratch exists. Threads split
-//! the blocks.
+//! over ascending `j` ([`assign_batched`]), soft routing writes each row's
+//! `J` distances out as one contiguous run ([`distance_matrix`]). No
+//! `[n, k]` scratch exists. Threads split the blocks.
 //!
 //! **Same bits as the GEMM.** Each dot is an `f32` chain over `t` in
 //! ascending order from `+0.0`, one multiply then one add per step — exactly
@@ -311,8 +311,9 @@ type FillBlock = fn(&[f32], usize, bool, &mut [f32], &mut [f32]) -> Option<usize
 /// `sxx == 0`, since the f64 sum and mean of equal `f32` values are exact.
 /// Each lane's statistics are f64 chains over `t` in ascending order, as a
 /// row-by-row pass would accumulate them, and padding lanes read as flat
-/// zero rows. Returns the first lane whose row holds a non-finite value.
-/// `P > 0` fixes the width `p` at compile time.
+/// zero rows. `x̂` is computed once, into the panel, and the row-major copy
+/// is read back out of it. Returns the first lane whose row holds a
+/// non-finite value. `P > 0` fixes the width `p` at compile time.
 fn fill_block<const P: usize>(rows: &[f32], p: usize, corr: bool, record: &mut [f32], unit_rows: &mut [f32]) -> Option<usize> {
     let p = if P > 0 { P } else { p };
     let (raw, rest) = record.split_at_mut(p * LANES);
@@ -356,21 +357,42 @@ fn fill_block<const P: usize>(rows: &[f32], p: usize, corr: bool, record: &mut [
             *m = m.max((x as f64).abs());
         }
     }
-    let flat: [bool; LANES] = std::array::from_fn(|r| stats::zero_variance(sxx[r], p, max_abs[r]));
+    // All bits set, or none for a flat row, whose unit values are `+0.0`:
+    // the loops below mask rather than select per lane.
+    let keep: [u32; LANES] = std::array::from_fn(|r| if stats::zero_variance(sxx[r], p, max_abs[r]) { 0 } else { u32::MAX });
     let inv = sxx.map(|v| 1.0 / v.sqrt());
-    for (ustep, step) in unit.chunks_exact_mut(LANES).zip(raw.chunks_exact(LANES)) {
-        for (r, (u, &x)) in ustep.iter_mut().zip(step).enumerate() {
-            *u = if flat[r] { 0.0 } else { ((x as f64 - mean[r]) * inv[r]) as f32 };
-        }
-    }
+    // Lengths the compiler can see: at a fixed width the loops below then
+    // check no bounds.
+    let (raw, unit) = (&raw[..p * LANES], &mut unit[..p * LANES]);
+    let normalise = |x: f32, r: usize| f32::from_bits((((x as f64 - mean[r]) * inv[r]) as f32).to_bits() & keep[r]);
+    each_value::<P>(p, |t, r| unit[t * LANES + r] = normalise(raw[t * LANES + r], r));
     if !unit_rows.is_empty() {
-        for (t, ustep) in unit.chunks_exact(LANES).enumerate() {
-            for (row, &u) in unit_rows.chunks_exact_mut(p).zip(ustep) {
-                row[t] = u;
+        let unit_rows = &mut unit_rows[..LANES * p];
+        each_value::<P>(p, |t, r| unit_rows[r * p + t] = unit[t * LANES + r]);
+    }
+    non_finite
+}
+
+/// Runs `f(t, r)` for every step `t < p` and lane `r` of a block, in the
+/// order whose lane loop the compiler turns into vector code: lanes outer
+/// at a fixed width `P > 0`, whose step loop it unrolls, steps outer
+/// otherwise. In the other order it vectorised across the steps, with a
+/// gather and a scatter per lane.
+#[inline(always)]
+fn each_value<const P: usize>(p: usize, mut f: impl FnMut(usize, usize)) {
+    if P > 0 {
+        for r in 0..LANES {
+            for t in 0..P {
+                f(t, r);
+            }
+        }
+    } else {
+        for t in 0..p {
+            for r in 0..LANES {
+                f(t, r);
             }
         }
     }
-    non_finite
 }
 
 /// One step of `J` dot chains: per lane `r`, `acc[jj][r] += v[r] ·
@@ -477,34 +499,32 @@ fn one_center_tile<const B: usize, const CORR: bool>(
     d
 }
 
-/// Runs `visit(j, d)` for every center in ascending `j`, `d` holding the
-/// distances from the rows of `panel`.
+/// Runs `visit(j0, tile)` for every tile of centers in ascending order,
+/// `tile[jj]` holding the distances from the rows of `panel` to center
+/// `j0 + jj`.
 #[inline(always)]
-fn each_center(panel: Panel<'_>, cache: &CenterCache, visit: impl FnMut(usize, &[f32; LANES])) {
+fn each_tile(panel: Panel<'_>, cache: &CenterCache, visit: impl FnMut(usize, &[[f32; LANES]])) {
     if cache.alpha > 0.0 {
-        centers::<{ CHAINS / 2 }, true>(panel, cache, visit);
+        tiles::<{ CHAINS / 2 }, true>(panel, cache, visit);
     } else {
-        centers::<CHAINS, false>(panel, cache, visit);
+        tiles::<CHAINS, false>(panel, cache, visit);
     }
 }
 
-/// [`each_center`] with the correlation term on or off, `J` centers per
-/// pass.
+/// [`each_tile`] with the correlation term on or off, `J` centers per
+/// tile; the last `k mod J` centers come one per tile.
 #[inline(always)]
-fn centers<const J: usize, const CORR: bool>(
+fn tiles<const J: usize, const CORR: bool>(
     panel: Panel<'_>,
     cache: &CenterCache,
-    mut visit: impl FnMut(usize, &[f32; LANES]),
+    mut visit: impl FnMut(usize, &[[f32; LANES]]),
 ) {
     let full = cache.k - cache.k % J;
     for j0 in (0..full).step_by(J) {
-        for (jj, d) in tile::<J, CORR>(panel, cache, j0).iter().enumerate() {
-            visit(j0 + jj, d);
-        }
+        visit(j0, &tile::<J, CORR>(panel, cache, j0));
     }
     for j in full..cache.k {
-        let [d] = tile::<1, CORR>(panel, cache, j);
-        visit(j, &d);
+        visit(j, &tile::<1, CORR>(panel, cache, j));
     }
 }
 
@@ -544,14 +564,18 @@ fn sweep_grain_rows(seg: &SegmentCache, cache: &CenterCache) -> usize {
     SWEEP_GRAIN_MACS.div_ceil(macs_per_row.max(1)).next_multiple_of(LANES)
 }
 
-/// The full `[n, k]` composite distance matrix.
+/// The full `[n, k]` composite distance matrix. Each tile's distances go
+/// into the rows as contiguous runs of its centers, not as one stride-`k`
+/// store per center.
 pub(crate) fn distance_matrix(seg: &SegmentCache, cache: &CenterCache) -> Tensor {
     let k = cache.k;
     let mut out = Tensor::zeros(&[seg.n, k]);
     for_each_panel(seg, cache, out.data_mut(), k, |panel, block| {
-        each_center(panel, cache, |j, d| {
-            for (row, &v) in block.chunks_exact_mut(k).zip(d) {
-                row[j] = v;
+        each_tile(panel, cache, |j0, tile| {
+            for (r, row) in block.chunks_exact_mut(k).enumerate() {
+                for (o, d) in row[j0..j0 + tile.len()].iter_mut().zip(tile) {
+                    *o = d[r];
+                }
             }
         });
     });
@@ -571,7 +595,11 @@ pub(crate) fn assign_batched(seg: &SegmentCache, cache: &CenterCache, out: &mut 
     for_each_panel(seg, cache, out, 1, |panel, block| {
         let mut best = [0u32; LANES];
         let mut best_d = [f32::INFINITY; LANES];
-        each_center(panel, cache, |j, d| lower_lanes(&mut best_d, &mut best, d, j as u32));
+        each_tile(panel, cache, |j0, tile| {
+            for (j, d) in (j0..).zip(tile) {
+                lower_lanes(&mut best_d, &mut best, d, j as u32);
+            }
+        });
         for ((o, &b), &bd) in block.iter_mut().zip(&best).zip(&best_d) {
             *o = (b as usize, bd);
         }

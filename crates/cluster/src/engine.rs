@@ -171,7 +171,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Runs Algorithm 1 on `segments: [n, p]`.
+    /// Runs Algorithm 1 on `segments: [n, p]`. Like
+    /// [`ClusterConfig::try_fit`], it folds no loss.
     ///
     /// # Panics
     /// If the segment width differs from `segment_len`, there are fewer
@@ -179,30 +180,34 @@ impl ClusterConfig {
     /// (naming its segment and step; [`ClusterConfig::try_fit`] returns it
     /// instead).
     pub fn fit(&self, segments: &Tensor, seed: u64) -> Prototypes {
-        self.fit_traced(segments, seed).0
+        finite(self.try_fit(segments, seed))
     }
 
     /// Like [`ClusterConfig::fit`], but a NaN or an infinity in `segments`
-    /// comes back as the first such value's position.
+    /// comes back as the first such value's position. Folds no loss: the
+    /// per-iteration loss is only [`ClusterConfig::fit_traced`]'s, and the
+    /// prototypes are the same bits either way.
     ///
     /// # Panics
     /// If the segment width differs from `segment_len` or there are fewer
     /// segments than prototypes.
     pub fn try_fit(&self, segments: &Tensor, seed: u64) -> Result<Prototypes, NonFiniteSegment> {
-        self.run(segments, seed).map(|(protos, _)| protos)
+        self.run(segments, seed, None)
     }
 
     /// Like [`ClusterConfig::fit`] but also returns the per-iteration loss
-    /// trace (used by tests and the Fig. 8 harness).
+    /// trace (used by tests). This is the one path that folds the loss:
+    /// after each assignment step, one f64 chain over the segments'
+    /// distances in ascending order, so the trace is identical at any thread
+    /// count. The prototypes equal [`ClusterConfig::fit`]'s bit for bit.
     pub fn fit_traced(&self, segments: &Tensor, seed: u64) -> (Prototypes, FitTrace) {
-        match self.run(segments, seed) {
-            Ok(fit) => fit,
-            // focus-lint: allow(panic-hygiene) -- documented panic: a fit on non-finite data would return NaN prototypes, and the message names the segment, step and value
-            Err(bad) => panic!("{bad}"),
-        }
+        let mut trace = FitTrace::default();
+        let protos = finite(self.run(segments, seed, Some(&mut trace)));
+        (protos, trace)
     }
 
-    fn run(&self, segments: &Tensor, seed: u64) -> Result<(Prototypes, FitTrace), NonFiniteSegment> {
+    /// Algorithm 1, folding the loss into `trace` if there is one.
+    fn run(&self, segments: &Tensor, seed: u64, mut trace: Option<&mut FitTrace>) -> Result<Prototypes, NonFiniteSegment> {
         assert_eq!(segments.rank(), 2, "segments must be [n, p]");
         let (n, p) = (segments.dims()[0], segments.dims()[1]);
         assert_eq!(p, self.segment_len, "segment width {p} != segment_len {}", self.segment_len);
@@ -225,40 +230,35 @@ impl ClusterConfig {
             (seg, unit_rows, centers)
         };
         let mut assignment = vec![usize::MAX; n];
-        let mut trace = FitTrace::default();
+        let mut counts = vec![0usize; self.k];
         let mut adam = AdamState::new(self.k, p);
 
         for iter in 0..self.max_iters {
             // Assignment step (Eq. 6) via the fused sweep kernel; the first
-            // takes k-means++'s hand-off, which holds the same bits. The f64
-            // loss is then folded serially in ascending segment order so the
-            // trace is identical at any thread count.
+            // takes k-means++'s hand-off, which holds the same bits.
             if iter > 0 {
                 let cache = CenterCache::new(&centers, &self.objective);
                 assign_batched(&seg, &cache, &mut nearest);
             }
-            let mut changed = 0usize;
-            let mut loss = 0.0f64;
-            for (slot, &(best, best_d)) in assignment.iter_mut().zip(&nearest) {
-                if *slot != best {
-                    changed += 1;
-                    *slot = best;
-                }
-                loss += best_d as f64;
+            let changed = take_assignment(&nearest, &mut assignment, &mut counts);
+            if let Some(trace) = trace.as_deref_mut() {
+                let loss = nearest.iter().fold(0.0f64, |loss, &(_, d)| loss + d as f64);
+                trace.loss_per_iter.push(loss / n as f64);
             }
-            trace.loss_per_iter.push(loss / n as f64);
 
             if changed == 0 && iter > 0 {
-                trace.converged_at = Some(iter);
+                if let Some(trace) = trace.as_deref_mut() {
+                    trace.converged_at = Some(iter);
+                }
                 break;
             }
 
             // Re-seed empty buckets from the farthest segment.
-            reseed_empty_buckets(segments, &mut centers, &mut assignment, &nearest);
+            reseed_empty_buckets(segments, &mut centers, &mut assignment, &mut counts, &nearest);
 
             // Update step (Eqs. 8–10).
             focus_trace::span!("cluster/update");
-            let buckets = BucketStats::gather(segments, &unit_rows, &assignment, self.k);
+            let buckets = BucketStats::gather(segments, &unit_rows, &assignment, &counts);
             match self.update {
                 ProtoUpdate::ClosedFormMean => update_mean(&buckets, &mut centers),
                 ProtoUpdate::AdamW { lr, steps, weight_decay } => {
@@ -268,7 +268,16 @@ impl ClusterConfig {
         }
         pool::give(unit_rows);
 
-        Ok((Prototypes::from_centers(centers, self.objective), trace))
+        Ok(Prototypes::from_centers(centers, self.objective))
+    }
+}
+
+/// A fit's prototypes; a fit on non-finite data panics, naming the value.
+fn finite(fit: Result<Prototypes, NonFiniteSegment>) -> Prototypes {
+    match fit {
+        Ok(protos) => protos,
+        // focus-lint: allow(panic-hygiene) -- documented panic: a fit on non-finite data would return NaN prototypes, and the message names the segment, step and value
+        Err(bad) => panic!("{bad}"),
     }
 }
 
@@ -487,24 +496,37 @@ fn weighted_pick(dists: &[f32], rng: &mut StdRng) -> usize {
     n - 1
 }
 
+/// Copies each segment's nearest pick out of `nearest` into `assignment`,
+/// writes each bucket's member count into `counts`, and returns how many
+/// segments changed bucket, without a branch on the data.
+fn take_assignment(nearest: &[(usize, f32)], assignment: &mut [usize], counts: &mut [usize]) -> usize {
+    let mut changed = 0;
+    for (slot, &(best, _)) in assignment.iter_mut().zip(nearest) {
+        changed += usize::from(*slot != best);
+        *slot = best;
+    }
+    counts.fill(0);
+    for &a in assignment.iter() {
+        counts[a] += 1;
+    }
+    changed
+}
+
 /// Moves any prototype with an empty bucket onto the segment farthest from
 /// its assigned prototype, drawn only from buckets with at least two members
 /// so that the move never empties another bucket (one exists while
-/// `n ≥ k`). `nearest[i].1` is segment `i`'s distance to its assigned
-/// prototype, as the assignment sweep just computed it; a moved segment's
-/// entry goes stale, but it then sits alone in its bucket and is never drawn
-/// again.
+/// `n ≥ k`), and keeps `counts`, the bucket sizes of `assignment`, current.
+/// `nearest[i].1` is segment `i`'s distance to its assigned prototype, as
+/// the assignment sweep just computed it; a moved segment's entry goes
+/// stale, but it then sits alone in its bucket and is never drawn again.
 fn reseed_empty_buckets(
     segments: &Tensor,
     centers: &mut Tensor,
     assignment: &mut [usize],
+    counts: &mut [usize],
     nearest: &[(usize, f32)],
 ) {
     let (k, p) = (centers.dims()[0], centers.dims()[1]);
-    let mut counts = vec![0usize; k];
-    for &a in assignment.iter() {
-        counts[a] += 1;
-    }
     for j in 0..k {
         if counts[j] > 0 {
             continue;
@@ -529,10 +551,10 @@ fn reseed_empty_buckets(
 }
 
 /// Per-bucket statistics of one assignment, gathered in one serial
-/// ascending-`i` pass (so they are identical at any thread count): member
-/// counts, the bucket means (from f64 sums) and — when the correlation
-/// gradient needs it — `U_j = Σ_{i∈B_j} x̂_i` over the unit rows the fit's
-/// cache build wrote.
+/// ascending-`i` pass (so they are identical at any thread count): the
+/// bucket means (from f64 sums) and — when the correlation gradient needs
+/// it — `U_j = Σ_{i∈B_j} x̂_i` over the unit rows the fit's cache build
+/// wrote, beside the member counts of the pass that took the assignment.
 struct BucketStats {
     counts: Vec<usize>,
     /// `Σ_{i∈B_j} x_i`, `[k, p]`.
@@ -544,12 +566,16 @@ struct BucketStats {
 }
 
 impl BucketStats {
+    /// `counts` holds each bucket's member count in `assignment`.
     /// `unit_rows` holds `x̂_i` as row `i` (rows past `n` are ignored), or
-    /// is empty to skip `U_j`.
-    fn gather(segments: &Tensor, unit_rows: &[f32], assignment: &[usize], k: usize) -> BucketStats {
+    /// is empty to skip `U_j`. Each row goes straight into its bucket's
+    /// sums ([`BucketStats::add_rows`]). The pass folds no loss: only
+    /// [`ClusterConfig::fit_traced`] does, after the assignment step.
+    fn gather(segments: &Tensor, unit_rows: &[f32], assignment: &[usize], counts: &[usize]) -> BucketStats {
         let p = segments.dims()[1];
+        let k = counts.len();
         let mut buckets = BucketStats {
-            counts: vec![0; k],
+            counts: counts.to_vec(),
             sums: vec![0.0; k * p],
             means: vec![0.0; k * p],
             unit_sums: vec![0.0; if unit_rows.is_empty() { 0 } else { k * p }],
@@ -561,10 +587,10 @@ impl BucketStats {
         while c0 < p {
             let rows = (segments.data(), unit_rows);
             c0 += match p - c0 {
-                8.. => buckets.add_runs::<8>(p, c0, rows, assignment),
-                4..=7 => buckets.add_runs::<4>(p, c0, rows, assignment),
-                2 | 3 => buckets.add_runs::<2>(p, c0, rows, assignment),
-                _ => buckets.add_runs::<1>(p, c0, rows, assignment),
+                8.. => buckets.add_rows::<8>(p, c0, rows, assignment),
+                4..=7 => buckets.add_rows::<4>(p, c0, rows, assignment),
+                2 | 3 => buckets.add_rows::<2>(p, c0, rows, assignment),
+                _ => buckets.add_rows::<1>(p, c0, rows, assignment),
             };
         }
         for ((m, s), &count) in buckets.means.chunks_mut(p.max(1)).zip(buckets.sums.chunks(p.max(1))).zip(&buckets.counts) {
@@ -578,14 +604,13 @@ impl BucketStats {
         buckets
     }
 
-    /// Adds columns `c0 .. c0 + W` of the `p`-wide segment rows (and of the
-    /// unit rows) into their buckets' f64 sums, and returns `W`; the group at
-    /// column 0 also counts the members. A run of consecutive segments in
-    /// one bucket is held in registers and stored once, so a row waits on
-    /// the previous row's add, not on its store and reload; every sum still
-    /// takes its bucket's rows in ascending `i`, starting from what the
-    /// bucket's earlier runs left.
-    fn add_runs<const W: usize>(
+    /// Adds columns `c0 .. c0 + W` of each `p`-wide segment row (and of its
+    /// unit row) into its bucket's f64 sums, in ascending `i`, and returns
+    /// `W`. Every row goes straight to its bucket's sums in memory, with no
+    /// branch on whether its bucket is the previous row's: each sum takes
+    /// its bucket's rows in ascending `i` from `+0.0`, and only rows of one
+    /// bucket wait on each other.
+    fn add_rows<const W: usize>(
         &mut self,
         p: usize,
         c0: usize,
@@ -593,53 +618,36 @@ impl BucketStats {
         assignment: &[usize],
     ) -> usize {
         let unit = !self.unit_sums.is_empty();
-        let group = |row: &[f32]| -> [f32; W] { row[c0..c0 + W].try_into().expect("a column group is W wide") };
         // Without unit rows, the segment rows stand in for them unread.
         let unit_rows = if unit { unit_rows } else { data };
-        let (mut cur, mut len) = (assignment.first().copied().unwrap_or(0), 0);
-        let (mut acc, mut unit_acc) = ([0.0f64; W], [0.0f64; W]);
         for ((&a, row), unit_row) in assignment.iter().zip(data.chunks_exact(p)).zip(unit_rows.chunks_exact(p)) {
-            if a != cur {
-                self.flush(cur, p, c0, len, &acc, &unit_acc);
-                (cur, len) = (a, 0);
-                acc = self.sums[a * p + c0..][..W].try_into().expect("a column group is W wide");
-                if unit {
-                    unit_acc = self.unit_sums[a * p + c0..][..W].try_into().expect("a column group is W wide");
-                }
-            }
-            len += 1;
-            for (s, v) in acc.iter_mut().zip(group(row)) {
-                *s += v as f64;
-            }
+            add_group::<W>(&mut self.sums[a * p + c0..], &row[c0..]);
             if unit {
-                for (s, v) in unit_acc.iter_mut().zip(group(unit_row)) {
-                    *s += v as f64;
-                }
+                add_group::<W>(&mut self.unit_sums[a * p + c0..], &unit_row[c0..]);
             }
-        }
-        if len > 0 {
-            self.flush(cur, p, c0, len, &acc, &unit_acc);
         }
         W
     }
+}
 
-    /// Stores a finished run of `len` members of bucket `j`.
-    fn flush<const W: usize>(&mut self, j: usize, p: usize, c0: usize, len: usize, acc: &[f64; W], unit_acc: &[f64; W]) {
-        if c0 == 0 {
-            self.counts[j] += len;
-        }
-        self.sums[j * p + c0..][..W].copy_from_slice(acc);
-        if !self.unit_sums.is_empty() {
-            self.unit_sums[j * p + c0..][..W].copy_from_slice(unit_acc);
-        }
+/// `sums[..W] += row[..W]`, each value widened to f64. Both are read into
+/// arrays before the store, so the adds are vector code: through the slices,
+/// the compiler could not rule out that the store overwrites the row.
+#[inline(always)]
+fn add_group<const W: usize>(sums: &mut [f64], row: &[f32]) {
+    let mut acc: [f64; W] = sums[..W].try_into().expect("a column group is W wide");
+    let row: [f32; W] = row[..W].try_into().expect("a column group is W wide");
+    for (s, v) in acc.iter_mut().zip(row) {
+        *s += v as f64;
     }
+    sums[..W].copy_from_slice(&acc);
 }
 
 /// The fit's internal passes, for the crate's property tests, which hold
 /// them to serial-order references. Not part of the API.
 #[doc(hidden)]
 pub mod fit_passes {
-    use super::{fit_rng, kmeans_pp_init, BucketStats, ClusterConfig, SegmentCache};
+    use super::{fit_rng, kmeans_pp_init, take_assignment, BucketStats, ClusterConfig, SegmentCache};
     use focus_tensor::Tensor;
 
     /// k-means++ seeding exactly as [`ClusterConfig::fit`] runs it on
@@ -656,8 +664,9 @@ pub mod fit_passes {
         (centers, nearest)
     }
 
-    /// One update step's bucket pass over `assignment` into `k` buckets:
-    /// member counts, the f64 sums `Σ x_i` and, unless `unit_rows` is empty,
+    /// One update step's bucket pass over `assignment` into `k` buckets, as
+    /// a fit runs it: the member counts of the pass that takes the
+    /// assignment, the f64 sums `Σ x_i` and, unless `unit_rows` is empty,
     /// `U_j = Σ x̂_i` over its rows, each sum `[k, p]`.
     pub fn bucket_sums(
         segments: &Tensor,
@@ -665,7 +674,10 @@ pub mod fit_passes {
         assignment: &[usize],
         k: usize,
     ) -> (Vec<usize>, Vec<f64>, Vec<f64>) {
-        let b = BucketStats::gather(segments, unit_rows, assignment, k);
+        let nearest: Vec<(usize, f32)> = assignment.iter().map(|&a| (a, 0.0)).collect();
+        let (mut taken, mut counts) = (vec![usize::MAX; assignment.len()], vec![0; k]);
+        take_assignment(&nearest, &mut taken, &mut counts);
+        let b = BucketStats::gather(segments, unit_rows, &taken, &counts);
         (b.counts, b.sums, b.unit_sums)
     }
 }
@@ -907,13 +919,15 @@ mod tests {
         let obj = Objective::paper_default();
         let mut nearest = vec![(0usize, 0.0f32); 4];
         assign_batched(&SegmentCache::new(&segs, &obj), &CenterCache::new(&centers, &obj), &mut nearest);
-        let mut assignment: Vec<usize> = nearest.iter().map(|&(j, _)| j).collect();
+        let (mut assignment, mut counts) = (vec![usize::MAX; 4], vec![0usize; 3]);
+        assert_eq!(take_assignment(&nearest, &mut assignment, &mut counts), 4);
         assert_eq!(assignment, [1, 1, 0, 1]);
-        reseed_empty_buckets(&segs, &mut centers, &mut assignment, &nearest);
-        let mut counts = [0usize; 3];
+        reseed_empty_buckets(&segs, &mut centers, &mut assignment, &mut counts, &nearest);
+        let mut recount = [0usize; 3];
         for &a in &assignment {
-            counts[a] += 1;
+            recount[a] += 1;
         }
+        assert_eq!(counts, recount, "reseed keeps the counts current");
         assert_eq!(counts, [1, 2, 1], "assignment after reseed: {assignment:?}");
         assert_eq!(centers.row(2), segs.row(0), "bucket 2 takes bucket 1's farthest member");
     }

@@ -431,24 +431,47 @@ fn bits64(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn bucket_pass_matches_serial_order_bitwise() {
-    // The pass holds runs of one bucket in registers, a fixed-width column
-    // group at a time; every f64 sum must still be the ascending-`i` chain.
-    // Values span 1e8 to 1e-3, so a sum taken in another order rounds
-    // differently; runs are long (40), short and singleton; the last bucket
-    // stays empty; a singleton bucket holds a row of −0.0, whose sum is
-    // +0.0 only when it starts from the stored zero.
+    // The pass adds every row straight into its bucket's sums, a
+    // fixed-width column group at a time, and takes the counts from the pass
+    // that copies the assignment; every f64 sum must still be the
+    // ascending-`i` chain. Values span 1e8 to 1e-3, so a sum taken in
+    // another order rounds differently; runs are long (40), short and
+    // singleton, or the bucket changes at every row; for k ≥ 3 the last
+    // bucket stays empty and a singleton bucket holds a row of −0.0, whose
+    // sum is +0.0 only when it starts from +0.0. Twelve cases draw k from
+    // 3..9, then k = 1, 2 and 64 run the same way, then k = 2 and 64 change
+    // bucket at every row.
     let mut rng = StdRng::seed_from_u64(0xb0c7);
     for p in [1usize, 3, 5, 8, 12, 16, 17] {
-        for case in 0..12 {
-            let k = rng.gen_range(3..9usize);
-            let mut assignment = Vec::new();
+        for case in 0..17 {
+            let (k, every_row) = match case {
+                0..12 => (rng.gen_range(3..9usize), false),
+                12 => (1, false),
+                13 => (2, false),
+                14 => (64, false),
+                15 => (2, true),
+                _ => (64, true),
+            };
+            let runs = if k >= 3 { k - 2 } else { k };
+            let mut assignment: Vec<usize> = Vec::new();
             while assignment.len() < 200 {
+                if every_row {
+                    // Any bucket but the previous row's.
+                    let prev = assignment.last().copied().unwrap_or(0);
+                    assignment.push((prev + rng.gen_range(1..runs)) % runs);
+                    continue;
+                }
                 let len = [1, 1, 2, 3, 40][rng.gen_range(0..5usize)];
-                let bucket = rng.gen_range(0..k - 2);
+                let bucket = rng.gen_range(0..runs);
                 assignment.extend(std::iter::repeat_n(bucket, len));
             }
             let zero_row = rng.gen_range(0..assignment.len());
-            assignment[zero_row] = k - 2;
+            if k >= 3 {
+                assignment[zero_row] = k - 2;
+            }
+            if every_row {
+                assert!(assignment.windows(2).all(|w| w[0] != w[1]), "k {k}: a bucket repeats");
+            }
             let n = assignment.len();
             let data: Vec<f32> = (0..n * p)
                 .map(|v| match v / p {
@@ -459,15 +482,17 @@ fn bucket_pass_matches_serial_order_bitwise() {
             let segs = Tensor::from_vec(data, &[n, p]);
             let unit: Vec<f32> = (0..n * p).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             for unit_rows in [&unit[..], &[]] {
-                let case = format!("p {p}, case {case}, unit rows {}", !unit_rows.is_empty());
+                let case = format!("p {p}, case {case}, k {k}, unit rows {}", !unit_rows.is_empty());
                 let (counts, sums, unit_sums) = fit_passes::bucket_sums(&segs, unit_rows, &assignment, k);
                 let (want_counts, want_sums, want_unit) = reference_bucket_sums(&segs, unit_rows, &assignment, k);
                 assert_eq!(counts, want_counts, "counts, {case}");
-                assert_eq!(counts[k - 1], 0, "the last bucket stays empty, {case}");
                 assert_eq!(bits64(&sums), bits64(&want_sums), "sums, {case}");
                 assert_eq!(bits64(&unit_sums), bits64(&want_unit), "unit sums, {case}");
-                let zero_sum = &sums[(k - 2) * p..(k - 1) * p];
-                assert!(zero_sum.iter().all(|s| s.to_bits() == 0), "−0.0 row sums to +0.0, {case}");
+                if k >= 3 {
+                    assert_eq!(counts[k - 1], 0, "the last bucket stays empty, {case}");
+                    let zero_sum = &sums[(k - 2) * p..(k - 1) * p];
+                    assert!(zero_sum.iter().all(|s| s.to_bits() == 0), "−0.0 row sums to +0.0, {case}");
+                }
             }
         }
     }
@@ -512,6 +537,32 @@ fn kmeans_pp_hand_off_matches_a_fresh_assignment_bitwise() {
                     let total: f64 = hand_off.iter().map(|&(_, d)| d as f64).sum();
                     assert_eq!(trace.loss_per_iter[0].to_bits(), (total / n as f64).to_bits(), "first loss, {case}");
                 }
+            }
+        }
+    }
+    par::set_threads(0);
+}
+
+#[test]
+fn untraced_fits_match_fit_traced_bitwise() {
+    // `try_fit` and `fit` skip the loss fold that only `fit_traced` runs;
+    // their prototypes must be `fit_traced`'s, bit for bit, at every thread
+    // count. 4 800 rows pass the sweeps' parallel grain. With 3 distinct
+    // rows and k = 5, k-means++ seeds duplicate centers whose buckets stay
+    // empty (ties break to the lower index), so every iteration reseeds.
+    let _g = par::threads_guard();
+    let mut rng = StdRng::seed_from_u64(0x7ace);
+    for (n, p, k, distinct) in [(4800usize, 8usize, 8usize, 4800usize), (200, 6, 5, 3)] {
+        let segs = repeated_rows(n, p, distinct, &mut rng);
+        for update in [ProtoUpdate::paper_default(), ProtoUpdate::ClosedFormMean] {
+            let cfg = ClusterConfig::new(k, p).with_update(update).with_max_iters(6);
+            for threads in [1usize, 2, 4] {
+                par::set_threads(threads);
+                let case = format!("n {n}, {distinct} distinct rows, {update:?}, {threads} threads");
+                let want = bits(cfg.fit_traced(&segs, 5).0.centers().data());
+                assert_eq!(bits(cfg.fit(&segs, 5).centers().data()), want, "fit, {case}");
+                let tried = cfg.try_fit(&segs, 5).expect("finite segments");
+                assert_eq!(bits(tried.centers().data()), want, "try_fit, {case}");
             }
         }
     }

@@ -116,6 +116,8 @@ grep -q '"softmax_256x12/output_match": 1' BENCH_kernels.json
 # BENCH_e2e.json. Every forward's warm-up output is checked finite, every
 # timed prototype fit must repeat its warm-up fit's centers bit for bit, and
 # every replayed zoo predict must count its never-cached predict's FLOPs.
+# The run ends with traced fits at perfbench offline-cluster's shape, whose
+# span tree (cluster/{fit,init,assign,update}) the report carries.
 echo "==> cargo bench -p focus-bench --bench e2e"
 cargo bench -p focus-bench --bench e2e
 grep -q '"schema": "focus-trace-report v1"' BENCH_e2e.json
@@ -126,6 +128,8 @@ grep -q '"forward_pass/FOCUS/flops"' BENCH_e2e.json
 grep -q '"forward_pass/FOCUS/peak_bytes"' BENCH_e2e.json
 grep -q '"offline_phase/output_match": 1' BENCH_e2e.json
 grep -q '"offline_phase_4800x8_k8/median_ns"' BENCH_e2e.json
+grep -q '"offline_phase_4800x8_k8/output_match": 1' BENCH_e2e.json
+grep -q '"name": "cluster/update"' BENCH_e2e.json
 grep -q '"fusion_scaling/parallel_fusion/128/median_ns"' BENCH_e2e.json
 
 # Steady-state train-step benchmark: measures the never-cached step (record,
