@@ -90,8 +90,10 @@ pub enum Loc {
 /// The flat opcode set: one variant per tensor kernel the training step uses.
 ///
 /// `dims` semantics per opcode are documented on the VM dispatch
-/// (`crate::vm`); they always describe the *kernel call*, e.g. GEMM opcodes
-/// carry `[m, k, n]` in dispatch order, not the tape node's shape.
+/// (`crate::vm`); they always describe the *kernel call*, e.g. the three
+/// batched GEMM opcodes carry `[bt, m, k, n]` in dispatch order and then one
+/// batch flag per operand (0: one matrix that every batch shares), not the
+/// tape node's shape. A single product is a batch of one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpCode {
     ZipAdd,
@@ -109,15 +111,10 @@ pub enum OpCode {
     MapSigmoid,
     MapTanh,
     MapAbs,
-    GemmNn,
-    GemmNt,
-    GemmTn,
     BmmNn,
     BmmNt,
     BmmTn,
-    BcastNt,
     BcastNtDa,
-    BcastNtDx,
     RouteGather,
     RouteScatter,
     AddRowBcast,
@@ -126,7 +123,6 @@ pub enum OpCode {
     SoftmaxBwd,
     LayerNormFwd,
     LayerNormBwd,
-    Transpose2,
     TransposeLast2,
     Swap01,
     ConcatLast,
@@ -143,7 +139,7 @@ pub enum OpCode {
 impl OpCode {
     /// Every opcode, in declaration order. Public so the verifier, the parity
     /// corpus and coverage tooling can enumerate the instruction set.
-    pub const ALL: [OpCode; 44] = [
+    pub const ALL: [OpCode; 38] = [
         OpCode::ZipAdd,
         OpCode::ZipSub,
         OpCode::ZipMul,
@@ -159,15 +155,10 @@ impl OpCode {
         OpCode::MapSigmoid,
         OpCode::MapTanh,
         OpCode::MapAbs,
-        OpCode::GemmNn,
-        OpCode::GemmNt,
-        OpCode::GemmTn,
         OpCode::BmmNn,
         OpCode::BmmNt,
         OpCode::BmmTn,
-        OpCode::BcastNt,
         OpCode::BcastNtDa,
-        OpCode::BcastNtDx,
         OpCode::RouteGather,
         OpCode::RouteScatter,
         OpCode::AddRowBcast,
@@ -176,7 +167,6 @@ impl OpCode {
         OpCode::SoftmaxBwd,
         OpCode::LayerNormFwd,
         OpCode::LayerNormBwd,
-        OpCode::Transpose2,
         OpCode::TransposeLast2,
         OpCode::Swap01,
         OpCode::ConcatLast,
@@ -208,15 +198,10 @@ impl OpCode {
             OpCode::MapSigmoid => "map_sigmoid",
             OpCode::MapTanh => "map_tanh",
             OpCode::MapAbs => "map_abs",
-            OpCode::GemmNn => "gemm_nn",
-            OpCode::GemmNt => "gemm_nt",
-            OpCode::GemmTn => "gemm_tn",
             OpCode::BmmNn => "bmm_nn",
             OpCode::BmmNt => "bmm_nt",
             OpCode::BmmTn => "bmm_tn",
-            OpCode::BcastNt => "bcast_nt",
             OpCode::BcastNtDa => "bcast_nt_da",
-            OpCode::BcastNtDx => "bcast_nt_dx",
             OpCode::RouteGather => "route_gather",
             OpCode::RouteScatter => "route_scatter",
             OpCode::AddRowBcast => "add_row_bcast",
@@ -225,7 +210,6 @@ impl OpCode {
             OpCode::SoftmaxBwd => "softmax_bwd",
             OpCode::LayerNormFwd => "layer_norm_fwd",
             OpCode::LayerNormBwd => "layer_norm_bwd",
-            OpCode::Transpose2 => "transpose2",
             OpCode::TransposeLast2 => "transpose_last2",
             OpCode::Swap01 => "swap01",
             OpCode::ConcatLast => "concat_last",
@@ -476,6 +460,13 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// `(batches, rows, cols)` of a matrix or a batch of matrices: a rank-2
+/// operand is one batch.
+fn batched(dims: &[usize]) -> (usize, usize, usize) {
+    let r = dims.len();
+    (dims[..r - 2].iter().product(), dims[r - 2], dims[r - 1])
+}
+
 impl<'a> Emitter<'a> {
     fn new(g: &'a Graph, params: &[Var]) -> Emitter<'a> {
         let mut param_of = BTreeMap::new();
@@ -679,49 +670,20 @@ impl<'a> Emitter<'a> {
                 Op::Sigmoid(a) => self.map(OpCode::MapSigmoid, *a, nl, 0.0),
                 Op::Tanh(a) => self.map(OpCode::MapTanh, *a, nl, 0.0),
                 Op::Abs(a) => self.map(OpCode::MapAbs, *a, nl, 0.0),
-                Op::Matmul(a, b) => {
-                    let (m, k) = (self.dims_of(*a)[0], self.dims_of(*a)[1]);
-                    let n = self.dims_of(*b)[1];
+                // A rank-2 product is a batch of one.
+                Op::Matmul(a, b) | Op::Bmm(a, b) => {
+                    let (bt, m, k) = batched(self.dims_of(*a));
+                    let (_, _, n) = batched(self.dims_of(*b));
                     let (la, lb) = (self.loc(*a), self.loc(*b));
-                    let r = self.fresh(m * n);
-                    self.emit(
-                        OpCode::GemmNn,
-                        vec![r],
-                        vec![la, lb],
-                        vec![m as u32, k as u32, n as u32],
-                        0.0,
-                    );
-                    VLoc::V(r)
+                    VLoc::V(self.bmm(OpCode::BmmNn, [bt, m, k, n], (la, true), (lb, true)))
                 }
-                Op::Bmm(a, b) => {
-                    let ad = self.dims_of(*a);
-                    let n = self.dims_of(*b)[2];
-                    let (bt, m, k) = (ad[0], ad[1], ad[2]);
+                // A rank-2 left operand is one matrix that every batch shares.
+                Op::BmmNt(a, b) | Op::MatmulBroadcastNt(a, b) => {
+                    let (_, m, k) = batched(self.dims_of(*a));
+                    let (bt, n, _) = batched(self.dims_of(*b));
+                    let a_batched = self.dims_of(*a).len() == 3;
                     let (la, lb) = (self.loc(*a), self.loc(*b));
-                    let r = self.fresh(bt * m * n);
-                    self.emit(
-                        OpCode::BmmNn,
-                        vec![r],
-                        vec![la, lb],
-                        vec![bt as u32, m as u32, k as u32, n as u32],
-                        0.0,
-                    );
-                    VLoc::V(r)
-                }
-                Op::BmmNt(a, b) => {
-                    let ad = self.dims_of(*a);
-                    let n = self.dims_of(*b)[1];
-                    let (bt, m, k) = (ad[0], ad[1], ad[2]);
-                    let (la, lb) = (self.loc(*a), self.loc(*b));
-                    let r = self.fresh(bt * m * n);
-                    self.emit(
-                        OpCode::BmmNt,
-                        vec![r],
-                        vec![la, lb],
-                        vec![bt as u32, m as u32, k as u32, n as u32],
-                        0.0,
-                    );
-                    VLoc::V(r)
+                    VLoc::V(self.bmm(OpCode::BmmNt, [bt, m, k, n], (la, a_batched), (lb, true)))
                 }
                 Op::RouteOneHot { head, route } => {
                     let src = route.0 as u32;
@@ -739,44 +701,15 @@ impl<'a> Emitter<'a> {
                     );
                     VLoc::V(r)
                 }
-                Op::MatmulBroadcastNt(a, x) => {
-                    let ad = self.dims_of(*a);
-                    let xd = self.dims_of(*x);
-                    let (k, d) = (ad[0], ad[1]);
-                    let (bsz, l) = (xd[0], xd[1]);
-                    let (la, lx) = (self.loc(*a), self.loc(*x));
-                    let r = self.fresh(bsz * k * l);
-                    self.emit(
-                        OpCode::BcastNt,
-                        vec![r],
-                        vec![la, lx],
-                        vec![bsz as u32, k as u32, d as u32, l as u32],
-                        0.0,
-                    );
-                    VLoc::V(r)
-                }
-                Op::Transpose2(a) => {
-                    let ad = self.dims_of(*a);
-                    let la = self.loc(*a);
-                    let r = self.fresh(nl);
-                    self.emit(
-                        OpCode::Transpose2,
-                        vec![r],
-                        vec![la],
-                        vec![ad[0] as u32, ad[1] as u32],
-                        0.0,
-                    );
-                    VLoc::V(r)
-                }
-                Op::TransposeLast2(a) => {
-                    let ad = self.dims_of(*a);
+                Op::Transpose2(a) | Op::TransposeLast2(a) => {
+                    let (bt, m, n) = batched(self.dims_of(*a));
                     let la = self.loc(*a);
                     let r = self.fresh(nl);
                     self.emit(
                         OpCode::TransposeLast2,
                         vec![r],
                         vec![la],
-                        vec![ad[0] as u32, ad[1] as u32, ad[2] as u32],
+                        vec![bt as u32, m as u32, n as u32],
                         0.0,
                     );
                     VLoc::V(r)
@@ -902,6 +835,16 @@ impl<'a> Emitter<'a> {
         let r = self.fresh(nl);
         self.emit(op, vec![r], vec![la], vec![nl as u32], imm);
         VLoc::V(r)
+    }
+
+    /// Emits the batched GEMM `op` at dispatch dims `[bt, m, k, n]` into a
+    /// fresh `[bt, m, n]` register. Each operand comes with its batch flag:
+    /// `false` marks one matrix that every batch shares.
+    fn bmm(&mut self, op: OpCode, [bt, m, k, n]: [usize; 4], a: (VLoc, bool), b: (VLoc, bool)) -> u32 {
+        let r = self.fresh(bt * m * n);
+        let dims = vec![bt as u32, m as u32, k as u32, n as u32, u32::from(a.1), u32::from(b.1)];
+        self.emit(op, vec![r], vec![a.0, b.0], dims, 0.0);
+        r
     }
 
     /// The virtual register holding `v`'s value for a plan sink (loss or
@@ -1037,84 +980,21 @@ impl<'a> Emitter<'a> {
                         self.contrib(a, OpCode::ZipTanhBwd, vec![ly, VLoc::V(gr)], vec![nl as u32], nl);
                     }
                 }
-                Op::Matmul(a, b) => {
+                Op::Matmul(a, b) | Op::Bmm(a, b) => {
                     let (a, b) = (*a, *b);
-                    let (m, k) = (self.dims_of(a)[0], self.dims_of(a)[1]);
-                    let n = self.dims_of(b)[1];
-                    let gr = self.grad_vreg(i);
-                    let da = if self.rg(a) {
+                    let (bt, m, k) = batched(self.dims_of(a));
+                    let (_, _, n) = batched(self.dims_of(b));
+                    let gr = VLoc::V(self.grad_vreg(i));
+                    // da = g ·ᵇ bᵀ : dispatch (Nt, bt, m, n, k).
+                    let da = self.rg(a).then(|| {
                         let lb = self.loc(b);
-                        let r = self.fresh(m * k);
-                        // da = g · bᵀ : dispatch (Nt, m, n, k).
-                        self.emit(
-                            OpCode::GemmNt,
-                            vec![r],
-                            vec![VLoc::V(gr), lb],
-                            vec![m as u32, n as u32, k as u32],
-                            0.0,
-                        );
-                        Some(r)
-                    } else {
-                        None
-                    };
-                    let db = if self.rg(b) {
+                        self.bmm(OpCode::BmmNt, [bt, m, n, k], (gr, true), (lb, true))
+                    });
+                    // db = aᵀ ·ᵇ g : dispatch (Tn, bt, k, m, n).
+                    let db = self.rg(b).then(|| {
                         let la = self.loc(a);
-                        let r = self.fresh(k * n);
-                        // db = aᵀ · g : dispatch (Tn, k, m, n).
-                        self.emit(
-                            OpCode::GemmTn,
-                            vec![r],
-                            vec![la, VLoc::V(gr)],
-                            vec![k as u32, m as u32, n as u32],
-                            0.0,
-                        );
-                        Some(r)
-                    } else {
-                        None
-                    };
-                    if let Some(r) = da {
-                        self.accum_own(a, r, m * k);
-                    }
-                    if let Some(r) = db {
-                        self.accum_own(b, r, k * n);
-                    }
-                }
-                Op::Bmm(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let ad = self.dims_of(a);
-                    let (bt, m, k) = (ad[0], ad[1], ad[2]);
-                    let n = self.dims_of(b)[2];
-                    let gr = self.grad_vreg(i);
-                    let da = if self.rg(a) {
-                        let lb = self.loc(b);
-                        let r = self.fresh(bt * m * k);
-                        // da = g ·ᵇ bᵀ : dispatch (Nt, bt, m, n, k).
-                        self.emit(
-                            OpCode::BmmNt,
-                            vec![r],
-                            vec![VLoc::V(gr), lb],
-                            vec![bt as u32, m as u32, n as u32, k as u32],
-                            0.0,
-                        );
-                        Some(r)
-                    } else {
-                        None
-                    };
-                    let db = if self.rg(b) {
-                        let la = self.loc(a);
-                        let r = self.fresh(bt * k * n);
-                        // db = aᵀ ·ᵇ g : dispatch (Tn, bt, k, m, n).
-                        self.emit(
-                            OpCode::BmmTn,
-                            vec![r],
-                            vec![la, VLoc::V(gr)],
-                            vec![bt as u32, k as u32, m as u32, n as u32],
-                            0.0,
-                        );
-                        Some(r)
-                    } else {
-                        None
-                    };
+                        self.bmm(OpCode::BmmTn, [bt, k, m, n], (la, true), (gr, true))
+                    });
                     if let Some(r) = da {
                         self.accum_own(a, r, bt * m * k);
                     }
@@ -1122,44 +1002,33 @@ impl<'a> Emitter<'a> {
                         self.accum_own(b, r, bt * k * n);
                     }
                 }
-                Op::BmmNt(a, b) => {
+                Op::BmmNt(a, b) | Op::MatmulBroadcastNt(a, b) => {
                     let (a, b) = (*a, *b);
-                    let ad = self.dims_of(a);
-                    let (bt, m, k) = (ad[0], ad[1], ad[2]);
-                    let n = self.dims_of(b)[1];
-                    let gr = self.grad_vreg(i);
-                    let da = if self.rg(a) {
+                    let (_, m, k) = batched(self.dims_of(a));
+                    let (bt, n, _) = batched(self.dims_of(b));
+                    let a_batched = self.dims_of(a).len() == 3;
+                    let gr = VLoc::V(self.grad_vreg(i));
+                    // da = g ·ᵇ b : dispatch (Nn, bt, m, n, k); a shared `a`
+                    // takes the batch sum of those products.
+                    let da = self.rg(a).then(|| {
                         let lb = self.loc(b);
-                        let r = self.fresh(bt * m * k);
-                        // da = g ·ᵇ b : dispatch (Nn, bt, m, n, k).
-                        self.emit(
-                            OpCode::BmmNn,
-                            vec![r],
-                            vec![VLoc::V(gr), lb],
-                            vec![bt as u32, m as u32, n as u32, k as u32],
-                            0.0,
-                        );
-                        Some(r)
-                    } else {
-                        None
-                    };
-                    let db = if self.rg(b) {
+                        if a_batched {
+                            self.bmm(OpCode::BmmNn, [bt, m, n, k], (gr, true), (lb, true))
+                        } else {
+                            let r = self.fresh(m * k);
+                            let dims = vec![bt as u32, m as u32, n as u32, k as u32];
+                            self.emit(OpCode::BcastNtDa, vec![r], vec![gr, lb], dims, 0.0);
+                            r
+                        }
+                    });
+                    // db = gᵀ ·ᵇ a : dispatch (Tn, bt, n, m, k).
+                    let db = self.rg(b).then(|| {
                         let la = self.loc(a);
-                        let r = self.fresh(bt * n * k);
-                        // db = gᵀ ·ᵇ a : dispatch (Tn, bt, n, m, k).
-                        self.emit(
-                            OpCode::BmmTn,
-                            vec![r],
-                            vec![VLoc::V(gr), la],
-                            vec![bt as u32, n as u32, m as u32, k as u32],
-                            0.0,
-                        );
-                        Some(r)
-                    } else {
-                        None
-                    };
+                        self.bmm(OpCode::BmmTn, [bt, n, m, k], (gr, true), (la, a_batched))
+                    });
                     if let Some(r) = da {
-                        self.accum_own(a, r, bt * m * k);
+                        let an = self.numel(a);
+                        self.accum_own(a, r, an);
                     }
                     if let Some(r) = db {
                         self.accum_own(b, r, bt * n * k);
@@ -1182,71 +1051,16 @@ impl<'a> Emitter<'a> {
                         );
                     }
                 }
-                Op::MatmulBroadcastNt(a, x) => {
-                    let (a, x) = (*a, *x);
-                    let ad = self.dims_of(a);
-                    let xd = self.dims_of(x);
-                    let (k, d) = (ad[0], ad[1]);
-                    let (bsz, l) = (xd[0], xd[1]);
-                    let bdims = vec![bsz as u32, k as u32, l as u32, d as u32];
-                    let gr = self.grad_vreg(i);
-                    let da = if self.rg(a) {
-                        let lx = self.loc(x);
-                        let r = self.fresh(k * d);
-                        self.emit(
-                            OpCode::BcastNtDa,
-                            vec![r],
-                            vec![VLoc::V(gr), lx],
-                            bdims.clone(),
-                            0.0,
-                        );
-                        Some(r)
-                    } else {
-                        None
-                    };
-                    let dx = if self.rg(x) {
-                        let la = self.loc(a);
-                        let r = self.fresh(bsz * l * d);
-                        self.emit(
-                            OpCode::BcastNtDx,
-                            vec![r],
-                            vec![VLoc::V(gr), la],
-                            bdims,
-                            0.0,
-                        );
-                        Some(r)
-                    } else {
-                        None
-                    };
-                    if let Some(r) = da {
-                        self.accum_own(a, r, k * d);
-                    }
-                    if let Some(r) = dx {
-                        self.accum_own(x, r, bsz * l * d);
-                    }
-                }
-                Op::Transpose2(a) => {
+                Op::Transpose2(a) | Op::TransposeLast2(a) => {
                     let a = *a;
                     if self.rg(a) {
-                        let gr = self.grad_vreg(i);
-                        self.contrib(
-                            a,
-                            OpCode::Transpose2,
-                            vec![VLoc::V(gr)],
-                            vec![vd[0] as u32, vd[1] as u32],
-                            nl,
-                        );
-                    }
-                }
-                Op::TransposeLast2(a) => {
-                    let a = *a;
-                    if self.rg(a) {
+                        let (bt, m, n) = batched(vd);
                         let gr = self.grad_vreg(i);
                         self.contrib(
                             a,
                             OpCode::TransposeLast2,
                             vec![VLoc::V(gr)],
-                            vec![vd[0] as u32, vd[1] as u32, vd[2] as u32],
+                            vec![bt as u32, m as u32, n as u32],
                             nl,
                         );
                     }

@@ -84,7 +84,8 @@ pub enum VerifyErrorKind {
     Arity,
     /// A derived operand or result element count disagrees with the live
     /// value, an external's recorded dims, or the dims themselves are
-    /// degenerate (zero-sized or overflowing).
+    /// degenerate (zero-sized, overflowing, or a batch flag other than 0 or
+    /// 1).
     ShapeMismatch,
     /// A written value's pool class does not equal the allocator's recorded
     /// slot capacity — the slot is hosting a value it was never sized for.
@@ -233,37 +234,23 @@ fn effects(ii: usize, instr: &Instr) -> Result<Effects, VerifyError> {
             arity(ii, instr, 1, 1, 1)?;
             Effects { arg_n: vec![1], dst_n: vec![du(0)], rmw: false, route: None }
         }
-        OpCode::GemmNn | OpCode::GemmNt | OpCode::GemmTn => {
-            arity(ii, instr, 1, 2, 3)?;
-            let (m, k, n) = (d[0], d[1], d[2]);
-            let (an, bn) = match instr.op {
-                OpCode::GemmNn => (prod(ii, &[m, k])?, prod(ii, &[k, n])?),
-                OpCode::GemmNt => (prod(ii, &[m, k])?, prod(ii, &[n, k])?),
-                _ => (prod(ii, &[k, m])?, prod(ii, &[k, n])?),
-            };
-            Effects { arg_n: vec![an, bn], dst_n: vec![prod(ii, &[m, n])?], rmw: false, route: None }
-        }
         OpCode::BmmNn | OpCode::BmmNt | OpCode::BmmTn => {
-            arity(ii, instr, 1, 2, 4)?;
+            arity(ii, instr, 1, 2, 6)?;
             let (bt, m, k, n) = (d[0], d[1], d[2], d[3]);
-            let (an, bn) = match instr.op {
-                OpCode::BmmNn => (prod(ii, &[bt, m, k])?, prod(ii, &[bt, k, n])?),
-                OpCode::BmmNt => (prod(ii, &[bt, m, k])?, prod(ii, &[bt, n, k])?),
-                _ => (prod(ii, &[bt, k, m])?, prod(ii, &[bt, k, n])?),
+            // An operand's batch flag: 1 holds `bt` matrices, 0 one matrix
+            // that every batch shares.
+            let matrices = |flag: u32| match flag {
+                0 => Ok(1),
+                1 => Ok(bt),
+                _ => Err(verr(
+                    Some(ii),
+                    VerifyErrorKind::ShapeMismatch,
+                    format!("{} batch flag {flag} is neither 0 nor 1", instr.op.name()),
+                )),
             };
             Effects {
-                arg_n: vec![an, bn],
+                arg_n: vec![prod(ii, &[matrices(d[4])?, m, k])?, prod(ii, &[matrices(d[5])?, k, n])?],
                 dst_n: vec![prod(ii, &[bt, m, n])?],
-                rmw: false,
-                route: None,
-            }
-        }
-        OpCode::BcastNt => {
-            arity(ii, instr, 1, 2, 4)?;
-            let (bsz, k, dd, l) = (d[0], d[1], d[2], d[3]);
-            Effects {
-                arg_n: vec![prod(ii, &[k, dd])?, prod(ii, &[bsz, l, dd])?],
-                dst_n: vec![prod(ii, &[bsz, k, l])?],
                 rmw: false,
                 route: None,
             }
@@ -274,16 +261,6 @@ fn effects(ii: usize, instr: &Instr) -> Result<Effects, VerifyError> {
             Effects {
                 arg_n: vec![prod(ii, &[bsz, k, l])?, prod(ii, &[bsz, l, dd])?],
                 dst_n: vec![prod(ii, &[k, dd])?],
-                rmw: false,
-                route: None,
-            }
-        }
-        OpCode::BcastNtDx => {
-            arity(ii, instr, 1, 2, 4)?;
-            let (bsz, k, l, dd) = (d[0], d[1], d[2], d[3]);
-            Effects {
-                arg_n: vec![prod(ii, &[bsz, k, l])?, prod(ii, &[k, dd])?],
-                dst_n: vec![prod(ii, &[bsz, l, dd])?],
                 rmw: false,
                 route: None,
             }
@@ -355,11 +332,6 @@ fn effects(ii: usize, instr: &Instr) -> Result<Effects, VerifyError> {
                 rmw: false,
                 route: None,
             }
-        }
-        OpCode::Transpose2 => {
-            arity(ii, instr, 1, 1, 2)?;
-            let mn = prod(ii, &[d[0], d[1]])?;
-            Effects { arg_n: vec![mn], dst_n: vec![mn], rmw: false, route: None }
         }
         OpCode::TransposeLast2 | OpCode::Swap01 => {
             arity(ii, instr, 1, 1, 3)?;
@@ -1062,6 +1034,26 @@ mod tests {
         let err = verify_plan(&plan).expect_err("out-of-range slot must be rejected");
         assert_eq!(err.kind, VerifyErrorKind::OutOfRange, "{err}");
         assert_eq!(err.instr, Some(ii), "diagnostic names the offending instruction: {err}");
+    }
+
+    /// A batch flag other than 0 or 1 names no operand layout: either
+    /// operand's flag set to 2 is rejected at its instruction.
+    #[test]
+    fn a_batch_flag_of_two_is_rejected() {
+        let base = small_train_plan();
+        let ii = base
+            .instrs
+            .iter()
+            .position(|ins| ins.op == OpCode::BmmNn)
+            .expect("the MLP's forward multiplies");
+        for flag in [4, 5] {
+            let mut plan = base.clone();
+            plan.instrs[ii].dims[flag] = 2;
+            let err = verify_plan(&plan).expect_err("a batch flag of 2 must be rejected");
+            assert_eq!(err.kind, VerifyErrorKind::ShapeMismatch, "{err}");
+            assert_eq!(err.instr, Some(ii), "diagnostic names the offending instruction: {err}");
+            assert!(err.msg.contains("batch flag 2"), "{err}");
+        }
     }
 
     /// Values a corrupted dim or index plausibly takes: boundaries, an

@@ -164,48 +164,23 @@ fn exec_instr<P: Params + ?Sized>(
             exec::fill(&mut dst[..n], v);
             put(slots, instr.dsts[0], dst);
         }
-        // dims [m, k, n] in dispatch order
-        OpCode::GemmNn | OpCode::GemmNt | OpCode::GemmTn => {
-            let (m, k, n) = (du(0), du(1), du(2));
-            let (an, bn, trans) = match instr.op {
-                OpCode::GemmNn => (m * k, k * n, exec::Trans::Nn),
-                OpCode::GemmNt => (m * k, n * k, exec::Trans::Nt),
-                OpCode::GemmTn => (k * m, k * n, exec::Trans::Tn),
-                _ => unreachable!(),
-            };
-            let mut dst = take(slots, instr.dsts[0]);
-            {
-                let a = arg(instr.args[0], an, slots, plan, inputs, store);
-                let b = arg(instr.args[1], bn, slots, plan, inputs, store);
-                exec::gemm(trans, m, k, n, a, b, &mut dst[..m * n]);
-            }
-            put(slots, instr.dsts[0], dst);
-        }
-        // dims [bt, m, k, n] in dispatch order
+        // dims [bt, m, k, n, a_batched, b_batched] in dispatch order: a flag
+        // of 0 marks one matrix that every batch shares
         OpCode::BmmNn | OpCode::BmmNt | OpCode::BmmTn => {
             let (bt, m, k, n) = (du(0), du(1), du(2), du(3));
-            let (an, bn, trans) = match instr.op {
-                OpCode::BmmNn => (bt * m * k, bt * k * n, exec::Trans::Nn),
-                OpCode::BmmNt => (bt * m * k, bt * n * k, exec::Trans::Nt),
-                OpCode::BmmTn => (bt * k * m, bt * k * n, exec::Trans::Tn),
-                _ => unreachable!(),
+            let (a_batched, b_batched) = (d[4] == 1, d[5] == 1);
+            let trans = match instr.op {
+                OpCode::BmmNn => exec::Trans::Nn,
+                OpCode::BmmNt => exec::Trans::Nt,
+                _ => exec::Trans::Tn,
             };
+            let matrices = |batched: bool| if batched { bt } else { 1 };
             let mut dst = take(slots, instr.dsts[0]);
             {
-                let a = arg(instr.args[0], an, slots, plan, inputs, store);
-                let b = arg(instr.args[1], bn, slots, plan, inputs, store);
-                exec::bmm(trans, bt, m, k, n, a, b, &mut dst[..bt * m * n]);
-            }
-            put(slots, instr.dsts[0], dst);
-        }
-        // dims [bsz, k, d, l]: args [a: k*d, x: bsz*l*d] -> dst bsz*k*l
-        OpCode::BcastNt => {
-            let (bsz, k, dd, l) = (du(0), du(1), du(2), du(3));
-            let mut dst = take(slots, instr.dsts[0]);
-            {
-                let a = arg(instr.args[0], k * dd, slots, plan, inputs, store);
-                let x = arg(instr.args[1], bsz * l * dd, slots, plan, inputs, store);
-                exec::bcast_nt(bsz, k, dd, l, a, x, &mut dst[..bsz * k * l]);
+                let a = arg(instr.args[0], matrices(a_batched) * m * k, slots, plan, inputs, store);
+                let b = arg(instr.args[1], matrices(b_batched) * k * n, slots, plan, inputs, store);
+                let out = &mut dst[..bt * m * n];
+                exec::bmm(trans, bt, m, k, n, (a, a_batched), (b, b_batched), out);
             }
             put(slots, instr.dsts[0], dst);
         }
@@ -219,17 +194,6 @@ fn exec_instr<P: Params + ?Sized>(
                 exec::bcast_nt_da(g, x, bsz, k, l, dd, &mut da[..k * dd]);
             }
             put(slots, instr.dsts[0], da);
-        }
-        // dims [bsz, k, l, d]: args [g: bsz*k*l, a: k*d] -> dst bsz*l*d
-        OpCode::BcastNtDx => {
-            let (bsz, k, l, dd) = (du(0), du(1), du(2), du(3));
-            let mut dst = take(slots, instr.dsts[0]);
-            {
-                let g = arg(instr.args[0], bsz * k * l, slots, plan, inputs, store);
-                let a = arg(instr.args[1], k * dd, slots, plan, inputs, store);
-                exec::bcast_nt_dx(g, a, bsz, k, l, dd, &mut dst[..bsz * l * dd]);
-            }
-            put(slots, instr.dsts[0], dst);
         }
         // dims [route_src, b, k, d, l]: arg [head: b*k*d] -> dst b*l*d
         OpCode::RouteGather => {
@@ -340,16 +304,6 @@ fn exec_instr<P: Params + ?Sized>(
             put(slots, instr.dsts[0], dx);
             put(slots, instr.dsts[1], dgamma);
             put(slots, instr.dsts[2], dbeta);
-        }
-        // dims [m, n] of the source
-        OpCode::Transpose2 => {
-            let (m, n) = (du(0), du(1));
-            let mut dst = take(slots, instr.dsts[0]);
-            {
-                let src = arg(instr.args[0], m * n, slots, plan, inputs, store);
-                exec::transpose2(src, m, n, &mut dst[..m * n]);
-            }
-            put(slots, instr.dsts[0], dst);
         }
         // dims [b, m, n] of the source
         OpCode::TransposeLast2 => {

@@ -641,15 +641,10 @@ fn opcode_corpus_coverage_is_exhaustive() {
         OpCode::MapSigmoid,
         OpCode::MapTanh,
         OpCode::MapAbs,
-        OpCode::GemmNn,
-        OpCode::GemmNt,
-        OpCode::GemmTn,
         OpCode::BmmNn,
         OpCode::BmmNt,
         OpCode::BmmTn,
-        OpCode::BcastNt,
         OpCode::BcastNtDa,
-        OpCode::BcastNtDx,
         OpCode::RouteGather,
         OpCode::RouteScatter,
         OpCode::AddRowBcast,
@@ -658,7 +653,6 @@ fn opcode_corpus_coverage_is_exhaustive() {
         OpCode::SoftmaxBwd,
         OpCode::LayerNormFwd,
         OpCode::LayerNormBwd,
-        OpCode::Transpose2,
         OpCode::TransposeLast2,
         OpCode::Swap01,
         OpCode::ConcatLast,

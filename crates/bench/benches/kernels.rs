@@ -158,19 +158,17 @@ fn opcode_sweeps() -> Vec<Sweep> {
             Trans::Tn => reference::gemm_tn,
         }
     };
-    let gemm = |label, trans, (m, k, n): (usize, usize, usize), a: Vec<f32>, b: Vec<f32>| {
-        let naive = reference_of(trans);
-        opcode_sweep(label, m * n, |c| naive(m, k, n, &a, &b, c), |c| exec::gemm(trans, m, k, n, &a, &b, c))
-    };
     let bmm = |label, trans, (bt, m, k, n): (usize, usize, usize, usize), a: Vec<f32>, b: Vec<f32>| {
         let naive = reference_of(trans);
         opcode_sweep(
             label,
             bt * m * n,
             |c| per_batch(naive, bt, (m, k, n), (&a, m * k), (&b, k * n), c),
-            |c| exec::bmm(trans, bt, m, k, n, &a, &b, c),
+            |c| exec::bmm(trans, bt, m, k, n, (&a, true), (&b, true), c),
         )
     };
+    // One product: a batch of one.
+    let gemm = |label, trans, (m, k, n): (usize, usize, usize), a, b| bmm(label, trans, (1, m, k, n), a, b);
     // [bsz, k, l, d] = 32 entities' windows, 6 readout queries, 12 segments,
     // d = 32 (the fusion); ProtoAttn's prototype-space products run over 8
     // prototypes at width p = 8, the temporal branch over 32 entities' 12
@@ -197,12 +195,13 @@ fn opcode_sweeps() -> Vec<Sweep> {
             move |c| exec::bcast_nt_da(g, x, bsz, kp, l, w, c),
         )
     };
+    // `a·x[b]ᵀ` with a shared `a`.
     let bcast = |label, (bsz, k, dd, l): (usize, usize, usize, usize), a: &[f32], x: &[f32]| {
         opcode_sweep(
             label,
             bsz * k * l,
             |c| per_batch(reference::gemm_nt, bsz, (k, dd, l), (a, 0), (x, l * dd), c),
-            |c| exec::bcast_nt(bsz, k, dd, l, a, x, c),
+            |c| exec::bmm(Trans::Nt, bsz, k, dd, l, (a, false), (x, true), c),
         )
     };
     vec![
@@ -233,7 +232,7 @@ fn opcode_sweeps() -> Vec<Sweep> {
             "bcast_nt_dx_32x6x12x32",
             bsz * l * d,
             |c| per_batch(reference::gemm_tn, bsz, (l, kp, d), (&g, kp * l), (&a, 0), c),
-            |c| exec::bcast_nt_dx(&g, &a, bsz, kp, l, d, c),
+            |c| exec::bmm(Trans::Tn, bsz, l, kp, d, (&g, true), (&a, false), c),
         ),
         bcast_da("bcast_nt_da_32x6x12x32", (bsz, kp, l, d), &g, &x),
         // ProtoAttn in prototype space: scores, readout `α·P`, `dα` and

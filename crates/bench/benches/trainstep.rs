@@ -34,7 +34,10 @@
 //!
 //! The run rewrites `BENCH_trainstep.json` at the repository root as a
 //! schema-versioned [`focus_trace::report::RunReport`], including the
-//! steady-state pool counters proving the zero-allocation invariant.
+//! fresh pool allocations of every steady round, which it asserts are zero.
+//! Its speed gates (replay over never-cached, kept-plan `predict` over
+//! never-cached, 2 threads against 1) fail the run only after the report
+//! is written, so a failing run still records what it measured.
 
 use focus_autograd::plan::{self, PlanCache};
 use focus_autograd::{AdamW, Graph};
@@ -213,14 +216,12 @@ fn main() {
     let mut plan_fresh = 0u64;
     let spawns0 = par::spawn_count();
     for _ in 0..ROUNDS {
-        pool::set_steady(true);
         let f0 = pool::fresh_allocs();
         after1_ns = after1_ns.min(after_h.uncached_block_ns());
         fresh_total += pool::fresh_allocs() - f0;
         let f1 = pool::fresh_allocs();
         plan1_ns = plan1_ns.min(plan_h.block_ns());
         plan_fresh += pool::fresh_allocs() - f1;
-        pool::set_steady(false);
     }
     let steady_steps = ROUNDS * BLOCK;
     assert_eq!(
@@ -248,12 +249,16 @@ fn main() {
         "plan   (cached replay, 1 thread): {}  [fresh allocs over {steady_steps} steady steps: {plan_fresh}]",
         fmt_ms(plan1_ns)
     );
+    // The speed gates below fail the run at the end, after the report has
+    // recorded the measurements they judge.
+    let mut speed_failures = Vec::new();
     let plan_speedup = after1_ns / plan1_ns;
     println!("replay-over-uncached speedup (1 thread): {plan_speedup:.2}x");
-    assert!(
-        plan_speedup >= 1.10,
-        "cached replay must beat the never-cached step by >= 1.10x (got {plan_speedup:.3}x)"
-    );
+    if plan_speedup < 1.10 {
+        speed_failures.push(format!(
+            "cached replay must beat the never-cached step by >= 1.10x (got {plan_speedup:.3}x)"
+        ));
+    }
 
     // Serve arm: `predict` on the plan harness's trained model, replaying
     // the forward plan its ParamStore keeps, against never-cached predicts
@@ -270,11 +275,9 @@ fn main() {
         plan::set_enabled(false);
         predict_uncached_ns = predict_uncached_ns.min(plan_h.predict_block_ns());
         plan::set_enabled(true);
-        pool::set_steady(true);
         let f0 = pool::fresh_allocs();
         predict_ns = predict_ns.min(plan_h.predict_block_ns());
         predict_fresh += pool::fresh_allocs() - f0;
-        pool::set_steady(false);
     }
     let steady_predicts = ROUNDS * PREDICT_BLOCK;
     assert_eq!(
@@ -291,10 +294,11 @@ fn main() {
         fmt_ms(predict_ns)
     );
     println!("predict kept-plan-over-uncached speedup (1 thread): {predict_speedup:.2}x");
-    assert!(
-        predict_speedup >= 1.05,
-        "kept-plan predict must beat never-cached predict by >= 1.05x (got {predict_speedup:.3}x)"
-    );
+    if predict_speedup < 1.05 {
+        speed_failures.push(format!(
+            "kept-plan predict must beat never-cached predict by >= 1.05x (got {predict_speedup:.3}x)"
+        ));
+    }
 
     // Thread sweep (the host may expose only one core; the sweep still
     // proves bitwise stability and records the scaling). Each t > 1 runs
@@ -327,7 +331,6 @@ fn main() {
         let t_spawns0 = par::spawn_count();
         let t_fresh0 = pool::fresh_allocs();
         let (mut t1_best, mut best, mut plan_best) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        pool::set_steady(true);
         for _ in 0..ROUNDS {
             par::set_threads(1);
             t1_best = t1_best.min(after_h.uncached_block_ns());
@@ -335,7 +338,6 @@ fn main() {
             best = best.min(h.uncached_block_ns());
             plan_best = plan_best.min(plan_h.block_ns());
         }
-        pool::set_steady(false);
         let t_spawns = par::spawn_count() - t_spawns0;
         let t_fresh = pool::fresh_allocs() - t_fresh0;
         assert_eq!(t_spawns, 0, "steady rounds at {t} threads spawned {t_spawns} workers");
@@ -353,9 +355,8 @@ fn main() {
     // efficiency(t) = speedup(t)/t. On a genuinely multicore host the
     // 2-thread point must not regress below the single-thread time;
     // oversubscribed rows measure scheduler contention, not kernel scaling,
-    // so they are recorded but never gated on. The check fails the run at
-    // the end, after the report has recorded the measurement.
-    let mut scaling_failure = None;
+    // so they are recorded but never gated on. Like the gates above, the
+    // check fails the run at the end.
     for &(t, ns, _, t1_ns, _, oversubscribed) in &after {
         if t == 1 {
             continue;
@@ -365,7 +366,7 @@ fn main() {
         let tag = if oversubscribed { "  [oversubscribed]" } else { "" };
         println!("scaling: t{t} speedup {speedup:.2}x, efficiency {:.0}%{tag}", efficiency * 100.0);
         if t == 2 && !oversubscribed && ns > t1_ns * 1.02 {
-            scaling_failure = Some(format!(
+            speed_failures.push(format!(
                 "2-thread steps must not be slower than 1-thread (t1 {} vs t2 {})",
                 fmt_ms(t1_ns),
                 fmt_ms(ns)
@@ -550,7 +551,7 @@ fn main() {
     report.capture_trace();
 
     write_report(&report, concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trainstep.json"));
-    if let Some(msg) = scaling_failure {
-        panic!("{msg}");
+    if !speed_failures.is_empty() {
+        panic!("{}", speed_failures.join("; "));
     }
 }

@@ -46,11 +46,6 @@ impl ParallelFusion {
         }
     }
 
-    /// Number of readout queries `m`.
-    pub fn readout_queries(&self) -> usize {
-        self.m
-    }
-
     /// Forecast horizon.
     pub fn horizon(&self) -> usize {
         self.horizon

@@ -99,14 +99,6 @@ impl Metrics {
         assert!(self.count > 0, "no data accumulated");
         self.abs_sum / self.count as f64
     }
-
-    /// Root mean squared error over everything accumulated so far.
-    ///
-    /// # Panics
-    /// If nothing has been accumulated.
-    pub fn rmse(&self) -> f64 {
-        self.mse().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -146,16 +138,5 @@ mod tests {
     #[should_panic(expected = "no data accumulated")]
     fn empty_accumulator_panics() {
         Metrics::new().mse();
-    }
-
-    #[test]
-    fn rmse_is_sqrt_of_mse() {
-        let mut m = Metrics::new();
-        m.update(
-            &Tensor::from_vec(vec![3.0, 0.0], &[2]),
-            &Tensor::from_vec(vec![0.0, 4.0], &[2]),
-        );
-        assert!((m.mse() - 12.5).abs() < 1e-12);
-        assert!((m.rmse() - 12.5f64.sqrt()).abs() < 1e-12);
     }
 }

@@ -13,12 +13,6 @@ pub fn xavier_uniform<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut 
     Tensor::rand_uniform(&[fan_in, fan_out], -a, a, rng)
 }
 
-/// Kaiming/He normal initialisation for ReLU/GELU stacks: `N(0, 2/fan_in)`.
-pub fn kaiming_normal<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
-    let std = (2.0 / fan_in as f32).sqrt();
-    Tensor::randn(&[fan_in, fan_out], std, rng)
-}
-
 /// Small-scale normal initialisation, `N(0, std²)`, for embeddings and
 /// readout queries.
 pub fn normal<R: Rng + ?Sized>(dims: &[usize], std: f32, rng: &mut R) -> Tensor {
@@ -38,13 +32,5 @@ mod tests {
         let a = (6.0 / 128.0f32).sqrt();
         assert!(w.data().iter().all(|&v| v > -a && v < a));
         assert_eq!(w.dims(), &[64, 64]);
-    }
-
-    #[test]
-    fn kaiming_variance_is_plausible() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let w = kaiming_normal(100, 200, &mut rng);
-        let var = w.var_all();
-        assert!((var - 0.02).abs() < 0.005, "var {var}");
     }
 }

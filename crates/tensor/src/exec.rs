@@ -10,6 +10,11 @@
 //! the GEMM family writes its output through from registers, and the
 //! accumulating kernels (`scatter_cols`, `route_scatter_add`) zero it first.
 //!
+//! The GEMM family has two entry points: [`bmm`] runs every product in one
+//! of three orientations, each operand either batched or one matrix that
+//! every batch shares (a single product is a batch of one), and
+//! [`bcast_nt_da`] sums a shared left operand's adjoint over the batches.
+//!
 //! Each entry point adds its FLOPs to this thread's count once per call,
 //! before it splits its loop over workers (see [`crate::work`] for the
 //! per-kernel table).
@@ -313,17 +318,8 @@ pub fn layer_norm_bwd(
     fused::layer_norm_bwd_into(x, n, gamma, cache, g, dx, dgamma, dbeta);
 }
 
-/// Transpose of the row-major `[m, n]` matrix `src` into `[n, m]`.
-pub fn transpose2(src: &[f32], m: usize, n: usize, dst: &mut [f32]) {
-    debug_assert_eq!(src.len(), m * n);
-    for i in 0..m {
-        for j in 0..n {
-            dst[j * m + i] = src[i * n + j];
-        }
-    }
-}
-
-/// Swap of the last two axes of `[b, m, n]`.
+/// Swap of the last two axes of `[b, m, n]`; `b = 1` transposes one
+/// matrix.
 pub fn transpose_last2(src: &[f32], b: usize, m: usize, n: usize, dst: &mut [f32]) {
     debug_assert_eq!(src.len(), b * m * n);
     for bi in 0..b {
@@ -452,23 +448,12 @@ pub fn route_scatter_add(
     });
 }
 
-/// One GEMM written through into `dst`: `a` is `[m×k]` (`[k×m]` for
-/// [`Trans::Tn`]) and `b` is `[k×n]` (`[n×k]` for [`Trans::Nt`]), all
-/// row-major.
-///
-/// # Panics
-/// If a slice length disagrees with its shape.
-pub fn gemm(trans: Trans, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], dst: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm lhs length");
-    assert_eq!(b.len(), k * n, "gemm rhs length");
-    assert_eq!(dst.len(), m * n, "gemm out length");
-    work::add_flops(2 * m * k * n);
-    matmul::gemm_dispatch(trans.kind(), m, k, n, a, b, dst);
-}
-
-/// `bt` GEMMs written through into consecutive `[m×n]` blocks of `dst`,
-/// batch `bi` reading the `bi`-th operand blocks of `a` and `b` (shaped as
-/// for [`gemm`]).
+/// `bt` GEMMs written through into consecutive `[m×n]` blocks of `dst`:
+/// `a` is `[m×k]` (`[k×m]` for [`Trans::Tn`]) and `b` is `[k×n]` (`[n×k]`
+/// for [`Trans::Nt`]), all row-major. Each operand comes with its batch
+/// flag: a batched operand holds `bt` such matrices, batch `bi` reading the
+/// `bi`-th, and an unbatched one is one matrix that every batch shares. One
+/// product is `bt = 1`.
 ///
 /// # Panics
 /// If a slice length disagrees with its shape.
@@ -479,36 +464,26 @@ pub fn bmm(
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
-    b: &[f32],
+    (a, a_batched): (&[f32], bool),
+    (b, b_batched): (&[f32], bool),
     dst: &mut [f32],
 ) {
-    assert_eq!(a.len(), bt * m * k, "bmm lhs length");
-    assert_eq!(b.len(), bt * k * n, "bmm rhs length");
+    let matrices = |batched: bool| if batched { bt } else { 1 };
+    assert_eq!(a.len(), matrices(a_batched) * m * k, "bmm lhs length");
+    assert_eq!(b.len(), matrices(b_batched) * k * n, "bmm rhs length");
     assert_eq!(dst.len(), bt * m * n, "bmm out length");
     work::add_flops(2 * bt * m * k * n);
-    matmul::bmm_dispatch(trans.kind(), bt, m, k, n, (a, m * k), (b, k * n), dst);
+    // A shared operand has batch stride 0: every batch reads its one matrix.
+    let stride = |batched: bool, size: usize| if batched { size } else { 0 };
+    let (a, b) = ((a, stride(a_batched, m * k)), (b, stride(b_batched, k * n)));
+    matmul::bmm_dispatch(trans.kind(), bt, m, k, n, a, b, dst);
 }
 
-/// Broadcast-left `dst[bi] = a · (b[bi])ᵀ` written through: `a` is one
-/// `[m×k]` matrix, `b` holds `bt` batches of `[n×k]` and `dst` `bt` batches
-/// of `[m×n]` (the autograd `matmul_broadcast_nt` forward).
-///
-/// # Panics
-/// If a slice length disagrees with its shape.
-pub fn bcast_nt(bt: usize, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], dst: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "bcast_nt lhs length");
-    assert_eq!(b.len(), bt * n * k, "bcast_nt rhs length");
-    assert_eq!(dst.len(), bt * m * n, "bcast_nt out length");
-    work::add_flops(2 * bt * m * k * n);
-    matmul::bmm_dispatch(Kind::Nt, bt, m, k, n, (a, 0), (b, n * k), dst);
-}
-
-/// Broadcast-NT backward for the shared LHS: `da = Σ_b g[b]·x[b]`, the
-/// autograd rule's chain — each per-batch product from `+0.0`, added into a
-/// zeroed `da` in ascending batch order — with the batch sum kept in
-/// registers. `g` holds `bsz` batches of `[k×l]`, `x` `bsz` batches of
-/// `[l×d]`, and `da` is `[k×d]`.
+/// The adjoint of a [`bmm`] `a·x[b]ᵀ` with a shared `a`: `da = Σ_b
+/// g[b]·x[b]`, the autograd rule's chain — each per-batch product from
+/// `+0.0`, added into a zeroed `da` in ascending batch order — with the
+/// batch sum kept in registers. `g` holds `bsz` batches of `[k×l]`, `x`
+/// `bsz` batches of `[l×d]`, and `da` is `[k×d]`.
 ///
 /// # Panics
 /// If a slice length disagrees with its shape.
@@ -518,27 +493,6 @@ pub fn bcast_nt_da(g: &[f32], x: &[f32], bsz: usize, k: usize, l: usize, d: usiz
     assert_eq!(da.len(), k * d, "bcast_nt_da out length");
     work::add_flops(2 * bsz * k * l * d);
     matmul::bmm_sum(bsz, k, l, d, g, x, da);
-}
-
-/// Broadcast-NT backward for the batched RHS: `dx[b] = g[b]ᵀ·a` written
-/// through into per-batch slices (the autograd rule's exact `gemm_tn` chain),
-/// with `a` broadcast to every batch.
-///
-/// Unlike the `da` reduction above, every batch writes a disjoint `dx` slice,
-/// so the sweep splits batches across threads like any batched GEMM: each
-/// batch's product is the identical serial kernel regardless of which thread
-/// runs it, keeping the gradient bitwise-stable at any thread count. `g`
-/// holds `bsz` batches of `[k×l]`, `a` is `[k×d]` and `dx` `bsz` batches of
-/// `[l×d]`.
-///
-/// # Panics
-/// If a slice length disagrees with its shape.
-pub fn bcast_nt_dx(g: &[f32], a: &[f32], bsz: usize, k: usize, l: usize, d: usize, dx: &mut [f32]) {
-    assert_eq!(g.len(), bsz * k * l, "bcast_nt_dx grad length");
-    assert_eq!(a.len(), k * d, "bcast_nt_dx lhs length");
-    assert_eq!(dx.len(), bsz * l * d, "bcast_nt_dx out length");
-    work::add_flops(2 * bsz * k * l * d);
-    matmul::bmm_dispatch(Kind::Tn, bsz, l, k, d, (g, k * l), (a, 0), dx);
 }
 
 /// Sum over the flat elements with an f64 accumulator, serial on purpose:
@@ -599,14 +553,14 @@ mod tests {
     }
 
     #[test]
-    fn gemm_matches_tensor_matmul_bitwise() {
+    fn batch_one_bmm_matches_tensor_matmul_bitwise() {
         let a = rt(&[9, 17], 3);
         let b = rt(&[17, 11], 4);
         let mut out = vec![1.0f32; 9 * 11]; // stale contents must not leak
-        gemm(Trans::Nn, 9, 17, 11, a.data(), b.data(), &mut out);
+        bmm(Trans::Nn, 1, 9, 17, 11, (a.data(), true), (b.data(), true), &mut out);
         assert_eq!(out, a.matmul(&b).data());
         let bt = rt(&[11, 17], 5);
-        gemm(Trans::Nt, 9, 17, 11, a.data(), bt.data(), &mut out);
+        bmm(Trans::Nt, 1, 9, 17, 11, (a.data(), false), (bt.data(), true), &mut out);
         assert_eq!(out, a.matmul_nt(&bt).data());
     }
 
@@ -710,53 +664,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "gemm lhs length")]
-    fn gemm_rejects_long_lhs() {
+    #[should_panic(expected = "bmm lhs length")]
+    fn bmm_rejects_long_lhs() {
         let mut c = vec![0.0f32; 2 * 3];
-        gemm(Trans::Nn, 2, 4, 3, &[0.0; 2 * 4 + 1], &[0.0; 4 * 3], &mut c);
-    }
-
-    #[test]
-    #[should_panic(expected = "gemm out length")]
-    fn gemm_rejects_long_out() {
-        let mut c = vec![0.0f32; 2 * 3 + 1];
-        gemm(Trans::Nt, 2, 4, 3, &[0.0; 2 * 4], &[0.0; 3 * 4], &mut c);
-    }
-
-    #[test]
-    #[should_panic(expected = "bmm rhs length")]
-    fn bmm_rejects_short_rhs() {
-        let mut c = vec![0.0f32; 2 * 2 * 3];
-        bmm(Trans::Nn, 2, 2, 4, 3, &[0.0; 2 * 2 * 4], &[0.0; 4 * 3], &mut c);
+        bmm(Trans::Nn, 1, 2, 4, 3, (&[0.0; 2 * 4 + 1], true), (&[0.0; 4 * 3], true), &mut c);
     }
 
     #[test]
     #[should_panic(expected = "bmm out length")]
     fn bmm_rejects_long_out() {
         let mut c = vec![0.0f32; 2 * 2 * 3 + 1];
-        bmm(Trans::Tn, 2, 2, 4, 3, &[0.0; 2 * 4 * 2], &[0.0; 2 * 4 * 3], &mut c);
+        bmm(Trans::Tn, 2, 2, 4, 3, (&[0.0; 2 * 4 * 2], true), (&[0.0; 2 * 4 * 3], true), &mut c);
     }
 
     #[test]
-    #[should_panic(expected = "bcast_nt lhs length")]
-    fn bcast_nt_rejects_batched_lhs() {
+    #[should_panic(expected = "bmm rhs length")]
+    fn bmm_rejects_short_rhs() {
         let mut c = vec![0.0f32; 2 * 2 * 3];
-        bcast_nt(2, 2, 4, 3, &[0.0; 2 * 2 * 4], &[0.0; 2 * 3 * 4], &mut c);
+        bmm(Trans::Nn, 2, 2, 4, 3, (&[0.0; 2 * 2 * 4], true), (&[0.0; 4 * 3], true), &mut c);
     }
 
     #[test]
-    #[should_panic(expected = "bcast_nt out length")]
-    fn bcast_nt_rejects_short_out() {
-        let mut c = vec![0.0f32; 2 * 3];
-        bcast_nt(2, 2, 4, 3, &[0.0; 2 * 4], &[0.0; 2 * 3 * 4], &mut c);
+    #[should_panic(expected = "bmm lhs length")]
+    fn bmm_rejects_a_batched_lhs_flagged_shared() {
+        let mut c = vec![0.0f32; 2 * 2 * 3];
+        bmm(Trans::Nt, 2, 2, 4, 3, (&[0.0; 2 * 2 * 4], false), (&[0.0; 2 * 3 * 4], true), &mut c);
     }
 
-    // [bsz, k, l, d] = [2, 3, 4, 5]: g is 2·3·4, x 2·4·5, a 3·5, da 3·5.
     #[test]
-    #[should_panic(expected = "bcast_nt_dx grad length")]
-    fn bcast_nt_dx_rejects_short_grad() {
-        let mut dx = vec![0.0f32; 2 * 4 * 5];
-        bcast_nt_dx(&[0.0; 2 * 3 * 4 - 1], &[0.0; 3 * 5], 2, 3, 4, 5, &mut dx);
+    #[should_panic(expected = "bmm rhs length")]
+    fn bmm_rejects_a_shared_rhs_flagged_batched() {
+        let mut c = vec![0.0f32; 2 * 4 * 5];
+        bmm(Trans::Tn, 2, 4, 3, 5, (&[0.0; 2 * 3 * 4], true), (&[0.0; 3 * 5], true), &mut c);
     }
 
     #[test]

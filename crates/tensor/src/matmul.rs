@@ -2,6 +2,13 @@
 //! `a·bᵀ` and `aᵀ·b` in single, batched and broadcast form, plus the serial
 //! reference kernels it is tested against.
 //!
+//! The plan VM reaches the family through `exec::bmm`, which hands
+//! [`bmm_dispatch`] a batch stride per operand: the matrix size, or 0 for a
+//! matrix that every batch shares. A single product is a batch of one and
+//! runs the same [`gemm_block`] call (or, above [`PAR_MIN_MACS`], the same
+//! row split) as the rank-2 [`Tensor`] methods, so every instruction counts
+//! once, as a `bmm/*` call, in the trace.
+//!
 //! All kernels share one arithmetic contract: every output element is an
 //! `f32` accumulation chain over `k` in **ascending order**, starting from
 //! `+0.0`, one multiply then one add per step (Rust never contracts them into
@@ -537,9 +544,8 @@ fn trace_gemm(batched: bool, kind: Kind, macs: usize) {
     focus_trace::counter_add(NAMES[usize::from(batched)][ki][par], 1);
 }
 
-/// Dispatches one GEMM, written through into `c`: serial below
-/// [`PAR_MIN_MACS`], split into row blocks across threads above it.
-/// Bitwise-identical either way.
+/// Dispatches one GEMM, written through into `c` (see [`gemm_rows`]), and
+/// counts it as one `gemm/*` call.
 pub(crate) fn gemm_dispatch(
     kind: Kind,
     m: usize,
@@ -549,14 +555,21 @@ pub(crate) fn gemm_dispatch(
     b: &[f32],
     c: &mut [f32],
 ) {
-    let macs = m * k * n;
-    trace_gemm(false, kind, macs);
+    trace_gemm(false, kind, m * k * n);
+    gemm_rows(&Job { kind, m, k, n, a: (a, 0), b: (b, 0) }, 0, c);
+}
+
+/// Batch `bi` of `job`, written through into `c`: serial below
+/// [`PAR_MIN_MACS`], split into row blocks across threads above it.
+/// Bitwise-identical either way. Counts nothing: its callers count the
+/// call they serve.
+fn gemm_rows(job: &Job, bi: usize, c: &mut [f32]) {
+    let Job { m, k, n, .. } = *job;
     if m == 0 || n == 0 {
         return;
     }
-    let job = Job { kind, m, k, n, a: (a, 0), b: (b, 0) };
-    let block = |row0: usize, c_block: &mut [f32]| gemm_block(&job, 0, (row0, c_block.len() / n), c_block);
-    if macs < PAR_MIN_MACS {
+    let block = |row0: usize, c_block: &mut [f32]| gemm_block(job, bi, (row0, c_block.len() / n), c_block);
+    if m * k * n < PAR_MIN_MACS {
         block(0, c);
     } else {
         let grain_rows = PAR_GRAIN_MACS.div_ceil(k * n).max(MR);
@@ -565,11 +578,12 @@ pub(crate) fn gemm_dispatch(
 }
 
 /// Dispatches `bt` independent GEMMs into consecutive `[m × n]` blocks of
-/// `c`. Each operand is `(slice, batch stride)`; a stride of 0 broadcasts
-/// one matrix to every batch.
+/// `c`, and counts them as one `bmm/*` call. Each operand is `(slice, batch
+/// stride)`; a stride of 0 broadcasts one matrix to every batch.
 ///
 /// Many small batches split across threads by batch, each thread's batches
-/// in one [`gemm_block`]; few large batches split inside each GEMM instead.
+/// in one [`gemm_block`]; few large batches (one product among them) split
+/// inside each GEMM instead, each through [`gemm_rows`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bmm_dispatch(
     kind: Kind,
@@ -596,7 +610,7 @@ pub(crate) fn bmm_dispatch(
         par::parallel_rows(c, m * n, batch_grain, 1, sweep);
     } else {
         for (bi, c_one) in c.chunks_exact_mut(m * n).enumerate() {
-            gemm_dispatch(kind, m, k, n, job.a_of(bi), job.b_of(bi), c_one);
+            gemm_rows(&job, bi, c_one);
         }
     }
 }

@@ -93,7 +93,7 @@ impl Tensor {
         assert_eq!(self.rank(), 2, "transpose requires rank 2, got {}", self.shape());
         let (m, n) = (self.dims()[0], self.dims()[1]);
         let mut out = Tensor::uninit(&[n, m]);
-        exec::transpose2(self.data(), m, n, out.data_mut());
+        exec::transpose_last2(self.data(), 1, m, n, out.data_mut());
         out
     }
 

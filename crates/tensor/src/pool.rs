@@ -29,7 +29,7 @@
 //! peak memory is counted.
 
 use crate::work;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One free-list per power-of-two capacity class (`2^0 ..= 2^63`).
@@ -56,10 +56,7 @@ static SHELVES: Mutex<Shelves> = Mutex::new(Shelves {
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static FRESH_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FRESH_STEADY: AtomicU64 = AtomicU64::new(0);
 static RETURNED: AtomicU64 = AtomicU64::new(0);
-/// Whether the process has declared itself past warmup (see [`set_steady`]).
-static STEADY: AtomicBool = AtomicBool::new(false);
 
 /// Snapshot of the pool's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,24 +67,10 @@ pub struct PoolStats {
     pub misses: u64,
     /// Actual heap allocations performed (one per miss).
     pub fresh_allocs: u64,
-    /// The subset of `fresh_allocs` performed after [`set_steady`]`(true)`.
-    /// A correctly warmed-up steady state keeps this at zero; the warmup
-    /// share is `fresh_allocs - fresh_allocs_steady`.
-    pub fresh_allocs_steady: u64,
     /// Buffers accepted back into the pool.
     pub returned: u64,
     /// Bytes currently resident in the free lists.
     pub resident_bytes: u64,
-}
-
-/// Records one fresh heap allocation, attributing it to the warmup or
-/// steady phase (see [`set_steady`]).
-#[inline]
-fn count_fresh() {
-    FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    if STEADY.load(Ordering::Relaxed) {
-        FRESH_STEADY.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Class whose fresh allocations serve requests of `n` elements.
@@ -143,7 +126,7 @@ pub fn take(n: usize) -> Vec<f32> {
         }
         None => {
             MISSES.fetch_add(1, Ordering::Relaxed);
-            count_fresh();
+            FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
             // Reserve the full class so the buffer files back under `c` and
             // is found by every later same-class request.
             let mut v = Vec::with_capacity(1usize << c);
@@ -203,24 +186,15 @@ pub fn stats() -> PoolStats {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
         fresh_allocs: FRESH_ALLOCS.load(Ordering::Relaxed),
-        fresh_allocs_steady: FRESH_STEADY.load(Ordering::Relaxed),
         returned: RETURNED.load(Ordering::Relaxed),
         resident_bytes: resident,
     }
 }
 
-/// Fresh heap allocations performed so far (monotone counter).
+/// Fresh heap allocations performed so far (monotone counter). A caller
+/// checks a steady state by the delta of this around it.
 pub fn fresh_allocs() -> u64 {
     FRESH_ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Marks the boundary between warmup and steady state for fresh-allocation
-/// accounting: allocations performed while `on` is true count into
-/// `fresh_allocs_steady` in addition to the monotone `fresh_allocs` total.
-/// Benchmarks flip this after their warmup rounds so the published counters
-/// distinguish expected warmup allocation from a steady-state regression.
-pub fn set_steady(on: bool) {
-    STEADY.store(on, Ordering::Relaxed);
 }
 
 /// Total pool lookups performed so far (hits + misses, monotone). Compiled
@@ -243,8 +217,6 @@ pub fn publish_trace_stats() {
     focus_trace::counter_set("pool/hits", s.hits);
     focus_trace::counter_set("pool/misses", s.misses);
     focus_trace::counter_set("pool/fresh_allocs", s.fresh_allocs);
-    focus_trace::counter_set("pool/fresh_allocs_warmup", s.fresh_allocs - s.fresh_allocs_steady);
-    focus_trace::counter_set("pool/fresh_allocs_steady", s.fresh_allocs_steady);
     focus_trace::counter_set("pool/returned", s.returned);
     focus_trace::counter_set("pool/resident_bytes", s.resident_bytes);
 }
@@ -313,31 +285,6 @@ mod tests {
         assert_eq!(class_for_capacity(1024), 10);
         assert_eq!(class_for_capacity(1535), 10);
         assert_eq!(class_for_capacity(2048), 11);
-    }
-
-    #[test]
-    fn steady_flag_attributes_fresh_allocs() {
-        let _g = TEST_LOCK.lock().expect("pool test lock");
-        // With the shelves drained and both buffers held, each take below is
-        // a fresh allocation (class 2^17 is only used by this module).
-        clear();
-        let before = stats();
-        set_steady(true);
-        let v = take(70_011);
-        set_steady(false);
-        let w = take(70_011);
-        let after = stats();
-        assert!(
-            after.fresh_allocs_steady > before.fresh_allocs_steady,
-            "steady-phase allocation must count into fresh_allocs_steady"
-        );
-        assert!(
-            (after.fresh_allocs - after.fresh_allocs_steady)
-                > (before.fresh_allocs - before.fresh_allocs_steady),
-            "warmup-phase allocation must count into the warmup share"
-        );
-        drop(v);
-        drop(w);
     }
 
     #[test]

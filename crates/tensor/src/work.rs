@@ -15,7 +15,7 @@
 //!
 //! | kernel | FLOPs |
 //! |---|---|
-//! | `gemm`, `bmm`, `bcast_nt`, `bcast_nt_dx`, `bcast_nt_da` | 2 per multiply–accumulate |
+//! | `bmm` (one product, batched or shared operands), `bcast_nt_da` | 2 per multiply–accumulate |
 //! | `zip_add`/`sub`/`mul`, `map_scale`, `map_add_scalar`, `map_abs`, `add_row_broadcast` | 1 per element |
 //! | `map_relu`/`gelu`/`sigmoid`/`tanh` | 4 per element |
 //! | `softmax_last` | 5 per element |
@@ -209,18 +209,18 @@ mod tests {
         let (a, b, mut c) = (v(bt * m * k), v(bt * k * n), vec![0.0; bt * m * n]);
         for trans in [Trans::Nn, Trans::Nt, Trans::Tn] {
             assert_eq!(
-                flops(|| exec::gemm(trans, m, k, n, &a[..m * k], &b[..k * n], &mut c[..m * n])),
+                flops(|| exec::bmm(trans, 1, m, k, n, (&a[..m * k], true), (&b[..k * n], true), &mut c[..m * n])),
                 2 * m * k * n
             );
             assert_eq!(
-                flops(|| exec::bmm(trans, bt, m, k, n, &a, &b, &mut c)),
+                flops(|| exec::bmm(trans, bt, m, k, n, (&a, true), (&b, true), &mut c)),
                 2 * bt * m * k * n
             );
         }
         // The broadcast-NT forward and both of its adjoints: a [m, k] matrix
         // against bt batches of [n, k].
         assert_eq!(
-            flops(|| exec::bcast_nt(bt, m, k, n, &a[..m * k], &b[..bt * n * k], &mut c)),
+            flops(|| exec::bmm(Trans::Nt, bt, m, k, n, (&a[..m * k], false), (&b[..bt * n * k], true), &mut c)),
             2 * bt * m * k * n
         );
         let (g, x) = (v(bt * m * n), v(bt * n * k));
@@ -231,7 +231,7 @@ mod tests {
         );
         let mut dx = vec![0.0; bt * n * k];
         assert_eq!(
-            flops(|| exec::bcast_nt_dx(&g, &a[..m * k], bt, m, n, k, &mut dx)),
+            flops(|| exec::bmm(Trans::Tn, bt, n, m, k, (&g, true), (&a[..m * k], false), &mut dx)),
             2 * bt * m * n * k
         );
     }
@@ -324,7 +324,7 @@ mod tests {
         let (src, mut dst) = (v(b * l * d), vec![0.0; b * l * d]);
         assert_eq!(flops(|| exec::copy(&src, &mut dst)), 0);
         assert_eq!(flops(|| exec::fill(&mut dst, 1.0)), 0);
-        assert_eq!(flops(|| exec::transpose2(&src, b * l, d, &mut dst)), 0);
+        assert_eq!(flops(|| exec::transpose_last2(&src, 1, b * l, d, &mut dst)), 0);
         assert_eq!(flops(|| exec::transpose_last2(&src, b, l, d, &mut dst)), 0);
         assert_eq!(flops(|| exec::swap01(&src, b, l, d, &mut dst)), 0);
         assert_eq!(
@@ -356,11 +356,11 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(|| {
                     let mut c = vec![0.0; m * n];
-                    exec::gemm(Trans::Nn, m, k, n, &a, &b, &mut c);
+                    exec::bmm(Trans::Nn, 1, m, k, n, (&a, true), (&b, true), &mut c);
                     drop(Tensor::zeros(&[m, n]));
                 });
                 let mut c = vec![0.0; 4 * n];
-                exec::gemm(Trans::Nn, 4, k, n, &a[..4 * k], &b, &mut c);
+                exec::bmm(Trans::Nn, 1, 4, k, n, (&a[..4 * k], true), (&b, true), &mut c);
             });
         });
         assert_eq!(

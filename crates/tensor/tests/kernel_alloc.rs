@@ -1,7 +1,8 @@
 //! Warmed-up GEMM calls make no heap allocation.
 //!
 //! A counting global allocator wraps the system one. Every `exec` entry
-//! point the plan VM calls for a GEMM-shaped opcode runs once to warm up
+//! point the plan VM calls for a GEMM-shaped opcode (`bmm` with each
+//! operand batched or shared, and `bcast_nt_da`) runs once to warm up
 //! (worker threads, per-thread packing scratch), then once more while the
 //! count is watched; that second call must allocate nothing, at 1 and at 2
 //! worker threads. The shapes are the FOCUS bench model's plus ragged ones:
@@ -68,10 +69,11 @@ fn data(n: usize, seed: usize) -> Vec<f32> {
 
 type Call = Box<dyn FnMut()>;
 
+/// One product: a batch of one.
 fn gemm(trans: Trans, m: usize, k: usize, n: usize) -> (String, Call) {
     let (a, b, mut c) = (data(m * k, 1), data(k * n, 2), vec![0.0f32; m * n]);
-    let call = move || exec::gemm(trans, m, k, n, &a, &b, &mut c);
-    (format!("gemm {trans:?} [{m},{k},{n}]"), Box::new(call))
+    let call = move || exec::bmm(trans, 1, m, k, n, (&a, true), (&b, true), &mut c);
+    (format!("bmm {trans:?} [1,{m},{k},{n}]"), Box::new(call))
 }
 
 fn bmm(trans: Trans, bt: usize, m: usize, k: usize, n: usize) -> (String, Call) {
@@ -80,12 +82,13 @@ fn bmm(trans: Trans, bt: usize, m: usize, k: usize, n: usize) -> (String, Call) 
         data(bt * k * n, 4),
         vec![0.0f32; bt * m * n],
     );
-    let call = move || exec::bmm(trans, bt, m, k, n, &a, &b, &mut c);
+    let call = move || exec::bmm(trans, bt, m, k, n, (&a, true), (&b, true), &mut c);
     (format!("bmm {trans:?} [{bt},{m},{k},{n}]"), Box::new(call))
 }
 
-/// `BcastNt`, `BcastNtDa` and `BcastNtDx` at the plan's `[bsz, k, d, l]` /
-/// `[bsz, k, l, d]` geometry.
+/// The broadcast product `a·x[b]ᵀ` of a shared `[k, d]` matrix against
+/// `bsz` batches of `[l, d]`, and its two adjoints, `bcast_nt_da` and the
+/// shared `g[b]ᵀ·a`, at the plan's `[bsz, k, l, d]` geometry.
 fn bcast(bsz: usize, k: usize, l: usize, d: usize) -> [(String, Call); 3] {
     let (a, x, g) = (data(k * d, 5), data(bsz * l * d, 6), data(bsz * k * l, 7));
     let (a2, g2, x2) = (a.clone(), g.clone(), x.clone());
@@ -95,16 +98,16 @@ fn bcast(bsz: usize, k: usize, l: usize, d: usize) -> [(String, Call); 3] {
     let geom = format!("[{bsz},{k},{l},{d}]");
     [
         (
-            format!("bcast_nt {geom}"),
-            Box::new(move || exec::bcast_nt(bsz, k, d, l, &a, &x, &mut scores)),
+            format!("bmm Nt shared lhs {geom}"),
+            Box::new(move || exec::bmm(Trans::Nt, bsz, k, d, l, (&a, false), (&x, true), &mut scores)),
         ),
         (
             format!("bcast_nt_da {geom}"),
             Box::new(move || exec::bcast_nt_da(&g, &x2, bsz, k, l, d, &mut da)),
         ),
         (
-            format!("bcast_nt_dx {geom}"),
-            Box::new(move || exec::bcast_nt_dx(&g2, &a2, bsz, k, l, d, &mut dx)),
+            format!("bmm Tn shared rhs {geom}"),
+            Box::new(move || exec::bmm(Trans::Tn, bsz, l, k, d, (&g2, true), (&a2, false), &mut dx)),
         ),
     ]
 }

@@ -201,19 +201,19 @@ fn depth(k: usize, pick: u32) -> usize {
     }
 }
 
-/// Runs `exec::{bcast_nt, bcast_nt_dx, bcast_nt_da}` at `[bsz, k, l, d]`
-/// against the per-batch reference chains they replace, at 1, 2 and 4
-/// threads, and names the first mismatch. `bcast_nt` is `a·x[b]ᵀ` per
-/// batch, `bcast_nt_dx` is `g[b]ᵀ·a` per batch, and `bcast_nt_da` adds each
-/// zeroed per-batch `g[b]·x[b]` into a zeroed `da` in ascending batch
-/// order. Outputs start as NaN, so any element an entry point fails to
-/// write shows.
+/// Runs the broadcast products of `Op::MatmulBroadcastNt` at
+/// `[bsz, k, l, d]` against the per-batch reference chains, at 1, 2 and 4
+/// threads, and names the first mismatch: the forward `a·x[b]ᵀ` and the
+/// adjoint `g[b]ᵀ·a` are `exec::bmm` with a shared `a`, and
+/// `exec::bcast_nt_da` adds each zeroed per-batch `g[b]·x[b]` into a zeroed
+/// `da` in ascending batch order. Outputs start as NaN, so any element an
+/// entry point fails to write shows.
 fn bcast_mismatch(
     seed: u64,
     (bsz, k, l, d): (usize, usize, usize, usize),
     specials: bool,
 ) -> Option<String> {
-    use focus_tensor::exec;
+    use focus_tensor::exec::{self, Trans};
     let mut rng = StdRng::seed_from_u64(seed);
     let a = gemm_operand(&[k, d], specials, &mut rng);
     let x = gemm_operand(&[bsz, l, d], specials, &mut rng);
@@ -243,14 +243,14 @@ fn bcast_mismatch(
     for threads in [1usize, 2, 4] {
         par::set_threads(threads);
         let mut got = vec![f32::NAN; bsz * k * l];
-        exec::bcast_nt(bsz, k, d, l, a, x, &mut got);
+        exec::bmm(Trans::Nt, bsz, k, d, l, (a, false), (x, true), &mut got);
         if !same_bits(&got, &scores) {
-            mismatch.get_or_insert(format!("bcast_nt {shape} t{threads}"));
+            mismatch.get_or_insert(format!("bmm Nt shared lhs {shape} t{threads}"));
         }
         let mut got = vec![f32::NAN; bsz * l * d];
-        exec::bcast_nt_dx(g, a, bsz, k, l, d, &mut got);
+        exec::bmm(Trans::Tn, bsz, l, k, d, (g, true), (a, false), &mut got);
         if !same_bits(&got, &dx) {
-            mismatch.get_or_insert(format!("bcast_nt_dx {shape} t{threads}"));
+            mismatch.get_or_insert(format!("bmm Tn shared rhs {shape} t{threads}"));
         }
         let mut got = vec![f32::NAN; k * d];
         exec::bcast_nt_da(g, x, bsz, k, l, d, &mut got);
@@ -294,10 +294,11 @@ fn left_operand(len: usize, kind: Left, rng: &mut StdRng) -> Vec<f32> {
     }
 }
 
-/// Runs the `exec` GEMM entry the plan VM calls for `opcode` (`gemm` or
-/// `bmm`) at `[bt, m, k, n]` against per-batch reference chains, at 1, 2
-/// and 4 threads, and names the first mismatch. Outputs start as NaN.
-fn gemm_mismatch(opcode: &str, trans: focus_tensor::exec::Trans, (bt, m, k, n): (usize, usize, usize, usize), left: Left) -> Option<String> {
+/// Runs `exec::bmm`, the entry the plan VM calls for every batched GEMM
+/// opcode, at `[bt, m, k, n]` with both operands batched (`bt = 1` for a
+/// rank-2 product) against per-batch reference chains, at 1, 2 and 4
+/// threads, and names the first mismatch. Outputs start as NaN.
+fn gemm_mismatch(trans: focus_tensor::exec::Trans, (bt, m, k, n): (usize, usize, usize, usize), left: Left) -> Option<String> {
     use focus_tensor::exec::{self, Trans};
     let mut rng = StdRng::seed_from_u64((bt * 1_000_003 + m * 10_007 + k * 101 + n) as u64);
     let a = left_operand(bt * m * k, left, &mut rng);
@@ -315,13 +316,9 @@ fn gemm_mismatch(opcode: &str, trans: focus_tensor::exec::Trans, (bt, m, k, n): 
     for threads in [1usize, 2, 4] {
         par::set_threads(threads);
         let mut got = vec![f32::NAN; bt * m * n];
-        if opcode == "gemm" {
-            exec::gemm(trans, m, k, n, &a, &b, &mut got);
-        } else {
-            exec::bmm(trans, bt, m, k, n, &a, &b, &mut got);
-        }
+        exec::bmm(trans, bt, m, k, n, (&a, true), (&b, true), &mut got);
         if !same_bits(&got, &want) {
-            mismatch.get_or_insert(format!("{opcode} {trans:?} [{bt},{m},{k},{n}] {left:?} t{threads}"));
+            mismatch.get_or_insert(format!("bmm {trans:?} [{bt},{m},{k},{n}] {left:?} t{threads}"));
         }
     }
     par::set_threads(0);
@@ -339,29 +336,29 @@ fn plan_shapes_and_tile_rule_edges_bitwise_match_reference() {
     use focus_tensor::exec::Trans::{Nn, Nt, Tn};
     let _guard = lock_threads();
     let plan = [
-        ("gemm", Nn, (1, 384, 8, 32)),
-        ("gemm", Nn, (1, 256, 8, 32)),
-        ("gemm", Nn, (1, 96, 8, 32)),
-        ("gemm", Nn, (1, 8, 8, 32)),
-        ("gemm", Nn, (1, 192, 64, 32)),
-        ("gemm", Nn, (1, 32, 192, 24)),
-        ("gemm", Nt, (1, 32, 24, 192)),
-        ("gemm", Nt, (1, 192, 32, 64)),
-        ("gemm", Nt, (1, 96, 32, 8)),
-        ("gemm", Nt, (1, 256, 32, 8)),
-        ("gemm", Tn, (1, 192, 32, 24)),
-        ("gemm", Tn, (1, 64, 192, 32)),
-        ("gemm", Tn, (1, 8, 96, 32)),
-        ("gemm", Tn, (1, 8, 8, 32)),
-        ("gemm", Tn, (1, 8, 256, 32)),
-        ("gemm", Tn, (1, 8, 384, 32)),
-        ("bmm", Nn, (32, 8, 12, 8)),
-        ("bmm", Nn, (12, 8, 32, 8)),
-        ("bmm", Nn, (32, 6, 12, 32)),
-        ("bmm", Nt, (32, 6, 32, 12)),
-        ("bmm", Nt, (12, 8, 8, 32)),
-        ("bmm", Nt, (32, 8, 8, 12)),
-        ("bmm", Tn, (32, 12, 6, 32)),
+        (Nn, (1, 384, 8, 32)),
+        (Nn, (1, 256, 8, 32)),
+        (Nn, (1, 96, 8, 32)),
+        (Nn, (1, 8, 8, 32)),
+        (Nn, (1, 192, 64, 32)),
+        (Nn, (1, 32, 192, 24)),
+        (Nt, (1, 32, 24, 192)),
+        (Nt, (1, 192, 32, 64)),
+        (Nt, (1, 96, 32, 8)),
+        (Nt, (1, 256, 32, 8)),
+        (Tn, (1, 192, 32, 24)),
+        (Tn, (1, 64, 192, 32)),
+        (Tn, (1, 8, 96, 32)),
+        (Tn, (1, 8, 8, 32)),
+        (Tn, (1, 8, 256, 32)),
+        (Tn, (1, 8, 384, 32)),
+        (Nn, (32, 8, 12, 8)),
+        (Nn, (12, 8, 32, 8)),
+        (Nn, (32, 6, 12, 32)),
+        (Nt, (32, 6, 32, 12)),
+        (Nt, (12, 8, 8, 32)),
+        (Nt, (32, 8, 8, 12)),
+        (Tn, (32, 12, 6, 32)),
     ];
     let mut cases = plan.to_vec();
     for trans in [Nn, Nt, Tn] {
@@ -369,28 +366,29 @@ fn plan_shapes_and_tile_rule_edges_bitwise_match_reference() {
         // rows run short tiles of it, 4 and 32 full ones.
         for n in [16, 17, 24, 25] {
             for m in [3, 4, 9, 32] {
-                cases.push(("gemm", trans, (1, m, 6, n)));
+                cases.push((trans, (1, m, 6, n)));
             }
-            cases.push(("bmm", trans, (3, 5, 8, n)));
+            cases.push((trans, (3, 5, 8, n)));
         }
         // Row counts 4 | 6 and 24 | 28 straddle the 4-row tile; 8 | 9 rows
         // and widths 8 | 9 straddle the narrow a·bᵀ orientation.
         for (m, n) in [(4, 33), (6, 33), (24, 33), (28, 33), (8, 9), (9, 9), (8, 8), (6, 12)] {
-            cases.push(("bmm", trans, (3, m, 7, n)));
+            cases.push((trans, (3, m, 7, n)));
         }
     }
     // Above the parallel threshold at 2 and 4 threads: the narrow a·bᵀ split
     // into row blocks of 6 and 2, and a batched call split by batches.
-    cases.push(("gemm", Nt, (1, 8, 64, 600)));
-    cases.push(("bmm", Nn, (128, 8, 32, 8)));
-    for (opcode, trans, dims) in cases {
+    cases.push((Nt, (1, 8, 64, 600)));
+    cases.push((Nn, (128, 8, 32, 8)));
+    for (trans, dims) in cases {
         for left in [Left::Specials, Left::Dense, Left::Zeros] {
-            assert_eq!(gemm_mismatch(opcode, trans, dims, left), None);
+            assert_eq!(gemm_mismatch(trans, dims, left), None);
         }
     }
-    // The broadcast opcodes' plan shapes, as `[bsz, k, l, d]`:
-    // `bcast_nt` [32,8,8,12], [12,8,8,32], [32,6,32,12], [1,8,32,8] and the
-    // `bcast_nt_da`/`_dx` shapes at the same `[bsz, k, l, d]`.
+    // The broadcast products' plan shapes, as `[bsz, k, l, d]`: the shared
+    // `a·xᵀ` `bmm_nt` [32,8,8,12], [12,8,8,32], [32,6,32,12], [1,8,32,8] and
+    // the `bcast_nt_da` and shared `gᵀ·a` `bmm_tn` shapes at the same
+    // `[bsz, k, l, d]`.
     for (i, dims) in [(32, 8, 12, 8), (12, 8, 32, 8), (32, 6, 12, 32), (1, 8, 8, 32)].into_iter().enumerate() {
         assert_eq!(bcast_mismatch(0x9a7e + i as u64, dims, true), None);
         assert_eq!(bcast_mismatch(0x9b7e + i as u64, dims, false), None);
